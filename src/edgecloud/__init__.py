@@ -17,9 +17,7 @@ from .train import (DivergenceError, FrozenParamsError, LossReport,
                     TrainConfig, TrainResult, cross_entropy, finetune_adapter,
                     kd_loss, positive_cross_entropy, train_base,
                     train_edge_kd, train_recall_boost)
-from .policy import (RouteRecord, RoutingPolicy, route_adaptive,
-                     route_dataset, route_dynamic, route_independent,
-                     route_sample)
+from .policy import route_codes, route_dataset
 from .metrics import (CostReport, ParetoPoint, comm_score, comp_score,
                       comp_score_value, dominates, pareto_frontier,
                       perf_score)
@@ -32,7 +30,7 @@ __all__ = [
     "AdapterSpec", "ConfigError", "CostReport", "Dataset", "DivergenceError",
     "ExperimentPlan", "FeatureMap", "FrozenParamsError", "GradientBundle",
     "GradientTape", "LayerSpec", "LossReport", "ModelSpec", "Param",
-    "ParetoPoint", "RouteRecord", "RoutingPolicy", "SimplexWeights",
+    "ParetoPoint", "SimplexWeights",
     "SweepResult", "TrainConfig", "TrainResult", "TrainedSystem",
     "UsageError", "adapt", "backward", "check_descent", "cloud_tail",
     "comm_score", "comp_score", "comp_score_value", "confidence",
@@ -40,7 +38,6 @@ __all__ = [
     "finetune_adapter", "flops", "forward", "gen_dataset", "grid_oracle",
     "infer", "infer_with_tap", "kd_loss", "make_adapter", "pareto_frontier",
     "perf_score", "positive_cross_entropy", "residual_block",
-    "route_adaptive", "route_dataset", "route_dynamic", "route_independent",
-    "route_sample", "run_experiment", "softmax", "solve_min_norm",
+    "route_codes", "route_dataset", "run_experiment", "softmax", "solve_min_norm",
     "sweep_dynamic", "train_base", "train_edge_kd", "train_recall_boost",
 ]

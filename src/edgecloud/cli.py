@@ -96,9 +96,10 @@ def cmd_sweep(args) -> int:
     plan = _load_plan(args)
     out = _out_dir(args)
     system = _load_system(plan, out)
-    c1 = plan.policies[0].c1 if plan.policies else 0.8
-    grid = sorted({0.0, *plan.c2_grid, c1})
-    result = harness.sweep_dynamic(system, grid, c1=c1)
+    first = plan.policies[0] if plan.policies else harness.PolicyConfig("dynamic", c1=0.8)
+    grid = sorted({0.0, *plan.c2_grid, first.c1})
+    result = harness.sweep_dynamic(system, grid, c1=first.c1,
+                                   confidence_mode=first.confidence_mode)
     metrics.write_reports_csv(os.path.join(out, "sweep.csv"), result.reports)
     keep = {p.label for p in result.frontier}
     front_rows = [r for r in result.reports if r.label in keep]

@@ -28,7 +28,7 @@ from . import metrics, models, nncore, policy as policy_mod, train as train_mod
 from .metrics import MAX, MIN, CostReport, ParetoPoint, pareto_frontier
 from .models import AdapterSpec, ModelSpec
 from .nncore import ConfigError, UsageError
-from .policy import DYNAMIC, RoutingPolicy, route_dataset
+from .policy import DYNAMIC, RoutedDataset, route_codes, route_dataset
 from .train import TrainConfig, TrainResult
 
 DATASET_VERSION = 1
@@ -430,66 +430,57 @@ def _policy_label(pc: PolicyConfig) -> str:
     return pc.variant
 
 
-def _system_report(label: str, records, input_bytes: int, flops_edge: int,
-                   flops_cloud: int, preds: np.ndarray, yv: np.ndarray,
-                   normal_class: int, pi_edge: float, pi_cloud: float) -> CostReport:
-    tau, psi, s_comm = metrics.comm_score(records, input_bytes)
-    flops_sys, s_comp = metrics.comp_score(flops_edge, flops_cloud, records)
-    acc = train_mod.accuracy_rate(preds, yv)
-    return CostReport(
-        label=label, tau=tau, psi=psi, s_comm=s_comm,
-        flops_ecc=flops_sys, flops_edge=flops_edge, flops_cloud=flops_cloud,
-        s_comp=s_comp, pi_ecc=acc, pi_edge=pi_edge, pi_cloud=pi_cloud,
-        s_p=metrics.perf_score(acc, pi_edge, pi_cloud), accuracy=acc,
-        recall=train_mod.recall_rate(preds, yv, normal_class),
-    )
-
-
-def _baseline_reports(system: TrainedSystem) -> tuple[CostReport, CostReport, float, float]:
-    """Edge and cloud anchor rows: scores (0,0,0) and (1,1,1) by construction."""
-    ds = system.dataset
-    flops_edge, flops_cloud = system.edge.total_flops(), system.cloud.total_flops()
-    yv = ds.val_y
-    edge_preds = np.argmax(models.infer(system.edge, ds.val_X), axis=1)
-    cloud_preds = np.argmax(models.infer(system.cloud, ds.val_X), axis=1)
-    pi_edge = train_mod.accuracy_rate(edge_preds, yv)
-    pi_cloud = train_mod.accuracy_rate(cloud_preds, yv)
+def _scorer(system: TrainedSystem, routed: RoutedDataset):
+    """Edge and cloud anchor rows, scoring (0,0,0) and (1,1,1) by construction,
+    and a function that scores one array of route codes over ``routed``."""
+    ds, edge, cloud = system.dataset, system.edge, system.cloud
+    yv, normal = ds.val_y, ds.normal_class
+    flops_edge, flops_cloud = edge.total_flops(), cloud.total_flops()
+    route_bytes, route_flops = policy_mod.route_costs(edge, cloud, system.adapter,
+                                                      system.plan.bytes_per_element)
+    input_bytes = route_bytes[policy_mod.CLOUD_CODE]  # the raw input row
+    pi_edge = train_mod.accuracy_rate(routed.edge_pred, yv)
+    pi_cloud = train_mod.accuracy_rate(routed.cloud_pred, yv)
     edge_report = CostReport(
         label="edge", tau=0.0, psi=0.0, s_comm=0.0,
         flops_ecc=float(flops_edge), flops_edge=flops_edge, flops_cloud=flops_cloud,
         s_comp=0.0, pi_ecc=pi_edge, pi_edge=pi_edge, pi_cloud=pi_cloud,
         s_p=0.0, accuracy=pi_edge,
-        recall=train_mod.recall_rate(edge_preds, yv, ds.normal_class))
+        recall=train_mod.recall_rate(routed.edge_pred, yv, normal))
     cloud_report = CostReport(
         label="cloud", tau=1.0, psi=1.0, s_comm=1.0,
         flops_ecc=float(flops_cloud), flops_edge=flops_edge, flops_cloud=flops_cloud,
         s_comp=1.0, pi_ecc=pi_cloud, pi_edge=pi_edge, pi_cloud=pi_cloud,
         s_p=1.0, accuracy=pi_cloud,
-        recall=train_mod.recall_rate(cloud_preds, yv, ds.normal_class))
-    return edge_report, cloud_report, pi_edge, pi_cloud
+        recall=train_mod.recall_rate(routed.cloud_pred, yv, normal))
 
+    def score(label: str, codes: np.ndarray) -> CostReport:
+        tau, psi, s_comm = metrics.comm_score(codes, route_bytes, input_bytes)
+        flops_sys, s_comp = metrics.comp_score(flops_edge, flops_cloud, codes, route_flops)
+        preds = routed.predictions(codes)
+        acc = train_mod.accuracy_rate(preds, yv)
+        return CostReport(
+            label=label, tau=tau, psi=psi, s_comm=s_comm,
+            flops_ecc=flops_sys, flops_edge=flops_edge, flops_cloud=flops_cloud,
+            s_comp=s_comp, pi_ecc=acc, pi_edge=pi_edge, pi_cloud=pi_cloud,
+            s_p=metrics.perf_score(acc, pi_edge, pi_cloud), accuracy=acc,
+            recall=train_mod.recall_rate(preds, yv, normal))
 
-def _evaluate_policy_records(system: TrainedSystem, pol: RoutingPolicy, label: str,
-                             pi_edge: float, pi_cloud: float):
-    ds = system.dataset
-    records = route_dataset(system.edge, system.cloud, pol, ds.val_X)
-    preds = np.asarray([r.prediction for r in records])
-    input_bytes = ds.dim * pol.bytes_per_element
-    report = _system_report(label, records, input_bytes, system.edge.total_flops(),
-                            system.cloud.total_flops(), preds, ds.val_y,
-                            ds.normal_class, pi_edge, pi_cloud)
-    return report, records
-
-
-def evaluate_policy(system: TrainedSystem, pol: RoutingPolicy, label: str,
-                    pi_edge: float, pi_cloud: float) -> CostReport:
-    return _evaluate_policy_records(system, pol, label, pi_edge, pi_cloud)[0]
+    return edge_report, cloud_report, score
 
 
 def evaluate_policies(system: TrainedSystem) -> list[CostReport]:
-    """Edge/cloud baselines plus one report per policy in the plan's grid."""
+    """Edge/cloud baselines plus one report per policy in the plan's grid.
+
+    The validation split is routed once per confidence mode the policies
+    use (once when they share one) and every report thresholds that pass.
+    """
     plan = system.plan
-    edge_report, cloud_report, pi_edge, pi_cloud = _baseline_reports(system)
+    modes = [pc.confidence_mode for pc in plan.policies] or [models.NORMAL_CLASS_MODE]
+    routed = {mode: route_dataset(system.edge, system.cloud, system.adapter,
+                                  system.dataset.val_X, mode)
+              for mode in dict.fromkeys(modes)}
+    edge_report, cloud_report, score = _scorer(system, routed[modes[0]])
     reports = [edge_report, cloud_report]
     seen = {"edge", "cloud"}
     for pc in plan.policies:
@@ -497,10 +488,8 @@ def evaluate_policies(system: TrainedSystem) -> list[CostReport]:
         if label in seen:
             raise ConfigError(f"duplicate policy label {label!r}")
         seen.add(label)
-        pol = RoutingPolicy(pc.variant, pc.c1, pc.c2, pc.confidence_mode,
-                            adapter=None if pc.variant == policy_mod.INDEPENDENT else system.adapter,
-                            bytes_per_element=plan.bytes_per_element)
-        reports.append(evaluate_policy(system, pol, label, pi_edge, pi_cloud))
+        codes = route_codes(pc.variant, routed[pc.confidence_mode].confidence, pc.c1, pc.c2)
+        reports.append(score(label, codes))
     return reports
 
 
@@ -521,22 +510,24 @@ def sweep_dynamic(system: TrainedSystem, c2_grid: list[float], c1: float = 0.8,
     """Evaluate the dynamic policy across ascending c2 values.
 
     Endpoints collapse to the other rules: c2 = 0 reproduces the adaptive
-    policy and c2 = c1 the independent one, sample for sample.
+    policy and c2 = c1 the independent one, sample for sample. The
+    validation split is routed once and thresholded per c2.
     """
     if list(c2_grid) != sorted(c2_grid):
         raise UsageError("c2 grid must be ascending")
     if any(not 0.0 <= c2 <= c1 for c2 in c2_grid):
         raise UsageError("c2 values must lie in [0, c1]")
-    _, _, pi_edge, pi_cloud = _baseline_reports(system)
+    routed = route_dataset(system.edge, system.cloud, system.adapter, system.dataset.val_X,
+                           confidence_mode)
+    _, _, score = _scorer(system, routed)
     reports, points = [], []
     full_cloud_counts, adaptive_counts = [], []
     for c2 in c2_grid:
-        pol = RoutingPolicy(DYNAMIC, c1, c2, confidence_mode, adapter=system.adapter,
-                            bytes_per_element=system.plan.bytes_per_element)
+        codes = route_codes(DYNAMIC, routed.confidence, c1, c2)
         label = f"dynamic(c2={c2:g})"
-        report, records = _evaluate_policy_records(system, pol, label, pi_edge, pi_cloud)
-        full_cloud_counts.append(sum(r.route == policy_mod.ROUTE_CLOUD for r in records))
-        adaptive_counts.append(sum(r.route == policy_mod.ROUTE_ADAPTIVE for r in records))
+        report = score(label, codes)
+        full_cloud_counts.append(int((codes == policy_mod.CLOUD_CODE).sum()))
+        adaptive_counts.append(int((codes == policy_mod.ADAPTIVE_CODE).sum()))
         reports.append(report)
         points.append(ParetoPoint((report.s_p, report.s_comp, report.s_comm),
                                   (MAX, MIN, MIN), label))

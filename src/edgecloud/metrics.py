@@ -21,8 +21,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .nncore import ConfigError, UsageError
-from .policy import ROUTE_EDGE, RouteRecord
+from .policy import EDGE_CODE
 
 MAX = "max"
 MIN = "min"
@@ -31,18 +33,24 @@ REPORT_COLUMNS = ["label", "s_p", "s_comp", "s_comm", "tau", "psi",
                   "flops_ecc", "accuracy", "recall"]
 
 
-def comm_score(records: Sequence[RouteRecord], input_bytes: int) -> tuple[float, float, float]:
+def comm_score(codes, route_bytes: Sequence[int],
+               input_bytes: int) -> tuple[float, float, float]:
     """Offload fraction, mean size ratio over offloaded samples, and their product.
 
-    With no offloaded samples ``psi`` is reported as 0 by convention.
+    ``codes`` holds one route code per sample and ``route_bytes[code]`` the
+    bytes a sample on that route transmits. ``psi`` is a left-to-right sum
+    of the per-sample ratios in sample order, divided by the offload count;
+    with no offloaded samples it is reported as 0 by convention.
     """
-    if not records:
-        raise UsageError("comm_score needs at least one record")
+    codes = np.asarray(codes)
+    if codes.size == 0:
+        raise UsageError("comm_score needs at least one route code")
     if input_bytes <= 0:
         raise UsageError("input_bytes must be positive")
-    offloaded = [r for r in records if r.route != ROUTE_EDGE]
-    tau = len(offloaded) / len(records)
-    psi = (sum(r.bytes_sent / input_bytes for r in offloaded) / len(offloaded)) if offloaded else 0.0
+    offloaded = codes[codes != EDGE_CODE]
+    tau = len(offloaded) / len(codes)
+    ratios = (np.take(route_bytes, offloaded) / input_bytes).tolist()
+    psi = sum(ratios) / len(ratios) if ratios else 0.0
     return tau, psi, tau * psi
 
 
@@ -53,12 +61,17 @@ def comp_score_value(flops_edge: float, flops_cloud: float, flops_sys: float) ->
     return (flops_sys - flops_edge) / (flops_cloud - flops_edge)
 
 
-def comp_score(flops_edge: float, flops_cloud: float,
-               records: Sequence[RouteRecord]) -> tuple[float, float]:
-    """Branch-weighted system FLOPs and the normalized computation score."""
-    if not records:
-        raise UsageError("comp_score needs at least one record")
-    flops_sys = flops_edge + sum(r.flops_cloud_side for r in records) / len(records)
+def comp_score(flops_edge: float, flops_cloud: float, codes,
+               route_flops: Sequence[int]) -> tuple[float, float]:
+    """Branch-weighted system FLOPs and the normalized computation score.
+
+    ``route_flops[code]`` is the cloud-side FLOPs of one sample on that
+    route; their exact integer sum is divided by the sample count.
+    """
+    codes = np.asarray(codes)
+    if codes.size == 0:
+        raise UsageError("comp_score needs at least one route code")
+    flops_sys = flops_edge + int(np.take(route_flops, codes).sum()) / len(codes)
     return flops_sys, comp_score_value(flops_edge, flops_cloud, flops_sys)
 
 

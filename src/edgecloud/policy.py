@@ -12,13 +12,20 @@ probability by default) against the thresholds decides the route:
   ``c2 <= conf < c1``, full cloud on the raw input when ``conf < c2``.
 
 Boundary semantics follow the inequalities as written: ties at ``c1`` stay
-on edge, ties at ``c2`` go adaptive. Each decision returns a
-:class:`RouteRecord` carrying the byte and FLOP costs for scoring.
+on edge, ties at ``c2`` go adaptive.
+
+The route depends on the input only through the confidence, so routing is
+split in two. :func:`route_dataset` runs every branch once over a whole
+split and returns the confidence and each branch's prediction per row;
+:func:`route_codes` then maps any (variant, c1, c2) to an array of route
+codes, indices into :data:`ROUTES`, with one :func:`route_sample` call per
+row. :func:`route_costs` gives the bytes and cloud-side FLOPs one row pays
+on each route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,50 +42,10 @@ VARIANTS = (INDEPENDENT, ADAPTIVE, DYNAMIC)
 ROUTE_EDGE = "edge-only"
 ROUTE_ADAPTIVE = "adaptive"
 ROUTE_CLOUD = "full-cloud"
-
-DEFAULT_BYTES_PER_ELEMENT = 4
-
-
-@dataclass
-class RoutingPolicy:
-    """One routing rule plus the knobs cost accounting needs."""
-
-    variant: str
-    c1: float
-    c2: float = 0.0
-    confidence_mode: str = NORMAL_CLASS_MODE
-    adapter: AdapterSpec | None = None
-    bytes_per_element: int = DEFAULT_BYTES_PER_ELEMENT
-
-    def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown policy variant {self.variant!r}")
-        if not 0.0 <= self.c1 <= 1.0:
-            raise ConfigError("c1 must lie in [0, 1]")
-        if self.variant == DYNAMIC and not 0.0 <= self.c2 <= self.c1:
-            raise ConfigError("dynamic policy requires 0 <= c2 <= c1")
-        if self.variant in (ADAPTIVE, DYNAMIC) and self.adapter is None:
-            raise ConfigError(f"{self.variant} policy requires an adapter")
-        if self.bytes_per_element < 1:
-            raise ConfigError("bytes_per_element must be >= 1")
-
-
-@dataclass(frozen=True)
-class RouteRecord:
-    """Outcome of routing one sample, with per-sample costs."""
-
-    route: str
-    confidence: float
-    bytes_sent: int
-    flops_edge: int
-    flops_cloud_side: int
-    prediction: int
-
-    def __post_init__(self) -> None:
-        if self.route not in (ROUTE_EDGE, ROUTE_ADAPTIVE, ROUTE_CLOUD):
-            raise UsageError(f"unknown route {self.route!r}")
-        if self.route == ROUTE_EDGE and (self.bytes_sent != 0 or self.flops_cloud_side != 0):
-            raise UsageError("edge-only records must carry zero cloud-side cost")
+# A route code is an index into ROUTES.
+ROUTES = (ROUTE_EDGE, ROUTE_ADAPTIVE, ROUTE_CLOUD)
+EDGE_CODE, ADAPTIVE_CODE, CLOUD_CODE = range(len(ROUTES))
+_ROUTE_CODES = {route: code for code, route in enumerate(ROUTES)}
 
 
 def decide(variant: str, conf: float, c1: float, c2: float = 0.0) -> str:
@@ -92,33 +59,39 @@ def decide(variant: str, conf: float, c1: float, c2: float = 0.0) -> str:
     return ROUTE_ADAPTIVE if conf >= c2 else ROUTE_CLOUD
 
 
-def _as_sample(x) -> np.ndarray:
-    arr = nncore.as_tensor(x)
-    if arr.ndim == 1:
-        return arr.reshape(1, -1)
-    if arr.ndim == 2 and arr.shape[0] == 1:
-        return arr
-    raise UsageError("route operations take one sample at a time")
+def route_sample(variant: str, conf: float, c1: float, c2: float = 0.0) -> int:
+    """Route code of one row: :func:`decide` as an index into :data:`ROUTES`."""
+    return _ROUTE_CODES[decide(variant, conf, c1, c2)]
 
 
-def _edge_record(conf: float, probs: np.ndarray, flops_edge: int) -> RouteRecord:
-    return RouteRecord(ROUTE_EDGE, conf, 0, flops_edge, 0, int(np.argmax(probs)))
+def route_codes(variant: str, conf, c1: float, c2: float = 0.0) -> np.ndarray:
+    """:func:`route_sample` over an array of confidences, one call per row.
+
+    Rejects an unknown variant, ``c1`` outside [0, 1] and, for the dynamic
+    rule, ``c2`` outside [0, c1].
+    """
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown policy variant {variant!r}")
+    if not 0.0 <= c1 <= 1.0:
+        raise ConfigError("c1 must lie in [0, 1]")
+    if variant == DYNAMIC and not 0.0 <= c2 <= c1:
+        raise ConfigError("dynamic policy requires 0 <= c2 <= c1")
+    conf = np.asarray(conf, dtype=np.float64)
+    codes = [route_sample(variant, c, c1, c2) for c in conf.ravel().tolist()]
+    return np.array(codes, dtype=np.intp).reshape(conf.shape)
 
 
-def _cloud_record(conf: float, cloud: ModelSpec, x: np.ndarray, flops_edge: int,
-                  bytes_per_element: int) -> RouteRecord:
-    probs = infer(cloud, x)
-    return RouteRecord(ROUTE_CLOUD, conf, int(x.size) * bytes_per_element,
-                       flops_edge, cloud.total_flops(), int(np.argmax(probs)))
+class RoutedDataset(NamedTuple):
+    """Per-row outcome of every branch over one split; no thresholds involved."""
 
+    confidence: np.ndarray
+    edge_pred: np.ndarray
+    adaptive_pred: np.ndarray
+    cloud_pred: np.ndarray
 
-def _adaptive_record(conf: float, cloud: ModelSpec, adapter: AdapterSpec, feature,
-                     flops_edge: int, bytes_per_element: int) -> RouteRecord:
-    adapted = adapt(adapter, feature)
-    probs = cloud_tail(cloud, adapted, adapter.cloud_tap)
-    flops_cloud_side = adapter.total_flops() + nncore.flops(cloud.layers[adapter.cloud_tap + 1:])
-    return RouteRecord(ROUTE_ADAPTIVE, conf, int(feature.values.size) * bytes_per_element,
-                       flops_edge, flops_cloud_side, int(np.argmax(probs)))
+    def predictions(self, codes) -> np.ndarray:
+        """Prediction of the branch each row's route code selects."""
+        return np.choose(codes, (self.edge_pred, self.adaptive_pred, self.cloud_pred))
 
 
 def _check_adapter_binding(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec) -> None:
@@ -128,60 +101,33 @@ def _check_adapter_binding(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSp
         raise ConfigError(f"adapter cloud tap {adapter.cloud_tap} not declared by {cloud.name!r}")
 
 
-def route_independent(edge: ModelSpec, cloud: ModelSpec, policy: RoutingPolicy, x) -> RouteRecord:
-    if policy.variant != INDEPENDENT:
-        raise UsageError("route_independent requires an independent policy")
-    x = _as_sample(x)
-    probs = infer(edge, x)
-    conf = confidence(probs[0], edge.normal_class, policy.confidence_mode)
-    if decide(INDEPENDENT, conf, policy.c1) == ROUTE_EDGE:
-        return _edge_record(conf, probs, edge.total_flops())
-    return _cloud_record(conf, cloud, x, edge.total_flops(), policy.bytes_per_element)
-
-
-def route_adaptive(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
-                   policy: RoutingPolicy, x) -> RouteRecord:
-    if policy.variant != ADAPTIVE:
-        raise UsageError("route_adaptive requires an adaptive policy")
+def route_dataset(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec, X,
+                  confidence_mode: str = NORMAL_CLASS_MODE) -> RoutedDataset:
+    """One pass of each branch over ``X``: the edge network with its tap, the
+    adapted path (adapter + cloud tail) and the full cloud."""
     _check_adapter_binding(edge, cloud, adapter)
-    x = _as_sample(x)
-    probs, feature = infer_with_tap(edge, x, adapter.edge_tap)
-    conf = confidence(probs[0], edge.normal_class, policy.confidence_mode)
-    if decide(ADAPTIVE, conf, policy.c1) == ROUTE_EDGE:
-        return _edge_record(conf, probs, edge.total_flops())
-    return _adaptive_record(conf, cloud, adapter, feature, edge.total_flops(),
-                            policy.bytes_per_element)
-
-
-def route_dynamic(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
-                  policy: RoutingPolicy, x) -> RouteRecord:
-    if policy.variant != DYNAMIC:
-        raise UsageError("route_dynamic requires a dynamic policy")
-    _check_adapter_binding(edge, cloud, adapter)
-    x = _as_sample(x)
-    probs, feature = infer_with_tap(edge, x, adapter.edge_tap)
-    conf = confidence(probs[0], edge.normal_class, policy.confidence_mode)
-    route = decide(DYNAMIC, conf, policy.c1, policy.c2)
-    if route == ROUTE_EDGE:
-        return _edge_record(conf, probs, edge.total_flops())
-    if route == ROUTE_ADAPTIVE:
-        return _adaptive_record(conf, cloud, adapter, feature, edge.total_flops(),
-                                policy.bytes_per_element)
-    return _cloud_record(conf, cloud, x, edge.total_flops(), policy.bytes_per_element)
-
-
-def route_sample(edge: ModelSpec, cloud: ModelSpec, policy: RoutingPolicy, x) -> RouteRecord:
-    """Dispatch on the policy variant (adapter taken from the policy)."""
-    if policy.variant == INDEPENDENT:
-        return route_independent(edge, cloud, policy, x)
-    if policy.variant == ADAPTIVE:
-        return route_adaptive(edge, cloud, policy.adapter, policy, x)
-    return route_dynamic(edge, cloud, policy.adapter, policy, x)
-
-
-def route_dataset(edge: ModelSpec, cloud: ModelSpec, policy: RoutingPolicy,
-                  X) -> list[RouteRecord]:
     X = nncore.as_tensor(X)
     if X.ndim != 2:
         raise UsageError("route_dataset expects an (n, d) array")
-    return [route_sample(edge, cloud, policy, X[i:i + 1]) for i in range(X.shape[0])]
+    probs, feature = infer_with_tap(edge, X, adapter.edge_tap)
+    adapted = cloud_tail(cloud, adapt(adapter, feature), adapter.cloud_tap)
+    return RoutedDataset(confidence(probs, edge.normal_class, confidence_mode),
+                         np.argmax(probs, axis=1), np.argmax(adapted, axis=1),
+                         np.argmax(infer(cloud, X), axis=1))
+
+
+def route_costs(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
+                bytes_per_element: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Bytes transmitted and cloud-side FLOPs of one row, indexed by route code.
+
+    The adapted offload sends the edge tap feature and runs the adapter plus
+    the cloud layers after its tap; the full-cloud offload sends the raw
+    input and runs the whole cloud model.
+    """
+    if bytes_per_element < 1:
+        raise ConfigError("bytes_per_element must be >= 1")
+    sent = (0, edge.tap_dim(adapter.edge_tap) * bytes_per_element,
+            cloud.in_dim * bytes_per_element)
+    cloud_side = (0, adapter.total_flops() + nncore.flops(cloud.layers[adapter.cloud_tap + 1:]),
+                  cloud.total_flops())
+    return sent, cloud_side

@@ -18,7 +18,8 @@ from edgecloud.metrics import ParetoPoint, comp_score_value, pareto_frontier, pe
 from edgecloud.models import clone_model, infer, infer_with_tap, cloud_tail, softmax
 from edgecloud.moo import GradientBundle, check_descent, grid_oracle, solve_min_norm
 from edgecloud.nncore import GradientTape, backward, forward
-from edgecloud.policy import RoutingPolicy, route_dataset
+from edgecloud.policy import (ADAPTIVE_CODE, CLOUD_CODE, EDGE_CODE, route_codes,
+                             route_dataset)
 from edgecloud.train import TrainConfig, cross_entropy, evaluate_model
 
 from conftest import (brute_force_frontier, finite_difference_grads,
@@ -104,17 +105,16 @@ def test_criterion_4_routing_identities():
     X = ds.val_X
     assert len(X) == 2000
 
-    dyn0 = RoutingPolicy("dynamic", c1=0.8, c2=0.0, adapter=adapter)
-    ada = RoutingPolicy("adaptive", c1=0.8, adapter=adapter)
-    collapse_a = route_dataset(edge, cloud, dyn0, X) == route_dataset(edge, cloud, ada, X)
+    routed = route_dataset(edge, cloud, adapter, X)
 
-    dyn1 = RoutingPolicy("dynamic", c1=0.8, c2=0.8, adapter=adapter)
-    ind = RoutingPolicy("independent", c1=0.8)
-    collapse_i = route_dataset(edge, cloud, dyn1, X) == route_dataset(edge, cloud, ind, X)
+    def outcome(variant, c2=0.0):
+        """Route code and prediction of every validation row."""
+        codes = route_codes(variant, routed.confidence, 0.8, c2)
+        return np.stack([codes, routed.predictions(codes)])
 
-    mid = RoutingPolicy("dynamic", c1=0.8, c2=0.3, adapter=adapter)
-    routes = {r.route for r in route_dataset(edge, cloud, mid, X)}
-    all_branches = routes == {"edge-only", "adaptive", "full-cloud"}
+    collapse_a = np.array_equal(outcome("dynamic", 0.0), outcome("adaptive"))
+    collapse_i = np.array_equal(outcome("dynamic", 0.8), outcome("independent"))
+    all_branches = set(outcome("dynamic", 0.3)[0]) == {EDGE_CODE, ADAPTIVE_CODE, CLOUD_CODE}
 
     full = infer(cloud, X)
     splits_exact = True

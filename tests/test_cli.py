@@ -127,3 +127,18 @@ def test_seed_override_changes_dataset(plan_file, tmp_path):
     a = harness.Dataset.load(os.path.join(out_a, "dataset.npz"))
     b = harness.Dataset.load(os.path.join(out_b, "dataset.npz"))
     assert not np.array_equal(a.X, b.X)
+
+
+def test_sweep_routes_on_the_plan_confidence_mode(tmp_path):
+    plan = tiny_plan()
+    for pc in plan.policies:
+        pc.confidence_mode = "max-class"
+    path, out = tmp_path / "plan.json", str(tmp_path / "out")
+    harness.save_plan(path, plan)
+    for command in ("train", "evaluate", "sweep"):
+        assert dispatch([command, "--config", str(path), "--out", out]) == 0, command
+    reports = {r["label"]: r for r in metrics.read_report_rows(os.path.join(out, "reports.csv"))}
+    sweep = metrics.read_report_rows(os.path.join(out, "sweep.csv"))
+    for row, policy in ((sweep[0], "adaptive"), (sweep[-1], "independent")):
+        assert {k: v for k, v in row.items() if k != "label"} == \
+            {k: v for k, v in reports[policy].items() if k != "label"}, policy

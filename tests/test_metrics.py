@@ -13,61 +13,61 @@ from edgecloud.metrics import (CostReport, ParetoPoint, comm_score,
                                read_report_rows, write_reports_csv,
                                REPORT_COLUMNS)
 from edgecloud.nncore import ConfigError, UsageError
-from edgecloud.policy import ROUTE_ADAPTIVE, ROUTE_CLOUD, ROUTE_EDGE, RouteRecord
+from edgecloud.policy import ADAPTIVE_CODE, CLOUD_CODE, EDGE_CODE
 
 from conftest import brute_force_frontier
 
 
-def edge_rec(conf=0.9):
-    return RouteRecord(ROUTE_EDGE, conf, 0, 100, 0, 0)
+# Route codes: 0 edge-only, 1 adaptive, 2 full-cloud.
+EDGE, ADAPTIVE, CLOUD = EDGE_CODE, ADAPTIVE_CODE, CLOUD_CODE
 
 
-def cloud_rec(bytes_sent=64, flops=1000):
-    return RouteRecord(ROUTE_CLOUD, 0.1, bytes_sent, 100, flops, 1)
-
-
-def adaptive_rec(bytes_sent=32, flops=400):
-    return RouteRecord(ROUTE_ADAPTIVE, 0.5, bytes_sent, 100, flops, 2)
+def codes(*counts):
+    """Route codes with ``counts[i]`` samples of code ``i``, in code order."""
+    return np.repeat(np.arange(len(counts)), counts)
 
 
 class TestCommScore:
     def test_all_edge_only_scores_zero(self):
-        tau, psi, s = comm_score([edge_rec() for _ in range(10)], input_bytes=64)
+        tau, psi, s = comm_score(codes(10), (0, 32, 64), input_bytes=64)
         assert (tau, psi, s) == (0.0, 0.0, 0.0)
 
     def test_all_full_cloud_scores_one(self):
-        tau, psi, s = comm_score([cloud_rec(64) for _ in range(10)], input_bytes=64)
+        tau, psi, s = comm_score(codes(0, 0, 10), (0, 32, 64), input_bytes=64)
         assert (tau, psi, s) == (1.0, 1.0, 1.0)
 
     def test_feature_bigger_than_input(self):
         # 32x32x3 input (3072 elements) vs 16x16x16 feature (4096 elements),
         # 60% offloaded: psi = 4/3, s_comm = 0.8
-        records = [adaptive_rec(bytes_sent=4096 * 4) for _ in range(600)]
-        records += [edge_rec() for _ in range(400)]
-        tau, psi, s = comm_score(records, input_bytes=3072 * 4)
+        tau, psi, s = comm_score(codes(400, 600), (0, 4096 * 4, 3072 * 4),
+                                 input_bytes=3072 * 4)
         assert tau == pytest.approx(0.6)
         assert psi == pytest.approx(4096 / 3072)
         assert s == pytest.approx(0.8)
 
     def test_s_comm_equals_tau_times_psi(self):
         rng = np.random.default_rng(0)
-        records = []
-        for _ in range(50):
-            kind = rng.integers(0, 3)
-            if kind == 0:
-                records.append(edge_rec())
-            elif kind == 1:
-                records.append(cloud_rec(int(rng.integers(1, 100))))
-            else:
-                records.append(adaptive_rec(int(rng.integers(1, 100))))
-        tau, psi, s = comm_score(records, input_bytes=64)
-        assert s == pytest.approx(tau * psi, abs=1e-15)
-        total = sum(r.bytes_sent for r in records)
-        assert s == pytest.approx(total / (50 * 64), abs=1e-12)
+        for _ in range(20):
+            route_codes = rng.integers(0, 3, 50)
+            route_bytes = (0, int(rng.integers(1, 100)), int(rng.integers(1, 100)))
+            tau, psi, s = comm_score(route_codes, route_bytes, input_bytes=64)
+            assert s == pytest.approx(tau * psi, abs=1e-15)
+            total = sum(route_bytes[c] for c in route_codes)
+            assert s == pytest.approx(total / (50 * 64), abs=1e-12)
+
+    def test_psi_is_a_left_to_right_sum_in_sample_order(self):
+        # Ratios 0.1 and 0.3 are not dyadic, so the last digit depends on how
+        # they are summed (np.mean or branch counts round differently here);
+        # psi must equal the per-sample formula exactly.
+        route_codes = np.array([CLOUD, ADAPTIVE, EDGE, ADAPTIVE, CLOUD, ADAPTIVE] * 7)
+        route_bytes = (0, 1, 3)
+        _, psi, _ = comm_score(route_codes, route_bytes, input_bytes=10)
+        offloaded = [c for c in route_codes if c != EDGE]
+        assert psi == sum(route_bytes[c] / 10 for c in offloaded) / len(offloaded)
 
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
-            comm_score([], 64)
+            comm_score([], (0, 32, 64), 64)
 
 
 class TestCompScore:
@@ -76,18 +76,17 @@ class TestCompScore:
         assert comp_score_value(3.47, 38.50, 26.88) == pytest.approx(0.6682, abs=5e-4)
 
     def test_all_edge_only(self):
-        flops_sys, s = comp_score(100, 1000, [edge_rec() for _ in range(5)])
+        flops_sys, s = comp_score(100, 1000, codes(5), (0, 400, 1000))
         assert flops_sys == 100
         assert s == 0.0
 
     def test_all_full_cloud_exceeds_one(self):
-        flops_sys, s = comp_score(100, 1000, [cloud_rec(flops=1000) for _ in range(5)])
+        flops_sys, s = comp_score(100, 1000, codes(0, 0, 5), (0, 400, 1000))
         assert flops_sys == 1100
         assert s > 1.0
 
     def test_branch_weighted_mean(self):
-        records = [edge_rec(), cloud_rec(flops=1000), adaptive_rec(flops=400)]
-        flops_sys, s = comp_score(100, 1000, records)
+        flops_sys, s = comp_score(100, 1000, [EDGE, CLOUD, ADAPTIVE], (0, 400, 1000))
         assert flops_sys == pytest.approx(100 + (0 + 1000 + 400) / 3)
         assert s == pytest.approx((flops_sys - 100) / 900)
 

@@ -1,17 +1,26 @@
-"""Routing rule tests: threshold semantics, costs, and the collapse
-identities between the three policy variants."""
+"""Routing rule tests: threshold semantics, costs, the collapse identities
+between the three policy variants, and the batched pass against a
+per-sample reference."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgecloud import models, nncore
+from edgecloud.harness import PolicyConfig, TrainedSystem, evaluate_policies, sweep_dynamic
+from edgecloud.metrics import CostReport, comm_score, comp_score, comp_score_value, perf_score
 from edgecloud.models import (ModelSpec, adapt, cloud_tail, feedforward,
                               make_adapter)
-from edgecloud.nncore import ConfigError, UsageError, dense
-from edgecloud.policy import (ROUTE_ADAPTIVE, ROUTE_CLOUD, ROUTE_EDGE,
-                              RouteRecord, RoutingPolicy, decide,
-                              route_adaptive, route_dataset, route_dynamic,
-                              route_independent, route_sample)
+from edgecloud.nncore import ConfigError, dense
+from edgecloud.policy import (ADAPTIVE_CODE, CLOUD_CODE, EDGE_CODE,
+                              ROUTE_ADAPTIVE, ROUTE_CLOUD, ROUTE_EDGE, ROUTES,
+                              decide, route_codes, route_costs,
+                              route_dataset, route_sample)
+from edgecloud.train import accuracy_rate, recall_rate
+
+from conftest import tiny_plan
 
 
 def const_prob_edge(probs, in_dim=4):
@@ -33,6 +42,19 @@ def toy_system(seed=0):
     return edge, cloud, adapter
 
 
+def const_system(probs, seed=3):
+    """Constant-probability edge with a cloud and an adapter bound to its tap."""
+    cloud = feedforward("cloud", 4, [8], 3, 0, [0], np.random.default_rng(seed))
+    adapter = make_adapter("a", 0, 0, 4, 8, 1, np.random.default_rng(seed + 1))
+    return const_prob_edge(probs), cloud, adapter
+
+
+def val_split(tiny_system, rows):
+    """``route_dataset`` arguments for the first ``rows`` validation rows."""
+    return (tiny_system.edge, tiny_system.cloud, tiny_system.adapter,
+            tiny_system.dataset.val_X[:rows])
+
+
 class TestDecide:
     def test_depends_only_on_confidence(self):
         for conf in (0.0, 0.2, 0.5, 0.79, 0.8, 0.9, 1.0):
@@ -51,114 +73,123 @@ class TestDecide:
         assert decide("dynamic", 0.3, 0.8, 0.4) == ROUTE_CLOUD
 
 
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def thresholds_and_confidences(draw):
+    c1 = draw(st.one_of(st.just(0.0), st.just(1.0), unit))
+    c2 = draw(st.one_of(st.just(0.0), st.just(c1), st.floats(0.0, c1)))
+    conf = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0, c1, c2]), unit), max_size=40))
+    return c1, c2, conf
+
+
+class TestRouteCodes:
+    @given(st.sampled_from(["independent", "adaptive", "dynamic"]), thresholds_and_confidences())
+    def test_matches_decide_elementwise(self, variant, case):
+        c1, c2, conf = case
+        codes = route_codes(variant, conf, c1, c2)
+        assert codes.tolist() == [ROUTES.index(decide(variant, c, c1, c2)) for c in conf]
+
+    @given(thresholds_and_confidences(), unit)
+    def test_offload_count_nondecreasing_in_c1(self, case, other):
+        c1, _, conf = case
+        low, high = sorted((c1, other))
+        offloaded = [int((route_codes("independent", conf, c) != EDGE_CODE).sum())
+                     for c in (low, high)]
+        assert offloaded[0] <= offloaded[1]
+
+
 class TestRouteIndependent:
     def test_zero_threshold_keeps_everything_on_edge(self):
-        edge, cloud, _ = toy_system()
-        policy = RoutingPolicy("independent", c1=0.0)
+        edge, cloud, adapter = toy_system()
         X = np.random.default_rng(1).standard_normal((20, 4))
-        records = route_dataset(edge, cloud, policy, X)
-        assert all(r.route == ROUTE_EDGE for r in records)
-        assert all(r.bytes_sent == 0 and r.flops_cloud_side == 0 for r in records)
+        codes = route_codes("independent", route_dataset(edge, cloud, adapter, X).confidence, 0.0)
+        assert (codes == EDGE_CODE).all()
+        sent, cloud_side = route_costs(edge, cloud, adapter, 4)
+        assert comm_score(codes, sent, 16) == (0.0, 0.0, 0.0)
+        assert comp_score(edge.total_flops(), cloud.total_flops(), codes, cloud_side)[1] == 0.0
 
     def test_confident_sample_stays_on_edge(self):
-        edge = const_prob_edge([0.9, 0.05, 0.05])
-        _, cloud, _ = toy_system()
-        cloud = feedforward("cloud", 4, [8], 3, 0, [0], np.random.default_rng(2))
-        record = route_independent(edge, cloud, RoutingPolicy("independent", c1=0.8),
-                                   np.ones(4))
-        assert record.route == ROUTE_EDGE
-        assert record.confidence == pytest.approx(0.9)
-        assert record.bytes_sent == 0
-        assert record.prediction == 0
+        edge, cloud, adapter = const_system([0.9, 0.05, 0.05])
+        routed = route_dataset(edge, cloud, adapter, np.ones((1, 4)))
+        assert routed.confidence[0] == pytest.approx(0.9)
+        codes = route_codes("independent", routed.confidence, 0.8)
+        assert codes.tolist() == [EDGE_CODE]
+        assert routed.predictions(codes).tolist() == [0]
 
     def test_offloaded_sample_pays_raw_input_bytes_and_cloud_flops(self):
-        edge = const_prob_edge([0.2, 0.4, 0.4])
-        cloud = feedforward("cloud", 4, [8], 3, 0, [0], np.random.default_rng(3))
-        x = np.random.default_rng(4).standard_normal(4)
-        record = route_independent(edge, cloud, RoutingPolicy("independent", c1=0.8), x)
-        assert record.route == ROUTE_CLOUD
-        assert record.bytes_sent == 4 * 4
-        assert record.flops_cloud_side == cloud.total_flops()
-        assert record.prediction == int(np.argmax(models.infer(cloud, x)))
+        edge, cloud, adapter = const_system([0.2, 0.4, 0.4])
+        x = np.random.default_rng(4).standard_normal((1, 4))
+        routed = route_dataset(edge, cloud, adapter, x)
+        codes = route_codes("independent", routed.confidence, 0.8)
+        assert codes.tolist() == [CLOUD_CODE]
+        sent, cloud_side = route_costs(edge, cloud, adapter, 4)
+        assert sent[CLOUD_CODE] == 4 * 4
+        assert cloud_side[CLOUD_CODE] == cloud.total_flops()
+        assert routed.predictions(codes)[0] == int(np.argmax(models.infer(cloud, x)))
 
 
 class TestRouteAdaptive:
     def test_zero_threshold_never_exercises_the_adapter(self):
         edge, cloud, adapter = toy_system(1)
-        policy = RoutingPolicy("adaptive", c1=0.0, adapter=adapter)
         X = np.random.default_rng(5).standard_normal((15, 4))
-        records = route_dataset(edge, cloud, policy, X)
-        assert all(r.route == ROUTE_EDGE for r in records)
+        routed = route_dataset(edge, cloud, adapter, X)
+        codes = route_codes("adaptive", routed.confidence, 0.0)
+        assert (codes == EDGE_CODE).all()
+        assert np.array_equal(routed.predictions(codes), routed.edge_pred)
 
     def test_offload_sends_tap_feature_bytes(self):
         edge, cloud, adapter = toy_system(2)
-        policy = RoutingPolicy("adaptive", c1=1.0, adapter=adapter)
-        x = np.random.default_rng(6).standard_normal(4)
-        record = route_adaptive(edge, cloud, adapter, policy, x)
-        assert record.route == ROUTE_ADAPTIVE
-        assert record.bytes_sent == 5 * 4  # tap width x bytes-per-element
+        X = np.random.default_rng(6).standard_normal((10, 4))
+        codes = route_codes("adaptive", route_dataset(edge, cloud, adapter, X).confidence, 1.0)
+        assert (codes == ADAPTIVE_CODE).all()
+        assert route_costs(edge, cloud, adapter, 4)[0][ADAPTIVE_CODE] == 5 * 4  # tap width x 4
 
     def test_offloaded_prediction_matches_manual_composition(self):
         edge, cloud, adapter = toy_system(3)
-        policy = RoutingPolicy("adaptive", c1=1.0, adapter=adapter)
-        x = np.random.default_rng(7).standard_normal(4)
-        record = route_adaptive(edge, cloud, adapter, policy, x)
-        _, feat = models.infer_with_tap(edge, x.reshape(1, -1), adapter.edge_tap)
-        probs = cloud_tail(cloud, adapt(adapter, feat), adapter.cloud_tap)
-        assert record.prediction == int(np.argmax(probs))
-        assert record.flops_cloud_side == adapter.total_flops() + nncore.flops(
-            cloud.layers[adapter.cloud_tap + 1:])
+        X = np.random.default_rng(7).standard_normal((10, 4))
+        routed = route_dataset(edge, cloud, adapter, X)
+        for x, pred in zip(X, routed.adaptive_pred):
+            _, feat = models.infer_with_tap(edge, x.reshape(1, -1), adapter.edge_tap)
+            assert pred == int(np.argmax(cloud_tail(cloud, adapt(adapter, feat), adapter.cloud_tap)))
+        assert route_costs(edge, cloud, adapter, 4)[1][ADAPTIVE_CODE] == adapter.total_flops() + \
+            nncore.flops(cloud.layers[adapter.cloud_tap + 1:])
 
 
 class TestRouteDynamic:
     def test_three_branch_examples(self):
-        cloud = feedforward("cloud", 4, [8], 3, 0, [0], np.random.default_rng(8))
-        adapter = make_adapter("a", 0, 0, 4, 8, 1, np.random.default_rng(9))
-        pol = RoutingPolicy("dynamic", c1=0.8, c2=0.4, adapter=adapter)
-        cases = [(0.85, ROUTE_EDGE), (0.5, ROUTE_ADAPTIVE), (0.3, ROUTE_CLOUD)]
+        cases = [(0.85, EDGE_CODE), (0.5, ADAPTIVE_CODE), (0.3, CLOUD_CODE)]
         for conf, want in cases:
-            edge = const_prob_edge([conf, 1 - conf, 0.0 + 1e-12])
-            edge = ModelSpec("edge", edge.layers, 3, 0, [0])
-            record = route_dynamic(edge, cloud, adapter, pol, np.ones(4))
-            assert record.route == want, (conf, want)
+            edge, cloud, adapter = const_system([conf, 1 - conf, 0.0 + 1e-12], seed=8)
+            routed = route_dataset(edge, cloud, adapter, np.ones((1, 4)))
+            assert route_codes("dynamic", routed.confidence, 0.8, 0.4).tolist() == [want], conf
 
     def test_c2_zero_collapses_to_adaptive(self, tiny_system):
-        ds, edge, cloud, adapter = (tiny_system.dataset, tiny_system.edge,
-                                    tiny_system.cloud, tiny_system.adapter)
-        X = ds.val_X[:300]
-        dyn = RoutingPolicy("dynamic", c1=0.8, c2=0.0, adapter=adapter)
-        ada = RoutingPolicy("adaptive", c1=0.8, adapter=adapter)
-        assert route_dataset(edge, cloud, dyn, X) == route_dataset(edge, cloud, ada, X)
+        conf = route_dataset(*val_split(tiny_system, 300)).confidence
+        assert np.array_equal(route_codes("dynamic", conf, 0.8, 0.0),
+                              route_codes("adaptive", conf, 0.8))
 
     def test_c2_equals_c1_collapses_to_independent(self, tiny_system):
-        ds, edge, cloud, adapter = (tiny_system.dataset, tiny_system.edge,
-                                    tiny_system.cloud, tiny_system.adapter)
-        X = ds.val_X[:300]
-        dyn = RoutingPolicy("dynamic", c1=0.8, c2=0.8, adapter=adapter)
-        ind = RoutingPolicy("independent", c1=0.8)
-        assert route_dataset(edge, cloud, dyn, X) == route_dataset(edge, cloud, ind, X)
+        conf = route_dataset(*val_split(tiny_system, 300)).confidence
+        assert np.array_equal(route_codes("dynamic", conf, 0.8, 0.8),
+                              route_codes("independent", conf, 0.8))
 
 
 class TestMonotonicity:
     def test_offload_count_nondecreasing_in_c1(self, tiny_system):
-        ds, edge, cloud = tiny_system.dataset, tiny_system.edge, tiny_system.cloud
-        X = ds.val_X[:400]
-        counts = []
-        for c1 in (0.0, 0.3, 0.6, 0.9, 1.0):
-            records = route_dataset(edge, cloud, RoutingPolicy("independent", c1=c1), X)
-            counts.append(sum(r.route != ROUTE_EDGE for r in records))
+        conf = route_dataset(*val_split(tiny_system, 400)).confidence
+        counts = [int((route_codes("independent", conf, c1) != EDGE_CODE).sum())
+                  for c1 in (0.0, 0.3, 0.6, 0.9, 1.0)]
         assert counts == sorted(counts)
 
     def test_dynamic_branch_counts_monotone_in_c2(self, tiny_system):
-        ds, edge, cloud, adapter = (tiny_system.dataset, tiny_system.edge,
-                                    tiny_system.cloud, tiny_system.adapter)
-        X = ds.val_X[:400]
+        conf = route_dataset(*val_split(tiny_system, 400)).confidence
         cloud_counts, adaptive_counts = [], []
         for c2 in (0.0, 0.2, 0.4, 0.6, 0.8):
-            policy = RoutingPolicy("dynamic", c1=0.8, c2=c2, adapter=adapter)
-            records = route_dataset(edge, cloud, policy, X)
-            cloud_counts.append(sum(r.route == ROUTE_CLOUD for r in records))
-            adaptive_counts.append(sum(r.route == ROUTE_ADAPTIVE for r in records))
+            codes = route_codes("dynamic", conf, 0.8, c2)
+            cloud_counts.append(int((codes == CLOUD_CODE).sum()))
+            adaptive_counts.append(int((codes == ADAPTIVE_CODE).sum()))
         assert cloud_counts == sorted(cloud_counts)
         assert adaptive_counts == sorted(adaptive_counts, reverse=True)
 
@@ -166,38 +197,128 @@ class TestMonotonicity:
 class TestValidation:
     def test_policy_invariants(self):
         with pytest.raises(ConfigError):
-            RoutingPolicy("independent", c1=1.5)
+            route_codes("independent", [0.5], c1=1.5)
         with pytest.raises(ConfigError):
-            RoutingPolicy("dynamic", c1=0.5, c2=0.6, adapter=None)
+            route_codes("dynamic", [0.5], c1=0.5, c2=0.6)
         with pytest.raises(ConfigError):
-            RoutingPolicy("adaptive", c1=0.5)  # adapter required
+            route_codes("teleport", [0.5], c1=0.5)
         with pytest.raises(ConfigError):
-            RoutingPolicy("teleport", c1=0.5)
+            route_costs(*toy_system(), bytes_per_element=0)
+
+    def test_route_sample_dispatches_by_variant(self):
+        for variant in ("independent", "adaptive", "dynamic"):
+            for conf in (0.1, 0.2, 0.3, 0.5, 0.9):
+                code = route_sample(variant, conf, c1=0.5, c2=0.2)
+                assert ROUTES[code] == decide(variant, conf, 0.5, 0.2)
+        assert [route_sample(v, 0.3, 0.5, 0.2) for v in ("independent", "adaptive", "dynamic")] \
+            == [CLOUD_CODE, ADAPTIVE_CODE, ADAPTIVE_CODE]
 
     def test_edge_only_record_must_have_zero_costs(self):
-        with pytest.raises(UsageError):
-            RouteRecord(ROUTE_EDGE, 0.9, 16, 100, 0, 0)
-        with pytest.raises(UsageError):
-            RouteRecord(ROUTE_EDGE, 0.9, 0, 100, 5, 0)
-
-    def test_variant_function_mismatch_rejected(self):
-        edge, cloud, adapter = toy_system(4)
-        pol = RoutingPolicy("adaptive", c1=0.5, adapter=adapter)
-        with pytest.raises(UsageError):
-            route_independent(edge, cloud, pol, np.ones(4))
+        sent, cloud_side = route_costs(*toy_system(), bytes_per_element=4)
+        assert (sent[EDGE_CODE], cloud_side[EDGE_CODE]) == (0, 0)
 
     def test_adapter_tap_binding_checked(self):
         edge, cloud, _ = toy_system(5)
         bad = make_adapter("a", 7, 1, 5, 8, 1, np.random.default_rng(0))
-        pol = RoutingPolicy("adaptive", c1=0.5, adapter=bad)
         with pytest.raises(ConfigError):
-            route_adaptive(edge, cloud, bad, pol, np.ones(4))
+            route_dataset(edge, cloud, bad, np.ones((1, 4)))
 
-    def test_route_sample_dispatches_by_variant(self):
-        edge, cloud, adapter = toy_system(6)
-        x = np.ones(4)
-        for variant in ("independent", "adaptive", "dynamic"):
-            pol = RoutingPolicy(variant, c1=0.5, c2=0.2,
-                                adapter=None if variant == "independent" else adapter)
-            record = route_sample(edge, cloud, pol, x)
-            assert record.route in (ROUTE_EDGE, ROUTE_ADAPTIVE, ROUTE_CLOUD)
+
+# ---------------------------------------------------------------------------
+# Per-sample reference: each row runs the edge alone, takes the scalar
+# ``decide``, and then runs only the branch it chose.
+
+def oracle_rows(system, variant, c1, c2, mode):
+    edge, cloud, adapter = system.edge, system.cloud, system.adapter
+    bpe = system.plan.bytes_per_element
+    rows = []
+    for x in system.dataset.val_X:
+        x = x.reshape(1, -1)
+        probs, feat = models.infer_with_tap(edge, x, adapter.edge_tap)
+        route = decide(variant, models.confidence(probs[0], edge.normal_class, mode), c1, c2)
+        if route == ROUTE_EDGE:
+            rows.append((route, int(np.argmax(probs)), 0, 0))
+        elif route == ROUTE_ADAPTIVE:
+            out = cloud_tail(cloud, adapt(adapter, feat), adapter.cloud_tap)
+            rows.append((route, int(np.argmax(out)), feat.values.size * bpe,
+                         adapter.total_flops() + nncore.flops(cloud.layers[adapter.cloud_tap + 1:])))
+        else:
+            rows.append((route, int(np.argmax(models.infer(cloud, x))), x.size * bpe,
+                         cloud.total_flops()))
+    return rows
+
+
+def anchor_preds(system):
+    """Edge and cloud predictions from a whole-model pass over the split."""
+    return [np.argmax(models.infer(m, system.dataset.val_X), axis=1)
+            for m in (system.edge, system.cloud)]
+
+
+def oracle_report(system, label, rows):
+    ds, n = system.dataset, len(rows)
+    fe, fc = system.edge.total_flops(), system.cloud.total_flops()
+    pi_edge, pi_cloud = (accuracy_rate(p, ds.val_y) for p in anchor_preds(system))
+    input_bytes = ds.dim * system.plan.bytes_per_element
+    offloaded = [r for r in rows if r[0] != ROUTE_EDGE]
+    tau = len(offloaded) / n
+    psi = sum(r[2] / input_bytes for r in offloaded) / len(offloaded) if offloaded else 0.0
+    flops_sys = fe + sum(r[3] for r in rows) / n
+    preds = np.array([r[1] for r in rows])
+    acc = accuracy_rate(preds, ds.val_y)
+    return CostReport(label, tau, psi, tau * psi, flops_sys, fe, fc,
+                      comp_score_value(fe, fc, flops_sys), acc, pi_edge, pi_cloud,
+                      perf_score(acc, pi_edge, pi_cloud), acc,
+                      recall_rate(preds, ds.val_y, ds.normal_class))
+
+
+MIXED_MODES = [("independent", 0.8, 0.0, "normal-class"), ("adaptive", 0.7, 0.0, "max-class"),
+               ("dynamic", 0.8, 0.3, "max-class")]
+SWEEP_C2 = [0.0, 0.2, 0.4, 0.6, 0.8]
+
+
+class TestPerSampleOracle:
+    @pytest.mark.parametrize("policies", [
+        [(pc.variant, pc.c1, pc.c2, pc.confidence_mode) for pc in tiny_plan().policies],
+        MIXED_MODES], ids=["tiny-plan", "mixed-modes"])
+    def test_plan_policies_match_oracle(self, tiny_system, policies):
+        plan = dataclasses.replace(tiny_system.plan,
+                                   policies=[PolicyConfig(*p) for p in policies])
+        system = TrainedSystem(plan, tiny_system.dataset, tiny_system.edge,
+                               tiny_system.cloud, tiny_system.adapter)
+        reports = evaluate_policies(system)
+        assert len(reports) == 2 + len(policies)
+        for (variant, c1, c2, mode), report in zip(policies, reports[2:]):
+            routed = route_dataset(system.edge, system.cloud, system.adapter,
+                                   system.dataset.val_X, mode)
+            codes = route_codes(variant, routed.confidence, c1, c2)
+            rows = oracle_rows(system, variant, c1, c2, mode)
+            assert [ROUTES[c] for c in codes] == [r[0] for r in rows]
+            assert routed.predictions(codes).tolist() == [r[1] for r in rows]
+            assert report == oracle_report(system, report.label, rows)
+
+    @pytest.mark.parametrize("mode", ["normal-class", "max-class"])
+    def test_sweep_matches_oracle(self, tiny_system, mode):
+        system = tiny_system.system
+        sweep = sweep_dynamic(system, SWEEP_C2, c1=0.8, confidence_mode=mode)
+        for c2, report in zip(SWEEP_C2, sweep.reports):
+            assert report == oracle_report(system, report.label,
+                                           oracle_rows(system, "dynamic", 0.8, c2, mode))
+
+    def test_anchor_rows_match_whole_model_inference(self, tiny_system):
+        ds = tiny_system.dataset
+        reports = evaluate_policies(tiny_system.system)[:2]
+        for report, preds in zip(reports, anchor_preds(tiny_system.system)):
+            assert report.accuracy == accuracy_rate(preds, ds.val_y)
+            assert report.recall == recall_rate(preds, ds.val_y, ds.normal_class)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_permuting_validation_rows_leaves_reports_unchanged(self, tiny_system, rnd):
+        ds = tiny_system.dataset
+        order = list(ds.val_idx)
+        rnd.shuffle(order)
+        shuffled = TrainedSystem(tiny_system.plan, dataclasses.replace(ds, val_idx=np.array(order)),
+                                 tiny_system.edge, tiny_system.cloud, tiny_system.adapter)
+        assert evaluate_policies(shuffled) == evaluate_policies(tiny_system.system)
+        assert sweep_dynamic(shuffled, SWEEP_C2).reports == \
+            sweep_dynamic(tiny_system.system, SWEEP_C2).reports
