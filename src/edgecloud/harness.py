@@ -228,9 +228,15 @@ class ExperimentPlan:
         for name in ("cloud", "edge_kd", "finetune"):
             if name not in self.stages:
                 raise ConfigError(f"stages.{name}: missing stage config")
-        for p in self.policies:
-            if p.variant not in policy_mod.VARIANTS:
-                raise ConfigError(f"policies: unknown variant {p.variant!r}")
+        for i, p in enumerate(self.policies):
+            try:
+                policy_mod.check_thresholds(p.variant, p.c1, p.c2)
+            except ConfigError as exc:
+                raise ConfigError(f"policies[{i}]: {exc}") from None
+            if p.confidence_mode not in models.CONFIDENCE_MODES:
+                raise ConfigError(f"policies[{i}].confidence_mode: unknown mode "
+                                  f"{p.confidence_mode!r}, expected one of {models.CONFIDENCE_MODES}")
+        policy_mod.check_bytes_per_element(self.bytes_per_element)
         for c2 in self.c2_grid:
             if not 0.0 <= c2 <= 1.0:
                 raise ConfigError("c2_grid: entries must lie in [0, 1]")

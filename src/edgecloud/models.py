@@ -23,6 +23,7 @@ from .nncore import (ConfigError, IDENTITY, LayerSpec, Param, RELU, UsageError,
 
 NORMAL_CLASS_MODE = "normal-class"
 MAX_CLASS_MODE = "max-class"
+CONFIDENCE_MODES = (NORMAL_CLASS_MODE, MAX_CLASS_MODE)
 
 
 @dataclass(frozen=True)
@@ -226,7 +227,7 @@ def confidence(probs, normal_class: int, mode: str = NORMAL_CLASS_MODE):
     ``normal-class`` returns the probability of the normal class; ``max-class``
     returns the top probability. Accepts a single vector or a batch.
     """
-    if mode not in (NORMAL_CLASS_MODE, MAX_CLASS_MODE):
+    if mode not in CONFIDENCE_MODES:
         raise UsageError(f"unknown confidence mode {mode!r}")
     arr = np.asarray(probs, dtype=np.float64)
     sums = arr.sum(axis=-1)

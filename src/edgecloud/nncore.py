@@ -47,14 +47,20 @@ def as_tensor(x) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function.
+
+    With ``e = exp(-|x|)`` it is ``1/(1+e)`` where ``x >= 0`` and ``e/(1+e)``
+    elsewhere, computed branch-free in two buffers. ``-|x|`` is taken as
+    ``min(x, -x)`` so a NaN keeps its sign bit.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.negative(x, out=np.empty_like(x))
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    d = e + 1.0
+    np.divide(e, d, out=e)
+    np.divide(1.0, d, out=e, where=x >= 0)
+    return e
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -163,14 +169,20 @@ def residual_block(dim: int, activation: str = IDENTITY, *,
 
 
 def apply_layer(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
-    """Plain numpy forward through one layer (same op order as the taped path)."""
-    if layer.kind == DENSE:
-        y = x @ layer.weights[0].value.T + layer.biases[0].value
-    else:
-        h = np.maximum(x @ layer.weights[0].value.T + layer.biases[0].value, 0.0)
-        y = x + (h @ layer.weights[1].value.T + layer.biases[1].value)
+    """Plain numpy forward through one layer (same op order as the taped path).
+
+    Bias adds, relus and the skip-add run in place on the fresh matmul
+    outputs; ``x`` and the parameter arrays are never written.
+    """
+    y = x @ layer.weights[0].value.T
+    y += layer.biases[0].value
+    if layer.kind == RESIDUAL:
+        np.maximum(y, 0.0, out=y)
+        t = y @ layer.weights[1].value.T
+        t += layer.biases[1].value
+        y = np.add(x, t, out=t)
     if layer.activation == RELU:
-        y = np.maximum(y, 0.0)
+        np.maximum(y, 0.0, out=y)
     return y
 
 

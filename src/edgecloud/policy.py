@@ -64,18 +64,26 @@ def route_sample(variant: str, conf: float, c1: float, c2: float = 0.0) -> int:
     return _ROUTE_CODES[decide(variant, conf, c1, c2)]
 
 
-def route_codes(variant: str, conf, c1: float, c2: float = 0.0) -> np.ndarray:
-    """:func:`route_sample` over an array of confidences, one call per row.
-
-    Rejects an unknown variant, ``c1`` outside [0, 1] and, for the dynamic
-    rule, ``c2`` outside [0, c1].
-    """
+def check_thresholds(variant: str, c1: float, c2: float = 0.0) -> None:
+    """Reject an unknown variant, ``c1`` outside [0, 1] and, for the dynamic
+    rule, ``c2`` outside [0, c1]."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown policy variant {variant!r}")
     if not 0.0 <= c1 <= 1.0:
         raise ConfigError("c1 must lie in [0, 1]")
     if variant == DYNAMIC and not 0.0 <= c2 <= c1:
         raise ConfigError("dynamic policy requires 0 <= c2 <= c1")
+
+
+def check_bytes_per_element(bytes_per_element: int) -> None:
+    if bytes_per_element < 1:
+        raise ConfigError("bytes_per_element must be >= 1")
+
+
+def route_codes(variant: str, conf, c1: float, c2: float = 0.0) -> np.ndarray:
+    """:func:`route_sample` over an array of confidences, one call per row,
+    after :func:`check_thresholds`."""
+    check_thresholds(variant, c1, c2)
     conf = np.asarray(conf, dtype=np.float64)
     codes = [route_sample(variant, c, c1, c2) for c in conf.ravel().tolist()]
     return np.array(codes, dtype=np.intp).reshape(conf.shape)
@@ -124,8 +132,7 @@ def route_costs(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
     the cloud layers after its tap; the full-cloud offload sends the raw
     input and runs the whole cloud model.
     """
-    if bytes_per_element < 1:
-        raise ConfigError("bytes_per_element must be >= 1")
+    check_bytes_per_element(bytes_per_element)
     sent = (0, edge.tap_dim(adapter.edge_tap) * bytes_per_element,
             cloud.in_dim * bytes_per_element)
     cloud_side = (0, adapter.total_flops() + nncore.flops(cloud.layers[adapter.cloud_tap + 1:]),

@@ -18,6 +18,13 @@ Losses clamp probabilities to ``[1e-12, 1 - 1e-12]`` before taking logs.
 All procedures are deterministic given ``TrainConfig.seed`` (the only
 randomness is minibatch shuffling) and verify their freeze contracts by
 hashing frozen parameters before and after.
+
+Each procedure reports once before training and once per epoch over the
+whole training split. Reports reuse frozen-side features: ``train_edge_kd``
+computes the cloud's KD target probabilities once per call and runs the edge
+once per report, and ``finetune_adapter`` computes the edge tap and the
+cloud-prefix targets once per call, so each of its reports runs only the
+adapter and the cloud tail.
 """
 
 from __future__ import annotations
@@ -133,11 +140,23 @@ def kd_loss(cloud_feature, adapted_feature) -> float:
     """
     cval = cloud_feature.values if isinstance(cloud_feature, FeatureMap) else np.asarray(cloud_feature)
     aval = adapted_feature.values if isinstance(adapted_feature, FeatureMap) else np.asarray(adapted_feature)
-    if cval.shape != aval.shape:
-        raise UsageError(f"feature shapes differ: {cval.shape} vs {aval.shape}")
-    p = sigmoid(cval)
-    q = np.clip(sigmoid(aval), LOG_EPS, 1.0 - LOG_EPS)
-    return float(-(p * np.log(q) + (1.0 - p) * np.log(1.0 - q)).mean())
+    return _kd_against(sigmoid(cval), aval)
+
+
+def _kd_against(target: np.ndarray, adapted: np.ndarray) -> float:
+    """:func:`kd_loss` against given target probabilities ``p``, in place on
+    the buffer of ``q``; same operations in the same order."""
+    if target.shape != adapted.shape:
+        raise UsageError(f"feature shapes differ: {target.shape} vs {adapted.shape}")
+    q = sigmoid(adapted)
+    np.clip(q, LOG_EPS, 1.0 - LOG_EPS, out=q)
+    miss = np.subtract(1.0, q)
+    np.log(miss, out=miss)
+    miss *= 1.0 - target
+    np.log(q, out=q)
+    q *= target
+    q += miss
+    return float(-q.mean())
 
 
 def positive_cross_entropy(probs, labels, normal_class: int) -> float:
@@ -214,39 +233,41 @@ def adapter_on_tape(tape: GradientTape, adapter: AdapterSpec, feature: Node) -> 
 # ---------------------------------------------------------------------------
 # Evaluation helpers.
 
-def evaluate_model(model: ModelSpec, X, y) -> LossReport:
-    """Classifier metrics of a model on a labelled set (kd reported as 0)."""
-    y = np.asarray(y, dtype=np.intp)
-    probs = infer(model, X)
+def _loss_report(probs: np.ndarray, y: np.ndarray, normal_class: int,
+                 kd: float = 0.0, alpha: tuple[float, ...] | None = None) -> LossReport:
+    """Classifier metrics of class probabilities against ``y``."""
     preds = np.argmax(probs, axis=1)
-    n_pos = int((y != model.normal_class).sum())
     return LossReport(
         ce_loss=cross_entropy(probs, y),
-        kd_loss=0.0,
-        positive_ce_loss=positive_cross_entropy(probs, y, model.normal_class),
+        kd_loss=kd,
+        positive_ce_loss=positive_cross_entropy(probs, y, normal_class),
         accuracy=accuracy_rate(preds, y),
-        recall=recall_rate(preds, y, model.normal_class),
-        n_positive=n_pos,
+        recall=recall_rate(preds, y, normal_class),
+        n_positive=int((y != normal_class).sum()),
+        alpha=alpha,
     )
+
+
+def evaluate_model(model: ModelSpec, X, y) -> LossReport:
+    """Classifier metrics of a model on a labelled set (kd reported as 0)."""
+    return _loss_report(infer(model, X), np.asarray(y, dtype=np.intp), model.normal_class)
+
+
+def _adaptive_report(cloud: ModelSpec, adapter: AdapterSpec, edge_feat: FeatureMap,
+                     target: np.ndarray, y: np.ndarray) -> LossReport:
+    """Adapted-path metrics from a given edge tap feature and KD targets."""
+    adapted = adapt(adapter, edge_feat)
+    probs = cloud_tail(cloud, adapted, adapter.cloud_tap)
+    return _loss_report(probs, y, cloud.normal_class, _kd_against(target, adapted.values))
 
 
 def evaluate_adaptive_path(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
                            X, y) -> LossReport:
     """Metrics of the edge-tap -> adapter -> cloud-tail path."""
-    y = np.asarray(y, dtype=np.intp)
     _, edge_feat = infer_with_tap(edge, X, adapter.edge_tap)
-    adapted = adapt(adapter, edge_feat)
-    probs = cloud_tail(cloud, adapted, adapter.cloud_tap)
-    preds = np.argmax(probs, axis=1)
     _, cloud_feat = infer_with_tap(cloud, X, adapter.cloud_tap)
-    return LossReport(
-        ce_loss=cross_entropy(probs, y),
-        kd_loss=kd_loss(cloud_feat, adapted),
-        positive_ce_loss=positive_cross_entropy(probs, y, cloud.normal_class),
-        accuracy=accuracy_rate(preds, y),
-        recall=recall_rate(preds, y, cloud.normal_class),
-        n_positive=int((y != cloud.normal_class).sum()),
-    )
+    return _adaptive_report(cloud, adapter, edge_feat, sigmoid(cloud_feat.values),
+                            np.asarray(y, dtype=np.intp))
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +362,13 @@ def train_base(model: ModelSpec, X, y, config: TrainConfig) -> TrainResult:
 
 
 def _edge_kd_report(edge: ModelSpec, adapter: AdapterSpec, X, y,
-                    cloud_targets: np.ndarray | None,
+                    kd_target: np.ndarray | None,
                     alpha: tuple[float, ...] | None) -> LossReport:
-    rep = evaluate_model(edge, X, y)
-    if cloud_targets is not None:
-        _, edge_feat = infer_with_tap(edge, X, adapter.edge_tap)
-        rep.kd_loss = kd_loss(cloud_targets, adapt(adapter, edge_feat).values)
-    rep.alpha = alpha
-    return rep
+    """Edge metrics and, given the KD target probabilities, the imitation
+    loss; one edge pass gives both the probabilities and the tap."""
+    probs, edge_feat = infer_with_tap(edge, X, adapter.edge_tap)
+    kd = 0.0 if kd_target is None else _kd_against(kd_target, adapt(adapter, edge_feat).values)
+    return _loss_report(probs, y, edge.normal_class, kd, alpha)
 
 
 def train_edge_kd(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
@@ -377,12 +397,13 @@ def train_edge_kd(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
     guard = _FreezeGuard(frozen, "cloud (and edge)" if freeze_edge else "cloud")
     trainable = ([] if freeze_edge else edge.params()) + adapter.params()
 
-    cloud_targets = None
+    cloud_targets = kd_target = None
     if use_kd:
         _, cloud_feat = infer_with_tap(cloud, X, adapter.cloud_tap)
         cloud_targets = cloud_feat.values
+        kd_target = sigmoid(cloud_targets)
 
-    result = TrainResult([_edge_kd_report(edge, adapter, X, y, cloud_targets, None)])
+    result = TrainResult([_edge_kd_report(edge, adapter, X, y, kd_target, None)])
     for epoch in range(1, config.epochs + 1):
         epoch_alphas: list[tuple[float, ...]] = []
         for idx in _batches(len(X), config.batch_size, rng):
@@ -431,7 +452,7 @@ def train_edge_kd(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
             _sgd(trainable, _combine(per_obj, weights.alpha, trainable), config.learning_rate)
         result.alpha_steps.extend(epoch_alphas)
         result.history.append(
-            _edge_kd_report(edge, adapter, X, y, cloud_targets, _epoch_alpha(epoch_alphas)))
+            _edge_kd_report(edge, adapter, X, y, kd_target, _epoch_alpha(epoch_alphas)))
     guard.verify()
     return result
 
@@ -457,8 +478,10 @@ def finetune_adapter(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
 
     _, edge_feat = infer_with_tap(edge, X, adapter.edge_tap)
     feats = edge_feat.values
+    _, cloud_feat = infer_with_tap(cloud, X, n)
+    kd_target = sigmoid(cloud_feat.values)
 
-    history = [evaluate_adaptive_path(edge, cloud, adapter, X, y)]
+    history = [_adaptive_report(cloud, adapter, edge_feat, kd_target, y)]
     for epoch in range(1, config.epochs + 1):
         for idx in _batches(len(X), config.batch_size, rng):
             tape = GradientTape()
@@ -468,7 +491,7 @@ def finetune_adapter(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
             _check_finite(loss, config, epoch)
             grads = nncore.adjoints(tape, loss)
             _sgd(trainable, grads, config.learning_rate)
-        history.append(evaluate_adaptive_path(edge, cloud, adapter, X, y))
+        history.append(_adaptive_report(cloud, adapter, edge_feat, kd_target, y))
     guard.verify()
     return TrainResult(history)
 

@@ -142,3 +142,18 @@ def test_sweep_routes_on_the_plan_confidence_mode(tmp_path):
     for row, policy in ((sweep[0], "adaptive"), (sweep[-1], "independent")):
         assert {k: v for k, v in row.items() if k != "label"} == \
             {k: v for k, v in reports[policy].items() if k != "label"}, policy
+
+
+@pytest.mark.parametrize("policy, key, value", [
+    (0, "c1", 1.5), (2, "c2", -0.2), (None, "bytes_per_element", 0),
+    (1, "confidence_mode", "softmax-max"),
+])
+def test_train_refuses_a_plan_evaluate_would_refuse(tmp_path, capsys, policy, key, value):
+    import json
+    cfg = harness.plan_to_dict(tiny_plan())
+    (cfg if policy is None else cfg["policies"][policy])[key] = value
+    path, out = tmp_path / "plan.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg))
+    assert dispatch(["train", "--config", str(path), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (out / "edge.npz").exists()

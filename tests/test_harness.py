@@ -109,6 +109,18 @@ class TestPlans:
         with pytest.raises(ConfigError, match="cloud_tap"):
             tiny_plan(adapter_cloud_tap=9)
 
+    @pytest.mark.parametrize("policy, key, value, field", [
+        (0, "c1", 1.5, "c1"),
+        (2, "c2", -0.2, "c2"),
+        (None, "bytes_per_element", 0, "bytes_per_element"),
+        (1, "confidence_mode", "softmax-max", "confidence_mode"),
+    ])
+    def test_thresholds_and_costs_checked_at_construction(self, policy, key, value, field):
+        cfg = plan_to_dict(tiny_plan())
+        (cfg if policy is None else cfg["policies"][policy])[key] = value
+        with pytest.raises(ConfigError, match=field):
+            plan_from_dict(cfg)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text("{not json")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from edgecloud import nncore
 from edgecloud.nncore import (ConfigError, GradientTape, Param, UsageError,
@@ -227,3 +229,80 @@ class TestCheckpoints:
         d0 = nncore.params_digest([p])
         p.value[0] = 2.0
         assert nncore.params_digest([p]) != d0
+
+
+# ---------------------------------------------------------------------------
+# The in-place kernels against the expressions they replaced, bit for bit.
+
+def reference_sigmoid(x):
+    """Mask-based logistic: ``1/(1+exp(-x))`` where ``x >= 0``, else
+    ``exp(x)/(1+exp(x))``, gathered and scattered by boolean masks."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_apply_layer(layer, x):
+    """Out-of-place layer forward: one fresh array per operation."""
+    if layer.kind == nncore.DENSE:
+        y = x @ layer.weights[0].value.T + layer.biases[0].value
+    else:
+        h = np.maximum(x @ layer.weights[0].value.T + layer.biases[0].value, 0.0)
+        y = x + (h @ layer.weights[1].value.T + layer.biases[1].value)
+    if layer.activation == nncore.RELU:
+        y = np.maximum(y, 0.0)
+    return y
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e300, -1e300, 5e-324, -5e-324]
+EDGE_FLOATS = st.one_of(st.sampled_from(SPECIAL),
+                        st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+                        st.floats(-40.0, 40.0))
+
+
+class TestInPlaceKernelsAreBitExact:
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(0, 9), st.integers(1, 9)), elements=EDGE_FLOATS))
+    def test_sigmoid_matches_mask_based_reference(self, x):
+        before = x.copy()
+        out = nncore.sigmoid(x)
+        assert np.array_equal(bits(out), bits(reference_sigmoid(x)))
+        assert np.array_equal(bits(x), bits(before))
+
+    def test_sigmoid_special_values(self):
+        x = np.array(SPECIAL)
+        assert np.array_equal(bits(nncore.sigmoid(x)), bits(reference_sigmoid(x)))
+        assert np.array_equal(bits(nncore.sigmoid(np.float64(-3.0))), bits(reference_sigmoid(-3.0)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from([nncore.DENSE, nncore.RESIDUAL]),
+           activation=st.sampled_from([nncore.RELU, nncore.IDENTITY]),
+           rows=st.integers(1, 6), in_dim=st.integers(1, 5), out_dim=st.integers(1, 5),
+           data=st.data())
+    def test_apply_layer_matches_out_of_place_reference(self, kind, activation, rows,
+                                                        in_dim, out_dim, data):
+        if kind == nncore.RESIDUAL:
+            out_dim = in_dim
+        mats = [(out_dim, in_dim)] if kind == nncore.DENSE else [(in_dim, in_dim)] * 2
+        weights = [data.draw(arrays(np.float64, shape, elements=EDGE_FLOATS)) for shape in mats]
+        biases = [data.draw(arrays(np.float64, (out_dim,), elements=EDGE_FLOATS)) for _ in mats]
+        x = data.draw(arrays(np.float64, (rows, in_dim), elements=EDGE_FLOATS))
+        if kind == nncore.DENSE:
+            layer = dense(in_dim, out_dim, activation, weight=weights[0], bias=biases[0])
+        else:
+            layer = residual_block(in_dim, activation, weights=weights, biases=biases)
+        saved = [x.copy()] + [p.value.copy() for p in layer.params()]
+        with np.errstate(all="ignore"):
+            got = nncore.apply_layer(layer, x)
+            want = reference_apply_layer(layer, x)
+        assert np.array_equal(bits(got), bits(want))
+        for arr, copy in zip([x] + [p.value for p in layer.params()], saved):
+            assert np.array_equal(bits(arr), bits(copy))

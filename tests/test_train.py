@@ -1,6 +1,7 @@
 """Loss and training-procedure tests, including the small-scale trend
 experiments (median over seeds 0..4)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,8 @@ from edgecloud.train import (DivergenceError, TrainConfig, cross_entropy,
                              positive_cross_entropy, train_base,
                              train_edge_kd, train_recall_boost,
                              finetune_adapter)
+
+from conftest import tiny_plan
 
 
 def params_equal(a, b):
@@ -390,3 +393,101 @@ class TestTrainingLog:
         train.write_training_log(path, result)
         header = path.read_text().splitlines()[0]
         assert header.endswith("alpha_1,alpha_2")
+
+
+# ---------------------------------------------------------------------------
+# Training reports against the public evaluators, and the passes they cost.
+
+def tiny_stage_inputs():
+    plan = tiny_plan()
+    ds = harness.build_dataset(plan)
+    edge, cloud, adapter = harness.build_models(plan)
+    return plan, ds.train_X, ds.train_y, edge, cloud, adapter
+
+
+def edge_kd_oracle(edge, cloud, adapter, X, y, alpha):
+    _, edge_feat = models.infer_with_tap(edge, X, adapter.edge_tap)
+    _, cloud_feat = models.infer_with_tap(cloud, X, adapter.cloud_tap)
+    kd = kd_loss(cloud_feat, models.adapt(adapter, edge_feat))
+    return dataclasses.replace(evaluate_model(edge, X, y), kd_loss=kd, alpha=alpha)
+
+
+class TestReportsMatchEvaluators:
+    """History rows equal what ``evaluate_model``, ``evaluate_adaptive_path``
+    and ``kd_loss`` compute on the model state at that point, exactly."""
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    @pytest.mark.parametrize("recall_boost", [False, True])
+    def test_every_stage_on_the_tiny_plan(self, epochs, recall_boost):
+        plan, X, y, edge, cloud, adapter = tiny_stage_inputs()
+        sc = plan.stages
+
+        first = evaluate_model(cloud, X, y)
+        result = train_base(cloud, X, y, TrainConfig(
+            epochs, sc["cloud"].batch_size, sc["cloud"].learning_rate, seed=1))
+        assert result.history[0] == first
+        assert result.history[-1] == evaluate_model(cloud, X, y)
+
+        first = edge_kd_oracle(edge, cloud, adapter, X, y, None)
+        cfg = TrainConfig(epochs, sc["edge_kd"].batch_size, sc["edge_kd"].learning_rate,
+                          kd_weight=sc["edge_kd"].kd_weight, seed=2, stage="kd-edge")
+        result = train_edge_kd(edge, cloud, adapter, X, y, cfg, recall_boost=recall_boost)
+        alpha = None
+        if recall_boost and epochs:
+            assert result.skipped_steps == 0
+            per_epoch = len(result.alpha_steps) // epochs
+            alpha = tuple(float(a) for a in
+                          np.asarray(result.alpha_steps[-per_epoch:]).mean(axis=0))
+        assert result.history[0] == first
+        assert result.history[-1] == edge_kd_oracle(edge, cloud, adapter, X, y, alpha)
+
+        first = evaluate_adaptive_path(edge, cloud, adapter, X, y)
+        result = finetune_adapter(edge, cloud, adapter, X, y, TrainConfig(
+            epochs, sc["finetune"].batch_size, sc["finetune"].learning_rate, seed=3))
+        assert result.history[0] == first
+        assert result.history[-1] == evaluate_adaptive_path(edge, cloud, adapter, X, y)
+        assert len(result.history) == epochs + 1
+
+
+class PassCounter:
+    """Counts ``infer``/``infer_with_tap`` calls made by ``train``, per model."""
+
+    def __init__(self, monkeypatch):
+        self.calls = {}
+        for fn in ("infer", "infer_with_tap"):
+            monkeypatch.setattr(train, fn, self._counting(fn, getattr(train, fn)))
+
+    def _counting(self, fn, original):
+        def counted(model, *args, **kwargs):
+            key = (fn, model.name)
+            self.calls[key] = self.calls.get(key, 0) + 1
+            return original(model, *args, **kwargs)
+        return counted
+
+
+class TestReportPasses:
+    EPOCHS = 3
+
+    def small_setup(self):
+        ds = gen_dataset(3, 6, 120, 0.5, seed=40, difficulty=0.4)
+        edge = feedforward("edge", 6, [5], 3, 0, [0], np.random.default_rng(41))
+        cloud = feedforward("cloud", 6, [8, 8], 3, 0, [0, 1], np.random.default_rng(42))
+        adapter = make_adapter("a", 0, 1, 5, 8, 1, np.random.default_rng(43))
+        return ds.train_X, ds.train_y, edge, cloud, adapter
+
+    def test_finetune_runs_the_frozen_edge_and_cloud_once(self, monkeypatch):
+        X, y, edge, cloud, adapter = self.small_setup()
+        counter = PassCounter(monkeypatch)
+        result = finetune_adapter(edge, cloud, adapter, X, y, TrainConfig(self.EPOCHS, 32, 0.05))
+        assert len(result.history) == self.EPOCHS + 1
+        assert counter.calls == {("infer_with_tap", "edge"): 1, ("infer_with_tap", "cloud"): 1}
+
+    @pytest.mark.parametrize("recall_boost", [False, True])
+    def test_edge_kd_runs_the_edge_once_per_history_row(self, monkeypatch, recall_boost):
+        X, y, edge, cloud, adapter = self.small_setup()
+        counter = PassCounter(monkeypatch)
+        result = train_edge_kd(edge, cloud, adapter, X, y, TrainConfig(self.EPOCHS, 32, 0.1),
+                               recall_boost=recall_boost)
+        assert len(result.history) == self.EPOCHS + 1
+        assert counter.calls == {("infer_with_tap", "edge"): self.EPOCHS + 1,
+                                 ("infer_with_tap", "cloud"): 1}
