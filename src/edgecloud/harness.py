@@ -408,14 +408,14 @@ def train_stages(plan: ExperimentPlan, ds: Dataset, edge: ModelSpec,
     logs: dict[str, TrainResult] = {}
     logs["cloud"] = train_mod.train_base(cloud, X, y, TrainConfig(
         sc["cloud"].epochs, sc["cloud"].batch_size, sc["cloud"].learning_rate,
-        seed=seeds["cloud_train"], stage="base"))
+        seed=seeds["cloud_train"]))
     logs["edge_kd"] = train_mod.train_edge_kd(edge, cloud, adapter, X, y, TrainConfig(
         sc["edge_kd"].epochs, sc["edge_kd"].batch_size, sc["edge_kd"].learning_rate,
-        kd_weight=sc["edge_kd"].kd_weight, seed=seeds["edge_train"], stage="kd-edge"),
+        kd_weight=sc["edge_kd"].kd_weight, seed=seeds["edge_train"]),
         recall_boost=plan.recall_boost)
     logs["finetune"] = train_mod.finetune_adapter(edge, cloud, adapter, X, y, TrainConfig(
         sc["finetune"].epochs, sc["finetune"].batch_size, sc["finetune"].learning_rate,
-        seed=seeds["finetune"], stage="adapter-finetune"))
+        seed=seeds["finetune"]))
     return logs
 
 
@@ -549,7 +549,6 @@ class ExperimentResult:
     cloud: ModelSpec
     adapter: AdapterSpec
     initial_edge: ModelSpec
-    initial_adapter: AdapterSpec
     stage_logs: dict[str, TrainResult]
     reports: list[CostReport]
 
@@ -584,11 +583,10 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> ExperimentResult:
     ds = build_dataset(plan)
     edge, cloud, adapter = build_models(plan)
     initial_edge = models.clone_model(edge)
-    initial_adapter = models.clone_adapter(adapter)
     stage_logs = train_stages(plan, ds, edge, cloud, adapter)
     system = TrainedSystem(plan, ds, edge, cloud, adapter)
     reports = evaluate_policies(system)
     if out_dir is not None:
         write_outputs(out_dir, reports, stage_logs)
     return ExperimentResult(plan, ds, edge, cloud, adapter, initial_edge,
-                            initial_adapter, stage_logs, reports)
+                            stage_logs, reports)

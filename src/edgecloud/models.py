@@ -11,7 +11,6 @@ activation by running only the layers after the tap.
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -242,49 +241,3 @@ def confidence(probs, normal_class: int, mode: str = NORMAL_CLASS_MODE):
 
 def clone_model(model: ModelSpec) -> ModelSpec:
     return copy.deepcopy(model)
-
-
-def clone_adapter(adapter: AdapterSpec) -> AdapterSpec:
-    return copy.deepcopy(adapter)
-
-
-# ---------------------------------------------------------------------------
-# Structured-text (JSON) model definitions: architecture only, parameters
-# travel through nncore checkpoints.
-
-def model_to_config(model: ModelSpec) -> dict:
-    return {
-        "name": model.name,
-        "num_classes": model.num_classes,
-        "normal_class": model.normal_class,
-        "taps": sorted(model.taps),
-        "layers": [
-            {"kind": l.kind, "in_dim": l.in_dim, "out_dim": l.out_dim, "activation": l.activation}
-            for l in model.layers
-        ],
-    }
-
-
-def model_from_config(cfg: dict, rng: np.random.Generator | None = None) -> ModelSpec:
-    name = cfg["name"]
-    layers = []
-    for i, lc in enumerate(cfg["layers"]):
-        if lc["kind"] == nncore.DENSE:
-            layers.append(dense(lc["in_dim"], lc["out_dim"], lc["activation"],
-                                rng=rng, name=f"{name}.h{i}" if i < len(cfg["layers"]) - 1 else f"{name}.head"))
-        elif lc["kind"] == nncore.RESIDUAL:
-            layers.append(residual_block(lc["out_dim"], lc["activation"], rng=rng, name=f"{name}.r{i}"))
-        else:
-            raise ConfigError(f"layers[{i}].kind: unknown kind {lc['kind']!r}")
-    return ModelSpec(name, layers, cfg["num_classes"], cfg["normal_class"], cfg["taps"])
-
-
-def save_model_config(path, model: ModelSpec) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_config(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model_config(path, rng: np.random.Generator | None = None) -> ModelSpec:
-    with open(path) as fh:
-        return model_from_config(json.load(fh), rng)

@@ -1,18 +1,26 @@
 """Loss functions and training procedures.
 
-Four procedures are provided:
+Every procedure runs the same minibatch SGD loop, ``_fit``, and differs only
+in its trainable and frozen parameters and in the objectives each step
+records on the tape:
 
-* ``train_base`` -- plain minibatch SGD on classifier cross-entropy.
+* ``train_base`` -- classifier cross-entropy.
 * ``train_edge_kd`` -- edge training with a feature-imitation term: the
   adapter maps the edge tap into the cloud tap's space and a sigmoid BCE
   pulls the adapted map toward the (frozen) cloud feature map. Edge layers
   up to the tap receive both gradients, later layers only the classifier
-  gradient, and the adapter only the imitation gradient.
+  gradient, and the adapter only the imitation gradient. With
+  ``recall_boost`` the step weights three objectives: cross-entropy,
+  positive-samples-only cross-entropy and the imitation loss.
 * ``finetune_adapter`` -- tunes the adapter plus the cloud layers after the
   injection tap on the end-to-end adapted path, everything else frozen.
-* ``train_recall_boost`` -- two-objective SGD (full cross-entropy and
-  positive-samples-only cross-entropy) where each step uses minimum-norm
-  simplex weights, so no step increases either objective to first order.
+* ``train_recall_boost`` -- two objectives, cross-entropy and
+  positive-samples-only cross-entropy.
+
+A step with one objective follows its gradient. A step with several follows
+their minimum-norm simplex combination, so no step increases any of them to
+first order; an objective absent from the batch (positive cross-entropy on
+a batch without positive rows) is left out of that step.
 
 Losses clamp probabilities to ``[1e-12, 1 - 1e-12]`` before taking logs.
 All procedures are deterministic given ``TrainConfig.seed`` (the only
@@ -20,10 +28,10 @@ randomness is minibatch shuffling) and verify their freeze contracts by
 hashing frozen parameters before and after.
 
 Each procedure reports once before training and once per epoch over the
-whole training split. Reports reuse frozen-side features: ``train_edge_kd``
-computes the cloud's KD target probabilities once per call and runs the edge
-once per report, and ``finetune_adapter`` computes the edge tap and the
-cloud-prefix targets once per call, so each of its reports runs only the
+whole training split. Reports reuse frozen-side features: the KD target
+probabilities come from the cloud layers up to the tap, once per call;
+``train_edge_kd`` runs the edge once per report, and ``finetune_adapter``
+computes the edge tap once per call, so each of its reports runs only the
 adapter and the cloud tail.
 """
 
@@ -32,6 +40,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,8 +52,6 @@ from .nncore import (ConfigError, GradientTape, Node, Param, UsageError,
                      as_tensor, sigmoid)
 
 LOG_EPS = 1e-12
-
-STAGES = ("base", "kd-edge", "adapter-finetune", "recall-boost")
 
 TRAINING_LOG_COLUMNS = ["epoch", "ce", "kd", "positive_ce", "acc", "recall"]
 
@@ -69,7 +76,6 @@ class TrainConfig:
     learning_rate: float
     kd_weight: float = 1.0
     seed: int = 0
-    stage: str = "base"
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
@@ -80,8 +86,6 @@ class TrainConfig:
             raise ConfigError("learning_rate must be >= 0")
         if self.kd_weight < 0:
             raise ConfigError("kd_weight must be >= 0")
-        if self.stage not in STAGES:
-            raise ConfigError(f"stage must be one of {STAGES}")
 
 
 @dataclass
@@ -203,8 +207,10 @@ def ce_on_tape(tape: GradientTape, logits: Node, labels) -> Node:
     return nncore.op_scale(tape, nncore.op_mean(tape, nncore.op_log(tape, clamped)), -1.0)
 
 
-def kd_on_tape(tape: GradientTape, adapted: Node, cloud_values) -> Node:
-    target = sigmoid(as_tensor(cloud_values))
+def kd_on_tape(tape: GradientTape, adapted: Node, target) -> Node:
+    """Taped :func:`kd_loss` against target probabilities ``target``, the
+    sigmoid of the cloud tap feature."""
+    target = as_tensor(target)
     if target.shape != adapted.value.shape:
         raise UsageError(f"feature shapes differ: {target.shape} vs {adapted.value.shape}")
     q = nncore.op_clamp(tape, nncore.op_sigmoid(tape, adapted), LOG_EPS, 1.0 - LOG_EPS)
@@ -234,7 +240,7 @@ def adapter_on_tape(tape: GradientTape, adapter: AdapterSpec, feature: Node) -> 
 # Evaluation helpers.
 
 def _loss_report(probs: np.ndarray, y: np.ndarray, normal_class: int,
-                 kd: float = 0.0, alpha: tuple[float, ...] | None = None) -> LossReport:
+                 kd: float = 0.0) -> LossReport:
     """Classifier metrics of class probabilities against ``y``."""
     preds = np.argmax(probs, axis=1)
     return LossReport(
@@ -244,7 +250,6 @@ def _loss_report(probs: np.ndarray, y: np.ndarray, normal_class: int,
         accuracy=accuracy_rate(preds, y),
         recall=recall_rate(preds, y, normal_class),
         n_positive=int((y != normal_class).sum()),
-        alpha=alpha,
     )
 
 
@@ -300,22 +305,6 @@ def _sgd(params: list[Param], grads: dict[Param, np.ndarray], lr: float) -> None
             p.value -= lr * g
 
 
-def _check_finite(node: Node, config: TrainConfig, epoch: int) -> None:
-    if not np.isfinite(node.value):
-        raise DivergenceError(config.stage, epoch)
-
-
-class _FreezeGuard:
-    def __init__(self, params: list[Param], what: str) -> None:
-        self.params = params
-        self.what = what
-        self.digest = nncore.params_digest(params)
-
-    def verify(self) -> None:
-        if nncore.params_digest(self.params) != self.digest:
-            raise FrozenParamsError(f"frozen parameters mutated: {self.what}")
-
-
 def _flat(grads: dict[Param, np.ndarray], params: list[Param]) -> np.ndarray:
     return np.concatenate([np.ravel(grads.get(p, np.zeros_like(p.value))) for p in params])
 
@@ -340,121 +329,125 @@ def _epoch_alpha(steps: list[tuple[float, ...]]) -> tuple[float, ...] | None:
     return tuple(float(v) for v in arr.mean(axis=0))
 
 
+def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
+         objectives: Callable[[GradientTape, np.ndarray], list[Node | None]],
+         report: Callable[[], LossReport], frozen: Sequence[Param] = ()) -> TrainResult:
+    """The training loop of every procedure, over ``n`` training rows.
+
+    ``objectives(tape, idx)`` records one step's objectives for the rows
+    ``idx`` on ``tape`` and returns them by slot, ``None`` for an objective
+    absent from the batch. One present objective: SGD on its gradient. More
+    than one: SGD on the minimum-norm combination of their gradients, whose
+    weights are logged by slot in ``alpha_steps`` (0 for an absent slot).
+    ``report()`` gives history row 0 and, after each epoch, a row carrying
+    the epoch's mean weights. ``frozen`` must come out unchanged.
+    """
+    frozen_digest = nncore.params_digest(frozen) if frozen else None
+    rng = np.random.default_rng(config.seed)
+    result = TrainResult([report()])
+    for epoch in range(1, config.epochs + 1):
+        epoch_alphas: list[tuple[float, ...]] = []
+        for idx in _batches(n, config.batch_size, rng):
+            tape = GradientTape()
+            slots = objectives(tape, idx)
+            present = [i for i, node in enumerate(slots) if node is not None]
+            if not all(np.isfinite(slots[i].value) for i in present):
+                raise DivergenceError(stage, epoch)
+            if len(present) == 1:
+                grads = nncore.adjoints(tape, slots[present[0]])
+            else:
+                per_obj = [nncore.adjoints(tape, slots[i]) for i in present]
+                flats = np.stack([_flat(g, trainable) for g in per_obj])
+                if not flats.any():
+                    result.skipped_steps += 1
+                    continue
+                weights, combined = solve_min_norm(GradientBundle(flats))
+                result.min_descent_inner = min(result.min_descent_inner,
+                                               float((flats @ combined).min()))
+                alpha_by_slot = [0.0] * len(slots)
+                for slot, a in zip(present, weights.alpha):
+                    alpha_by_slot[slot] = float(a)
+                epoch_alphas.append(tuple(alpha_by_slot))
+                grads = _combine(per_obj, weights.alpha, trainable)
+            _sgd(trainable, grads, config.learning_rate)
+        result.alpha_steps.extend(epoch_alphas)
+        row = report()
+        row.alpha = _epoch_alpha(epoch_alphas)
+        result.history.append(row)
+    if frozen and nncore.params_digest(frozen) != frozen_digest:
+        raise FrozenParamsError(f"frozen parameters mutated in stage {stage!r}")
+    return result
+
+
+def _check_taps(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec) -> None:
+    if adapter.edge_tap not in edge.taps:
+        raise UsageError(f"adapter edge tap {adapter.edge_tap} not declared by {edge.name!r}")
+    if adapter.cloud_tap not in cloud.taps:
+        raise UsageError(f"adapter cloud tap {adapter.cloud_tap} not declared by {cloud.name!r}")
+
+
+def _kd_targets(cloud: ModelSpec, tap: int, X: np.ndarray) -> np.ndarray:
+    """KD target probabilities: the sigmoid of the cloud's tap feature, from
+    the cloud layers up to the tap only."""
+    return sigmoid(nncore.forward(cloud.layers[:tap + 1], X))
+
+
 # ---------------------------------------------------------------------------
 # Training procedures.
 
 def train_base(model: ModelSpec, X, y, config: TrainConfig) -> TrainResult:
     """Minibatch SGD on cross-entropy; history row 0 is the initial state."""
     X, y = _coerce_data(X, y)
-    rng = np.random.default_rng(config.seed)
-    params = model.params()
-    history = [evaluate_model(model, X, y)]
-    for epoch in range(1, config.epochs + 1):
-        for idx in _batches(len(X), config.batch_size, rng):
-            tape = GradientTape()
-            logits = nncore.forward_on_tape(tape, model.layers, tape.input(X[idx]))
-            loss = ce_on_tape(tape, logits, y[idx])
-            _check_finite(loss, config, epoch)
-            grads = nncore.adjoints(tape, loss)
-            _sgd(params, grads, config.learning_rate)
-        history.append(evaluate_model(model, X, y))
-    return TrainResult(history)
 
+    def objectives(tape, idx):
+        logits = nncore.forward_on_tape(tape, model.layers, tape.input(X[idx]))
+        return [ce_on_tape(tape, logits, y[idx])]
 
-def _edge_kd_report(edge: ModelSpec, adapter: AdapterSpec, X, y,
-                    kd_target: np.ndarray | None,
-                    alpha: tuple[float, ...] | None) -> LossReport:
-    """Edge metrics and, given the KD target probabilities, the imitation
-    loss; one edge pass gives both the probabilities and the tap."""
-    probs, edge_feat = infer_with_tap(edge, X, adapter.edge_tap)
-    kd = 0.0 if kd_target is None else _kd_against(kd_target, adapt(adapter, edge_feat).values)
-    return _loss_report(probs, y, edge.normal_class, kd, alpha)
+    return _fit("base", len(X), config, model.params(), objectives,
+                lambda: evaluate_model(model, X, y))
 
 
 def train_edge_kd(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
-                  X, y, config: TrainConfig, *, freeze_edge: bool = False,
-                  recall_boost: bool = False) -> TrainResult:
+                  X, y, config: TrainConfig, *, recall_boost: bool = False) -> TrainResult:
     """Edge training with the feature-imitation term.
 
-    The cloud stays frozen throughout (verified by hashing). With
-    ``kd_weight == 0`` the imitation branch is skipped entirely, so the edge
-    update sequence matches ``train_base`` bit for bit. With
-    ``recall_boost`` the step direction is the minimum-norm combination of
-    up to three objectives: cross-entropy, positive-sample cross-entropy,
-    and the imitation loss.
+    The cloud stays frozen throughout (verified by hashing). Each step
+    follows ``ce + kd_weight * kd``; with ``kd_weight == 0`` the imitation
+    branch is skipped entirely, so the edge update sequence matches
+    ``train_base`` bit for bit. With ``recall_boost`` each step instead
+    weights cross-entropy, positive-sample cross-entropy and the imitation
+    loss by their minimum-norm point.
     """
-    if adapter.edge_tap not in edge.taps:
-        raise UsageError(f"adapter edge tap {adapter.edge_tap} not declared by {edge.name!r}")
-    if adapter.cloud_tap not in cloud.taps:
-        raise UsageError(f"adapter cloud tap {adapter.cloud_tap} not declared by {cloud.name!r}")
+    _check_taps(edge, cloud, adapter)
     X, y = _coerce_data(X, y)
-    rng = np.random.default_rng(config.seed)
     use_kd = config.kd_weight != 0.0
     if recall_boost and not use_kd:
         raise ConfigError("the recall_boost bundle requires kd_weight > 0")
+    kd_target = _kd_targets(cloud, adapter.cloud_tap, X) if use_kd else None
 
-    frozen = list(cloud.params()) + (list(edge.params()) if freeze_edge else [])
-    guard = _FreezeGuard(frozen, "cloud (and edge)" if freeze_edge else "cloud")
-    trainable = ([] if freeze_edge else edge.params()) + adapter.params()
+    def objectives(tape, idx):
+        h = tape.input(X[idx])
+        for i, layer in enumerate(edge.layers):
+            h = nncore.layer_on_tape(tape, layer, h)
+            if i == adapter.edge_tap:
+                tap_node = h
+        ce = ce_on_tape(tape, h, y[idx])
+        if not use_kd:
+            return [ce]
+        kd = kd_on_tape(tape, adapter_on_tape(tape, adapter, tap_node), kd_target[idx])
+        if not recall_boost:
+            return [nncore.op_add(tape, ce, nncore.op_scale(tape, kd, config.kd_weight))]
+        pos, _ = positive_ce_on_tape(tape, h, y[idx], edge.normal_class)
+        return [ce, pos, kd]
 
-    cloud_targets = kd_target = None
-    if use_kd:
-        _, cloud_feat = infer_with_tap(cloud, X, adapter.cloud_tap)
-        cloud_targets = cloud_feat.values
-        kd_target = sigmoid(cloud_targets)
+    def report():
+        # one edge pass gives both the probabilities and the tap
+        probs, edge_feat = infer_with_tap(edge, X, adapter.edge_tap)
+        kd = 0.0 if kd_target is None else _kd_against(kd_target, adapt(adapter, edge_feat).values)
+        return _loss_report(probs, y, edge.normal_class, kd)
 
-    result = TrainResult([_edge_kd_report(edge, adapter, X, y, kd_target, None)])
-    for epoch in range(1, config.epochs + 1):
-        epoch_alphas: list[tuple[float, ...]] = []
-        for idx in _batches(len(X), config.batch_size, rng):
-            tape = GradientTape()
-            h = tape.input(X[idx])
-            tap_node = None
-            for i, layer in enumerate(edge.layers):
-                h = nncore.layer_on_tape(tape, layer, h)
-                if i == adapter.edge_tap:
-                    tap_node = h
-            ce = ce_on_tape(tape, h, y[idx])
-            _check_finite(ce, config, epoch)
-            kd_node = None
-            if use_kd:
-                adapted = adapter_on_tape(tape, adapter, tap_node)
-                kd_node = kd_on_tape(tape, adapted, cloud_targets[idx])
-                _check_finite(kd_node, config, epoch)
-            if not recall_boost:
-                if kd_node is None:
-                    loss = ce
-                else:
-                    loss = nncore.op_add(tape, ce, nncore.op_scale(tape, kd_node, config.kd_weight))
-                grads = nncore.adjoints(tape, loss)
-                _sgd(trainable, grads, config.learning_rate)
-                continue
-
-            # Objective bundle {ce, positive-ce, kd}; a batch with no positive
-            # rows drops that objective from the bundle for the step.
-            pos_node, _ = positive_ce_on_tape(tape, h, y[idx], edge.normal_class)
-            if pos_node is not None:
-                _check_finite(pos_node, config, epoch)
-            slots = (ce, pos_node, kd_node)
-            present = [i for i, node in enumerate(slots) if node is not None]
-            per_obj = [nncore.adjoints(tape, slots[i]) for i in present]
-            flats = np.stack([_flat(g, trainable) for g in per_obj])
-            if not flats.any():
-                result.skipped_steps += 1
-                continue
-            weights, combined = solve_min_norm(GradientBundle(flats))
-            result.min_descent_inner = min(result.min_descent_inner,
-                                           float((flats @ combined).min()))
-            alpha_by_slot = [0.0, 0.0, 0.0]
-            for slot, a in zip(present, weights.alpha):
-                alpha_by_slot[slot] = float(a)
-            epoch_alphas.append(tuple(alpha_by_slot))
-            _sgd(trainable, _combine(per_obj, weights.alpha, trainable), config.learning_rate)
-        result.alpha_steps.extend(epoch_alphas)
-        result.history.append(
-            _edge_kd_report(edge, adapter, X, y, kd_target, _epoch_alpha(epoch_alphas)))
-    guard.verify()
-    return result
+    return _fit("kd-edge", len(X), config, edge.params() + adapter.params(),
+                objectives, report, frozen=cloud.params())
 
 
 def finetune_adapter(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
@@ -464,36 +457,23 @@ def finetune_adapter(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
     The edge and the cloud layers up to (and including) the injection tap
     are frozen; history rows report adapted-path metrics.
     """
-    if adapter.edge_tap not in edge.taps:
-        raise UsageError(f"adapter edge tap {adapter.edge_tap} not declared by {edge.name!r}")
-    n = adapter.cloud_tap
-    if not 0 <= n < len(cloud.layers):
-        raise UsageError(f"adapter cloud tap {n} out of range for {cloud.name!r}")
+    _check_taps(edge, cloud, adapter)
     X, y = _coerce_data(X, y)
-    rng = np.random.default_rng(config.seed)
-
-    frozen = list(edge.params()) + [p for layer in cloud.layers[:n + 1] for p in layer.params()]
-    guard = _FreezeGuard(frozen, "edge and cloud prefix")
-    trainable = adapter.params() + [p for layer in cloud.layers[n + 1:] for p in layer.params()]
-
+    n = adapter.cloud_tap
+    prefix, tail = cloud.layers[:n + 1], cloud.layers[n + 1:]
     _, edge_feat = infer_with_tap(edge, X, adapter.edge_tap)
     feats = edge_feat.values
-    _, cloud_feat = infer_with_tap(cloud, X, n)
-    kd_target = sigmoid(cloud_feat.values)
+    kd_target = _kd_targets(cloud, n, X)
 
-    history = [_adaptive_report(cloud, adapter, edge_feat, kd_target, y)]
-    for epoch in range(1, config.epochs + 1):
-        for idx in _batches(len(X), config.batch_size, rng):
-            tape = GradientTape()
-            adapted = adapter_on_tape(tape, adapter, tape.input(feats[idx]))
-            logits = nncore.forward_on_tape(tape, cloud.layers[n + 1:], adapted)
-            loss = ce_on_tape(tape, logits, y[idx])
-            _check_finite(loss, config, epoch)
-            grads = nncore.adjoints(tape, loss)
-            _sgd(trainable, grads, config.learning_rate)
-        history.append(_adaptive_report(cloud, adapter, edge_feat, kd_target, y))
-    guard.verify()
-    return TrainResult(history)
+    def objectives(tape, idx):
+        adapted = adapter_on_tape(tape, adapter, tape.input(feats[idx]))
+        logits = nncore.forward_on_tape(tape, tail, adapted)
+        return [ce_on_tape(tape, logits, y[idx])]
+
+    return _fit("adapter-finetune", len(X), config,
+                adapter.params() + [p for layer in tail for p in layer.params()], objectives,
+                lambda: _adaptive_report(cloud, adapter, edge_feat, kd_target, y),
+                frozen=edge.params() + [p for layer in prefix for p in layer.params()])
 
 
 def train_recall_boost(edge: ModelSpec, X, y, config: TrainConfig) -> TrainResult:
@@ -503,36 +483,15 @@ def train_recall_boost(edge: ModelSpec, X, y, config: TrainConfig) -> TrainResul
     pos_mask = y != edge.normal_class
     if not pos_mask.any() or pos_mask.all():
         raise UsageError("recall boosting needs both normal and positive samples")
-    rng = np.random.default_rng(config.seed)
-    params = edge.params()
 
-    result = TrainResult([evaluate_model(edge, X, y)])
-    for epoch in range(1, config.epochs + 1):
-        epoch_alphas: list[tuple[float, ...]] = []
-        for idx in _batches(len(X), config.batch_size, rng):
-            tape = GradientTape()
-            logits = nncore.forward_on_tape(tape, edge.layers, tape.input(X[idx]))
-            ce = ce_on_tape(tape, logits, y[idx])
-            _check_finite(ce, config, epoch)
-            pos_node, _ = positive_ce_on_tape(tape, logits, y[idx], edge.normal_class)
-            if pos_node is not None:
-                _check_finite(pos_node, config, epoch)
-            g_ce = nncore.adjoints(tape, ce)
-            g_pos = nncore.adjoints(tape, pos_node) if pos_node is not None else {}
-            flats = np.stack([_flat(g_ce, params), _flat(g_pos, params)])
-            if not flats.any():
-                result.skipped_steps += 1
-                continue
-            weights, combined = solve_min_norm(GradientBundle(flats))
-            result.min_descent_inner = min(result.min_descent_inner,
-                                           float((flats @ combined).min()))
-            epoch_alphas.append(tuple(float(a) for a in weights.alpha))
-            _sgd(params, _combine([g_ce, g_pos], weights.alpha, params), config.learning_rate)
-        result.alpha_steps.extend(epoch_alphas)
-        rep = evaluate_model(edge, X, y)
-        rep.alpha = _epoch_alpha(epoch_alphas)
-        result.history.append(rep)
-    return result
+    def objectives(tape, idx):
+        logits = nncore.forward_on_tape(tape, edge.layers, tape.input(X[idx]))
+        ce = ce_on_tape(tape, logits, y[idx])
+        pos, _ = positive_ce_on_tape(tape, logits, y[idx], edge.normal_class)
+        return [ce, pos]
+
+    return _fit("recall-boost", len(X), config, edge.params(), objectives,
+                lambda: evaluate_model(edge, X, y))
 
 
 # ---------------------------------------------------------------------------

@@ -178,19 +178,6 @@ class TestSpecsAndIO:
         with pytest.raises(ConfigError):
             AdapterSpec("a", 0, 1, proj, [residual_block(4)])
 
-    def test_config_round_trip(self):
-        cloud = small_cloud()
-        cfg = models.model_to_config(cloud)
-        rebuilt = models.model_from_config(cfg, np.random.default_rng(0))
-        assert models.model_to_config(rebuilt) == cfg
-
-    def test_config_file_round_trip(self, tmp_path):
-        cloud = small_cloud()
-        path = tmp_path / "cloud.json"
-        models.save_model_config(path, cloud)
-        rebuilt = models.load_model_config(path)
-        assert models.model_to_config(rebuilt) == models.model_to_config(cloud)
-
     def test_clone_is_independent(self):
         cloud = small_cloud()
         twin = models.clone_model(cloud)

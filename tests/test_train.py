@@ -152,7 +152,7 @@ class TestTrainBase:
         edge = blob_edge(5)
         with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
             train_base(edge, ds.train_X, ds.train_y,
-                       TrainConfig(10, 16, 1e300, seed=5, stage="base"))
+                       TrainConfig(10, 16, 1e300, seed=5))
         assert err.value.stage == "base"
         assert err.value.epoch == 1
         assert "base" in str(err.value) and "epoch" in str(err.value)
@@ -202,15 +202,6 @@ class TestTrainEdgeKd:
                       TrainConfig(4, 32, 0.1, seed=seeds["edge_train"]))
         assert nncore.params_digest(cloud.params()) == digest
 
-    def test_freeze_edge_updates_only_adapter(self):
-        ds, edge, cloud, adapter, seeds = kd_setup(2)
-        edge_digest = nncore.params_digest(edge.params())
-        adapter_digest = nncore.params_digest(adapter.params())
-        train_edge_kd(edge, cloud, adapter, ds.train_X, ds.train_y,
-                      TrainConfig(3, 32, 0.1, seed=seeds["edge_train"]), freeze_edge=True)
-        assert nncore.params_digest(edge.params()) == edge_digest
-        assert nncore.params_digest(adapter.params()) != adapter_digest
-
     def test_gradient_regions(self):
         # layers after the tap: classifier gradient only; layers at or before
         # the tap: both; adapter: imitation gradient only.
@@ -226,7 +217,7 @@ class TestTrainEdgeKd:
                 tap_node = h
         ce = train.ce_on_tape(tape, h, y)
         adapted = train.adapter_on_tape(tape, adapter, tap_node)
-        kd = train.kd_on_tape(tape, adapted, cloud_feat.values)
+        kd = train.kd_on_tape(tape, adapted, nncore.sigmoid(cloud_feat.values))
         g_ce = nncore.adjoints(tape, ce)
         g_kd = nncore.adjoints(tape, kd)
         head = edge.layers[-1]
@@ -255,6 +246,19 @@ class TestTrainEdgeKd:
         assert result.alpha_steps
         assert all(len(a) == 3 for a in result.alpha_steps)
         assert result.min_descent_inner >= -1e-9
+
+
+@pytest.mark.parametrize("undeclared", ["edge", "cloud"])
+@pytest.mark.parametrize("stage", [train_edge_kd, finetune_adapter])
+def test_kd_stages_reject_an_undeclared_adapter_tap(stage, undeclared):
+    ds, edge, cloud, adapter, _ = kd_setup(8, n=100)
+    if undeclared == "edge":
+        edge = models.ModelSpec(edge.name, edge.layers, edge.num_classes, edge.normal_class, [])
+    else:
+        cloud = models.ModelSpec(cloud.name, cloud.layers, cloud.num_classes,
+                                 cloud.normal_class, [0])
+    with pytest.raises(UsageError, match=f"adapter {undeclared} tap"):
+        stage(edge, cloud, adapter, ds.train_X, ds.train_y, TrainConfig(1, 32, 0.1))
 
 
 class TestFinetuneAdapter:
@@ -314,11 +318,27 @@ class TestRecallBoost:
         _, combined = solve_min_norm(np.stack([flat1, flat2]))
         assert np.array_equal(combined, flat1)
 
+    def test_single_row_batches_step_like_train_base(self):
+        # a normal row has no positive-CE objective, so the step follows CE
+        # alone; a positive row's positive CE equals its CE, so the min-norm
+        # step is that same gradient. Either way: train_base, bit for bit.
+        ds = gen_dataset(3, 6, 60, 0.5, seed=21, difficulty=0.4)
+        boosted = feedforward("edge", 6, [5], 3, 0, [0], np.random.default_rng(6))
+        plain = clone_model(boosted)
+        cfg = TrainConfig(2, 1, 0.1, seed=7)
+        result = train_recall_boost(boosted, ds.train_X, ds.train_y, cfg)
+        train_base(plain, ds.train_X, ds.train_y, cfg)
+        assert params_equal(boosted, plain)
+        positives = int((ds.train_y != 0).sum())
+        assert 0 < positives < len(ds.train_y)
+        assert len(result.alpha_steps) == cfg.epochs * positives
+        assert result.skipped_steps == 0
+
     def test_descent_condition_holds_and_alphas_are_logged(self):
         ds = gen_dataset(3, 6, 400, 0.4, seed=20, difficulty=0.4)
         edge = feedforward("edge", 6, [5], 3, 0, [0], np.random.default_rng(4))
         result = train_recall_boost(edge, ds.train_X, ds.train_y,
-                                    TrainConfig(3, 32, 0.1, seed=5, stage="recall-boost"))
+                                    TrainConfig(3, 32, 0.1, seed=5))
         assert result.min_descent_inner >= -1e-9
         assert result.alpha_steps
         for alpha in result.alpha_steps:
@@ -430,7 +450,7 @@ class TestReportsMatchEvaluators:
 
         first = edge_kd_oracle(edge, cloud, adapter, X, y, None)
         cfg = TrainConfig(epochs, sc["edge_kd"].batch_size, sc["edge_kd"].learning_rate,
-                          kd_weight=sc["edge_kd"].kd_weight, seed=2, stage="kd-edge")
+                          kd_weight=sc["edge_kd"].kd_weight, seed=2)
         result = train_edge_kd(edge, cloud, adapter, X, y, cfg, recall_boost=recall_boost)
         alpha = None
         if recall_boost and epochs:
@@ -450,19 +470,26 @@ class TestReportsMatchEvaluators:
 
 
 class PassCounter:
-    """Counts ``infer``/``infer_with_tap`` calls made by ``train``, per model."""
+    """Counts untaped ``apply_layer`` calls per (model, layer index): the
+    forward passes training makes outside its tapes."""
 
-    def __init__(self, monkeypatch):
+    def __init__(self, monkeypatch, *nets):
         self.calls = {}
-        for fn in ("infer", "infer_with_tap"):
-            monkeypatch.setattr(train, fn, self._counting(fn, getattr(train, fn)))
+        index = {id(layer): (net.name, i) for net in nets for i, layer in enumerate(net.layers)}
+        original = nncore.apply_layer
 
-    def _counting(self, fn, original):
-        def counted(model, *args, **kwargs):
-            key = (fn, model.name)
-            self.calls[key] = self.calls.get(key, 0) + 1
-            return original(model, *args, **kwargs)
-        return counted
+        def counted(layer, x):
+            key = index.get(id(layer))
+            if key is not None:
+                self.calls[key] = self.calls.get(key, 0) + 1
+            return original(layer, x)
+
+        for module in (nncore, models):
+            monkeypatch.setattr(module, "apply_layer", counted)
+
+    def runs(self, net, layers):
+        """Calls of each of ``net``'s layers with an index in ``layers``."""
+        return [self.calls.get((net.name, i), 0) for i in layers]
 
 
 class TestReportPasses:
@@ -477,17 +504,26 @@ class TestReportPasses:
 
     def test_finetune_runs_the_frozen_edge_and_cloud_once(self, monkeypatch):
         X, y, edge, cloud, adapter = self.small_setup()
-        counter = PassCounter(monkeypatch)
+        counter = PassCounter(monkeypatch, edge, cloud)
         result = finetune_adapter(edge, cloud, adapter, X, y, TrainConfig(self.EPOCHS, 32, 0.05))
-        assert len(result.history) == self.EPOCHS + 1
-        assert counter.calls == {("infer_with_tap", "edge"): 1, ("infer_with_tap", "cloud"): 1}
+        rows = len(result.history)
+        assert rows == self.EPOCHS + 1
+        n = adapter.cloud_tap
+        assert counter.runs(edge, range(len(edge.layers))) == [1] * len(edge.layers)
+        assert counter.runs(cloud, range(n + 1)) == [1] * (n + 1)
+        tail = range(n + 1, len(cloud.layers))
+        assert counter.runs(cloud, tail) == [rows] * len(tail)
 
     @pytest.mark.parametrize("recall_boost", [False, True])
     def test_edge_kd_runs_the_edge_once_per_history_row(self, monkeypatch, recall_boost):
         X, y, edge, cloud, adapter = self.small_setup()
-        counter = PassCounter(monkeypatch)
+        counter = PassCounter(monkeypatch, edge, cloud)
         result = train_edge_kd(edge, cloud, adapter, X, y, TrainConfig(self.EPOCHS, 32, 0.1),
                                recall_boost=recall_boost)
-        assert len(result.history) == self.EPOCHS + 1
-        assert counter.calls == {("infer_with_tap", "edge"): self.EPOCHS + 1,
-                                 ("infer_with_tap", "cloud"): 1}
+        rows = len(result.history)
+        assert rows == self.EPOCHS + 1
+        n = adapter.cloud_tap
+        assert counter.runs(edge, range(len(edge.layers))) == [rows] * len(edge.layers)
+        assert counter.runs(cloud, range(n + 1)) == [1] * (n + 1)
+        tail = range(n + 1, len(cloud.layers))
+        assert counter.runs(cloud, tail) == [0] * len(tail)
