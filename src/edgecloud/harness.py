@@ -548,7 +548,6 @@ class ExperimentResult:
     edge: ModelSpec
     cloud: ModelSpec
     adapter: AdapterSpec
-    initial_edge: ModelSpec
     stage_logs: dict[str, TrainResult]
     reports: list[CostReport]
 
@@ -582,11 +581,9 @@ def run_experiment(plan: ExperimentPlan, out_dir=None) -> ExperimentResult:
     plan's master seed."""
     ds = build_dataset(plan)
     edge, cloud, adapter = build_models(plan)
-    initial_edge = models.clone_model(edge)
     stage_logs = train_stages(plan, ds, edge, cloud, adapter)
     system = TrainedSystem(plan, ds, edge, cloud, adapter)
     reports = evaluate_policies(system)
     if out_dir is not None:
         write_outputs(out_dir, reports, stage_logs)
-    return ExperimentResult(plan, ds, edge, cloud, adapter, initial_edge,
-                            stage_logs, reports)
+    return ExperimentResult(plan, ds, edge, cloud, adapter, stage_logs, reports)

@@ -1,11 +1,13 @@
 """Minimum-norm point in the convex hull of objective gradients.
 
 The solver returns simplex weights ``alpha`` such that
-``combined = sum_i alpha_i g_i`` has (near-)minimal squared norm over the
-simplex. Stepping along ``-combined`` never increases any objective to
-first order: ``<combined, g_j> >= 0`` for every j, which ``check_descent``
-verifies. ``grid_oracle`` is an exhaustive lattice evaluation kept as an
-independent cross-check of the solver.
+``combined = sum_i alpha_i g_i`` has minimal squared norm over the simplex,
+for p in {2, 3} objectives (MGDA; Desideri 2012, Sener & Koltun 2018).
+Beyond a few passes over the gradients (Gram matrices and the combination)
+it works on p x p matrices only. Stepping along ``-combined`` never
+increases any objective to first order: ``<combined, g_j> >= 0`` for every
+j, which ``check_descent`` verifies. ``grid_oracle`` is an exhaustive
+lattice evaluation kept as an independent cross-check of the solver.
 """
 
 from __future__ import annotations
@@ -71,65 +73,57 @@ def _coerce(bundle) -> np.ndarray:
     return GradientBundle(np.asarray(bundle, dtype=np.float64)).grads
 
 
-def _frank_wolfe(grads: np.ndarray, tol: float, max_iter: int = 10_000) -> np.ndarray:
-    """Frank-Wolfe with away steps over the simplex, exact line search.
+def _min_norm_p3(grads: np.ndarray) -> np.ndarray:
+    """Exact minimum-norm simplex weights of three gradients.
 
-    Away steps give linear convergence on this quadratic; plain Frank-Wolfe
-    zigzags sublinearly when the optimum sits on a simplex face and can fail
-    the common-descent slack within the iteration budget.
+    The minimum lies on one of the simplex's 7 faces: a vertex, an edge
+    interior or the triangle interior. Each face's own minimizer comes from
+    Gram-matrix entries; the feasible one of least norm wins. The interior
+    point is solved in reduced coordinates ``a = e3 + s(e1-e3) + t(e2-e3)``,
+    whose Hessian is the Gram matrix of the differences ``D = g[:2] - g3``.
+    That stays well conditioned when the gradients themselves are rank
+    deficient (a zero inside a planar hull), where ``G^-1 1`` is not.
     """
-    p = grads.shape[0]
-    norms2 = np.einsum("ij,ij->i", grads, grads)
-    start = int(np.argmin(norms2))
-    alpha = np.zeros(p)
-    alpha[start] = 1.0
-    combined = grads[start].copy()
-    for _ in range(max_iter):
-        scores = grads @ combined
-        cc = float(combined @ combined)
-        vertex = int(np.argmin(scores))
-        gap = 2.0 * (cc - float(scores[vertex]))
-        if gap < tol:
-            break
-        active = np.flatnonzero(alpha > 0.0)
-        away = int(active[np.argmax(scores[active])])
-        away_gap = 2.0 * (float(scores[away]) - cc)
-        if gap >= away_gap:
-            direction = grads[vertex] - combined
-            eta_max = 1.0
-        else:
-            direction = combined - grads[away]
-            denom = 1.0 - alpha[away]
-            eta_max = alpha[away] / denom if denom > 0.0 else 0.0
-        dd = float(direction @ direction)
-        if dd == 0.0 or eta_max == 0.0:
-            break
-        eta = float(np.clip(-(combined @ direction) / dd, 0.0, eta_max))
-        if eta == 0.0:
-            break
-        if gap >= away_gap:
-            alpha *= 1.0 - eta
-            alpha[vertex] += eta
-        else:
-            alpha *= 1.0 + eta
-            alpha[away] -= eta
-            alpha[alpha < 0.0] = 0.0
-        combined = combined + eta * direction
-    return alpha
+    # row by row: BLAS takes a slow path for ``grads @ grads.T`` with 3 rows
+    gram = np.empty((3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            gram[i, j] = gram[j, i] = grads[i] @ grads[j]
+    candidates = list(np.eye(3))
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        denom = gram[i, i] - 2.0 * gram[i, j] + gram[j, j]
+        if denom > 0.0:
+            a = (gram[j, j] - gram[i, j]) / denom
+            if 0.0 < a < 1.0:
+                point = np.zeros(3)
+                point[i], point[j] = a, 1.0 - a
+                candidates.append(point)
+    d0, d1 = grads[:2] - grads[2]
+    h00, h01, h11 = d0 @ d0, d0 @ d1, d1 @ d1
+    b0, b1 = d0 @ grads[2], d1 @ grads[2]
+    det = h00 * h11 - h01 * h01
+    if det > 0.0:
+        s = (h01 * b1 - h11 * b0) / det
+        t = (h01 * b0 - h00 * b1) / det
+        if s > 0.0 and t > 0.0 and s + t < 1.0:
+            candidates.append(np.array([s, t, 1.0 - s - t]))
+    points = np.array(candidates)
+    norms2 = np.einsum("ij,jk,ik->i", points, gram, points)
+    return points[int(np.argmin(norms2))]
 
 
-def solve_min_norm(bundle, tol: float = 1e-10) -> tuple[SimplexWeights, np.ndarray]:
+def solve_min_norm(bundle) -> tuple[SimplexWeights, np.ndarray]:
     """Simplex weights minimizing ``||sum_i alpha_i g_i||^2`` plus the combination.
 
     p = 2 uses the closed form ``alpha_1 = clip(<g2-g1, g2> / ||g1-g2||^2, 0, 1)``;
-    p >= 3 runs away-step Frank-Wolfe until the duality gap drops below
-    ``tol``. An all-zero bundle is already stationary and yields uniform
-    weights and the zero vector.
+    p = 3 is solved exactly on the 3x3 Gram matrix (``_min_norm_p3``). Larger
+    bundles are rejected. An all-zero bundle is already stationary and
+    yields uniform weights and the zero vector.
     """
-    if tol <= 0:
-        raise UsageError("tol must be positive")
     grads = _coerce(bundle)
     p, d = grads.shape
+    if p > 3:
+        raise UsageError(f"min-norm solver supports p in {{2, 3}}, got p={p}")
     if not grads.any():
         return SimplexWeights(np.full(p, 1.0 / p)), np.zeros(d)
     if p == 2:
@@ -142,7 +136,7 @@ def solve_min_norm(bundle, tol: float = 1e-10) -> tuple[SimplexWeights, np.ndarr
             a1 = float(np.clip(float((g2 - g1) @ g2) / denom, 0.0, 1.0))
         alpha = np.array([a1, 1.0 - a1])
     else:
-        alpha = _frank_wolfe(grads, tol)
+        alpha = _min_norm_p3(grads)
     combined = alpha @ grads
     return SimplexWeights(alpha), combined
 

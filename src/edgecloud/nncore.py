@@ -227,26 +227,19 @@ class GradientTape:
 
     Ops append ``(node, backward_fn)`` entries; ``backward`` (or
     ``adjoints`` for an arbitrary recorded scalar) replays the record in
-    reverse and accumulates one gradient per touched parameter. A tape is a
-    single-owner, single-threaded object.
+    reverse and accumulates one gradient per parameter the scalar reaches.
+    A tape is a single-owner, single-threaded object.
     """
 
     def __init__(self) -> None:
         self._entries: list[tuple[Node, BackwardFn]] = []
         self._params: dict[int, tuple[Param, Node]] = {}
-        self._inputs: list[Node] = []
         self.output: Node | None = None
-        self.input_gradients: list[np.ndarray] | None = None
-
-    def constant(self, value) -> Node:
-        """Leaf that receives no gradient bookkeeping of its own."""
-        return Node(as_tensor(value))
 
     def input(self, value) -> Node:
-        """Leaf whose gradient is exposed via ``input_gradients`` after backward."""
-        node = self.constant(value)
-        self._inputs.append(node)
-        return node
+        """Data leaf; it gets no gradient map entry (take a gradient with
+        respect to data through a ``Param`` leaf)."""
+        return Node(as_tensor(value))
 
     def param(self, p: Param) -> Node:
         """Leaf for a trainable parameter (one node per param per tape)."""
@@ -269,10 +262,10 @@ class GradientTape:
 
 
 def adjoints(tape: GradientTape, node: Node, seed: float = 1.0) -> dict[Param, np.ndarray]:
-    """Gradients of a recorded scalar node w.r.t. every parameter on the tape.
+    """Gradients of a recorded scalar node w.r.t. the parameters it reaches.
 
-    Parameters touched in forward but disconnected from ``node`` get zero
-    gradients of their own shape.
+    A parameter on the tape that ``node`` does not depend on is absent from
+    the map; its gradient is zero.
     """
     if node.value.shape != ():
         raise UsageError("adjoint seed must be a scalar node")
@@ -292,11 +285,8 @@ def adjoints(tape: GradientTape, node: Node, seed: float = 1.0) -> dict[Param, n
     result: dict[Param, np.ndarray] = {}
     for p, pnode in tape._params.values():
         g = grads.get(id(pnode))
-        result[p] = np.zeros_like(p.value) if g is None else np.asarray(g, dtype=np.float64)
-    tape.input_gradients = [
-        np.asarray(grads[id(n)]) if id(n) in grads else np.zeros_like(n.value)
-        for n in tape._inputs
-    ]
+        if g is not None:
+            result[p] = np.asarray(g, dtype=np.float64)
     return result
 
 
@@ -476,7 +466,7 @@ def forward(layers: Sequence[LayerSpec], x, tape: GradientTape | None = None) ->
     """Run the layer stack on a sample or batch.
 
     With a tape, the same ops are recorded so adjoints can be replayed for
-    every parameter and the input; ``tape.output`` holds the output node.
+    every parameter; ``tape.output`` holds the output node.
     """
     arr = as_tensor(x)
     if arr.ndim not in (1, 2):

@@ -220,13 +220,14 @@ def kd_on_tape(tape: GradientTape, adapted: Node, target) -> Node:
 
 
 def positive_ce_on_tape(tape: GradientTape, logits: Node, labels,
-                        normal_class: int) -> tuple[Node | None, int]:
+                        normal_class: int) -> Node | None:
+    """Taped cross-entropy over the positive rows; ``None`` when there are none."""
     labels = np.asarray(labels, dtype=np.intp)
     idx = np.flatnonzero(labels != normal_class)
     if idx.size == 0:
-        return None, 0
+        return None
     subset = nncore.op_rows(tape, logits, idx)
-    return ce_on_tape(tape, subset, labels[idx]), int(idx.size)
+    return ce_on_tape(tape, subset, labels[idx])
 
 
 def adapter_on_tape(tape: GradientTape, adapter: AdapterSpec, feature: Node) -> Node:
@@ -305,23 +306,6 @@ def _sgd(params: list[Param], grads: dict[Param, np.ndarray], lr: float) -> None
             p.value -= lr * g
 
 
-def _flat(grads: dict[Param, np.ndarray], params: list[Param]) -> np.ndarray:
-    return np.concatenate([np.ravel(grads.get(p, np.zeros_like(p.value))) for p in params])
-
-
-def _combine(per_obj: list[dict[Param, np.ndarray]], alpha: np.ndarray,
-             params: list[Param]) -> dict[Param, np.ndarray]:
-    out: dict[Param, np.ndarray] = {}
-    for p in params:
-        total = np.zeros_like(p.value)
-        for a, grads in zip(alpha, per_obj):
-            g = grads.get(p)
-            if g is not None and a != 0.0:
-                total += a * g
-        out[p] = total
-    return out
-
-
 def _epoch_alpha(steps: list[tuple[float, ...]]) -> tuple[float, ...] | None:
     if not steps:
         return None
@@ -339,10 +323,15 @@ def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
     absent from the batch. One present objective: SGD on its gradient. More
     than one: SGD on the minimum-norm combination of their gradients, whose
     weights are logged by slot in ``alpha_steps`` (0 for an absent slot).
-    ``report()`` gives history row 0 and, after each epoch, a row carrying
-    the epoch's mean weights. ``frozen`` must come out unchanged.
+    Those gradients go row by row into one flat buffer, a fixed slice per
+    trainable param, allocated once per call. ``report()`` gives history
+    row 0 and, after each epoch, a row carrying the epoch's mean weights.
+    ``frozen`` must come out unchanged.
     """
     frozen_digest = nncore.params_digest(frozen) if frozen else None
+    ends = np.cumsum([p.value.size for p in trainable])
+    slices = [slice(end - p.value.size, end) for p, end in zip(trainable, ends)]
+    flat: np.ndarray | None = None
     rng = np.random.default_rng(config.seed)
     result = TrainResult([report()])
     for epoch in range(1, config.epochs + 1):
@@ -356,19 +345,26 @@ def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
             if len(present) == 1:
                 grads = nncore.adjoints(tape, slots[present[0]])
             else:
-                per_obj = [nncore.adjoints(tape, slots[i]) for i in present]
-                flats = np.stack([_flat(g, trainable) for g in per_obj])
-                if not flats.any():
+                if flat is None:
+                    flat = np.empty((len(slots), int(ends[-1])))
+                bundle = flat[:len(present)]
+                for dest, slot in zip(bundle, present):
+                    obj_grads = nncore.adjoints(tape, slots[slot])
+                    for p, sl in zip(trainable, slices):
+                        g = obj_grads.get(p)
+                        dest[sl] = 0.0 if g is None else g.ravel()
+                if not bundle.any():
                     result.skipped_steps += 1
                     continue
-                weights, combined = solve_min_norm(GradientBundle(flats))
+                weights, combined = solve_min_norm(GradientBundle(bundle))
                 result.min_descent_inner = min(result.min_descent_inner,
-                                               float((flats @ combined).min()))
+                                               float((bundle @ combined).min()))
                 alpha_by_slot = [0.0] * len(slots)
                 for slot, a in zip(present, weights.alpha):
                     alpha_by_slot[slot] = float(a)
                 epoch_alphas.append(tuple(alpha_by_slot))
-                grads = _combine(per_obj, weights.alpha, trainable)
+                grads = {p: combined[sl].reshape(p.value.shape)
+                         for p, sl in zip(trainable, slices)}
             _sgd(trainable, grads, config.learning_rate)
         result.alpha_steps.extend(epoch_alphas)
         row = report()
@@ -437,8 +433,7 @@ def train_edge_kd(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
         kd = kd_on_tape(tape, adapter_on_tape(tape, adapter, tap_node), kd_target[idx])
         if not recall_boost:
             return [nncore.op_add(tape, ce, nncore.op_scale(tape, kd, config.kd_weight))]
-        pos, _ = positive_ce_on_tape(tape, h, y[idx], edge.normal_class)
-        return [ce, pos, kd]
+        return [ce, positive_ce_on_tape(tape, h, y[idx], edge.normal_class), kd]
 
     def report():
         # one edge pass gives both the probabilities and the tap
@@ -487,8 +482,7 @@ def train_recall_boost(edge: ModelSpec, X, y, config: TrainConfig) -> TrainResul
     def objectives(tape, idx):
         logits = nncore.forward_on_tape(tape, edge.layers, tape.input(X[idx]))
         ce = ce_on_tape(tape, logits, y[idx])
-        pos, _ = positive_ce_on_tape(tape, logits, y[idx], edge.normal_class)
-        return [ce, pos]
+        return [ce, positive_ce_on_tape(tape, logits, y[idx], edge.normal_class)]
 
     return _fit("recall-boost", len(X), config, edge.params(), objectives,
                 lambda: evaluate_model(edge, X, y))

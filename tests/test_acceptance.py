@@ -131,10 +131,23 @@ def test_criterion_4_routing_identities():
 @pytest.fixture(scope="module")
 def trend_results():
     """Standard plan over five master seeds plus the per-seed edge variants."""
+    build_models = harness.build_models
+    started_from = []
+
+    def recording_build_models(plan):
+        built = build_models(plan)
+        started_from.append(nncore.params_digest(built[0].params()))
+        return built
+
     rows = []
     for seed in TREND_SEEDS:
         plan = default_plan(seed)
-        result = run_experiment(plan)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "build_models", recording_build_models)
+            result = run_experiment(plan)
+        # the untrained edge, rebuilt: the models are deterministic from the seed
+        initial_edge = build_models(plan)[0]
+        assert nncore.params_digest(initial_edge.params()) == started_from[-1]
         grid = sorted({0.0, *plan.c2_grid, plan.policies[0].c1})
         sweep = sweep_dynamic(result.system, grid, c1=plan.policies[0].c1)
 
@@ -142,9 +155,9 @@ def trend_results():
         seeds = harness.derive_seeds(seed)
         cfg = TrainConfig(stage.epochs, stage.batch_size, stage.learning_rate,
                           seed=seeds["edge_train"])
-        plain = clone_model(result.initial_edge)
+        plain = clone_model(initial_edge)
         train.train_base(plain, result.dataset.train_X, result.dataset.train_y, cfg)
-        boosted = clone_model(result.initial_edge)
+        boosted = initial_edge
         train.train_recall_boost(boosted, result.dataset.train_X, result.dataset.train_y, cfg)
 
         val = (result.dataset.val_X, result.dataset.val_y)

@@ -1,5 +1,6 @@
-"""Minimum-norm solver tests: closed form, Frank-Wolfe, lattice oracle,
-descent condition, and the scale/minimality properties."""
+"""Minimum-norm solver tests: closed form, the exact three-objective solve
+against a Frank-Wolfe reference, lattice oracle, descent condition, and the
+scale/minimality properties."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,50 @@ import pytest
 from edgecloud.moo import (GradientBundle, SimplexWeights, check_descent,
                            grid_oracle, solve_min_norm)
 from edgecloud.nncore import UsageError
+
+
+def frank_wolfe_reference(grads, tol=1e-10, max_iter=10_000):
+    """Away-step Frank-Wolfe over the simplex with exact line search: the
+    solver the package used for p >= 3 before the exact Gram-matrix solve,
+    kept as a reference."""
+    p = grads.shape[0]
+    norms2 = np.einsum("ij,ij->i", grads, grads)
+    start = int(np.argmin(norms2))
+    alpha = np.zeros(p)
+    alpha[start] = 1.0
+    combined = grads[start].copy()
+    for _ in range(max_iter):
+        scores = grads @ combined
+        cc = float(combined @ combined)
+        vertex = int(np.argmin(scores))
+        gap = 2.0 * (cc - float(scores[vertex]))
+        if gap < tol:
+            break
+        active = np.flatnonzero(alpha > 0.0)
+        away = int(active[np.argmax(scores[active])])
+        away_gap = 2.0 * (float(scores[away]) - cc)
+        if gap >= away_gap:
+            direction = grads[vertex] - combined
+            eta_max = 1.0
+        else:
+            direction = combined - grads[away]
+            denom = 1.0 - alpha[away]
+            eta_max = alpha[away] / denom if denom > 0.0 else 0.0
+        dd = float(direction @ direction)
+        if dd == 0.0 or eta_max == 0.0:
+            break
+        eta = float(np.clip(-(combined @ direction) / dd, 0.0, eta_max))
+        if eta == 0.0:
+            break
+        if gap >= away_gap:
+            alpha *= 1.0 - eta
+            alpha[vertex] += eta
+        else:
+            alpha *= 1.0 + eta
+            alpha[away] -= eta
+            alpha[alpha < 0.0] = 0.0
+        combined = combined + eta * direction
+    return alpha
 
 
 def random_bundle(rng, p, max_dim=32):
@@ -58,9 +103,64 @@ class TestSolveMinNorm:
             solve_min_norm([[1.0, 0.0]])
 
     def test_three_basis_vectors(self):
-        weights, combined = solve_min_norm(np.eye(3), tol=1e-14)
-        assert np.allclose(weights.alpha, 1.0 / 3.0, atol=1e-6)
-        assert combined @ combined == pytest.approx(1.0 / 3.0, abs=1e-9)
+        weights, combined = solve_min_norm(np.eye(3))
+        assert np.allclose(weights.alpha, 1.0 / 3.0, atol=1e-15)
+        assert combined @ combined == pytest.approx(1.0 / 3.0, abs=1e-15)
+
+    def test_four_objectives_rejected(self):
+        with pytest.raises(UsageError, match="p=4"):
+            solve_min_norm(np.eye(4))
+
+
+def max_norm2(grads):
+    return float(np.max(np.einsum("ij,ij->i", grads, grads)))
+
+
+class TestExactThreeObjectives:
+    """The p = 3 solve is exact: never above the Frank-Wolfe reference's
+    norm by more than rounding, on random and on degenerate bundles."""
+
+    def assert_not_above_reference(self, grads):
+        _, combined = solve_min_norm(grads)
+        ref = frank_wolfe_reference(grads) @ grads
+        assert combined @ combined <= ref @ ref + 1e-12 * max_norm2(grads)
+        ok, _ = check_descent(grads, combined)
+        assert ok
+
+    def test_random_bundles_against_frank_wolfe(self):
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            self.assert_not_above_reference(random_bundle(rng, 3).grads)
+
+    @pytest.mark.parametrize("name, grads", [
+        # d = 2 with the origin inside the hull: the minimum is exactly 0
+        ("planar-zero-inside", np.array([[1.0, 0.0], [-0.5, 0.8], [-0.5, -0.9]])),
+        ("identical-rows", np.tile([0.3, -1.2, 4.5], (3, 1))),
+        ("collinear-rows", np.outer([1.0, -2.0, 0.5], [0.6, -0.8, 0.0])),
+        ("collinear-same-side", np.outer([1.0, 2.0, 3.0], [0.6, -0.8])),
+        ("zero-row", np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [-3.0, 1.0, 2.0]])),
+        ("two-equal-rows", np.array([[1.0, 1.0], [1.0, 1.0], [-1.0, 2.0]])),
+        ("rank-1-gram", np.outer([2.0, 2.0, 2.0], [1e-3, 5.0, -2.0])),
+    ])
+    def test_degenerate_bundles(self, name, grads):
+        self.assert_not_above_reference(grads)
+        _, combined = solve_min_norm(grads)
+        if name in ("planar-zero-inside", "collinear-rows", "zero-row"):
+            assert combined @ combined <= 1e-30
+        if name in ("identical-rows", "rank-1-gram"):
+            assert np.allclose(combined, grads[0], rtol=1e-15, atol=0.0)
+
+    def test_random_planar_bundles_with_the_origin_inside(self):
+        # rank-deficient G (d = 2) with a zero in the hull: the exact minimum is 0;
+        # the Frank-Wolfe reference stops at up to 6.5e-13 * max ||g_i||^2
+        rng = np.random.default_rng(6)
+        for _ in range(500):
+            angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, 3))
+            if np.max(np.diff(np.concatenate([angles, angles[:1] + 2.0 * np.pi]))) >= np.pi:
+                continue  # origin not strictly inside
+            grads = rng.uniform(0.1, 10.0, (3, 1)) * np.stack([np.cos(angles), np.sin(angles)], 1)
+            _, combined = solve_min_norm(grads)
+            assert combined @ combined <= 1e-20 * max_norm2(grads)
 
 
 class TestGridOracle:
@@ -137,9 +237,9 @@ class TestProperties:
         for _ in range(50):
             bundle = random_bundle(rng, 3)
             c = float(10.0 ** rng.uniform(-2, 2))
-            w1, comb1 = solve_min_norm(bundle, tol=1e-14)
-            w2, comb2 = solve_min_norm(GradientBundle(c * bundle.grads), tol=1e-14 * c * c)
-            assert np.allclose(w1.alpha, w2.alpha, atol=1e-5)
+            w1, comb1 = solve_min_norm(bundle)
+            w2, comb2 = solve_min_norm(GradientBundle(c * bundle.grads))
+            assert np.allclose(w1.alpha, w2.alpha, atol=1e-12)
             norm1 = float(comb1 @ comb1)
             norm2 = float(comb2 @ comb2)
             assert norm2 == pytest.approx(c * c * norm1, rel=1e-6, abs=1e-12)

@@ -223,11 +223,11 @@ class TestTrainEdgeKd:
         head = edge.layers[-1]
         hidden = edge.layers[0]
         for p in head.params():
-            assert np.array_equal(g_kd[p], np.zeros_like(p.value))
+            assert p not in g_kd
             assert np.abs(g_ce[p]).max() > 0
         assert any(np.abs(g_kd[p]).max() > 0 for p in hidden.params())
         for p in adapter.params():
-            assert np.array_equal(g_ce[p], np.zeros_like(p.value))
+            assert p not in g_ce
         assert any(np.abs(g_kd[p]).max() > 0 for p in adapter.params())
 
     def test_recall_boost_bundle_requires_kd(self):
@@ -307,7 +307,7 @@ class TestRecallBoost:
         tape = GradientTape()
         logits = nncore.forward_on_tape(tape, edge.layers, tape.input(X))
         ce = train.ce_on_tape(tape, logits, y)
-        pos, _ = train.positive_ce_on_tape(tape, logits, y, 0)
+        pos = train.positive_ce_on_tape(tape, logits, y, 0)
         g1 = nncore.adjoints(tape, ce)
         g2 = nncore.adjoints(tape, pos)
         params = edge.params()
@@ -527,3 +527,97 @@ class TestReportPasses:
         assert counter.runs(cloud, range(n + 1)) == [1] * (n + 1)
         tail = range(n + 1, len(cloud.layers))
         assert counter.runs(cloud, tail) == [0] * len(tail)
+
+
+# ---------------------------------------------------------------------------
+# The multi-objective step: gradient replays, solver calls and the update.
+
+class StepRecorder:
+    """Per SGD step of a recall-boost stage: the objectives present, the
+    ``adjoints`` replays, the solver's combinations, and the trainable params
+    just before and after ``_sgd``. A step opens at its
+    ``positive_ce_on_tape`` call, which every recall-boost step makes once."""
+
+    def __init__(self, monkeypatch, cross_entropies):
+        self.steps = []
+        pos_ce, adjoints = train.positive_ce_on_tape, nncore.adjoints
+        solve, sgd = train.solve_min_norm, train._sgd
+
+        def recorded_pos_ce(tape, logits, labels, normal_class):
+            node = pos_ce(tape, logits, labels, normal_class)
+            self.steps.append({"present": cross_entropies + (node is not None),
+                               "adjoints": [], "combined": [], "sgd": None})
+            return node
+
+        def recorded_adjoints(tape, node, seed=1.0):
+            grads = adjoints(tape, node, seed)
+            self.steps[-1]["adjoints"].append(grads)
+            return grads
+
+        def recorded_solve(bundle):
+            weights, combined = solve(bundle)
+            self.steps[-1]["combined"].append(combined.copy())
+            return weights, combined
+
+        def recorded_sgd(params, grads, lr):
+            before = [p.value.copy() for p in params]
+            sgd(params, grads, lr)
+            self.steps[-1]["sgd"] = (before, [p.value.copy() for p in params])
+
+        monkeypatch.setattr(train, "positive_ce_on_tape", recorded_pos_ce)
+        monkeypatch.setattr(nncore, "adjoints", recorded_adjoints)
+        monkeypatch.setattr(train, "solve_min_norm", recorded_solve)
+        monkeypatch.setattr(train, "_sgd", recorded_sgd)
+
+
+class TestMultiObjectiveSteps:
+    """On the tiny plan: one ``adjoints`` replay per present objective, one
+    solver call per multi-objective step, and an update of exactly
+    ``-lr * combined``, sliced per trainable param in order."""
+
+    def run(self, monkeypatch, stage):
+        plan, X, y, edge, cloud, adapter = tiny_stage_inputs()
+        sc = plan.stages
+        train_base(cloud, X, y, TrainConfig(2, sc["cloud"].batch_size,
+                                            sc["cloud"].learning_rate, seed=1))
+        if stage == "kd-edge":
+            cfg = TrainConfig(2, sc["edge_kd"].batch_size, sc["edge_kd"].learning_rate,
+                              kd_weight=sc["edge_kd"].kd_weight, seed=2)
+            recorder = StepRecorder(monkeypatch, cross_entropies=2)
+            result = train_edge_kd(edge, cloud, adapter, X, y, cfg, recall_boost=True)
+            trainable = edge.params() + adapter.params()
+        else:
+            # two-row batches: some hold no positive row and step on CE alone
+            cfg = TrainConfig(1, 2, 0.1, seed=2)
+            recorder = StepRecorder(monkeypatch, cross_entropies=1)
+            result = train_recall_boost(edge, X, y, cfg)
+            trainable = edge.params()
+        return len(X), cfg, recorder.steps, result, trainable
+
+    @pytest.mark.parametrize("stage", ["kd-edge", "recall-boost"])
+    def test_replays_solves_and_update(self, monkeypatch, stage):
+        n, cfg, steps, result, trainable = self.run(monkeypatch, stage)
+        assert len(steps) == cfg.epochs * math.ceil(n / cfg.batch_size)
+        multi = [s for s in steps if s["present"] > 1]
+        assert multi and len(result.alpha_steps) == len(multi)
+        assert result.skipped_steps == 0
+        assert result.min_descent_inner >= -1e-9
+        lr = cfg.learning_rate
+        for step in steps:
+            assert len(step["adjoints"]) == step["present"]
+            before, after = step["sgd"]
+            if step["present"] == 1:
+                assert step["combined"] == []
+                (grads,) = step["adjoints"]
+                want = [b - lr * grads[p] if p in grads else b
+                        for p, b in zip(trainable, before)]
+            else:
+                (combined,) = step["combined"]
+                assert combined.shape == (sum(p.value.size for p in trainable),)
+                want, start = [], 0
+                for p, b in zip(trainable, before):
+                    want.append(b - lr * combined[start:start + b.size].reshape(b.shape))
+                    start += b.size
+            assert all(np.array_equal(a, w) for a, w in zip(after, want))
+        if stage == "recall-boost":
+            assert any(s["present"] == 1 for s in steps)
