@@ -7,20 +7,18 @@ trade-offs, and extracts Pareto frontiers.
 """
 
 from .nncore import (ConfigError, GradientTape, LayerSpec, Param, UsageError,
-                     backward, dense, flops, forward, residual_block)
+                     adjoints, dense, flops, forward, residual_block)
 from .models import (AdapterSpec, FeatureMap, ModelSpec, adapt, cloud_tail,
                      confidence, feedforward, infer, infer_with_tap,
                      make_adapter, softmax)
-from .moo import (GradientBundle, SimplexWeights, check_descent, grid_oracle,
-                  solve_min_norm)
+from .moo import GradientBundle, SimplexWeights, solve_min_norm
 from .train import (DivergenceError, FrozenParamsError, LossReport,
                     TrainConfig, TrainResult, cross_entropy, finetune_adapter,
                     kd_loss, positive_cross_entropy, train_base,
                     train_edge_kd, train_recall_boost)
 from .policy import route_codes, route_dataset
 from .metrics import (CostReport, ParetoPoint, comm_score, comp_score,
-                      comp_score_value, dominates, pareto_frontier,
-                      perf_score)
+                      comp_score_value, pareto_frontier, perf_score)
 from .harness import (Dataset, ExperimentPlan, SweepResult, TrainedSystem,
                       default_plan, gen_dataset, run_experiment, sweep_dynamic)
 
@@ -32,10 +30,10 @@ __all__ = [
     "GradientTape", "LayerSpec", "LossReport", "ModelSpec", "Param",
     "ParetoPoint", "SimplexWeights",
     "SweepResult", "TrainConfig", "TrainResult", "TrainedSystem",
-    "UsageError", "adapt", "backward", "check_descent", "cloud_tail",
+    "UsageError", "adapt", "adjoints", "cloud_tail",
     "comm_score", "comp_score", "comp_score_value", "confidence",
-    "cross_entropy", "default_plan", "dense", "dominates", "feedforward",
-    "finetune_adapter", "flops", "forward", "gen_dataset", "grid_oracle",
+    "cross_entropy", "default_plan", "dense", "feedforward",
+    "finetune_adapter", "flops", "forward", "gen_dataset",
     "infer", "infer_with_tap", "kd_loss", "make_adapter", "pareto_frontier",
     "perf_score", "positive_cross_entropy", "residual_block",
     "route_codes", "route_dataset", "run_experiment", "softmax", "solve_min_norm",

@@ -176,6 +176,10 @@ def gen_dataset(num_classes: int, dim: int, n: int, normal_fraction: float,
 # ---------------------------------------------------------------------------
 # Experiment plan.
 
+# Each training stage with the derived seed that drives its minibatch order.
+_STAGE_SEEDS = {"cloud": "cloud_train", "edge_kd": "edge_train", "finetune": "finetune"}
+
+
 @dataclass
 class DataConfig:
     num_classes: int = 7
@@ -191,6 +195,11 @@ class StageConfig:
     batch_size: int
     learning_rate: float
     kd_weight: float = 1.0
+
+    def train_config(self, seed: int) -> TrainConfig:
+        """This stage as a ``TrainConfig``, whose rules check every field."""
+        return TrainConfig(self.epochs, self.batch_size, self.learning_rate,
+                           self.kd_weight, seed)
 
 
 @dataclass
@@ -225,9 +234,13 @@ class ExperimentPlan:
             raise ConfigError("adapter.cloud_tap: not among cloud taps")
         if self.adapter_blocks < 0:
             raise ConfigError("adapter.blocks: must be >= 0")
-        for name in ("cloud", "edge_kd", "finetune"):
+        for name in _STAGE_SEEDS:
             if name not in self.stages:
                 raise ConfigError(f"stages.{name}: missing stage config")
+            try:
+                self.stages[name].train_config(seed=0)
+            except ConfigError as exc:
+                raise ConfigError(f"stages.{name}.{exc}") from None
         for i, p in enumerate(self.policies):
             try:
                 policy_mod.check_thresholds(p.variant, p.c1, p.c2)
@@ -403,20 +416,15 @@ def train_stages(plan: ExperimentPlan, ds: Dataset, edge: ModelSpec,
     """Cloud base training, edge training with feature imitation, adapter
     plus cloud-tail fine-tuning; all seeds derived from the master seed."""
     seeds = derive_seeds(plan.master_seed)
+    cfg = {name: plan.stages[name].train_config(seeds[seed])
+           for name, seed in _STAGE_SEEDS.items()}
     X, y = ds.train_X, ds.train_y
-    sc = plan.stages
-    logs: dict[str, TrainResult] = {}
-    logs["cloud"] = train_mod.train_base(cloud, X, y, TrainConfig(
-        sc["cloud"].epochs, sc["cloud"].batch_size, sc["cloud"].learning_rate,
-        seed=seeds["cloud_train"]))
-    logs["edge_kd"] = train_mod.train_edge_kd(edge, cloud, adapter, X, y, TrainConfig(
-        sc["edge_kd"].epochs, sc["edge_kd"].batch_size, sc["edge_kd"].learning_rate,
-        kd_weight=sc["edge_kd"].kd_weight, seed=seeds["edge_train"]),
-        recall_boost=plan.recall_boost)
-    logs["finetune"] = train_mod.finetune_adapter(edge, cloud, adapter, X, y, TrainConfig(
-        sc["finetune"].epochs, sc["finetune"].batch_size, sc["finetune"].learning_rate,
-        seed=seeds["finetune"]))
-    return logs
+    return {
+        "cloud": train_mod.train_base(cloud, X, y, cfg["cloud"]),
+        "edge_kd": train_mod.train_edge_kd(edge, cloud, adapter, X, y, cfg["edge_kd"],
+                                           recall_boost=plan.recall_boost),
+        "finetune": train_mod.finetune_adapter(edge, cloud, adapter, X, y, cfg["finetune"]),
+    }
 
 
 @dataclass

@@ -137,14 +137,6 @@ def _normalized(point: ParetoPoint) -> tuple[float, ...]:
     return tuple(v if s == MAX else -v for v, s in zip(point.objectives, point.senses))
 
 
-def dominates(a: ParetoPoint, b: ParetoPoint) -> bool:
-    """True iff ``a`` is no worse everywhere and strictly better somewhere."""
-    if a.senses != b.senses or len(a.objectives) != len(b.objectives):
-        raise UsageError("points must share objective arity and senses")
-    na, nb = _normalized(a), _normalized(b)
-    return all(x >= y for x, y in zip(na, nb)) and any(x > y for x, y in zip(na, nb))
-
-
 def pareto_frontier(points: Iterable[ParetoPoint]) -> list[ParetoPoint]:
     """Exactly the non-dominated points, deduplicated, sorted by first objective.
 

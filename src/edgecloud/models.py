@@ -5,12 +5,14 @@ A model is a stack of layers ending in a ``num_classes``-wide head; class
 probabilities are always a max-subtracted softmax over the final logits. A
 *tap* is a 0-based layer index whose post-layer activation may be exported
 as a :class:`FeatureMap`, and ``cloud_tail`` resumes a model from such an
-activation by running only the layers after the tap.
+activation by running only the layers after the tap. Every path is
+``nncore.forward`` on a slice of one layer stack: ``infer_with_tap`` runs
+the layers up to the tap and then the rest, ``adapt`` runs the adapter's
+layers and ``cloud_tail`` the layers after the tap.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import nncore
 from .nncore import (ConfigError, IDENTITY, LayerSpec, Param, RELU, UsageError,
-                     apply_layer, as_tensor, dense, residual_block, softmax)
+                     as_tensor, dense, residual_block, softmax)
 
 NORMAL_CLASS_MODE = "normal-class"
 MAX_CLASS_MODE = "max-class"
@@ -148,13 +150,12 @@ def make_adapter(name: str, edge_tap: int, cloud_tap: int, edge_dim: int,
     return AdapterSpec(name, edge_tap, cloud_tap, projection, blocks)
 
 
-def _as_batch(x) -> tuple[np.ndarray, bool]:
-    arr = as_tensor(x)
-    if arr.ndim == 1:
-        return arr.reshape(1, -1), True
-    if arr.ndim == 2:
-        return arr, False
-    raise UsageError(f"input must be 1-D or 2-D, got shape {arr.shape}")
+def check_adapter_binding(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec) -> None:
+    """Reject an adapter whose edge or cloud tap its models do not declare."""
+    if adapter.edge_tap not in edge.taps:
+        raise ConfigError(f"adapter edge tap {adapter.edge_tap} not declared by {edge.name!r}")
+    if adapter.cloud_tap not in cloud.taps:
+        raise ConfigError(f"adapter cloud tap {adapter.cloud_tap} not declared by {cloud.name!r}")
 
 
 def infer(model: ModelSpec, x) -> np.ndarray:
@@ -166,18 +167,8 @@ def infer_with_tap(model: ModelSpec, x, tap: int) -> tuple[np.ndarray, FeatureMa
     """Class probabilities plus the activation after layer ``tap``."""
     if tap not in model.taps:
         raise UsageError(f"tap {tap} not declared for model {model.name!r}")
-    h, squeeze = _as_batch(x)
-    nncore._check_chain(model.layers, h.shape[1])
-    captured = None
-    for i, layer in enumerate(model.layers):
-        h = apply_layer(layer, h)
-        if i == tap:
-            captured = h
-    if not np.all(np.isfinite(h)):
-        raise ArithmeticError("forward produced non-finite values")
-    probs = softmax(h)
-    if squeeze:
-        probs, captured = probs[0], captured[0]
+    captured = nncore.forward(model.layers[:tap + 1], x)
+    probs = softmax(nncore.forward(model.layers[tap + 1:], captured))
     return probs, FeatureMap(captured, model.name, tap)
 
 
@@ -189,16 +180,7 @@ def adapt(adapter: AdapterSpec, edge_feature) -> FeatureMap:
         values = edge_feature.values
     else:
         values = edge_feature
-    h, squeeze = _as_batch(values)
-    if h.shape[1] != adapter.projection.in_dim:
-        raise ConfigError(f"feature dim {h.shape[1]} != adapter input dim {adapter.projection.in_dim}")
-    for layer in adapter.layers():
-        h = apply_layer(layer, h)
-    if not np.all(np.isfinite(h)):
-        raise ArithmeticError("adapter produced non-finite values")
-    if squeeze:
-        h = h[0]
-    return FeatureMap(h, adapter.name, adapter.cloud_tap)
+    return FeatureMap(nncore.forward(adapter.layers(), values), adapter.name, adapter.cloud_tap)
 
 
 def cloud_tail(model: ModelSpec, injected, from_tap: int) -> np.ndarray:
@@ -209,15 +191,12 @@ def cloud_tail(model: ModelSpec, injected, from_tap: int) -> np.ndarray:
     """
     if not 0 <= from_tap < len(model.layers):
         raise UsageError(f"from_tap {from_tap} out of range for {model.name!r}")
-    values = injected.values if isinstance(injected, FeatureMap) else injected
-    h, squeeze = _as_batch(values)
+    values = as_tensor(injected.values if isinstance(injected, FeatureMap) else injected)
     expected = model.layers[from_tap].out_dim
-    if h.shape[1] != expected:
-        raise ConfigError(f"injected dim {h.shape[1]} != tap {from_tap} dim {expected}")
-    for layer in model.layers[from_tap + 1:]:
-        h = apply_layer(layer, h)
-    probs = softmax(h)
-    return probs[0] if squeeze else probs
+    # checked here: the slice after the last layer is empty and checks no dim
+    if values.ndim in (1, 2) and values.shape[-1] != expected:
+        raise ConfigError(f"injected dim {values.shape[-1]} != tap {from_tap} dim {expected}")
+    return softmax(nncore.forward(model.layers[from_tap + 1:], values))
 
 
 def confidence(probs, normal_class: int, mode: str = NORMAL_CLASS_MODE):
@@ -237,7 +216,3 @@ def confidence(probs, normal_class: int, mode: str = NORMAL_CLASS_MODE):
     else:
         out = arr.max(axis=-1)
     return float(out) if out.ndim == 0 else out
-
-
-def clone_model(model: ModelSpec) -> ModelSpec:
-    return copy.deepcopy(model)

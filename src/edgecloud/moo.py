@@ -5,9 +5,8 @@ The solver returns simplex weights ``alpha`` such that
 for p in {2, 3} objectives (MGDA; Desideri 2012, Sener & Koltun 2018).
 Beyond a few passes over the gradients (Gram matrices and the combination)
 it works on p x p matrices only. Stepping along ``-combined`` never
-increases any objective to first order: ``<combined, g_j> >= 0`` for every
-j, which ``check_descent`` verifies. ``grid_oracle`` is an exhaustive
-lattice evaluation kept as an independent cross-check of the solver.
+increases any objective to first order: ``<combined, g_j> >= 0`` for
+every j.
 """
 
 from __future__ import annotations
@@ -17,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nncore import UsageError
-
-DESCENT_SLACK = 1e-9
 
 
 @dataclass
@@ -37,18 +34,6 @@ class GradientBundle:
             raise UsageError("bundle contains non-finite entries")
         self.grads = arr
 
-    @classmethod
-    def from_vectors(cls, vectors) -> "GradientBundle":
-        rows = [np.asarray(v, dtype=np.float64).ravel() for v in vectors]
-        dims = {r.shape[0] for r in rows}
-        if len(dims) != 1:
-            raise UsageError(f"gradient dimensions differ: {sorted(dims)}")
-        return cls(np.stack(rows))
-
-    @property
-    def p(self) -> int:
-        return self.grads.shape[0]
-
 
 @dataclass
 class SimplexWeights:
@@ -65,12 +50,6 @@ class SimplexWeights:
         if abs(arr.sum() - 1.0) > 1e-9:
             raise UsageError(f"weights sum to {arr.sum()}, expected 1")
         self.alpha = arr
-
-
-def _coerce(bundle) -> np.ndarray:
-    if isinstance(bundle, GradientBundle):
-        return bundle.grads
-    return GradientBundle(np.asarray(bundle, dtype=np.float64)).grads
 
 
 def _min_norm_p3(grads: np.ndarray) -> np.ndarray:
@@ -120,7 +99,7 @@ def solve_min_norm(bundle) -> tuple[SimplexWeights, np.ndarray]:
     bundles are rejected. An all-zero bundle is already stationary and
     yields uniform weights and the zero vector.
     """
-    grads = _coerce(bundle)
+    grads = bundle.grads if isinstance(bundle, GradientBundle) else GradientBundle(bundle).grads
     p, d = grads.shape
     if p > 3:
         raise UsageError(f"min-norm solver supports p in {{2, 3}}, got p={p}")
@@ -139,48 +118,3 @@ def solve_min_norm(bundle) -> tuple[SimplexWeights, np.ndarray]:
         alpha = _min_norm_p3(grads)
     combined = alpha @ grads
     return SimplexWeights(alpha), combined
-
-
-def grid_oracle(bundle, step: float) -> tuple[SimplexWeights, float]:
-    """Exhaustive minimum of ``||sum alpha_i g_i||^2`` over a simplex lattice.
-
-    Supports p in {2, 3}; anything larger blows up combinatorially and is
-    rejected. The lattice spacing must be at most 1e-2.
-    """
-    grads = _coerce(bundle)
-    p, _ = grads.shape
-    if p not in (2, 3):
-        raise UsageError(f"grid oracle supports p in {{2, 3}}, got p={p}")
-    if not 0.0 < step <= 1e-2 + 1e-15:
-        raise UsageError("step must be in (0, 1e-2]")
-    m = round(1.0 / step)
-    ticks = np.linspace(0.0, 1.0, m + 1)
-    if p == 2:
-        weights = np.stack([ticks, 1.0 - ticks], axis=1)
-    else:
-        rows = []
-        for a in ticks:
-            for b in ticks:
-                c = 1.0 - a - b
-                if c >= -1e-12:
-                    rows.append((a, b, max(c, 0.0)))
-        weights = np.array(rows)
-    combos = weights @ grads
-    norms2 = np.einsum("ij,ij->i", combos, combos)
-    best = int(np.argmin(norms2))
-    return SimplexWeights(weights[best]), float(norms2[best])
-
-
-def check_descent(bundle, combined, slack: float = DESCENT_SLACK) -> tuple[bool, np.ndarray]:
-    """True iff ``<combined, g_j> >= -slack`` for every objective j.
-
-    A combination passing this check is zero or a common descent direction
-    (stepping along ``-combined`` does not increase any objective to first
-    order); the slack absorbs floating-point noise.
-    """
-    grads = _coerce(bundle)
-    combined = np.asarray(combined, dtype=np.float64)
-    if combined.shape != (grads.shape[1],):
-        raise UsageError(f"combined has shape {combined.shape}, expected ({grads.shape[1]},)")
-    inner = grads @ combined
-    return bool(np.all(inner >= -slack)), inner

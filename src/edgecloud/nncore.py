@@ -13,6 +13,9 @@ Conventions shared by every module in this package:
 * FLOP convention: multiply-accumulate = 2, bias add = 1 per output
   element, activations are free, the residual skip-add is 1 per element.
   Dense layer: ``2*in*out + out``. Residual block: ``2*(2*d*d + d) + d``.
+* ``forward`` is the only untaped loop over a layer stack and
+  ``forward_on_tape`` the only taped one; split inference and training run
+  them on slices of a stack (up to a tap, after a tap).
 * Weight init draws uniform from ``[-1/sqrt(in_dim), +1/sqrt(in_dim)]``
   using a caller-supplied generator, so everything downstream is
   deterministic given the seeds.
@@ -225,16 +228,15 @@ BackwardFn = Callable[[np.ndarray, AccumFn], None]
 class GradientTape:
     """Ordered record of the primitive operations of one forward pass.
 
-    Ops append ``(node, backward_fn)`` entries; ``backward`` (or
-    ``adjoints`` for an arbitrary recorded scalar) replays the record in
-    reverse and accumulates one gradient per parameter the scalar reaches.
-    A tape is a single-owner, single-threaded object.
+    Ops append ``(node, backward_fn)`` entries; ``adjoints`` replays the
+    record in reverse from any recorded scalar and accumulates one gradient
+    per parameter the scalar reaches. A tape is a single-owner,
+    single-threaded object.
     """
 
     def __init__(self) -> None:
         self._entries: list[tuple[Node, BackwardFn]] = []
         self._params: dict[int, tuple[Param, Node]] = {}
-        self.output: Node | None = None
 
     def input(self, value) -> Node:
         """Data leaf; it gets no gradient map entry (take a gradient with
@@ -253,12 +255,6 @@ class GradientTape:
         node = Node(value)
         self._entries.append((node, backward_fn))
         return node
-
-    @property
-    def last(self) -> Node:
-        if not self._entries:
-            raise UsageError("tape has no recorded operations")
-        return self._entries[-1][0]
 
 
 def adjoints(tape: GradientTape, node: Node, seed: float = 1.0) -> dict[Param, np.ndarray]:
@@ -288,14 +284,6 @@ def adjoints(tape: GradientTape, node: Node, seed: float = 1.0) -> dict[Param, n
         if g is not None:
             result[p] = np.asarray(g, dtype=np.float64)
     return result
-
-
-def backward(tape: GradientTape, loss_adjoint: float = 1.0) -> dict[Param, np.ndarray]:
-    """Gradient map for a tape whose last recorded node is the scalar loss."""
-    last = tape.last
-    if last.value.shape != ():
-        raise UsageError("tape did not end in a scalar loss")
-    return adjoints(tape, last, loss_adjoint)
 
 
 # --- primitive taped ops ----------------------------------------------------
@@ -457,16 +445,17 @@ def layer_on_tape(tape: GradientTape, layer: LayerSpec, x: Node) -> Node:
 
 
 def forward_on_tape(tape: GradientTape, layers: Sequence[LayerSpec], x: Node) -> Node:
+    """The one taped layer loop: records ``layers`` applied to ``x`` on ``tape``."""
     for layer in layers:
         x = layer_on_tape(tape, layer, x)
     return x
 
 
-def forward(layers: Sequence[LayerSpec], x, tape: GradientTape | None = None) -> np.ndarray:
-    """Run the layer stack on a sample or batch.
+def forward(layers: Sequence[LayerSpec], x) -> np.ndarray:
+    """The one untaped layer loop: ``layers`` applied to a sample or batch.
 
-    With a tape, the same ops are recorded so adjoints can be replayed for
-    every parameter; ``tape.output`` holds the output node.
+    Split inference runs it on slices of one stack (up to a tap, after a
+    tap), so every path shares its input, dimension and finite checks.
     """
     arr = as_tensor(x)
     if arr.ndim not in (1, 2):
@@ -474,13 +463,8 @@ def forward(layers: Sequence[LayerSpec], x, tape: GradientTape | None = None) ->
     squeeze = arr.ndim == 1
     h = arr.reshape(1, -1) if squeeze else arr
     _check_chain(layers, h.shape[1])
-    if tape is None:
-        for layer in layers:
-            h = apply_layer(layer, h)
-    else:
-        node = forward_on_tape(tape, layers, tape.input(h))
-        tape.output = node
-        h = node.value
+    for layer in layers:
+        h = apply_layer(layer, h)
     if not np.all(np.isfinite(h)):
         raise ArithmeticError("forward produced non-finite values")
     return h[0] if squeeze else h

@@ -16,11 +16,12 @@ on edge, ties at ``c2`` go adaptive.
 
 The route depends on the input only through the confidence, so routing is
 split in two. :func:`route_dataset` runs every branch once over a whole
-split and returns the confidence and each branch's prediction per row;
-:func:`route_codes` then maps any (variant, c1, c2) to an array of route
-codes, indices into :data:`ROUTES`, with one :func:`route_sample` call per
-row. :func:`route_costs` gives the bytes and cloud-side FLOPs one row pays
-on each route.
+split and returns the confidence and each branch's prediction per row; each
+branch is ``nncore.forward``, the one layer loop, on a slice of the edge,
+adapter or cloud stack. :func:`route_codes` then maps any (variant, c1, c2)
+to an array of route codes, indices into :data:`ROUTES`, with one
+:func:`route_sample` call per row. :func:`route_costs` gives the bytes and
+cloud-side FLOPs one row pays on each route.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import numpy as np
 
 from . import nncore
 from .models import (AdapterSpec, ModelSpec, NORMAL_CLASS_MODE, adapt,
-                     cloud_tail, confidence, infer, infer_with_tap)
+                     check_adapter_binding, cloud_tail, confidence, infer,
+                     infer_with_tap)
 from .nncore import ConfigError, UsageError
 
 INDEPENDENT = "independent"
@@ -102,18 +104,11 @@ class RoutedDataset(NamedTuple):
         return np.choose(codes, (self.edge_pred, self.adaptive_pred, self.cloud_pred))
 
 
-def _check_adapter_binding(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec) -> None:
-    if adapter.edge_tap not in edge.taps:
-        raise ConfigError(f"adapter edge tap {adapter.edge_tap} not declared by {edge.name!r}")
-    if adapter.cloud_tap not in cloud.taps:
-        raise ConfigError(f"adapter cloud tap {adapter.cloud_tap} not declared by {cloud.name!r}")
-
-
 def route_dataset(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec, X,
                   confidence_mode: str = NORMAL_CLASS_MODE) -> RoutedDataset:
     """One pass of each branch over ``X``: the edge network with its tap, the
     adapted path (adapter + cloud tail) and the full cloud."""
-    _check_adapter_binding(edge, cloud, adapter)
+    check_adapter_binding(edge, cloud, adapter)
     X = nncore.as_tensor(X)
     if X.ndim != 2:
         raise UsageError("route_dataset expects an (n, d) array")

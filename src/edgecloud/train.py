@@ -45,8 +45,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import nncore
-from .models import (AdapterSpec, FeatureMap, ModelSpec, adapt, cloud_tail,
-                     infer, infer_with_tap)
+from .models import (AdapterSpec, FeatureMap, ModelSpec, adapt,
+                     check_adapter_binding, cloud_tail, infer, infer_with_tap)
 from .moo import GradientBundle, solve_min_norm
 from .nncore import (ConfigError, GradientTape, Node, Param, UsageError,
                      as_tensor, sigmoid)
@@ -78,14 +78,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
-        if self.kd_weight < 0:
-            raise ConfigError("kd_weight must be >= 0")
+        for name, low in (("epochs", 0), ("batch_size", 1), ("learning_rate", 0),
+                          ("kd_weight", 0)):
+            if not getattr(self, name) >= low:
+                raise ConfigError(f"{name}: must be >= {low}")
 
 
 @dataclass
@@ -95,7 +91,6 @@ class LossReport:
     positive_ce_loss: float
     accuracy: float
     recall: float
-    n_positive: int = 0
     alpha: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -167,7 +162,7 @@ def positive_cross_entropy(probs, labels, normal_class: int) -> float:
     """Cross-entropy restricted to rows whose label is not the normal class.
 
     Returns 0 when the batch has no positive rows (a defined result, not an
-    error; callers flag it via the report's ``n_positive``).
+    error).
     """
     labels = np.asarray(labels, dtype=np.intp)
     mask = labels != normal_class
@@ -231,10 +226,7 @@ def positive_ce_on_tape(tape: GradientTape, logits: Node, labels,
 
 
 def adapter_on_tape(tape: GradientTape, adapter: AdapterSpec, feature: Node) -> Node:
-    h = feature
-    for layer in adapter.layers():
-        h = nncore.layer_on_tape(tape, layer, h)
-    return h
+    return nncore.forward_on_tape(tape, adapter.layers(), feature)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +242,6 @@ def _loss_report(probs: np.ndarray, y: np.ndarray, normal_class: int,
         positive_ce_loss=positive_cross_entropy(probs, y, normal_class),
         accuracy=accuracy_rate(preds, y),
         recall=recall_rate(preds, y, normal_class),
-        n_positive=int((y != normal_class).sum()),
     )
 
 
@@ -375,13 +366,6 @@ def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
     return result
 
 
-def _check_taps(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec) -> None:
-    if adapter.edge_tap not in edge.taps:
-        raise UsageError(f"adapter edge tap {adapter.edge_tap} not declared by {edge.name!r}")
-    if adapter.cloud_tap not in cloud.taps:
-        raise UsageError(f"adapter cloud tap {adapter.cloud_tap} not declared by {cloud.name!r}")
-
-
 def _kd_targets(cloud: ModelSpec, tap: int, X: np.ndarray) -> np.ndarray:
     """KD target probabilities: the sigmoid of the cloud's tap feature, from
     the cloud layers up to the tap only."""
@@ -414,19 +398,17 @@ def train_edge_kd(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
     weights cross-entropy, positive-sample cross-entropy and the imitation
     loss by their minimum-norm point.
     """
-    _check_taps(edge, cloud, adapter)
+    check_adapter_binding(edge, cloud, adapter)
     X, y = _coerce_data(X, y)
     use_kd = config.kd_weight != 0.0
     if recall_boost and not use_kd:
         raise ConfigError("the recall_boost bundle requires kd_weight > 0")
     kd_target = _kd_targets(cloud, adapter.cloud_tap, X) if use_kd else None
+    prefix, tail = edge.layers[:adapter.edge_tap + 1], edge.layers[adapter.edge_tap + 1:]
 
     def objectives(tape, idx):
-        h = tape.input(X[idx])
-        for i, layer in enumerate(edge.layers):
-            h = nncore.layer_on_tape(tape, layer, h)
-            if i == adapter.edge_tap:
-                tap_node = h
+        tap_node = nncore.forward_on_tape(tape, prefix, tape.input(X[idx]))
+        h = nncore.forward_on_tape(tape, tail, tap_node)
         ce = ce_on_tape(tape, h, y[idx])
         if not use_kd:
             return [ce]
@@ -452,7 +434,7 @@ def finetune_adapter(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
     The edge and the cloud layers up to (and including) the injection tap
     are frozen; history rows report adapted-path metrics.
     """
-    _check_taps(edge, cloud, adapter)
+    check_adapter_binding(edge, cloud, adapter)
     X, y = _coerce_data(X, y)
     n = adapter.cloud_tap
     prefix, tail = cloud.layers[:n + 1], cloud.layers[n + 1:]

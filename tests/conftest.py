@@ -5,6 +5,9 @@ import pytest
 
 from edgecloud import harness, nncore
 from edgecloud.harness import DataConfig, ExperimentPlan, PolicyConfig, StageConfig
+from edgecloud.metrics import MAX
+from edgecloud.moo import GradientBundle, SimplexWeights
+from edgecloud.nncore import UsageError
 
 
 def scalar_forward_reference(layers, x):
@@ -71,6 +74,76 @@ def random_net(rng, num_classes=3, max_depth=4, max_width=16):
             prev = width
     layers.append(nncore.dense(prev, num_classes, nncore.IDENTITY, rng=rng, name="head"))
     return layers, in_dim
+
+
+# ---------------------------------------------------------------------------
+# Oracles of the min-norm solver: an exhaustive simplex lattice and the
+# common-descent condition (acceptance criterion 2).
+
+DESCENT_SLACK = 1e-9
+
+
+def _grads(bundle) -> np.ndarray:
+    if isinstance(bundle, GradientBundle):
+        return bundle.grads
+    return GradientBundle(np.asarray(bundle, dtype=np.float64)).grads
+
+
+def grid_oracle(bundle, step: float) -> tuple[SimplexWeights, float]:
+    """Exhaustive minimum of ``||sum alpha_i g_i||^2`` over a simplex lattice.
+
+    Supports p in {2, 3}; anything larger blows up combinatorially and is
+    rejected. The lattice spacing must be at most 1e-2.
+    """
+    grads = _grads(bundle)
+    p, _ = grads.shape
+    if p not in (2, 3):
+        raise UsageError(f"grid oracle supports p in {{2, 3}}, got p={p}")
+    if not 0.0 < step <= 1e-2 + 1e-15:
+        raise UsageError("step must be in (0, 1e-2]")
+    m = round(1.0 / step)
+    ticks = np.linspace(0.0, 1.0, m + 1)
+    if p == 2:
+        weights = np.stack([ticks, 1.0 - ticks], axis=1)
+    else:
+        rows = []
+        for a in ticks:
+            for b in ticks:
+                c = 1.0 - a - b
+                if c >= -1e-12:
+                    rows.append((a, b, max(c, 0.0)))
+        weights = np.array(rows)
+    combos = weights @ grads
+    norms2 = np.einsum("ij,ij->i", combos, combos)
+    best = int(np.argmin(norms2))
+    return SimplexWeights(weights[best]), float(norms2[best])
+
+
+def check_descent(bundle, combined, slack: float = DESCENT_SLACK) -> tuple[bool, np.ndarray]:
+    """True iff ``<combined, g_j> >= -slack`` for every objective j.
+
+    A combination passing this check is zero or a common descent direction
+    (stepping along ``-combined`` does not increase any objective to first
+    order); the slack absorbs floating-point noise.
+    """
+    grads = _grads(bundle)
+    combined = np.asarray(combined, dtype=np.float64)
+    if combined.shape != (grads.shape[1],):
+        raise UsageError(f"combined has shape {combined.shape}, expected ({grads.shape[1]},)")
+    inner = grads @ combined
+    return bool(np.all(inner >= -slack)), inner
+
+
+# ---------------------------------------------------------------------------
+# Pareto references.
+
+def dominates(a, b) -> bool:
+    """True iff point ``a`` is no worse everywhere and strictly better somewhere."""
+    if a.senses != b.senses or len(a.objectives) != len(b.objectives):
+        raise UsageError("points must share objective arity and senses")
+    na = [v if s == MAX else -v for v, s in zip(a.objectives, a.senses)]
+    nb = [v if s == MAX else -v for v, s in zip(b.objectives, b.senses)]
+    return all(x >= y for x, y in zip(na, nb)) and any(x > y for x, y in zip(na, nb))
 
 
 def brute_force_frontier(points):

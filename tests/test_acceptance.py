@@ -15,15 +15,15 @@ from edgecloud import harness, nncore, train
 from edgecloud.cli import dispatch
 from edgecloud.harness import default_plan, run_experiment, sweep_dynamic
 from edgecloud.metrics import ParetoPoint, comp_score_value, pareto_frontier, perf_score
-from edgecloud.models import clone_model, infer, infer_with_tap, cloud_tail, softmax
-from edgecloud.moo import GradientBundle, check_descent, grid_oracle, solve_min_norm
-from edgecloud.nncore import GradientTape, backward, forward
+from edgecloud.models import infer, infer_with_tap, cloud_tail, softmax
+from edgecloud.moo import GradientBundle, solve_min_norm
+from edgecloud.nncore import GradientTape, adjoints, forward
 from edgecloud.policy import (ADAPTIVE_CODE, CLOUD_CODE, EDGE_CODE, route_codes,
                              route_dataset)
 from edgecloud.train import TrainConfig, cross_entropy, evaluate_model
 
-from conftest import (brute_force_frontier, finite_difference_grads,
-                      max_relative_error, random_net)
+from conftest import (brute_force_frontier, check_descent, finite_difference_grads,
+                      grid_oracle, max_relative_error, random_net)
 
 TREND_SEEDS = (0, 1, 2, 3, 4)
 
@@ -88,8 +88,7 @@ def test_criterion_3_gradient_correctness():
 
         tape = GradientTape()
         logits = nncore.forward_on_tape(tape, layers, tape.input(X))
-        train.ce_on_tape(tape, logits, y)
-        grads = backward(tape)
+        grads = adjoints(tape, train.ce_on_tape(tape, logits, y))
         worst = max(worst, max_relative_error(
             [grads[p] for p in params], finite_difference_grads(loss_value, params)))
     report_line(3, worst < 1e-4, f"max relative error {worst:.2e} over 100 nets (< 1e-4)")
@@ -155,7 +154,7 @@ def trend_results():
         seeds = harness.derive_seeds(seed)
         cfg = TrainConfig(stage.epochs, stage.batch_size, stage.learning_rate,
                           seed=seeds["edge_train"])
-        plain = clone_model(initial_edge)
+        plain = build_models(plan)[0]
         train.train_base(plain, result.dataset.train_X, result.dataset.train_y, cfg)
         boosted = initial_edge
         train.train_recall_boost(boosted, result.dataset.train_X, result.dataset.train_y, cfg)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from edgecloud import harness, metrics
+from edgecloud import harness, metrics, train
 from edgecloud.cli import dispatch
 
 from conftest import tiny_plan
@@ -157,3 +157,26 @@ def test_train_refuses_a_plan_evaluate_would_refuse(tmp_path, capsys, policy, ke
     assert dispatch(["train", "--config", str(path), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not (out / "edge.npz").exists()
+
+
+def test_train_rejects_a_bad_stage_before_running_any(tmp_path, capsys, monkeypatch):
+    import json
+    cfg = harness.plan_to_dict(tiny_plan())
+    cfg["stages"]["finetune"]["batch_size"] = 0
+    path, out = tmp_path / "plan.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg))
+    ran = []
+
+    def recording(name):
+        procedure = getattr(train, name)
+
+        def run(*args, **kwargs):
+            ran.append(name)
+            return procedure(*args, **kwargs)
+        return run
+
+    for name in ("train_base", "train_edge_kd", "finetune_adapter"):
+        monkeypatch.setattr(train, name, recording(name))
+    assert dispatch(["train", "--config", str(path), "--out", str(out)]) == 2
+    assert "stages.finetune.batch_size: must be >= 1" in capsys.readouterr().err
+    assert ran == []

@@ -121,6 +121,17 @@ class TestPlans:
         with pytest.raises(ConfigError, match=field):
             plan_from_dict(cfg)
 
+    @pytest.mark.parametrize("stage", ["cloud", "edge_kd", "finetune"])
+    @pytest.mark.parametrize("field, value, bound", [
+        ("epochs", -1, 0), ("batch_size", 0, 1), ("learning_rate", -0.1, 0),
+        ("learning_rate", math.nan, 0), ("kd_weight", -1.0, 0),
+    ])
+    def test_stage_bounds_checked_at_construction(self, stage, field, value, bound):
+        cfg = plan_to_dict(tiny_plan())
+        cfg["stages"][stage][field] = value
+        with pytest.raises(ConfigError, match=rf"^stages\.{stage}\.{field}: must be >= {bound}$"):
+            plan_from_dict(cfg)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text("{not json")

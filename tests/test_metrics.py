@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from edgecloud.metrics import (CostReport, ParetoPoint, comm_score,
-                               comp_score, comp_score_value, dominates,
+                               comp_score, comp_score_value,
                                frontier_reports, pareto_frontier, perf_score,
                                read_report_rows, write_reports_csv,
                                REPORT_COLUMNS)
 from edgecloud.nncore import ConfigError, UsageError
 from edgecloud.policy import ADAPTIVE_CODE, CLOUD_CODE, EDGE_CODE
 
-from conftest import brute_force_frontier
+from conftest import brute_force_frontier, dominates
 
 
 # Route codes: 0 edge-only, 1 adaptive, 2 full-cloud.

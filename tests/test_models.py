@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from edgecloud import models, nncore
+from edgecloud import nncore
 from edgecloud.models import (AdapterSpec, FeatureMap, ModelSpec, adapt,
                               cloud_tail, confidence, feedforward, infer,
                               infer_with_tap, make_adapter, softmax)
@@ -138,6 +138,45 @@ class TestCloudTail:
         with pytest.raises(ConfigError):
             cloud_tail(small_cloud(), np.zeros(7), 1)
 
+    def test_resuming_after_the_head_checks_the_dim(self):
+        # the layer slice after the last tap is empty: the probabilities are
+        # the softmax of the injected logits, and their width is still checked
+        model = ModelSpec("m", [dense(3, 4, rng=np.random.default_rng(0)),
+                                dense(4, 2, nncore.IDENTITY, rng=np.random.default_rng(1))],
+                          2, 0, [0, 1])
+        logits = np.array([[0.5, -1.0], [2.0, 2.0]])
+        assert np.array_equal(cloud_tail(model, logits, 1), softmax(logits))
+        with pytest.raises(ConfigError, match="tap 1 dim 2"):
+            cloud_tail(model, np.zeros((2, 4)), 1)
+
+
+def overflowing_model():
+    """Two layers whose head overflows to inf on a finite tap-0 feature."""
+    hidden = dense(2, 2, nncore.IDENTITY, weight=np.eye(2), bias=np.zeros(2), name="h")
+    head = dense(2, 2, nncore.IDENTITY, weight=[[1e300, 1e300], [0.0, 0.0]],
+                 bias=np.zeros(2), name="head")
+    return ModelSpec("m", [hidden, head], 2, 0, [0])
+
+
+class TestNonFiniteOutputsRaise:
+    """Every split path raises on non-finite activations instead of
+    returning NaN probabilities."""
+
+    def test_cloud_tail_on_an_overflowing_head(self):
+        with np.errstate(over="ignore"), pytest.raises(ArithmeticError):
+            cloud_tail(overflowing_model(), np.array([[1e10, 1e10]]), 0)
+
+    def test_infer_with_tap_on_an_overflowing_head(self):
+        with np.errstate(over="ignore"), pytest.raises(ArithmeticError):
+            infer_with_tap(overflowing_model(), np.array([1e10, 1e10]), 0)
+
+    def test_adapt_on_an_overflowing_projection(self):
+        proj = dense(2, 2, nncore.IDENTITY, weight=[[1e300, 1e300], [0.0, 0.0]],
+                     bias=np.zeros(2), name="p")
+        adapter = AdapterSpec("a", 0, 0, proj, [])
+        with np.errstate(over="ignore"), pytest.raises(ArithmeticError):
+            adapt(adapter, np.array([[1e10, 1e10]]))
+
 
 class TestConfidence:
     def test_normal_class_mode(self):
@@ -177,9 +216,3 @@ class TestSpecsAndIO:
         proj = dense(3, 5, name="p")
         with pytest.raises(ConfigError):
             AdapterSpec("a", 0, 1, proj, [residual_block(4)])
-
-    def test_clone_is_independent(self):
-        cloud = small_cloud()
-        twin = models.clone_model(cloud)
-        twin.layers[0].weights[0].value[0, 0] += 1.0
-        assert cloud.layers[0].weights[0].value[0, 0] != twin.layers[0].weights[0].value[0, 0]
