@@ -96,7 +96,7 @@ def cmd_sweep(args) -> int:
     plan = _load_plan(args)
     out = _out_dir(args)
     system = _load_system(plan, out)
-    first = plan.policies[0] if plan.policies else harness.PolicyConfig("dynamic", c1=0.8)
+    first = plan.sweep_policy()
     grid = sorted({0.0, *plan.c2_grid, first.c1})
     result = harness.sweep_dynamic(system, grid, c1=first.c1,
                                    confidence_mode=first.confidence_mode)

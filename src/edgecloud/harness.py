@@ -25,10 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics, models, nncore, policy as policy_mod, train as train_mod
-from .metrics import MAX, MIN, CostReport, ParetoPoint, pareto_frontier
+from .metrics import CostReport, ParetoPoint, pareto_frontier
 from .models import AdapterSpec, ModelSpec
 from .nncore import ConfigError, UsageError
-from .policy import DYNAMIC, RoutedDataset, route_codes, route_dataset
+from .policy import (ADAPTIVE_CODE, CLOUD_CODE, DYNAMIC, EDGE_CODE, ROUTES, RoutedDataset,
+                     route_codes, route_dataset)
 from .train import TrainConfig, TrainResult
 
 DATASET_VERSION = 1
@@ -250,9 +251,13 @@ class ExperimentPlan:
                 raise ConfigError(f"policies[{i}].confidence_mode: unknown mode "
                                   f"{p.confidence_mode!r}, expected one of {models.CONFIDENCE_MODES}")
         policy_mod.check_bytes_per_element(self.bytes_per_element)
-        for c2 in self.c2_grid:
-            if not 0.0 <= c2 <= 1.0:
-                raise ConfigError("c2_grid: entries must lie in [0, 1]")
+        c1 = self.sweep_policy().c1
+        if any(not 0.0 <= c2 <= c1 for c2 in self.c2_grid):
+            raise ConfigError(f"c2_grid: entries must lie in [0, c1] = [0, {c1:g}]")
+
+    def sweep_policy(self) -> PolicyConfig:
+        """The c2 sweep's ``c1`` and mode: the first policy's, or dynamic at 0.8."""
+        return self.policies[0] if self.policies else PolicyConfig(DYNAMIC, c1=0.8)
 
 
 def default_plan(master_seed: int = 0) -> ExperimentPlan:
@@ -272,71 +277,77 @@ def default_plan(master_seed: int = 0) -> ExperimentPlan:
     )
 
 
-def _expect(mapping: dict, key: str, kind, path: str):
-    if key not in mapping:
-        raise ConfigError(f"{path}.{key}: missing")
-    value = mapping[key]
+def _typed(value, kind, where: str):
+    """``value`` as ``kind``: an int is accepted as a float, a bool only as a bool."""
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
+def _expect(mapping: dict, key: str, kind, path: str, default=None):
+    """``mapping[key]`` as a ``kind``; required unless a ``default`` is given."""
+    if key not in mapping:
+        if default is None:
+            raise ConfigError(f"{path}.{key}: missing")
+        return default
+    return _typed(mapping[key], kind, f"{path}.{key}")
+
+
+def _expect_list(mapping: dict, key: str, kind, path: str, default=None) -> list:
+    """A list field whose every element is a ``kind``."""
+    items = _expect(mapping, key, list, path, default)
+    return [_typed(v, kind, f"{path}.{key}[{i}]") for i, v in enumerate(items)]
+
+
 def plan_from_dict(cfg: dict) -> ExperimentPlan:
-    try:
-        data_cfg = _expect(cfg, "dataset", dict, "plan")
-        data = DataConfig(
-            num_classes=_expect(data_cfg, "num_classes", int, "plan.dataset"),
-            dim=_expect(data_cfg, "dim", int, "plan.dataset"),
-            n=_expect(data_cfg, "n", int, "plan.dataset"),
-            normal_fraction=_expect(data_cfg, "normal_fraction", float, "plan.dataset"),
-            difficulty=_expect(data_cfg, "difficulty", float, "plan.dataset"),
+    data_cfg = _expect(cfg, "dataset", dict, "plan")
+    data = DataConfig(
+        num_classes=_expect(data_cfg, "num_classes", int, "plan.dataset"),
+        dim=_expect(data_cfg, "dim", int, "plan.dataset"),
+        n=_expect(data_cfg, "n", int, "plan.dataset"),
+        normal_fraction=_expect(data_cfg, "normal_fraction", float, "plan.dataset"),
+        difficulty=_expect(data_cfg, "difficulty", float, "plan.dataset"),
+    )
+    edge_cfg = _expect(cfg, "edge", dict, "plan")
+    cloud_cfg = _expect(cfg, "cloud", dict, "plan")
+    adapter_cfg = _expect(cfg, "adapter", dict, "plan")
+    stages = {}
+    for name, sc in _expect(cfg, "stages", dict, "plan").items():
+        path = f"plan.stages.{name}"
+        sc = _typed(sc, dict, path)
+        stages[name] = StageConfig(
+            epochs=_expect(sc, "epochs", int, path),
+            batch_size=_expect(sc, "batch_size", int, path),
+            learning_rate=_expect(sc, "learning_rate", float, path),
+            kd_weight=_expect(sc, "kd_weight", float, path, 1.0),
         )
-        edge_cfg = _expect(cfg, "edge", dict, "plan")
-        cloud_cfg = _expect(cfg, "cloud", dict, "plan")
-        adapter_cfg = _expect(cfg, "adapter", dict, "plan")
-        stages_cfg = _expect(cfg, "stages", dict, "plan")
-        stages = {}
-        for name, sc in stages_cfg.items():
-            if not isinstance(sc, dict):
-                raise ConfigError(f"plan.stages.{name}: expected object")
-            stages[name] = StageConfig(
-                epochs=_expect(sc, "epochs", int, f"plan.stages.{name}"),
-                batch_size=_expect(sc, "batch_size", int, f"plan.stages.{name}"),
-                learning_rate=_expect(sc, "learning_rate", float, f"plan.stages.{name}"),
-                kd_weight=float(sc.get("kd_weight", 1.0)),
-            )
-        policies = []
-        for i, pc in enumerate(cfg.get("policies", [])):
-            if not isinstance(pc, dict):
-                raise ConfigError(f"plan.policies[{i}]: expected object")
-            policies.append(PolicyConfig(
-                variant=_expect(pc, "variant", str, f"plan.policies[{i}]"),
-                c1=_expect(pc, "c1", float, f"plan.policies[{i}]"),
-                c2=float(pc.get("c2", 0.0)),
-                confidence_mode=pc.get("confidence_mode", models.NORMAL_CLASS_MODE),
-            ))
-        return ExperimentPlan(
-            master_seed=_expect(cfg, "master_seed", int, "plan"),
-            data=data,
-            edge_hidden=list(_expect(edge_cfg, "hidden", list, "plan.edge")),
-            edge_taps=list(edge_cfg.get("taps", [0])),
-            cloud_hidden=list(_expect(cloud_cfg, "hidden", list, "plan.cloud")),
-            cloud_taps=list(_expect(cloud_cfg, "taps", list, "plan.cloud")),
-            adapter_edge_tap=_expect(adapter_cfg, "edge_tap", int, "plan.adapter"),
-            adapter_cloud_tap=_expect(adapter_cfg, "cloud_tap", int, "plan.adapter"),
-            adapter_blocks=_expect(adapter_cfg, "blocks", int, "plan.adapter"),
-            stages=stages,
-            recall_boost=bool(cfg.get("recall_boost", False)),
-            policies=policies,
-            c2_grid=[float(v) for v in cfg.get("c2_grid", [])],
-            bytes_per_element=int(cfg.get("bytes_per_element", 4)),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"plan: {exc}") from exc
+    policies = []
+    for i, pc in enumerate(_expect_list(cfg, "policies", dict, "plan", [])):
+        path = f"plan.policies[{i}]"
+        policies.append(PolicyConfig(
+            variant=_expect(pc, "variant", str, path),
+            c1=_expect(pc, "c1", float, path),
+            c2=_expect(pc, "c2", float, path, 0.0),
+            confidence_mode=_expect(pc, "confidence_mode", str, path, models.NORMAL_CLASS_MODE),
+        ))
+    return ExperimentPlan(
+        master_seed=_expect(cfg, "master_seed", int, "plan"),
+        data=data,
+        edge_hidden=_expect_list(edge_cfg, "hidden", int, "plan.edge"),
+        edge_taps=_expect_list(edge_cfg, "taps", int, "plan.edge", [0]),
+        cloud_hidden=_expect_list(cloud_cfg, "hidden", int, "plan.cloud"),
+        cloud_taps=_expect_list(cloud_cfg, "taps", int, "plan.cloud"),
+        adapter_edge_tap=_expect(adapter_cfg, "edge_tap", int, "plan.adapter"),
+        adapter_cloud_tap=_expect(adapter_cfg, "cloud_tap", int, "plan.adapter"),
+        adapter_blocks=_expect(adapter_cfg, "blocks", int, "plan.adapter"),
+        stages=stages,
+        recall_boost=_expect(cfg, "recall_boost", bool, "plan", False),
+        policies=policies,
+        c2_grid=_expect_list(cfg, "c2_grid", float, "plan", []),
+        bytes_per_element=_expect(cfg, "bytes_per_element", int, "plan", 4),
+    )
 
 
 def plan_to_dict(plan: ExperimentPlan) -> dict:
@@ -446,39 +457,39 @@ def _policy_label(pc: PolicyConfig) -> str:
 
 def _scorer(system: TrainedSystem, routed: RoutedDataset):
     """Edge and cloud anchor rows, scoring (0,0,0) and (1,1,1) by construction,
-    and a function that scores one array of route codes over ``routed``."""
+    and a function that scores one array of route codes over ``routed``. Every
+    column comes from per-route tallies of rows, correct rows and recalled
+    positives, counted on (route, row) masks built once."""
     ds, edge, cloud = system.dataset, system.edge, system.cloud
-    yv, normal = ds.val_y, ds.normal_class
     flops_edge, flops_cloud = edge.total_flops(), cloud.total_flops()
+    metrics.check_flops(flops_edge, flops_cloud)
     route_bytes, route_flops = policy_mod.route_costs(edge, cloud, system.adapter,
                                                       system.plan.bytes_per_element)
-    input_bytes = route_bytes[policy_mod.CLOUD_CODE]  # the raw input row
-    pi_edge = train_mod.accuracy_rate(routed.edge_pred, yv)
-    pi_cloud = train_mod.accuracy_rate(routed.cloud_pred, yv)
-    edge_report = CostReport(
-        label="edge", tau=0.0, psi=0.0, s_comm=0.0,
-        flops_ecc=float(flops_edge), flops_edge=flops_edge, flops_cloud=flops_cloud,
-        s_comp=0.0, pi_ecc=pi_edge, pi_edge=pi_edge, pi_cloud=pi_cloud,
-        s_p=0.0, accuracy=pi_edge,
-        recall=train_mod.recall_rate(routed.edge_pred, yv, normal))
-    cloud_report = CostReport(
-        label="cloud", tau=1.0, psi=1.0, s_comm=1.0,
-        flops_ecc=float(flops_cloud), flops_edge=flops_edge, flops_cloud=flops_cloud,
-        s_comp=1.0, pi_ecc=pi_cloud, pi_edge=pi_edge, pi_cloud=pi_cloud,
-        s_p=1.0, accuracy=pi_cloud,
-        recall=train_mod.recall_rate(routed.cloud_pred, yv, normal))
+    preds = np.stack([routed.edge_pred, routed.adaptive_pred, routed.cloud_pred])
+    positive = ds.val_y != ds.normal_class
+    correct, recalled = preds == ds.val_y, (preds != ds.normal_class) & positive
+    n, positives = len(ds.val_y), int(positive.sum())
+    routes = np.arange(len(ROUTES))[:, None]
+
+    def rates(taken: np.ndarray) -> tuple[float, float]:
+        """Accuracy and recall (1 without positives); ``taken[code, row]`` routes."""
+        hits, found = int((taken & correct).sum()), int((taken & recalled).sum())
+        return hits / n, found / positives if positives else 1.0
+
+    def anchor(label: str, code: int, s: float, flops: int) -> CostReport:
+        return CostReport(label, s, s, s, s, s, float(flops), *rates(routes == code))
+
+    edge_report = anchor("edge", EDGE_CODE, 0.0, flops_edge)
+    cloud_report = anchor("cloud", CLOUD_CODE, 1.0, flops_cloud)
 
     def score(label: str, codes: np.ndarray) -> CostReport:
-        tau, psi, s_comm = metrics.comm_score(codes, route_bytes, input_bytes)
-        flops_sys, s_comp = metrics.comp_score(flops_edge, flops_cloud, codes, route_flops)
-        preds = routed.predictions(codes)
-        acc = train_mod.accuracy_rate(preds, yv)
-        return CostReport(
-            label=label, tau=tau, psi=psi, s_comm=s_comm,
-            flops_ecc=flops_sys, flops_edge=flops_edge, flops_cloud=flops_cloud,
-            s_comp=s_comp, pi_ecc=acc, pi_edge=pi_edge, pi_cloud=pi_cloud,
-            s_p=metrics.perf_score(acc, pi_edge, pi_cloud), accuracy=acc,
-            recall=train_mod.recall_rate(preds, yv, normal))
+        taken = routes == codes
+        counts = taken.sum(axis=1)
+        accuracy, recall = rates(taken)
+        tau, psi, s_comm = metrics.comm_score(counts, route_bytes, route_bytes[CLOUD_CODE])
+        flops_sys, s_comp = metrics.comp_score(flops_edge, flops_cloud, counts, route_flops)
+        s_p = metrics.perf_score(accuracy, edge_report.accuracy, cloud_report.accuracy)
+        return CostReport(label, s_p, s_comp, s_comm, tau, psi, flops_sys, accuracy, recall)
 
     return edge_report, cloud_report, score
 
@@ -534,17 +545,14 @@ def sweep_dynamic(system: TrainedSystem, c2_grid: list[float], c1: float = 0.8,
     routed = route_dataset(system.edge, system.cloud, system.adapter, system.dataset.val_X,
                            confidence_mode)
     _, _, score = _scorer(system, routed)
-    reports, points = [], []
-    full_cloud_counts, adaptive_counts = [], []
+    reports, full_cloud_counts, adaptive_counts = [], [], []
     for c2 in c2_grid:
         codes = route_codes(DYNAMIC, routed.confidence, c1, c2)
-        label = f"dynamic(c2={c2:g})"
-        report = score(label, codes)
-        full_cloud_counts.append(int((codes == policy_mod.CLOUD_CODE).sum()))
-        adaptive_counts.append(int((codes == policy_mod.ADAPTIVE_CODE).sum()))
-        reports.append(report)
-        points.append(ParetoPoint((report.s_p, report.s_comp, report.s_comm),
-                                  (MAX, MIN, MIN), label))
+        reports.append(score(f"dynamic(c2={c2:g})", codes))
+        counts = np.bincount(codes, minlength=len(ROUTES))
+        full_cloud_counts.append(int(counts[CLOUD_CODE]))
+        adaptive_counts.append(int(counts[ADAPTIVE_CODE]))
+    points = metrics.points_from_reports(reports)
     return SweepResult(reports, points, pareto_frontier(points),
                        full_cloud_counts, adaptive_counts)
 

@@ -1,11 +1,13 @@
 """Trade-off scores and Pareto frontier extraction.
 
-All three scores are anchored so an edge-only system scores 0 and a pure
-cloud system scores 1:
+Scores are computed from per-route tallies (rows, correct rows, recalled
+positives), and a :class:`CostReport` is one reports-CSV row, its fields the
+columns in order. All three scores are anchored so an edge-only system
+scores 0 and a pure cloud system scores 1:
 
 * communication: ``s_comm = tau * psi`` where ``tau`` is the offloaded
-  fraction and ``psi`` the mean transmitted-to-raw byte ratio over
-  offloaded samples,
+  fraction and ``psi`` the exact integer byte total of the offloaded rows
+  over ``input_bytes`` times their count, rounded once,
 * computation: ``s_comp = (flops_sys - flops_edge) / (flops_cloud -
   flops_edge)`` with ``flops_sys = flops_edge + mean(cloud-side flops per
   sample)`` (the branch-weighted generalization of a single offload
@@ -17,6 +19,7 @@ cloud system scores 1:
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -29,49 +32,50 @@ from .policy import EDGE_CODE
 MAX = "max"
 MIN = "min"
 
-REPORT_COLUMNS = ["label", "s_p", "s_comp", "s_comm", "tau", "psi",
-                  "flops_ecc", "accuracy", "recall"]
 
-
-def comm_score(codes, route_bytes: Sequence[int],
+def comm_score(counts, route_bytes: Sequence[int],
                input_bytes: int) -> tuple[float, float, float]:
-    """Offload fraction, mean size ratio over offloaded samples, and their product.
+    """Offload fraction, mean size ratio over offloaded rows, and their product.
 
-    ``codes`` holds one route code per sample and ``route_bytes[code]`` the
-    bytes a sample on that route transmits. ``psi`` is a left-to-right sum
-    of the per-sample ratios in sample order, divided by the offload count;
-    with no offloaded samples it is reported as 0 by convention.
+    ``counts[code]`` is the number of rows on a route and ``route_bytes[code]``
+    the bytes one such row transmits (0 on the edge-only route). ``psi`` is
+    the exact byte total over ``input_bytes`` times the offloaded count,
+    rounded once; with no offloaded rows it is reported as 0 by convention.
     """
-    codes = np.asarray(codes)
-    if codes.size == 0:
-        raise UsageError("comm_score needs at least one route code")
-    if input_bytes <= 0:
-        raise UsageError("input_bytes must be positive")
-    offloaded = codes[codes != EDGE_CODE]
-    tau = len(offloaded) / len(codes)
-    ratios = (np.take(route_bytes, offloaded) / input_bytes).tolist()
-    psi = sum(ratios) / len(ratios) if ratios else 0.0
+    counts = np.asarray(counts, dtype=np.int64)
+    n = int(counts.sum())
+    if n == 0 or input_bytes <= 0:
+        raise UsageError("comm_score needs a routed row and positive input_bytes")
+    offloaded = n - int(counts[EDGE_CODE])
+    tau = offloaded / n
+    psi = int(counts @ route_bytes) / (input_bytes * offloaded) if offloaded else 0.0
     return tau, psi, tau * psi
+
+
+def check_flops(flops_edge: float, flops_cloud: float) -> None:
+    if flops_cloud <= flops_edge:
+        raise ConfigError("comp score needs flops_cloud > flops_edge")
 
 
 def comp_score_value(flops_edge: float, flops_cloud: float, flops_sys: float) -> float:
     """Computation score from aggregate FLOP counts (any consistent unit)."""
-    if flops_cloud <= flops_edge:
-        raise ConfigError("comp score needs flops_cloud > flops_edge")
+    check_flops(flops_edge, flops_cloud)
     return (flops_sys - flops_edge) / (flops_cloud - flops_edge)
 
 
-def comp_score(flops_edge: float, flops_cloud: float, codes,
+def comp_score(flops_edge: float, flops_cloud: float, counts,
                route_flops: Sequence[int]) -> tuple[float, float]:
     """Branch-weighted system FLOPs and the normalized computation score.
 
-    ``route_flops[code]`` is the cloud-side FLOPs of one sample on that
-    route; their exact integer sum is divided by the sample count.
+    ``counts[code]`` is the number of rows on a route and ``route_flops[code]``
+    the cloud-side FLOPs of one such row; their exact integer total is
+    divided by the row count.
     """
-    codes = np.asarray(codes)
-    if codes.size == 0:
-        raise UsageError("comp_score needs at least one route code")
-    flops_sys = flops_edge + int(np.take(route_flops, codes).sum()) / len(codes)
+    counts = np.asarray(counts, dtype=np.int64)
+    n = int(counts.sum())
+    if n == 0:
+        raise UsageError("comp_score needs a routed row")
+    flops_sys = flops_edge + int(counts @ route_flops) / n
     return flops_sys, comp_score_value(flops_edge, flops_cloud, flops_sys)
 
 
@@ -88,28 +92,24 @@ def perf_score(pi_sys: float, pi_edge: float, pi_cloud: float) -> float:
 
 @dataclass(frozen=True)
 class CostReport:
-    """Scores and raw costs for one evaluated system."""
+    """Scores and raw costs of one evaluated system: one reports-CSV row."""
 
     label: str
+    s_p: float
+    s_comp: float
+    s_comm: float
     tau: float
     psi: float
-    s_comm: float
     flops_ecc: float
-    flops_edge: float
-    flops_cloud: float
-    s_comp: float
-    pi_ecc: float
-    pi_edge: float
-    pi_cloud: float
-    s_p: float
     accuracy: float
     recall: float
 
     def __post_init__(self) -> None:
         if abs(self.s_comm - self.tau * self.psi) > 1e-12:
             raise UsageError("s_comm must equal tau * psi")
-        if self.flops_cloud <= self.flops_edge:
-            raise UsageError("flops_cloud must exceed flops_edge")
+
+
+REPORT_COLUMNS = [f.name for f in dataclasses.fields(CostReport)]
 
 
 @dataclass(frozen=True)

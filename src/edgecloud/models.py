@@ -47,10 +47,7 @@ class ModelSpec:
         layers = list(layers)
         if not layers:
             raise ConfigError("model needs at least one layer")
-        for i in range(1, len(layers)):
-            if layers[i].in_dim != layers[i - 1].out_dim:
-                raise ConfigError(f"layer {i} expects input dim {layers[i].in_dim}, "
-                                  f"got {layers[i - 1].out_dim}")
+        nncore._check_chain(layers, layers[0].in_dim)
         if layers[-1].out_dim != num_classes:
             raise ConfigError(f"last layer out_dim {layers[-1].out_dim} != num_classes {num_classes}")
         if not 0 <= normal_class < num_classes:
@@ -143,9 +140,8 @@ def feedforward(name: str, in_dim: int, hidden: Sequence[int], num_classes: int,
 
 def make_adapter(name: str, edge_tap: int, cloud_tap: int, edge_dim: int,
                  cloud_dim: int, num_blocks: int,
-                 rng: np.random.Generator | None = None,
-                 projection_activation: str = RELU) -> AdapterSpec:
-    projection = dense(edge_dim, cloud_dim, projection_activation, rng=rng, name=f"{name}.proj")
+                 rng: np.random.Generator | None = None) -> AdapterSpec:
+    projection = dense(edge_dim, cloud_dim, RELU, rng=rng, name=f"{name}.proj")
     blocks = [residual_block(cloud_dim, rng=rng, name=f"{name}.res{i}") for i in range(num_blocks)]
     return AdapterSpec(name, edge_tap, cloud_tap, projection, blocks)
 

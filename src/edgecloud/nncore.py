@@ -257,7 +257,7 @@ class GradientTape:
         return node
 
 
-def adjoints(tape: GradientTape, node: Node, seed: float = 1.0) -> dict[Param, np.ndarray]:
+def adjoints(tape: GradientTape, node: Node) -> dict[Param, np.ndarray]:
     """Gradients of a recorded scalar node w.r.t. the parameters it reaches.
 
     A parameter on the tape that ``node`` does not depend on is absent from
@@ -265,7 +265,7 @@ def adjoints(tape: GradientTape, node: Node, seed: float = 1.0) -> dict[Param, n
     """
     if node.value.shape != ():
         raise UsageError("adjoint seed must be a scalar node")
-    grads: dict[int, np.ndarray] = {id(node): np.float64(seed)}
+    grads: dict[int, np.ndarray] = {id(node): np.float64(1.0)}
 
     def accum(n: Node, delta: np.ndarray) -> None:
         key = id(n)
@@ -320,17 +320,6 @@ def op_add(tape: GradientTape, a: Node, b: Node) -> Node:
         accum(b, g)
 
     return tape.record(a.value + b.value, bw)
-
-
-def op_mul(tape: GradientTape, a: Node, b: Node) -> Node:
-    if a.value.shape != b.value.shape:
-        raise UsageError("op_mul requires equal shapes")
-
-    def bw(g, accum):
-        accum(a, g * b.value)
-        accum(b, g * a.value)
-
-    return tape.record(a.value * b.value, bw)
 
 
 def op_scale(tape: GradientTape, x: Node, c: float) -> Node:

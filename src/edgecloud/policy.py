@@ -99,10 +99,6 @@ class RoutedDataset(NamedTuple):
     adaptive_pred: np.ndarray
     cloud_pred: np.ndarray
 
-    def predictions(self, codes) -> np.ndarray:
-        """Prediction of the branch each row's route code selects."""
-        return np.choose(codes, (self.edge_pred, self.adaptive_pred, self.cloud_pred))
-
 
 def route_dataset(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec, X,
                   confidence_mode: str = NORMAL_CLASS_MODE) -> RoutedDataset:

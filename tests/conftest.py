@@ -31,6 +31,18 @@ def scalar_forward_reference(layers, x):
     return np.array(x)
 
 
+def op_mul(tape, a, b):
+    """Elementwise product of two equal-shape tape nodes (a test-only op)."""
+    if a.value.shape != b.value.shape:
+        raise UsageError("op_mul requires equal shapes")
+
+    def bw(g, accum):
+        accum(a, g * b.value)
+        accum(b, g * a.value)
+
+    return tape.record(a.value * b.value, bw)
+
+
 def finite_difference_grads(loss_fn, params, h=1e-5):
     """Central finite differences of a closure over every parameter element."""
     grads = []
@@ -189,6 +201,33 @@ def tiny_plan(master_seed=0, **overrides):
     )
     kwargs.update(overrides)
     return ExperimentPlan(**kwargs)
+
+
+# A plan field set to a value of the wrong type, and the error that names it:
+# (keys down to the field, value, message).
+MISTYPED_FIELDS = [
+    (("recall_boost",), "false", "plan.recall_boost: expected bool, got str"),
+    (("bytes_per_element",), 4.9, "plan.bytes_per_element: expected int, got float"),
+    (("edge", "hidden"), ["6"], r"plan.edge.hidden\[0\]: expected int, got str"),
+    (("edge", "taps"), [0.0], r"plan.edge.taps\[0\]: expected int, got float"),
+    (("cloud", "taps"), "012", "plan.cloud.taps: expected list, got str"),
+    (("c2_grid",), [0.2, "0.3"], r"plan.c2_grid\[1\]: expected float, got str"),
+    (("stages", "cloud", "kd_weight"), "1", "plan.stages.cloud.kd_weight: expected float, got str"),
+    (("policies", 2, "c2"), None, r"plan.policies\[2\].c2: expected float, got NoneType"),
+    (("policies", 0, "confidence_mode"), 1, r"plan.policies\[0\].confidence_mode: expected str"),
+]
+
+
+def field_id(keys):
+    """Test id of a ``MISTYPED_FIELDS`` entry: its keys, dotted."""
+    return ".".join(map(str, keys))
+
+
+def set_field(cfg, keys, value):
+    """``cfg`` with the field at ``keys`` set to ``value``."""
+    for key in keys[:-1]:
+        cfg = cfg[key]
+    cfg[keys[-1]] = value
 
 
 @pytest.fixture(scope="session")

@@ -109,7 +109,8 @@ def test_criterion_4_routing_identities():
     def outcome(variant, c2=0.0):
         """Route code and prediction of every validation row."""
         codes = route_codes(variant, routed.confidence, 0.8, c2)
-        return np.stack([codes, routed.predictions(codes)])
+        preds = np.choose(codes, (routed.edge_pred, routed.adaptive_pred, routed.cloud_pred))
+        return np.stack([codes, preds])
 
     collapse_a = np.array_equal(outcome("dynamic", 0.0), outcome("adaptive"))
     collapse_i = np.array_equal(outcome("dynamic", 0.8), outcome("independent"))

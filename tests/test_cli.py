@@ -10,7 +10,7 @@ import pytest
 from edgecloud import harness, metrics, train
 from edgecloud.cli import dispatch
 
-from conftest import tiny_plan
+from conftest import MISTYPED_FIELDS, field_id, set_field, tiny_plan
 
 
 @pytest.fixture()
@@ -156,6 +156,23 @@ def test_train_refuses_a_plan_evaluate_would_refuse(tmp_path, capsys, policy, ke
     path.write_text(json.dumps(cfg))
     assert dispatch(["train", "--config", str(path), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
+    assert not (out / "edge.npz").exists()
+
+
+REFUSED_AT_TRAIN = MISTYPED_FIELDS[:3] + [(("c2_grid",), [0.2, 0.9], "c2_grid: entries must lie in")]
+
+
+@pytest.mark.parametrize("keys, value, message", REFUSED_AT_TRAIN,
+                         ids=[field_id(keys) for keys, _, _ in REFUSED_AT_TRAIN])
+def test_train_refuses_a_mistyped_or_unsweepable_plan(tmp_path, capsys, keys, value, message):
+    import json
+    import re
+    cfg = harness.plan_to_dict(tiny_plan())
+    set_field(cfg, keys, value)
+    path, out = tmp_path / "plan.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg))
+    assert dispatch(["train", "--config", str(path), "--out", str(out)]) == 2
+    assert re.search(f"^error: {message}", capsys.readouterr().err)
     assert not (out / "edge.npz").exists()
 
 

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from edgecloud import harness, metrics
-from edgecloud.harness import (Dataset, build_models, default_plan,
+from edgecloud.harness import (Dataset, PolicyConfig, TrainedSystem, build_dataset,
+                               build_models, default_plan, evaluate_policies,
                                gen_dataset, load_plan, plan_from_dict,
                                plan_to_dict, run_experiment, save_plan,
                                sweep_dynamic)
 from edgecloud.metrics import pareto_frontier
 from edgecloud.nncore import ConfigError, UsageError
 
-from conftest import tiny_plan
+from conftest import MISTYPED_FIELDS, field_id, set_field, tiny_plan
 
 
 class TestGenDataset:
@@ -132,6 +133,28 @@ class TestPlans:
         with pytest.raises(ConfigError, match=rf"^stages\.{stage}\.{field}: must be >= {bound}$"):
             plan_from_dict(cfg)
 
+    @pytest.mark.parametrize("keys, value, message", MISTYPED_FIELDS,
+                             ids=[field_id(keys) for keys, _, _ in MISTYPED_FIELDS])
+    def test_mistyped_field_refused_at_load(self, tmp_path, keys, value, message):
+        cfg = plan_to_dict(tiny_plan())
+        set_field(cfg, keys, value)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            load_plan(path)
+
+    @pytest.mark.parametrize("policies, c2_grid", [
+        ([PolicyConfig("independent", c1=0.5)], [0.2, 0.6]),
+        ([], [0.2, 0.9]),  # no policies: the sweep runs at c1 = 0.8
+    ])
+    def test_c2_grid_above_the_sweep_c1_refused(self, policies, c2_grid):
+        cfg = plan_to_dict(tiny_plan(policies=policies))
+        cfg["c2_grid"] = c2_grid
+        with pytest.raises(ConfigError, match=r"^c2_grid: entries must lie in \[0, c1\]"):
+            plan_from_dict(cfg)
+        cfg["c2_grid"] = c2_grid[:1]
+        assert plan_from_dict(cfg).c2_grid == c2_grid[:1]
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text("{not json")
@@ -155,16 +178,25 @@ class TestPipeline:
         edge, cloud = reports["edge"], reports["cloud"]
         assert (edge.s_p, edge.s_comp, edge.s_comm) == (0.0, 0.0, 0.0)
         assert (cloud.s_p, cloud.s_comp, cloud.s_comm) == (1.0, 1.0, 1.0)
-        flops_gap = cloud.flops_cloud - cloud.flops_edge
+        flops_gap = cloud.flops_ecc - edge.flops_ecc
         for r in reports.values():
             assert 0.0 <= r.s_comm <= max(1.0, r.psi)
-            assert 0.0 <= r.s_comp <= 1.0 + cloud.flops_cloud / flops_gap
+            assert 0.0 <= r.s_comp <= 1.0 + cloud.flops_ecc / flops_gap
             assert math.isfinite(r.s_p)
 
     def test_empty_policy_grid_gives_baselines_only(self):
         plan = tiny_plan(policies=[])
         result = run_experiment(plan)
         assert [r.label for r in result.reports] == ["edge", "cloud"]
+
+    @pytest.mark.parametrize("policies", [[], tiny_plan().policies], ids=["none", "tiny-plan"])
+    def test_edge_as_costly_as_the_cloud_refused(self, policies):
+        plan = tiny_plan(edge_hidden=[64, 64], policies=policies)
+        system = TrainedSystem(plan, build_dataset(plan), *build_models(plan))
+        with pytest.raises(ConfigError, match="flops_cloud > flops_edge"):
+            evaluate_policies(system)
+        with pytest.raises(ConfigError, match="flops_cloud > flops_edge"):
+            sweep_dynamic(system, plan.c2_grid)
 
     def test_deterministic_reports(self):
         plan = tiny_plan(master_seed=2)

@@ -2,7 +2,9 @@
 trade-off bars from their raw values."""
 
 import csv
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,28 +20,24 @@ from edgecloud.policy import ADAPTIVE_CODE, CLOUD_CODE, EDGE_CODE
 from conftest import brute_force_frontier, dominates
 
 
-# Route codes: 0 edge-only, 1 adaptive, 2 full-cloud.
+# Route codes: 0 edge-only, 1 adaptive, 2 full-cloud. Scores take per-route
+# row counts indexed by route code.
 EDGE, ADAPTIVE, CLOUD = EDGE_CODE, ADAPTIVE_CODE, CLOUD_CODE
-
-
-def codes(*counts):
-    """Route codes with ``counts[i]`` samples of code ``i``, in code order."""
-    return np.repeat(np.arange(len(counts)), counts)
 
 
 class TestCommScore:
     def test_all_edge_only_scores_zero(self):
-        tau, psi, s = comm_score(codes(10), (0, 32, 64), input_bytes=64)
+        tau, psi, s = comm_score((10, 0, 0), (0, 32, 64), input_bytes=64)
         assert (tau, psi, s) == (0.0, 0.0, 0.0)
 
     def test_all_full_cloud_scores_one(self):
-        tau, psi, s = comm_score(codes(0, 0, 10), (0, 32, 64), input_bytes=64)
+        tau, psi, s = comm_score((0, 0, 10), (0, 32, 64), input_bytes=64)
         assert (tau, psi, s) == (1.0, 1.0, 1.0)
 
     def test_feature_bigger_than_input(self):
         # 32x32x3 input (3072 elements) vs 16x16x16 feature (4096 elements),
         # 60% offloaded: psi = 4/3, s_comm = 0.8
-        tau, psi, s = comm_score(codes(400, 600), (0, 4096 * 4, 3072 * 4),
+        tau, psi, s = comm_score((400, 600, 0), (0, 4096 * 4, 3072 * 4),
                                  input_bytes=3072 * 4)
         assert tau == pytest.approx(0.6)
         assert psi == pytest.approx(4096 / 3072)
@@ -50,24 +48,27 @@ class TestCommScore:
         for _ in range(20):
             route_codes = rng.integers(0, 3, 50)
             route_bytes = (0, int(rng.integers(1, 100)), int(rng.integers(1, 100)))
-            tau, psi, s = comm_score(route_codes, route_bytes, input_bytes=64)
+            counts = np.bincount(route_codes, minlength=3)
+            tau, psi, s = comm_score(counts, route_bytes, input_bytes=64)
             assert s == pytest.approx(tau * psi, abs=1e-15)
             total = sum(route_bytes[c] for c in route_codes)
             assert s == pytest.approx(total / (50 * 64), abs=1e-12)
 
-    def test_psi_is_a_left_to_right_sum_in_sample_order(self):
-        # Ratios 0.1 and 0.3 are not dyadic, so the last digit depends on how
-        # they are summed (np.mean or branch counts round differently here);
-        # psi must equal the per-sample formula exactly.
+    def test_psi_is_the_exact_byte_ratio_rounded_once(self):
+        # Ratios 0.1 and 0.3 are not dyadic: a per-row sum of them rounds at
+        # every step (0.17999999999999988 here), while psi is the exact
+        # integer byte total over input_bytes x offloaded, rounded once.
         route_codes = np.array([CLOUD, ADAPTIVE, EDGE, ADAPTIVE, CLOUD, ADAPTIVE] * 7)
+        counts = np.bincount(route_codes, minlength=3)
         route_bytes = (0, 1, 3)
-        _, psi, _ = comm_score(route_codes, route_bytes, input_bytes=10)
-        offloaded = [c for c in route_codes if c != EDGE]
-        assert psi == sum(route_bytes[c] / 10 for c in offloaded) / len(offloaded)
+        _, psi, _ = comm_score(counts, route_bytes, input_bytes=10)
+        total_bytes = sum(route_bytes[c] for c in route_codes)
+        offloaded = int((route_codes != EDGE).sum())
+        assert psi == float(Fraction(total_bytes, 10 * offloaded)) == 0.18
 
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
-            comm_score([], (0, 32, 64), 64)
+            comm_score((0, 0, 0), (0, 32, 64), 64)
 
 
 class TestCompScore:
@@ -76,17 +77,17 @@ class TestCompScore:
         assert comp_score_value(3.47, 38.50, 26.88) == pytest.approx(0.6682, abs=5e-4)
 
     def test_all_edge_only(self):
-        flops_sys, s = comp_score(100, 1000, codes(5), (0, 400, 1000))
+        flops_sys, s = comp_score(100, 1000, (5, 0, 0), (0, 400, 1000))
         assert flops_sys == 100
         assert s == 0.0
 
     def test_all_full_cloud_exceeds_one(self):
-        flops_sys, s = comp_score(100, 1000, codes(0, 0, 5), (0, 400, 1000))
+        flops_sys, s = comp_score(100, 1000, (0, 0, 5), (0, 400, 1000))
         assert flops_sys == 1100
         assert s > 1.0
 
     def test_branch_weighted_mean(self):
-        flops_sys, s = comp_score(100, 1000, [EDGE, CLOUD, ADAPTIVE], (0, 400, 1000))
+        flops_sys, s = comp_score(100, 1000, (1, 1, 1), (0, 400, 1000))
         assert flops_sys == pytest.approx(100 + (0 + 1000 + 400) / 3)
         assert s == pytest.approx((flops_sys - 100) / 900)
 
@@ -238,18 +239,19 @@ class TestParetoFrontier:
 
 
 def report(label, s_p, s_comp, s_comm=0.5):
-    return CostReport(label=label, tau=0.5, psi=s_comm / 0.5, s_comm=s_comm,
-                      flops_ecc=500.0, flops_edge=100.0, flops_cloud=1000.0,
-                      s_comp=s_comp, pi_ecc=s_p, pi_edge=0.0, pi_cloud=1.0,
-                      s_p=s_p, accuracy=s_p, recall=0.9)
+    return CostReport(label=label, s_p=s_p, s_comp=s_comp, s_comm=s_comm, tau=0.5,
+                      psi=s_comm / 0.5, flops_ecc=500.0, accuracy=s_p, recall=0.9)
 
 
 class TestReportsAndCsv:
     def test_cost_report_invariant(self):
         with pytest.raises(UsageError):
-            CostReport(label="x", tau=0.5, psi=0.5, s_comm=0.7, flops_ecc=1.0,
-                       flops_edge=0.0, flops_cloud=1.0, s_comp=0.0, pi_ecc=0.0,
-                       pi_edge=0.0, pi_cloud=1.0, s_p=0.0, accuracy=0.0, recall=0.0)
+            CostReport(label="x", s_p=0.0, s_comp=0.0, s_comm=0.7, tau=0.5, psi=0.5,
+                       flops_ecc=1.0, accuracy=0.0, recall=0.0)
+
+    def test_report_fields_are_the_csv_columns(self):
+        assert [f.name for f in dataclasses.fields(CostReport)] == REPORT_COLUMNS == [
+            "label", "s_p", "s_comp", "s_comm", "tau", "psi", "flops_ecc", "accuracy", "recall"]
 
     def test_frontier_reports_filters_dominated(self):
         reports = [report("A", 0.9, 0.7), report("B", 0.8, 0.8), report("C", 0.95, 0.9)]

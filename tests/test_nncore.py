@@ -9,7 +9,7 @@ from edgecloud import nncore
 from edgecloud.nncore import (ConfigError, GradientTape, Param, UsageError,
                               adjoints, dense, flops, forward, residual_block)
 
-from conftest import (finite_difference_grads, max_relative_error, random_net,
+from conftest import (finite_difference_grads, max_relative_error, op_mul, random_net,
                       scalar_forward_reference)
 
 
@@ -78,7 +78,7 @@ class TestBackward:
         tape = GradientTape()
         x = tape.input(np.array([[1.0]]))
         z = nncore.op_affine(tape, x, w, b)
-        grads = adjoints(tape, nncore.op_mean(tape, nncore.op_mul(tape, z, z)))
+        grads = adjoints(tape, nncore.op_mean(tape, op_mul(tape, z, z)))
         assert grads[w].item() == pytest.approx(6.0)
 
     def test_non_scalar_tape_rejected(self):
@@ -101,7 +101,7 @@ class TestBackward:
 
             tape = GradientTape()
             out = nncore.forward_on_tape(tape, layers, tape.input(X))
-            grads = adjoints(tape, nncore.op_mean(tape, nncore.op_mul(tape, out, out)))
+            grads = adjoints(tape, nncore.op_mean(tape, op_mul(tape, out, out)))
             analytic = [grads[p] for p in params]
             numeric = finite_difference_grads(loss_value, params)
             assert max_relative_error(analytic, numeric) < 1e-4
@@ -122,7 +122,7 @@ class TestBackward:
         tape = GradientTape()
         tape.param(w)  # touched in forward, disconnected from the loss
         x = tape.input(np.array([[2.0]]))
-        grads = adjoints(tape, nncore.op_mean(tape, nncore.op_mul(tape, tape.param(v), x)))
+        grads = adjoints(tape, nncore.op_mean(tape, op_mul(tape, tape.param(v), x)))
         assert w not in grads
         assert list(grads) == [v] and np.array_equal(grads[v], [[2.0]])
 
@@ -133,7 +133,7 @@ class TestBackward:
         x = tape.input(np.array([[2.0]]))
         z = nncore.op_affine(tape, x, w, b)
         loss_a = nncore.op_mean(tape, z)
-        loss_b = nncore.op_mean(tape, nncore.op_mul(tape, z, z))
+        loss_b = nncore.op_mean(tape, op_mul(tape, z, z))
         ga = adjoints(tape, loss_a)
         gb = adjoints(tape, loss_b)
         assert ga[w].item() == pytest.approx(2.0)
@@ -148,7 +148,7 @@ class TestDeterminism:
             X = np.random.default_rng(1).standard_normal((4, in_dim))
             tape = GradientTape()
             out = nncore.forward_on_tape(tape, layers, tape.input(X))
-            grads = adjoints(tape, nncore.op_mean(tape, nncore.op_mul(tape, out, out)))
+            grads = adjoints(tape, nncore.op_mean(tape, op_mul(tape, out, out)))
             return layers, out.value, grads
 
         layers_a, out_a, grads_a = build()

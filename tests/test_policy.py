@@ -3,13 +3,15 @@ between the three policy variants, and the batched pass against a
 per-sample reference."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgecloud import models, nncore
-from edgecloud.harness import PolicyConfig, TrainedSystem, evaluate_policies, sweep_dynamic
+from edgecloud.harness import (PolicyConfig, TrainedSystem, evaluate_policies, run_experiment,
+                               sweep_dynamic)
 from edgecloud.metrics import CostReport, comm_score, comp_score, comp_score_value, perf_score
 from edgecloud.models import (ModelSpec, adapt, cloud_tail, feedforward,
                               make_adapter)
@@ -47,6 +49,11 @@ def const_system(probs, seed=3):
     cloud = feedforward("cloud", 4, [8], 3, 0, [0], np.random.default_rng(seed))
     adapter = make_adapter("a", 0, 0, 4, 8, 1, np.random.default_rng(seed + 1))
     return const_prob_edge(probs), cloud, adapter
+
+
+def predictions(routed, codes):
+    """Prediction of the branch each row's route code selects."""
+    return np.choose(codes, (routed.edge_pred, routed.adaptive_pred, routed.cloud_pred))
 
 
 def val_split(tiny_system, rows):
@@ -107,8 +114,9 @@ class TestRouteIndependent:
         codes = route_codes("independent", route_dataset(edge, cloud, adapter, X).confidence, 0.0)
         assert (codes == EDGE_CODE).all()
         sent, cloud_side = route_costs(edge, cloud, adapter, 4)
-        assert comm_score(codes, sent, 16) == (0.0, 0.0, 0.0)
-        assert comp_score(edge.total_flops(), cloud.total_flops(), codes, cloud_side)[1] == 0.0
+        counts = np.bincount(codes, minlength=len(ROUTES))
+        assert comm_score(counts, sent, 16) == (0.0, 0.0, 0.0)
+        assert comp_score(edge.total_flops(), cloud.total_flops(), counts, cloud_side)[1] == 0.0
 
     def test_confident_sample_stays_on_edge(self):
         edge, cloud, adapter = const_system([0.9, 0.05, 0.05])
@@ -116,7 +124,7 @@ class TestRouteIndependent:
         assert routed.confidence[0] == pytest.approx(0.9)
         codes = route_codes("independent", routed.confidence, 0.8)
         assert codes.tolist() == [EDGE_CODE]
-        assert routed.predictions(codes).tolist() == [0]
+        assert predictions(routed, codes).tolist() == [0]
 
     def test_offloaded_sample_pays_raw_input_bytes_and_cloud_flops(self):
         edge, cloud, adapter = const_system([0.2, 0.4, 0.4])
@@ -127,7 +135,7 @@ class TestRouteIndependent:
         sent, cloud_side = route_costs(edge, cloud, adapter, 4)
         assert sent[CLOUD_CODE] == 4 * 4
         assert cloud_side[CLOUD_CODE] == cloud.total_flops()
-        assert routed.predictions(codes)[0] == int(np.argmax(models.infer(cloud, x)))
+        assert predictions(routed, codes)[0] == int(np.argmax(models.infer(cloud, x)))
 
 
 class TestRouteAdaptive:
@@ -137,7 +145,7 @@ class TestRouteAdaptive:
         routed = route_dataset(edge, cloud, adapter, X)
         codes = route_codes("adaptive", routed.confidence, 0.0)
         assert (codes == EDGE_CODE).all()
-        assert np.array_equal(routed.predictions(codes), routed.edge_pred)
+        assert np.array_equal(predictions(routed, codes), routed.edge_pred)
 
     def test_offload_sends_tap_feature_bytes(self):
         edge, cloud, adapter = toy_system(2)
@@ -261,14 +269,14 @@ def oracle_report(system, label, rows):
     input_bytes = ds.dim * system.plan.bytes_per_element
     offloaded = [r for r in rows if r[0] != ROUTE_EDGE]
     tau = len(offloaded) / n
-    psi = sum(r[2] / input_bytes for r in offloaded) / len(offloaded) if offloaded else 0.0
+    psi = (float(Fraction(sum(r[2] for r in offloaded), input_bytes * len(offloaded)))
+           if offloaded else 0.0)
     flops_sys = fe + sum(r[3] for r in rows) / n
     preds = np.array([r[1] for r in rows])
     acc = accuracy_rate(preds, ds.val_y)
-    return CostReport(label, tau, psi, tau * psi, flops_sys, fe, fc,
-                      comp_score_value(fe, fc, flops_sys), acc, pi_edge, pi_cloud,
-                      perf_score(acc, pi_edge, pi_cloud), acc,
-                      recall_rate(preds, ds.val_y, ds.normal_class))
+    return CostReport(label, perf_score(acc, pi_edge, pi_cloud),
+                      comp_score_value(fe, fc, flops_sys), tau * psi, tau, psi, flops_sys,
+                      acc, recall_rate(preds, ds.val_y, ds.normal_class))
 
 
 MIXED_MODES = [("independent", 0.8, 0.0, "normal-class"), ("adaptive", 0.7, 0.0, "max-class"),
@@ -293,8 +301,18 @@ class TestPerSampleOracle:
             codes = route_codes(variant, routed.confidence, c1, c2)
             rows = oracle_rows(system, variant, c1, c2, mode)
             assert [ROUTES[c] for c in codes] == [r[0] for r in rows]
-            assert routed.predictions(codes).tolist() == [r[1] for r in rows]
+            assert predictions(routed, codes).tolist() == [r[1] for r in rows]
             assert report == oracle_report(system, report.label, rows)
+
+    def test_non_dyadic_byte_ratio_is_rounded_once(self):
+        # dim 10 against the 6-wide edge tap: an adapted row sends 24 of the
+        # 40 input bytes, a ratio that a per-row float sum does not keep exact.
+        plan = tiny_plan(data=dataclasses.replace(tiny_plan().data, dim=10))
+        result = run_experiment(plan)
+        for pc, report in zip(plan.policies, result.reports[2:]):
+            rows = oracle_rows(result.system, pc.variant, pc.c1, pc.c2, pc.confidence_mode)
+            assert report == oracle_report(result.system, report.label, rows)
+        assert result.report("adaptive").psi == 0.6
 
     @pytest.mark.parametrize("mode", ["normal-class", "max-class"])
     def test_sweep_matches_oracle(self, tiny_system, mode):

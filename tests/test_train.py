@@ -549,8 +549,8 @@ class StepRecorder:
                                "adjoints": [], "combined": [], "sgd": None})
             return node
 
-        def recorded_adjoints(tape, node, seed=1.0):
-            grads = adjoints(tape, node, seed)
+        def recorded_adjoints(tape, node):
+            grads = adjoints(tape, node)
             self.steps[-1]["adjoints"].append(grads)
             return grads
 
