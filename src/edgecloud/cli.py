@@ -119,7 +119,10 @@ def cmd_frontier(args) -> int:
     rows = metrics.read_report_rows(args.input)
     if not rows:
         raise ConfigError(f"{args.input}: no data rows")
-    perf, cost = args.objectives.split(",") if "," in args.objectives else ("s_p", args.objectives)
+    names = args.objectives.split(",")
+    if len(names) > 2:
+        raise UsageError(f"--objectives: expected 'perf,cost' or 'cost', got {args.objectives!r}")
+    perf, cost = names if len(names) == 2 else ("s_p", *names)
     for col in (perf, cost, "label"):
         if col not in rows[0]:
             raise ConfigError(f"{args.input}: missing column {col!r}")

@@ -4,9 +4,10 @@ The synthetic task mirrors the intended deployment: one "normal" class
 (nothing of interest) drawn from a wide multi-cluster blob around the
 origin, plus well-separated positive classes on orthogonal directions;
 ``difficulty`` widens every cluster and so controls their overlap. A plan
-bundles dataset, model, training-stage and policy configs under a single
-master seed, from which every stage seed is derived, so a whole experiment
-is reproducible byte for byte.
+bundles dataset, net, adapter, training-stage and policy configs under a
+single master seed, from which every stage seed is derived, so a whole
+experiment is reproducible byte for byte; its dataclasses are the plan
+file's schema.
 
 Pipeline order: train the cloud model, train the edge with the
 feature-imitation term (optionally with the three-objective recall bundle),
@@ -15,12 +16,11 @@ the held-out split and written as one CSV row per system, together with the
 non-dominated subsets for (s_p, s_comp) and (s_p, s_comm).
 """
 
-from __future__ import annotations
-
 import dataclasses
 import json
 import os
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
@@ -175,7 +175,8 @@ def gen_dataset(num_classes: int, dim: int, n: int, normal_fraction: float,
 
 
 # ---------------------------------------------------------------------------
-# Experiment plan.
+# Experiment plan. A dataclass field is a plan-file key (``metadata["key"]``
+# renames it), required exactly when the field has no default.
 
 # Each training stage with the derived seed that drives its minibatch order.
 _STAGE_SEEDS = {"cloud": "cloud_train", "edge_kd": "edge_train", "finetune": "finetune"}
@@ -183,11 +184,28 @@ _STAGE_SEEDS = {"cloud": "cloud_train", "edge_kd": "edge_train", "finetune": "fi
 
 @dataclass
 class DataConfig:
-    num_classes: int = 7
-    dim: int = 16
-    n: int = 10_000
-    normal_fraction: float = 0.4
-    difficulty: float = 0.6
+    num_classes: int
+    dim: int
+    n: int
+    normal_fraction: float
+    difficulty: float
+
+
+@dataclass
+class NetConfig:
+    """Widths of a net's relu hidden layers; a linear head follows them."""
+
+    hidden: list[int]
+
+
+@dataclass
+class AdapterConfig:
+    """Projection plus ``blocks`` residual blocks from edge layer ``edge_tap``
+    into cloud layer ``cloud_tap``: the only taps the nets declare."""
+
+    edge_tap: int
+    cloud_tap: int
+    blocks: int
 
 
 @dataclass
@@ -213,29 +231,31 @@ class PolicyConfig:
 
 @dataclass
 class ExperimentPlan:
-    master_seed: int = 0
-    data: DataConfig = field(default_factory=DataConfig)
-    edge_hidden: list[int] = field(default_factory=lambda: [8])
-    edge_taps: list[int] = field(default_factory=lambda: [0])
-    cloud_hidden: list[int] = field(default_factory=lambda: [64, 64, 64, 64])
-    cloud_taps: list[int] = field(default_factory=lambda: [1, 2, 3])
-    adapter_edge_tap: int = 0
-    adapter_cloud_tap: int = 2
-    adapter_blocks: int = 2
-    stages: dict[str, StageConfig] = field(default_factory=dict)
+    master_seed: int
+    data: DataConfig = field(metadata={"key": "dataset"})
+    edge: NetConfig
+    cloud: NetConfig
+    adapter: AdapterConfig
+    stages: dict[str, StageConfig]
     recall_boost: bool = False
     policies: list[PolicyConfig] = field(default_factory=list)
-    c2_grid: list[float] = field(default_factory=lambda: [0.2, 0.25, 0.3, 0.35, 0.4, 0.45])
+    c2_grid: list[float] = field(default_factory=list)
     bytes_per_element: int = 4
 
     def __post_init__(self) -> None:
-        if self.adapter_edge_tap not in self.edge_taps:
-            raise ConfigError("adapter.edge_tap: not among edge taps")
-        if self.adapter_cloud_tap not in self.cloud_taps:
-            raise ConfigError("adapter.cloud_tap: not among cloud taps")
-        if self.adapter_blocks < 0:
+        for name, net, tap in (("edge", self.edge, self.adapter.edge_tap),
+                               ("cloud", self.cloud, self.adapter.cloud_tap)):
+            for i, width in enumerate(net.hidden):
+                if width < 1:
+                    raise ConfigError(f"{name}.hidden[{i}]: must be >= 1")
+            if not 0 <= tap <= len(net.hidden):  # a hidden layer or the head
+                raise ConfigError(f"adapter.{name}_tap: must lie in [0, {len(net.hidden)}]")
+        if self.adapter.blocks < 0:
             raise ConfigError("adapter.blocks: must be >= 0")
-        for name in _STAGE_SEEDS:
+        for name in dict.fromkeys([*self.stages, *_STAGE_SEEDS]):
+            if name not in _STAGE_SEEDS:
+                raise ConfigError(f"stages.{name}: unknown stage, expected one of "
+                                  f"{', '.join(_STAGE_SEEDS)}")
             if name not in self.stages:
                 raise ConfigError(f"stages.{name}: missing stage config")
             try:
@@ -264,6 +284,10 @@ def default_plan(master_seed: int = 0) -> ExperimentPlan:
     """The standard desk-scale plan used by the acceptance suite."""
     return ExperimentPlan(
         master_seed=master_seed,
+        data=DataConfig(num_classes=7, dim=16, n=10_000, normal_fraction=0.4, difficulty=0.6),
+        edge=NetConfig(hidden=[8]),
+        cloud=NetConfig(hidden=[64, 64, 64, 64]),
+        adapter=AdapterConfig(edge_tap=0, cloud_tap=2, blocks=2),
         stages={
             "cloud": StageConfig(epochs=30, batch_size=64, learning_rate=0.08),
             "edge_kd": StageConfig(epochs=30, batch_size=64, learning_rate=0.08, kd_weight=0.5),
@@ -274,11 +298,38 @@ def default_plan(master_seed: int = 0) -> ExperimentPlan:
             PolicyConfig("adaptive", c1=0.8),
             PolicyConfig("dynamic", c1=0.8, c2=0.3),
         ],
+        c2_grid=[0.2, 0.25, 0.3, 0.35, 0.4, 0.45],
     )
 
 
-def _typed(value, kind, where: str):
-    """``value`` as ``kind``: an int is accepted as a float, a bool only as a bool."""
+def _key(f: dataclasses.Field) -> str:
+    """The plan file's key for a field."""
+    return f.metadata.get("key", f.name)
+
+
+def _from_json(kind, value, where: str):
+    """``value`` read as ``kind``: a plan dataclass, ``list[T]``, ``dict[str, T]``
+    or a scalar type. An int is accepted as a float, a bool only as a bool;
+    ``where`` is the value's path in the file, which every error names. This
+    module does not defer annotations, so a field's ``type`` is its type."""
+    if dataclasses.is_dataclass(kind):
+        value = _from_json(dict, value, where)
+        fields = {_key(f): f for f in dataclasses.fields(kind)}
+        for key in value:
+            if key not in fields:
+                raise ConfigError(f"{where}.{key}: unknown field")
+        for key, f in fields.items():
+            if key not in value and f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{where}.{key}: missing")
+        return kind(**{f.name: _from_json(f.type, value[key], f"{where}.{key}")
+                       for key, f in fields.items() if key in value})
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is list:
+        return [_from_json(args[0], v, f"{where}[{i}]")
+                for i, v in enumerate(_from_json(list, value, where))]
+    if origin is dict:
+        return {k: _from_json(args[1], v, f"{where}.{k}")
+                for k, v in _from_json(dict, value, where).items()}
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
@@ -286,84 +337,13 @@ def _typed(value, kind, where: str):
     return value
 
 
-def _expect(mapping: dict, key: str, kind, path: str, default=None):
-    """``mapping[key]`` as a ``kind``; required unless a ``default`` is given."""
-    if key not in mapping:
-        if default is None:
-            raise ConfigError(f"{path}.{key}: missing")
-        return default
-    return _typed(mapping[key], kind, f"{path}.{key}")
-
-
-def _expect_list(mapping: dict, key: str, kind, path: str, default=None) -> list:
-    """A list field whose every element is a ``kind``."""
-    items = _expect(mapping, key, list, path, default)
-    return [_typed(v, kind, f"{path}.{key}[{i}]") for i, v in enumerate(items)]
-
-
 def plan_from_dict(cfg: dict) -> ExperimentPlan:
-    data_cfg = _expect(cfg, "dataset", dict, "plan")
-    data = DataConfig(
-        num_classes=_expect(data_cfg, "num_classes", int, "plan.dataset"),
-        dim=_expect(data_cfg, "dim", int, "plan.dataset"),
-        n=_expect(data_cfg, "n", int, "plan.dataset"),
-        normal_fraction=_expect(data_cfg, "normal_fraction", float, "plan.dataset"),
-        difficulty=_expect(data_cfg, "difficulty", float, "plan.dataset"),
-    )
-    edge_cfg = _expect(cfg, "edge", dict, "plan")
-    cloud_cfg = _expect(cfg, "cloud", dict, "plan")
-    adapter_cfg = _expect(cfg, "adapter", dict, "plan")
-    stages = {}
-    for name, sc in _expect(cfg, "stages", dict, "plan").items():
-        path = f"plan.stages.{name}"
-        sc = _typed(sc, dict, path)
-        stages[name] = StageConfig(
-            epochs=_expect(sc, "epochs", int, path),
-            batch_size=_expect(sc, "batch_size", int, path),
-            learning_rate=_expect(sc, "learning_rate", float, path),
-            kd_weight=_expect(sc, "kd_weight", float, path, 1.0),
-        )
-    policies = []
-    for i, pc in enumerate(_expect_list(cfg, "policies", dict, "plan", [])):
-        path = f"plan.policies[{i}]"
-        policies.append(PolicyConfig(
-            variant=_expect(pc, "variant", str, path),
-            c1=_expect(pc, "c1", float, path),
-            c2=_expect(pc, "c2", float, path, 0.0),
-            confidence_mode=_expect(pc, "confidence_mode", str, path, models.NORMAL_CLASS_MODE),
-        ))
-    return ExperimentPlan(
-        master_seed=_expect(cfg, "master_seed", int, "plan"),
-        data=data,
-        edge_hidden=_expect_list(edge_cfg, "hidden", int, "plan.edge"),
-        edge_taps=_expect_list(edge_cfg, "taps", int, "plan.edge", [0]),
-        cloud_hidden=_expect_list(cloud_cfg, "hidden", int, "plan.cloud"),
-        cloud_taps=_expect_list(cloud_cfg, "taps", int, "plan.cloud"),
-        adapter_edge_tap=_expect(adapter_cfg, "edge_tap", int, "plan.adapter"),
-        adapter_cloud_tap=_expect(adapter_cfg, "cloud_tap", int, "plan.adapter"),
-        adapter_blocks=_expect(adapter_cfg, "blocks", int, "plan.adapter"),
-        stages=stages,
-        recall_boost=_expect(cfg, "recall_boost", bool, "plan", False),
-        policies=policies,
-        c2_grid=_expect_list(cfg, "c2_grid", float, "plan", []),
-        bytes_per_element=_expect(cfg, "bytes_per_element", int, "plan", 4),
-    )
+    return _from_json(ExperimentPlan, cfg, "plan")
 
 
 def plan_to_dict(plan: ExperimentPlan) -> dict:
-    return {
-        "master_seed": plan.master_seed,
-        "dataset": dataclasses.asdict(plan.data),
-        "edge": {"hidden": plan.edge_hidden, "taps": plan.edge_taps},
-        "cloud": {"hidden": plan.cloud_hidden, "taps": plan.cloud_taps},
-        "adapter": {"edge_tap": plan.adapter_edge_tap, "cloud_tap": plan.adapter_cloud_tap,
-                    "blocks": plan.adapter_blocks},
-        "stages": {name: dataclasses.asdict(sc) for name, sc in plan.stages.items()},
-        "recall_boost": plan.recall_boost,
-        "policies": [dataclasses.asdict(pc) for pc in plan.policies],
-        "c2_grid": plan.c2_grid,
-        "bytes_per_element": plan.bytes_per_element,
-    }
+    cfg = dataclasses.asdict(plan)
+    return {_key(f): cfg[f.name] for f in dataclasses.fields(plan)}
 
 
 def load_plan(path, seed_override: int | None = None) -> ExperimentPlan:
@@ -372,8 +352,6 @@ def load_plan(path, seed_override: int | None = None) -> ExperimentPlan:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: plan must be a JSON object")
     plan = plan_from_dict(cfg)
     if seed_override is not None:
         plan.master_seed = seed_override
@@ -408,16 +386,15 @@ def build_dataset(plan: ExperimentPlan) -> Dataset:
 
 
 def build_models(plan: ExperimentPlan) -> tuple[ModelSpec, ModelSpec, AdapterSpec]:
+    """Edge, cloud and adapter, each net declaring only the adapter's tap."""
     seeds = derive_seeds(plan.master_seed)
-    k = plan.data.num_classes
-    edge = models.feedforward("edge", plan.data.dim, plan.edge_hidden, k, 0,
-                              plan.edge_taps, np.random.default_rng(seeds["edge_init"]))
-    cloud = models.feedforward("cloud", plan.data.dim, plan.cloud_hidden, k, 0,
-                               plan.cloud_taps, np.random.default_rng(seeds["cloud_init"]))
-    adapter = models.make_adapter("adapter", plan.adapter_edge_tap, plan.adapter_cloud_tap,
-                                  edge.tap_dim(plan.adapter_edge_tap),
-                                  cloud.tap_dim(plan.adapter_cloud_tap),
-                                  plan.adapter_blocks,
+    d, a = plan.data, plan.adapter
+    edge = models.feedforward("edge", d.dim, plan.edge.hidden, d.num_classes, 0, [a.edge_tap],
+                              np.random.default_rng(seeds["edge_init"]))
+    cloud = models.feedforward("cloud", d.dim, plan.cloud.hidden, d.num_classes, 0,
+                               [a.cloud_tap], np.random.default_rng(seeds["cloud_init"]))
+    adapter = models.make_adapter("adapter", a.edge_tap, a.cloud_tap, edge.tap_dim(a.edge_tap),
+                                  cloud.tap_dim(a.cloud_tap), a.blocks,
                                   np.random.default_rng(seeds["adapter_init"]))
     return edge, cloud, adapter
 

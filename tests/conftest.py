@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from edgecloud import harness, nncore
-from edgecloud.harness import DataConfig, ExperimentPlan, PolicyConfig, StageConfig
+from edgecloud.harness import (AdapterConfig, DataConfig, ExperimentPlan, NetConfig,
+                               PolicyConfig, StageConfig)
 from edgecloud.metrics import MAX
 from edgecloud.moo import GradientBundle, SimplexWeights
 from edgecloud.nncore import UsageError
@@ -180,13 +181,9 @@ def tiny_plan(master_seed=0, **overrides):
     kwargs = dict(
         master_seed=master_seed,
         data=DataConfig(num_classes=4, dim=8, n=600, normal_fraction=0.4, difficulty=0.4),
-        edge_hidden=[6],
-        edge_taps=[0],
-        cloud_hidden=[16, 16, 16],
-        cloud_taps=[0, 1, 2],
-        adapter_edge_tap=0,
-        adapter_cloud_tap=1,
-        adapter_blocks=1,
+        edge=NetConfig(hidden=[6]),
+        cloud=NetConfig(hidden=[16, 16, 16]),
+        adapter=AdapterConfig(edge_tap=0, cloud_tap=1, blocks=1),
         stages={
             "cloud": StageConfig(epochs=8, batch_size=32, learning_rate=0.1),
             "edge_kd": StageConfig(epochs=8, batch_size=32, learning_rate=0.1, kd_weight=1.0),
@@ -209,8 +206,8 @@ MISTYPED_FIELDS = [
     (("recall_boost",), "false", "plan.recall_boost: expected bool, got str"),
     (("bytes_per_element",), 4.9, "plan.bytes_per_element: expected int, got float"),
     (("edge", "hidden"), ["6"], r"plan.edge.hidden\[0\]: expected int, got str"),
-    (("edge", "taps"), [0.0], r"plan.edge.taps\[0\]: expected int, got float"),
-    (("cloud", "taps"), "012", "plan.cloud.taps: expected list, got str"),
+    (("adapter", "edge_tap"), 0.0, "plan.adapter.edge_tap: expected int, got float"),
+    (("cloud", "hidden"), "012", "plan.cloud.hidden: expected list, got str"),
     (("c2_grid",), [0.2, "0.3"], r"plan.c2_grid\[1\]: expected float, got str"),
     (("stages", "cloud", "kd_weight"), "1", "plan.stages.cloud.kd_weight: expected float, got str"),
     (("policies", 2, "c2"), None, r"plan.policies\[2\].c2: expected float, got NoneType"),

@@ -15,7 +15,7 @@ from edgecloud import harness, nncore, train
 from edgecloud.cli import dispatch
 from edgecloud.harness import default_plan, run_experiment, sweep_dynamic
 from edgecloud.metrics import ParetoPoint, comp_score_value, pareto_frontier, perf_score
-from edgecloud.models import infer, infer_with_tap, cloud_tail, softmax
+from edgecloud.models import ModelSpec, infer, infer_with_tap, cloud_tail, softmax
 from edgecloud.moo import GradientBundle, solve_min_norm
 from edgecloud.nncore import GradientTape, adjoints, forward
 from edgecloud.policy import (ADAPTIVE_CODE, CLOUD_CODE, EDGE_CODE, route_codes,
@@ -118,14 +118,17 @@ def test_criterion_4_routing_identities():
 
     full = infer(cloud, X)
     splits_exact = True
-    for tap in sorted(cloud.taps):
-        _, feat = infer_with_tap(cloud, X, tap)
-        splits_exact &= np.array_equal(cloud_tail(cloud, feat, tap), full)
+    # the cloud declares only the adapter's tap; split it after every hidden layer
+    split = ModelSpec(cloud.name, cloud.layers, cloud.num_classes, cloud.normal_class,
+                      range(len(cloud.layers) - 1))
+    for tap in sorted(split.taps):
+        _, feat = infer_with_tap(split, X, tap)
+        splits_exact &= np.array_equal(cloud_tail(split, feat, tap), full)
 
     ok = collapse_a and collapse_i and splits_exact and all_branches
     report_line(4, ok, f"dynamic(c2=0)==adaptive: {collapse_a}, "
                        f"dynamic(c2=c1)==independent: {collapse_i}, "
-                       f"path splitting bit-exact on 2000x{len(cloud.taps)} taps: {splits_exact}")
+                       f"path splitting bit-exact on 2000x{len(split.taps)} taps: {splits_exact}")
 
 
 @pytest.fixture(scope="module")

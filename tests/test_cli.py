@@ -112,6 +112,16 @@ def test_frontier_missing_column_exits_2(tmp_path, capsys):
     assert "s_comp" in capsys.readouterr().err
 
 
+def test_frontier_with_three_objectives_exits_2(tmp_path, capsys):
+    src = tmp_path / "rows.csv"
+    src.write_text("label,s_p,s_comp,s_comm\nA,0.9,0.7,0.5\n")
+    dst = tmp_path / "front.csv"
+    assert dispatch(["frontier", "--input", str(src), "--output", str(dst),
+                     "--objectives", "s_p,s_comp,s_comm"]) == 2
+    assert "--objectives" in capsys.readouterr().err
+    assert not dst.exists()
+
+
 def test_out_dir_from_environment(plan_file, tmp_path, monkeypatch):
     out = tmp_path / "env_out"
     monkeypatch.setenv("EDGECLOUD_OUT", str(out))
@@ -174,6 +184,31 @@ def test_train_refuses_a_mistyped_or_unsweepable_plan(tmp_path, capsys, keys, va
     assert dispatch(["train", "--config", str(path), "--out", str(out)]) == 2
     assert re.search(f"^error: {message}", capsys.readouterr().err)
     assert not (out / "edge.npz").exists()
+
+
+REFUSED_AT_LOAD = [
+    (("edge", "hidden"), [-3], r"edge.hidden\[0\]: must be >= 1"),
+    (("edge", "hidden"), [0], r"edge.hidden\[0\]: must be >= 1"),
+    (("recall_bost",), True, "plan.recall_bost: unknown field"),
+    (("cloud", "taps"), [0, 1, 2], "plan.cloud.taps: unknown field"),
+    (("adapter", "edge_tap"), 5, r"adapter.edge_tap: must lie in \[0, 1\]"),
+]
+
+
+@pytest.mark.parametrize("keys, value, message", REFUSED_AT_LOAD,
+                         ids=["edge-width--3", "edge-width-0", "recall_bost", "cloud.taps",
+                              "edge-tap-5"])
+def test_train_refuses_an_unbuildable_or_misspelled_plan(tmp_path, capsys, keys, value, message):
+    import json
+    import re
+    cfg = harness.plan_to_dict(tiny_plan())
+    set_field(cfg, keys, value)
+    path, out = tmp_path / "plan.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg))
+    for command in ("gen-data", "train"):
+        assert dispatch([command, "--config", str(path), "--out", str(out)]) == 2
+        assert re.search(f"^error: {message}$", capsys.readouterr().err)
+    assert not (out / "dataset.npz").exists() and not (out / "edge.npz").exists()
 
 
 def test_train_rejects_a_bad_stage_before_running_any(tmp_path, capsys, monkeypatch):

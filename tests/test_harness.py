@@ -1,21 +1,69 @@
 """Dataset generation, plan parsing, and end-to-end pipeline tests."""
 
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from edgecloud import harness, metrics
-from edgecloud.harness import (Dataset, PolicyConfig, TrainedSystem, build_dataset,
-                               build_models, default_plan, evaluate_policies,
-                               gen_dataset, load_plan, plan_from_dict,
-                               plan_to_dict, run_experiment, save_plan,
-                               sweep_dynamic)
+from edgecloud.harness import (AdapterConfig, Dataset, ExperimentPlan, NetConfig,
+                               PolicyConfig, StageConfig, TrainedSystem, build_dataset,
+                               build_models, default_plan, evaluate_policies, gen_dataset,
+                               load_plan, plan_from_dict, plan_to_dict, run_experiment,
+                               save_plan, sweep_dynamic)
 from edgecloud.metrics import pareto_frontier
 from edgecloud.nncore import ConfigError, UsageError
 
 from conftest import MISTYPED_FIELDS, field_id, set_field, tiny_plan
+
+REQUIRED = "missing"
+
+# What a plan file that omits a key reads as: REQUIRED, or the dataclass
+# that owns the field and the default the field takes. "*" stands for any
+# stage name or policy index.
+OMITTED = {
+    **{keys: REQUIRED for keys in [
+        ("master_seed",), ("dataset",), ("dataset", "num_classes"), ("dataset", "dim"),
+        ("dataset", "n"), ("dataset", "normal_fraction"), ("dataset", "difficulty"),
+        ("edge",), ("edge", "hidden"), ("cloud",), ("cloud", "hidden"),
+        ("adapter",), ("adapter", "edge_tap"), ("adapter", "cloud_tap"), ("adapter", "blocks"),
+        ("stages",), ("stages", "*", "epochs"), ("stages", "*", "batch_size"),
+        ("stages", "*", "learning_rate"), ("policies", "*", "variant"), ("policies", "*", "c1"),
+    ]},
+    ("recall_boost",): (ExperimentPlan, False),
+    ("policies",): (ExperimentPlan, []),
+    ("c2_grid",): (ExperimentPlan, []),
+    ("bytes_per_element",): (ExperimentPlan, 4),
+    ("stages", "*", "kd_weight"): (StageConfig, 1.0),
+    ("policies", "*", "c2"): (PolicyConfig, 0.0),
+    ("policies", "*", "confidence_mode"): (PolicyConfig, "normal-class"),
+}
+
+
+def key_paths(cfg, keys=()):
+    """The keys of every field in a plan dict, through stage names and policy
+    indices; a stage name on its own is a dict entry, not a field."""
+    items = (cfg.items() if isinstance(cfg, dict)
+             else enumerate(cfg) if isinstance(cfg, list) else ())
+    for key, value in items:
+        path = keys + (key,)
+        if not isinstance(key, int) and keys != ("stages",):
+            yield path
+        yield from key_paths(value, path)
+
+
+def key_path(keys) -> str:
+    """The path a plan error names for ``keys``: ``plan.policies[0].c1``."""
+    return "plan" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+
+
+def del_field(cfg, keys):
+    for key in keys[:-1]:
+        cfg = cfg[key]
+    del cfg[keys[-1]]
 
 
 class TestGenDataset:
@@ -78,9 +126,11 @@ class TestGenDataset:
 
 class TestPlans:
     def test_round_trip(self):
-        plan = default_plan(3)
-        rebuilt = plan_from_dict(plan_to_dict(plan))
-        assert plan_to_dict(rebuilt) == plan_to_dict(plan)
+        for plan in (default_plan(3), tiny_plan()):
+            cfg = plan_to_dict(plan)
+            rebuilt = plan_from_dict(cfg)
+            assert rebuilt == plan
+            assert plan_to_dict(rebuilt) == cfg
 
     def test_file_round_trip(self, tmp_path):
         plan = default_plan(5)
@@ -108,7 +158,58 @@ class TestPlans:
 
     def test_tap_consistency_enforced(self):
         with pytest.raises(ConfigError, match="cloud_tap"):
-            tiny_plan(adapter_cloud_tap=9)
+            tiny_plan(adapter=AdapterConfig(edge_tap=0, cloud_tap=9, blocks=1))
+
+    @pytest.mark.parametrize("keys, value, message", [
+        (("adapter", "edge_tap"), 2, r"adapter.edge_tap: must lie in \[0, 1\]"),
+        (("adapter", "cloud_tap"), -1, r"adapter.cloud_tap: must lie in \[0, 3\]"),
+        (("edge", "hidden"), [-3], r"edge.hidden\[0\]: must be >= 1"),
+        (("edge", "hidden"), [0], r"edge.hidden\[0\]: must be >= 1"),
+        (("cloud", "hidden"), [16, 0, 16], r"cloud.hidden\[1\]: must be >= 1"),
+        (("stages", "edge"), {"epochs": 1, "batch_size": 8, "learning_rate": 0.1},
+         "stages.edge: unknown stage, expected one of cloud, edge_kd, finetune"),
+    ], ids=["edge-tap-2", "cloud-tap--1", "edge-width--3", "edge-width-0", "cloud-width-0",
+            "extra-stage"])
+    def test_unbuildable_plan_refused_at_load(self, keys, value, message):
+        cfg = plan_to_dict(tiny_plan())
+        set_field(cfg, keys, value)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            plan_from_dict(cfg)
+
+    @pytest.mark.parametrize("keys", [
+        ("recall_bost",), ("dataset", "noise"), ("edge", "taps"), ("cloud", "taps"),
+        ("stages", "cloud", "epoch"), ("policies", 1, "c_1"),
+    ], ids=field_id)
+    def test_unknown_key_refused(self, keys):
+        cfg = plan_to_dict(tiny_plan())
+        set_field(cfg, keys, 1)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key_path(keys))}: unknown field$"):
+            plan_from_dict(cfg)
+
+    def test_misspelled_key_named_before_the_key_it_replaces(self):
+        cfg = plan_to_dict(tiny_plan())
+        cfg["stages"]["cloud"]["epoch"] = cfg["stages"]["cloud"].pop("epochs")
+        with pytest.raises(ConfigError, match=r"^plan.stages.cloud.epoch: unknown field$"):
+            plan_from_dict(cfg)
+
+    @pytest.mark.parametrize("keys", list(key_paths(plan_to_dict(tiny_plan()))), ids=field_id)
+    def test_omitted_key_is_missing_or_reads_as_its_field_default(self, keys):
+        rule = OMITTED[tuple("*" if i and keys[i - 1] in ("stages", "policies") else k
+                             for i, k in enumerate(keys))]
+        cfg = plan_to_dict(tiny_plan())
+        del_field(cfg, keys)
+        if rule is REQUIRED:
+            with pytest.raises(ConfigError, match=rf"^{re.escape(key_path(keys))}: missing$"):
+                plan_from_dict(cfg)
+            return
+        owner, default = rule
+        spec = {f.name: f for f in dataclasses.fields(owner)}[keys[-1]]
+        field_default = (spec.default if spec.default is not dataclasses.MISSING
+                         else spec.default_factory())
+        read_back = plan_to_dict(plan_from_dict(cfg))
+        for key in keys[:-1]:
+            read_back = read_back[key]
+        assert read_back[keys[-1]] == default == field_default
 
     @pytest.mark.parametrize("policy, key, value, field", [
         (0, "c1", 1.5, "c1"),
@@ -168,9 +269,9 @@ class TestPipeline:
         edge, cloud, adapter = build_models(plan)
         assert edge.in_dim == plan.data.dim
         assert cloud.total_flops() > edge.total_flops()
-        assert adapter.num_blocks == plan.adapter_blocks
-        assert adapter.projection.in_dim == edge.tap_dim(plan.adapter_edge_tap)
-        assert adapter.projection.out_dim == cloud.tap_dim(plan.adapter_cloud_tap)
+        assert adapter.num_blocks == plan.adapter.blocks
+        assert adapter.projection.in_dim == edge.tap_dim(plan.adapter.edge_tap)
+        assert adapter.projection.out_dim == cloud.tap_dim(plan.adapter.cloud_tap)
 
     def test_reports_and_anchors(self, tiny_system):
         reports = {r.label: r for r in tiny_system.reports}
@@ -191,7 +292,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("policies", [[], tiny_plan().policies], ids=["none", "tiny-plan"])
     def test_edge_as_costly_as_the_cloud_refused(self, policies):
-        plan = tiny_plan(edge_hidden=[64, 64], policies=policies)
+        plan = tiny_plan(edge=NetConfig(hidden=[64, 64]), policies=policies)
         system = TrainedSystem(plan, build_dataset(plan), *build_models(plan))
         with pytest.raises(ConfigError, match="flops_cloud > flops_edge"):
             evaluate_policies(system)
