@@ -111,14 +111,9 @@ def gen_dataset(num_classes: int, dim: int, n: int, normal_fraction: float,
     radius ``POSITIVE_RADIUS``. ``difficulty`` in [0, 1] scales every
     cluster's spread; at 0 the classes are essentially separable.
     """
-    if num_classes < 2:
-        raise UsageError("num_classes must be >= 2")
-    if dim < 1 or n < num_classes:
-        raise UsageError("degenerate dataset config (need dim >= 1, n >= num_classes)")
-    if not 0.0 <= normal_fraction <= 1.0:
-        raise UsageError("normal_fraction must lie in [0, 1]")
-    if not 0.0 <= difficulty <= 1.0:
-        raise UsageError("difficulty must lie in [0, 1]")
+    problem = DataConfig(num_classes, dim, n, normal_fraction, difficulty).problem()
+    if problem:
+        raise UsageError(problem)
 
     rng = np.random.default_rng(seed)
     n_positive_classes = num_classes - 1
@@ -190,6 +185,15 @@ class DataConfig:
     normal_fraction: float
     difficulty: float
 
+    def problem(self) -> str | None:
+        """The first rule this config breaks, as ``"<key>: <rule>"``, or ``None``."""
+        rules = (("num_classes", self.num_classes >= 2, "must be >= 2"),
+                 ("dim", self.dim >= 1, "must be >= 1"),
+                 ("n", self.n >= self.num_classes, "must be >= num_classes"),
+                 ("normal_fraction", 0.0 <= self.normal_fraction <= 1.0, "must lie in [0, 1]"),
+                 ("difficulty", 0.0 <= self.difficulty <= 1.0, "must lie in [0, 1]"))
+        return next((f"{key}: {rule}" for key, holds, rule in rules if not holds), None)
+
 
 @dataclass
 class NetConfig:
@@ -201,7 +205,7 @@ class NetConfig:
 @dataclass
 class AdapterConfig:
     """Projection plus ``blocks`` residual blocks from edge layer ``edge_tap``
-    into cloud layer ``cloud_tap``: the only taps the nets declare."""
+    into cloud layer ``cloud_tap``: the plan's only split point."""
 
     edge_tap: int
     cloud_tap: int
@@ -243,6 +247,9 @@ class ExperimentPlan:
     bytes_per_element: int = 4
 
     def __post_init__(self) -> None:
+        problem = self.data.problem()
+        if problem:
+            raise ConfigError(f"dataset.{problem}")
         for name, net, tap in (("edge", self.edge, self.adapter.edge_tap),
                                ("cloud", self.cloud, self.adapter.cloud_tap)):
             for i, width in enumerate(net.hidden):
@@ -386,13 +393,13 @@ def build_dataset(plan: ExperimentPlan) -> Dataset:
 
 
 def build_models(plan: ExperimentPlan) -> tuple[ModelSpec, ModelSpec, AdapterSpec]:
-    """Edge, cloud and adapter, each net declaring only the adapter's tap."""
+    """Edge, cloud and the adapter that splits them, from the plan's seeds."""
     seeds = derive_seeds(plan.master_seed)
     d, a = plan.data, plan.adapter
-    edge = models.feedforward("edge", d.dim, plan.edge.hidden, d.num_classes, 0, [a.edge_tap],
+    edge = models.feedforward("edge", d.dim, plan.edge.hidden, d.num_classes, 0,
                               np.random.default_rng(seeds["edge_init"]))
     cloud = models.feedforward("cloud", d.dim, plan.cloud.hidden, d.num_classes, 0,
-                               [a.cloud_tap], np.random.default_rng(seeds["cloud_init"]))
+                               np.random.default_rng(seeds["cloud_init"]))
     adapter = models.make_adapter("adapter", a.edge_tap, a.cloud_tap, edge.tap_dim(a.edge_tap),
                                   cloud.tap_dim(a.cloud_tap), a.blocks,
                                   np.random.default_rng(seeds["adapter_init"]))

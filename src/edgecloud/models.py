@@ -1,19 +1,17 @@
-"""Edge, cloud and adapter networks: feature taps, split inference, and
-confidence scores.
+"""Edge, cloud and adapter networks: split inference and confidence scores.
 
 A model is a stack of layers ending in a ``num_classes``-wide head; class
 probabilities are always a max-subtracted softmax over the final logits. A
-*tap* is a 0-based layer index whose post-layer activation may be exported
-as a :class:`FeatureMap`, and ``cloud_tail`` resumes a model from such an
-activation by running only the layers after the tap. Every path is
-``nncore.forward`` on a slice of one layer stack: ``infer_with_tap`` runs
-the layers up to the tap and then the rest, ``adapt`` runs the adapter's
-layers and ``cloud_tail`` the layers after the tap.
+*tap* is a 0-based layer index, and the adapter's ``(edge_tap, cloud_tap)``
+is the only place a split is defined: ``infer_with_tap`` returns the edge's
+activation after its tap, ``adapt`` maps it into the cloud tap's space, and
+``cloud_tail`` resumes the cloud from such an activation by running only the
+layers after the tap. Every path is ``nncore.forward`` on a slice of one
+layer stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,23 +25,14 @@ MAX_CLASS_MODE = "max-class"
 CONFIDENCE_MODES = (NORMAL_CLASS_MODE, MAX_CLASS_MODE)
 
 
-@dataclass(frozen=True)
-class FeatureMap:
-    """Intermediate activation exported at a declared tap."""
-
-    values: np.ndarray
-    producer: str
-    tap: int
-
-
 class ModelSpec:
-    """Named layer stack with a softmax head, declared feature taps, and the
-    index of the 'nothing of interest' class."""
+    """Named layer stack with a softmax head and the index of the 'nothing of
+    interest' class."""
 
-    __slots__ = ("name", "layers", "num_classes", "normal_class", "taps")
+    __slots__ = ("name", "layers", "num_classes", "normal_class")
 
     def __init__(self, name: str, layers: Sequence[LayerSpec], num_classes: int,
-                 normal_class: int, taps: Sequence[int]) -> None:
+                 normal_class: int) -> None:
         layers = list(layers)
         if not layers:
             raise ConfigError("model needs at least one layer")
@@ -52,14 +41,10 @@ class ModelSpec:
             raise ConfigError(f"last layer out_dim {layers[-1].out_dim} != num_classes {num_classes}")
         if not 0 <= normal_class < num_classes:
             raise ConfigError(f"normal_class {normal_class} out of range")
-        tap_set = frozenset(int(t) for t in taps)
-        if any(t < 0 or t >= len(layers) for t in tap_set):
-            raise ConfigError("tap index out of range")
         self.name = name
         self.layers = layers
         self.num_classes = num_classes
         self.normal_class = normal_class
-        self.taps = tap_set
 
     @property
     def in_dim(self) -> int:
@@ -76,7 +61,7 @@ class ModelSpec:
 
     def __repr__(self) -> str:
         dims = "->".join(str(d) for d in [self.in_dim] + [l.out_dim for l in self.layers])
-        return f"ModelSpec({self.name!r}, {dims}, taps={sorted(self.taps)})"
+        return f"ModelSpec({self.name!r}, {dims})"
 
 
 class AdapterSpec:
@@ -126,8 +111,7 @@ class AdapterSpec:
 
 
 def feedforward(name: str, in_dim: int, hidden: Sequence[int], num_classes: int,
-                normal_class: int, taps: Sequence[int],
-                rng: np.random.Generator | None = None) -> ModelSpec:
+                normal_class: int, rng: np.random.Generator | None = None) -> ModelSpec:
     """Relu MLP with an identity head; hidden layer i is named ``{name}.h{i}``."""
     layers = []
     prev = in_dim
@@ -135,7 +119,7 @@ def feedforward(name: str, in_dim: int, hidden: Sequence[int], num_classes: int,
         layers.append(dense(prev, width, RELU, rng=rng, name=f"{name}.h{i}"))
         prev = width
     layers.append(dense(prev, num_classes, IDENTITY, rng=rng, name=f"{name}.head"))
-    return ModelSpec(name, layers, num_classes, normal_class, taps)
+    return ModelSpec(name, layers, num_classes, normal_class)
 
 
 def make_adapter(name: str, edge_tap: int, cloud_tap: int, edge_dim: int,
@@ -147,11 +131,10 @@ def make_adapter(name: str, edge_tap: int, cloud_tap: int, edge_dim: int,
 
 
 def check_adapter_binding(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec) -> None:
-    """Reject an adapter whose edge or cloud tap its models do not declare."""
-    if adapter.edge_tap not in edge.taps:
-        raise ConfigError(f"adapter edge tap {adapter.edge_tap} not declared by {edge.name!r}")
-    if adapter.cloud_tap not in cloud.taps:
-        raise ConfigError(f"adapter cloud tap {adapter.cloud_tap} not declared by {cloud.name!r}")
+    """Reject an adapter whose edge or cloud tap is not a layer index of its net."""
+    for side, net, tap in (("edge", edge, adapter.edge_tap), ("cloud", cloud, adapter.cloud_tap)):
+        if not 0 <= tap < len(net.layers):
+            raise ConfigError(f"adapter {side} tap {tap} out of range for {net.name!r}")
 
 
 def infer(model: ModelSpec, x) -> np.ndarray:
@@ -159,24 +142,17 @@ def infer(model: ModelSpec, x) -> np.ndarray:
     return softmax(nncore.forward(model.layers, x))
 
 
-def infer_with_tap(model: ModelSpec, x, tap: int) -> tuple[np.ndarray, FeatureMap]:
+def infer_with_tap(model: ModelSpec, x, tap: int) -> tuple[np.ndarray, np.ndarray]:
     """Class probabilities plus the activation after layer ``tap``."""
-    if tap not in model.taps:
-        raise UsageError(f"tap {tap} not declared for model {model.name!r}")
+    if not 0 <= tap < len(model.layers):
+        raise UsageError(f"tap {tap} out of range for {model.name!r}")
     captured = nncore.forward(model.layers[:tap + 1], x)
-    probs = softmax(nncore.forward(model.layers[tap + 1:], captured))
-    return probs, FeatureMap(captured, model.name, tap)
+    return softmax(nncore.forward(model.layers[tap + 1:], captured)), captured
 
 
-def adapt(adapter: AdapterSpec, edge_feature) -> FeatureMap:
-    """Map an edge tap feature into the cloud's tap-``n`` feature space."""
-    if isinstance(edge_feature, FeatureMap):
-        if edge_feature.tap != adapter.edge_tap:
-            raise UsageError(f"feature tap {edge_feature.tap} != adapter edge tap {adapter.edge_tap}")
-        values = edge_feature.values
-    else:
-        values = edge_feature
-    return FeatureMap(nncore.forward(adapter.layers(), values), adapter.name, adapter.cloud_tap)
+def adapt(adapter: AdapterSpec, edge_feature) -> np.ndarray:
+    """Map an edge tap feature into the cloud's tap-``cloud_tap`` feature space."""
+    return nncore.forward(adapter.layers(), edge_feature)
 
 
 def cloud_tail(model: ModelSpec, injected, from_tap: int) -> np.ndarray:
@@ -187,7 +163,7 @@ def cloud_tail(model: ModelSpec, injected, from_tap: int) -> np.ndarray:
     """
     if not 0 <= from_tap < len(model.layers):
         raise UsageError(f"from_tap {from_tap} out of range for {model.name!r}")
-    values = as_tensor(injected.values if isinstance(injected, FeatureMap) else injected)
+    values = as_tensor(injected)
     expected = model.layers[from_tap].out_dim
     # checked here: the slice after the last layer is empty and checks no dim
     if values.ndim in (1, 2) and values.shape[-1] != expected:

@@ -14,8 +14,6 @@ records on the tape:
   positive-samples-only cross-entropy and the imitation loss.
 * ``finetune_adapter`` -- tunes the adapter plus the cloud layers after the
   injection tap on the end-to-end adapted path, everything else frozen.
-* ``train_recall_boost`` -- two objectives, cross-entropy and
-  positive-samples-only cross-entropy.
 
 A step with one objective follows its gradient. A step with several follows
 their minimum-norm simplex combination, so no step increases any of them to
@@ -45,8 +43,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import nncore
-from .models import (AdapterSpec, FeatureMap, ModelSpec, adapt,
-                     check_adapter_binding, cloud_tail, infer, infer_with_tap)
+from .models import (AdapterSpec, ModelSpec, adapt, check_adapter_binding,
+                     cloud_tail, infer, infer_with_tap)
 from .moo import GradientBundle, solve_min_norm
 from .nncore import (ConfigError, GradientTape, Node, Param, UsageError,
                      as_tensor, sigmoid)
@@ -137,9 +135,7 @@ def kd_loss(cloud_feature, adapted_feature) -> float:
     Target ``p = sigmoid(cloud)``, prediction ``q = sigmoid(adapted)``
     clamped away from {0, 1}; mean over elements.
     """
-    cval = cloud_feature.values if isinstance(cloud_feature, FeatureMap) else np.asarray(cloud_feature)
-    aval = adapted_feature.values if isinstance(adapted_feature, FeatureMap) else np.asarray(adapted_feature)
-    return _kd_against(sigmoid(cval), aval)
+    return _kd_against(sigmoid(np.asarray(cloud_feature)), np.asarray(adapted_feature))
 
 
 def _kd_against(target: np.ndarray, adapted: np.ndarray) -> float:
@@ -250,12 +246,12 @@ def evaluate_model(model: ModelSpec, X, y) -> LossReport:
     return _loss_report(infer(model, X), np.asarray(y, dtype=np.intp), model.normal_class)
 
 
-def _adaptive_report(cloud: ModelSpec, adapter: AdapterSpec, edge_feat: FeatureMap,
+def _adaptive_report(cloud: ModelSpec, adapter: AdapterSpec, edge_feat: np.ndarray,
                      target: np.ndarray, y: np.ndarray) -> LossReport:
     """Adapted-path metrics from a given edge tap feature and KD targets."""
     adapted = adapt(adapter, edge_feat)
     probs = cloud_tail(cloud, adapted, adapter.cloud_tap)
-    return _loss_report(probs, y, cloud.normal_class, _kd_against(target, adapted.values))
+    return _loss_report(probs, y, cloud.normal_class, _kd_against(target, adapted))
 
 
 def evaluate_adaptive_path(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
@@ -263,7 +259,7 @@ def evaluate_adaptive_path(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSp
     """Metrics of the edge-tap -> adapter -> cloud-tail path."""
     _, edge_feat = infer_with_tap(edge, X, adapter.edge_tap)
     _, cloud_feat = infer_with_tap(cloud, X, adapter.cloud_tap)
-    return _adaptive_report(cloud, adapter, edge_feat, sigmoid(cloud_feat.values),
+    return _adaptive_report(cloud, adapter, edge_feat, sigmoid(cloud_feat),
                             np.asarray(y, dtype=np.intp))
 
 
@@ -420,7 +416,7 @@ def train_edge_kd(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
     def report():
         # one edge pass gives both the probabilities and the tap
         probs, edge_feat = infer_with_tap(edge, X, adapter.edge_tap)
-        kd = 0.0 if kd_target is None else _kd_against(kd_target, adapt(adapter, edge_feat).values)
+        kd = 0.0 if kd_target is None else _kd_against(kd_target, adapt(adapter, edge_feat))
         return _loss_report(probs, y, edge.normal_class, kd)
 
     return _fit("kd-edge", len(X), config, edge.params() + adapter.params(),
@@ -438,8 +434,7 @@ def finetune_adapter(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
     X, y = _coerce_data(X, y)
     n = adapter.cloud_tap
     prefix, tail = cloud.layers[:n + 1], cloud.layers[n + 1:]
-    _, edge_feat = infer_with_tap(edge, X, adapter.edge_tap)
-    feats = edge_feat.values
+    _, feats = infer_with_tap(edge, X, adapter.edge_tap)
     kd_target = _kd_targets(cloud, n, X)
 
     def objectives(tape, idx):
@@ -449,25 +444,8 @@ def finetune_adapter(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
 
     return _fit("adapter-finetune", len(X), config,
                 adapter.params() + [p for layer in tail for p in layer.params()], objectives,
-                lambda: _adaptive_report(cloud, adapter, edge_feat, kd_target, y),
+                lambda: _adaptive_report(cloud, adapter, feats, kd_target, y),
                 frozen=edge.params() + [p for layer in prefix for p in layer.params()])
-
-
-def train_recall_boost(edge: ModelSpec, X, y, config: TrainConfig) -> TrainResult:
-    """Two-objective SGD weighting cross-entropy and positive-only
-    cross-entropy by the per-step minimum-norm solution."""
-    X, y = _coerce_data(X, y)
-    pos_mask = y != edge.normal_class
-    if not pos_mask.any() or pos_mask.all():
-        raise UsageError("recall boosting needs both normal and positive samples")
-
-    def objectives(tape, idx):
-        logits = nncore.forward_on_tape(tape, edge.layers, tape.input(X[idx]))
-        ce = ce_on_tape(tape, logits, y[idx])
-        return [ce, positive_ce_on_tape(tape, logits, y[idx], edge.normal_class)]
-
-    return _fit("recall-boost", len(X), config, edge.params(), objectives,
-                lambda: evaluate_model(edge, X, y))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from edgecloud import harness, nncore
+from edgecloud import harness, nncore, train
 from edgecloud.harness import (AdapterConfig, DataConfig, ExperimentPlan, NetConfig,
                                PolicyConfig, StageConfig)
 from edgecloud.metrics import MAX
@@ -87,6 +87,24 @@ def random_net(rng, num_classes=3, max_depth=4, max_width=16):
             prev = width
     layers.append(nncore.dense(prev, num_classes, nncore.IDENTITY, rng=rng, name="head"))
     return layers, in_dim
+
+
+def train_recall_boost(edge, X, y, config):
+    """Two-objective SGD weighting cross-entropy and positive-only
+    cross-entropy by the per-step minimum-norm solution: the training loop's
+    multi-objective path on the edge alone (acceptance criterion 5d)."""
+    X, y = train._coerce_data(X, y)
+    pos_mask = y != edge.normal_class
+    if not pos_mask.any() or pos_mask.all():
+        raise UsageError("recall boosting needs both normal and positive samples")
+
+    def objectives(tape, idx):
+        logits = nncore.forward_on_tape(tape, edge.layers, tape.input(X[idx]))
+        ce = train.ce_on_tape(tape, logits, y[idx])
+        return [ce, train.positive_ce_on_tape(tape, logits, y[idx], edge.normal_class)]
+
+    return train._fit("recall-boost", len(X), config, edge.params(), objectives,
+                      lambda: train.evaluate_model(edge, X, y))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from edgecloud import harness, nncore, train
 from edgecloud.cli import dispatch
 from edgecloud.harness import default_plan, run_experiment, sweep_dynamic
 from edgecloud.metrics import ParetoPoint, comp_score_value, pareto_frontier, perf_score
-from edgecloud.models import ModelSpec, infer, infer_with_tap, cloud_tail, softmax
+from edgecloud.models import infer, infer_with_tap, cloud_tail, softmax
 from edgecloud.moo import GradientBundle, solve_min_norm
 from edgecloud.nncore import GradientTape, adjoints, forward
 from edgecloud.policy import (ADAPTIVE_CODE, CLOUD_CODE, EDGE_CODE, route_codes,
@@ -23,7 +23,7 @@ from edgecloud.policy import (ADAPTIVE_CODE, CLOUD_CODE, EDGE_CODE, route_codes,
 from edgecloud.train import TrainConfig, cross_entropy, evaluate_model
 
 from conftest import (brute_force_frontier, check_descent, finite_difference_grads,
-                      grid_oracle, max_relative_error, random_net)
+                      grid_oracle, max_relative_error, random_net, train_recall_boost)
 
 TREND_SEEDS = (0, 1, 2, 3, 4)
 
@@ -118,17 +118,15 @@ def test_criterion_4_routing_identities():
 
     full = infer(cloud, X)
     splits_exact = True
-    # the cloud declares only the adapter's tap; split it after every hidden layer
-    split = ModelSpec(cloud.name, cloud.layers, cloud.num_classes, cloud.normal_class,
-                      range(len(cloud.layers) - 1))
-    for tap in sorted(split.taps):
-        _, feat = infer_with_tap(split, X, tap)
-        splits_exact &= np.array_equal(cloud_tail(split, feat, tap), full)
+    hidden_taps = range(len(cloud.layers) - 1)  # split after every hidden layer
+    for tap in hidden_taps:
+        _, feat = infer_with_tap(cloud, X, tap)
+        splits_exact &= np.array_equal(cloud_tail(cloud, feat, tap), full)
 
     ok = collapse_a and collapse_i and splits_exact and all_branches
     report_line(4, ok, f"dynamic(c2=0)==adaptive: {collapse_a}, "
                        f"dynamic(c2=c1)==independent: {collapse_i}, "
-                       f"path splitting bit-exact on 2000x{len(split.taps)} taps: {splits_exact}")
+                       f"path splitting bit-exact on 2000x{len(hidden_taps)} taps: {splits_exact}")
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +159,7 @@ def trend_results():
         plain = build_models(plan)[0]
         train.train_base(plain, result.dataset.train_X, result.dataset.train_y, cfg)
         boosted = initial_edge
-        train.train_recall_boost(boosted, result.dataset.train_X, result.dataset.train_y, cfg)
+        train_recall_boost(boosted, result.dataset.train_X, result.dataset.train_y, cfg)
 
         val = (result.dataset.val_X, result.dataset.val_y)
         rows.append({

@@ -192,12 +192,17 @@ REFUSED_AT_LOAD = [
     (("recall_bost",), True, "plan.recall_bost: unknown field"),
     (("cloud", "taps"), [0, 1, 2], "plan.cloud.taps: unknown field"),
     (("adapter", "edge_tap"), 5, r"adapter.edge_tap: must lie in \[0, 1\]"),
+    (("dataset", "dim"), 0, "dataset.dim: must be >= 1"),
+    (("dataset", "n"), 3, "dataset.n: must be >= num_classes"),
+    (("dataset", "normal_fraction"), 1.5, r"dataset.normal_fraction: must lie in \[0, 1\]"),
+    (("dataset", "difficulty"), -0.1, r"dataset.difficulty: must lie in \[0, 1\]"),
 ]
 
 
 @pytest.mark.parametrize("keys, value, message", REFUSED_AT_LOAD,
                          ids=["edge-width--3", "edge-width-0", "recall_bost", "cloud.taps",
-                              "edge-tap-5"])
+                              "edge-tap-5", "dataset-dim-0", "dataset-n-3",
+                              "dataset-normal_fraction-1.5", "dataset-difficulty--0.1"])
 def test_train_refuses_an_unbuildable_or_misspelled_plan(tmp_path, capsys, keys, value, message):
     import json
     import re

@@ -4,21 +4,21 @@ import numpy as np
 import pytest
 
 from edgecloud import nncore
-from edgecloud.models import (AdapterSpec, FeatureMap, ModelSpec, adapt,
-                              cloud_tail, confidence, feedforward, infer,
-                              infer_with_tap, make_adapter, softmax)
+from edgecloud.models import (AdapterSpec, ModelSpec, adapt, cloud_tail,
+                              confidence, feedforward, infer, infer_with_tap,
+                              make_adapter, softmax)
 from edgecloud.nncore import ConfigError, UsageError, dense, flops, residual_block
 
 
 def small_cloud(seed=0):
     rng = np.random.default_rng(seed)
-    return feedforward("cloud", 6, [10, 10, 10], 4, 0, [0, 1, 2], rng)
+    return feedforward("cloud", 6, [10, 10, 10], 4, 0, rng)
 
 
 class TestSoftmaxHead:
     def test_equal_logits_give_uniform(self):
         model = ModelSpec("m", [dense(3, 5, nncore.IDENTITY, weight=np.zeros((5, 3)),
-                                      bias=np.full(5, 2.5))], 5, 0, [0])
+                                      bias=np.full(5, 2.5))], 5, 0)
         probs = infer(model, np.ones(3))
         assert np.allclose(probs, 0.2, atol=1e-15)
 
@@ -44,15 +44,15 @@ class TestTaps:
     def test_tap_zero_of_single_layer_net(self):
         rng = np.random.default_rng(1)
         layer = dense(4, 3, nncore.RELU, rng=rng)
-        model = ModelSpec("m", [layer, dense(3, 2, nncore.IDENTITY, rng=rng)], 2, 0, [0])
+        model = ModelSpec("m", [layer, dense(3, 2, nncore.IDENTITY, rng=rng)], 2, 0)
         x = rng.standard_normal(4)
         _, feat = infer_with_tap(model, x, 0)
-        assert np.array_equal(feat.values, nncore.forward([layer], x))
-        assert feat.tap == 0 and feat.producer == "m"
+        assert np.array_equal(feat, nncore.forward([layer], x))
 
-    def test_undeclared_tap_rejected(self):
-        with pytest.raises(UsageError, match="tap"):
-            infer_with_tap(small_cloud(), np.zeros(6), 2_000)
+    @pytest.mark.parametrize("tap", [-1, 4, 2_000])
+    def test_out_of_range_tap_rejected(self, tap):
+        with pytest.raises(UsageError, match=f"tap {tap} out of range for 'cloud'"):
+            infer_with_tap(small_cloud(), np.zeros(6), tap)
 
     def test_probs_match_plain_infer(self):
         cloud = small_cloud()
@@ -67,42 +67,33 @@ class TestAdapt:
         proj = dense(4, 4, nncore.IDENTITY, weight=np.eye(4), bias=np.zeros(4), name="p")
         block = residual_block(4, name="r")  # zero weights
         adapter = AdapterSpec("a", 0, 1, proj, [block])
-        feat = FeatureMap(np.array([0.3, -0.7, 1.1, 0.0]), "edge", 0)
-        out = adapt(adapter, feat)
-        assert np.array_equal(out.values, feat.values)
-        assert out.tap == 1 and out.producer == "a"
+        feat = np.array([0.3, -0.7, 1.1, 0.0])
+        assert np.array_equal(adapt(adapter, feat), feat)
 
     def test_zero_projection_gives_zero_feature(self):
         proj = dense(3, 5, nncore.IDENTITY, name="p")  # zero-init
         adapter = AdapterSpec("a", 0, 2, proj, [residual_block(5)])
-        out = adapt(adapter, FeatureMap(np.ones(3), "edge", 0))
-        assert np.array_equal(out.values, np.zeros(5))
+        assert np.array_equal(adapt(adapter, np.ones(3)), np.zeros(5))
 
     def test_matches_manual_layer_composition(self):
         rng = np.random.default_rng(4)
         adapter = make_adapter("a", 0, 1, 5, 9, 2, rng)
         feat = rng.standard_normal((3, 5))
-        out = adapt(adapter, FeatureMap(feat, "edge", 0))
+        out = adapt(adapter, feat)
         manual = feat
         for layer in adapter.layers():
             manual = nncore.apply_layer(layer, manual)
-        assert np.array_equal(out.values, manual)
-
-    def test_wrong_tap_rejected(self):
-        adapter = make_adapter("a", 1, 2, 5, 9, 1, np.random.default_rng(0))
-        with pytest.raises(UsageError):
-            adapt(adapter, FeatureMap(np.zeros(5), "edge", 0))
+        assert np.array_equal(out, manual)
 
     def test_wrong_dim_rejected(self):
         adapter = make_adapter("a", 0, 2, 5, 9, 1, np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            adapt(adapter, FeatureMap(np.zeros(6), "edge", 0))
+            adapt(adapter, np.zeros(6))
 
     def test_plain_single_dense_adapter_allowed(self):
         adapter = make_adapter("a", 0, 1, 5, 9, 0, np.random.default_rng(0))
         assert adapter.num_blocks == 0
-        out = adapt(adapter, FeatureMap(np.ones(5), "edge", 0))
-        assert out.values.shape == (9,)
+        assert adapt(adapter, np.ones(5)).shape == (9,)
 
 
 class TestCloudTail:
@@ -111,7 +102,7 @@ class TestCloudTail:
         rng = np.random.default_rng(5)
         X = rng.standard_normal((20, 6))
         full = infer(cloud, X)
-        for tap in sorted(cloud.taps):
+        for tap in range(len(cloud.layers) - 1):
             probs, feat = infer_with_tap(cloud, X, tap)
             resumed = cloud_tail(cloud, feat, tap)
             assert np.array_equal(resumed, full)
@@ -122,7 +113,7 @@ class TestCloudTail:
         rng = np.random.default_rng(6)
         x = rng.standard_normal(6)
         _, feat = infer_with_tap(cloud, x, 2)
-        head_only = softmax(nncore.forward([cloud.layers[-1]], feat.values))
+        head_only = softmax(nncore.forward([cloud.layers[-1]], feat))
         assert np.array_equal(cloud_tail(cloud, feat, 2), head_only)
 
     def test_flops_split_is_additive(self):
@@ -143,7 +134,7 @@ class TestCloudTail:
         # the softmax of the injected logits, and their width is still checked
         model = ModelSpec("m", [dense(3, 4, rng=np.random.default_rng(0)),
                                 dense(4, 2, nncore.IDENTITY, rng=np.random.default_rng(1))],
-                          2, 0, [0, 1])
+                          2, 0)
         logits = np.array([[0.5, -1.0], [2.0, 2.0]])
         assert np.array_equal(cloud_tail(model, logits, 1), softmax(logits))
         with pytest.raises(ConfigError, match="tap 1 dim 2"):
@@ -155,7 +146,7 @@ def overflowing_model():
     hidden = dense(2, 2, nncore.IDENTITY, weight=np.eye(2), bias=np.zeros(2), name="h")
     head = dense(2, 2, nncore.IDENTITY, weight=[[1e300, 1e300], [0.0, 0.0]],
                  bias=np.zeros(2), name="head")
-    return ModelSpec("m", [hidden, head], 2, 0, [0])
+    return ModelSpec("m", [hidden, head], 2, 0)
 
 
 class TestNonFiniteOutputsRaise:
@@ -206,11 +197,9 @@ class TestConfidence:
 class TestSpecsAndIO:
     def test_model_invariants(self):
         with pytest.raises(ConfigError):
-            ModelSpec("m", [dense(3, 4)], 5, 0, [0])  # head width != classes
+            ModelSpec("m", [dense(3, 4)], 5, 0)  # head width != classes
         with pytest.raises(ConfigError):
-            ModelSpec("m", [dense(3, 4)], 4, 9, [0])  # normal class out of range
-        with pytest.raises(ConfigError):
-            ModelSpec("m", [dense(3, 4)], 4, 0, [3])  # tap out of range
+            ModelSpec("m", [dense(3, 4)], 4, 9)  # normal class out of range
 
     def test_adapter_block_width_checked(self):
         proj = dense(3, 5, name="p")

@@ -33,20 +33,20 @@ def const_prob_edge(probs, in_dim=4):
                    bias=np.zeros(in_dim), name="pass")
     head = dense(in_dim, len(probs), nncore.IDENTITY,
                  weight=np.zeros((len(probs), in_dim)), bias=logits, name="head")
-    return ModelSpec("edge", [hidden, head], len(probs), 0, [0])
+    return ModelSpec("edge", [hidden, head], len(probs), 0)
 
 
 def toy_system(seed=0):
     rng = np.random.default_rng(seed)
-    edge = feedforward("edge", 4, [5], 3, 0, [0], rng)
-    cloud = feedforward("cloud", 4, [8, 8], 3, 0, [0, 1], rng)
+    edge = feedforward("edge", 4, [5], 3, 0, rng)
+    cloud = feedforward("cloud", 4, [8, 8], 3, 0, rng)
     adapter = make_adapter("a", 0, 1, 5, 8, 1, rng)
     return edge, cloud, adapter
 
 
 def const_system(probs, seed=3):
     """Constant-probability edge with a cloud and an adapter bound to its tap."""
-    cloud = feedforward("cloud", 4, [8], 3, 0, [0], np.random.default_rng(seed))
+    cloud = feedforward("cloud", 4, [8], 3, 0, np.random.default_rng(seed))
     adapter = make_adapter("a", 0, 0, 4, 8, 1, np.random.default_rng(seed + 1))
     return const_prob_edge(probs), cloud, adapter
 
@@ -248,7 +248,7 @@ def oracle_rows(system, variant, c1, c2, mode):
             rows.append((route, int(np.argmax(probs)), 0, 0))
         elif route == ROUTE_ADAPTIVE:
             out = cloud_tail(cloud, adapt(adapter, feat), adapter.cloud_tap)
-            rows.append((route, int(np.argmax(out)), feat.values.size * bpe,
+            rows.append((route, int(np.argmax(out)), feat.size * bpe,
                          adapter.total_flops() + nncore.flops(cloud.layers[adapter.cloud_tap + 1:])))
         else:
             rows.append((route, int(np.argmax(models.infer(cloud, x))), x.size * bpe,

@@ -12,13 +12,13 @@ from edgecloud import harness, models, nncore, train
 from edgecloud.harness import gen_dataset
 from edgecloud.models import feedforward, make_adapter
 from edgecloud.nncore import ConfigError, GradientTape, UsageError
+from edgecloud.policy import route_dataset
 from edgecloud.train import (DivergenceError, TrainConfig, cross_entropy,
                              evaluate_adaptive_path, evaluate_model, kd_loss,
                              positive_cross_entropy, train_base,
-                             train_edge_kd, train_recall_boost,
-                             finetune_adapter)
+                             train_edge_kd, finetune_adapter)
 
-from conftest import tiny_plan
+from conftest import tiny_plan, train_recall_boost
 
 
 def params_equal(a, b):
@@ -120,7 +120,7 @@ class TestPositiveCrossEntropy:
 
 def blob_edge(seed=0):
     rng = np.random.default_rng(seed)
-    return feedforward("edge", 4, [8], 2, 0, [0], rng)
+    return feedforward("edge", 4, [8], 2, 0, rng)
 
 
 class TestTrainBase:
@@ -177,8 +177,8 @@ class TestTrainBase:
 def kd_setup(seed=0, n=600):
     seeds = harness.derive_seeds(seed)
     ds = gen_dataset(4, 8, n, 0.4, seeds["dataset"], difficulty=0.4)
-    edge = feedforward("edge", 8, [5], 4, 0, [0], np.random.default_rng(seeds["edge_init"]))
-    cloud = feedforward("cloud", 8, [12, 12], 4, 0, [0, 1], np.random.default_rng(seeds["cloud_init"]))
+    edge = feedforward("edge", 8, [5], 4, 0, np.random.default_rng(seeds["edge_init"]))
+    cloud = feedforward("cloud", 8, [12, 12], 4, 0, np.random.default_rng(seeds["cloud_init"]))
     adapter = make_adapter("a", 0, 1, 5, 12, 1, np.random.default_rng(seeds["adapter_init"]))
     train_base(cloud, ds.train_X, ds.train_y, TrainConfig(5, 32, 0.1, seed=seeds["cloud_train"]))
     return ds, edge, cloud, adapter, seeds
@@ -218,7 +218,7 @@ class TestTrainEdgeKd:
                 tap_node = h
         ce = train.ce_on_tape(tape, h, y)
         adapted = train.adapter_on_tape(tape, adapter, tap_node)
-        kd = train.kd_on_tape(tape, adapted, nncore.sigmoid(cloud_feat.values))
+        kd = train.kd_on_tape(tape, adapted, nncore.sigmoid(cloud_feat))
         g_ce = nncore.adjoints(tape, ce)
         g_kd = nncore.adjoints(tape, kd)
         head = edge.layers[-1]
@@ -249,16 +249,22 @@ class TestTrainEdgeKd:
         assert result.min_descent_inner >= -1e-9
 
 
-@pytest.mark.parametrize("undeclared", ["edge", "cloud"])
-@pytest.mark.parametrize("stage", [train_edge_kd, finetune_adapter])
-def test_kd_stages_reject_an_undeclared_adapter_tap(stage, undeclared):
-    ds, edge, cloud, adapter, _ = kd_setup(8, n=100)
-    if undeclared == "edge":
-        edge = models.ModelSpec(edge.name, edge.layers, edge.num_classes, edge.normal_class, [])
-    else:
-        cloud = models.ModelSpec(cloud.name, cloud.layers, cloud.num_classes,
-                                 cloud.normal_class, [0])
-    with pytest.raises(ConfigError, match=f"adapter {undeclared} tap"):
+def route(edge, cloud, adapter, X, y, config):
+    """``route_dataset`` with a training stage's arguments."""
+    return route_dataset(edge, cloud, adapter, X)
+
+
+# kd_setup's edge has 2 layers and its cloud 3: each bad tap is one past the
+# head. Sliced unchecked, edge tap 2 would make the whole edge the "prefix"
+# and the KD term would train on its logits.
+@pytest.mark.parametrize("side, edge_tap, cloud_tap", [("edge", 2, 1), ("cloud", 0, 3)],
+                         ids=["edge", "cloud"])
+@pytest.mark.parametrize("stage", [train_edge_kd, finetune_adapter, route])
+def test_kd_stages_reject_an_out_of_range_adapter_tap(stage, side, edge_tap, cloud_tap):
+    ds, edge, cloud, _, _ = kd_setup(8, n=100)
+    adapter = make_adapter("a", edge_tap, cloud_tap, 5, 12, 1, np.random.default_rng(0))
+    bad = edge_tap if side == "edge" else cloud_tap
+    with pytest.raises(ConfigError, match=f"adapter {side} tap {bad} out of range for '{side}'"):
         stage(edge, cloud, adapter, ds.train_X, ds.train_y, TrainConfig(1, 32, 0.1))
 
 
@@ -291,7 +297,7 @@ class TestFinetuneAdapter:
 
 class TestRecallBoost:
     def test_requires_both_sample_kinds(self):
-        edge = feedforward("edge", 4, [5], 3, 0, [0], np.random.default_rng(0))
+        edge = feedforward("edge", 4, [5], 3, 0, np.random.default_rng(0))
         X = np.random.default_rng(1).standard_normal((10, 4))
         with pytest.raises(UsageError):
             train_recall_boost(edge, X, np.zeros(10, dtype=int), TrainConfig(1, 4, 0.1))
@@ -301,7 +307,7 @@ class TestRecallBoost:
     def test_identical_objectives_combine_to_the_shared_gradient(self):
         # all-positive batch: the restricted loss is the full loss, so the
         # weighted combination equals the common gradient bit for bit.
-        edge = feedforward("edge", 4, [5], 3, 0, [0], np.random.default_rng(2))
+        edge = feedforward("edge", 4, [5], 3, 0, np.random.default_rng(2))
         rng = np.random.default_rng(3)
         X = rng.standard_normal((16, 4))
         y = rng.integers(1, 3, 16)
@@ -324,7 +330,7 @@ class TestRecallBoost:
         # alone; a positive row's positive CE equals its CE, so the min-norm
         # step is that same gradient. Either way: train_base, bit for bit.
         ds = gen_dataset(3, 6, 60, 0.5, seed=21, difficulty=0.4)
-        boosted = feedforward("edge", 6, [5], 3, 0, [0], np.random.default_rng(6))
+        boosted = feedforward("edge", 6, [5], 3, 0, np.random.default_rng(6))
         plain = copy.deepcopy(boosted)
         cfg = TrainConfig(2, 1, 0.1, seed=7)
         result = train_recall_boost(boosted, ds.train_X, ds.train_y, cfg)
@@ -337,7 +343,7 @@ class TestRecallBoost:
 
     def test_descent_condition_holds_and_alphas_are_logged(self):
         ds = gen_dataset(3, 6, 400, 0.4, seed=20, difficulty=0.4)
-        edge = feedforward("edge", 6, [5], 3, 0, [0], np.random.default_rng(4))
+        edge = feedforward("edge", 6, [5], 3, 0, np.random.default_rng(4))
         result = train_recall_boost(edge, ds.train_X, ds.train_y,
                                     TrainConfig(3, 32, 0.1, seed=5))
         assert result.min_descent_inner >= -1e-9
@@ -354,8 +360,8 @@ def trend_runs():
     for seed in range(5):
         seeds = harness.derive_seeds(seed)
         ds = gen_dataset(5, 12, 4000, 0.4, seeds["dataset"], difficulty=0.55)
-        edge = feedforward("edge", 12, [6], 5, 0, [0], np.random.default_rng(seeds["edge_init"]))
-        cloud = feedforward("cloud", 12, [32] * 3, 5, 0, [0, 1, 2],
+        edge = feedforward("edge", 12, [6], 5, 0, np.random.default_rng(seeds["edge_init"]))
+        cloud = feedforward("cloud", 12, [32] * 3, 5, 0,
                             np.random.default_rng(seeds["cloud_init"]))
         ad2 = make_adapter("a2", 0, 1, 6, 32, 2, np.random.default_rng(seeds["adapter_init"]))
         ad0 = make_adapter("a0", 0, 1, 6, 32, 0, np.random.default_rng(seeds["adapter_init"]))
@@ -407,7 +413,7 @@ class TestTrainingLog:
 
     def test_csv_includes_alpha_columns_for_moo(self, tmp_path):
         ds = gen_dataset(3, 6, 300, 0.4, seed=31, difficulty=0.4)
-        edge = feedforward("edge", 6, [5], 3, 0, [0], np.random.default_rng(9))
+        edge = feedforward("edge", 6, [5], 3, 0, np.random.default_rng(9))
         result = train_recall_boost(edge, ds.train_X, ds.train_y,
                                     TrainConfig(2, 32, 0.1, seed=10))
         path = tmp_path / "log.csv"
@@ -497,8 +503,8 @@ class TestReportPasses:
 
     def small_setup(self):
         ds = gen_dataset(3, 6, 120, 0.5, seed=40, difficulty=0.4)
-        edge = feedforward("edge", 6, [5], 3, 0, [0], np.random.default_rng(41))
-        cloud = feedforward("cloud", 6, [8, 8], 3, 0, [0, 1], np.random.default_rng(42))
+        edge = feedforward("edge", 6, [5], 3, 0, np.random.default_rng(41))
+        cloud = feedforward("cloud", 6, [8, 8], 3, 0, np.random.default_rng(42))
         adapter = make_adapter("a", 0, 1, 5, 8, 1, np.random.default_rng(43))
         return ds.train_X, ds.train_y, edge, cloud, adapter
 
