@@ -17,8 +17,8 @@ from .train import (DivergenceError, FrozenParamsError, LossReport,
 from .policy import route_codes, route_dataset
 from .metrics import (CostReport, ParetoPoint, comm_score, comp_score,
                       comp_score_value, pareto_frontier, perf_score)
-from .harness import (Dataset, ExperimentPlan, SweepResult, TrainedSystem,
-                      default_plan, gen_dataset, run_experiment, sweep_dynamic)
+from .harness import (Dataset, ExperimentPlan, TrainedSystem, default_plan, gen_dataset,
+                      run_experiment, sweep_dynamic)
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,7 @@ __all__ = [
     "ExperimentPlan", "FrozenParamsError", "GradientBundle",
     "GradientTape", "LayerSpec", "LossReport", "ModelSpec", "Param",
     "ParetoPoint", "SimplexWeights",
-    "SweepResult", "TrainConfig", "TrainResult", "TrainedSystem",
+    "TrainConfig", "TrainResult", "TrainedSystem",
     "UsageError", "adapt", "adjoints", "cloud_tail",
     "comm_score", "comp_score", "comp_score_value", "confidence",
     "cross_entropy", "default_plan", "dense", "feedforward",

@@ -82,12 +82,18 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _write_reports(out_dir, files: dict[str, list[metrics.CostReport]]) -> None:
+    for name, reports in files.items():
+        metrics.write_reports_csv(os.path.join(out_dir, name), reports)
+
+
 def cmd_evaluate(args) -> int:
     plan = _load_plan(args)
     out = _out_dir(args)
-    system = _load_system(plan, out)
-    reports = harness.evaluate_policies(system)
-    harness.write_outputs(out, reports)
+    reports = harness.evaluate_policies(_load_system(plan, out))
+    _write_reports(out, {"reports.csv": reports,
+                         "frontier_comp.csv": metrics.frontier_reports(reports, "s_comp"),
+                         "frontier_comm.csv": metrics.frontier_reports(reports, "s_comm")})
     print(f"wrote {os.path.join(out, 'reports.csv')} ({len(reports)} systems)")
     return 0
 
@@ -95,21 +101,12 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     plan = _load_plan(args)
     out = _out_dir(args)
-    system = _load_system(plan, out)
-    first = plan.sweep_policy()
-    grid = sorted({0.0, *plan.c2_grid, first.c1})
-    result = harness.sweep_dynamic(system, grid, c1=first.c1,
-                                   confidence_mode=first.confidence_mode)
-    metrics.write_reports_csv(os.path.join(out, "sweep.csv"), result.reports)
-    keep = {p.label for p in result.frontier}
-    front_rows = [r for r in result.reports if r.label in keep]
-    metrics.write_reports_csv(os.path.join(out, "sweep_frontier.csv"), front_rows)
-    metrics.write_reports_csv(os.path.join(out, "sweep_frontier_comp.csv"),
-                              metrics.frontier_reports(result.reports, "s_comp"))
-    metrics.write_reports_csv(os.path.join(out, "sweep_frontier_comm.csv"),
-                              metrics.frontier_reports(result.reports, "s_comm"))
-    print(f"wrote sweep CSVs to {out} ({len(result.reports)} points, "
-          f"{len(result.frontier)} non-dominated)")
+    reports = harness.sweep_dynamic(_load_system(plan, out))
+    frontier = metrics.frontier_reports(reports, "s_comp", "s_comm")
+    _write_reports(out, {"sweep.csv": reports, "sweep_frontier.csv": frontier,
+                         "sweep_frontier_comp.csv": metrics.frontier_reports(reports, "s_comp"),
+                         "sweep_frontier_comm.csv": metrics.frontier_reports(reports, "s_comm")})
+    print(f"wrote sweep CSVs to {out} ({len(reports)} points, {len(frontier)} non-dominated)")
     return 0
 
 

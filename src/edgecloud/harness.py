@@ -11,25 +11,25 @@ file's schema.
 
 Pipeline order: train the cloud model, train the edge with the
 feature-imitation term (optionally with the three-objective recall bundle),
-then fine-tune the adapter plus the cloud tail. Policies are evaluated on
-the held-out split and written as one CSV row per system, together with the
-non-dominated subsets for (s_p, s_comp) and (s_p, s_comm).
+then fine-tune the adapter plus the cloud tail. A list of policies is scored
+on the held-out split as one report per system after the edge and cloud
+anchors: the plan's policies for ``evaluate_policies``, and for
+``sweep_dynamic`` the dynamic policies its ``c2`` sweep spans. Writing the
+reports is left to the caller.
 """
 
 import dataclasses
 import json
-import os
 import typing
 from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
 from . import metrics, models, nncore, policy as policy_mod, train as train_mod
-from .metrics import CostReport, ParetoPoint, pareto_frontier
+from .metrics import CostReport
 from .models import AdapterSpec, ModelSpec
 from .nncore import ConfigError, UsageError
-from .policy import (ADAPTIVE_CODE, CLOUD_CODE, DYNAMIC, EDGE_CODE, ROUTES, RoutedDataset,
-                     route_codes, route_dataset)
+from .policy import CLOUD_CODE, DYNAMIC, EDGE_CODE, ROUTES, RoutedDataset, route_codes, route_dataset
 from .train import TrainConfig, TrainResult
 
 DATASET_VERSION = 1
@@ -232,6 +232,11 @@ class PolicyConfig:
     c2: float = 0.0
     confidence_mode: str = models.NORMAL_CLASS_MODE
 
+    @property
+    def label(self) -> str:
+        """The policy's report label, unique within a plan."""
+        return f"dynamic(c2={self.c2:g})" if self.variant == DYNAMIC else self.variant
+
 
 @dataclass
 class ExperimentPlan:
@@ -278,13 +283,27 @@ class ExperimentPlan:
                 raise ConfigError(f"policies[{i}].confidence_mode: unknown mode "
                                   f"{p.confidence_mode!r}, expected one of {models.CONFIDENCE_MODES}")
         policy_mod.check_bytes_per_element(self.bytes_per_element)
-        c1 = self.sweep_policy().c1
+        c1 = self.sweep_policies()[-1].c1
         if any(not 0.0 <= c2 <= c1 for c2 in self.c2_grid):
             raise ConfigError(f"c2_grid: entries must lie in [0, c1] = [0, {c1:g}]")
+        labels = [p.label for p in self.policies]
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ConfigError(f"policies[{i}]: duplicate label {label!r}")
+        swept: dict[str, float] = {}  # c2 values that ``:g`` prints alike
+        for pc in self.sweep_policies():
+            if pc.label in swept:
+                c2 = pc.c2 if pc.c2 in self.c2_grid else swept[pc.label]
+                raise ConfigError(f"c2_grid[{self.c2_grid.index(c2)}]: "
+                                  f"duplicate label {pc.label!r}")
+            swept[pc.label] = pc.c2
 
-    def sweep_policy(self) -> PolicyConfig:
-        """The c2 sweep's ``c1`` and mode: the first policy's, or dynamic at 0.8."""
-        return self.policies[0] if self.policies else PolicyConfig(DYNAMIC, c1=0.8)
+    def sweep_policies(self) -> list[PolicyConfig]:
+        """The c2 sweep: dynamic policies over ``{0, *c2_grid, c1}`` ascending,
+        with the first policy's ``c1`` and mode, or 0.8 and normal-class."""
+        first = self.policies[0] if self.policies else PolicyConfig(DYNAMIC, c1=0.8)
+        return [PolicyConfig(DYNAMIC, first.c1, c2, first.confidence_mode)
+                for c2 in sorted({0.0, *self.c2_grid, first.c1})]
 
 
 def default_plan(master_seed: int = 0) -> ExperimentPlan:
@@ -433,17 +452,12 @@ class TrainedSystem:
     adapter: AdapterSpec
 
 
-def _policy_label(pc: PolicyConfig) -> str:
-    if pc.variant == DYNAMIC:
-        return f"dynamic(c2={pc.c2:g})"
-    return pc.variant
-
-
 def _scorer(system: TrainedSystem, routed: RoutedDataset):
     """Edge and cloud anchor rows, scoring (0,0,0) and (1,1,1) by construction,
     and a function that scores one array of route codes over ``routed``. Every
     column comes from per-route tallies of rows, correct rows and recalled
-    positives, counted on (route, row) masks built once."""
+    positives, counted on (route, row) masks built once. A system whose edge
+    costs as many FLOPs as its cloud, or is as accurate, has no score."""
     ds, edge, cloud = system.dataset, system.edge, system.cloud
     flops_edge, flops_cloud = edge.total_flops(), cloud.total_flops()
     metrics.check_flops(flops_edge, flops_cloud)
@@ -465,6 +479,9 @@ def _scorer(system: TrainedSystem, routed: RoutedDataset):
 
     edge_report = anchor("edge", EDGE_CODE, 0.0, flops_edge)
     cloud_report = anchor("cloud", CLOUD_CODE, 1.0, flops_cloud)
+    if edge_report.accuracy == cloud_report.accuracy:
+        raise ConfigError(f"perf score needs distinct anchors: edge accuracy "
+                          f"{edge_report.accuracy:g} == cloud accuracy {cloud_report.accuracy:g}")
 
     def score(label: str, codes: np.ndarray) -> CostReport:
         taken = routes == codes
@@ -478,82 +495,43 @@ def _scorer(system: TrainedSystem, routed: RoutedDataset):
     return edge_report, cloud_report, score
 
 
-def evaluate_policies(system: TrainedSystem) -> list[CostReport]:
-    """Edge/cloud baselines plus one report per policy in the plan's grid.
+def _score_policies(system: TrainedSystem, policies: list[PolicyConfig]) -> list[CostReport]:
+    """Edge/cloud anchors plus one report per policy.
 
     The validation split is routed once per confidence mode the policies
     use (once when they share one) and every report thresholds that pass.
     """
-    plan = system.plan
-    modes = [pc.confidence_mode for pc in plan.policies] or [models.NORMAL_CLASS_MODE]
+    modes = [pc.confidence_mode for pc in policies] or [models.NORMAL_CLASS_MODE]
     routed = {mode: route_dataset(system.edge, system.cloud, system.adapter,
                                   system.dataset.val_X, mode)
               for mode in dict.fromkeys(modes)}
     edge_report, cloud_report, score = _scorer(system, routed[modes[0]])
     reports = [edge_report, cloud_report]
-    seen = {"edge", "cloud"}
-    for pc in plan.policies:
-        label = _policy_label(pc)
-        if label in seen:
-            raise ConfigError(f"duplicate policy label {label!r}")
-        seen.add(label)
+    for pc in policies:
         codes = route_codes(pc.variant, routed[pc.confidence_mode].confidence, pc.c1, pc.c2)
-        reports.append(score(label, codes))
+        reports.append(score(pc.label, codes))
     return reports
 
 
-@dataclass
-class SweepResult:
-    """Dynamic-threshold sweep: one report per c2, the 3-objective points,
-    their non-dominated subset, and per-branch sample counts."""
-
-    reports: list[CostReport]
-    points: list[ParetoPoint]
-    frontier: list[ParetoPoint]
-    full_cloud_counts: list[int]
-    adaptive_counts: list[int]
+def evaluate_policies(system: TrainedSystem) -> list[CostReport]:
+    """Edge/cloud anchors plus one report per policy in the plan."""
+    return _score_policies(system, system.plan.policies)
 
 
-def sweep_dynamic(system: TrainedSystem, c2_grid: list[float], c1: float = 0.8,
-                  confidence_mode: str = models.NORMAL_CLASS_MODE) -> SweepResult:
-    """Evaluate the dynamic policy across ascending c2 values.
+def sweep_dynamic(system: TrainedSystem) -> list[CostReport]:
+    """One report per policy of the plan's c2 sweep, ``plan.sweep_policies()``.
 
     Endpoints collapse to the other rules: c2 = 0 reproduces the adaptive
-    policy and c2 = c1 the independent one, sample for sample. The
-    validation split is routed once and thresholded per c2.
+    policy and c2 = c1 the independent one, sample for sample.
     """
-    if list(c2_grid) != sorted(c2_grid):
-        raise UsageError("c2 grid must be ascending")
-    if any(not 0.0 <= c2 <= c1 for c2 in c2_grid):
-        raise UsageError("c2 values must lie in [0, c1]")
-    routed = route_dataset(system.edge, system.cloud, system.adapter, system.dataset.val_X,
-                           confidence_mode)
-    _, _, score = _scorer(system, routed)
-    reports, full_cloud_counts, adaptive_counts = [], [], []
-    for c2 in c2_grid:
-        codes = route_codes(DYNAMIC, routed.confidence, c1, c2)
-        reports.append(score(f"dynamic(c2={c2:g})", codes))
-        counts = np.bincount(codes, minlength=len(ROUTES))
-        full_cloud_counts.append(int(counts[CLOUD_CODE]))
-        adaptive_counts.append(int(counts[ADAPTIVE_CODE]))
-    points = metrics.points_from_reports(reports)
-    return SweepResult(reports, points, pareto_frontier(points),
-                       full_cloud_counts, adaptive_counts)
+    return _score_policies(system, system.plan.sweep_policies())[2:]
 
 
 @dataclass
 class ExperimentResult:
-    plan: ExperimentPlan
-    dataset: Dataset
-    edge: ModelSpec
-    cloud: ModelSpec
-    adapter: AdapterSpec
+    system: TrainedSystem
     stage_logs: dict[str, TrainResult]
     reports: list[CostReport]
-
-    @property
-    def system(self) -> TrainedSystem:
-        return TrainedSystem(self.plan, self.dataset, self.edge, self.cloud, self.adapter)
 
     def report(self, label: str) -> CostReport:
         for r in self.reports:
@@ -562,28 +540,11 @@ class ExperimentResult:
         raise KeyError(label)
 
 
-def write_outputs(out_dir, reports: list[CostReport],
-                  stage_logs: dict[str, TrainResult] | None = None) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    metrics.write_reports_csv(os.path.join(out_dir, "reports.csv"), reports)
-    metrics.write_reports_csv(os.path.join(out_dir, "frontier_comp.csv"),
-                              metrics.frontier_reports(reports, "s_comp"))
-    metrics.write_reports_csv(os.path.join(out_dir, "frontier_comm.csv"),
-                              metrics.frontier_reports(reports, "s_comm"))
-    if stage_logs:
-        for name, result in stage_logs.items():
-            train_mod.write_training_log(os.path.join(out_dir, f"train_{name}.csv"), result)
-
-
-def run_experiment(plan: ExperimentPlan, out_dir=None) -> ExperimentResult:
-    """Full pipeline: generate data, run all training stages, evaluate every
-    policy, and (optionally) write the CSV outputs. Deterministic from the
-    plan's master seed."""
+def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
+    """Full pipeline: generate data, run all training stages and evaluate
+    every policy. Deterministic from the plan's master seed."""
     ds = build_dataset(plan)
     edge, cloud, adapter = build_models(plan)
     stage_logs = train_stages(plan, ds, edge, cloud, adapter)
     system = TrainedSystem(plan, ds, edge, cloud, adapter)
-    reports = evaluate_policies(system)
-    if out_dir is not None:
-        write_outputs(out_dir, reports, stage_logs)
-    return ExperimentResult(plan, ds, edge, cloud, adapter, stage_logs, reports)
+    return ExperimentResult(system, stage_logs, evaluate_policies(system))

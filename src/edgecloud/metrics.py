@@ -167,16 +167,11 @@ def pareto_frontier(points: Iterable[ParetoPoint]) -> list[ParetoPoint]:
     return sorted(front, key=lambda p: (p.objectives, p.label))
 
 
-def points_from_reports(reports: Sequence[CostReport],
-                        fields: Sequence[str] = ("s_p", "s_comp", "s_comm"),
-                        senses: Sequence[str] = (MAX, MIN, MIN)) -> list[ParetoPoint]:
-    return [ParetoPoint(tuple(getattr(r, f) for f in fields), tuple(senses), r.label)
-            for r in reports]
-
-
-def frontier_reports(reports: Sequence[CostReport], cost_field: str) -> list[CostReport]:
-    """Reports whose (s_p max, cost min) pair is non-dominated."""
-    points = points_from_reports(reports, ("s_p", cost_field), (MAX, MIN))
+def frontier_reports(reports: Sequence[CostReport], *cost_fields: str) -> list[CostReport]:
+    """Reports whose (s_p max, each cost min) vector is non-dominated, in order."""
+    senses = (MAX,) + (MIN,) * len(cost_fields)
+    points = [ParetoPoint(tuple(getattr(r, f) for f in ("s_p", *cost_fields)), senses, r.label)
+              for r in reports]
     keep = {p.label for p in pareto_frontier(points)}
     return [r for r in reports if r.label in keep]
 

@@ -1,5 +1,7 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,15 @@ def set_field(cfg, keys, value):
     for key in keys[:-1]:
         cfg = cfg[key]
     cfg[keys[-1]] = value
+
+
+def resweep(system, c2_grid, c1=0.8, mode="normal-class"):
+    """``system`` with its plan's c2 sweep re-planned: ``c2_grid``, and ``c1``
+    and ``mode`` on the first policy, whose values the sweep takes."""
+    plan = system.plan
+    first = dataclasses.replace(plan.policies[0], c1=c1, confidence_mode=mode)
+    plan = dataclasses.replace(plan, c2_grid=list(c2_grid), policies=[first, *plan.policies[1:]])
+    return dataclasses.replace(system, plan=plan)
 
 
 @pytest.fixture(scope="session")

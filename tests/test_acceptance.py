@@ -14,7 +14,8 @@ import pytest
 from edgecloud import harness, nncore, train
 from edgecloud.cli import dispatch
 from edgecloud.harness import default_plan, run_experiment, sweep_dynamic
-from edgecloud.metrics import ParetoPoint, comp_score_value, pareto_frontier, perf_score
+from edgecloud.metrics import (ParetoPoint, comp_score_value, frontier_reports, pareto_frontier,
+                               perf_score)
 from edgecloud.models import infer, infer_with_tap, cloud_tail, softmax
 from edgecloud.moo import GradientBundle, solve_min_norm
 from edgecloud.nncore import GradientTape, adjoints, forward
@@ -149,23 +150,27 @@ def trend_results():
         # the untrained edge, rebuilt: the models are deterministic from the seed
         initial_edge = build_models(plan)[0]
         assert nncore.params_digest(initial_edge.params()) == started_from[-1]
-        grid = sorted({0.0, *plan.c2_grid, plan.policies[0].c1})
-        sweep = sweep_dynamic(result.system, grid, c1=plan.policies[0].c1)
+        system, swept = result.system, plan.sweep_policies()
+        routed = route_dataset(system.edge, system.cloud, system.adapter,
+                               system.dataset.val_X, swept[0].confidence_mode)
+        full_cloud_counts = [int(np.sum(route_codes(pc.variant, routed.confidence, pc.c1, pc.c2)
+                                        == CLOUD_CODE)) for pc in swept]
 
         stage = plan.stages["edge_kd"]
         seeds = harness.derive_seeds(seed)
         cfg = TrainConfig(stage.epochs, stage.batch_size, stage.learning_rate,
                           seed=seeds["edge_train"])
         plain = build_models(plan)[0]
-        train.train_base(plain, result.dataset.train_X, result.dataset.train_y, cfg)
+        train.train_base(plain, system.dataset.train_X, system.dataset.train_y, cfg)
         boosted = initial_edge
-        train_recall_boost(boosted, result.dataset.train_X, result.dataset.train_y, cfg)
+        train_recall_boost(boosted, system.dataset.train_X, system.dataset.train_y, cfg)
 
-        val = (result.dataset.val_X, result.dataset.val_y)
+        val = (system.dataset.val_X, system.dataset.val_y)
         rows.append({
             "independent": result.report("independent"),
-            "sweep": sweep,
-            "kd_val": evaluate_model(result.edge, *val),
+            "sweep": sweep_dynamic(system),
+            "full_cloud_counts": full_cloud_counts,
+            "kd_val": evaluate_model(system.edge, *val),
             "plain_val": evaluate_model(plain, *val),
             "boost_val": evaluate_model(boosted, *val),
         })
@@ -182,8 +187,8 @@ def test_criterion_5a_independent_tradeoff(trend_results):
 
 
 def test_criterion_5b_sweep_frontier(trend_results):
-    sizes = [len(r["sweep"].frontier) for r in trend_results]
-    monotone = all(r["sweep"].full_cloud_counts == sorted(r["sweep"].full_cloud_counts)
+    sizes = [len(frontier_reports(r["sweep"], "s_comp", "s_comm")) for r in trend_results]
+    monotone = all(r["full_cloud_counts"] == sorted(r["full_cloud_counts"])
                    for r in trend_results)
     ok = float(np.median(sizes)) >= 3 and monotone
     report_line("5b", ok, f"frontier sizes per seed {sizes} (median >= 3), "

@@ -9,8 +9,9 @@ import pytest
 
 from edgecloud import harness, metrics, train
 from edgecloud.cli import dispatch
+from edgecloud.metrics import MAX, MIN, ParetoPoint
 
-from conftest import MISTYPED_FIELDS, field_id, set_field, tiny_plan
+from conftest import MISTYPED_FIELDS, brute_force_frontier, field_id, set_field, tiny_plan
 
 
 @pytest.fixture()
@@ -48,12 +49,19 @@ def test_evaluate_before_train_exits_2(plan_file, tmp_path, capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
-def test_full_pipeline(plan_file, tmp_path, capsys):
-    out = str(tmp_path / "out")
-    assert dispatch(["gen-data", "--config", plan_file, "--out", out]) == 0
-    assert dispatch(["train", "--config", plan_file, "--out", out]) == 0
-    assert dispatch(["evaluate", "--config", plan_file, "--out", out]) == 0
-    assert dispatch(["sweep", "--config", plan_file, "--out", out]) == 0
+@pytest.fixture(scope="module")
+def pipeline_out(tmp_path_factory):
+    """Output directory of gen-data, train, evaluate and sweep on the tiny plan."""
+    root = tmp_path_factory.mktemp("pipeline")
+    plan_path, out = str(root / "plan.json"), str(root / "out")
+    harness.save_plan(plan_path, tiny_plan())
+    for command in ("gen-data", "train", "evaluate", "sweep"):
+        assert dispatch([command, "--config", plan_path, "--out", out]) == 0, command
+    return out
+
+
+def test_full_pipeline(pipeline_out, capsys):
+    out = pipeline_out
     for name in ("dataset.npz", "edge.npz", "cloud.npz", "adapter.npz",
                  "train_cloud.csv", "train_edge_kd.csv", "train_finetune.csv",
                  "reports.csv", "frontier_comp.csv", "frontier_comm.csv",
@@ -75,6 +83,25 @@ def test_full_pipeline(plan_file, tmp_path, capsys):
     assert dispatch(["report", "--input", os.path.join(out, "reports.csv")]) == 0
     table = capsys.readouterr().out
     assert "label" in table and "independent" in table
+
+
+@pytest.mark.parametrize("name, costs", [("sweep_frontier.csv", ("s_comp", "s_comm")),
+                                         ("sweep_frontier_comp.csv", ("s_comp",)),
+                                         ("sweep_frontier_comm.csv", ("s_comm",))],
+                         ids=["s_comp-s_comm", "s_comp", "s_comm"])
+def test_sweep_frontier_files_hold_the_brute_force_frontier(pipeline_out, name, costs):
+    sweep = metrics.read_report_rows(os.path.join(pipeline_out, "sweep.csv"))
+    kept = metrics.read_report_rows(os.path.join(pipeline_out, name))
+    assert len(sweep) == len(tiny_plan().sweep_policies())
+
+    def objectives(row):
+        return tuple(float(row[c]) for c in ("s_p", *costs))
+
+    frontier = brute_force_frontier([ParetoPoint(objectives(r), (MAX,) + (MIN,) * len(costs),
+                                                 r["label"]) for r in sweep])
+    # rows of sweep.csv in its order, one per non-dominated objective vector
+    assert kept == [r for r in sweep if r in kept]
+    assert sorted(map(objectives, kept)) == sorted(p.objectives for p in frontier)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -170,10 +197,17 @@ def test_train_refuses_a_plan_evaluate_would_refuse(tmp_path, capsys, policy, ke
 
 
 REFUSED_AT_TRAIN = MISTYPED_FIELDS[:3] + [(("c2_grid",), [0.2, 0.9], "c2_grid: entries must lie in")]
+REPEATED_LABELS = [
+    (("policies",), harness.plan_to_dict(tiny_plan())["policies"] + [{"variant": "independent",
+                                                                      "c1": 0.8}],
+     r"policies\[3\]: duplicate label 'independent'$"),
+    (("c2_grid",), [0.3, 0.3000001], r"c2_grid\[1\]: duplicate label 'dynamic\(c2=0\.3\)'$"),
+]
 
 
-@pytest.mark.parametrize("keys, value, message", REFUSED_AT_TRAIN,
-                         ids=[field_id(keys) for keys, _, _ in REFUSED_AT_TRAIN])
+@pytest.mark.parametrize("keys, value, message", REFUSED_AT_TRAIN + REPEATED_LABELS,
+                         ids=[field_id(keys) for keys, _, _ in REFUSED_AT_TRAIN]
+                         + ["repeated-policy", "repeated-c2"])
 def test_train_refuses_a_mistyped_or_unsweepable_plan(tmp_path, capsys, keys, value, message):
     import json
     import re

@@ -8,7 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from edgecloud import harness, metrics
+from edgecloud import harness, metrics, models, nncore
+from edgecloud.cli import CHECKPOINT_FILES, dispatch
 from edgecloud.harness import (AdapterConfig, Dataset, ExperimentPlan, NetConfig,
                                PolicyConfig, StageConfig, TrainedSystem, build_dataset,
                                build_models, default_plan, evaluate_policies, gen_dataset,
@@ -17,7 +18,7 @@ from edgecloud.harness import (AdapterConfig, Dataset, ExperimentPlan, NetConfig
 from edgecloud.metrics import pareto_frontier
 from edgecloud.nncore import ConfigError, UsageError
 
-from conftest import MISTYPED_FIELDS, field_id, set_field, tiny_plan
+from conftest import MISTYPED_FIELDS, field_id, resweep, set_field, tiny_plan
 
 REQUIRED = "missing"
 
@@ -263,6 +264,19 @@ class TestPlans:
             load_plan(path)
 
 
+@pytest.fixture()
+def evaluated(tmp_path, tiny_system):
+    """A directory after CLI ``evaluate`` on the tiny system's checkpoints."""
+    system = tiny_system.system
+    save_plan(tmp_path / "plan.json", system.plan)
+    for name, component in (("edge", system.edge), ("cloud", system.cloud),
+                            ("adapter", system.adapter)):
+        nncore.save_params(tmp_path / CHECKPOINT_FILES[name], component.params())
+    assert dispatch(["evaluate", "--config", str(tmp_path / "plan.json"),
+                     "--out", str(tmp_path)]) == 0
+    return tmp_path
+
+
 class TestPipeline:
     def test_models_match_plan_shapes(self):
         plan = tiny_plan()
@@ -297,7 +311,23 @@ class TestPipeline:
         with pytest.raises(ConfigError, match="flops_cloud > flops_edge"):
             evaluate_policies(system)
         with pytest.raises(ConfigError, match="flops_cloud > flops_edge"):
-            sweep_dynamic(system, plan.c2_grid)
+            sweep_dynamic(system)
+
+    @pytest.mark.parametrize("score", [evaluate_policies, sweep_dynamic])
+    @pytest.mark.parametrize("policies", [[], tiny_plan().policies], ids=["none", "tiny-plan"])
+    def test_tied_anchors_refused(self, policies, score):
+        # zero weights: edge and cloud both predict class 0 on every row
+        plan = tiny_plan(policies=policies)
+        d, a = plan.data, plan.adapter
+        edge = models.feedforward("edge", d.dim, plan.edge.hidden, d.num_classes, 0)
+        cloud = models.feedforward("cloud", d.dim, plan.cloud.hidden, d.num_classes, 0)
+        adapter = models.make_adapter("adapter", a.edge_tap, a.cloud_tap, edge.tap_dim(a.edge_tap),
+                                      cloud.tap_dim(a.cloud_tap), a.blocks)
+        system = TrainedSystem(plan, build_dataset(plan), edge, cloud, adapter)
+        accuracy = float(np.mean(system.dataset.val_y == 0))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"distinct anchors: edge accuracy {accuracy:g} == cloud accuracy {accuracy:g}")):
+            score(system)
 
     def test_deterministic_reports(self):
         plan = tiny_plan(master_seed=2)
@@ -306,18 +336,17 @@ class TestPipeline:
         for ra, rb in zip(a.reports, b.reports):
             assert ra == rb
 
-    def test_output_files_written(self, tmp_path, tiny_system):
-        harness.write_outputs(tmp_path, tiny_system.reports, tiny_system.stage_logs)
-        for name in ("reports.csv", "frontier_comp.csv", "frontier_comm.csv",
-                     "train_cloud.csv", "train_edge_kd.csv", "train_finetune.csv"):
-            assert (tmp_path / name).exists(), name
-        rows = metrics.read_report_rows(tmp_path / "reports.csv")
-        assert len(rows) == len(tiny_system.reports)
+    def test_output_files_written(self, evaluated, tiny_system):
+        for name in ("reports.csv", "frontier_comp.csv", "frontier_comm.csv"):
+            assert (evaluated / name).exists(), name
+        assert not list(evaluated.glob("train_*.csv"))  # only `train` writes training logs
+        rows = metrics.read_report_rows(evaluated / "reports.csv")
+        assert [{k: float(v) if k != "label" else v for k, v in row.items()} for row in rows] \
+            == [dataclasses.asdict(r) for r in tiny_system.reports]
 
-    def test_frontier_csvs_are_mutually_nondominated(self, tmp_path, tiny_system):
-        harness.write_outputs(tmp_path, tiny_system.reports)
+    def test_frontier_csvs_are_mutually_nondominated(self, evaluated):
         for name, cost in (("frontier_comp.csv", "s_comp"), ("frontier_comm.csv", "s_comm")):
-            rows = metrics.read_report_rows(tmp_path / name)
+            rows = metrics.read_report_rows(evaluated / name)
             points = [metrics.ParetoPoint((float(r["s_p"]), float(r[cost])),
                                           ("max", "min"), r["label"]) for r in rows]
             assert len(pareto_frontier(points)) == len(points)
@@ -325,30 +354,18 @@ class TestPipeline:
 
 class TestSweep:
     def test_endpoints_match_other_variants(self, tiny_system):
-        system = tiny_system.system
-        sweep = sweep_dynamic(system, [0.0, 0.8], c1=0.8)
+        sweep = sweep_dynamic(resweep(tiny_system.system, []))
         by_label = {r.label: r for r in tiny_system.reports}
-        adaptive, independent = sweep.reports
+        adaptive, independent = sweep
         for field in ("tau", "psi", "s_comm", "flops_ecc", "s_comp", "accuracy", "recall"):
             assert getattr(adaptive, field) == getattr(by_label["adaptive"], field)
             assert getattr(independent, field) == getattr(by_label["independent"], field)
 
-    def test_full_cloud_counts_monotone(self, tiny_system):
-        sweep = sweep_dynamic(tiny_system.system, [0.0, 0.2, 0.3, 0.4, 0.8], c1=0.8)
-        assert sweep.full_cloud_counts == sorted(sweep.full_cloud_counts)
-        assert sweep.adaptive_counts == sorted(sweep.adaptive_counts, reverse=True)
-
-    def test_frontier_is_nondominated_subset(self, tiny_system):
-        sweep = sweep_dynamic(tiny_system.system, [0.0, 0.2, 0.3, 0.4, 0.8], c1=0.8)
-        labels = {p.label for p in sweep.frontier}
-        assert labels <= {p.label for p in sweep.points}
-        assert pareto_frontier(sweep.points) == sweep.frontier
-
     def test_grid_validation(self, tiny_system):
-        with pytest.raises(UsageError):
-            sweep_dynamic(tiny_system.system, [0.4, 0.2], c1=0.8)
-        with pytest.raises(UsageError):
-            sweep_dynamic(tiny_system.system, [0.2, 0.9], c1=0.8)
+        sweep = sweep_dynamic(resweep(tiny_system.system, [0.4, 0.2, 0.4], c1=0.7))
+        assert [r.label for r in sweep] == [f"dynamic(c2={c2:g})" for c2 in (0, 0.2, 0.4, 0.7)]
+        with pytest.raises(ConfigError, match=r"c2_grid: entries must lie in \[0, c1\] = \[0, 0.8\]"):
+            resweep(tiny_system.system, [0.2, 0.9])
 
 
 class TestSeeds:

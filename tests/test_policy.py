@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgecloud import models, nncore
-from edgecloud.harness import (PolicyConfig, TrainedSystem, evaluate_policies, run_experiment,
-                               sweep_dynamic)
+from edgecloud.harness import PolicyConfig, evaluate_policies, run_experiment, sweep_dynamic
 from edgecloud.metrics import CostReport, comm_score, comp_score, comp_score_value, perf_score
 from edgecloud.models import (ModelSpec, adapt, cloud_tail, feedforward,
                               make_adapter)
@@ -22,7 +21,7 @@ from edgecloud.policy import (ADAPTIVE_CODE, CLOUD_CODE, EDGE_CODE,
                               route_dataset, route_sample)
 from edgecloud.train import accuracy_rate, recall_rate
 
-from conftest import tiny_plan
+from conftest import resweep, tiny_plan
 
 
 def const_prob_edge(probs, in_dim=4):
@@ -58,8 +57,8 @@ def predictions(routed, codes):
 
 def val_split(tiny_system, rows):
     """``route_dataset`` arguments for the first ``rows`` validation rows."""
-    return (tiny_system.edge, tiny_system.cloud, tiny_system.adapter,
-            tiny_system.dataset.val_X[:rows])
+    system = tiny_system.system
+    return system.edge, system.cloud, system.adapter, system.dataset.val_X[:rows]
 
 
 class TestDecide:
@@ -289,10 +288,8 @@ class TestPerSampleOracle:
         [(pc.variant, pc.c1, pc.c2, pc.confidence_mode) for pc in tiny_plan().policies],
         MIXED_MODES], ids=["tiny-plan", "mixed-modes"])
     def test_plan_policies_match_oracle(self, tiny_system, policies):
-        plan = dataclasses.replace(tiny_system.plan,
-                                   policies=[PolicyConfig(*p) for p in policies])
-        system = TrainedSystem(plan, tiny_system.dataset, tiny_system.edge,
-                               tiny_system.cloud, tiny_system.adapter)
+        system = dataclasses.replace(tiny_system.system, plan=dataclasses.replace(
+            tiny_system.system.plan, policies=[PolicyConfig(*p) for p in policies]))
         reports = evaluate_policies(system)
         assert len(reports) == 2 + len(policies)
         for (variant, c1, c2, mode), report in zip(policies, reports[2:]):
@@ -316,14 +313,15 @@ class TestPerSampleOracle:
 
     @pytest.mark.parametrize("mode", ["normal-class", "max-class"])
     def test_sweep_matches_oracle(self, tiny_system, mode):
-        system = tiny_system.system
-        sweep = sweep_dynamic(system, SWEEP_C2, c1=0.8, confidence_mode=mode)
-        for c2, report in zip(SWEEP_C2, sweep.reports):
+        system = resweep(tiny_system.system, SWEEP_C2, mode=mode)
+        sweep = sweep_dynamic(system)
+        assert len(sweep) == len(SWEEP_C2)
+        for c2, report in zip(SWEEP_C2, sweep):
             assert report == oracle_report(system, report.label,
                                            oracle_rows(system, "dynamic", 0.8, c2, mode))
 
     def test_anchor_rows_match_whole_model_inference(self, tiny_system):
-        ds = tiny_system.dataset
+        ds = tiny_system.system.dataset
         reports = evaluate_policies(tiny_system.system)[:2]
         for report, preds in zip(reports, anchor_preds(tiny_system.system)):
             assert report.accuracy == accuracy_rate(preds, ds.val_y)
@@ -332,11 +330,11 @@ class TestPerSampleOracle:
     @settings(max_examples=10, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_permuting_validation_rows_leaves_reports_unchanged(self, tiny_system, rnd):
-        ds = tiny_system.dataset
-        order = list(ds.val_idx)
+        system = tiny_system.system
+        order = list(system.dataset.val_idx)
         rnd.shuffle(order)
-        shuffled = TrainedSystem(tiny_system.plan, dataclasses.replace(ds, val_idx=np.array(order)),
-                                 tiny_system.edge, tiny_system.cloud, tiny_system.adapter)
-        assert evaluate_policies(shuffled) == evaluate_policies(tiny_system.system)
-        assert sweep_dynamic(shuffled, SWEEP_C2).reports == \
-            sweep_dynamic(tiny_system.system, SWEEP_C2).reports
+        shuffled = dataclasses.replace(system, dataset=dataclasses.replace(
+            system.dataset, val_idx=np.array(order)))
+        assert evaluate_policies(shuffled) == evaluate_policies(system)
+        assert sweep_dynamic(resweep(shuffled, SWEEP_C2)) == \
+            sweep_dynamic(resweep(system, SWEEP_C2))
