@@ -25,7 +25,6 @@ import os
 import sys
 
 from . import harness, metrics, nncore, train as train_mod
-from .metrics import MAX, MIN, ParetoPoint, pareto_frontier
 from .nncore import ConfigError, UsageError
 from .train import DivergenceError
 
@@ -110,26 +109,32 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_frontier(args) -> int:
-    if not os.path.exists(args.input):
-        raise ConfigError(f"input CSV not found: {args.input}")
-    rows = metrics.read_report_rows(args.input)
+def _read_rows(path, columns) -> list[dict[str, str]]:
+    """The data rows of the CSV at ``path``, which must exist and hold ``columns``."""
+    if not os.path.exists(path):
+        raise ConfigError(f"input CSV not found: {path}")
+    rows = metrics.read_report_rows(path)
     if not rows:
-        raise ConfigError(f"{args.input}: no data rows")
+        raise ConfigError(f"{path}: no data rows")
+    for col in columns:
+        if col not in rows[0]:
+            raise ConfigError(f"{path}: missing column {col!r}")
+    return rows
+
+
+def cmd_frontier(args) -> int:
     names = args.objectives.split(",")
     if len(names) > 2:
         raise UsageError(f"--objectives: expected 'perf,cost' or 'cost', got {args.objectives!r}")
-    perf, cost = names if len(names) == 2 else ("s_p", *names)
-    for col in (perf, cost, "label"):
-        if col not in rows[0]:
-            raise ConfigError(f"{args.input}: missing column {col!r}")
-    points = []
+    objectives = names if len(names) == 2 else ["s_p", *names]
+    rows = _read_rows(args.input, [*objectives, "label"])
+    pairs = []
     for i, row in enumerate(rows):
         try:
-            points.append(ParetoPoint((float(row[perf]), float(row[cost])), (MAX, MIN), row["label"]))
+            pairs.append((row["label"], [float(row[c]) for c in objectives]))
         except ValueError as exc:
             raise ConfigError(f"{args.input} row {i + 1}: {exc}") from exc
-    keep = {p.label for p in pareto_frontier(points)}
+    keep = metrics.frontier_labels(pairs)
     kept_rows = [row for row in rows if row["label"] in keep]
     with open(args.output, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
@@ -140,11 +145,7 @@ def cmd_frontier(args) -> int:
 
 
 def cmd_report(args) -> int:
-    if not os.path.exists(args.input):
-        raise ConfigError(f"input CSV not found: {args.input}")
-    rows = metrics.read_report_rows(args.input)
-    if not rows:
-        raise ConfigError(f"{args.input}: no data rows")
+    rows = _read_rows(args.input, ["label"])
     cols = ["label", "accuracy", "s_p", "s_comp", "s_comm", "tau", "psi", "recall"]
     present = [c for c in cols if c in rows[0]]
     widths = {c: max(len(c), 8) for c in present}

@@ -1,21 +1,21 @@
 """Synthetic data generation and end-to-end experiment execution.
 
-The synthetic task mirrors the intended deployment: one "normal" class
-(nothing of interest) drawn from a wide multi-cluster blob around the
-origin, plus well-separated positive classes on orthogonal directions;
-``difficulty`` widens every cluster and so controls their overlap. A plan
-bundles dataset, net, adapter, training-stage and policy configs under a
-single master seed, from which every stage seed is derived, so a whole
-experiment is reproducible byte for byte; its dataclasses are the plan
-file's schema.
+The synthetic task mirrors the intended deployment: the normal class
+``models.NORMAL_CLASS`` (nothing of interest) drawn from a wide
+multi-cluster blob around the origin, plus well-separated positive classes
+on orthogonal directions; ``difficulty`` widens every cluster and so
+controls their overlap. A plan bundles dataset, net, adapter,
+training-stage and policy configs under a single master seed, from which
+every stage seed is derived, so a whole experiment is reproducible byte for
+byte; its dataclasses are the plan file's schema.
 
-Pipeline order: train the cloud model, train the edge with the
-feature-imitation term (optionally with the three-objective recall bundle),
-then fine-tune the adapter plus the cloud tail. A list of policies is scored
-on the held-out split as one report per system after the edge and cloud
-anchors: the plan's policies for ``evaluate_policies``, and for
-``sweep_dynamic`` the dynamic policies its ``c2`` sweep spans. Writing the
-reports is left to the caller.
+Pipeline order: train the cloud model, train the edge with the plan's
+``kd_weight`` on the feature-imitation term (with ``recall_boost``, the
+three-objective recall bundle instead), then fine-tune the adapter plus the
+cloud tail. A list of policies is scored on the held-out split as one
+report per system after the edge and cloud anchors: the plan's policies for
+``evaluate_policies``, and for ``sweep_dynamic`` the dynamic policies its
+``c2`` sweep spans. Writing the reports is left to the caller.
 """
 
 import dataclasses
@@ -51,7 +51,6 @@ class Dataset:
     X: np.ndarray
     y: np.ndarray
     num_classes: int
-    normal_class: int
     normal_fraction: float
     train_idx: np.ndarray
     val_idx: np.ndarray
@@ -84,7 +83,7 @@ class Dataset:
         np.savez(path, __dataset_version__=np.int64(DATASET_VERSION),
                  X=self.X, y=self.y, train_idx=self.train_idx, val_idx=self.val_idx,
                  num_classes=np.int64(self.num_classes),
-                 normal_class=np.int64(self.normal_class),
+                 normal_class=np.int64(models.NORMAL_CLASS),
                  normal_fraction=np.float64(self.normal_fraction),
                  sigma_normal=np.float64(self.sigma_normal),
                  sigma_positive=np.float64(self.sigma_positive), **arrays)
@@ -96,9 +95,8 @@ class Dataset:
                 raise ConfigError(f"{path}: not an edgecloud dataset file")
             num_classes = int(z["num_classes"])
             centers = [z[f"centers_{c}"] for c in range(num_classes)]
-            return cls(z["X"], z["y"], num_classes, int(z["normal_class"]),
-                       float(z["normal_fraction"]), z["train_idx"], z["val_idx"],
-                       centers, float(z["sigma_normal"]), float(z["sigma_positive"]))
+            return cls(z["X"], z["y"], num_classes, float(z["normal_fraction"]), z["train_idx"],
+                       z["val_idx"], centers, float(z["sigma_normal"]), float(z["sigma_positive"]))
 
 
 def gen_dataset(num_classes: int, dim: int, n: int, normal_fraction: float,
@@ -143,7 +141,7 @@ def gen_dataset(num_classes: int, dim: int, n: int, normal_fraction: float,
     blocks, labels = [], []
     assign = rng.integers(0, NORMAL_SUBCLUSTERS, n_normal)
     blocks.append(normal_centers[assign] + sigma_norm * rng.standard_normal((n_normal, dim)))
-    labels.append(np.zeros(n_normal, dtype=np.intp))
+    labels.append(np.full(n_normal, models.NORMAL_CLASS, dtype=np.intp))
     for c in range(n_positive_classes):
         k = counts[c + 1]
         blocks.append(positive_centers[c] + sigma_pos * rng.standard_normal((k, dim)))
@@ -165,7 +163,7 @@ def gen_dataset(num_classes: int, dim: int, n: int, normal_fraction: float,
     val_idx = np.sort(np.concatenate(val_parts))
 
     centers = [normal_centers] + [positive_centers[c:c + 1] for c in range(n_positive_classes)]
-    return Dataset(X, y, num_classes, 0, normal_fraction, train_idx, val_idx,
+    return Dataset(X, y, num_classes, normal_fraction, train_idx, val_idx,
                    centers, sigma_norm, sigma_pos)
 
 
@@ -217,12 +215,10 @@ class StageConfig:
     epochs: int
     batch_size: int
     learning_rate: float
-    kd_weight: float = 1.0
 
     def train_config(self, seed: int) -> TrainConfig:
         """This stage as a ``TrainConfig``, whose rules check every field."""
-        return TrainConfig(self.epochs, self.batch_size, self.learning_rate,
-                           self.kd_weight, seed)
+        return TrainConfig(self.epochs, self.batch_size, self.learning_rate, seed)
 
 
 @dataclass
@@ -247,9 +243,9 @@ class ExperimentPlan:
     adapter: AdapterConfig
     stages: dict[str, StageConfig]
     recall_boost: bool = False
+    kd_weight: float = 1.0
     policies: list[PolicyConfig] = field(default_factory=list)
     c2_grid: list[float] = field(default_factory=list)
-    bytes_per_element: int = 4
 
     def __post_init__(self) -> None:
         problem = self.data.problem()
@@ -274,15 +270,17 @@ class ExperimentPlan:
                 self.stages[name].train_config(seed=0)
             except ConfigError as exc:
                 raise ConfigError(f"stages.{name}.{exc}") from None
+        train_mod.check_edge_objectives(self.kd_weight, self.recall_boost)
         for i, p in enumerate(self.policies):
             try:
                 policy_mod.check_thresholds(p.variant, p.c1, p.c2)
             except ConfigError as exc:
                 raise ConfigError(f"policies[{i}]: {exc}") from None
+            if p.variant != DYNAMIC and p.c2 != 0.0:
+                raise ConfigError(f"policies[{i}].c2: only a dynamic policy reads c2")
             if p.confidence_mode not in models.CONFIDENCE_MODES:
                 raise ConfigError(f"policies[{i}].confidence_mode: unknown mode "
                                   f"{p.confidence_mode!r}, expected one of {models.CONFIDENCE_MODES}")
-        policy_mod.check_bytes_per_element(self.bytes_per_element)
         c1 = self.sweep_policies()[-1].c1
         if any(not 0.0 <= c2 <= c1 for c2 in self.c2_grid):
             raise ConfigError(f"c2_grid: entries must lie in [0, c1] = [0, {c1:g}]")
@@ -316,9 +314,10 @@ def default_plan(master_seed: int = 0) -> ExperimentPlan:
         adapter=AdapterConfig(edge_tap=0, cloud_tap=2, blocks=2),
         stages={
             "cloud": StageConfig(epochs=30, batch_size=64, learning_rate=0.08),
-            "edge_kd": StageConfig(epochs=30, batch_size=64, learning_rate=0.08, kd_weight=0.5),
+            "edge_kd": StageConfig(epochs=30, batch_size=64, learning_rate=0.08),
             "finetune": StageConfig(epochs=12, batch_size=64, learning_rate=0.04),
         },
+        kd_weight=0.5,
         policies=[
             PolicyConfig("independent", c1=0.8),
             PolicyConfig("adaptive", c1=0.8),
@@ -415,9 +414,9 @@ def build_models(plan: ExperimentPlan) -> tuple[ModelSpec, ModelSpec, AdapterSpe
     """Edge, cloud and the adapter that splits them, from the plan's seeds."""
     seeds = derive_seeds(plan.master_seed)
     d, a = plan.data, plan.adapter
-    edge = models.feedforward("edge", d.dim, plan.edge.hidden, d.num_classes, 0,
+    edge = models.feedforward("edge", d.dim, plan.edge.hidden, d.num_classes,
                               np.random.default_rng(seeds["edge_init"]))
-    cloud = models.feedforward("cloud", d.dim, plan.cloud.hidden, d.num_classes, 0,
+    cloud = models.feedforward("cloud", d.dim, plan.cloud.hidden, d.num_classes,
                                np.random.default_rng(seeds["cloud_init"]))
     adapter = models.make_adapter("adapter", a.edge_tap, a.cloud_tap, edge.tap_dim(a.edge_tap),
                                   cloud.tap_dim(a.cloud_tap), a.blocks,
@@ -436,6 +435,7 @@ def train_stages(plan: ExperimentPlan, ds: Dataset, edge: ModelSpec,
     return {
         "cloud": train_mod.train_base(cloud, X, y, cfg["cloud"]),
         "edge_kd": train_mod.train_edge_kd(edge, cloud, adapter, X, y, cfg["edge_kd"],
+                                           kd_weight=plan.kd_weight,
                                            recall_boost=plan.recall_boost),
         "finetune": train_mod.finetune_adapter(edge, cloud, adapter, X, y, cfg["finetune"]),
     }
@@ -461,11 +461,10 @@ def _scorer(system: TrainedSystem, routed: RoutedDataset):
     ds, edge, cloud = system.dataset, system.edge, system.cloud
     flops_edge, flops_cloud = edge.total_flops(), cloud.total_flops()
     metrics.check_flops(flops_edge, flops_cloud)
-    route_bytes, route_flops = policy_mod.route_costs(edge, cloud, system.adapter,
-                                                      system.plan.bytes_per_element)
+    route_sent, route_flops = policy_mod.route_costs(edge, cloud, system.adapter)
     preds = np.stack([routed.edge_pred, routed.adaptive_pred, routed.cloud_pred])
-    positive = ds.val_y != ds.normal_class
-    correct, recalled = preds == ds.val_y, (preds != ds.normal_class) & positive
+    positive = ds.val_y != models.NORMAL_CLASS
+    correct, recalled = preds == ds.val_y, (preds != models.NORMAL_CLASS) & positive
     n, positives = len(ds.val_y), int(positive.sum())
     routes = np.arange(len(ROUTES))[:, None]
 
@@ -487,7 +486,7 @@ def _scorer(system: TrainedSystem, routed: RoutedDataset):
         taken = routes == codes
         counts = taken.sum(axis=1)
         accuracy, recall = rates(taken)
-        tau, psi, s_comm = metrics.comm_score(counts, route_bytes, route_bytes[CLOUD_CODE])
+        tau, psi, s_comm = metrics.comm_score(counts, route_sent, route_sent[CLOUD_CODE])
         flops_sys, s_comp = metrics.comp_score(flops_edge, flops_cloud, counts, route_flops)
         s_p = metrics.perf_score(accuracy, edge_report.accuracy, cloud_report.accuracy)
         return CostReport(label, s_p, s_comp, s_comm, tau, psi, flops_sys, accuracy, recall)

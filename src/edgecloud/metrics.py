@@ -167,12 +167,16 @@ def pareto_frontier(points: Iterable[ParetoPoint]) -> list[ParetoPoint]:
     return sorted(front, key=lambda p: (p.objectives, p.label))
 
 
+def frontier_labels(pairs: Iterable[tuple[str, Sequence[float]]]) -> set[str]:
+    """Labels of the non-dominated pairs; a vector's first objective is a max, the rest mins."""
+    points = (ParetoPoint(v, (MAX,) + (MIN,) * (len(v) - 1), label) for label, v in pairs)
+    return {p.label for p in pareto_frontier(points)}
+
+
 def frontier_reports(reports: Sequence[CostReport], *cost_fields: str) -> list[CostReport]:
     """Reports whose (s_p max, each cost min) vector is non-dominated, in order."""
-    senses = (MAX,) + (MIN,) * len(cost_fields)
-    points = [ParetoPoint(tuple(getattr(r, f) for f in ("s_p", *cost_fields)), senses, r.label)
-              for r in reports]
-    keep = {p.label for p in pareto_frontier(points)}
+    keep = frontier_labels((r.label, [getattr(r, f) for f in ("s_p", *cost_fields)])
+                           for r in reports)
     return [r for r in reports if r.label in keep]
 
 
@@ -194,9 +198,10 @@ def write_reports_csv(path, reports: Sequence[CostReport]) -> None:
 
 
 def read_report_rows(path) -> list[dict[str, str]]:
-    """Rows of a reports-schema CSV as dicts (values kept as strings)."""
+    """Rows of a reports-schema CSV as dicts (values kept as strings; a short
+    row's missing cells read as empty)."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         if reader.fieldnames is None:
             raise ConfigError(f"{path}: empty CSV")
         return list(reader)

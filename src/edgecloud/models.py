@@ -20,31 +20,27 @@ from . import nncore
 from .nncore import (ConfigError, IDENTITY, LayerSpec, Param, RELU, UsageError,
                      as_tensor, dense, residual_block, softmax)
 
+NORMAL_CLASS = 0  # the "nothing of interest" class of every dataset and model
 NORMAL_CLASS_MODE = "normal-class"
 MAX_CLASS_MODE = "max-class"
 CONFIDENCE_MODES = (NORMAL_CLASS_MODE, MAX_CLASS_MODE)
 
 
 class ModelSpec:
-    """Named layer stack with a softmax head and the index of the 'nothing of
-    interest' class."""
+    """Named layer stack with a softmax head."""
 
-    __slots__ = ("name", "layers", "num_classes", "normal_class")
+    __slots__ = ("name", "layers", "num_classes")
 
-    def __init__(self, name: str, layers: Sequence[LayerSpec], num_classes: int,
-                 normal_class: int) -> None:
+    def __init__(self, name: str, layers: Sequence[LayerSpec], num_classes: int) -> None:
         layers = list(layers)
         if not layers:
             raise ConfigError("model needs at least one layer")
         nncore._check_chain(layers, layers[0].in_dim)
         if layers[-1].out_dim != num_classes:
             raise ConfigError(f"last layer out_dim {layers[-1].out_dim} != num_classes {num_classes}")
-        if not 0 <= normal_class < num_classes:
-            raise ConfigError(f"normal_class {normal_class} out of range")
         self.name = name
         self.layers = layers
         self.num_classes = num_classes
-        self.normal_class = normal_class
 
     @property
     def in_dim(self) -> int:
@@ -111,7 +107,7 @@ class AdapterSpec:
 
 
 def feedforward(name: str, in_dim: int, hidden: Sequence[int], num_classes: int,
-                normal_class: int, rng: np.random.Generator | None = None) -> ModelSpec:
+                rng: np.random.Generator | None = None) -> ModelSpec:
     """Relu MLP with an identity head; hidden layer i is named ``{name}.h{i}``."""
     layers = []
     prev = in_dim
@@ -119,7 +115,7 @@ def feedforward(name: str, in_dim: int, hidden: Sequence[int], num_classes: int,
         layers.append(dense(prev, width, RELU, rng=rng, name=f"{name}.h{i}"))
         prev = width
     layers.append(dense(prev, num_classes, IDENTITY, rng=rng, name=f"{name}.head"))
-    return ModelSpec(name, layers, num_classes, normal_class)
+    return ModelSpec(name, layers, num_classes)
 
 
 def make_adapter(name: str, edge_tap: int, cloud_tap: int, edge_dim: int,
@@ -171,10 +167,10 @@ def cloud_tail(model: ModelSpec, injected, from_tap: int) -> np.ndarray:
     return softmax(nncore.forward(model.layers[from_tap + 1:], values))
 
 
-def confidence(probs, normal_class: int, mode: str = NORMAL_CLASS_MODE):
+def confidence(probs, mode: str = NORMAL_CLASS_MODE):
     """Confidence score used by the routing rules.
 
-    ``normal-class`` returns the probability of the normal class; ``max-class``
+    ``normal-class`` returns the probability of :data:`NORMAL_CLASS`; ``max-class``
     returns the top probability. Accepts a single vector or a batch.
     """
     if mode not in CONFIDENCE_MODES:
@@ -183,8 +179,5 @@ def confidence(probs, normal_class: int, mode: str = NORMAL_CLASS_MODE):
     sums = arr.sum(axis=-1)
     if not np.allclose(sums, 1.0, atol=1e-6):
         raise UsageError("probabilities must sum to 1")
-    if mode == NORMAL_CLASS_MODE:
-        out = arr[..., normal_class]
-    else:
-        out = arr.max(axis=-1)
+    out = arr[..., NORMAL_CLASS] if mode == NORMAL_CLASS_MODE else arr.max(axis=-1)
     return float(out) if out.ndim == 0 else out

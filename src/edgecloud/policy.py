@@ -20,8 +20,8 @@ split and returns the confidence and each branch's prediction per row; each
 branch is ``nncore.forward``, the one layer loop, on a slice of the edge,
 adapter or cloud stack. :func:`route_codes` then maps any (variant, c1, c2)
 to an array of route codes, indices into :data:`ROUTES`, with one
-:func:`route_sample` call per row. :func:`route_costs` gives the bytes and
-cloud-side FLOPs one row pays on each route.
+:func:`route_sample` call per row. :func:`route_costs` gives the elements
+sent and cloud-side FLOPs one row pays on each route.
 """
 
 from __future__ import annotations
@@ -77,11 +77,6 @@ def check_thresholds(variant: str, c1: float, c2: float = 0.0) -> None:
         raise ConfigError("dynamic policy requires 0 <= c2 <= c1")
 
 
-def check_bytes_per_element(bytes_per_element: int) -> None:
-    if bytes_per_element < 1:
-        raise ConfigError("bytes_per_element must be >= 1")
-
-
 def route_codes(variant: str, conf, c1: float, c2: float = 0.0) -> np.ndarray:
     """:func:`route_sample` over an array of confidences, one call per row,
     after :func:`check_thresholds`."""
@@ -110,22 +105,20 @@ def route_dataset(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec, X,
         raise UsageError("route_dataset expects an (n, d) array")
     probs, feature = infer_with_tap(edge, X, adapter.edge_tap)
     adapted = cloud_tail(cloud, adapt(adapter, feature), adapter.cloud_tap)
-    return RoutedDataset(confidence(probs, edge.normal_class, confidence_mode),
+    return RoutedDataset(confidence(probs, confidence_mode),
                          np.argmax(probs, axis=1), np.argmax(adapted, axis=1),
                          np.argmax(infer(cloud, X), axis=1))
 
 
-def route_costs(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
-                bytes_per_element: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Bytes transmitted and cloud-side FLOPs of one row, indexed by route code.
+def route_costs(edge: ModelSpec, cloud: ModelSpec,
+                adapter: AdapterSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Elements transmitted and cloud-side FLOPs of one row, indexed by route code.
 
     The adapted offload sends the edge tap feature and runs the adapter plus
     the cloud layers after its tap; the full-cloud offload sends the raw
     input and runs the whole cloud model.
     """
-    check_bytes_per_element(bytes_per_element)
-    sent = (0, edge.tap_dim(adapter.edge_tap) * bytes_per_element,
-            cloud.in_dim * bytes_per_element)
+    sent = (0, edge.tap_dim(adapter.edge_tap), cloud.in_dim)
     cloud_side = (0, adapter.total_flops() + nncore.flops(cloud.layers[adapter.cloud_tap + 1:]),
                   cloud.total_flops())
     return sent, cloud_side

@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import nncore
-from .models import (AdapterSpec, ModelSpec, adapt, check_adapter_binding,
+from .models import (AdapterSpec, ModelSpec, NORMAL_CLASS, adapt, check_adapter_binding,
                      cloud_tail, infer, infer_with_tap)
 from .moo import GradientBundle, solve_min_norm
 from .nncore import (ConfigError, GradientTape, Node, Param, UsageError,
@@ -72,12 +72,10 @@ class TrainConfig:
     epochs: int
     batch_size: int
     learning_rate: float
-    kd_weight: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, low in (("epochs", 0), ("batch_size", 1), ("learning_rate", 0),
-                          ("kd_weight", 0)):
+        for name, low in (("epochs", 0), ("batch_size", 1), ("learning_rate", 0)):
             if not getattr(self, name) >= low:
                 raise ConfigError(f"{name}: must be >= {low}")
 
@@ -154,14 +152,14 @@ def _kd_against(target: np.ndarray, adapted: np.ndarray) -> float:
     return float(-q.mean())
 
 
-def positive_cross_entropy(probs, labels, normal_class: int) -> float:
+def positive_cross_entropy(probs, labels) -> float:
     """Cross-entropy restricted to rows whose label is not the normal class.
 
     Returns 0 when the batch has no positive rows (a defined result, not an
     error).
     """
     labels = np.asarray(labels, dtype=np.intp)
-    mask = labels != normal_class
+    mask = labels != NORMAL_CLASS
     if not mask.any():
         return 0.0
     probs = np.asarray(probs, dtype=np.float64)
@@ -174,17 +172,17 @@ def accuracy_rate(preds, labels) -> float:
     return float((preds == labels).mean())
 
 
-def recall_rate(preds, labels, normal_class: int) -> float:
+def recall_rate(preds, labels) -> float:
     """Fraction of positive-labelled samples predicted as any positive class.
 
     Vacuously 1 when the batch has no positive samples.
     """
     preds = np.asarray(preds)
     labels = np.asarray(labels)
-    mask = labels != normal_class
+    mask = labels != NORMAL_CLASS
     if not mask.any():
         return 1.0
-    return float((preds[mask] != normal_class).mean())
+    return float((preds[mask] != NORMAL_CLASS).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +208,10 @@ def kd_on_tape(tape: GradientTape, adapted: Node, target) -> Node:
     return nncore.op_scale(tape, nncore.op_mean(tape, nncore.op_add(tape, hit, miss)), -1.0)
 
 
-def positive_ce_on_tape(tape: GradientTape, logits: Node, labels,
-                        normal_class: int) -> Node | None:
+def positive_ce_on_tape(tape: GradientTape, logits: Node, labels) -> Node | None:
     """Taped cross-entropy over the positive rows; ``None`` when there are none."""
     labels = np.asarray(labels, dtype=np.intp)
-    idx = np.flatnonzero(labels != normal_class)
+    idx = np.flatnonzero(labels != NORMAL_CLASS)
     if idx.size == 0:
         return None
     subset = nncore.op_rows(tape, logits, idx)
@@ -228,22 +225,21 @@ def adapter_on_tape(tape: GradientTape, adapter: AdapterSpec, feature: Node) -> 
 # ---------------------------------------------------------------------------
 # Evaluation helpers.
 
-def _loss_report(probs: np.ndarray, y: np.ndarray, normal_class: int,
-                 kd: float = 0.0) -> LossReport:
+def _loss_report(probs: np.ndarray, y: np.ndarray, kd: float = 0.0) -> LossReport:
     """Classifier metrics of class probabilities against ``y``."""
     preds = np.argmax(probs, axis=1)
     return LossReport(
         ce_loss=cross_entropy(probs, y),
         kd_loss=kd,
-        positive_ce_loss=positive_cross_entropy(probs, y, normal_class),
+        positive_ce_loss=positive_cross_entropy(probs, y),
         accuracy=accuracy_rate(preds, y),
-        recall=recall_rate(preds, y, normal_class),
+        recall=recall_rate(preds, y),
     )
 
 
 def evaluate_model(model: ModelSpec, X, y) -> LossReport:
     """Classifier metrics of a model on a labelled set (kd reported as 0)."""
-    return _loss_report(infer(model, X), np.asarray(y, dtype=np.intp), model.normal_class)
+    return _loss_report(infer(model, X), np.asarray(y, dtype=np.intp))
 
 
 def _adaptive_report(cloud: ModelSpec, adapter: AdapterSpec, edge_feat: np.ndarray,
@@ -251,7 +247,7 @@ def _adaptive_report(cloud: ModelSpec, adapter: AdapterSpec, edge_feat: np.ndarr
     """Adapted-path metrics from a given edge tap feature and KD targets."""
     adapted = adapt(adapter, edge_feat)
     probs = cloud_tail(cloud, adapted, adapter.cloud_tap)
-    return _loss_report(probs, y, cloud.normal_class, _kd_against(target, adapted))
+    return _loss_report(probs, y, _kd_against(target, adapted))
 
 
 def evaluate_adaptive_path(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
@@ -383,8 +379,17 @@ def train_base(model: ModelSpec, X, y, config: TrainConfig) -> TrainResult:
                 lambda: evaluate_model(model, X, y))
 
 
-def train_edge_kd(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
-                  X, y, config: TrainConfig, *, recall_boost: bool = False) -> TrainResult:
+def check_edge_objectives(kd_weight: float, recall_boost: bool) -> None:
+    """Reject a negative imitation weight, or a zero one in the recall-boost bundle."""
+    if not kd_weight >= 0:
+        raise ConfigError("kd_weight: must be >= 0")
+    if recall_boost and kd_weight == 0:
+        raise ConfigError("kd_weight: must be > 0 when recall_boost is on")
+
+
+def train_edge_kd(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec, X, y,
+                  config: TrainConfig, *, kd_weight: float = 1.0,
+                  recall_boost: bool = False) -> TrainResult:
     """Edge training with the feature-imitation term.
 
     The cloud stays frozen throughout (verified by hashing). Each step
@@ -394,11 +399,10 @@ def train_edge_kd(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
     weights cross-entropy, positive-sample cross-entropy and the imitation
     loss by their minimum-norm point.
     """
+    check_edge_objectives(kd_weight, recall_boost)
     check_adapter_binding(edge, cloud, adapter)
     X, y = _coerce_data(X, y)
-    use_kd = config.kd_weight != 0.0
-    if recall_boost and not use_kd:
-        raise ConfigError("the recall_boost bundle requires kd_weight > 0")
+    use_kd = kd_weight != 0.0
     kd_target = _kd_targets(cloud, adapter.cloud_tap, X) if use_kd else None
     prefix, tail = edge.layers[:adapter.edge_tap + 1], edge.layers[adapter.edge_tap + 1:]
 
@@ -410,14 +414,14 @@ def train_edge_kd(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
             return [ce]
         kd = kd_on_tape(tape, adapter_on_tape(tape, adapter, tap_node), kd_target[idx])
         if not recall_boost:
-            return [nncore.op_add(tape, ce, nncore.op_scale(tape, kd, config.kd_weight))]
-        return [ce, positive_ce_on_tape(tape, h, y[idx], edge.normal_class), kd]
+            return [nncore.op_add(tape, ce, nncore.op_scale(tape, kd, kd_weight))]
+        return [ce, positive_ce_on_tape(tape, h, y[idx]), kd]
 
     def report():
         # one edge pass gives both the probabilities and the tap
         probs, edge_feat = infer_with_tap(edge, X, adapter.edge_tap)
         kd = 0.0 if kd_target is None else _kd_against(kd_target, adapt(adapter, edge_feat))
-        return _loss_report(probs, y, edge.normal_class, kd)
+        return _loss_report(probs, y, kd)
 
     return _fit("kd-edge", len(X), config, edge.params() + adapter.params(),
                 objectives, report, frozen=cloud.params())

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from edgecloud import harness, nncore, train
+from edgecloud import harness, models, nncore, train
 from edgecloud.harness import (AdapterConfig, DataConfig, ExperimentPlan, NetConfig,
                                PolicyConfig, StageConfig)
 from edgecloud.metrics import MAX
@@ -96,14 +96,14 @@ def train_recall_boost(edge, X, y, config):
     cross-entropy by the per-step minimum-norm solution: the training loop's
     multi-objective path on the edge alone (acceptance criterion 5d)."""
     X, y = train._coerce_data(X, y)
-    pos_mask = y != edge.normal_class
+    pos_mask = y != models.NORMAL_CLASS
     if not pos_mask.any() or pos_mask.all():
         raise UsageError("recall boosting needs both normal and positive samples")
 
     def objectives(tape, idx):
         logits = nncore.forward_on_tape(tape, edge.layers, tape.input(X[idx]))
         ce = train.ce_on_tape(tape, logits, y[idx])
-        return [ce, train.positive_ce_on_tape(tape, logits, y[idx], edge.normal_class)]
+        return [ce, train.positive_ce_on_tape(tape, logits, y[idx])]
 
     return train._fit("recall-boost", len(X), config, edge.params(), objectives,
                       lambda: train.evaluate_model(edge, X, y))
@@ -206,7 +206,7 @@ def tiny_plan(master_seed=0, **overrides):
         adapter=AdapterConfig(edge_tap=0, cloud_tap=1, blocks=1),
         stages={
             "cloud": StageConfig(epochs=8, batch_size=32, learning_rate=0.1),
-            "edge_kd": StageConfig(epochs=8, batch_size=32, learning_rate=0.1, kd_weight=1.0),
+            "edge_kd": StageConfig(epochs=8, batch_size=32, learning_rate=0.1),
             "finetune": StageConfig(epochs=4, batch_size=32, learning_rate=0.05),
         },
         policies=[
@@ -224,12 +224,13 @@ def tiny_plan(master_seed=0, **overrides):
 # (keys down to the field, value, message).
 MISTYPED_FIELDS = [
     (("recall_boost",), "false", "plan.recall_boost: expected bool, got str"),
-    (("bytes_per_element",), 4.9, "plan.bytes_per_element: expected int, got float"),
+    (("kd_weight",), "0.5", "plan.kd_weight: expected float, got str"),
     (("edge", "hidden"), ["6"], r"plan.edge.hidden\[0\]: expected int, got str"),
     (("adapter", "edge_tap"), 0.0, "plan.adapter.edge_tap: expected int, got float"),
     (("cloud", "hidden"), "012", "plan.cloud.hidden: expected list, got str"),
     (("c2_grid",), [0.2, "0.3"], r"plan.c2_grid\[1\]: expected float, got str"),
-    (("stages", "cloud", "kd_weight"), "1", "plan.stages.cloud.kd_weight: expected float, got str"),
+    (("stages", "cloud", "learning_rate"), "1",
+     "plan.stages.cloud.learning_rate: expected float, got str"),
     (("policies", 2, "c2"), None, r"plan.policies\[2\].c2: expected float, got NoneType"),
     (("policies", 0, "confidence_mode"), 1, r"plan.policies\[0\].confidence_mode: expected str"),
 ]

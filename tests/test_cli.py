@@ -139,6 +139,35 @@ def test_frontier_missing_column_exits_2(tmp_path, capsys):
     assert "s_comp" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", ["A,0.9,high", "A,0.9"], ids=["non-numeric", "short-row"])
+def test_frontier_bad_cell_exits_2_naming_the_file(tmp_path, capsys, row):
+    src = tmp_path / "rows.csv"
+    src.write_text(f"label,s_p,s_comp\nB,0.8,0.8\n{row}\n")
+    assert dispatch(["frontier", "--input", str(src), "--output", str(tmp_path / "f.csv")]) == 2
+    assert f"error: {src} row 2: " in capsys.readouterr().err
+
+
+def test_frontier_command_keeps_the_rows_sweep_keeps(pipeline_out, tmp_path):
+    dst = tmp_path / "front.csv"
+    assert dispatch(["frontier", "--input", os.path.join(pipeline_out, "sweep.csv"),
+                     "--output", str(dst), "--objectives", "s_p,s_comp"]) == 0
+    with open(os.path.join(pipeline_out, "sweep_frontier_comp.csv"), "rb") as fh:
+        assert dst.read_bytes() == fh.read()
+
+
+def test_report_prints_a_short_row_with_empty_cells(tmp_path, capsys):
+    src = tmp_path / "rows.csv"
+    src.write_text("label,s_p,s_comp\nA,0.9,0.7\nB,0.8\n")
+    assert dispatch(["report", "--input", str(src)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["B", "0.8000"]
+
+
+def test_report_without_a_label_column_exits_2(pipeline_out, capsys):
+    path = os.path.join(pipeline_out, "train_cloud.csv")
+    assert dispatch(["report", "--input", path]) == 2
+    assert capsys.readouterr().err == f"error: {path}: missing column 'label'\n"
+
+
 def test_frontier_with_three_objectives_exits_2(tmp_path, capsys):
     src = tmp_path / "rows.csv"
     src.write_text("label,s_p,s_comp,s_comm\nA,0.9,0.7,0.5\n")
@@ -182,7 +211,7 @@ def test_sweep_routes_on_the_plan_confidence_mode(tmp_path):
 
 
 @pytest.mark.parametrize("policy, key, value", [
-    (0, "c1", 1.5), (2, "c2", -0.2), (None, "bytes_per_element", 0),
+    (0, "c1", 1.5), (2, "c2", -0.2), (None, "kd_weight", -1.0),
     (1, "confidence_mode", "softmax-max"),
 ])
 def test_train_refuses_a_plan_evaluate_would_refuse(tmp_path, capsys, policy, key, value):
@@ -225,6 +254,7 @@ REFUSED_AT_LOAD = [
     (("edge", "hidden"), [0], r"edge.hidden\[0\]: must be >= 1"),
     (("recall_bost",), True, "plan.recall_bost: unknown field"),
     (("cloud", "taps"), [0, 1, 2], "plan.cloud.taps: unknown field"),
+    (("bytes_per_element",), 4, "plan.bytes_per_element: unknown field"),
     (("adapter", "edge_tap"), 5, r"adapter.edge_tap: must lie in \[0, 1\]"),
     (("dataset", "dim"), 0, "dataset.dim: must be >= 1"),
     (("dataset", "n"), 3, "dataset.n: must be >= num_classes"),
@@ -235,6 +265,7 @@ REFUSED_AT_LOAD = [
 
 @pytest.mark.parametrize("keys, value, message", REFUSED_AT_LOAD,
                          ids=["edge-width--3", "edge-width-0", "recall_bost", "cloud.taps",
+                              "bytes_per_element",
                               "edge-tap-5", "dataset-dim-0", "dataset-n-3",
                               "dataset-normal_fraction-1.5", "dataset-difficulty--0.1"])
 def test_train_refuses_an_unbuildable_or_misspelled_plan(tmp_path, capsys, keys, value, message):
@@ -247,6 +278,19 @@ def test_train_refuses_an_unbuildable_or_misspelled_plan(tmp_path, capsys, keys,
     for command in ("gen-data", "train"):
         assert dispatch([command, "--config", str(path), "--out", str(out)]) == 2
         assert re.search(f"^error: {message}$", capsys.readouterr().err)
+    assert not (out / "dataset.npz").exists() and not (out / "edge.npz").exists()
+
+
+def test_recall_boost_without_imitation_refused_before_any_output(tmp_path, capsys):
+    import json
+    cfg = harness.plan_to_dict(tiny_plan(recall_boost=True))
+    cfg["kd_weight"] = 0.0
+    path, out = tmp_path / "plan.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg))
+    for command in ("gen-data", "train"):
+        assert dispatch([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: kd_weight: must be > 0 when recall_boost is on\n"
     assert not (out / "dataset.npz").exists() and not (out / "edge.npz").exists()
 
 

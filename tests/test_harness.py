@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from edgecloud import harness, metrics, models, nncore
 from edgecloud.cli import CHECKPOINT_FILES, dispatch
 from edgecloud.harness import (AdapterConfig, Dataset, ExperimentPlan, NetConfig,
-                               PolicyConfig, StageConfig, TrainedSystem, build_dataset,
+                               PolicyConfig, TrainedSystem, build_dataset,
                                build_models, default_plan, evaluate_policies, gen_dataset,
                                load_plan, plan_from_dict, plan_to_dict, run_experiment,
                                save_plan, sweep_dynamic)
@@ -35,10 +36,9 @@ OMITTED = {
         ("stages", "*", "learning_rate"), ("policies", "*", "variant"), ("policies", "*", "c1"),
     ]},
     ("recall_boost",): (ExperimentPlan, False),
+    ("kd_weight",): (ExperimentPlan, 1.0),
     ("policies",): (ExperimentPlan, []),
     ("c2_grid",): (ExperimentPlan, []),
-    ("bytes_per_element",): (ExperimentPlan, 4),
-    ("stages", "*", "kd_weight"): (StageConfig, 1.0),
     ("policies", "*", "c2"): (PolicyConfig, 0.0),
     ("policies", "*", "confidence_mode"): (PolicyConfig, "normal-class"),
 }
@@ -78,7 +78,7 @@ class TestGenDataset:
 
     def test_normal_fraction_matches_declared(self):
         ds = gen_dataset(7, 16, 10_000, 0.4, seed=1)
-        frac = float((ds.y == ds.normal_class).mean())
+        frac = float((ds.y == models.NORMAL_CLASS).mean())
         assert 0.38 <= frac <= 0.42
 
     def test_split_is_stratified_80_20(self):
@@ -97,7 +97,7 @@ class TestGenDataset:
         ds = gen_dataset(7, 16, 4000, 0.4, seed=3, difficulty=0.0)
         centers = np.concatenate(ds.centers)
         owner = np.concatenate([np.full(len(c), i) for i, c in enumerate(ds.centers)])
-        sigma = np.where(owner == ds.normal_class, ds.sigma_normal, ds.sigma_positive)
+        sigma = np.where(owner == models.NORMAL_CLASS, ds.sigma_normal, ds.sigma_positive)
         scores = ((ds.X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2) / sigma ** 2 \
             + 2 * ds.dim * np.log(sigma)
         preds = owner[np.argmin(scores, axis=1)]
@@ -121,8 +121,9 @@ class TestGenDataset:
         assert np.array_equal(loaded.X, ds.X)
         assert np.array_equal(loaded.y, ds.y)
         assert np.array_equal(loaded.val_idx, ds.val_idx)
-        assert loaded.normal_class == ds.normal_class
         assert all(np.array_equal(a, b) for a, b in zip(loaded.centers, ds.centers))
+        with np.load(path) as z:  # the file still names its normal class
+            assert int(z["normal_class"]) == models.NORMAL_CLASS
 
 
 class TestPlans:
@@ -180,6 +181,7 @@ class TestPlans:
     @pytest.mark.parametrize("keys", [
         ("recall_bost",), ("dataset", "noise"), ("edge", "taps"), ("cloud", "taps"),
         ("stages", "cloud", "epoch"), ("policies", 1, "c_1"),
+        ("bytes_per_element",), ("stages", "edge_kd", "kd_weight"),
     ], ids=field_id)
     def test_unknown_key_refused(self, keys):
         cfg = plan_to_dict(tiny_plan())
@@ -215,7 +217,10 @@ class TestPlans:
     @pytest.mark.parametrize("policy, key, value, field", [
         (0, "c1", 1.5, "c1"),
         (2, "c2", -0.2, "c2"),
-        (None, "bytes_per_element", 0, "bytes_per_element"),
+        (0, "c2", 0.3, "c2: only a dynamic policy reads c2"),
+        (1, "c2", 0.3, "c2: only a dynamic policy reads c2"),
+        (None, "kd_weight", -1.0, "kd_weight: must be >= 0"),
+        (None, "kd_weight", math.nan, "kd_weight: must be >= 0"),
         (1, "confidence_mode", "softmax-max", "confidence_mode"),
     ])
     def test_thresholds_and_costs_checked_at_construction(self, policy, key, value, field):
@@ -227,13 +232,29 @@ class TestPlans:
     @pytest.mark.parametrize("stage", ["cloud", "edge_kd", "finetune"])
     @pytest.mark.parametrize("field, value, bound", [
         ("epochs", -1, 0), ("batch_size", 0, 1), ("learning_rate", -0.1, 0),
-        ("learning_rate", math.nan, 0), ("kd_weight", -1.0, 0),
+        ("learning_rate", math.nan, 0),
     ])
     def test_stage_bounds_checked_at_construction(self, stage, field, value, bound):
         cfg = plan_to_dict(tiny_plan())
         cfg["stages"][stage][field] = value
         with pytest.raises(ConfigError, match=rf"^stages\.{stage}\.{field}: must be >= {bound}$"):
             plan_from_dict(cfg)
+
+    def test_recall_boost_without_imitation_refused_at_construction(self):
+        cfg = plan_to_dict(tiny_plan(recall_boost=True))
+        cfg["kd_weight"] = 0.0
+        with pytest.raises(ConfigError, match=r"^kd_weight: must be > 0 when recall_boost is on$"):
+            plan_from_dict(cfg)
+        cfg["recall_boost"] = False
+        assert plan_from_dict(cfg).kd_weight == 0.0
+
+    def test_readme_plan_table_names_every_top_level_key(self):
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### The plan file", 1)[1].split("\n#", 1)[0]
+        first_cells = [line.split("|")[1] for line in section.splitlines()
+                       if line.startswith("| `")]
+        keys = [key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)]
+        assert keys == list(plan_to_dict(default_plan(0)))
 
     @pytest.mark.parametrize("keys, value, message", MISTYPED_FIELDS,
                              ids=[field_id(keys) for keys, _, _ in MISTYPED_FIELDS])
@@ -319,8 +340,8 @@ class TestPipeline:
         # zero weights: edge and cloud both predict class 0 on every row
         plan = tiny_plan(policies=policies)
         d, a = plan.data, plan.adapter
-        edge = models.feedforward("edge", d.dim, plan.edge.hidden, d.num_classes, 0)
-        cloud = models.feedforward("cloud", d.dim, plan.cloud.hidden, d.num_classes, 0)
+        edge = models.feedforward("edge", d.dim, plan.edge.hidden, d.num_classes)
+        cloud = models.feedforward("cloud", d.dim, plan.cloud.hidden, d.num_classes)
         adapter = models.make_adapter("adapter", a.edge_tap, a.cloud_tap, edge.tap_dim(a.edge_tap),
                                       cloud.tap_dim(a.cloud_tap), a.blocks)
         system = TrainedSystem(plan, build_dataset(plan), edge, cloud, adapter)

@@ -12,13 +12,13 @@ from edgecloud.nncore import ConfigError, UsageError, dense, flops, residual_blo
 
 def small_cloud(seed=0):
     rng = np.random.default_rng(seed)
-    return feedforward("cloud", 6, [10, 10, 10], 4, 0, rng)
+    return feedforward("cloud", 6, [10, 10, 10], 4, rng)
 
 
 class TestSoftmaxHead:
     def test_equal_logits_give_uniform(self):
         model = ModelSpec("m", [dense(3, 5, nncore.IDENTITY, weight=np.zeros((5, 3)),
-                                      bias=np.full(5, 2.5))], 5, 0)
+                                      bias=np.full(5, 2.5))], 5)
         probs = infer(model, np.ones(3))
         assert np.allclose(probs, 0.2, atol=1e-15)
 
@@ -44,7 +44,7 @@ class TestTaps:
     def test_tap_zero_of_single_layer_net(self):
         rng = np.random.default_rng(1)
         layer = dense(4, 3, nncore.RELU, rng=rng)
-        model = ModelSpec("m", [layer, dense(3, 2, nncore.IDENTITY, rng=rng)], 2, 0)
+        model = ModelSpec("m", [layer, dense(3, 2, nncore.IDENTITY, rng=rng)], 2)
         x = rng.standard_normal(4)
         _, feat = infer_with_tap(model, x, 0)
         assert np.array_equal(feat, nncore.forward([layer], x))
@@ -134,7 +134,7 @@ class TestCloudTail:
         # the softmax of the injected logits, and their width is still checked
         model = ModelSpec("m", [dense(3, 4, rng=np.random.default_rng(0)),
                                 dense(4, 2, nncore.IDENTITY, rng=np.random.default_rng(1))],
-                          2, 0)
+                          2)
         logits = np.array([[0.5, -1.0], [2.0, 2.0]])
         assert np.array_equal(cloud_tail(model, logits, 1), softmax(logits))
         with pytest.raises(ConfigError, match="tap 1 dim 2"):
@@ -146,7 +146,7 @@ def overflowing_model():
     hidden = dense(2, 2, nncore.IDENTITY, weight=np.eye(2), bias=np.zeros(2), name="h")
     head = dense(2, 2, nncore.IDENTITY, weight=[[1e300, 1e300], [0.0, 0.0]],
                  bias=np.zeros(2), name="head")
-    return ModelSpec("m", [hidden, head], 2, 0)
+    return ModelSpec("m", [hidden, head], 2)
 
 
 class TestNonFiniteOutputsRaise:
@@ -171,35 +171,33 @@ class TestNonFiniteOutputsRaise:
 
 class TestConfidence:
     def test_normal_class_mode(self):
-        assert confidence([0.7, 0.2, 0.1], 0) == pytest.approx(0.7)
+        assert confidence([0.7, 0.2, 0.1]) == pytest.approx(0.7)
 
     def test_max_class_mode_uniform(self):
         probs = np.full(7, 1.0 / 7.0)
-        assert confidence(probs, 0, "max-class") == pytest.approx(1.0 / 7.0)
+        assert confidence(probs, "max-class") == pytest.approx(1.0 / 7.0)
 
     def test_low_normal_confidence(self):
-        assert confidence([0.1, 0.9], 0) == pytest.approx(0.1)
+        assert confidence([0.1, 0.9]) == pytest.approx(0.1)
 
     def test_batch_input(self):
         probs = np.array([[0.7, 0.3], [0.2, 0.8]])
-        out = confidence(probs, 0)
+        out = confidence(probs)
         assert np.allclose(out, [0.7, 0.2])
 
     def test_unnormalized_rejected(self):
         with pytest.raises(UsageError):
-            confidence([0.5, 0.2], 0)
+            confidence([0.5, 0.2])
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(UsageError):
-            confidence([0.5, 0.5], 0, "entropy")
+            confidence([0.5, 0.5], "entropy")
 
 
 class TestSpecsAndIO:
     def test_model_invariants(self):
         with pytest.raises(ConfigError):
-            ModelSpec("m", [dense(3, 4)], 5, 0)  # head width != classes
-        with pytest.raises(ConfigError):
-            ModelSpec("m", [dense(3, 4)], 4, 9)  # normal class out of range
+            ModelSpec("m", [dense(3, 4)], 5)  # head width != classes
 
     def test_adapter_block_width_checked(self):
         proj = dense(3, 5, name="p")

@@ -32,20 +32,20 @@ def const_prob_edge(probs, in_dim=4):
                    bias=np.zeros(in_dim), name="pass")
     head = dense(in_dim, len(probs), nncore.IDENTITY,
                  weight=np.zeros((len(probs), in_dim)), bias=logits, name="head")
-    return ModelSpec("edge", [hidden, head], len(probs), 0)
+    return ModelSpec("edge", [hidden, head], len(probs))
 
 
 def toy_system(seed=0):
     rng = np.random.default_rng(seed)
-    edge = feedforward("edge", 4, [5], 3, 0, rng)
-    cloud = feedforward("cloud", 4, [8, 8], 3, 0, rng)
+    edge = feedforward("edge", 4, [5], 3, rng)
+    cloud = feedforward("cloud", 4, [8, 8], 3, rng)
     adapter = make_adapter("a", 0, 1, 5, 8, 1, rng)
     return edge, cloud, adapter
 
 
 def const_system(probs, seed=3):
     """Constant-probability edge with a cloud and an adapter bound to its tap."""
-    cloud = feedforward("cloud", 4, [8], 3, 0, np.random.default_rng(seed))
+    cloud = feedforward("cloud", 4, [8], 3, np.random.default_rng(seed))
     adapter = make_adapter("a", 0, 0, 4, 8, 1, np.random.default_rng(seed + 1))
     return const_prob_edge(probs), cloud, adapter
 
@@ -112,9 +112,9 @@ class TestRouteIndependent:
         X = np.random.default_rng(1).standard_normal((20, 4))
         codes = route_codes("independent", route_dataset(edge, cloud, adapter, X).confidence, 0.0)
         assert (codes == EDGE_CODE).all()
-        sent, cloud_side = route_costs(edge, cloud, adapter, 4)
+        sent, cloud_side = route_costs(edge, cloud, adapter)
         counts = np.bincount(codes, minlength=len(ROUTES))
-        assert comm_score(counts, sent, 16) == (0.0, 0.0, 0.0)
+        assert comm_score(counts, sent, 4) == (0.0, 0.0, 0.0)
         assert comp_score(edge.total_flops(), cloud.total_flops(), counts, cloud_side)[1] == 0.0
 
     def test_confident_sample_stays_on_edge(self):
@@ -125,14 +125,14 @@ class TestRouteIndependent:
         assert codes.tolist() == [EDGE_CODE]
         assert predictions(routed, codes).tolist() == [0]
 
-    def test_offloaded_sample_pays_raw_input_bytes_and_cloud_flops(self):
+    def test_offloaded_sample_pays_raw_input_elements_and_cloud_flops(self):
         edge, cloud, adapter = const_system([0.2, 0.4, 0.4])
         x = np.random.default_rng(4).standard_normal((1, 4))
         routed = route_dataset(edge, cloud, adapter, x)
         codes = route_codes("independent", routed.confidence, 0.8)
         assert codes.tolist() == [CLOUD_CODE]
-        sent, cloud_side = route_costs(edge, cloud, adapter, 4)
-        assert sent[CLOUD_CODE] == 4 * 4
+        sent, cloud_side = route_costs(edge, cloud, adapter)
+        assert sent[CLOUD_CODE] == 4  # input width
         assert cloud_side[CLOUD_CODE] == cloud.total_flops()
         assert predictions(routed, codes)[0] == int(np.argmax(models.infer(cloud, x)))
 
@@ -146,12 +146,12 @@ class TestRouteAdaptive:
         assert (codes == EDGE_CODE).all()
         assert np.array_equal(predictions(routed, codes), routed.edge_pred)
 
-    def test_offload_sends_tap_feature_bytes(self):
+    def test_offload_sends_tap_feature_elements(self):
         edge, cloud, adapter = toy_system(2)
         X = np.random.default_rng(6).standard_normal((10, 4))
         codes = route_codes("adaptive", route_dataset(edge, cloud, adapter, X).confidence, 1.0)
         assert (codes == ADAPTIVE_CODE).all()
-        assert route_costs(edge, cloud, adapter, 4)[0][ADAPTIVE_CODE] == 5 * 4  # tap width x 4
+        assert route_costs(edge, cloud, adapter)[0][ADAPTIVE_CODE] == 5  # tap width
 
     def test_offloaded_prediction_matches_manual_composition(self):
         edge, cloud, adapter = toy_system(3)
@@ -160,7 +160,7 @@ class TestRouteAdaptive:
         for x, pred in zip(X, routed.adaptive_pred):
             _, feat = models.infer_with_tap(edge, x.reshape(1, -1), adapter.edge_tap)
             assert pred == int(np.argmax(cloud_tail(cloud, adapt(adapter, feat), adapter.cloud_tap)))
-        assert route_costs(edge, cloud, adapter, 4)[1][ADAPTIVE_CODE] == adapter.total_flops() + \
+        assert route_costs(edge, cloud, adapter)[1][ADAPTIVE_CODE] == adapter.total_flops() + \
             nncore.flops(cloud.layers[adapter.cloud_tap + 1:])
 
 
@@ -209,8 +209,6 @@ class TestValidation:
             route_codes("dynamic", [0.5], c1=0.5, c2=0.6)
         with pytest.raises(ConfigError):
             route_codes("teleport", [0.5], c1=0.5)
-        with pytest.raises(ConfigError):
-            route_costs(*toy_system(), bytes_per_element=0)
 
     def test_route_sample_dispatches_by_variant(self):
         for variant in ("independent", "adaptive", "dynamic"):
@@ -221,7 +219,7 @@ class TestValidation:
             == [CLOUD_CODE, ADAPTIVE_CODE, ADAPTIVE_CODE]
 
     def test_edge_only_record_must_have_zero_costs(self):
-        sent, cloud_side = route_costs(*toy_system(), bytes_per_element=4)
+        sent, cloud_side = route_costs(*toy_system())
         assert (sent[EDGE_CODE], cloud_side[EDGE_CODE]) == (0, 0)
 
     def test_adapter_tap_binding_checked(self):
@@ -233,16 +231,20 @@ class TestValidation:
 
 # ---------------------------------------------------------------------------
 # Per-sample reference: each row runs the edge alone, takes the scalar
-# ``decide``, and then runs only the branch it chose.
+# ``decide``, and then runs only the branch it chose. It counts bytes sent at
+# float32 width; psi is a ratio of sizes, so the unit cancels.
+
+BYTES_PER_ELEMENT = 4
+
 
 def oracle_rows(system, variant, c1, c2, mode):
     edge, cloud, adapter = system.edge, system.cloud, system.adapter
-    bpe = system.plan.bytes_per_element
+    bpe = BYTES_PER_ELEMENT
     rows = []
     for x in system.dataset.val_X:
         x = x.reshape(1, -1)
         probs, feat = models.infer_with_tap(edge, x, adapter.edge_tap)
-        route = decide(variant, models.confidence(probs[0], edge.normal_class, mode), c1, c2)
+        route = decide(variant, models.confidence(probs[0], mode), c1, c2)
         if route == ROUTE_EDGE:
             rows.append((route, int(np.argmax(probs)), 0, 0))
         elif route == ROUTE_ADAPTIVE:
@@ -265,7 +267,7 @@ def oracle_report(system, label, rows):
     ds, n = system.dataset, len(rows)
     fe, fc = system.edge.total_flops(), system.cloud.total_flops()
     pi_edge, pi_cloud = (accuracy_rate(p, ds.val_y) for p in anchor_preds(system))
-    input_bytes = ds.dim * system.plan.bytes_per_element
+    input_bytes = ds.dim * BYTES_PER_ELEMENT
     offloaded = [r for r in rows if r[0] != ROUTE_EDGE]
     tau = len(offloaded) / n
     psi = (float(Fraction(sum(r[2] for r in offloaded), input_bytes * len(offloaded)))
@@ -275,7 +277,7 @@ def oracle_report(system, label, rows):
     acc = accuracy_rate(preds, ds.val_y)
     return CostReport(label, perf_score(acc, pi_edge, pi_cloud),
                       comp_score_value(fe, fc, flops_sys), tau * psi, tau, psi, flops_sys,
-                      acc, recall_rate(preds, ds.val_y, ds.normal_class))
+                      acc, recall_rate(preds, ds.val_y))
 
 
 MIXED_MODES = [("independent", 0.8, 0.0, "normal-class"), ("adaptive", 0.7, 0.0, "max-class"),
@@ -325,7 +327,7 @@ class TestPerSampleOracle:
         reports = evaluate_policies(tiny_system.system)[:2]
         for report, preds in zip(reports, anchor_preds(tiny_system.system)):
             assert report.accuracy == accuracy_rate(preds, ds.val_y)
-            assert report.recall == recall_rate(preds, ds.val_y, ds.normal_class)
+            assert report.recall == recall_rate(preds, ds.val_y)
 
     @settings(max_examples=10, deadline=None)
     @given(st.randoms(use_true_random=False))

@@ -99,14 +99,14 @@ class TestKdLoss:
 class TestPositiveCrossEntropy:
     def test_all_normal_returns_zero(self):
         probs = np.full((3, 4), 0.25)
-        assert positive_cross_entropy(probs, [0, 0, 0], normal_class=0) == 0.0
+        assert positive_cross_entropy(probs, [0, 0, 0]) == 0.0
 
     def test_all_positive_equals_cross_entropy(self):
         rng = np.random.default_rng(4)
         raw = rng.random((6, 4)) + 1e-3
         probs = raw / raw.sum(axis=1, keepdims=True)
         labels = rng.integers(1, 4, 6)
-        assert positive_cross_entropy(probs, labels, 0) == cross_entropy(probs, labels)
+        assert positive_cross_entropy(probs, labels) == cross_entropy(probs, labels)
 
     def test_mixed_batch_equals_subset(self):
         rng = np.random.default_rng(5)
@@ -114,13 +114,13 @@ class TestPositiveCrossEntropy:
         probs = raw / raw.sum(axis=1, keepdims=True)
         labels = np.array([0, 1, 0, 2, 2, 0, 1, 0])
         mask = labels != 0
-        assert positive_cross_entropy(probs, labels, 0) == \
+        assert positive_cross_entropy(probs, labels) == \
             cross_entropy(probs[mask], labels[mask])
 
 
 def blob_edge(seed=0):
     rng = np.random.default_rng(seed)
-    return feedforward("edge", 4, [8], 2, 0, rng)
+    return feedforward("edge", 4, [8], 2, rng)
 
 
 class TestTrainBase:
@@ -177,8 +177,8 @@ class TestTrainBase:
 def kd_setup(seed=0, n=600):
     seeds = harness.derive_seeds(seed)
     ds = gen_dataset(4, 8, n, 0.4, seeds["dataset"], difficulty=0.4)
-    edge = feedforward("edge", 8, [5], 4, 0, np.random.default_rng(seeds["edge_init"]))
-    cloud = feedforward("cloud", 8, [12, 12], 4, 0, np.random.default_rng(seeds["cloud_init"]))
+    edge = feedforward("edge", 8, [5], 4, np.random.default_rng(seeds["edge_init"]))
+    cloud = feedforward("cloud", 8, [12, 12], 4, np.random.default_rng(seeds["cloud_init"]))
     adapter = make_adapter("a", 0, 1, 5, 12, 1, np.random.default_rng(seeds["adapter_init"]))
     train_base(cloud, ds.train_X, ds.train_y, TrainConfig(5, 32, 0.1, seed=seeds["cloud_train"]))
     return ds, edge, cloud, adapter, seeds
@@ -187,12 +187,11 @@ def kd_setup(seed=0, n=600):
 class TestTrainEdgeKd:
     def test_zero_kd_weight_equals_train_base(self):
         ds, edge, cloud, adapter, seeds = kd_setup()
-        cfg = TrainConfig(5, 32, 0.1, kd_weight=0.0, seed=seeds["edge_train"])
+        cfg = TrainConfig(5, 32, 0.1, seed=seeds["edge_train"])
         twin = copy.deepcopy(edge)
         adapter_before = nncore.params_digest(adapter.params())
-        train_edge_kd(edge, cloud, adapter, ds.train_X, ds.train_y, cfg)
-        train_base(twin, ds.train_X, ds.train_y,
-                   TrainConfig(5, 32, 0.1, seed=seeds["edge_train"]))
+        train_edge_kd(edge, cloud, adapter, ds.train_X, ds.train_y, cfg, kd_weight=0.0)
+        train_base(twin, ds.train_X, ds.train_y, cfg)
         assert params_equal(edge, twin)
         assert nncore.params_digest(adapter.params()) == adapter_before
 
@@ -231,19 +230,22 @@ class TestTrainEdgeKd:
             assert p not in g_ce
         assert any(np.abs(g_kd[p]).max() > 0 for p in adapter.params())
 
-    def test_recall_boost_bundle_requires_kd(self):
+    @pytest.mark.parametrize("kd_weight, recall_boost, message", [
+        (0.0, True, "kd_weight: must be > 0 when recall_boost is on"),
+        (-0.5, False, "kd_weight: must be >= 0"),
+    ])
+    def test_edge_objectives_checked(self, kd_weight, recall_boost, message):
         ds, edge, cloud, adapter, seeds = kd_setup(4)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
             train_edge_kd(edge, cloud, adapter, ds.train_X, ds.train_y,
-                          TrainConfig(2, 32, 0.1, kd_weight=0.0, seed=1),
-                          recall_boost=True)
+                          TrainConfig(2, 32, 0.1, seed=1), kd_weight=kd_weight,
+                          recall_boost=recall_boost)
 
     def test_recall_boost_bundle_runs_and_logs_alphas(self):
         ds, edge, cloud, adapter, seeds = kd_setup(5)
         result = train_edge_kd(edge, cloud, adapter, ds.train_X, ds.train_y,
-                               TrainConfig(2, 32, 0.1, kd_weight=0.5,
-                                           seed=seeds["edge_train"]),
-                               recall_boost=True)
+                               TrainConfig(2, 32, 0.1, seed=seeds["edge_train"]),
+                               kd_weight=0.5, recall_boost=True)
         assert result.alpha_steps
         assert all(len(a) == 3 for a in result.alpha_steps)
         assert result.min_descent_inner >= -1e-9
@@ -297,7 +299,7 @@ class TestFinetuneAdapter:
 
 class TestRecallBoost:
     def test_requires_both_sample_kinds(self):
-        edge = feedforward("edge", 4, [5], 3, 0, np.random.default_rng(0))
+        edge = feedforward("edge", 4, [5], 3, np.random.default_rng(0))
         X = np.random.default_rng(1).standard_normal((10, 4))
         with pytest.raises(UsageError):
             train_recall_boost(edge, X, np.zeros(10, dtype=int), TrainConfig(1, 4, 0.1))
@@ -307,14 +309,14 @@ class TestRecallBoost:
     def test_identical_objectives_combine_to_the_shared_gradient(self):
         # all-positive batch: the restricted loss is the full loss, so the
         # weighted combination equals the common gradient bit for bit.
-        edge = feedforward("edge", 4, [5], 3, 0, np.random.default_rng(2))
+        edge = feedforward("edge", 4, [5], 3, np.random.default_rng(2))
         rng = np.random.default_rng(3)
         X = rng.standard_normal((16, 4))
         y = rng.integers(1, 3, 16)
         tape = GradientTape()
         logits = nncore.forward_on_tape(tape, edge.layers, tape.input(X))
         ce = train.ce_on_tape(tape, logits, y)
-        pos = train.positive_ce_on_tape(tape, logits, y, 0)
+        pos = train.positive_ce_on_tape(tape, logits, y)
         g1 = nncore.adjoints(tape, ce)
         g2 = nncore.adjoints(tape, pos)
         params = edge.params()
@@ -330,7 +332,7 @@ class TestRecallBoost:
         # alone; a positive row's positive CE equals its CE, so the min-norm
         # step is that same gradient. Either way: train_base, bit for bit.
         ds = gen_dataset(3, 6, 60, 0.5, seed=21, difficulty=0.4)
-        boosted = feedforward("edge", 6, [5], 3, 0, np.random.default_rng(6))
+        boosted = feedforward("edge", 6, [5], 3, np.random.default_rng(6))
         plain = copy.deepcopy(boosted)
         cfg = TrainConfig(2, 1, 0.1, seed=7)
         result = train_recall_boost(boosted, ds.train_X, ds.train_y, cfg)
@@ -343,7 +345,7 @@ class TestRecallBoost:
 
     def test_descent_condition_holds_and_alphas_are_logged(self):
         ds = gen_dataset(3, 6, 400, 0.4, seed=20, difficulty=0.4)
-        edge = feedforward("edge", 6, [5], 3, 0, np.random.default_rng(4))
+        edge = feedforward("edge", 6, [5], 3, np.random.default_rng(4))
         result = train_recall_boost(edge, ds.train_X, ds.train_y,
                                     TrainConfig(3, 32, 0.1, seed=5))
         assert result.min_descent_inner >= -1e-9
@@ -360,21 +362,20 @@ def trend_runs():
     for seed in range(5):
         seeds = harness.derive_seeds(seed)
         ds = gen_dataset(5, 12, 4000, 0.4, seeds["dataset"], difficulty=0.55)
-        edge = feedforward("edge", 12, [6], 5, 0, np.random.default_rng(seeds["edge_init"]))
-        cloud = feedforward("cloud", 12, [32] * 3, 5, 0,
+        edge = feedforward("edge", 12, [6], 5, np.random.default_rng(seeds["edge_init"]))
+        cloud = feedforward("cloud", 12, [32] * 3, 5,
                             np.random.default_rng(seeds["cloud_init"]))
         ad2 = make_adapter("a2", 0, 1, 6, 32, 2, np.random.default_rng(seeds["adapter_init"]))
         ad0 = make_adapter("a0", 0, 1, 6, 32, 0, np.random.default_rng(seeds["adapter_init"]))
         train_base(cloud, ds.train_X, ds.train_y,
                    TrainConfig(20, 64, 0.1, seed=seeds["cloud_train"]))
-        cfg_kd = TrainConfig(20, 64, 0.1, kd_weight=0.5, seed=seeds["edge_train"])
-        cfg_plain = TrainConfig(20, 64, 0.1, seed=seeds["edge_train"])
+        cfg = TrainConfig(20, 64, 0.1, seed=seeds["edge_train"])
         e2, e0 = copy.deepcopy(edge), copy.deepcopy(edge)
         erb, epl = copy.deepcopy(edge), copy.deepcopy(edge)
-        train_edge_kd(e2, cloud, ad2, ds.train_X, ds.train_y, cfg_kd)
-        train_edge_kd(e0, copy.deepcopy(cloud), ad0, ds.train_X, ds.train_y, cfg_kd)
-        train_base(epl, ds.train_X, ds.train_y, cfg_plain)
-        train_recall_boost(erb, ds.train_X, ds.train_y, cfg_plain)
+        train_edge_kd(e2, cloud, ad2, ds.train_X, ds.train_y, cfg, kd_weight=0.5)
+        train_edge_kd(e0, copy.deepcopy(cloud), ad0, ds.train_X, ds.train_y, cfg, kd_weight=0.5)
+        train_base(epl, ds.train_X, ds.train_y, cfg)
+        train_recall_boost(erb, ds.train_X, ds.train_y, cfg)
         out["r2"].append(evaluate_model(e2, ds.val_X, ds.val_y).ce_loss)
         out["r0"].append(evaluate_model(e0, ds.val_X, ds.val_y).ce_loss)
         plain_rep = evaluate_model(epl, ds.val_X, ds.val_y)
@@ -413,7 +414,7 @@ class TestTrainingLog:
 
     def test_csv_includes_alpha_columns_for_moo(self, tmp_path):
         ds = gen_dataset(3, 6, 300, 0.4, seed=31, difficulty=0.4)
-        edge = feedforward("edge", 6, [5], 3, 0, np.random.default_rng(9))
+        edge = feedforward("edge", 6, [5], 3, np.random.default_rng(9))
         result = train_recall_boost(edge, ds.train_X, ds.train_y,
                                     TrainConfig(2, 32, 0.1, seed=10))
         path = tmp_path / "log.csv"
@@ -456,9 +457,9 @@ class TestReportsMatchEvaluators:
         assert result.history[-1] == evaluate_model(cloud, X, y)
 
         first = edge_kd_oracle(edge, cloud, adapter, X, y, None)
-        cfg = TrainConfig(epochs, sc["edge_kd"].batch_size, sc["edge_kd"].learning_rate,
-                          kd_weight=sc["edge_kd"].kd_weight, seed=2)
-        result = train_edge_kd(edge, cloud, adapter, X, y, cfg, recall_boost=recall_boost)
+        cfg = TrainConfig(epochs, sc["edge_kd"].batch_size, sc["edge_kd"].learning_rate, seed=2)
+        result = train_edge_kd(edge, cloud, adapter, X, y, cfg, kd_weight=plan.kd_weight,
+                               recall_boost=recall_boost)
         alpha = None
         if recall_boost and epochs:
             assert result.skipped_steps == 0
@@ -503,8 +504,8 @@ class TestReportPasses:
 
     def small_setup(self):
         ds = gen_dataset(3, 6, 120, 0.5, seed=40, difficulty=0.4)
-        edge = feedforward("edge", 6, [5], 3, 0, np.random.default_rng(41))
-        cloud = feedforward("cloud", 6, [8, 8], 3, 0, np.random.default_rng(42))
+        edge = feedforward("edge", 6, [5], 3, np.random.default_rng(41))
+        cloud = feedforward("cloud", 6, [8, 8], 3, np.random.default_rng(42))
         adapter = make_adapter("a", 0, 1, 5, 8, 1, np.random.default_rng(43))
         return ds.train_X, ds.train_y, edge, cloud, adapter
 
@@ -549,8 +550,8 @@ class StepRecorder:
         pos_ce, adjoints = train.positive_ce_on_tape, nncore.adjoints
         solve, sgd = train.solve_min_norm, train._sgd
 
-        def recorded_pos_ce(tape, logits, labels, normal_class):
-            node = pos_ce(tape, logits, labels, normal_class)
+        def recorded_pos_ce(tape, logits, labels):
+            node = pos_ce(tape, logits, labels)
             self.steps.append({"present": cross_entropies + (node is not None),
                                "adjoints": [], "combined": [], "sgd": None})
             return node
@@ -587,10 +588,10 @@ class TestMultiObjectiveSteps:
         train_base(cloud, X, y, TrainConfig(2, sc["cloud"].batch_size,
                                             sc["cloud"].learning_rate, seed=1))
         if stage == "kd-edge":
-            cfg = TrainConfig(2, sc["edge_kd"].batch_size, sc["edge_kd"].learning_rate,
-                              kd_weight=sc["edge_kd"].kd_weight, seed=2)
+            cfg = TrainConfig(2, sc["edge_kd"].batch_size, sc["edge_kd"].learning_rate, seed=2)
             recorder = StepRecorder(monkeypatch, cross_entropies=2)
-            result = train_edge_kd(edge, cloud, adapter, X, y, cfg, recall_boost=True)
+            result = train_edge_kd(edge, cloud, adapter, X, y, cfg, kd_weight=plan.kd_weight,
+                                   recall_boost=True)
             trainable = edge.params() + adapter.params()
         else:
             # two-row batches: some hold no positive row and step on CE alone
