@@ -427,18 +427,20 @@ def build_models(plan: ExperimentPlan) -> tuple[ModelSpec, ModelSpec, AdapterSpe
 def train_stages(plan: ExperimentPlan, ds: Dataset, edge: ModelSpec,
                  cloud: ModelSpec, adapter: AdapterSpec) -> dict[str, TrainResult]:
     """Cloud base training, edge training with feature imitation, adapter
-    plus cloud-tail fine-tuning; all seeds derived from the master seed."""
+    plus cloud-tail fine-tuning; all seeds derived from the master seed.
+    The trained cloud's KD targets are computed once, for both KD stages."""
     seeds = derive_seeds(plan.master_seed)
     cfg = {name: plan.stages[name].train_config(seeds[seed])
            for name, seed in _STAGE_SEEDS.items()}
     X, y = ds.train_X, ds.train_y
-    return {
-        "cloud": train_mod.train_base(cloud, X, y, cfg["cloud"]),
-        "edge_kd": train_mod.train_edge_kd(edge, cloud, adapter, X, y, cfg["edge_kd"],
-                                           kd_weight=plan.kd_weight,
-                                           recall_boost=plan.recall_boost),
-        "finetune": train_mod.finetune_adapter(edge, cloud, adapter, X, y, cfg["finetune"]),
-    }
+    results = {"cloud": train_mod.train_base(cloud, X, y, cfg["cloud"])}
+    target = train_mod.kd_targets(cloud, adapter.cloud_tap, X)
+    results["edge_kd"] = train_mod.train_edge_kd(edge, adapter, X, y, target, cfg["edge_kd"],
+                                                 kd_weight=plan.kd_weight,
+                                                 recall_boost=plan.recall_boost)
+    results["finetune"] = train_mod.finetune_adapter(edge, cloud, adapter, X, y, target,
+                                                     cfg["finetune"])
+    return results
 
 
 @dataclass

@@ -6,8 +6,8 @@ columns in order. All three scores are anchored so an edge-only system
 scores 0 and a pure cloud system scores 1:
 
 * communication: ``s_comm = tau * psi`` where ``tau`` is the offloaded
-  fraction and ``psi`` the exact integer byte total of the offloaded rows
-  over ``input_bytes`` times their count, rounded once,
+  fraction and ``psi`` the exact integer element total of the offloaded
+  rows over ``input_elements`` times their count, rounded once,
 * computation: ``s_comp = (flops_sys - flops_edge) / (flops_cloud -
   flops_edge)`` with ``flops_sys = flops_edge + mean(cloud-side flops per
   sample)`` (the branch-weighted generalization of a single offload
@@ -33,22 +33,23 @@ MAX = "max"
 MIN = "min"
 
 
-def comm_score(counts, route_bytes: Sequence[int],
-               input_bytes: int) -> tuple[float, float, float]:
+def comm_score(counts, route_elements: Sequence[int],
+               input_elements: int) -> tuple[float, float, float]:
     """Offload fraction, mean size ratio over offloaded rows, and their product.
 
-    ``counts[code]`` is the number of rows on a route and ``route_bytes[code]``
-    the bytes one such row transmits (0 on the edge-only route). ``psi`` is
-    the exact byte total over ``input_bytes`` times the offloaded count,
-    rounded once; with no offloaded rows it is reported as 0 by convention.
+    ``counts[code]`` is the number of rows on a route and
+    ``route_elements[code]`` the elements one such row transmits (0 on the
+    edge-only route). ``psi`` is the exact element total over
+    ``input_elements`` times the offloaded count, rounded once; with no
+    offloaded rows it is reported as 0 by convention.
     """
     counts = np.asarray(counts, dtype=np.int64)
     n = int(counts.sum())
-    if n == 0 or input_bytes <= 0:
-        raise UsageError("comm_score needs a routed row and positive input_bytes")
+    if n == 0 or input_elements <= 0:
+        raise UsageError("comm_score needs a routed row and positive input_elements")
     offloaded = n - int(counts[EDGE_CODE])
     tau = offloaded / n
-    psi = int(counts @ route_bytes) / (input_bytes * offloaded) if offloaded else 0.0
+    psi = int(counts @ route_elements) / (input_elements * offloaded) if offloaded else 0.0
     return tau, psi, tau * psi
 
 

@@ -126,11 +126,16 @@ def make_adapter(name: str, edge_tap: int, cloud_tap: int, edge_dim: int,
     return AdapterSpec(name, edge_tap, cloud_tap, projection, blocks)
 
 
+def check_adapter_tap(side: str, net: ModelSpec, tap: int) -> None:
+    """Reject an adapter's ``side`` tap that is not a layer index of ``net``."""
+    if not 0 <= tap < len(net.layers):
+        raise ConfigError(f"adapter {side} tap {tap} out of range for {net.name!r}")
+
+
 def check_adapter_binding(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec) -> None:
     """Reject an adapter whose edge or cloud tap is not a layer index of its net."""
-    for side, net, tap in (("edge", edge, adapter.edge_tap), ("cloud", cloud, adapter.cloud_tap)):
-        if not 0 <= tap < len(net.layers):
-            raise ConfigError(f"adapter {side} tap {tap} out of range for {net.name!r}")
+    check_adapter_tap("edge", edge, adapter.edge_tap)
+    check_adapter_tap("cloud", cloud, adapter.cloud_tap)
 
 
 def infer(model: ModelSpec, x) -> np.ndarray:

@@ -52,18 +52,17 @@ def as_tensor(x) -> np.ndarray:
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function.
 
-    With ``e = exp(-|x|)`` it is ``1/(1+e)`` where ``x >= 0`` and ``e/(1+e)``
-    elsewhere, computed branch-free in two buffers. ``-|x|`` is taken as
-    ``min(x, -x)`` so a NaN keeps its sign bit.
+    With ``e = exp(-|x|)`` it is ``max(e, x >= 0) / (1 + e)``: ``1/(1+e)``
+    where ``x >= 0`` and ``e/(1+e)`` elsewhere, one unmasked divide in two
+    buffers. ``-|x|`` is taken as ``min(x, -x)`` so a NaN keeps its sign bit.
     """
     x = np.asarray(x, dtype=np.float64)
     e = np.negative(x, out=np.empty_like(x))
     np.minimum(x, e, out=e)
     np.exp(e, out=e)
     d = e + 1.0
-    np.divide(e, d, out=e)
-    np.divide(1.0, d, out=e, where=x >= 0)
-    return e
+    np.maximum(e, x >= 0, out=e)
+    return np.divide(e, d, out=e)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -213,12 +212,14 @@ def flops(layers: Sequence[LayerSpec]) -> int:
 # Gradient tape: an ordered record of primitive ops, replayed in reverse.
 
 class Node:
-    """Value produced during a taped forward pass."""
+    """Value produced during a taped forward pass; ``is_data`` marks a data
+    leaf, whose gradient nothing reads."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "is_data")
 
-    def __init__(self, value: np.ndarray) -> None:
+    def __init__(self, value: np.ndarray, is_data: bool = False) -> None:
         self.value = value
+        self.is_data = is_data
 
 
 AccumFn = Callable[["Node", np.ndarray], None]
@@ -239,9 +240,9 @@ class GradientTape:
         self._params: dict[int, tuple[Param, Node]] = {}
 
     def input(self, value) -> Node:
-        """Data leaf; it gets no gradient map entry (take a gradient with
+        """Data leaf; no gradient is computed into it (take a gradient with
         respect to data through a ``Param`` leaf)."""
-        return Node(as_tensor(value))
+        return Node(as_tensor(value), is_data=True)
 
     def param(self, p: Param) -> Node:
         """Leaf for a trainable parameter (one node per param per tape)."""
@@ -295,7 +296,8 @@ def op_affine(tape: GradientTape, x: Node, w: Param, b: Param) -> Node:
     value = x.value @ wn.value.T + bn.value
 
     def bw(g: np.ndarray, accum: AccumFn) -> None:
-        accum(x, g @ wn.value)
+        if not x.is_data:
+            accum(x, g @ wn.value)
         accum(wn, g.T @ x.value)
         accum(bn, g.sum(axis=0))
 

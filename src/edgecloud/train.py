@@ -7,7 +7,8 @@ records on the tape:
 * ``train_base`` -- classifier cross-entropy.
 * ``train_edge_kd`` -- edge training with a feature-imitation term: the
   adapter maps the edge tap into the cloud tap's space and a sigmoid BCE
-  pulls the adapted map toward the (frozen) cloud feature map. Edge layers
+  pulls the adapted map toward the KD targets, the sigmoid of the frozen
+  cloud's feature map from :func:`kd_targets`. Edge layers
   up to the tap receive both gradients, later layers only the classifier
   gradient, and the adapter only the imitation gradient. With
   ``recall_boost`` the step weights three objectives: cross-entropy,
@@ -22,15 +23,18 @@ a batch without positive rows) is left out of that step.
 
 Losses clamp probabilities to ``[1e-12, 1 - 1e-12]`` before taking logs.
 All procedures are deterministic given ``TrainConfig.seed`` (the only
-randomness is minibatch shuffling) and verify their freeze contracts by
-hashing frozen parameters before and after.
+randomness is minibatch shuffling). ``finetune_adapter`` verifies its freeze
+contract by hashing its frozen parameters before and after; ``train_edge_kd``
+sees the cloud only as a read-only target array.
 
 Each procedure reports once before training and once per epoch over the
 whole training split. Reports reuse frozen-side features: the KD target
-probabilities come from the cloud layers up to the tap, once per call;
-``train_edge_kd`` runs the edge once per report, and ``finetune_adapter``
-computes the edge tap once per call, so each of its reports runs only the
-adapter and the cloud tail.
+probabilities come from the cloud layers up to the tap, once per ``train``
+(``harness.train_stages`` calls :func:`kd_targets` after the cloud stage
+and passes the read-only result to both KD stages); ``train_edge_kd`` runs
+the edge once per report, and ``finetune_adapter`` computes the edge tap
+once per call, so each of its reports runs only the adapter and the cloud
+tail.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import numpy as np
 
 from . import nncore
 from .models import (AdapterSpec, ModelSpec, NORMAL_CLASS, adapt, check_adapter_binding,
-                     cloud_tail, infer, infer_with_tap)
+                     check_adapter_tap, cloud_tail, infer, infer_with_tap)
 from .moo import GradientBundle, solve_min_norm
 from .nncore import (ConfigError, GradientTape, Node, Param, UsageError,
                      as_tensor, sigmoid)
@@ -358,10 +362,20 @@ def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
     return result
 
 
-def _kd_targets(cloud: ModelSpec, tap: int, X: np.ndarray) -> np.ndarray:
-    """KD target probabilities: the sigmoid of the cloud's tap feature, from
-    the cloud layers up to the tap only."""
-    return sigmoid(nncore.forward(cloud.layers[:tap + 1], X))
+def kd_targets(cloud: ModelSpec, tap: int, X) -> np.ndarray:
+    """KD target probabilities of both KD stages: the sigmoid of the cloud's
+    feature after layer ``tap`` (an adapter's cloud tap), from the cloud
+    layers up to the tap only. The array is read-only."""
+    check_adapter_tap("cloud", cloud, tap)
+    target = sigmoid(nncore.forward(cloud.layers[:tap + 1], X))
+    target.flags.writeable = False
+    return target
+
+
+def _check_target(target: np.ndarray, n: int, adapter: AdapterSpec) -> None:
+    want = (n, adapter.projection.out_dim)
+    if np.shape(target) != want:
+        raise UsageError(f"target: shape {np.shape(target)} != (rows, adapter width) {want}")
 
 
 # ---------------------------------------------------------------------------
@@ -387,23 +401,24 @@ def check_edge_objectives(kd_weight: float, recall_boost: bool) -> None:
         raise ConfigError("kd_weight: must be > 0 when recall_boost is on")
 
 
-def train_edge_kd(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec, X, y,
+def train_edge_kd(edge: ModelSpec, adapter: AdapterSpec, X, y, target: np.ndarray,
                   config: TrainConfig, *, kd_weight: float = 1.0,
                   recall_boost: bool = False) -> TrainResult:
     """Edge training with the feature-imitation term.
 
-    The cloud stays frozen throughout (verified by hashing). Each step
-    follows ``ce + kd_weight * kd``; with ``kd_weight == 0`` the imitation
-    branch is skipped entirely, so the edge update sequence matches
-    ``train_base`` bit for bit. With ``recall_boost`` each step instead
-    weights cross-entropy, positive-sample cross-entropy and the imitation
-    loss by their minimum-norm point.
+    The cloud enters only through ``target``, its :func:`kd_targets` on
+    ``X``. Each step follows ``ce + kd_weight * kd``; with
+    ``kd_weight == 0`` the imitation branch is skipped entirely, so the edge
+    update sequence matches ``train_base`` bit for bit. With
+    ``recall_boost`` each step instead weights cross-entropy,
+    positive-sample cross-entropy and the imitation loss by their
+    minimum-norm point.
     """
     check_edge_objectives(kd_weight, recall_boost)
-    check_adapter_binding(edge, cloud, adapter)
+    check_adapter_tap("edge", edge, adapter.edge_tap)
     X, y = _coerce_data(X, y)
+    _check_target(target, len(X), adapter)
     use_kd = kd_weight != 0.0
-    kd_target = _kd_targets(cloud, adapter.cloud_tap, X) if use_kd else None
     prefix, tail = edge.layers[:adapter.edge_tap + 1], edge.layers[adapter.edge_tap + 1:]
 
     def objectives(tape, idx):
@@ -412,7 +427,7 @@ def train_edge_kd(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec, X, y,
         ce = ce_on_tape(tape, h, y[idx])
         if not use_kd:
             return [ce]
-        kd = kd_on_tape(tape, adapter_on_tape(tape, adapter, tap_node), kd_target[idx])
+        kd = kd_on_tape(tape, adapter_on_tape(tape, adapter, tap_node), target[idx])
         if not recall_boost:
             return [nncore.op_add(tape, ce, nncore.op_scale(tape, kd, kd_weight))]
         return [ce, positive_ce_on_tape(tape, h, y[idx]), kd]
@@ -420,26 +435,27 @@ def train_edge_kd(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec, X, y,
     def report():
         # one edge pass gives both the probabilities and the tap
         probs, edge_feat = infer_with_tap(edge, X, adapter.edge_tap)
-        kd = 0.0 if kd_target is None else _kd_against(kd_target, adapt(adapter, edge_feat))
+        kd = _kd_against(target, adapt(adapter, edge_feat)) if use_kd else 0.0
         return _loss_report(probs, y, kd)
 
     return _fit("kd-edge", len(X), config, edge.params() + adapter.params(),
-                objectives, report, frozen=cloud.params())
+                objectives, report)
 
 
 def finetune_adapter(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
-                     X, y, config: TrainConfig) -> TrainResult:
+                     X, y, target: np.ndarray, config: TrainConfig) -> TrainResult:
     """Tune the adapter and the cloud tail on the end-to-end adapted path.
 
     The edge and the cloud layers up to (and including) the injection tap
-    are frozen; history rows report adapted-path metrics.
+    are frozen; history rows report adapted-path metrics, their KD term
+    against ``target``, the cloud's :func:`kd_targets` on ``X``.
     """
     check_adapter_binding(edge, cloud, adapter)
     X, y = _coerce_data(X, y)
+    _check_target(target, len(X), adapter)
     n = adapter.cloud_tap
     prefix, tail = cloud.layers[:n + 1], cloud.layers[n + 1:]
     _, feats = infer_with_tap(edge, X, adapter.edge_tap)
-    kd_target = _kd_targets(cloud, n, X)
 
     def objectives(tape, idx):
         adapted = adapter_on_tape(tape, adapter, tape.input(feats[idx]))
@@ -448,7 +464,7 @@ def finetune_adapter(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
 
     return _fit("adapter-finetune", len(X), config,
                 adapter.params() + [p for layer in tail for p in layer.params()], objectives,
-                lambda: _adaptive_report(cloud, adapter, feats, kd_target, y),
+                lambda: _adaptive_report(cloud, adapter, feats, target, y),
                 frozen=edge.params() + [p for layer in prefix for p in layer.params()])
 
 

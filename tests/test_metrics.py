@@ -27,18 +27,17 @@ EDGE, ADAPTIVE, CLOUD = EDGE_CODE, ADAPTIVE_CODE, CLOUD_CODE
 
 class TestCommScore:
     def test_all_edge_only_scores_zero(self):
-        tau, psi, s = comm_score((10, 0, 0), (0, 32, 64), input_bytes=64)
+        tau, psi, s = comm_score((10, 0, 0), (0, 32, 64), input_elements=64)
         assert (tau, psi, s) == (0.0, 0.0, 0.0)
 
     def test_all_full_cloud_scores_one(self):
-        tau, psi, s = comm_score((0, 0, 10), (0, 32, 64), input_bytes=64)
+        tau, psi, s = comm_score((0, 0, 10), (0, 32, 64), input_elements=64)
         assert (tau, psi, s) == (1.0, 1.0, 1.0)
 
     def test_feature_bigger_than_input(self):
         # 32x32x3 input (3072 elements) vs 16x16x16 feature (4096 elements),
         # 60% offloaded: psi = 4/3, s_comm = 0.8
-        tau, psi, s = comm_score((400, 600, 0), (0, 4096 * 4, 3072 * 4),
-                                 input_bytes=3072 * 4)
+        tau, psi, s = comm_score((400, 600, 0), (0, 4096, 3072), input_elements=3072)
         assert tau == pytest.approx(0.6)
         assert psi == pytest.approx(4096 / 3072)
         assert s == pytest.approx(0.8)
@@ -47,24 +46,24 @@ class TestCommScore:
         rng = np.random.default_rng(0)
         for _ in range(20):
             route_codes = rng.integers(0, 3, 50)
-            route_bytes = (0, int(rng.integers(1, 100)), int(rng.integers(1, 100)))
+            route_elements = (0, int(rng.integers(1, 100)), int(rng.integers(1, 100)))
             counts = np.bincount(route_codes, minlength=3)
-            tau, psi, s = comm_score(counts, route_bytes, input_bytes=64)
+            tau, psi, s = comm_score(counts, route_elements, input_elements=64)
             assert s == pytest.approx(tau * psi, abs=1e-15)
-            total = sum(route_bytes[c] for c in route_codes)
+            total = sum(route_elements[c] for c in route_codes)
             assert s == pytest.approx(total / (50 * 64), abs=1e-12)
 
-    def test_psi_is_the_exact_byte_ratio_rounded_once(self):
+    def test_psi_is_the_exact_element_ratio_rounded_once(self):
         # Ratios 0.1 and 0.3 are not dyadic: a per-row sum of them rounds at
         # every step (0.17999999999999988 here), while psi is the exact
-        # integer byte total over input_bytes x offloaded, rounded once.
+        # integer element total over input_elements x offloaded, rounded once.
         route_codes = np.array([CLOUD, ADAPTIVE, EDGE, ADAPTIVE, CLOUD, ADAPTIVE] * 7)
         counts = np.bincount(route_codes, minlength=3)
-        route_bytes = (0, 1, 3)
-        _, psi, _ = comm_score(counts, route_bytes, input_bytes=10)
-        total_bytes = sum(route_bytes[c] for c in route_codes)
+        route_elements = (0, 1, 3)
+        _, psi, _ = comm_score(counts, route_elements, input_elements=10)
+        total = sum(route_elements[c] for c in route_codes)
         offloaded = int((route_codes != EDGE).sum())
-        assert psi == float(Fraction(total_bytes, 10 * offloaded)) == 0.18
+        assert psi == float(Fraction(total, 10 * offloaded)) == 0.18
 
     def test_empty_rejected(self):
         with pytest.raises(UsageError):

@@ -115,6 +115,23 @@ class TestBackward:
         grads = adjoints(tape, nncore.op_mean(tape, out))
         assert np.allclose(grads[x], [[2.0, -1.0]])
 
+    def test_no_gradient_is_computed_into_a_data_leaf(self):
+        # the affine backward skips ``g @ W`` for a data leaf; a recorded
+        # input still gets its gradient, and the params theirs
+        rng = np.random.default_rng(5)
+        first, second = dense(3, 4, rng=rng), dense(4, 2, rng=rng)
+        X = rng.standard_normal((5, 3))
+        tape = GradientTape()
+        x = tape.input(X)
+        h = nncore.op_affine(tape, x, first.weights[0], first.biases[0])
+        loss = nncore.op_mean(tape, nncore.op_affine(tape, h, second.weights[0], second.biases[0]))
+        reached = set()
+        for out, backward_fn in tape._entries:
+            backward_fn(np.ones_like(out.value), lambda node, delta: reached.add(id(node)))
+        assert id(h) in reached and id(x) not in reached
+        g_h = np.full((5, 2), 1.0 / 10) @ second.weights[0].value
+        assert np.array_equal(adjoints(tape, loss)[first.weights[0]], g_h.T @ X)
+
     def test_untouched_param_gets_zero_gradient(self):
         # a param the loss does not reach has zero gradient: it is absent
         w = Param("w", [[1.0]])

@@ -4,6 +4,7 @@ experiments (median over seeds 0..4)."""
 import copy
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from edgecloud.nncore import ConfigError, GradientTape, UsageError
 from edgecloud.policy import route_dataset
 from edgecloud.train import (DivergenceError, TrainConfig, cross_entropy,
                              evaluate_adaptive_path, evaluate_model, kd_loss,
-                             positive_cross_entropy, train_base,
+                             kd_targets, positive_cross_entropy, train_base,
                              train_edge_kd, finetune_adapter)
 
 from conftest import tiny_plan, train_recall_boost
@@ -190,17 +191,24 @@ class TestTrainEdgeKd:
         cfg = TrainConfig(5, 32, 0.1, seed=seeds["edge_train"])
         twin = copy.deepcopy(edge)
         adapter_before = nncore.params_digest(adapter.params())
-        train_edge_kd(edge, cloud, adapter, ds.train_X, ds.train_y, cfg, kd_weight=0.0)
+        target = kd_targets(cloud, adapter.cloud_tap, ds.train_X)
+        train_edge_kd(edge, adapter, ds.train_X, ds.train_y, target, cfg, kd_weight=0.0)
         train_base(twin, ds.train_X, ds.train_y, cfg)
         assert params_equal(edge, twin)
         assert nncore.params_digest(adapter.params()) == adapter_before
 
     def test_cloud_frozen_throughout(self):
+        # the stage sees the cloud only as its KD targets, which it cannot
+        # write: cloud and targets come out as they went in
         ds, edge, cloud, adapter, seeds = kd_setup(1)
         digest = nncore.params_digest(cloud.params())
-        train_edge_kd(edge, cloud, adapter, ds.train_X, ds.train_y,
+        target = kd_targets(cloud, adapter.cloud_tap, ds.train_X)
+        before = target.copy()
+        train_edge_kd(edge, adapter, ds.train_X, ds.train_y, target,
                       TrainConfig(4, 32, 0.1, seed=seeds["edge_train"]))
         assert nncore.params_digest(cloud.params()) == digest
+        assert np.array_equal(target, before)
+        assert np.array_equal(target, kd_targets(cloud, adapter.cloud_tap, ds.train_X))
 
     def test_gradient_regions(self):
         # layers after the tap: classifier gradient only; layers at or before
@@ -236,19 +244,32 @@ class TestTrainEdgeKd:
     ])
     def test_edge_objectives_checked(self, kd_weight, recall_boost, message):
         ds, edge, cloud, adapter, seeds = kd_setup(4)
+        target = kd_targets(cloud, adapter.cloud_tap, ds.train_X)
         with pytest.raises(ConfigError, match=f"^{message}$"):
-            train_edge_kd(edge, cloud, adapter, ds.train_X, ds.train_y,
+            train_edge_kd(edge, adapter, ds.train_X, ds.train_y, target,
                           TrainConfig(2, 32, 0.1, seed=1), kd_weight=kd_weight,
                           recall_boost=recall_boost)
 
     def test_recall_boost_bundle_runs_and_logs_alphas(self):
         ds, edge, cloud, adapter, seeds = kd_setup(5)
-        result = train_edge_kd(edge, cloud, adapter, ds.train_X, ds.train_y,
+        result = train_edge_kd(edge, adapter, ds.train_X, ds.train_y,
+                               kd_targets(cloud, adapter.cloud_tap, ds.train_X),
                                TrainConfig(2, 32, 0.1, seed=seeds["edge_train"]),
                                kd_weight=0.5, recall_boost=True)
         assert result.alpha_steps
         assert all(len(a) == 3 for a in result.alpha_steps)
         assert result.min_descent_inner >= -1e-9
+
+
+def edge_kd(edge, cloud, adapter, X, y, config):
+    """Stage 2 as ``train_stages`` runs it: the cloud's KD targets, then edge KD."""
+    return train_edge_kd(edge, adapter, X, y, kd_targets(cloud, adapter.cloud_tap, X), config)
+
+
+def finetune(edge, cloud, adapter, X, y, config):
+    """Stage 3 on well-shaped targets, so that only its own checks can refuse."""
+    target = np.full((len(X), adapter.projection.out_dim), 0.5)
+    return finetune_adapter(edge, cloud, adapter, X, y, target, config)
 
 
 def route(edge, cloud, adapter, X, y, config):
@@ -261,7 +282,7 @@ def route(edge, cloud, adapter, X, y, config):
 # and the KD term would train on its logits.
 @pytest.mark.parametrize("side, edge_tap, cloud_tap", [("edge", 2, 1), ("cloud", 0, 3)],
                          ids=["edge", "cloud"])
-@pytest.mark.parametrize("stage", [train_edge_kd, finetune_adapter, route])
+@pytest.mark.parametrize("stage", [edge_kd, finetune, route])
 def test_kd_stages_reject_an_out_of_range_adapter_tap(stage, side, edge_tap, cloud_tap):
     ds, edge, cloud, _, _ = kd_setup(8, n=100)
     adapter = make_adapter("a", edge_tap, cloud_tap, 5, 12, 1, np.random.default_rng(0))
@@ -277,6 +298,7 @@ class TestFinetuneAdapter:
         c0 = nncore.params_digest(cloud.params())
         a0 = nncore.params_digest(adapter.params())
         finetune_adapter(edge, cloud, adapter, ds.train_X, ds.train_y,
+                         kd_targets(cloud, adapter.cloud_tap, ds.train_X),
                          TrainConfig(0, 32, 0.05, seed=1))
         assert nncore.params_digest(edge.params()) == e0
         assert nncore.params_digest(cloud.params()) == c0
@@ -291,6 +313,7 @@ class TestFinetuneAdapter:
         tail = [p for layer in cloud.layers[n + 1:] for p in layer.params()]
         tail_digest = nncore.params_digest(tail)
         finetune_adapter(edge, cloud, adapter, ds.train_X, ds.train_y,
+                         kd_targets(cloud, adapter.cloud_tap, ds.train_X),
                          TrainConfig(10, 32, 0.05, seed=seeds["finetune"]))
         assert nncore.params_digest(edge.params()) == edge_digest
         assert nncore.params_digest(prefix) == prefix_digest
@@ -372,8 +395,9 @@ def trend_runs():
         cfg = TrainConfig(20, 64, 0.1, seed=seeds["edge_train"])
         e2, e0 = copy.deepcopy(edge), copy.deepcopy(edge)
         erb, epl = copy.deepcopy(edge), copy.deepcopy(edge)
-        train_edge_kd(e2, cloud, ad2, ds.train_X, ds.train_y, cfg, kd_weight=0.5)
-        train_edge_kd(e0, copy.deepcopy(cloud), ad0, ds.train_X, ds.train_y, cfg, kd_weight=0.5)
+        target = kd_targets(cloud, ad2.cloud_tap, ds.train_X)
+        train_edge_kd(e2, ad2, ds.train_X, ds.train_y, target, cfg, kd_weight=0.5)
+        train_edge_kd(e0, ad0, ds.train_X, ds.train_y, target, cfg, kd_weight=0.5)
         train_base(epl, ds.train_X, ds.train_y, cfg)
         train_recall_boost(erb, ds.train_X, ds.train_y, cfg)
         out["r2"].append(evaluate_model(e2, ds.val_X, ds.val_y).ce_loss)
@@ -382,7 +406,7 @@ def trend_runs():
         out["plain_recall"].append(plain_rep.recall)
         out["rb_recall"].append(evaluate_model(erb, ds.val_X, ds.val_y).recall)
         before = evaluate_adaptive_path(e2, cloud, ad2, ds.val_X, ds.val_y)
-        finetune_adapter(e2, cloud, ad2, ds.train_X, ds.train_y,
+        finetune_adapter(e2, cloud, ad2, ds.train_X, ds.train_y, target,
                          TrainConfig(8, 64, 0.05, seed=seeds["finetune"]))
         after = evaluate_adaptive_path(e2, cloud, ad2, ds.val_X, ds.val_y)
         out["ft"].append((before.accuracy, after.accuracy))
@@ -458,7 +482,8 @@ class TestReportsMatchEvaluators:
 
         first = edge_kd_oracle(edge, cloud, adapter, X, y, None)
         cfg = TrainConfig(epochs, sc["edge_kd"].batch_size, sc["edge_kd"].learning_rate, seed=2)
-        result = train_edge_kd(edge, cloud, adapter, X, y, cfg, kd_weight=plan.kd_weight,
+        target = kd_targets(cloud, adapter.cloud_tap, X)
+        result = train_edge_kd(edge, adapter, X, y, target, cfg, kd_weight=plan.kd_weight,
                                recall_boost=recall_boost)
         alpha = None
         if recall_boost and epochs:
@@ -470,7 +495,7 @@ class TestReportsMatchEvaluators:
         assert result.history[-1] == edge_kd_oracle(edge, cloud, adapter, X, y, alpha)
 
         first = evaluate_adaptive_path(edge, cloud, adapter, X, y)
-        result = finetune_adapter(edge, cloud, adapter, X, y, TrainConfig(
+        result = finetune_adapter(edge, cloud, adapter, X, y, target, TrainConfig(
             epochs, sc["finetune"].batch_size, sc["finetune"].learning_rate, seed=3))
         assert result.history[0] == first
         assert result.history[-1] == evaluate_adaptive_path(edge, cloud, adapter, X, y)
@@ -509,31 +534,68 @@ class TestReportPasses:
         adapter = make_adapter("a", 0, 1, 5, 8, 1, np.random.default_rng(43))
         return ds.train_X, ds.train_y, edge, cloud, adapter
 
-    def test_finetune_runs_the_frozen_edge_and_cloud_once(self, monkeypatch):
+    def test_train_stages_runs_the_cloud_prefix_once_after_stage_1(self, monkeypatch):
+        # stage 1 reports run the whole cloud once per history row; after
+        # it, one KD-target pass of the layers up to the tap serves both KD
+        # stages, and only fine-tune reports run the tail
+        plan = tiny_plan()
+        ds = harness.build_dataset(plan)
+        edge, cloud, adapter = harness.build_models(plan)
+        counter = PassCounter(monkeypatch, cloud)
+        results = harness.train_stages(plan, ds, edge, cloud, adapter)
+        stage_1 = len(results["cloud"].history)
+        n = adapter.cloud_tap
+        assert counter.runs(cloud, range(n + 1)) == [stage_1 + 1] * (n + 1)
+        tail = range(n + 1, len(cloud.layers))
+        assert counter.runs(cloud, tail) == [stage_1 + len(results["finetune"].history)] * len(tail)
+
+    def test_finetune_runs_the_frozen_edge_once_and_no_cloud_prefix_layer(self, monkeypatch):
         X, y, edge, cloud, adapter = self.small_setup()
+        target = kd_targets(cloud, adapter.cloud_tap, X)
         counter = PassCounter(monkeypatch, edge, cloud)
-        result = finetune_adapter(edge, cloud, adapter, X, y, TrainConfig(self.EPOCHS, 32, 0.05))
+        result = finetune_adapter(edge, cloud, adapter, X, y, target,
+                                  TrainConfig(self.EPOCHS, 32, 0.05))
         rows = len(result.history)
         assert rows == self.EPOCHS + 1
         n = adapter.cloud_tap
         assert counter.runs(edge, range(len(edge.layers))) == [1] * len(edge.layers)
-        assert counter.runs(cloud, range(n + 1)) == [1] * (n + 1)
+        assert counter.runs(cloud, range(n + 1)) == [0] * (n + 1)
         tail = range(n + 1, len(cloud.layers))
         assert counter.runs(cloud, tail) == [rows] * len(tail)
 
     @pytest.mark.parametrize("recall_boost", [False, True])
     def test_edge_kd_runs_the_edge_once_per_history_row(self, monkeypatch, recall_boost):
         X, y, edge, cloud, adapter = self.small_setup()
+        target = kd_targets(cloud, adapter.cloud_tap, X)
         counter = PassCounter(monkeypatch, edge, cloud)
-        result = train_edge_kd(edge, cloud, adapter, X, y, TrainConfig(self.EPOCHS, 32, 0.1),
+        result = train_edge_kd(edge, adapter, X, y, target, TrainConfig(self.EPOCHS, 32, 0.1),
                                recall_boost=recall_boost)
         rows = len(result.history)
         assert rows == self.EPOCHS + 1
-        n = adapter.cloud_tap
         assert counter.runs(edge, range(len(edge.layers))) == [rows] * len(edge.layers)
-        assert counter.runs(cloud, range(n + 1)) == [1] * (n + 1)
-        tail = range(n + 1, len(cloud.layers))
-        assert counter.runs(cloud, tail) == [0] * len(tail)
+        assert counter.runs(cloud, range(len(cloud.layers))) == [0] * len(cloud.layers)
+
+    def test_kd_targets_are_read_only(self):
+        X, _, _, cloud, adapter = self.small_setup()
+        target = kd_targets(cloud, adapter.cloud_tap, X)
+        with pytest.raises(ValueError, match="read-only"):
+            target[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            target *= 2.0
+
+    @pytest.mark.parametrize("cut", ["rows", "width"])
+    @pytest.mark.parametrize("stage", ["edge_kd", "finetune"])
+    def test_a_misshapen_target_is_refused(self, stage, cut):
+        X, y, edge, cloud, adapter = self.small_setup()
+        target = kd_targets(cloud, adapter.cloud_tap, X)
+        bad = target[:-1] if cut == "rows" else target[:, :-1]
+        message = f"target: shape {bad.shape} != (rows, adapter width) {target.shape}"
+        cfg = TrainConfig(1, 32, 0.1)
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            if stage == "edge_kd":
+                train_edge_kd(edge, adapter, X, y, bad, cfg)
+            else:
+                finetune_adapter(edge, cloud, adapter, X, y, bad, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +652,8 @@ class TestMultiObjectiveSteps:
         if stage == "kd-edge":
             cfg = TrainConfig(2, sc["edge_kd"].batch_size, sc["edge_kd"].learning_rate, seed=2)
             recorder = StepRecorder(monkeypatch, cross_entropies=2)
-            result = train_edge_kd(edge, cloud, adapter, X, y, cfg, kd_weight=plan.kd_weight,
-                                   recall_boost=True)
+            result = train_edge_kd(edge, adapter, X, y, kd_targets(cloud, adapter.cloud_tap, X),
+                                   cfg, kd_weight=plan.kd_weight, recall_boost=True)
             trainable = edge.params() + adapter.params()
         else:
             # two-row batches: some hold no positive row and step on CE alone
