@@ -28,7 +28,7 @@ import numpy as np
 from . import metrics, models, nncore, policy as policy_mod, train as train_mod
 from .metrics import CostReport
 from .models import AdapterSpec, ModelSpec
-from .nncore import ConfigError, UsageError
+from .nncore import ConfigError
 from .policy import CLOUD_CODE, DYNAMIC, EDGE_CODE, ROUTES, RoutedDataset, route_codes, route_dataset
 from .train import TrainConfig, TrainResult
 
@@ -93,14 +93,38 @@ class Dataset:
         with np.load(path) as z:
             if "__dataset_version__" not in z.files:
                 raise ConfigError(f"{path}: not an edgecloud dataset file")
+            version = int(z["__dataset_version__"])
+            if version != DATASET_VERSION:
+                raise ConfigError(f"{path}: unsupported dataset version {version}")
             num_classes = int(z["num_classes"])
             centers = [z[f"centers_{c}"] for c in range(num_classes)]
             return cls(z["X"], z["y"], num_classes, float(z["normal_fraction"]), z["train_idx"],
                        z["val_idx"], centers, float(z["sigma_normal"]), float(z["sigma_positive"]))
 
 
-def gen_dataset(num_classes: int, dim: int, n: int, normal_fraction: float,
-                seed: int, difficulty: float = 0.5) -> Dataset:
+@dataclass
+class DataConfig:
+    """``n`` samples of ``num_classes`` classes in ``dim`` dimensions, a
+    ``normal_fraction`` of them normal; ``difficulty`` sets the overlap."""
+
+    num_classes: int
+    dim: int
+    n: int
+    normal_fraction: float
+    difficulty: float
+
+    def __post_init__(self) -> None:
+        rules = (("num_classes", self.num_classes >= 2, "must be >= 2"),
+                 ("dim", self.dim >= 1, "must be >= 1"),
+                 ("n", self.n >= self.num_classes, "must be >= num_classes"),
+                 ("normal_fraction", 0.0 <= self.normal_fraction <= 1.0, "must lie in [0, 1]"),
+                 ("difficulty", 0.0 <= self.difficulty <= 1.0, "must lie in [0, 1]"))
+        for key, holds, rule in rules:
+            if not holds:
+                raise ConfigError(f"{key}: {rule}")
+
+
+def gen_dataset(data: DataConfig, seed: int) -> Dataset:
     """Gaussian-mixture classification set with a designated normal class.
 
     Class 0 is the normal class: a wide set of ``NORMAL_SUBCLUSTERS``
@@ -109,10 +133,7 @@ def gen_dataset(num_classes: int, dim: int, n: int, normal_fraction: float,
     radius ``POSITIVE_RADIUS``. ``difficulty`` in [0, 1] scales every
     cluster's spread; at 0 the classes are essentially separable.
     """
-    problem = DataConfig(num_classes, dim, n, normal_fraction, difficulty).problem()
-    if problem:
-        raise UsageError(problem)
-
+    num_classes, dim, n, normal_fraction = data.num_classes, data.dim, data.n, data.normal_fraction
     rng = np.random.default_rng(seed)
     n_positive_classes = num_classes - 1
 
@@ -129,7 +150,7 @@ def gen_dataset(num_classes: int, dim: int, n: int, normal_fraction: float,
     sub_radii = rng.uniform(0.3, 1.0, NORMAL_SUBCLUSTERS)
     normal_centers = sub_dirs * sub_radii[:, None]
 
-    sigma_pos = 0.25 + 1.1 * difficulty
+    sigma_pos = 0.25 + 1.1 * data.difficulty
     sigma_norm = 2.0 * sigma_pos
 
     n_normal = int(round(n * normal_fraction))
@@ -171,26 +192,8 @@ def gen_dataset(num_classes: int, dim: int, n: int, normal_fraction: float,
 # Experiment plan. A dataclass field is a plan-file key (``metadata["key"]``
 # renames it), required exactly when the field has no default.
 
-# Each training stage with the derived seed that drives its minibatch order.
-_STAGE_SEEDS = {"cloud": "cloud_train", "edge_kd": "edge_train", "finetune": "finetune"}
-
-
-@dataclass
-class DataConfig:
-    num_classes: int
-    dim: int
-    n: int
-    normal_fraction: float
-    difficulty: float
-
-    def problem(self) -> str | None:
-        """The first rule this config breaks, as ``"<key>: <rule>"``, or ``None``."""
-        rules = (("num_classes", self.num_classes >= 2, "must be >= 2"),
-                 ("dim", self.dim >= 1, "must be >= 1"),
-                 ("n", self.n >= self.num_classes, "must be >= num_classes"),
-                 ("normal_fraction", 0.0 <= self.normal_fraction <= 1.0, "must lie in [0, 1]"),
-                 ("difficulty", 0.0 <= self.difficulty <= 1.0, "must lie in [0, 1]"))
-        return next((f"{key}: {rule}" for key, holds, rule in rules if not holds), None)
+# The training stages, in pipeline order.
+_STAGES = ("cloud", "edge_kd", "finetune")
 
 
 @dataclass
@@ -198,6 +201,11 @@ class NetConfig:
     """Widths of a net's relu hidden layers; a linear head follows them."""
 
     hidden: list[int]
+
+    def __post_init__(self) -> None:
+        for i, width in enumerate(self.hidden):
+            if width < 1:
+                raise ConfigError(f"hidden[{i}]: must be >= 1")
 
 
 @dataclass
@@ -209,16 +217,9 @@ class AdapterConfig:
     cloud_tap: int
     blocks: int
 
-
-@dataclass
-class StageConfig:
-    epochs: int
-    batch_size: int
-    learning_rate: float
-
-    def train_config(self, seed: int) -> TrainConfig:
-        """This stage as a ``TrainConfig``, whose rules check every field."""
-        return TrainConfig(self.epochs, self.batch_size, self.learning_rate, seed)
+    def __post_init__(self) -> None:
+        if self.blocks < 0:
+            raise ConfigError("blocks: must be >= 0")
 
 
 @dataclass
@@ -227,6 +228,14 @@ class PolicyConfig:
     c1: float
     c2: float = 0.0
     confidence_mode: str = models.NORMAL_CLASS_MODE
+
+    def __post_init__(self) -> None:
+        policy_mod.check_thresholds(self.variant, self.c1, self.c2)
+        if self.variant != DYNAMIC and self.c2 != 0.0:
+            raise ConfigError("c2: only a dynamic policy reads c2")
+        if self.confidence_mode not in models.CONFIDENCE_MODES:
+            raise ConfigError(f"confidence_mode: unknown mode {self.confidence_mode!r}, "
+                              f"expected one of {models.CONFIDENCE_MODES}")
 
     @property
     def label(self) -> str:
@@ -241,49 +250,25 @@ class ExperimentPlan:
     edge: NetConfig
     cloud: NetConfig
     adapter: AdapterConfig
-    stages: dict[str, StageConfig]
+    stages: dict[str, TrainConfig]
     recall_boost: bool = False
     kd_weight: float = 1.0
     policies: list[PolicyConfig] = field(default_factory=list)
     c2_grid: list[float] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        problem = self.data.problem()
-        if problem:
-            raise ConfigError(f"dataset.{problem}")
+        """The rules across sections; each section checks its own fields."""
         for name, net, tap in (("edge", self.edge, self.adapter.edge_tap),
                                ("cloud", self.cloud, self.adapter.cloud_tap)):
-            for i, width in enumerate(net.hidden):
-                if width < 1:
-                    raise ConfigError(f"{name}.hidden[{i}]: must be >= 1")
             if not 0 <= tap <= len(net.hidden):  # a hidden layer or the head
                 raise ConfigError(f"adapter.{name}_tap: must lie in [0, {len(net.hidden)}]")
-        if self.adapter.blocks < 0:
-            raise ConfigError("adapter.blocks: must be >= 0")
-        for name in dict.fromkeys([*self.stages, *_STAGE_SEEDS]):
-            if name not in _STAGE_SEEDS:
+        for name in dict.fromkeys([*self.stages, *_STAGES]):
+            if name not in _STAGES:
                 raise ConfigError(f"stages.{name}: unknown stage, expected one of "
-                                  f"{', '.join(_STAGE_SEEDS)}")
+                                  f"{', '.join(_STAGES)}")
             if name not in self.stages:
                 raise ConfigError(f"stages.{name}: missing stage config")
-            try:
-                self.stages[name].train_config(seed=0)
-            except ConfigError as exc:
-                raise ConfigError(f"stages.{name}.{exc}") from None
         train_mod.check_edge_objectives(self.kd_weight, self.recall_boost)
-        for i, p in enumerate(self.policies):
-            try:
-                policy_mod.check_thresholds(p.variant, p.c1, p.c2)
-            except ConfigError as exc:
-                raise ConfigError(f"policies[{i}]: {exc}") from None
-            if p.variant != DYNAMIC and p.c2 != 0.0:
-                raise ConfigError(f"policies[{i}].c2: only a dynamic policy reads c2")
-            if p.confidence_mode not in models.CONFIDENCE_MODES:
-                raise ConfigError(f"policies[{i}].confidence_mode: unknown mode "
-                                  f"{p.confidence_mode!r}, expected one of {models.CONFIDENCE_MODES}")
-        c1 = self.sweep_policies()[-1].c1
-        if any(not 0.0 <= c2 <= c1 for c2 in self.c2_grid):
-            raise ConfigError(f"c2_grid: entries must lie in [0, c1] = [0, {c1:g}]")
         labels = [p.label for p in self.policies]
         for i, label in enumerate(labels):
             if label in labels[:i]:
@@ -298,8 +283,11 @@ class ExperimentPlan:
 
     def sweep_policies(self) -> list[PolicyConfig]:
         """The c2 sweep: dynamic policies over ``{0, *c2_grid, c1}`` ascending,
-        with the first policy's ``c1`` and mode, or 0.8 and normal-class."""
+        with the first policy's ``c1`` and mode, or 0.8 and normal-class. A
+        ``c2_grid`` entry outside [0, c1] is refused."""
         first = self.policies[0] if self.policies else PolicyConfig(DYNAMIC, c1=0.8)
+        if any(not 0.0 <= c2 <= first.c1 for c2 in self.c2_grid):
+            raise ConfigError(f"c2_grid: entries must lie in [0, c1] = [0, {first.c1:g}]")
         return [PolicyConfig(DYNAMIC, first.c1, c2, first.confidence_mode)
                 for c2 in sorted({0.0, *self.c2_grid, first.c1})]
 
@@ -313,9 +301,9 @@ def default_plan(master_seed: int = 0) -> ExperimentPlan:
         cloud=NetConfig(hidden=[64, 64, 64, 64]),
         adapter=AdapterConfig(edge_tap=0, cloud_tap=2, blocks=2),
         stages={
-            "cloud": StageConfig(epochs=30, batch_size=64, learning_rate=0.08),
-            "edge_kd": StageConfig(epochs=30, batch_size=64, learning_rate=0.08),
-            "finetune": StageConfig(epochs=12, batch_size=64, learning_rate=0.04),
+            "cloud": TrainConfig(epochs=30, batch_size=64, learning_rate=0.08),
+            "edge_kd": TrainConfig(epochs=30, batch_size=64, learning_rate=0.08),
+            "finetune": TrainConfig(epochs=12, batch_size=64, learning_rate=0.04),
         },
         kd_weight=0.5,
         policies=[
@@ -335,8 +323,8 @@ def _key(f: dataclasses.Field) -> str:
 def _from_json(kind, value, where: str):
     """``value`` read as ``kind``: a plan dataclass, ``list[T]``, ``dict[str, T]``
     or a scalar type. An int is accepted as a float, a bool only as a bool;
-    ``where`` is the value's path in the file, which every error names. This
-    module does not defer annotations, so a field's ``type`` is its type."""
+    ``where`` is the value's path in the file, which every error names: a
+    dataclass's own refusal of its fields is prefixed with its path."""
     if dataclasses.is_dataclass(kind):
         value = _from_json(dict, value, where)
         fields = {_key(f): f for f in dataclasses.fields(kind)}
@@ -346,8 +334,13 @@ def _from_json(kind, value, where: str):
         for key, f in fields.items():
             if key not in value and f.default is MISSING and f.default_factory is MISSING:
                 raise ConfigError(f"{where}.{key}: missing")
-        return kind(**{f.name: _from_json(f.type, value[key], f"{where}.{key}")
-                       for key, f in fields.items() if key in value})
+        types = typing.get_type_hints(kind)  # train.py defers its annotations
+        kwargs = {f.name: _from_json(types[f.name], value[key], f"{where}.{key}")
+                  for key, f in fields.items() if key in value}
+        try:
+            return kind(**kwargs)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}.{exc}") from None
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin is list:
         return [_from_json(args[0], v, f"{where}[{i}]")
@@ -393,7 +386,7 @@ def save_plan(path, plan: ExperimentPlan) -> None:
 # Seeded construction and the training pipeline.
 
 _SEED_NAMES = ("dataset", "edge_init", "cloud_init", "adapter_init",
-               "cloud_train", "edge_train", "finetune", "aux")
+               "cloud_train", "edge_train", "finetune")
 
 
 def derive_seeds(master_seed: int) -> dict[str, int]:
@@ -404,10 +397,7 @@ def derive_seeds(master_seed: int) -> dict[str, int]:
 
 
 def build_dataset(plan: ExperimentPlan) -> Dataset:
-    seeds = derive_seeds(plan.master_seed)
-    d = plan.data
-    return gen_dataset(d.num_classes, d.dim, d.n, d.normal_fraction,
-                       seeds["dataset"], d.difficulty)
+    return gen_dataset(plan.data, derive_seeds(plan.master_seed)["dataset"])
 
 
 def build_models(plan: ExperimentPlan) -> tuple[ModelSpec, ModelSpec, AdapterSpec]:
@@ -430,16 +420,15 @@ def train_stages(plan: ExperimentPlan, ds: Dataset, edge: ModelSpec,
     plus cloud-tail fine-tuning; all seeds derived from the master seed.
     The trained cloud's KD targets are computed once, for both KD stages."""
     seeds = derive_seeds(plan.master_seed)
-    cfg = {name: plan.stages[name].train_config(seeds[seed])
-           for name, seed in _STAGE_SEEDS.items()}
-    X, y = ds.train_X, ds.train_y
-    results = {"cloud": train_mod.train_base(cloud, X, y, cfg["cloud"])}
+    stages, X, y = plan.stages, ds.train_X, ds.train_y
+    results = {"cloud": train_mod.train_base(cloud, X, y, stages["cloud"],
+                                             seed=seeds["cloud_train"])}
     target = train_mod.kd_targets(cloud, adapter.cloud_tap, X)
-    results["edge_kd"] = train_mod.train_edge_kd(edge, adapter, X, y, target, cfg["edge_kd"],
-                                                 kd_weight=plan.kd_weight,
+    results["edge_kd"] = train_mod.train_edge_kd(edge, adapter, X, y, target, stages["edge_kd"],
+                                                 seed=seeds["edge_train"], kd_weight=plan.kd_weight,
                                                  recall_boost=plan.recall_boost)
     results["finetune"] = train_mod.finetune_adapter(edge, cloud, adapter, X, y, target,
-                                                     cfg["finetune"])
+                                                     stages["finetune"], seed=seeds["finetune"])
     return results
 
 

@@ -70,11 +70,12 @@ def check_thresholds(variant: str, c1: float, c2: float = 0.0) -> None:
     """Reject an unknown variant, ``c1`` outside [0, 1] and, for the dynamic
     rule, ``c2`` outside [0, c1]."""
     if variant not in VARIANTS:
-        raise ConfigError(f"unknown policy variant {variant!r}")
+        raise ConfigError(f"variant: unknown variant {variant!r}, expected one of "
+                          f"{', '.join(VARIANTS)}")
     if not 0.0 <= c1 <= 1.0:
-        raise ConfigError("c1 must lie in [0, 1]")
+        raise ConfigError("c1: must lie in [0, 1]")
     if variant == DYNAMIC and not 0.0 <= c2 <= c1:
-        raise ConfigError("dynamic policy requires 0 <= c2 <= c1")
+        raise ConfigError("c2: must lie in [0, c1]")
 
 
 def route_codes(variant: str, conf, c1: float, c2: float = 0.0) -> np.ndarray:

@@ -22,7 +22,7 @@ first order; an objective absent from the batch (positive cross-entropy on
 a batch without positive rows) is left out of that step.
 
 Losses clamp probabilities to ``[1e-12, 1 - 1e-12]`` before taking logs.
-All procedures are deterministic given ``TrainConfig.seed`` (the only
+All procedures are deterministic given their ``seed`` argument (the only
 randomness is minibatch shuffling). ``finetune_adapter`` verifies its freeze
 contract by hashing its frozen parameters before and after; ``train_edge_kd``
 sees the cloud only as a read-only target array.
@@ -73,15 +73,18 @@ class FrozenParamsError(RuntimeError):
 
 @dataclass
 class TrainConfig:
+    """One training stage: ``epochs`` of SGD on ``batch_size``-row batches at ``learning_rate``."""
+
     epochs: int
     batch_size: int
     learning_rate: float
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for name, low in (("epochs", 0), ("batch_size", 1), ("learning_rate", 0)):
             if not getattr(self, name) >= low:
                 raise ConfigError(f"{name}: must be >= {low}")
+        if self.learning_rate == math.inf:
+            raise ConfigError("learning_rate: must be finite")
 
 
 @dataclass
@@ -302,8 +305,9 @@ def _epoch_alpha(steps: list[tuple[float, ...]]) -> tuple[float, ...] | None:
 
 def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
          objectives: Callable[[GradientTape, np.ndarray], list[Node | None]],
-         report: Callable[[], LossReport], frozen: Sequence[Param] = ()) -> TrainResult:
-    """The training loop of every procedure, over ``n`` training rows.
+         report: Callable[[], LossReport], frozen: Sequence[Param] = (), *,
+         seed: int) -> TrainResult:
+    """The training loop of every procedure, over ``n`` rows shuffled by ``seed``.
 
     ``objectives(tape, idx)`` records one step's objectives for the rows
     ``idx`` on ``tape`` and returns them by slot, ``None`` for an objective
@@ -319,7 +323,7 @@ def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
     ends = np.cumsum([p.value.size for p in trainable])
     slices = [slice(end - p.value.size, end) for p, end in zip(trainable, ends)]
     flat: np.ndarray | None = None
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     result = TrainResult([report()])
     for epoch in range(1, config.epochs + 1):
         epoch_alphas: list[tuple[float, ...]] = []
@@ -381,7 +385,7 @@ def _check_target(target: np.ndarray, n: int, adapter: AdapterSpec) -> None:
 # ---------------------------------------------------------------------------
 # Training procedures.
 
-def train_base(model: ModelSpec, X, y, config: TrainConfig) -> TrainResult:
+def train_base(model: ModelSpec, X, y, config: TrainConfig, *, seed: int) -> TrainResult:
     """Minibatch SGD on cross-entropy; history row 0 is the initial state."""
     X, y = _coerce_data(X, y)
 
@@ -390,19 +394,21 @@ def train_base(model: ModelSpec, X, y, config: TrainConfig) -> TrainResult:
         return [ce_on_tape(tape, logits, y[idx])]
 
     return _fit("base", len(X), config, model.params(), objectives,
-                lambda: evaluate_model(model, X, y))
+                lambda: evaluate_model(model, X, y), seed=seed)
 
 
 def check_edge_objectives(kd_weight: float, recall_boost: bool) -> None:
-    """Reject a negative imitation weight, or a zero one in the recall-boost bundle."""
+    """Reject a negative or infinite imitation weight, or a zero one with recall_boost."""
     if not kd_weight >= 0:
         raise ConfigError("kd_weight: must be >= 0")
+    if kd_weight == math.inf:
+        raise ConfigError("kd_weight: must be finite")
     if recall_boost and kd_weight == 0:
         raise ConfigError("kd_weight: must be > 0 when recall_boost is on")
 
 
 def train_edge_kd(edge: ModelSpec, adapter: AdapterSpec, X, y, target: np.ndarray,
-                  config: TrainConfig, *, kd_weight: float = 1.0,
+                  config: TrainConfig, *, seed: int, kd_weight: float = 1.0,
                   recall_boost: bool = False) -> TrainResult:
     """Edge training with the feature-imitation term.
 
@@ -439,11 +445,12 @@ def train_edge_kd(edge: ModelSpec, adapter: AdapterSpec, X, y, target: np.ndarra
         return _loss_report(probs, y, kd)
 
     return _fit("kd-edge", len(X), config, edge.params() + adapter.params(),
-                objectives, report)
+                objectives, report, seed=seed)
 
 
 def finetune_adapter(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
-                     X, y, target: np.ndarray, config: TrainConfig) -> TrainResult:
+                     X, y, target: np.ndarray, config: TrainConfig, *,
+                     seed: int) -> TrainResult:
     """Tune the adapter and the cloud tail on the end-to-end adapted path.
 
     The edge and the cloud layers up to (and including) the injection tap
@@ -465,7 +472,8 @@ def finetune_adapter(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
     return _fit("adapter-finetune", len(X), config,
                 adapter.params() + [p for layer in tail for p in layer.params()], objectives,
                 lambda: _adaptive_report(cloud, adapter, feats, target, y),
-                frozen=edge.params() + [p for layer in prefix for p in layer.params()])
+                frozen=edge.params() + [p for layer in prefix for p in layer.params()],
+                seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from edgecloud import harness, models, nncore, train
-from edgecloud.harness import (AdapterConfig, DataConfig, ExperimentPlan, NetConfig,
-                               PolicyConfig, StageConfig)
+from edgecloud.harness import AdapterConfig, DataConfig, ExperimentPlan, NetConfig, PolicyConfig
 from edgecloud.metrics import MAX
 from edgecloud.moo import GradientBundle, SimplexWeights
 from edgecloud.nncore import UsageError
+from edgecloud.train import TrainConfig
 
 
 def scalar_forward_reference(layers, x):
@@ -91,7 +91,7 @@ def random_net(rng, num_classes=3, max_depth=4, max_width=16):
     return layers, in_dim
 
 
-def train_recall_boost(edge, X, y, config):
+def train_recall_boost(edge, X, y, config, *, seed):
     """Two-objective SGD weighting cross-entropy and positive-only
     cross-entropy by the per-step minimum-norm solution: the training loop's
     multi-objective path on the edge alone (acceptance criterion 5d)."""
@@ -106,7 +106,7 @@ def train_recall_boost(edge, X, y, config):
         return [ce, train.positive_ce_on_tape(tape, logits, y[idx])]
 
     return train._fit("recall-boost", len(X), config, edge.params(), objectives,
-                      lambda: train.evaluate_model(edge, X, y))
+                      lambda: train.evaluate_model(edge, X, y), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +205,9 @@ def tiny_plan(master_seed=0, **overrides):
         cloud=NetConfig(hidden=[16, 16, 16]),
         adapter=AdapterConfig(edge_tap=0, cloud_tap=1, blocks=1),
         stages={
-            "cloud": StageConfig(epochs=8, batch_size=32, learning_rate=0.1),
-            "edge_kd": StageConfig(epochs=8, batch_size=32, learning_rate=0.1),
-            "finetune": StageConfig(epochs=4, batch_size=32, learning_rate=0.05),
+            "cloud": TrainConfig(epochs=8, batch_size=32, learning_rate=0.1),
+            "edge_kd": TrainConfig(epochs=8, batch_size=32, learning_rate=0.1),
+            "finetune": TrainConfig(epochs=4, batch_size=32, learning_rate=0.05),
         },
         policies=[
             PolicyConfig("independent", c1=0.8),

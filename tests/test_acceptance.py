@@ -101,7 +101,7 @@ def test_criterion_4_routing_identities():
     ds = harness.build_dataset(plan)
     edge, cloud, adapter = harness.build_models(plan)
     # a few epochs to spread edge confidences across all three branches
-    train.train_base(edge, ds.train_X, ds.train_y, TrainConfig(3, 64, 0.08, seed=1))
+    train.train_base(edge, ds.train_X, ds.train_y, TrainConfig(3, 64, 0.08), seed=1)
     X = ds.val_X
     assert len(X) == 2000
 
@@ -156,14 +156,13 @@ def trend_results():
         full_cloud_counts = [int(np.sum(route_codes(pc.variant, routed.confidence, pc.c1, pc.c2)
                                         == CLOUD_CODE)) for pc in swept]
 
-        stage = plan.stages["edge_kd"]
-        seeds = harness.derive_seeds(seed)
-        cfg = TrainConfig(stage.epochs, stage.batch_size, stage.learning_rate,
-                          seed=seeds["edge_train"])
+        stage, stage_seed = plan.stages["edge_kd"], harness.derive_seeds(seed)["edge_train"]
         plain = build_models(plan)[0]
-        train.train_base(plain, system.dataset.train_X, system.dataset.train_y, cfg)
+        train.train_base(plain, system.dataset.train_X, system.dataset.train_y, stage,
+                         seed=stage_seed)
         boosted = initial_edge
-        train_recall_boost(boosted, system.dataset.train_X, system.dataset.train_y, cfg)
+        train_recall_boost(boosted, system.dataset.train_X, system.dataset.train_y, stage,
+                           seed=stage_seed)
 
         val = (system.dataset.val_X, system.dataset.val_y)
         rows.append({

@@ -2,6 +2,7 @@
 frontier/report commands."""
 
 import csv
+import math
 import os
 
 import numpy as np
@@ -211,7 +212,7 @@ def test_sweep_routes_on_the_plan_confidence_mode(tmp_path):
 
 
 @pytest.mark.parametrize("policy, key, value", [
-    (0, "c1", 1.5), (2, "c2", -0.2), (None, "kd_weight", -1.0),
+    (0, "c1", 1.5), (2, "c2", -0.2), (None, "kd_weight", -1.0), (None, "kd_weight", math.inf),
     (1, "confidence_mode", "softmax-max"),
 ])
 def test_train_refuses_a_plan_evaluate_would_refuse(tmp_path, capsys, policy, key, value):
@@ -225,12 +226,13 @@ def test_train_refuses_a_plan_evaluate_would_refuse(tmp_path, capsys, policy, ke
     assert not (out / "edge.npz").exists()
 
 
-REFUSED_AT_TRAIN = MISTYPED_FIELDS[:3] + [(("c2_grid",), [0.2, 0.9], "c2_grid: entries must lie in")]
+REFUSED_AT_TRAIN = MISTYPED_FIELDS[:3] + [(("c2_grid",), [0.2, 0.9],
+                                            "plan.c2_grid: entries must lie in")]
 REPEATED_LABELS = [
     (("policies",), harness.plan_to_dict(tiny_plan())["policies"] + [{"variant": "independent",
                                                                       "c1": 0.8}],
-     r"policies\[3\]: duplicate label 'independent'$"),
-    (("c2_grid",), [0.3, 0.3000001], r"c2_grid\[1\]: duplicate label 'dynamic\(c2=0\.3\)'$"),
+     r"plan.policies\[3\]: duplicate label 'independent'$"),
+    (("c2_grid",), [0.3, 0.3000001], r"plan.c2_grid\[1\]: duplicate label 'dynamic\(c2=0\.3\)'$"),
 ]
 
 
@@ -250,16 +252,16 @@ def test_train_refuses_a_mistyped_or_unsweepable_plan(tmp_path, capsys, keys, va
 
 
 REFUSED_AT_LOAD = [
-    (("edge", "hidden"), [-3], r"edge.hidden\[0\]: must be >= 1"),
-    (("edge", "hidden"), [0], r"edge.hidden\[0\]: must be >= 1"),
+    (("edge", "hidden"), [-3], r"plan.edge.hidden\[0\]: must be >= 1"),
+    (("edge", "hidden"), [0], r"plan.edge.hidden\[0\]: must be >= 1"),
     (("recall_bost",), True, "plan.recall_bost: unknown field"),
     (("cloud", "taps"), [0, 1, 2], "plan.cloud.taps: unknown field"),
     (("bytes_per_element",), 4, "plan.bytes_per_element: unknown field"),
-    (("adapter", "edge_tap"), 5, r"adapter.edge_tap: must lie in \[0, 1\]"),
-    (("dataset", "dim"), 0, "dataset.dim: must be >= 1"),
-    (("dataset", "n"), 3, "dataset.n: must be >= num_classes"),
-    (("dataset", "normal_fraction"), 1.5, r"dataset.normal_fraction: must lie in \[0, 1\]"),
-    (("dataset", "difficulty"), -0.1, r"dataset.difficulty: must lie in \[0, 1\]"),
+    (("adapter", "edge_tap"), 5, r"plan.adapter.edge_tap: must lie in \[0, 1\]"),
+    (("dataset", "dim"), 0, "plan.dataset.dim: must be >= 1"),
+    (("dataset", "n"), 3, "plan.dataset.n: must be >= num_classes"),
+    (("dataset", "normal_fraction"), 1.5, r"plan.dataset.normal_fraction: must lie in \[0, 1\]"),
+    (("dataset", "difficulty"), -0.1, r"plan.dataset.difficulty: must lie in \[0, 1\]"),
 ]
 
 
@@ -290,14 +292,18 @@ def test_recall_boost_without_imitation_refused_before_any_output(tmp_path, caps
     for command in ("gen-data", "train"):
         assert dispatch([command, "--config", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == \
-            "error: kd_weight: must be > 0 when recall_boost is on\n"
+            "error: plan.kd_weight: must be > 0 when recall_boost is on\n"
     assert not (out / "dataset.npz").exists() and not (out / "edge.npz").exists()
 
 
-def test_train_rejects_a_bad_stage_before_running_any(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("field, value, rule", [
+    ("batch_size", 0, "must be >= 1"), ("learning_rate", math.inf, "must be finite"),
+])
+def test_train_rejects_a_bad_stage_before_running_any(tmp_path, capsys, monkeypatch,
+                                                      field, value, rule):
     import json
     cfg = harness.plan_to_dict(tiny_plan())
-    cfg["stages"]["finetune"]["batch_size"] = 0
+    cfg["stages"]["finetune"][field] = value
     path, out = tmp_path / "plan.json", tmp_path / "out"
     path.write_text(json.dumps(cfg))
     ran = []
@@ -313,5 +319,5 @@ def test_train_rejects_a_bad_stage_before_running_any(tmp_path, capsys, monkeypa
     for name in ("train_base", "train_edge_kd", "finetune_adapter"):
         monkeypatch.setattr(train, name, recording(name))
     assert dispatch(["train", "--config", str(path), "--out", str(out)]) == 2
-    assert "stages.finetune.batch_size: must be >= 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: plan.stages.finetune.{field}: {rule}\n"
     assert ran == []

@@ -11,13 +11,13 @@ import pytest
 
 from edgecloud import harness, metrics, models, nncore
 from edgecloud.cli import CHECKPOINT_FILES, dispatch
-from edgecloud.harness import (AdapterConfig, Dataset, ExperimentPlan, NetConfig,
+from edgecloud.harness import (AdapterConfig, DataConfig, Dataset, ExperimentPlan, NetConfig,
                                PolicyConfig, TrainedSystem, build_dataset,
                                build_models, default_plan, evaluate_policies, gen_dataset,
                                load_plan, plan_from_dict, plan_to_dict, run_experiment,
                                save_plan, sweep_dynamic)
 from edgecloud.metrics import pareto_frontier
-from edgecloud.nncore import ConfigError, UsageError
+from edgecloud.nncore import ConfigError
 
 from conftest import MISTYPED_FIELDS, field_id, resweep, set_field, tiny_plan
 
@@ -69,20 +69,20 @@ def del_field(cfg, keys):
 
 class TestGenDataset:
     def test_deterministic_given_seed(self):
-        a = gen_dataset(5, 8, 1000, 0.4, seed=7, difficulty=0.5)
-        b = gen_dataset(5, 8, 1000, 0.4, seed=7, difficulty=0.5)
+        a = gen_dataset(DataConfig(5, 8, 1000, 0.4, 0.5), seed=7)
+        b = gen_dataset(DataConfig(5, 8, 1000, 0.4, 0.5), seed=7)
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.y, b.y)
         assert np.array_equal(a.train_idx, b.train_idx)
         assert np.array_equal(a.val_idx, b.val_idx)
 
     def test_normal_fraction_matches_declared(self):
-        ds = gen_dataset(7, 16, 10_000, 0.4, seed=1)
+        ds = gen_dataset(DataConfig(7, 16, 10_000, 0.4, 0.5), seed=1)
         frac = float((ds.y == models.NORMAL_CLASS).mean())
         assert 0.38 <= frac <= 0.42
 
     def test_split_is_stratified_80_20(self):
-        ds = gen_dataset(5, 8, 2000, 0.4, seed=2)
+        ds = gen_dataset(DataConfig(5, 8, 2000, 0.4, 0.5), seed=2)
         assert len(ds.train_idx) + len(ds.val_idx) == 2000
         assert abs(len(ds.train_idx) - 1600) <= 5
         for c in range(ds.num_classes):
@@ -94,7 +94,7 @@ class TestGenDataset:
         # Gaussian max-likelihood nearest-center rule over the generating
         # mixture components: scaled squared distance plus the log-volume
         # term the unequal class widths require.
-        ds = gen_dataset(7, 16, 4000, 0.4, seed=3, difficulty=0.0)
+        ds = gen_dataset(DataConfig(7, 16, 4000, 0.4, 0.0), seed=3)
         centers = np.concatenate(ds.centers)
         owner = np.concatenate([np.full(len(c), i) for i, c in enumerate(ds.centers)])
         sigma = np.where(owner == models.NORMAL_CLASS, ds.sigma_normal, ds.sigma_positive)
@@ -103,18 +103,18 @@ class TestGenDataset:
         preds = owner[np.argmin(scores, axis=1)]
         assert (preds == ds.y).mean() >= 0.99
 
-    def test_degenerate_configs_rejected(self):
-        with pytest.raises(UsageError):
-            gen_dataset(1, 8, 100, 0.4, seed=0)
-        with pytest.raises(UsageError):
-            gen_dataset(5, 0, 100, 0.4, seed=0)
-        with pytest.raises(UsageError):
-            gen_dataset(5, 8, 3, 0.4, seed=0)
-        with pytest.raises(UsageError):
-            gen_dataset(5, 8, 100, 1.4, seed=0)
+    @pytest.mark.parametrize("args, message", [
+        ((1, 8, 100, 0.4, 0.5), "num_classes: must be >= 2"),
+        ((5, 0, 100, 0.4, 0.5), "dim: must be >= 1"),
+        ((5, 8, 3, 0.4, 0.5), "n: must be >= num_classes"),
+        ((5, 8, 100, 1.4, 0.5), r"normal_fraction: must lie in \[0, 1\]"),
+    ])
+    def test_degenerate_configs_rejected(self, args, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            DataConfig(*args)
 
     def test_npz_round_trip(self, tmp_path):
-        ds = gen_dataset(4, 6, 500, 0.3, seed=4, difficulty=0.2)
+        ds = gen_dataset(DataConfig(4, 6, 500, 0.3, 0.2), seed=4)
         path = tmp_path / "dataset.npz"
         ds.save(path)
         loaded = Dataset.load(path)
@@ -124,6 +124,16 @@ class TestGenDataset:
         assert all(np.array_equal(a, b) for a, b in zip(loaded.centers, ds.centers))
         with np.load(path) as z:  # the file still names its normal class
             assert int(z["normal_class"]) == models.NORMAL_CLASS
+
+    def test_other_dataset_version_refused(self, tmp_path):
+        path = tmp_path / "dataset.npz"
+        gen_dataset(DataConfig(4, 6, 100, 0.3, 0.2), seed=4).save(path)
+        with np.load(path) as z:
+            arrays = {name: z[name] for name in z.files}
+        np.savez(path, **{**arrays, "__dataset_version__": np.int64(2)})
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: unsupported "
+                                              "dataset version 2$"):
+            Dataset.load(path)
 
 
 class TestPlans:
@@ -163,13 +173,13 @@ class TestPlans:
             tiny_plan(adapter=AdapterConfig(edge_tap=0, cloud_tap=9, blocks=1))
 
     @pytest.mark.parametrize("keys, value, message", [
-        (("adapter", "edge_tap"), 2, r"adapter.edge_tap: must lie in \[0, 1\]"),
-        (("adapter", "cloud_tap"), -1, r"adapter.cloud_tap: must lie in \[0, 3\]"),
-        (("edge", "hidden"), [-3], r"edge.hidden\[0\]: must be >= 1"),
-        (("edge", "hidden"), [0], r"edge.hidden\[0\]: must be >= 1"),
-        (("cloud", "hidden"), [16, 0, 16], r"cloud.hidden\[1\]: must be >= 1"),
+        (("adapter", "edge_tap"), 2, r"plan.adapter.edge_tap: must lie in \[0, 1\]"),
+        (("adapter", "cloud_tap"), -1, r"plan.adapter.cloud_tap: must lie in \[0, 3\]"),
+        (("edge", "hidden"), [-3], r"plan.edge.hidden\[0\]: must be >= 1"),
+        (("edge", "hidden"), [0], r"plan.edge.hidden\[0\]: must be >= 1"),
+        (("cloud", "hidden"), [16, 0, 16], r"plan.cloud.hidden\[1\]: must be >= 1"),
         (("stages", "edge"), {"epochs": 1, "batch_size": 8, "learning_rate": 0.1},
-         "stages.edge: unknown stage, expected one of cloud, edge_kd, finetune"),
+         "plan.stages.edge: unknown stage, expected one of cloud, edge_kd, finetune"),
     ], ids=["edge-tap-2", "cloud-tap--1", "edge-width--3", "edge-width-0", "cloud-width-0",
             "extra-stage"])
     def test_unbuildable_plan_refused_at_load(self, keys, value, message):
@@ -180,7 +190,7 @@ class TestPlans:
 
     @pytest.mark.parametrize("keys", [
         ("recall_bost",), ("dataset", "noise"), ("edge", "taps"), ("cloud", "taps"),
-        ("stages", "cloud", "epoch"), ("policies", 1, "c_1"),
+        ("stages", "cloud", "epoch"), ("stages", "cloud", "seed"), ("policies", 1, "c_1"),
         ("bytes_per_element",), ("stages", "edge_kd", "kd_weight"),
     ], ids=field_id)
     def test_unknown_key_refused(self, keys):
@@ -221,6 +231,7 @@ class TestPlans:
         (1, "c2", 0.3, "c2: only a dynamic policy reads c2"),
         (None, "kd_weight", -1.0, "kd_weight: must be >= 0"),
         (None, "kd_weight", math.nan, "kd_weight: must be >= 0"),
+        (None, "kd_weight", math.inf, "kd_weight: must be finite"),
         (1, "confidence_mode", "softmax-max", "confidence_mode"),
     ])
     def test_thresholds_and_costs_checked_at_construction(self, policy, key, value, field):
@@ -230,20 +241,22 @@ class TestPlans:
             plan_from_dict(cfg)
 
     @pytest.mark.parametrize("stage", ["cloud", "edge_kd", "finetune"])
-    @pytest.mark.parametrize("field, value, bound", [
-        ("epochs", -1, 0), ("batch_size", 0, 1), ("learning_rate", -0.1, 0),
-        ("learning_rate", math.nan, 0),
+    @pytest.mark.parametrize("field, value, rule", [
+        ("epochs", -1, "must be >= 0"), ("batch_size", 0, "must be >= 1"),
+        ("learning_rate", -0.1, "must be >= 0"), ("learning_rate", math.nan, "must be >= 0"),
+        ("learning_rate", math.inf, "must be finite"),
     ])
-    def test_stage_bounds_checked_at_construction(self, stage, field, value, bound):
+    def test_stage_bounds_checked_at_construction(self, stage, field, value, rule):
         cfg = plan_to_dict(tiny_plan())
         cfg["stages"][stage][field] = value
-        with pytest.raises(ConfigError, match=rf"^stages\.{stage}\.{field}: must be >= {bound}$"):
+        with pytest.raises(ConfigError, match=rf"^plan\.stages\.{stage}\.{field}: {rule}$"):
             plan_from_dict(cfg)
 
     def test_recall_boost_without_imitation_refused_at_construction(self):
         cfg = plan_to_dict(tiny_plan(recall_boost=True))
         cfg["kd_weight"] = 0.0
-        with pytest.raises(ConfigError, match=r"^kd_weight: must be > 0 when recall_boost is on$"):
+        with pytest.raises(ConfigError,
+                           match=r"^plan.kd_weight: must be > 0 when recall_boost is on$"):
             plan_from_dict(cfg)
         cfg["recall_boost"] = False
         assert plan_from_dict(cfg).kd_weight == 0.0
@@ -273,7 +286,7 @@ class TestPlans:
     def test_c2_grid_above_the_sweep_c1_refused(self, policies, c2_grid):
         cfg = plan_to_dict(tiny_plan(policies=policies))
         cfg["c2_grid"] = c2_grid
-        with pytest.raises(ConfigError, match=r"^c2_grid: entries must lie in \[0, c1\]"):
+        with pytest.raises(ConfigError, match=r"^plan.c2_grid: entries must lie in \[0, c1\]"):
             plan_from_dict(cfg)
         cfg["c2_grid"] = c2_grid[:1]
         assert plan_from_dict(cfg).c2_grid == c2_grid[:1]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from edgecloud import harness, models, nncore, train
-from edgecloud.harness import gen_dataset
+from edgecloud.harness import DataConfig, gen_dataset
 from edgecloud.models import feedforward, make_adapter
 from edgecloud.nncore import ConfigError, GradientTape, UsageError
 from edgecloud.policy import route_dataset
@@ -126,74 +126,74 @@ def blob_edge(seed=0):
 
 class TestTrainBase:
     def test_separable_blobs_reach_high_accuracy(self):
-        ds = gen_dataset(2, 4, 400, 0.5, seed=10, difficulty=0.0)
+        ds = gen_dataset(DataConfig(2, 4, 400, 0.5, 0.0), seed=10)
         edge = blob_edge()
-        result = train_base(edge, ds.train_X, ds.train_y, TrainConfig(50, 32, 0.1, seed=1))
+        result = train_base(edge, ds.train_X, ds.train_y, TrainConfig(50, 32, 0.1), seed=1)
         assert result.final.accuracy >= 0.99
         assert result.final.ce_loss <= result.history[0].ce_loss
 
     def test_zero_learning_rate_is_a_no_op(self):
-        ds = gen_dataset(2, 4, 100, 0.5, seed=11)
+        ds = gen_dataset(DataConfig(2, 4, 100, 0.5, 0.5), seed=11)
         edge = blob_edge()
         twin = copy.deepcopy(edge)
-        train_base(edge, ds.train_X, ds.train_y, TrainConfig(3, 16, 0.0, seed=2))
+        train_base(edge, ds.train_X, ds.train_y, TrainConfig(3, 16, 0.0), seed=2)
         assert params_equal(edge, twin)
 
     def test_same_seed_same_checkpoint(self):
-        ds = gen_dataset(2, 4, 200, 0.5, seed=12)
+        ds = gen_dataset(DataConfig(2, 4, 200, 0.5, 0.5), seed=12)
         a, b = blob_edge(3), blob_edge(3)
-        cfg = TrainConfig(5, 16, 0.1, seed=4)
-        train_base(a, ds.train_X, ds.train_y, cfg)
-        train_base(b, ds.train_X, ds.train_y, cfg)
+        cfg = TrainConfig(5, 16, 0.1)
+        train_base(a, ds.train_X, ds.train_y, cfg, seed=4)
+        train_base(b, ds.train_X, ds.train_y, cfg, seed=4)
         assert params_equal(a, b)
 
     def test_divergence_aborts_with_stage_and_epoch(self):
         # the clamped losses are saturation-proof, so divergence needs a step
         # large enough to overflow the next forward pass outright
-        ds = gen_dataset(2, 4, 200, 0.5, seed=13)
+        ds = gen_dataset(DataConfig(2, 4, 200, 0.5, 0.5), seed=13)
         edge = blob_edge(5)
         with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
             train_base(edge, ds.train_X, ds.train_y,
-                       TrainConfig(10, 16, 1e300, seed=5))
+                       TrainConfig(10, 16, 1e300), seed=5)
         assert err.value.stage == "base"
         assert err.value.epoch == 1
         assert "base" in str(err.value) and "epoch" in str(err.value)
 
     def test_non_finite_training_data_rejected(self):
-        ds = gen_dataset(2, 4, 100, 0.5, seed=13)
+        ds = gen_dataset(DataConfig(2, 4, 100, 0.5, 0.5), seed=13)
         X = ds.train_X.copy()
         X[7, 0] = np.inf
         with pytest.raises(UsageError, match="finite"):
-            train_base(blob_edge(5), X, ds.train_y, TrainConfig(1, 16, 0.1, seed=5))
+            train_base(blob_edge(5), X, ds.train_y, TrainConfig(1, 16, 0.1), seed=5)
 
     def test_zero_epochs_changes_nothing(self):
-        ds = gen_dataset(2, 4, 100, 0.5, seed=14)
+        ds = gen_dataset(DataConfig(2, 4, 100, 0.5, 0.5), seed=14)
         edge = blob_edge(6)
         twin = copy.deepcopy(edge)
-        result = train_base(edge, ds.train_X, ds.train_y, TrainConfig(0, 16, 0.1, seed=6))
+        result = train_base(edge, ds.train_X, ds.train_y, TrainConfig(0, 16, 0.1), seed=6)
         assert params_equal(edge, twin)
         assert len(result.history) == 1
 
 
 def kd_setup(seed=0, n=600):
     seeds = harness.derive_seeds(seed)
-    ds = gen_dataset(4, 8, n, 0.4, seeds["dataset"], difficulty=0.4)
+    ds = gen_dataset(DataConfig(4, 8, n, 0.4, 0.4), seeds["dataset"])
     edge = feedforward("edge", 8, [5], 4, np.random.default_rng(seeds["edge_init"]))
     cloud = feedforward("cloud", 8, [12, 12], 4, np.random.default_rng(seeds["cloud_init"]))
     adapter = make_adapter("a", 0, 1, 5, 12, 1, np.random.default_rng(seeds["adapter_init"]))
-    train_base(cloud, ds.train_X, ds.train_y, TrainConfig(5, 32, 0.1, seed=seeds["cloud_train"]))
+    train_base(cloud, ds.train_X, ds.train_y, TrainConfig(5, 32, 0.1), seed=seeds["cloud_train"])
     return ds, edge, cloud, adapter, seeds
 
 
 class TestTrainEdgeKd:
     def test_zero_kd_weight_equals_train_base(self):
         ds, edge, cloud, adapter, seeds = kd_setup()
-        cfg = TrainConfig(5, 32, 0.1, seed=seeds["edge_train"])
+        cfg, seed = TrainConfig(5, 32, 0.1), seeds["edge_train"]
         twin = copy.deepcopy(edge)
         adapter_before = nncore.params_digest(adapter.params())
         target = kd_targets(cloud, adapter.cloud_tap, ds.train_X)
-        train_edge_kd(edge, adapter, ds.train_X, ds.train_y, target, cfg, kd_weight=0.0)
-        train_base(twin, ds.train_X, ds.train_y, cfg)
+        train_edge_kd(edge, adapter, ds.train_X, ds.train_y, target, cfg, seed=seed, kd_weight=0.0)
+        train_base(twin, ds.train_X, ds.train_y, cfg, seed=seed)
         assert params_equal(edge, twin)
         assert nncore.params_digest(adapter.params()) == adapter_before
 
@@ -205,7 +205,7 @@ class TestTrainEdgeKd:
         target = kd_targets(cloud, adapter.cloud_tap, ds.train_X)
         before = target.copy()
         train_edge_kd(edge, adapter, ds.train_X, ds.train_y, target,
-                      TrainConfig(4, 32, 0.1, seed=seeds["edge_train"]))
+                      TrainConfig(4, 32, 0.1), seed=seeds["edge_train"])
         assert nncore.params_digest(cloud.params()) == digest
         assert np.array_equal(target, before)
         assert np.array_equal(target, kd_targets(cloud, adapter.cloud_tap, ds.train_X))
@@ -247,14 +247,14 @@ class TestTrainEdgeKd:
         target = kd_targets(cloud, adapter.cloud_tap, ds.train_X)
         with pytest.raises(ConfigError, match=f"^{message}$"):
             train_edge_kd(edge, adapter, ds.train_X, ds.train_y, target,
-                          TrainConfig(2, 32, 0.1, seed=1), kd_weight=kd_weight,
+                          TrainConfig(2, 32, 0.1), seed=1, kd_weight=kd_weight,
                           recall_boost=recall_boost)
 
     def test_recall_boost_bundle_runs_and_logs_alphas(self):
         ds, edge, cloud, adapter, seeds = kd_setup(5)
         result = train_edge_kd(edge, adapter, ds.train_X, ds.train_y,
                                kd_targets(cloud, adapter.cloud_tap, ds.train_X),
-                               TrainConfig(2, 32, 0.1, seed=seeds["edge_train"]),
+                               TrainConfig(2, 32, 0.1), seed=seeds["edge_train"],
                                kd_weight=0.5, recall_boost=True)
         assert result.alpha_steps
         assert all(len(a) == 3 for a in result.alpha_steps)
@@ -263,13 +263,14 @@ class TestTrainEdgeKd:
 
 def edge_kd(edge, cloud, adapter, X, y, config):
     """Stage 2 as ``train_stages`` runs it: the cloud's KD targets, then edge KD."""
-    return train_edge_kd(edge, adapter, X, y, kd_targets(cloud, adapter.cloud_tap, X), config)
+    return train_edge_kd(edge, adapter, X, y, kd_targets(cloud, adapter.cloud_tap, X), config,
+                         seed=0)
 
 
 def finetune(edge, cloud, adapter, X, y, config):
     """Stage 3 on well-shaped targets, so that only its own checks can refuse."""
     target = np.full((len(X), adapter.projection.out_dim), 0.5)
-    return finetune_adapter(edge, cloud, adapter, X, y, target, config)
+    return finetune_adapter(edge, cloud, adapter, X, y, target, config, seed=0)
 
 
 def route(edge, cloud, adapter, X, y, config):
@@ -299,7 +300,7 @@ class TestFinetuneAdapter:
         a0 = nncore.params_digest(adapter.params())
         finetune_adapter(edge, cloud, adapter, ds.train_X, ds.train_y,
                          kd_targets(cloud, adapter.cloud_tap, ds.train_X),
-                         TrainConfig(0, 32, 0.05, seed=1))
+                         TrainConfig(0, 32, 0.05), seed=1)
         assert nncore.params_digest(edge.params()) == e0
         assert nncore.params_digest(cloud.params()) == c0
         assert nncore.params_digest(adapter.params()) == a0
@@ -314,7 +315,7 @@ class TestFinetuneAdapter:
         tail_digest = nncore.params_digest(tail)
         finetune_adapter(edge, cloud, adapter, ds.train_X, ds.train_y,
                          kd_targets(cloud, adapter.cloud_tap, ds.train_X),
-                         TrainConfig(10, 32, 0.05, seed=seeds["finetune"]))
+                         TrainConfig(10, 32, 0.05), seed=seeds["finetune"])
         assert nncore.params_digest(edge.params()) == edge_digest
         assert nncore.params_digest(prefix) == prefix_digest
         assert nncore.params_digest(tail) != tail_digest
@@ -325,9 +326,9 @@ class TestRecallBoost:
         edge = feedforward("edge", 4, [5], 3, np.random.default_rng(0))
         X = np.random.default_rng(1).standard_normal((10, 4))
         with pytest.raises(UsageError):
-            train_recall_boost(edge, X, np.zeros(10, dtype=int), TrainConfig(1, 4, 0.1))
+            train_recall_boost(edge, X, np.zeros(10, dtype=int), TrainConfig(1, 4, 0.1), seed=0)
         with pytest.raises(UsageError):
-            train_recall_boost(edge, X, np.ones(10, dtype=int), TrainConfig(1, 4, 0.1))
+            train_recall_boost(edge, X, np.ones(10, dtype=int), TrainConfig(1, 4, 0.1), seed=0)
 
     def test_identical_objectives_combine_to_the_shared_gradient(self):
         # all-positive batch: the restricted loss is the full loss, so the
@@ -354,12 +355,12 @@ class TestRecallBoost:
         # a normal row has no positive-CE objective, so the step follows CE
         # alone; a positive row's positive CE equals its CE, so the min-norm
         # step is that same gradient. Either way: train_base, bit for bit.
-        ds = gen_dataset(3, 6, 60, 0.5, seed=21, difficulty=0.4)
+        ds = gen_dataset(DataConfig(3, 6, 60, 0.5, 0.4), seed=21)
         boosted = feedforward("edge", 6, [5], 3, np.random.default_rng(6))
         plain = copy.deepcopy(boosted)
-        cfg = TrainConfig(2, 1, 0.1, seed=7)
-        result = train_recall_boost(boosted, ds.train_X, ds.train_y, cfg)
-        train_base(plain, ds.train_X, ds.train_y, cfg)
+        cfg = TrainConfig(2, 1, 0.1)
+        result = train_recall_boost(boosted, ds.train_X, ds.train_y, cfg, seed=7)
+        train_base(plain, ds.train_X, ds.train_y, cfg, seed=7)
         assert params_equal(boosted, plain)
         positives = int((ds.train_y != 0).sum())
         assert 0 < positives < len(ds.train_y)
@@ -367,10 +368,10 @@ class TestRecallBoost:
         assert result.skipped_steps == 0
 
     def test_descent_condition_holds_and_alphas_are_logged(self):
-        ds = gen_dataset(3, 6, 400, 0.4, seed=20, difficulty=0.4)
+        ds = gen_dataset(DataConfig(3, 6, 400, 0.4, 0.4), seed=20)
         edge = feedforward("edge", 6, [5], 3, np.random.default_rng(4))
         result = train_recall_boost(edge, ds.train_X, ds.train_y,
-                                    TrainConfig(3, 32, 0.1, seed=5))
+                                    TrainConfig(3, 32, 0.1), seed=5)
         assert result.min_descent_inner >= -1e-9
         assert result.alpha_steps
         for alpha in result.alpha_steps:
@@ -384,22 +385,22 @@ def trend_runs():
     out = {"r2": [], "r0": [], "ft": [], "plain_recall": [], "rb_recall": []}
     for seed in range(5):
         seeds = harness.derive_seeds(seed)
-        ds = gen_dataset(5, 12, 4000, 0.4, seeds["dataset"], difficulty=0.55)
+        ds = gen_dataset(DataConfig(5, 12, 4000, 0.4, 0.55), seeds["dataset"])
         edge = feedforward("edge", 12, [6], 5, np.random.default_rng(seeds["edge_init"]))
         cloud = feedforward("cloud", 12, [32] * 3, 5,
                             np.random.default_rng(seeds["cloud_init"]))
         ad2 = make_adapter("a2", 0, 1, 6, 32, 2, np.random.default_rng(seeds["adapter_init"]))
         ad0 = make_adapter("a0", 0, 1, 6, 32, 0, np.random.default_rng(seeds["adapter_init"]))
         train_base(cloud, ds.train_X, ds.train_y,
-                   TrainConfig(20, 64, 0.1, seed=seeds["cloud_train"]))
-        cfg = TrainConfig(20, 64, 0.1, seed=seeds["edge_train"])
+                   TrainConfig(20, 64, 0.1), seed=seeds["cloud_train"])
+        cfg, seed = TrainConfig(20, 64, 0.1), seeds["edge_train"]
         e2, e0 = copy.deepcopy(edge), copy.deepcopy(edge)
         erb, epl = copy.deepcopy(edge), copy.deepcopy(edge)
         target = kd_targets(cloud, ad2.cloud_tap, ds.train_X)
-        train_edge_kd(e2, ad2, ds.train_X, ds.train_y, target, cfg, kd_weight=0.5)
-        train_edge_kd(e0, ad0, ds.train_X, ds.train_y, target, cfg, kd_weight=0.5)
-        train_base(epl, ds.train_X, ds.train_y, cfg)
-        train_recall_boost(erb, ds.train_X, ds.train_y, cfg)
+        train_edge_kd(e2, ad2, ds.train_X, ds.train_y, target, cfg, seed=seed, kd_weight=0.5)
+        train_edge_kd(e0, ad0, ds.train_X, ds.train_y, target, cfg, seed=seed, kd_weight=0.5)
+        train_base(epl, ds.train_X, ds.train_y, cfg, seed=seed)
+        train_recall_boost(erb, ds.train_X, ds.train_y, cfg, seed=seed)
         out["r2"].append(evaluate_model(e2, ds.val_X, ds.val_y).ce_loss)
         out["r0"].append(evaluate_model(e0, ds.val_X, ds.val_y).ce_loss)
         plain_rep = evaluate_model(epl, ds.val_X, ds.val_y)
@@ -407,7 +408,7 @@ def trend_runs():
         out["rb_recall"].append(evaluate_model(erb, ds.val_X, ds.val_y).recall)
         before = evaluate_adaptive_path(e2, cloud, ad2, ds.val_X, ds.val_y)
         finetune_adapter(e2, cloud, ad2, ds.train_X, ds.train_y, target,
-                         TrainConfig(8, 64, 0.05, seed=seeds["finetune"]))
+                         TrainConfig(8, 64, 0.05), seed=seeds["finetune"])
         after = evaluate_adaptive_path(e2, cloud, ad2, ds.val_X, ds.val_y)
         out["ft"].append((before.accuracy, after.accuracy))
     return out
@@ -427,9 +428,9 @@ class TestTrends:
 
 class TestTrainingLog:
     def test_csv_has_one_row_per_epoch(self, tmp_path):
-        ds = gen_dataset(2, 4, 200, 0.5, seed=30)
+        ds = gen_dataset(DataConfig(2, 4, 200, 0.5, 0.5), seed=30)
         edge = blob_edge(7)
-        result = train_base(edge, ds.train_X, ds.train_y, TrainConfig(3, 32, 0.1, seed=8))
+        result = train_base(edge, ds.train_X, ds.train_y, TrainConfig(3, 32, 0.1), seed=8)
         path = tmp_path / "log.csv"
         train.write_training_log(path, result)
         lines = path.read_text().strip().splitlines()
@@ -437,10 +438,10 @@ class TestTrainingLog:
         assert len(lines) == 1 + 4  # header + epochs 0..3
 
     def test_csv_includes_alpha_columns_for_moo(self, tmp_path):
-        ds = gen_dataset(3, 6, 300, 0.4, seed=31, difficulty=0.4)
+        ds = gen_dataset(DataConfig(3, 6, 300, 0.4, 0.4), seed=31)
         edge = feedforward("edge", 6, [5], 3, np.random.default_rng(9))
         result = train_recall_boost(edge, ds.train_X, ds.train_y,
-                                    TrainConfig(2, 32, 0.1, seed=10))
+                                    TrainConfig(2, 32, 0.1), seed=10)
         path = tmp_path / "log.csv"
         train.write_training_log(path, result)
         header = path.read_text().splitlines()[0]
@@ -475,16 +476,15 @@ class TestReportsMatchEvaluators:
         sc = plan.stages
 
         first = evaluate_model(cloud, X, y)
-        result = train_base(cloud, X, y, TrainConfig(
-            epochs, sc["cloud"].batch_size, sc["cloud"].learning_rate, seed=1))
+        result = train_base(cloud, X, y, dataclasses.replace(sc["cloud"], epochs=epochs), seed=1)
         assert result.history[0] == first
         assert result.history[-1] == evaluate_model(cloud, X, y)
 
         first = edge_kd_oracle(edge, cloud, adapter, X, y, None)
-        cfg = TrainConfig(epochs, sc["edge_kd"].batch_size, sc["edge_kd"].learning_rate, seed=2)
+        cfg = dataclasses.replace(sc["edge_kd"], epochs=epochs)
         target = kd_targets(cloud, adapter.cloud_tap, X)
-        result = train_edge_kd(edge, adapter, X, y, target, cfg, kd_weight=plan.kd_weight,
-                               recall_boost=recall_boost)
+        result = train_edge_kd(edge, adapter, X, y, target, cfg, seed=2,
+                               kd_weight=plan.kd_weight, recall_boost=recall_boost)
         alpha = None
         if recall_boost and epochs:
             assert result.skipped_steps == 0
@@ -495,8 +495,8 @@ class TestReportsMatchEvaluators:
         assert result.history[-1] == edge_kd_oracle(edge, cloud, adapter, X, y, alpha)
 
         first = evaluate_adaptive_path(edge, cloud, adapter, X, y)
-        result = finetune_adapter(edge, cloud, adapter, X, y, target, TrainConfig(
-            epochs, sc["finetune"].batch_size, sc["finetune"].learning_rate, seed=3))
+        result = finetune_adapter(edge, cloud, adapter, X, y, target,
+                                  dataclasses.replace(sc["finetune"], epochs=epochs), seed=3)
         assert result.history[0] == first
         assert result.history[-1] == evaluate_adaptive_path(edge, cloud, adapter, X, y)
         assert len(result.history) == epochs + 1
@@ -528,7 +528,7 @@ class TestReportPasses:
     EPOCHS = 3
 
     def small_setup(self):
-        ds = gen_dataset(3, 6, 120, 0.5, seed=40, difficulty=0.4)
+        ds = gen_dataset(DataConfig(3, 6, 120, 0.5, 0.4), seed=40)
         edge = feedforward("edge", 6, [5], 3, np.random.default_rng(41))
         cloud = feedforward("cloud", 6, [8, 8], 3, np.random.default_rng(42))
         adapter = make_adapter("a", 0, 1, 5, 8, 1, np.random.default_rng(43))
@@ -554,7 +554,7 @@ class TestReportPasses:
         target = kd_targets(cloud, adapter.cloud_tap, X)
         counter = PassCounter(monkeypatch, edge, cloud)
         result = finetune_adapter(edge, cloud, adapter, X, y, target,
-                                  TrainConfig(self.EPOCHS, 32, 0.05))
+                                  TrainConfig(self.EPOCHS, 32, 0.05), seed=0)
         rows = len(result.history)
         assert rows == self.EPOCHS + 1
         n = adapter.cloud_tap
@@ -569,7 +569,7 @@ class TestReportPasses:
         target = kd_targets(cloud, adapter.cloud_tap, X)
         counter = PassCounter(monkeypatch, edge, cloud)
         result = train_edge_kd(edge, adapter, X, y, target, TrainConfig(self.EPOCHS, 32, 0.1),
-                               recall_boost=recall_boost)
+                               seed=0, recall_boost=recall_boost)
         rows = len(result.history)
         assert rows == self.EPOCHS + 1
         assert counter.runs(edge, range(len(edge.layers))) == [rows] * len(edge.layers)
@@ -593,9 +593,9 @@ class TestReportPasses:
         cfg = TrainConfig(1, 32, 0.1)
         with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
             if stage == "edge_kd":
-                train_edge_kd(edge, adapter, X, y, bad, cfg)
+                train_edge_kd(edge, adapter, X, y, bad, cfg, seed=0)
             else:
-                finetune_adapter(edge, cloud, adapter, X, y, bad, cfg)
+                finetune_adapter(edge, cloud, adapter, X, y, bad, cfg, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -647,19 +647,18 @@ class TestMultiObjectiveSteps:
     def run(self, monkeypatch, stage):
         plan, X, y, edge, cloud, adapter = tiny_stage_inputs()
         sc = plan.stages
-        train_base(cloud, X, y, TrainConfig(2, sc["cloud"].batch_size,
-                                            sc["cloud"].learning_rate, seed=1))
+        train_base(cloud, X, y, dataclasses.replace(sc["cloud"], epochs=2), seed=1)
         if stage == "kd-edge":
-            cfg = TrainConfig(2, sc["edge_kd"].batch_size, sc["edge_kd"].learning_rate, seed=2)
+            cfg = dataclasses.replace(sc["edge_kd"], epochs=2)
             recorder = StepRecorder(monkeypatch, cross_entropies=2)
             result = train_edge_kd(edge, adapter, X, y, kd_targets(cloud, adapter.cloud_tap, X),
-                                   cfg, kd_weight=plan.kd_weight, recall_boost=True)
+                                   cfg, seed=2, kd_weight=plan.kd_weight, recall_boost=True)
             trainable = edge.params() + adapter.params()
         else:
             # two-row batches: some hold no positive row and step on CE alone
-            cfg = TrainConfig(1, 2, 0.1, seed=2)
+            cfg = TrainConfig(1, 2, 0.1)
             recorder = StepRecorder(monkeypatch, cross_entropies=1)
-            result = train_recall_boost(edge, X, y, cfg)
+            result = train_recall_boost(edge, X, y, cfg, seed=2)
             trainable = edge.params()
         return len(X), cfg, recorder.steps, result, trainable
 

@@ -8,9 +8,11 @@ For each seed it writes ``harness.default_plan(seed)`` (with
 ``train``, ``evaluate`` and ``sweep`` on it in-process, and prints a SHA-256
 over every output file: name, then content. A ``.npz`` file is hashed by
 member name, dtype, shape and array bytes, so the zip timestamps inside it
-do not count. Two checkouts that print the same lines wrote the same
-outputs byte for byte. It imports ``edgecloud`` from the ``src`` directory
-beside this script and runs BLAS on one thread.
+do not count. After the file count it prints the SHA-256 of the plan file
+it saved, which is not an output. Two checkouts that print the same lines
+wrote the same plan files and the same outputs byte for byte. It imports
+``edgecloud`` from the ``src`` directory beside this script and runs BLAS
+on one thread.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ def outputs_digest(out_dir: str) -> tuple[str, int]:
     return h.hexdigest(), len(names)
 
 
-def run_seed(seed: int, recall_boost: bool) -> tuple[str, int]:
+def run_seed(seed: int, recall_boost: bool) -> tuple[str, int, str]:
+    """The outputs digest and file count of one seed, and its plan file's SHA-256."""
     from edgecloud import cli, harness
     plan = dataclasses.replace(harness.default_plan(seed), recall_boost=recall_boost)
     with tempfile.TemporaryDirectory() as tmp:
@@ -73,7 +76,7 @@ def run_seed(seed: int, recall_boost: bool) -> tuple[str, int]:
                 code = cli.dispatch([command, "--config", config, "--out", out])
             if code != 0:
                 raise SystemExit(f"seed {seed}: `{command}` exited {code}")
-        return outputs_digest(out)
+        return *outputs_digest(out), file_digest(config).hex()
 
 
 def main(argv=None) -> int:
@@ -87,8 +90,8 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.join(ROOT, "src"))
     suffix = " recall_boost" if args.recall_boost else ""
     for seed in parse_seeds(args.seeds):
-        digest, files = run_seed(seed, args.recall_boost)
-        print(f"seed {seed}{suffix}: {digest} ({files} files)", flush=True)
+        digest, files, plan = run_seed(seed, args.recall_boost)
+        print(f"seed {seed}{suffix}: {digest} ({files} files) plan {plan}", flush=True)
     return 0
 
 
