@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 
@@ -128,14 +129,17 @@ def cmd_frontier(args) -> int:
         raise UsageError(f"--objectives: expected 'perf,cost' or 'cost', got {args.objectives!r}")
     objectives = names if len(names) == 2 else ["s_p", *names]
     rows = _read_rows(args.input, [*objectives, "label"])
-    pairs = []
+    costs = []
     for i, row in enumerate(rows):
         try:
-            pairs.append((row["label"], [float(row[c]) for c in objectives]))
+            perf, cost = (float(row[c]) for c in objectives)
         except ValueError as exc:
             raise ConfigError(f"{args.input} row {i + 1}: {exc}") from exc
-    keep = metrics.frontier_labels(pairs)
-    kept_rows = [row for row in rows if row["label"] in keep]
+        if not (math.isfinite(perf) and math.isfinite(cost)):
+            raise ConfigError(f"{args.input} row {i + 1}: objectives must be finite")
+        costs.append((-perf, cost))
+    keep = metrics.pareto_frontier(costs, [row["label"] for row in rows])
+    kept_rows = [row for row, kept in zip(rows, keep) if kept]
     with open(args.output, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()

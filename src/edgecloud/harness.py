@@ -122,6 +122,19 @@ class DataConfig:
         for key, holds, rule in rules:
             if not holds:
                 raise ConfigError(f"{key}: {rule}")
+        train_counts = self.class_sizes()[1]
+        if not any(train_counts):
+            raise ConfigError("n: must leave a training sample after the 80/20 split")
+        if not any(train_counts[1:]):
+            raise ConfigError("normal_fraction: must leave a positive training sample")
+
+    def class_sizes(self) -> tuple[list[int], list[int]]:
+        """Samples per class, normal class first, and how many of each the
+        stratified 80/20 cut puts in the training split."""
+        n_normal = int(round(self.n * self.normal_fraction))
+        base, extra = divmod(self.n - n_normal, self.num_classes - 1)
+        counts = [n_normal] + [base + (c < extra) for c in range(self.num_classes - 1)]
+        return counts, [int(k * TRAIN_FRACTION) for k in counts]
 
 
 def gen_dataset(data: DataConfig, seed: int) -> Dataset:
@@ -153,11 +166,8 @@ def gen_dataset(data: DataConfig, seed: int) -> Dataset:
     sigma_pos = 0.25 + 1.1 * data.difficulty
     sigma_norm = 2.0 * sigma_pos
 
-    n_normal = int(round(n * normal_fraction))
-    remaining = n - n_normal
-    counts = [n_normal]
-    base, extra = divmod(remaining, n_positive_classes)
-    counts += [base + (1 if c < extra else 0) for c in range(n_positive_classes)]
+    counts, train_counts = data.class_sizes()
+    n_normal = counts[0]
 
     blocks, labels = [], []
     assign = rng.integers(0, NORMAL_SUBCLUSTERS, n_normal)
@@ -177,9 +187,8 @@ def gen_dataset(data: DataConfig, seed: int) -> Dataset:
     for c in range(num_classes):
         idx = np.flatnonzero(y == c)
         idx = idx[rng.permutation(len(idx))]
-        cut = int(len(idx) * TRAIN_FRACTION)
-        train_parts.append(idx[:cut])
-        val_parts.append(idx[cut:])
+        train_parts.append(idx[:train_counts[c]])
+        val_parts.append(idx[train_counts[c]:])
     train_idx = np.sort(np.concatenate(train_parts))
     val_idx = np.sort(np.concatenate(val_parts))
 

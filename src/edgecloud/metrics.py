@@ -22,15 +22,12 @@ import csv
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .nncore import ConfigError, UsageError
 from .policy import EDGE_CODE
-
-MAX = "max"
-MIN = "min"
 
 
 def comm_score(counts, route_elements: Sequence[int],
@@ -113,72 +110,38 @@ class CostReport:
 REPORT_COLUMNS = [f.name for f in dataclasses.fields(CostReport)]
 
 
-@dataclass(frozen=True)
-class ParetoPoint:
-    """Objective vector with explicit optimization senses."""
+def pareto_frontier(costs, labels: Sequence[str]) -> np.ndarray:
+    """Mask of the non-dominated rows of an (n, k) array, every column minimized.
 
-    objectives: tuple[float, ...]
-    senses: tuple[str, ...]
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        objectives = tuple(float(v) for v in self.objectives)
-        senses = tuple(self.senses)
-        if len(objectives) != len(senses) or not objectives:
-            raise UsageError("objectives and senses must align and be nonempty")
-        if any(s not in (MAX, MIN) for s in senses):
-            raise UsageError(f"senses must be '{MAX}' or '{MIN}'")
-        if any(not math.isfinite(v) for v in objectives):
-            raise UsageError("objectives must be finite")
-        object.__setattr__(self, "objectives", objectives)
-        object.__setattr__(self, "senses", senses)
-
-
-def _normalized(point: ParetoPoint) -> tuple[float, ...]:
-    return tuple(v if s == MAX else -v for v, s in zip(point.objectives, point.senses))
-
-
-def pareto_frontier(points: Iterable[ParetoPoint]) -> list[ParetoPoint]:
-    """Exactly the non-dominated points, deduplicated, sorted by first objective.
-
-    Candidates are scanned in descending lexicographic order of their
-    sense-normalized objectives, so any dominator of a point has already
-    been processed; each candidate is therefore compared against the
-    retained frontier only.
+    Of rows with equal cost vectors only one is kept: the one with the
+    greatest label, and the first of those if labels repeat. Rows are
+    scanned in ascending lexicographic cost order (greatest label first
+    among equals), so any row that dominates or equals a row is scanned
+    before it; each row is therefore compared against the kept front only.
     """
-    points = list(points)
-    if not points:
-        raise UsageError("pareto_frontier needs at least one point")
-    senses = points[0].senses
-    if any(p.senses != senses for p in points):
-        raise UsageError("all points must share senses")
-    ordered = sorted(points, key=lambda p: (_normalized(p), p.label), reverse=True)
-    front: list[ParetoPoint] = []
-    front_norm: list[tuple[float, ...]] = []
-    for p in ordered:
-        np_ = _normalized(p)
-        if any(fn == np_ for fn in front_norm):
-            continue  # duplicate objectives
-        dominated = any(
-            all(x >= y for x, y in zip(fn, np_)) and any(x > y for x, y in zip(fn, np_))
-            for fn in front_norm)
-        if not dominated:
-            front.append(p)
-            front_norm.append(np_)
-    return sorted(front, key=lambda p: (p.objectives, p.label))
-
-
-def frontier_labels(pairs: Iterable[tuple[str, Sequence[float]]]) -> set[str]:
-    """Labels of the non-dominated pairs; a vector's first objective is a max, the rest mins."""
-    points = (ParetoPoint(v, (MAX,) + (MIN,) * (len(v) - 1), label) for label, v in pairs)
-    return {p.label for p in pareto_frontier(points)}
+    costs = np.asarray(costs, dtype=np.float64)
+    if costs.ndim != 2 or 0 in costs.shape or len(labels) != len(costs):
+        raise UsageError("pareto_frontier needs a nonempty (n, k) cost array and n labels")
+    if not np.isfinite(costs).all():
+        raise UsageError("pareto_frontier needs finite costs")
+    rows = costs.tolist()
+    by_label = sorted(range(len(rows)), key=labels.__getitem__, reverse=True)
+    keep = np.zeros(len(rows), dtype=bool)
+    front = np.empty_like(costs)
+    kept = 0
+    for i in sorted(by_label, key=rows.__getitem__):
+        if not (front[:kept] <= costs[i]).all(axis=1).any():  # no kept row dominates or equals it
+            front[kept] = costs[i]
+            kept += 1
+            keep[i] = True
+    return keep
 
 
 def frontier_reports(reports: Sequence[CostReport], *cost_fields: str) -> list[CostReport]:
     """Reports whose (s_p max, each cost min) vector is non-dominated, in order."""
-    keep = frontier_labels((r.label, [getattr(r, f) for f in ("s_p", *cost_fields)])
-                           for r in reports)
-    return [r for r in reports if r.label in keep]
+    costs = [[-r.s_p, *(getattr(r, f) for f in cost_fields)] for r in reports]
+    keep = pareto_frontier(costs, [r.label for r in reports])
+    return [r for r, kept in zip(reports, keep) if kept]
 
 
 # ---------------------------------------------------------------------------

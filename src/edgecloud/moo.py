@@ -11,45 +11,9 @@ every j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .nncore import UsageError
-
-
-@dataclass
-class GradientBundle:
-    """Stack of p objective gradients, one row per objective."""
-
-    grads: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.grads, dtype=np.float64)
-        if arr.ndim != 2:
-            raise UsageError(f"bundle must be 2-D (p, d), got shape {arr.shape}")
-        if arr.shape[0] < 2:
-            raise UsageError("bundle needs at least two gradients")
-        if not np.all(np.isfinite(arr)):
-            raise UsageError("bundle contains non-finite entries")
-        self.grads = arr
-
-
-@dataclass
-class SimplexWeights:
-    """Nonnegative weights summing to one."""
-
-    alpha: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.alpha, dtype=np.float64)
-        if arr.ndim != 1:
-            raise UsageError("weights must be a 1-D vector")
-        if np.any(arr < -1e-12):
-            raise UsageError("weights must be nonnegative")
-        if abs(arr.sum() - 1.0) > 1e-9:
-            raise UsageError(f"weights sum to {arr.sum()}, expected 1")
-        self.alpha = arr
 
 
 def _min_norm_p3(grads: np.ndarray) -> np.ndarray:
@@ -91,20 +55,25 @@ def _min_norm_p3(grads: np.ndarray) -> np.ndarray:
     return points[int(np.argmin(norms2))]
 
 
-def solve_min_norm(bundle) -> tuple[SimplexWeights, np.ndarray]:
+def solve_min_norm(grads) -> tuple[np.ndarray, np.ndarray]:
     """Simplex weights minimizing ``||sum_i alpha_i g_i||^2`` plus the combination.
 
-    p = 2 uses the closed form ``alpha_1 = clip(<g2-g1, g2> / ||g1-g2||^2, 0, 1)``;
-    p = 3 is solved exactly on the 3x3 Gram matrix (``_min_norm_p3``). Larger
-    bundles are rejected. An all-zero bundle is already stationary and
-    yields uniform weights and the zero vector.
+    ``grads`` holds one finite gradient per row, p in {2, 3} rows. p = 2 uses
+    the closed form ``alpha_1 = clip(<g2-g1, g2> / ||g1-g2||^2, 0, 1)``; p = 3
+    is solved exactly on the 3x3 Gram matrix (``_min_norm_p3``). An all-zero
+    stack is already stationary and yields uniform weights and the zero
+    vector.
     """
-    grads = bundle.grads if isinstance(bundle, GradientBundle) else GradientBundle(bundle).grads
+    grads = np.asarray(grads, dtype=np.float64)
+    if grads.ndim != 2:
+        raise UsageError(f"gradients must be a 2-D (p, d) array, got shape {grads.shape}")
     p, d = grads.shape
-    if p > 3:
+    if p not in (2, 3):
         raise UsageError(f"min-norm solver supports p in {{2, 3}}, got p={p}")
+    if not np.isfinite(grads).all():
+        raise UsageError("gradients contain non-finite entries")
     if not grads.any():
-        return SimplexWeights(np.full(p, 1.0 / p)), np.zeros(d)
+        return np.full(p, 1.0 / p), np.zeros(d)
     if p == 2:
         g1, g2 = grads
         diff = g1 - g2
@@ -117,4 +86,4 @@ def solve_min_norm(bundle) -> tuple[SimplexWeights, np.ndarray]:
     else:
         alpha = _min_norm_p3(grads)
     combined = alpha @ grads
-    return SimplexWeights(alpha), combined
+    return alpha, combined

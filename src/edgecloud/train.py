@@ -49,7 +49,7 @@ import numpy as np
 from . import nncore
 from .models import (AdapterSpec, ModelSpec, NORMAL_CLASS, adapt, check_adapter_binding,
                      check_adapter_tap, cloud_tail, infer, infer_with_tap)
-from .moo import GradientBundle, solve_min_norm
+from .moo import solve_min_norm
 from .nncore import (ConfigError, GradientTape, Node, Param, UsageError,
                      as_tensor, sigmoid)
 
@@ -347,11 +347,11 @@ def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
                 if not bundle.any():
                     result.skipped_steps += 1
                     continue
-                weights, combined = solve_min_norm(GradientBundle(bundle))
+                alpha, combined = solve_min_norm(bundle)
                 result.min_descent_inner = min(result.min_descent_inner,
                                                float((bundle @ combined).min()))
                 alpha_by_slot = [0.0] * len(slots)
-                for slot, a in zip(present, weights.alpha):
+                for slot, a in zip(present, alpha):
                     alpha_by_slot[slot] = float(a)
                 epoch_alphas.append(tuple(alpha_by_slot))
                 grads = {p: combined[sl].reshape(p.value.shape)

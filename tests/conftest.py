@@ -7,8 +7,6 @@ import pytest
 
 from edgecloud import harness, models, nncore, train
 from edgecloud.harness import AdapterConfig, DataConfig, ExperimentPlan, NetConfig, PolicyConfig
-from edgecloud.metrics import MAX
-from edgecloud.moo import GradientBundle, SimplexWeights
 from edgecloud.nncore import UsageError
 from edgecloud.train import TrainConfig
 
@@ -116,19 +114,14 @@ def train_recall_boost(edge, X, y, config, *, seed):
 DESCENT_SLACK = 1e-9
 
 
-def _grads(bundle) -> np.ndarray:
-    if isinstance(bundle, GradientBundle):
-        return bundle.grads
-    return GradientBundle(np.asarray(bundle, dtype=np.float64)).grads
-
-
-def grid_oracle(bundle, step: float) -> tuple[SimplexWeights, float]:
+def grid_oracle(grads, step: float) -> tuple[np.ndarray, float]:
     """Exhaustive minimum of ``||sum alpha_i g_i||^2`` over a simplex lattice.
 
-    Supports p in {2, 3}; anything larger blows up combinatorially and is
-    rejected. The lattice spacing must be at most 1e-2.
+    ``grads`` holds one gradient per row, p in {2, 3}; anything larger blows
+    up combinatorially and is rejected. The lattice spacing must be at most
+    1e-2. Returns the best lattice weights and their squared norm.
     """
-    grads = _grads(bundle)
+    grads = np.asarray(grads, dtype=np.float64)
     p, _ = grads.shape
     if p not in (2, 3):
         raise UsageError(f"grid oracle supports p in {{2, 3}}, got p={p}")
@@ -149,17 +142,17 @@ def grid_oracle(bundle, step: float) -> tuple[SimplexWeights, float]:
     combos = weights @ grads
     norms2 = np.einsum("ij,ij->i", combos, combos)
     best = int(np.argmin(norms2))
-    return SimplexWeights(weights[best]), float(norms2[best])
+    return weights[best], float(norms2[best])
 
 
-def check_descent(bundle, combined, slack: float = DESCENT_SLACK) -> tuple[bool, np.ndarray]:
-    """True iff ``<combined, g_j> >= -slack`` for every objective j.
+def check_descent(grads, combined, slack: float = DESCENT_SLACK) -> tuple[bool, np.ndarray]:
+    """True iff ``<combined, g_j> >= -slack`` for every gradient row j.
 
     A combination passing this check is zero or a common descent direction
     (stepping along ``-combined`` does not increase any objective to first
     order); the slack absorbs floating-point noise.
     """
-    grads = _grads(bundle)
+    grads = np.asarray(grads, dtype=np.float64)
     combined = np.asarray(combined, dtype=np.float64)
     if combined.shape != (grads.shape[1],):
         raise UsageError(f"combined has shape {combined.shape}, expected ({grads.shape[1]},)")
@@ -167,33 +160,37 @@ def check_descent(bundle, combined, slack: float = DESCENT_SLACK) -> tuple[bool,
     return bool(np.all(inner >= -slack)), inner
 
 
+def on_simplex(alpha, p: int) -> bool:
+    """True iff ``alpha`` is p nonnegative weights summing to one (within rounding)."""
+    alpha = np.asarray(alpha)
+    return alpha.shape == (p,) and bool(np.all(alpha >= -1e-12)) \
+        and abs(float(alpha.sum()) - 1.0) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # Pareto references.
 
 def dominates(a, b) -> bool:
-    """True iff point ``a`` is no worse everywhere and strictly better somewhere."""
-    if a.senses != b.senses or len(a.objectives) != len(b.objectives):
-        raise UsageError("points must share objective arity and senses")
-    na = [v if s == MAX else -v for v, s in zip(a.objectives, a.senses)]
-    nb = [v if s == MAX else -v for v, s in zip(b.objectives, b.senses)]
-    return all(x >= y for x, y in zip(na, nb)) and any(x > y for x, y in zip(na, nb))
+    """True iff cost vector ``a`` is no higher everywhere and lower somewhere."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise UsageError("cost vectors must share their arity")
+    return bool(np.all(a <= b) and np.any(a < b))
 
 
-def brute_force_frontier(points):
-    """All-pairs non-dominance filter over sense-normalized objectives."""
-    norm = np.array([[v if s == "max" else -v for v, s in zip(p.objectives, p.senses)]
-                     for p in points])
-    keep = []
-    seen = set()
-    for i in range(len(points)):
+def brute_force_frontier(values, senses, labels) -> np.ndarray:
+    """All-pairs frontier mask over rows of ``values``, each column a "max" or
+    "min" objective per ``senses``. Of rows with equal vectors it keeps the
+    greatest label, and of those the first row."""
+    norm = np.array(values, dtype=np.float64) * [1.0 if s == "max" else -1.0 for s in senses]
+    keep = np.zeros(len(norm), dtype=bool)
+    for i in range(len(norm)):
         ge = np.all(norm >= norm[i], axis=1)
         gt = np.any(norm > norm[i], axis=1)
-        if not np.any(ge & gt):
-            key = points[i].objectives
-            if key not in seen:
-                seen.add(key)
-                keep.append(points[i])
-    return sorted(keep, key=lambda p: (p.objectives, p.label))
+        ties = [j for j in np.flatnonzero(ge & ~gt)
+                if (labels[j], -j) > (labels[i], -i)]
+        keep[i] = not np.any(ge & gt) and not ties
+    return keep
 
 
 def tiny_plan(master_seed=0, **overrides):

@@ -14,17 +14,17 @@ import pytest
 from edgecloud import harness, nncore, train
 from edgecloud.cli import dispatch
 from edgecloud.harness import default_plan, run_experiment, sweep_dynamic
-from edgecloud.metrics import (ParetoPoint, comp_score_value, frontier_reports, pareto_frontier,
-                               perf_score)
+from edgecloud.metrics import comp_score_value, frontier_reports, pareto_frontier, perf_score
 from edgecloud.models import infer, infer_with_tap, cloud_tail, softmax
-from edgecloud.moo import GradientBundle, solve_min_norm
+from edgecloud.moo import solve_min_norm
 from edgecloud.nncore import GradientTape, adjoints, forward
 from edgecloud.policy import (ADAPTIVE_CODE, CLOUD_CODE, EDGE_CODE, route_codes,
                              route_dataset)
 from edgecloud.train import TrainConfig, cross_entropy, evaluate_model
 
 from conftest import (brute_force_frontier, check_descent, finite_difference_grads,
-                      grid_oracle, max_relative_error, random_net, train_recall_boost)
+                      grid_oracle, max_relative_error, on_simplex, random_net,
+                      train_recall_boost)
 
 TREND_SEEDS = (0, 1, 2, 3, 4)
 
@@ -43,35 +43,39 @@ def test_criterion_1_score_reproduction():
 
 
 def test_criterion_2_moo_solver():
-    """Solver vs lattice oracle plus the common-descent condition."""
+    """Solver vs lattice oracle plus the common-descent condition; every
+    solve returns nonnegative weights summing to one."""
     rng = np.random.default_rng(20260809)
     worst2 = worst3 = 0.0
-    descent_failures = 0
+    descent_failures = off_simplex = 0
     for _ in range(1000):
         d = int(rng.integers(2, 33))
         scale = 10.0 ** rng.uniform(-2, 2)
-        bundle = GradientBundle(scale * rng.standard_normal((2, d)))
-        _, combined = solve_min_norm(bundle)
-        _, oracle_min = grid_oracle(bundle, 1e-3)
-        max_norm2 = float(np.max(np.einsum("ij,ij->i", bundle.grads, bundle.grads)))
+        grads = scale * rng.standard_normal((2, d))
+        alpha, combined = solve_min_norm(grads)
+        off_simplex += not on_simplex(alpha, 2)
+        _, oracle_min = grid_oracle(grads, 1e-3)
+        max_norm2 = float(np.max(np.einsum("ij,ij->i", grads, grads)))
         if abs(float(combined @ combined) - oracle_min) > 3e-3 * max_norm2:
             worst2 = max(worst2, abs(float(combined @ combined) - oracle_min) / max_norm2)
-        ok, _ = check_descent(bundle, combined)
+        ok, _ = check_descent(grads, combined)
         descent_failures += not ok
     for _ in range(100):
         d = int(rng.integers(2, 33))
         scale = 10.0 ** rng.uniform(-2, 2)
-        bundle = GradientBundle(scale * rng.standard_normal((3, d)))
-        _, combined = solve_min_norm(bundle)
-        _, oracle_min = grid_oracle(bundle, 1e-2)
-        max_norm2 = float(np.max(np.einsum("ij,ij->i", bundle.grads, bundle.grads)))
+        grads = scale * rng.standard_normal((3, d))
+        alpha, combined = solve_min_norm(grads)
+        off_simplex += not on_simplex(alpha, 3)
+        _, oracle_min = grid_oracle(grads, 1e-2)
+        max_norm2 = float(np.max(np.einsum("ij,ij->i", grads, grads)))
         if abs(float(combined @ combined) - oracle_min) > 3e-2 * max_norm2:
             worst3 = max(worst3, abs(float(combined @ combined) - oracle_min) / max_norm2)
-        ok, _ = check_descent(bundle, combined)
+        ok, _ = check_descent(grads, combined)
         descent_failures += not ok
-    ok = worst2 == 0.0 and worst3 == 0.0 and descent_failures == 0
+    ok = worst2 == 0.0 and worst3 == 0.0 and descent_failures == 0 and off_simplex == 0
     report_line(2, ok, f"1000 p=2 + 100 p=3 bundles within oracle tolerance, "
-                       f"descent failures={descent_failures}/1100")
+                       f"descent failures={descent_failures}/1100, "
+                       f"weights off the simplex={off_simplex}/1100")
 
 
 def test_criterion_3_gradient_correctness():
@@ -209,7 +213,8 @@ def test_criterion_5d_recall_boost(trend_results):
 
 
 def test_criterion_6_pareto_oracle():
-    """Frontier extraction equals the all-pairs brute-force filter."""
+    """Frontier extraction equals the all-pairs brute-force filter: the same
+    rows, ties included. Max columns are negated into costs."""
     rng = np.random.default_rng(271828)
     mismatches = 0
     for _ in range(1000):
@@ -217,10 +222,10 @@ def test_criterion_6_pareto_oracle():
         arity = int(rng.integers(2, 4))
         senses = tuple(rng.choice(["max", "min"], size=arity))
         values = np.round(rng.uniform(0, 1, (n, arity)), 2)
-        points = [ParetoPoint(tuple(v), senses, f"p{i}") for i, v in enumerate(values)]
-        got = [p.objectives for p in pareto_frontier(points)]
-        want = [p.objectives for p in brute_force_frontier(points)]
-        mismatches += got != want
+        labels = [f"p{i}" for i in range(n)]
+        costs = values * np.where(np.array(senses) == "max", -1.0, 1.0)
+        got = pareto_frontier(costs, labels)
+        mismatches += not np.array_equal(got, brute_force_frontier(values, senses, labels))
     report_line(6, mismatches == 0,
                 f"{1000 - mismatches}/1000 random point sets match the brute-force filter")
 

@@ -10,7 +10,6 @@ import pytest
 
 from edgecloud import harness, metrics, train
 from edgecloud.cli import dispatch
-from edgecloud.metrics import MAX, MIN, ParetoPoint
 
 from conftest import MISTYPED_FIELDS, brute_force_frontier, field_id, set_field, tiny_plan
 
@@ -95,14 +94,11 @@ def test_sweep_frontier_files_hold_the_brute_force_frontier(pipeline_out, name, 
     kept = metrics.read_report_rows(os.path.join(pipeline_out, name))
     assert len(sweep) == len(tiny_plan().sweep_policies())
 
-    def objectives(row):
-        return tuple(float(row[c]) for c in ("s_p", *costs))
-
-    frontier = brute_force_frontier([ParetoPoint(objectives(r), (MAX,) + (MIN,) * len(costs),
-                                                 r["label"]) for r in sweep])
+    values = [[float(r[c]) for c in ("s_p", *costs)] for r in sweep]
+    keep = brute_force_frontier(values, ("max",) + ("min",) * len(costs),
+                                [r["label"] for r in sweep])
     # rows of sweep.csv in its order, one per non-dominated objective vector
-    assert kept == [r for r in sweep if r in kept]
-    assert sorted(map(objectives, kept)) == sorted(p.objectives for p in frontier)
+    assert kept == [r for r, k in zip(sweep, keep) if k]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -140,12 +136,21 @@ def test_frontier_missing_column_exits_2(tmp_path, capsys):
     assert "s_comp" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("row", ["A,0.9,high", "A,0.9"], ids=["non-numeric", "short-row"])
+@pytest.mark.parametrize("row", ["A,0.9,high", "A,0.9", "A,0.9,nan", "A,inf,0.1"],
+                         ids=["non-numeric", "short-row", "nan", "inf"])
 def test_frontier_bad_cell_exits_2_naming_the_file(tmp_path, capsys, row):
     src = tmp_path / "rows.csv"
     src.write_text(f"label,s_p,s_comp\nB,0.8,0.8\n{row}\n")
     assert dispatch(["frontier", "--input", str(src), "--output", str(tmp_path / "f.csv")]) == 2
     assert f"error: {src} row 2: " in capsys.readouterr().err
+
+
+def test_frontier_drops_a_dominated_row_that_shares_a_kept_label(tmp_path, capsys):
+    src, dst = tmp_path / "rows.csv", tmp_path / "front.csv"
+    src.write_text("label,s_p,s_comp\na,0.9,0.1\na,0.1,0.9\nb,0.5,0.5\n")
+    assert dispatch(["frontier", "--input", str(src), "--output", str(dst)]) == 0
+    assert dst.read_bytes() == b"label,s_p,s_comp\r\na,0.9,0.1\r\n"
+    assert "(1 of 3 rows non-dominated)" in capsys.readouterr().out
 
 
 def test_frontier_command_keeps_the_rows_sweep_keeps(pipeline_out, tmp_path):
@@ -261,6 +266,8 @@ REFUSED_AT_LOAD = [
     (("dataset", "dim"), 0, "plan.dataset.dim: must be >= 1"),
     (("dataset", "n"), 3, "plan.dataset.n: must be >= num_classes"),
     (("dataset", "normal_fraction"), 1.5, r"plan.dataset.normal_fraction: must lie in \[0, 1\]"),
+    (("dataset", "normal_fraction"), 1.0,
+     "plan.dataset.normal_fraction: must leave a positive training sample"),
     (("dataset", "difficulty"), -0.1, r"plan.dataset.difficulty: must lie in \[0, 1\]"),
 ]
 
@@ -269,7 +276,8 @@ REFUSED_AT_LOAD = [
                          ids=["edge-width--3", "edge-width-0", "recall_bost", "cloud.taps",
                               "bytes_per_element",
                               "edge-tap-5", "dataset-dim-0", "dataset-n-3",
-                              "dataset-normal_fraction-1.5", "dataset-difficulty--0.1"])
+                              "dataset-normal_fraction-1.5", "dataset-normal_fraction-1.0",
+                              "dataset-difficulty--0.1"])
 def test_train_refuses_an_unbuildable_or_misspelled_plan(tmp_path, capsys, keys, value, message):
     import json
     import re

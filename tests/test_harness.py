@@ -108,10 +108,26 @@ class TestGenDataset:
         ((5, 0, 100, 0.4, 0.5), "dim: must be >= 1"),
         ((5, 8, 3, 0.4, 0.5), "n: must be >= num_classes"),
         ((5, 8, 100, 1.4, 0.5), r"normal_fraction: must lie in \[0, 1\]"),
+        ((4, 8, 4, 0.25, 0.4), "n: must leave a training sample after the 80/20 split"),
+        ((4, 8, 600, 1.0, 0.4), "normal_fraction: must leave a positive training sample"),
+        # one sample in each positive class: the 80/20 cut trains on none
+        ((4, 8, 600, 0.995, 0.4), "normal_fraction: must leave a positive training sample"),
     ])
     def test_degenerate_configs_rejected(self, args, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
             DataConfig(*args)
+
+    def test_class_and_split_sizes_are_the_configs(self):
+        data = DataConfig(5, 8, 1003, 0.37, 0.5)
+        ds = gen_dataset(data, seed=5)
+        counts, train_counts = data.class_sizes()
+        assert [int((ds.y == c).sum()) for c in range(5)] == counts
+        assert [int((ds.train_y == c).sum()) for c in range(5)] == train_counts
+
+    def test_all_positive_dataset_accepted(self):
+        data = DataConfig(4, 8, 100, 0.0, 0.4)
+        assert data.class_sizes() == ([0, 34, 33, 33], [0, 27, 26, 26])
+        assert not (gen_dataset(data, seed=6).train_y == models.NORMAL_CLASS).any()
 
     def test_npz_round_trip(self, tmp_path):
         ds = gen_dataset(DataConfig(4, 6, 500, 0.3, 0.2), seed=4)
@@ -381,9 +397,8 @@ class TestPipeline:
     def test_frontier_csvs_are_mutually_nondominated(self, evaluated):
         for name, cost in (("frontier_comp.csv", "s_comp"), ("frontier_comm.csv", "s_comm")):
             rows = metrics.read_report_rows(evaluated / name)
-            points = [metrics.ParetoPoint((float(r["s_p"]), float(r[cost])),
-                                          ("max", "min"), r["label"]) for r in rows]
-            assert len(pareto_frontier(points)) == len(points)
+            costs = [(-float(r["s_p"]), float(r[cost])) for r in rows]
+            assert pareto_frontier(costs, [r["label"] for r in rows]).all()
 
 
 class TestSweep:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from edgecloud.metrics import (CostReport, ParetoPoint, comm_score,
+from edgecloud.metrics import (CostReport, comm_score,
                                comp_score, comp_score_value,
                                frontier_reports, pareto_frontier, perf_score,
                                read_report_rows, write_reports_csv,
@@ -166,8 +166,9 @@ class TestReferenceBars:
         assert comp_score_value(edge, cloud, sys_) == pytest.approx(bar, abs=5e-4)
 
 
-def pt(perf, cost, label=""):
-    return ParetoPoint((perf, cost), ("max", "min"), label)
+def pt(perf, cost):
+    """The cost vector of a (perf max, cost min) pair: perf negated."""
+    return np.array([-perf, cost])
 
 
 class TestDominance:
@@ -183,34 +184,27 @@ class TestDominance:
         assert not dominates(a, c) and not dominates(c, a)
 
     def test_sense_awareness(self):
-        lo = ParetoPoint((0.1,), ("min",), "lo")
-        hi = ParetoPoint((0.9,), ("min",), "hi")
-        assert dominates(lo, hi) and not dominates(hi, lo)
+        values, labels = [[0.1], [0.9]], ["lo", "hi"]
+        assert brute_force_frontier(values, ("min",), labels).tolist() == [True, False]
+        assert brute_force_frontier(values, ("max",), labels).tolist() == [False, True]
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(UsageError):
-            dominates(pt(1, 2), ParetoPoint((1.0,), ("max",)))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(UsageError):
-            ParetoPoint((math.nan, 1.0), ("max", "min"))
+            dominates(pt(1, 2), [1.0])
 
 
 class TestParetoFrontier:
     def test_three_point_example(self):
-        a, b, c = pt(0.9, 0.7, "A"), pt(0.8, 0.8, "B"), pt(0.95, 0.9, "C")
-        front = pareto_frontier([a, b, c])
-        assert front == [a, c]
+        costs = [pt(0.9, 0.7), pt(0.8, 0.8), pt(0.95, 0.9)]
+        assert pareto_frontier(costs, ["A", "B", "C"]).tolist() == [True, False, True]
 
     def test_single_point(self):
-        p = pt(0.5, 0.5, "only")
-        assert pareto_frontier([p]) == [p]
+        assert pareto_frontier([pt(0.5, 0.5)], ["only"]).tolist() == [True]
 
-    def test_duplicates_deduplicated(self):
-        a = pt(0.9, 0.7, "a")
-        b = pt(0.9, 0.7, "b")
-        front = pareto_frontier([a, b, pt(0.1, 0.9, "dominated")])
-        assert len(front) == 1
+    def test_equal_costs_keep_the_greatest_label_then_the_first_row(self):
+        costs = [pt(0.9, 0.7)] * 4 + [pt(0.1, 0.9)]
+        labels = ["a", "c", "b", "c", "z"]
+        assert pareto_frontier(costs, labels).tolist() == [False, True, False, False, False]
 
     def test_matches_brute_force_on_random_sets(self):
         rng = np.random.default_rng(2)
@@ -219,22 +213,33 @@ class TestParetoFrontier:
             arity = int(rng.integers(2, 4))
             senses = tuple(rng.choice(["max", "min"], size=arity))
             values = np.round(rng.uniform(0, 1, (n, arity)), 2)  # ties likely
-            points = [ParetoPoint(tuple(v), senses, f"p{i}") for i, v in enumerate(values)]
-            got = pareto_frontier(points)
-            want = brute_force_frontier(points)
-            assert [p.objectives for p in got] == [p.objectives for p in want]
+            labels = [f"p{i % 7}" for i in range(n)]  # repeated labels too
+            costs = values * np.where(np.array(senses) == "max", -1.0, 1.0)
+            assert np.array_equal(pareto_frontier(costs, labels),
+                                  brute_force_frontier(values, senses, labels))
 
-    def test_output_sorted_and_mutually_nondominated(self):
+    def test_kept_rows_are_mutually_nondominated_and_cover_the_rest(self):
         rng = np.random.default_rng(3)
-        points = [pt(float(a), float(b), f"p{i}")
-                  for i, (a, b) in enumerate(rng.uniform(0, 1, (100, 2)))]
-        front = pareto_frontier(points)
-        firsts = [p.objectives[0] for p in front]
-        assert firsts == sorted(firsts)
+        costs = np.round(rng.uniform(0, 1, (100, 2)), 1)
+        keep = pareto_frontier(costs, [f"p{i}" for i in range(100)])
+        front = costs[keep]
         for p in front:
-            for q in front:
-                if p is not q:
-                    assert not dominates(p, q)
+            assert not any(dominates(q, p) for q in costs)
+        for p in costs[~keep]:
+            assert any(dominates(q, p) or np.array_equal(q, p) for q in front)
+        assert len({tuple(p) for p in front}) == len(front)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_costs_refused(self, bad):
+        with pytest.raises(UsageError, match="finite"):
+            pareto_frontier([pt(0.9, 0.7), pt(0.8, bad)], ["a", "b"])
+
+    @pytest.mark.parametrize("costs, labels", [
+        (np.empty((0, 2)), []), ([0.1, 0.2], ["a", "b"]), ([pt(0.9, 0.7)], ["a", "b"]),
+    ], ids=["empty", "1-D", "label-count"])
+    def test_malformed_input_refused(self, costs, labels):
+        with pytest.raises(UsageError, match=r"\(n, k\)"):
+            pareto_frontier(costs, labels)
 
 
 def report(label, s_p, s_comp, s_comm=0.5):
@@ -256,6 +261,12 @@ class TestReportsAndCsv:
         reports = [report("A", 0.9, 0.7), report("B", 0.8, 0.8), report("C", 0.95, 0.9)]
         keep = frontier_reports(reports, "s_comp")
         assert [r.label for r in keep] == ["A", "C"]
+
+    def test_frontier_reports_keeps_the_greatest_label_of_a_tie(self):
+        reports = [report("dynamic(c2=0.3)", 0.9, 0.7), report("dynamic(c2=0.35)", 0.9, 0.7),
+                   report("edge", 0.0, 0.0)]
+        keep = frontier_reports(reports, "s_comp")
+        assert [r.label for r in keep] == ["dynamic(c2=0.35)", "edge"]
 
     def test_csv_round_trip(self, tmp_path):
         reports = [report("A", 0.9, 0.7), report("B", 0.8, 0.8)]

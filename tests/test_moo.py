@@ -5,10 +5,10 @@ scale/minimality properties."""
 import numpy as np
 import pytest
 
-from edgecloud.moo import GradientBundle, SimplexWeights, solve_min_norm
+from edgecloud.moo import solve_min_norm
 from edgecloud.nncore import UsageError
 
-from conftest import check_descent, grid_oracle
+from conftest import check_descent, grid_oracle, on_simplex
 
 
 def frank_wolfe_reference(grads, tol=1e-10, max_iter=10_000):
@@ -58,13 +58,13 @@ def frank_wolfe_reference(grads, tol=1e-10, max_iter=10_000):
 def random_bundle(rng, p, max_dim=32):
     d = int(rng.integers(2, max_dim + 1))
     scale = 10.0 ** rng.uniform(-2, 2)
-    return GradientBundle(scale * rng.standard_normal((p, d)))
+    return scale * rng.standard_normal((p, d))
 
 
 class TestSolveMinNorm:
     def test_orthonormal_pair(self):
-        weights, combined = solve_min_norm([[1.0, 0.0], [0.0, 1.0]])
-        assert np.allclose(weights.alpha, [0.5, 0.5])
+        alpha, combined = solve_min_norm([[1.0, 0.0], [0.0, 1.0]])
+        assert np.allclose(alpha, [0.5, 0.5])
         assert np.allclose(combined, [0.5, 0.5])
         assert combined @ combined == pytest.approx(0.5)
         _, oracle_min = grid_oracle([[1.0, 0.0], [0.0, 1.0]], 1e-3)
@@ -76,8 +76,8 @@ class TestSolveMinNorm:
         assert np.array_equal(combined, g)
 
     def test_nested_pair_picks_shorter_vertex(self):
-        weights, combined = solve_min_norm([[2.0, 0.0], [1.0, 0.0]])
-        assert np.allclose(weights.alpha, [0.0, 1.0])
+        alpha, combined = solve_min_norm([[2.0, 0.0], [1.0, 0.0]])
+        assert np.allclose(alpha, [0.0, 1.0])
         assert np.allclose(combined, [1.0, 0.0])
         ok, inner = check_descent([[2.0, 0.0], [1.0, 0.0]], combined)
         assert ok and inner[0] == pytest.approx(2.0)
@@ -91,8 +91,8 @@ class TestSolveMinNorm:
         assert np.allclose(combined, [0.0, 0.0])
 
     def test_all_zero_bundle(self):
-        weights, combined = solve_min_norm(np.zeros((3, 4)))
-        assert np.allclose(weights.alpha, 1.0 / 3.0)
+        alpha, combined = solve_min_norm(np.zeros((3, 4)))
+        assert np.allclose(alpha, 1.0 / 3.0)
         assert np.array_equal(combined, np.zeros(4))
 
     def test_single_gradient_rejected(self):
@@ -100,13 +100,23 @@ class TestSolveMinNorm:
             solve_min_norm([[1.0, 0.0]])
 
     def test_three_basis_vectors(self):
-        weights, combined = solve_min_norm(np.eye(3))
-        assert np.allclose(weights.alpha, 1.0 / 3.0, atol=1e-15)
+        alpha, combined = solve_min_norm(np.eye(3))
+        assert np.allclose(alpha, 1.0 / 3.0, atol=1e-15)
         assert combined @ combined == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_four_objectives_rejected(self):
         with pytest.raises(UsageError, match="p=4"):
             solve_min_norm(np.eye(4))
+
+    @pytest.mark.parametrize("grads", [[1.0, 0.0], np.ones((2, 2, 1))], ids=["1-D", "3-D"])
+    def test_non_matrix_rejected(self, grads):
+        with pytest.raises(UsageError, match="2-D"):
+            solve_min_norm(grads)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(UsageError, match="non-finite"):
+            solve_min_norm([[1.0, 0.0], [0.0, bad]])
 
 
 def max_norm2(grads):
@@ -118,7 +128,8 @@ class TestExactThreeObjectives:
     norm by more than rounding, on random and on degenerate bundles."""
 
     def assert_not_above_reference(self, grads):
-        _, combined = solve_min_norm(grads)
+        alpha, combined = solve_min_norm(grads)
+        assert on_simplex(alpha, 3)
         ref = frank_wolfe_reference(grads) @ grads
         assert combined @ combined <= ref @ ref + 1e-12 * max_norm2(grads)
         ok, _ = check_descent(grads, combined)
@@ -127,7 +138,7 @@ class TestExactThreeObjectives:
     def test_random_bundles_against_frank_wolfe(self):
         rng = np.random.default_rng(5)
         for _ in range(2000):
-            self.assert_not_above_reference(random_bundle(rng, 3).grads)
+            self.assert_not_above_reference(random_bundle(rng, 3))
 
     @pytest.mark.parametrize("name, grads", [
         # d = 2 with the origin inside the hull: the minimum is exactly 0
@@ -156,7 +167,8 @@ class TestExactThreeObjectives:
             if np.max(np.diff(np.concatenate([angles, angles[:1] + 2.0 * np.pi]))) >= np.pi:
                 continue  # origin not strictly inside
             grads = rng.uniform(0.1, 10.0, (3, 1)) * np.stack([np.cos(angles), np.sin(angles)], 1)
-            _, combined = solve_min_norm(grads)
+            alpha, combined = solve_min_norm(grads)
+            assert on_simplex(alpha, 3)
             assert combined @ combined <= 1e-20 * max_norm2(grads)
 
 
@@ -166,9 +178,9 @@ class TestGridOracle:
         assert best == pytest.approx(0.5, abs=1e-3)
 
     def test_three_basis_vectors(self):
-        weights, best = grid_oracle(np.eye(3), 1e-2)
+        alpha, best = grid_oracle(np.eye(3), 1e-2)
         assert best == pytest.approx(1.0 / 3.0, abs=1e-3)
-        assert np.allclose(weights.alpha, 1.0 / 3.0, atol=1e-2)
+        assert np.allclose(alpha, 1.0 / 3.0, atol=1e-2)
 
     def test_repeated_direction(self):
         g = np.array([1.5, -0.5])
@@ -204,39 +216,42 @@ class TestProperties:
     def test_oracle_equivalence_p2(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            bundle = random_bundle(rng, 2)
-            _, combined = solve_min_norm(bundle)
-            _, oracle_min = grid_oracle(bundle, 1e-3)
-            max_norm2 = float(np.max(np.einsum("ij,ij->i", bundle.grads, bundle.grads)))
-            assert abs(float(combined @ combined) - oracle_min) <= 3e-3 * max_norm2
+            grads = random_bundle(rng, 2)
+            alpha, combined = solve_min_norm(grads)
+            assert on_simplex(alpha, 2)
+            _, oracle_min = grid_oracle(grads, 1e-3)
+            assert abs(float(combined @ combined) - oracle_min) <= 3e-3 * max_norm2(grads)
 
     def test_descent_holds_everywhere(self):
         rng = np.random.default_rng(1)
         for p in (2, 3):
             for _ in range(200):
-                bundle = random_bundle(rng, p)
-                _, combined = solve_min_norm(bundle)
-                ok, _ = check_descent(bundle, combined)
+                grads = random_bundle(rng, p)
+                alpha, combined = solve_min_norm(grads)
+                assert on_simplex(alpha, p)
+                ok, _ = check_descent(grads, combined)
                 assert ok
 
     def test_scale_covariance_p2(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            bundle = random_bundle(rng, 2)
+            grads = random_bundle(rng, 2)
             c = float(10.0 ** rng.uniform(-3, 3))
-            w1, comb1 = solve_min_norm(bundle)
-            w2, comb2 = solve_min_norm(GradientBundle(c * bundle.grads))
-            assert np.allclose(w1.alpha, w2.alpha, atol=1e-12)
+            a1, comb1 = solve_min_norm(grads)
+            a2, comb2 = solve_min_norm(c * grads)
+            assert on_simplex(a1, 2) and on_simplex(a2, 2)
+            assert np.allclose(a1, a2, atol=1e-12)
             assert np.allclose(comb2, c * comb1, rtol=1e-9, atol=1e-12)
 
     def test_scale_covariance_p3(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            bundle = random_bundle(rng, 3)
+            grads = random_bundle(rng, 3)
             c = float(10.0 ** rng.uniform(-2, 2))
-            w1, comb1 = solve_min_norm(bundle)
-            w2, comb2 = solve_min_norm(GradientBundle(c * bundle.grads))
-            assert np.allclose(w1.alpha, w2.alpha, atol=1e-12)
+            a1, comb1 = solve_min_norm(grads)
+            a2, comb2 = solve_min_norm(c * grads)
+            assert on_simplex(a1, 3) and on_simplex(a2, 3)
+            assert np.allclose(a1, a2, atol=1e-12)
             norm1 = float(comb1 @ comb1)
             norm2 = float(comb2 @ comb2)
             assert norm2 == pytest.approx(c * c * norm1, rel=1e-6, abs=1e-12)
@@ -245,19 +260,14 @@ class TestProperties:
         rng = np.random.default_rng(4)
         for p in (2, 3):
             for _ in range(50):
-                bundle = random_bundle(rng, p)
-                _, combined = solve_min_norm(bundle)
+                grads = random_bundle(rng, p)
+                alpha, combined = solve_min_norm(grads)
+                assert on_simplex(alpha, p)
                 best = float(combined @ combined)
-                slack = 1e-9 * max(1.0, float(np.abs(bundle.grads).max()) ** 2)
-                for g in bundle.grads:
+                slack = 1e-9 * max(1.0, float(np.abs(grads).max()) ** 2)
+                for g in grads:
                     assert best <= float(g @ g) + slack
                 simplex = rng.dirichlet(np.ones(p), size=100)
-                combos = simplex @ bundle.grads
+                combos = simplex @ grads
                 norms = np.einsum("ij,ij->i", combos, combos)
                 assert best <= norms.min() + slack
-
-    def test_simplex_weights_validated(self):
-        with pytest.raises(UsageError):
-            SimplexWeights(np.array([0.6, 0.6]))
-        with pytest.raises(UsageError):
-            SimplexWeights(np.array([-0.1, 1.1]))
