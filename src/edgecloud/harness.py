@@ -15,7 +15,9 @@ three-objective recall bundle instead), then fine-tune the adapter plus the
 cloud tail. A list of policies is scored on the held-out split as one
 report per system after the edge and cloud anchors: the plan's policies for
 ``evaluate_policies``, and for ``sweep_dynamic`` the dynamic policies its
-``c2`` sweep spans. Writing the reports is left to the caller.
+``c2`` sweep spans. Each command routes the split once, and every policy
+thresholds its own confidence mode's confidence from that pass. Writing
+the reports is left to the caller.
 """
 
 import dataclasses
@@ -29,7 +31,7 @@ from . import metrics, models, nncore, policy as policy_mod, train as train_mod
 from .metrics import CostReport
 from .models import AdapterSpec, ModelSpec
 from .nncore import ConfigError
-from .policy import CLOUD_CODE, DYNAMIC, EDGE_CODE, ROUTES, RoutedDataset, route_codes, route_dataset
+from .policy import CLOUD_CODE, DYNAMIC, EDGE_CODE, ROUTES, route_codes, route_dataset
 from .train import TrainConfig, TrainResult
 
 DATASET_VERSION = 1
@@ -278,6 +280,8 @@ class ExperimentPlan:
             if name not in self.stages:
                 raise ConfigError(f"stages.{name}: missing stage config")
         train_mod.check_edge_objectives(self.kd_weight, self.recall_boost)
+        if self.recall_boost and not self.data.class_sizes()[1][models.NORMAL_CLASS]:
+            raise ConfigError("recall_boost: needs a normal row in the training split")
         labels = [p.label for p in self.policies]
         for i, label in enumerate(labels):
             if label in labels[:i]:
@@ -452,63 +456,48 @@ class TrainedSystem:
     adapter: AdapterSpec
 
 
-def _scorer(system: TrainedSystem, routed: RoutedDataset):
+def _score_policies(system: TrainedSystem, policies: list[PolicyConfig]) -> list[CostReport]:
     """Edge and cloud anchor rows, scoring (0,0,0) and (1,1,1) by construction,
-    and a function that scores one array of route codes over ``routed``. Every
-    column comes from per-route tallies of rows, correct rows and recalled
-    positives, counted on (route, row) masks built once. A system whose edge
-    costs as many FLOPs as its cloud, or is as accurate, has no score."""
+    plus one report per policy.
+
+    The validation split is routed once; each policy thresholds its own
+    mode's confidence of that pass's edge probabilities, computed once per
+    mode in use. Every column comes from per-route tallies of rows, correct
+    rows and recalled positives, counted on (route, row) masks. A system
+    whose edge costs as many FLOPs as its cloud, or is as accurate, has no
+    score.
+    """
     ds, edge, cloud = system.dataset, system.edge, system.cloud
     flops_edge, flops_cloud = edge.total_flops(), cloud.total_flops()
     metrics.check_flops(flops_edge, flops_cloud)
     route_sent, route_flops = policy_mod.route_costs(edge, cloud, system.adapter)
-    preds = np.stack([routed.edge_pred, routed.adaptive_pred, routed.cloud_pred])
-    positive = ds.val_y != models.NORMAL_CLASS
-    correct, recalled = preds == ds.val_y, (preds != models.NORMAL_CLASS) & positive
-    n, positives = len(ds.val_y), int(positive.sum())
-    routes = np.arange(len(ROUTES))[:, None]
-
-    def rates(taken: np.ndarray) -> tuple[float, float]:
-        """Accuracy and recall (1 without positives); ``taken[code, row]`` routes."""
-        hits, found = int((taken & correct).sum()), int((taken & recalled).sum())
-        return hits / n, found / positives if positives else 1.0
-
-    def anchor(label: str, code: int, s: float, flops: int) -> CostReport:
-        return CostReport(label, s, s, s, s, s, float(flops), *rates(routes == code))
-
-    edge_report = anchor("edge", EDGE_CODE, 0.0, flops_edge)
-    cloud_report = anchor("cloud", CLOUD_CODE, 1.0, flops_cloud)
-    if edge_report.accuracy == cloud_report.accuracy:
+    routed = route_dataset(edge, cloud, system.adapter, ds.val_X)
+    conf = {mode: models.confidence(routed.edge_probs, mode)
+            for mode in dict.fromkeys(pc.confidence_mode for pc in policies)}
+    n, positive = len(ds.val_y), ds.val_y != models.NORMAL_CLASS
+    # One row of route codes per report: the two anchors, then the policies.
+    codes = np.stack([np.full(n, EDGE_CODE), np.full(n, CLOUD_CODE),
+                      *(route_codes(pc.variant, conf[pc.confidence_mode], pc.c1, pc.c2)
+                        for pc in policies)])
+    taken = codes[:, None, :] == np.arange(len(ROUTES))[:, None]  # (report, route, row)
+    counts = taken.sum(axis=2)
+    hits = (taken & (routed.preds == ds.val_y)).sum(axis=(1, 2)).tolist()
+    found = (taken & (routed.preds != models.NORMAL_CLASS) & positive).sum(axis=(1, 2)).tolist()
+    positives = int(positive.sum())
+    accuracy = [h / n for h in hits]
+    recall = [f / positives if positives else 1.0 for f in found]
+    if accuracy[0] == accuracy[1]:
         raise ConfigError(f"perf score needs distinct anchors: edge accuracy "
-                          f"{edge_report.accuracy:g} == cloud accuracy {cloud_report.accuracy:g}")
-
-    def score(label: str, codes: np.ndarray) -> CostReport:
-        taken = routes == codes
-        counts = taken.sum(axis=1)
-        accuracy, recall = rates(taken)
-        tau, psi, s_comm = metrics.comm_score(counts, route_sent, route_sent[CLOUD_CODE])
-        flops_sys, s_comp = metrics.comp_score(flops_edge, flops_cloud, counts, route_flops)
-        s_p = metrics.perf_score(accuracy, edge_report.accuracy, cloud_report.accuracy)
-        return CostReport(label, s_p, s_comp, s_comm, tau, psi, flops_sys, accuracy, recall)
-
-    return edge_report, cloud_report, score
-
-
-def _score_policies(system: TrainedSystem, policies: list[PolicyConfig]) -> list[CostReport]:
-    """Edge/cloud anchors plus one report per policy.
-
-    The validation split is routed once per confidence mode the policies
-    use (once when they share one) and every report thresholds that pass.
-    """
-    modes = [pc.confidence_mode for pc in policies] or [models.NORMAL_CLASS_MODE]
-    routed = {mode: route_dataset(system.edge, system.cloud, system.adapter,
-                                  system.dataset.val_X, mode)
-              for mode in dict.fromkeys(modes)}
-    edge_report, cloud_report, score = _scorer(system, routed[modes[0]])
-    reports = [edge_report, cloud_report]
-    for pc in policies:
-        codes = route_codes(pc.variant, routed[pc.confidence_mode].confidence, pc.c1, pc.c2)
-        reports.append(score(pc.label, codes))
+                          f"{accuracy[0]:g} == cloud accuracy {accuracy[1]:g}")
+    reports = [
+        CostReport("edge", 0.0, 0.0, 0.0, 0.0, 0.0, float(flops_edge), accuracy[0], recall[0]),
+        CostReport("cloud", 1.0, 1.0, 1.0, 1.0, 1.0, float(flops_cloud), accuracy[1], recall[1])]
+    for i, pc in enumerate(policies, start=2):
+        tau, psi, s_comm = metrics.comm_score(counts[i], route_sent, route_sent[CLOUD_CODE])
+        flops_sys, s_comp = metrics.comp_score(flops_edge, flops_cloud, counts[i], route_flops)
+        s_p = metrics.perf_score(accuracy[i], accuracy[0], accuracy[1])
+        reports.append(CostReport(pc.label, s_p, s_comp, s_comm, tau, psi, flops_sys,
+                                  accuracy[i], recall[i]))
     return reports
 
 

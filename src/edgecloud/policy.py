@@ -16,12 +16,14 @@ on edge, ties at ``c2`` go adaptive.
 
 The route depends on the input only through the confidence, so routing is
 split in two. :func:`route_dataset` runs every branch once over a whole
-split and returns the confidence and each branch's prediction per row; each
-branch is ``nncore.forward``, the one layer loop, on a slice of the edge,
-adapter or cloud stack. :func:`route_codes` then maps any (variant, c1, c2)
-to an array of route codes, indices into :data:`ROUTES`, with one
-:func:`route_sample` call per row. :func:`route_costs` gives the elements
-sent and cloud-side FLOPs one row pays on each route.
+split and returns the edge's class probabilities and each route's
+prediction per row; each branch is ``nncore.forward``, the one layer loop,
+on a slice of the edge, adapter or cloud stack. A policy takes its
+confidence mode's confidence of those probabilities, and :func:`route_codes`
+maps it, for any (variant, c1, c2), to an array of route codes, indices
+into :data:`ROUTES`, with one :func:`route_sample` call per row.
+:func:`route_costs` gives the elements sent and cloud-side FLOPs one row
+pays on each route.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nncore
-from .models import (AdapterSpec, ModelSpec, NORMAL_CLASS_MODE, adapt,
-                     check_adapter_binding, cloud_tail, confidence, infer,
-                     infer_with_tap)
+from .models import (AdapterSpec, ModelSpec, adapt, check_adapter_binding, cloud_tail,
+                     infer, infer_with_tap)
 from .nncore import ConfigError, UsageError
 
 INDEPENDENT = "independent"
@@ -41,29 +42,21 @@ ADAPTIVE = "adaptive"
 DYNAMIC = "dynamic"
 VARIANTS = (INDEPENDENT, ADAPTIVE, DYNAMIC)
 
-ROUTE_EDGE = "edge-only"
-ROUTE_ADAPTIVE = "adaptive"
-ROUTE_CLOUD = "full-cloud"
 # A route code is an index into ROUTES.
-ROUTES = (ROUTE_EDGE, ROUTE_ADAPTIVE, ROUTE_CLOUD)
+ROUTES = ("edge-only", "adaptive", "full-cloud")
 EDGE_CODE, ADAPTIVE_CODE, CLOUD_CODE = range(len(ROUTES))
-_ROUTE_CODES = {route: code for code, route in enumerate(ROUTES)}
-
-
-def decide(variant: str, conf: float, c1: float, c2: float = 0.0) -> str:
-    """Pure threshold rule; the route depends on the input only through ``conf``."""
-    if conf >= c1:
-        return ROUTE_EDGE
-    if variant == INDEPENDENT:
-        return ROUTE_CLOUD
-    if variant == ADAPTIVE:
-        return ROUTE_ADAPTIVE
-    return ROUTE_ADAPTIVE if conf >= c2 else ROUTE_CLOUD
 
 
 def route_sample(variant: str, conf: float, c1: float, c2: float = 0.0) -> int:
-    """Route code of one row: :func:`decide` as an index into :data:`ROUTES`."""
-    return _ROUTE_CODES[decide(variant, conf, c1, c2)]
+    """Pure threshold rule: the route code of one row, which depends on the
+    input only through ``conf``."""
+    if conf >= c1:
+        return EDGE_CODE
+    if variant == INDEPENDENT:
+        return CLOUD_CODE
+    if variant == ADAPTIVE:
+        return ADAPTIVE_CODE
+    return ADAPTIVE_CODE if conf >= c2 else CLOUD_CODE
 
 
 def check_thresholds(variant: str, c1: float, c2: float = 0.0) -> None:
@@ -88,16 +81,18 @@ def route_codes(variant: str, conf, c1: float, c2: float = 0.0) -> np.ndarray:
 
 
 class RoutedDataset(NamedTuple):
-    """Per-row outcome of every branch over one split; no thresholds involved."""
+    """Per-row outcome of every branch over one split; no thresholds involved.
 
-    confidence: np.ndarray
-    edge_pred: np.ndarray
-    adaptive_pred: np.ndarray
-    cloud_pred: np.ndarray
+    ``edge_probs`` holds the edge's class probabilities, which every
+    confidence mode reads, and ``preds[code]`` the predictions of route
+    ``code``, shape ``(len(ROUTES), n)``.
+    """
+
+    edge_probs: np.ndarray
+    preds: np.ndarray
 
 
-def route_dataset(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec, X,
-                  confidence_mode: str = NORMAL_CLASS_MODE) -> RoutedDataset:
+def route_dataset(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec, X) -> RoutedDataset:
     """One pass of each branch over ``X``: the edge network with its tap, the
     adapted path (adapter + cloud tail) and the full cloud."""
     check_adapter_binding(edge, cloud, adapter)
@@ -106,9 +101,8 @@ def route_dataset(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec, X,
         raise UsageError("route_dataset expects an (n, d) array")
     probs, feature = infer_with_tap(edge, X, adapter.edge_tap)
     adapted = cloud_tail(cloud, adapt(adapter, feature), adapter.cloud_tap)
-    return RoutedDataset(confidence(probs, confidence_mode),
-                         np.argmax(probs, axis=1), np.argmax(adapted, axis=1),
-                         np.argmax(infer(cloud, X), axis=1))
+    # Stacked in route-code order: edge, adaptive, cloud.
+    return RoutedDataset(probs, np.argmax(np.stack([probs, adapted, infer(cloud, X)]), axis=2))
 
 
 def route_costs(edge: ModelSpec, cloud: ModelSpec,

@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from edgecloud import harness, nncore, train
+from edgecloud import harness, models, nncore, train
 from edgecloud.cli import dispatch
 from edgecloud.harness import default_plan, run_experiment, sweep_dynamic
 from edgecloud.metrics import comp_score_value, frontier_reports, pareto_frontier, perf_score
@@ -113,8 +113,8 @@ def test_criterion_4_routing_identities():
 
     def outcome(variant, c2=0.0):
         """Route code and prediction of every validation row."""
-        codes = route_codes(variant, routed.confidence, 0.8, c2)
-        preds = np.choose(codes, (routed.edge_pred, routed.adaptive_pred, routed.cloud_pred))
+        codes = route_codes(variant, models.confidence(routed.edge_probs), 0.8, c2)
+        preds = np.choose(codes, routed.preds)
         return np.stack([codes, preds])
 
     collapse_a = np.array_equal(outcome("dynamic", 0.0), outcome("adaptive"))
@@ -155,10 +155,10 @@ def trend_results():
         initial_edge = build_models(plan)[0]
         assert nncore.params_digest(initial_edge.params()) == started_from[-1]
         system, swept = result.system, plan.sweep_policies()
-        routed = route_dataset(system.edge, system.cloud, system.adapter,
-                               system.dataset.val_X, swept[0].confidence_mode)
-        full_cloud_counts = [int(np.sum(route_codes(pc.variant, routed.confidence, pc.c1, pc.c2)
-                                        == CLOUD_CODE)) for pc in swept]
+        routed = route_dataset(system.edge, system.cloud, system.adapter, system.dataset.val_X)
+        conf = models.confidence(routed.edge_probs, swept[0].confidence_mode)
+        full_cloud_counts = [int(np.sum(route_codes(pc.variant, conf, pc.c1, pc.c2) == CLOUD_CODE))
+                             for pc in swept]
 
         stage, stage_seed = plan.stages["edge_kd"], harness.derive_seeds(seed)["edge_train"]
         plain = build_models(plan)[0]

@@ -291,16 +291,20 @@ def test_train_refuses_an_unbuildable_or_misspelled_plan(tmp_path, capsys, keys,
     assert not (out / "dataset.npz").exists() and not (out / "edge.npz").exists()
 
 
-def test_recall_boost_without_imitation_refused_before_any_output(tmp_path, capsys):
+@pytest.mark.parametrize("keys, value, message", [
+    (("kd_weight",), 0.0, "plan.kd_weight: must be > 0 when recall_boost is on"),
+    (("dataset", "normal_fraction"), 0.0,
+     "plan.recall_boost: needs a normal row in the training split"),
+], ids=["without-imitation", "without-a-normal-training-row"])
+def test_recall_boost_refused_before_any_output(tmp_path, capsys, keys, value, message):
     import json
     cfg = harness.plan_to_dict(tiny_plan(recall_boost=True))
-    cfg["kd_weight"] = 0.0
+    set_field(cfg, keys, value)
     path, out = tmp_path / "plan.json", tmp_path / "out"
     path.write_text(json.dumps(cfg))
     for command in ("gen-data", "train"):
         assert dispatch([command, "--config", str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == \
-            "error: plan.kd_weight: must be > 0 when recall_boost is on\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert not (out / "dataset.npz").exists() and not (out / "edge.npz").exists()
 
 

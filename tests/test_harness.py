@@ -277,6 +277,18 @@ class TestPlans:
         cfg["recall_boost"] = False
         assert plan_from_dict(cfg).kd_weight == 0.0
 
+    # 0.001 of 600 is one normal sample, which the 80/20 cut keeps out of training.
+    @pytest.mark.parametrize("normal_fraction", [0.0, 0.001])
+    def test_recall_boost_without_a_normal_training_row_refused_at_construction(
+            self, normal_fraction):
+        cfg = plan_to_dict(tiny_plan(recall_boost=True))
+        cfg["dataset"]["normal_fraction"] = normal_fraction
+        with pytest.raises(ConfigError, match=r"^plan\.recall_boost: needs a normal row "
+                                              r"in the training split$"):
+            plan_from_dict(cfg)
+        cfg["recall_boost"] = False
+        assert plan_from_dict(cfg).data.normal_fraction == normal_fraction
+
     def test_readme_plan_table_names_every_top_level_key(self):
         readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
         section = readme.split("### The plan file", 1)[1].split("\n#", 1)[0]

@@ -9,16 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgecloud import models, nncore
+from edgecloud import harness, models, nncore
 from edgecloud.harness import PolicyConfig, evaluate_policies, run_experiment, sweep_dynamic
 from edgecloud.metrics import CostReport, comm_score, comp_score, comp_score_value, perf_score
 from edgecloud.models import (ModelSpec, adapt, cloud_tail, feedforward,
                               make_adapter)
 from edgecloud.nncore import ConfigError, dense
-from edgecloud.policy import (ADAPTIVE_CODE, CLOUD_CODE, EDGE_CODE,
-                              ROUTE_ADAPTIVE, ROUTE_CLOUD, ROUTE_EDGE, ROUTES,
-                              decide, route_codes, route_costs,
-                              route_dataset, route_sample)
+from edgecloud.policy import (ADAPTIVE_CODE, CLOUD_CODE, EDGE_CODE, ROUTES, route_codes,
+                              route_costs, route_dataset, route_sample)
 from edgecloud.train import accuracy_rate, recall_rate
 
 from conftest import resweep, tiny_plan
@@ -52,7 +50,7 @@ def const_system(probs, seed=3):
 
 def predictions(routed, codes):
     """Prediction of the branch each row's route code selects."""
-    return np.choose(codes, (routed.edge_pred, routed.adaptive_pred, routed.cloud_pred))
+    return np.choose(codes, routed.preds)
 
 
 def val_split(tiny_system, rows):
@@ -61,22 +59,24 @@ def val_split(tiny_system, rows):
     return system.edge, system.cloud, system.adapter, system.dataset.val_X[:rows]
 
 
-class TestDecide:
+class TestRouteSample:
     def test_depends_only_on_confidence(self):
         for conf in (0.0, 0.2, 0.5, 0.79, 0.8, 0.9, 1.0):
-            assert decide("independent", conf, 0.8) == (ROUTE_EDGE if conf >= 0.8 else ROUTE_CLOUD)
-            assert decide("adaptive", conf, 0.8) == (ROUTE_EDGE if conf >= 0.8 else ROUTE_ADAPTIVE)
+            assert route_sample("independent", conf, 0.8) == \
+                (EDGE_CODE if conf >= 0.8 else CLOUD_CODE)
+            assert route_sample("adaptive", conf, 0.8) == \
+                (EDGE_CODE if conf >= 0.8 else ADAPTIVE_CODE)
 
     def test_boundary_ties(self):
-        assert decide("independent", 0.8, 0.8) == ROUTE_EDGE  # tie at c1 stays on edge
-        assert decide("dynamic", 0.4, 0.8, 0.4) == ROUTE_ADAPTIVE  # tie at c2 goes adaptive
-        assert decide("independent", 1.0, 1.0) == ROUTE_EDGE
-        assert decide("independent", 0.999999, 1.0) == ROUTE_CLOUD
+        assert route_sample("independent", 0.8, 0.8) == EDGE_CODE  # tie at c1 stays on edge
+        assert route_sample("dynamic", 0.4, 0.8, 0.4) == ADAPTIVE_CODE  # tie at c2 goes adaptive
+        assert route_sample("independent", 1.0, 1.0) == EDGE_CODE
+        assert route_sample("independent", 0.999999, 1.0) == CLOUD_CODE
 
     def test_dynamic_three_branches(self):
-        assert decide("dynamic", 0.85, 0.8, 0.4) == ROUTE_EDGE
-        assert decide("dynamic", 0.5, 0.8, 0.4) == ROUTE_ADAPTIVE
-        assert decide("dynamic", 0.3, 0.8, 0.4) == ROUTE_CLOUD
+        assert route_sample("dynamic", 0.85, 0.8, 0.4) == EDGE_CODE
+        assert route_sample("dynamic", 0.5, 0.8, 0.4) == ADAPTIVE_CODE
+        assert route_sample("dynamic", 0.3, 0.8, 0.4) == CLOUD_CODE
 
 
 unit = st.floats(0.0, 1.0)
@@ -92,10 +92,10 @@ def thresholds_and_confidences(draw):
 
 class TestRouteCodes:
     @given(st.sampled_from(["independent", "adaptive", "dynamic"]), thresholds_and_confidences())
-    def test_matches_decide_elementwise(self, variant, case):
+    def test_matches_route_sample_elementwise(self, variant, case):
         c1, c2, conf = case
         codes = route_codes(variant, conf, c1, c2)
-        assert codes.tolist() == [ROUTES.index(decide(variant, c, c1, c2)) for c in conf]
+        assert codes.tolist() == [route_sample(variant, c, c1, c2) for c in conf]
 
     @given(thresholds_and_confidences(), unit)
     def test_offload_count_nondecreasing_in_c1(self, case, other):
@@ -110,7 +110,8 @@ class TestRouteIndependent:
     def test_zero_threshold_keeps_everything_on_edge(self):
         edge, cloud, adapter = toy_system()
         X = np.random.default_rng(1).standard_normal((20, 4))
-        codes = route_codes("independent", route_dataset(edge, cloud, adapter, X).confidence, 0.0)
+        conf = models.confidence(route_dataset(edge, cloud, adapter, X).edge_probs)
+        codes = route_codes("independent", conf, 0.0)
         assert (codes == EDGE_CODE).all()
         sent, cloud_side = route_costs(edge, cloud, adapter)
         counts = np.bincount(codes, minlength=len(ROUTES))
@@ -120,8 +121,8 @@ class TestRouteIndependent:
     def test_confident_sample_stays_on_edge(self):
         edge, cloud, adapter = const_system([0.9, 0.05, 0.05])
         routed = route_dataset(edge, cloud, adapter, np.ones((1, 4)))
-        assert routed.confidence[0] == pytest.approx(0.9)
-        codes = route_codes("independent", routed.confidence, 0.8)
+        assert models.confidence(routed.edge_probs)[0] == pytest.approx(0.9)
+        codes = route_codes("independent", models.confidence(routed.edge_probs), 0.8)
         assert codes.tolist() == [EDGE_CODE]
         assert predictions(routed, codes).tolist() == [0]
 
@@ -129,7 +130,7 @@ class TestRouteIndependent:
         edge, cloud, adapter = const_system([0.2, 0.4, 0.4])
         x = np.random.default_rng(4).standard_normal((1, 4))
         routed = route_dataset(edge, cloud, adapter, x)
-        codes = route_codes("independent", routed.confidence, 0.8)
+        codes = route_codes("independent", models.confidence(routed.edge_probs), 0.8)
         assert codes.tolist() == [CLOUD_CODE]
         sent, cloud_side = route_costs(edge, cloud, adapter)
         assert sent[CLOUD_CODE] == 4  # input width
@@ -142,14 +143,15 @@ class TestRouteAdaptive:
         edge, cloud, adapter = toy_system(1)
         X = np.random.default_rng(5).standard_normal((15, 4))
         routed = route_dataset(edge, cloud, adapter, X)
-        codes = route_codes("adaptive", routed.confidence, 0.0)
+        codes = route_codes("adaptive", models.confidence(routed.edge_probs), 0.0)
         assert (codes == EDGE_CODE).all()
-        assert np.array_equal(predictions(routed, codes), routed.edge_pred)
+        assert np.array_equal(predictions(routed, codes), routed.preds[EDGE_CODE])
 
     def test_offload_sends_tap_feature_elements(self):
         edge, cloud, adapter = toy_system(2)
         X = np.random.default_rng(6).standard_normal((10, 4))
-        codes = route_codes("adaptive", route_dataset(edge, cloud, adapter, X).confidence, 1.0)
+        conf = models.confidence(route_dataset(edge, cloud, adapter, X).edge_probs)
+        codes = route_codes("adaptive", conf, 1.0)
         assert (codes == ADAPTIVE_CODE).all()
         assert route_costs(edge, cloud, adapter)[0][ADAPTIVE_CODE] == 5  # tap width
 
@@ -157,7 +159,7 @@ class TestRouteAdaptive:
         edge, cloud, adapter = toy_system(3)
         X = np.random.default_rng(7).standard_normal((10, 4))
         routed = route_dataset(edge, cloud, adapter, X)
-        for x, pred in zip(X, routed.adaptive_pred):
+        for x, pred in zip(X, routed.preds[ADAPTIVE_CODE]):
             _, feat = models.infer_with_tap(edge, x.reshape(1, -1), adapter.edge_tap)
             assert pred == int(np.argmax(cloud_tail(cloud, adapt(adapter, feat), adapter.cloud_tap)))
         assert route_costs(edge, cloud, adapter)[1][ADAPTIVE_CODE] == adapter.total_flops() + \
@@ -170,28 +172,29 @@ class TestRouteDynamic:
         for conf, want in cases:
             edge, cloud, adapter = const_system([conf, 1 - conf, 0.0 + 1e-12], seed=8)
             routed = route_dataset(edge, cloud, adapter, np.ones((1, 4)))
-            assert route_codes("dynamic", routed.confidence, 0.8, 0.4).tolist() == [want], conf
+            codes = route_codes("dynamic", models.confidence(routed.edge_probs), 0.8, 0.4)
+            assert codes.tolist() == [want], conf
 
     def test_c2_zero_collapses_to_adaptive(self, tiny_system):
-        conf = route_dataset(*val_split(tiny_system, 300)).confidence
+        conf = models.confidence(route_dataset(*val_split(tiny_system, 300)).edge_probs)
         assert np.array_equal(route_codes("dynamic", conf, 0.8, 0.0),
                               route_codes("adaptive", conf, 0.8))
 
     def test_c2_equals_c1_collapses_to_independent(self, tiny_system):
-        conf = route_dataset(*val_split(tiny_system, 300)).confidence
+        conf = models.confidence(route_dataset(*val_split(tiny_system, 300)).edge_probs)
         assert np.array_equal(route_codes("dynamic", conf, 0.8, 0.8),
                               route_codes("independent", conf, 0.8))
 
 
 class TestMonotonicity:
     def test_offload_count_nondecreasing_in_c1(self, tiny_system):
-        conf = route_dataset(*val_split(tiny_system, 400)).confidence
+        conf = models.confidence(route_dataset(*val_split(tiny_system, 400)).edge_probs)
         counts = [int((route_codes("independent", conf, c1) != EDGE_CODE).sum())
                   for c1 in (0.0, 0.3, 0.6, 0.9, 1.0)]
         assert counts == sorted(counts)
 
     def test_dynamic_branch_counts_monotone_in_c2(self, tiny_system):
-        conf = route_dataset(*val_split(tiny_system, 400)).confidence
+        conf = models.confidence(route_dataset(*val_split(tiny_system, 400)).edge_probs)
         cloud_counts, adaptive_counts = [], []
         for c2 in (0.0, 0.2, 0.4, 0.6, 0.8):
             codes = route_codes("dynamic", conf, 0.8, c2)
@@ -211,12 +214,14 @@ class TestValidation:
             route_codes("teleport", [0.5], c1=0.5)
 
     def test_route_sample_dispatches_by_variant(self):
-        for variant in ("independent", "adaptive", "dynamic"):
-            for conf in (0.1, 0.2, 0.3, 0.5, 0.9):
-                code = route_sample(variant, conf, c1=0.5, c2=0.2)
-                assert ROUTES[code] == decide(variant, conf, 0.5, 0.2)
-        assert [route_sample(v, 0.3, 0.5, 0.2) for v in ("independent", "adaptive", "dynamic")] \
-            == [CLOUD_CODE, ADAPTIVE_CODE, ADAPTIVE_CODE]
+        # Codes for (independent, adaptive, dynamic) at c1 = 0.5, c2 = 0.2.
+        want = {0.1: (CLOUD_CODE, ADAPTIVE_CODE, CLOUD_CODE),
+                0.2: (CLOUD_CODE, ADAPTIVE_CODE, ADAPTIVE_CODE),
+                0.3: (CLOUD_CODE, ADAPTIVE_CODE, ADAPTIVE_CODE),
+                0.5: (EDGE_CODE,) * 3, 0.9: (EDGE_CODE,) * 3}
+        for conf, codes in want.items():
+            assert tuple(route_sample(v, conf, c1=0.5, c2=0.2)
+                         for v in ("independent", "adaptive", "dynamic")) == codes, conf
 
     def test_edge_only_record_must_have_zero_costs(self):
         sent, cloud_side = route_costs(*toy_system())
@@ -231,8 +236,8 @@ class TestValidation:
 
 # ---------------------------------------------------------------------------
 # Per-sample reference: each row runs the edge alone, takes the scalar
-# ``decide``, and then runs only the branch it chose. It counts bytes sent at
-# float32 width; psi is a ratio of sizes, so the unit cancels.
+# ``route_sample``, and then runs only the branch it chose. It counts bytes
+# sent at float32 width; psi is a ratio of sizes, so the unit cancels.
 
 BYTES_PER_ELEMENT = 4
 
@@ -244,10 +249,10 @@ def oracle_rows(system, variant, c1, c2, mode):
     for x in system.dataset.val_X:
         x = x.reshape(1, -1)
         probs, feat = models.infer_with_tap(edge, x, adapter.edge_tap)
-        route = decide(variant, models.confidence(probs[0], mode), c1, c2)
-        if route == ROUTE_EDGE:
+        route = route_sample(variant, models.confidence(probs[0], mode), c1, c2)
+        if route == EDGE_CODE:
             rows.append((route, int(np.argmax(probs)), 0, 0))
-        elif route == ROUTE_ADAPTIVE:
+        elif route == ADAPTIVE_CODE:
             out = cloud_tail(cloud, adapt(adapter, feat), adapter.cloud_tap)
             rows.append((route, int(np.argmax(out)), feat.size * bpe,
                          adapter.total_flops() + nncore.flops(cloud.layers[adapter.cloud_tap + 1:])))
@@ -268,7 +273,7 @@ def oracle_report(system, label, rows):
     fe, fc = system.edge.total_flops(), system.cloud.total_flops()
     pi_edge, pi_cloud = (accuracy_rate(p, ds.val_y) for p in anchor_preds(system))
     input_bytes = ds.dim * BYTES_PER_ELEMENT
-    offloaded = [r for r in rows if r[0] != ROUTE_EDGE]
+    offloaded = [r for r in rows if r[0] != EDGE_CODE]
     tau = len(offloaded) / n
     psi = (float(Fraction(sum(r[2] for r in offloaded), input_bytes * len(offloaded)))
            if offloaded else 0.0)
@@ -285,6 +290,22 @@ MIXED_MODES = [("independent", 0.8, 0.0, "normal-class"), ("adaptive", 0.7, 0.0,
 SWEEP_C2 = [0.0, 0.2, 0.4, 0.6, 0.8]
 
 
+@pytest.mark.parametrize("command", [evaluate_policies, sweep_dynamic], ids=["evaluate", "sweep"])
+def test_one_routing_pass_per_command(tiny_system, monkeypatch, command):
+    """Policies of two confidence modes still route the split once."""
+    system = dataclasses.replace(tiny_system.system, plan=dataclasses.replace(
+        tiny_system.system.plan, policies=[PolicyConfig(*p) for p in MIXED_MODES]))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return route_dataset(*args)
+
+    monkeypatch.setattr(harness, "route_dataset", counted)
+    command(system)
+    assert len(calls) == 1
+
+
 class TestPerSampleOracle:
     @pytest.mark.parametrize("policies", [
         [(pc.variant, pc.c1, pc.c2, pc.confidence_mode) for pc in tiny_plan().policies],
@@ -295,11 +316,10 @@ class TestPerSampleOracle:
         reports = evaluate_policies(system)
         assert len(reports) == 2 + len(policies)
         for (variant, c1, c2, mode), report in zip(policies, reports[2:]):
-            routed = route_dataset(system.edge, system.cloud, system.adapter,
-                                   system.dataset.val_X, mode)
-            codes = route_codes(variant, routed.confidence, c1, c2)
+            routed = route_dataset(system.edge, system.cloud, system.adapter, system.dataset.val_X)
+            codes = route_codes(variant, models.confidence(routed.edge_probs, mode), c1, c2)
             rows = oracle_rows(system, variant, c1, c2, mode)
-            assert [ROUTES[c] for c in codes] == [r[0] for r in rows]
+            assert codes.tolist() == [r[0] for r in rows]
             assert predictions(routed, codes).tolist() == [r[1] for r in rows]
             assert report == oracle_report(system, report.label, rows)
 
