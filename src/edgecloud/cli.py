@@ -140,7 +140,7 @@ def cmd_frontier(args) -> int:
         costs.append((-perf, cost))
     keep = metrics.pareto_frontier(costs, [row["label"] for row in rows])
     kept_rows = [row for row, kept in zip(rows, keep) if kept]
-    with open(args.output, "w", newline="") as fh:
+    with nncore.atomic_open(args.output, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(kept_rows)

@@ -82,13 +82,14 @@ class Dataset:
 
     def save(self, path) -> None:
         arrays = {f"centers_{c}": arr for c, arr in enumerate(self.centers)}
-        np.savez(path, __dataset_version__=np.int64(DATASET_VERSION),
-                 X=self.X, y=self.y, train_idx=self.train_idx, val_idx=self.val_idx,
-                 num_classes=np.int64(self.num_classes),
-                 normal_class=np.int64(models.NORMAL_CLASS),
-                 normal_fraction=np.float64(self.normal_fraction),
-                 sigma_normal=np.float64(self.sigma_normal),
-                 sigma_positive=np.float64(self.sigma_positive), **arrays)
+        with nncore.atomic_open(path, "wb") as fh:
+            np.savez(fh, __dataset_version__=np.int64(DATASET_VERSION),
+                     X=self.X, y=self.y, train_idx=self.train_idx, val_idx=self.val_idx,
+                     num_classes=np.int64(self.num_classes),
+                     normal_class=np.int64(models.NORMAL_CLASS),
+                     normal_fraction=np.float64(self.normal_fraction),
+                     sigma_normal=np.float64(self.sigma_normal),
+                     sigma_positive=np.float64(self.sigma_positive), **arrays)
 
     @classmethod
     def load(cls, path) -> "Dataset":
@@ -390,7 +391,7 @@ def load_plan(path, seed_override: int | None = None) -> ExperimentPlan:
 
 
 def save_plan(path, plan: ExperimentPlan) -> None:
-    with open(path, "w") as fh:
+    with nncore.atomic_open(path) as fh:
         json.dump(plan_to_dict(plan), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -431,17 +432,21 @@ def train_stages(plan: ExperimentPlan, ds: Dataset, edge: ModelSpec,
                  cloud: ModelSpec, adapter: AdapterSpec) -> dict[str, TrainResult]:
     """Cloud base training, edge training with feature imitation, adapter
     plus cloud-tail fine-tuning; all seeds derived from the master seed.
-    The trained cloud's KD targets are computed once, for both KD stages."""
+    The trained cloud's KD targets are computed once, for both KD stages,
+    and one scratch serves every full-split pass: each stage's reports and
+    the KD targets."""
     seeds = derive_seeds(plan.master_seed)
     stages, X, y = plan.stages, ds.train_X, ds.train_y
+    scratch = nncore.Scratch()
     results = {"cloud": train_mod.train_base(cloud, X, y, stages["cloud"],
-                                             seed=seeds["cloud_train"])}
-    target = train_mod.kd_targets(cloud, adapter.cloud_tap, X)
+                                             seed=seeds["cloud_train"], scratch=scratch)}
+    target = train_mod.kd_targets(cloud, adapter.cloud_tap, X, scratch=scratch)
     results["edge_kd"] = train_mod.train_edge_kd(edge, adapter, X, y, target, stages["edge_kd"],
                                                  seed=seeds["edge_train"], kd_weight=plan.kd_weight,
-                                                 recall_boost=plan.recall_boost)
+                                                 recall_boost=plan.recall_boost, scratch=scratch)
     results["finetune"] = train_mod.finetune_adapter(edge, cloud, adapter, X, y, target,
-                                                     stages["finetune"], seed=seeds["finetune"])
+                                                     stages["finetune"], seed=seeds["finetune"],
+                                                     scratch=scratch)
     return results
 
 
@@ -464,8 +469,8 @@ def _score_policies(system: TrainedSystem, policies: list[PolicyConfig]) -> list
     mode's confidence of that pass's edge probabilities, computed once per
     mode in use. Every column comes from per-route tallies of rows, correct
     rows and recalled positives, counted on (route, row) masks. A system
-    whose edge costs as many FLOPs as its cloud, or is as accurate, has no
-    score.
+    whose edge costs as many FLOPs as its cloud, or is at least as
+    accurate, has no score.
     """
     ds, edge, cloud = system.dataset, system.edge, system.cloud
     flops_edge, flops_cloud = edge.total_flops(), cloud.total_flops()
@@ -486,9 +491,9 @@ def _score_policies(system: TrainedSystem, policies: list[PolicyConfig]) -> list
     positives = int(positive.sum())
     accuracy = [h / n for h in hits]
     recall = [f / positives if positives else 1.0 for f in found]
-    if accuracy[0] == accuracy[1]:
-        raise ConfigError(f"perf score needs distinct anchors: edge accuracy "
-                          f"{accuracy[0]:g} == cloud accuracy {accuracy[1]:g}")
+    if accuracy[0] >= accuracy[1]:
+        raise ConfigError(f"perf score needs a cloud more accurate than the edge: edge accuracy "
+                          f"{accuracy[0]:g} >= cloud accuracy {accuracy[1]:g}")
     reports = [
         CostReport("edge", 0.0, 0.0, 0.0, 0.0, 0.0, float(flops_edge), accuracy[0], recall[0]),
         CostReport("cloud", 1.0, 1.0, 1.0, 1.0, 1.0, float(flops_cloud), accuracy[1], recall[1])]

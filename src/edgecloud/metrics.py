@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .nncore import ConfigError, UsageError
+from .nncore import ConfigError, UsageError, atomic_open
 from .policy import EDGE_CODE
 
 
@@ -154,7 +154,7 @@ def _fmt(value) -> str:
 
 
 def write_reports_csv(path, reports: Sequence[CostReport]) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
         for r in reports:

@@ -16,6 +16,11 @@ Conventions shared by every module in this package:
 * ``forward`` is the only untaped loop over a layer stack and
   ``forward_on_tape`` the only taped one; split inference and training run
   them on slices of a stack (up to a tap, after a tap).
+* ``forward`` can write every layer output but the last into a caller's
+  :class:`Scratch`, which a sequence of full-split passes shares so its
+  buffers are allocated once. Its result is never a view of the scratch.
+* Files are written through :func:`atomic_open`: a writer that fails
+  midway leaves the previous file in place.
 * Weight init draws uniform from ``[-1/sqrt(in_dim), +1/sqrt(in_dim)]``
   using a caller-supplied generator, so everything downstream is
   deterministic given the seeds.
@@ -23,7 +28,10 @@ Conventions shared by every module in this package:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import math
+import os
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -49,18 +57,21 @@ def as_tensor(x) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=np.float64)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function.
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None,
+            work: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable logistic function, into ``out`` or a fresh array.
 
     With ``e = exp(-|x|)`` it is ``max(e, x >= 0) / (1 + e)``: ``1/(1+e)``
     where ``x >= 0`` and ``e/(1+e)`` elsewhere, one unmasked divide in two
-    buffers. ``-|x|`` is taken as ``min(x, -x)`` so a NaN keeps its sign bit.
+    buffers, ``out`` and ``work`` (for ``1 + e``; fresh when not given),
+    neither of which may overlap ``x`` or the other. ``-|x|`` is taken as
+    ``min(x, -x)`` so a NaN keeps its sign bit.
     """
     x = np.asarray(x, dtype=np.float64)
-    e = np.negative(x, out=np.empty_like(x))
+    e = np.negative(x, out=np.empty_like(x) if out is None else out)
     np.minimum(x, e, out=e)
     np.exp(e, out=e)
-    d = e + 1.0
+    d = np.add(e, 1.0, out=work)
     np.maximum(e, x >= 0, out=e)
     return np.divide(e, d, out=e)
 
@@ -170,19 +181,26 @@ def residual_block(dim: int, activation: str = IDENTITY, *,
                      [Param(f"{name}.b1", bs[0]), Param(f"{name}.b2", bs[1])])
 
 
-def apply_layer(layer: LayerSpec, x: np.ndarray) -> np.ndarray:
+def apply_layer(layer: LayerSpec, x: np.ndarray, out: np.ndarray | None = None,
+                hidden: np.ndarray | None = None) -> np.ndarray:
     """Plain numpy forward through one layer (same op order as the taped path).
 
-    Bias adds, relus and the skip-add run in place on the fresh matmul
-    outputs; ``x`` and the parameter arrays are never written.
+    The layer's output goes into ``out`` and a residual block's hidden
+    activation into ``hidden``, each ``(rows, out_dim)`` and overlapping
+    neither ``x`` nor the other, or into fresh arrays when not given. Bias
+    adds, relus and the skip-add run in place on the matmul outputs; ``x``
+    and the parameter arrays are never written.
     """
-    y = x @ layer.weights[0].value.T
-    y += layer.biases[0].value
     if layer.kind == RESIDUAL:
-        np.maximum(y, 0.0, out=y)
-        t = y @ layer.weights[1].value.T
-        t += layer.biases[1].value
-        y = np.add(x, t, out=t)
+        h = np.matmul(x, layer.weights[0].value.T, out=hidden)
+        h += layer.biases[0].value
+        np.maximum(h, 0.0, out=h)
+        y = np.matmul(h, layer.weights[1].value.T, out=out)
+        y += layer.biases[1].value
+        np.add(x, y, out=y)
+    else:
+        y = np.matmul(x, layer.weights[0].value.T, out=out)
+        y += layer.biases[0].value
     if layer.activation == RELU:
         np.maximum(y, 0.0, out=y)
     return y
@@ -442,11 +460,39 @@ def forward_on_tape(tape: GradientTape, layers: Sequence[LayerSpec], x: Node) ->
     return x
 
 
-def forward(layers: Sequence[LayerSpec], x) -> np.ndarray:
+class Scratch:
+    """Three flat float64 buffers that ``forward`` writes intermediate layer
+    outputs into; each grows to the largest ``rows * width`` asked of it.
+
+    Slots 0 and 1 alternate as layer outputs and slot 2 holds a residual
+    block's hidden activation. Full-split passes that share one scratch
+    reuse its pages instead of allocating (and page-faulting) fresh arrays
+    per layer. Like a :class:`GradientTape` it is a single-owner,
+    single-threaded object, and a view it returns is valid only until the
+    next request for the same slot.
+    """
+
+    __slots__ = ("_buffers",)
+
+    def __init__(self) -> None:
+        self._buffers = [np.empty(0)] * 3
+
+    def array(self, slot: int, shape: tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous view of ``shape`` at the start of buffer ``slot``."""
+        size = math.prod(shape)
+        if self._buffers[slot].size < size:
+            self._buffers[slot] = np.empty(size)
+        return self._buffers[slot][:size].reshape(shape)
+
+
+def forward(layers: Sequence[LayerSpec], x, *, scratch: Scratch | None = None) -> np.ndarray:
     """The one untaped layer loop: ``layers`` applied to a sample or batch.
 
     Split inference runs it on slices of one stack (up to a tap, after a
     tap), so every path shares its input, dimension and finite checks.
+    With a ``scratch``, every layer but the last writes into it; without
+    one, every layer writes a fresh array. The result is never a view of
+    the scratch, so later passes do not touch it.
     """
     arr = as_tensor(x)
     if arr.ndim not in (1, 2):
@@ -454,15 +500,39 @@ def forward(layers: Sequence[LayerSpec], x) -> np.ndarray:
     squeeze = arr.ndim == 1
     h = arr.reshape(1, -1) if squeeze else arr
     _check_chain(layers, h.shape[1])
-    for layer in layers:
-        h = apply_layer(layer, h)
+    last = len(layers) - 1
+    for i, layer in enumerate(layers):
+        out = hidden = None
+        if scratch is not None:
+            shape = (h.shape[0], layer.out_dim)
+            out = scratch.array(i % 2, shape) if i < last else None
+            hidden = scratch.array(2, shape) if layer.kind == RESIDUAL else None
+        h = apply_layer(layer, h, out, hidden)
     if not np.all(np.isfinite(h)):
         raise ArithmeticError("forward produced non-finite values")
     return h[0] if squeeze else h
 
 
 # ---------------------------------------------------------------------------
-# Parameter digests and checkpoints.
+# Parameter digests, checkpoints and atomic file writes.
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a temporary file beside ``path`` for writing; when the block
+    exits normally it replaces ``path`` in one ``os.replace``. If the block
+    raises, the temporary file is removed and ``path`` is left as it was."""
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
 
 def params_digest(params: Iterable[Param]) -> str:
     """SHA-256 over names, shapes and raw bytes; used for freeze contracts."""
@@ -481,7 +551,8 @@ def save_params(path, params: Iterable[Param]) -> None:
         if p.name in named:
             raise UsageError(f"duplicate parameter name {p.name!r}")
         named[p.name] = p.value
-    np.savez(path, __checkpoint_version__=np.int64(CHECKPOINT_VERSION), **named)
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, __checkpoint_version__=np.int64(CHECKPOINT_VERSION), **named)
 
 
 def load_params(path) -> dict[str, np.ndarray]:

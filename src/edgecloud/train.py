@@ -34,7 +34,12 @@ probabilities come from the cloud layers up to the tap, once per ``train``
 and passes the read-only result to both KD stages); ``train_edge_kd`` runs
 the edge once per report, and ``finetune_adapter`` computes the edge tap
 once per call, so each of its reports runs only the adapter and the cloud
-tail.
+tail. These full-split passes take a keyword ``scratch``, an
+``nncore.Scratch``: ``harness.train_stages`` makes one per ``train`` and
+hands it to every procedure and to :func:`kd_targets`, so the intermediate
+layer outputs of every report, and the KD loss's temporaries, land in the
+same buffers instead of fresh arrays. Without one, each pass allocates its
+own.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from . import nncore
 from .models import (AdapterSpec, ModelSpec, NORMAL_CLASS, adapt, check_adapter_binding,
                      check_adapter_tap, cloud_tail, infer, infer_with_tap)
 from .moo import solve_min_norm
-from .nncore import (ConfigError, GradientTape, Node, Param, UsageError,
+from .nncore import (ConfigError, GradientTape, Node, Param, Scratch, UsageError,
                      as_tensor, sigmoid)
 
 LOG_EPS = 1e-12
@@ -143,16 +148,21 @@ def kd_loss(cloud_feature, adapted_feature) -> float:
     return _kd_against(sigmoid(np.asarray(cloud_feature)), np.asarray(adapted_feature))
 
 
-def _kd_against(target: np.ndarray, adapted: np.ndarray) -> float:
-    """:func:`kd_loss` against given target probabilities ``p``, in place on
-    the buffer of ``q``; same operations in the same order."""
+def _kd_against(target: np.ndarray, adapted: np.ndarray, *,
+                scratch: Scratch | None = None) -> float:
+    """:func:`kd_loss` against given target probabilities ``p``; same
+    operations in the same order. ``q``, its miss term and ``1 - p`` are
+    temporaries in ``scratch`` (a private one when not given), which must
+    not hold ``target`` or ``adapted``."""
     if target.shape != adapted.shape:
         raise UsageError(f"feature shapes differ: {target.shape} vs {adapted.shape}")
-    q = sigmoid(adapted)
+    if scratch is None:
+        scratch = Scratch()
+    q = sigmoid(adapted, scratch.array(0, adapted.shape), scratch.array(1, adapted.shape))
     np.clip(q, LOG_EPS, 1.0 - LOG_EPS, out=q)
-    miss = np.subtract(1.0, q)
+    miss = np.subtract(1.0, q, out=scratch.array(1, q.shape))
     np.log(miss, out=miss)
-    miss *= 1.0 - target
+    miss *= np.subtract(1.0, target, out=scratch.array(2, q.shape))
     np.log(q, out=q)
     q *= target
     q += miss
@@ -244,17 +254,17 @@ def _loss_report(probs: np.ndarray, y: np.ndarray, kd: float = 0.0) -> LossRepor
     )
 
 
-def evaluate_model(model: ModelSpec, X, y) -> LossReport:
+def evaluate_model(model: ModelSpec, X, y, *, scratch: Scratch | None = None) -> LossReport:
     """Classifier metrics of a model on a labelled set (kd reported as 0)."""
-    return _loss_report(infer(model, X), np.asarray(y, dtype=np.intp))
+    return _loss_report(infer(model, X, scratch=scratch), np.asarray(y, dtype=np.intp))
 
 
 def _adaptive_report(cloud: ModelSpec, adapter: AdapterSpec, edge_feat: np.ndarray,
-                     target: np.ndarray, y: np.ndarray) -> LossReport:
+                     target: np.ndarray, y: np.ndarray, scratch: Scratch | None) -> LossReport:
     """Adapted-path metrics from a given edge tap feature and KD targets."""
-    adapted = adapt(adapter, edge_feat)
-    probs = cloud_tail(cloud, adapted, adapter.cloud_tap)
-    return _loss_report(probs, y, _kd_against(target, adapted))
+    adapted = adapt(adapter, edge_feat, scratch=scratch)
+    probs = cloud_tail(cloud, adapted, adapter.cloud_tap, scratch=scratch)
+    return _loss_report(probs, y, _kd_against(target, adapted, scratch=scratch))
 
 
 def evaluate_adaptive_path(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
@@ -263,7 +273,7 @@ def evaluate_adaptive_path(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSp
     _, edge_feat = infer_with_tap(edge, X, adapter.edge_tap)
     _, cloud_feat = infer_with_tap(cloud, X, adapter.cloud_tap)
     return _adaptive_report(cloud, adapter, edge_feat, sigmoid(cloud_feat),
-                            np.asarray(y, dtype=np.intp))
+                            np.asarray(y, dtype=np.intp), None)
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +376,12 @@ def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
     return result
 
 
-def kd_targets(cloud: ModelSpec, tap: int, X) -> np.ndarray:
+def kd_targets(cloud: ModelSpec, tap: int, X, *, scratch: Scratch | None = None) -> np.ndarray:
     """KD target probabilities of both KD stages: the sigmoid of the cloud's
     feature after layer ``tap`` (an adapter's cloud tap), from the cloud
     layers up to the tap only. The array is read-only."""
     check_adapter_tap("cloud", cloud, tap)
-    target = sigmoid(nncore.forward(cloud.layers[:tap + 1], X))
+    target = sigmoid(nncore.forward(cloud.layers[:tap + 1], X, scratch=scratch))
     target.flags.writeable = False
     return target
 
@@ -385,7 +395,8 @@ def _check_target(target: np.ndarray, n: int, adapter: AdapterSpec) -> None:
 # ---------------------------------------------------------------------------
 # Training procedures.
 
-def train_base(model: ModelSpec, X, y, config: TrainConfig, *, seed: int) -> TrainResult:
+def train_base(model: ModelSpec, X, y, config: TrainConfig, *, seed: int,
+               scratch: Scratch | None = None) -> TrainResult:
     """Minibatch SGD on cross-entropy; history row 0 is the initial state."""
     X, y = _coerce_data(X, y)
 
@@ -394,7 +405,7 @@ def train_base(model: ModelSpec, X, y, config: TrainConfig, *, seed: int) -> Tra
         return [ce_on_tape(tape, logits, y[idx])]
 
     return _fit("base", len(X), config, model.params(), objectives,
-                lambda: evaluate_model(model, X, y), seed=seed)
+                lambda: evaluate_model(model, X, y, scratch=scratch), seed=seed)
 
 
 def check_edge_objectives(kd_weight: float, recall_boost: bool) -> None:
@@ -409,7 +420,7 @@ def check_edge_objectives(kd_weight: float, recall_boost: bool) -> None:
 
 def train_edge_kd(edge: ModelSpec, adapter: AdapterSpec, X, y, target: np.ndarray,
                   config: TrainConfig, *, seed: int, kd_weight: float = 1.0,
-                  recall_boost: bool = False) -> TrainResult:
+                  recall_boost: bool = False, scratch: Scratch | None = None) -> TrainResult:
     """Edge training with the feature-imitation term.
 
     The cloud enters only through ``target``, its :func:`kd_targets` on
@@ -440,8 +451,9 @@ def train_edge_kd(edge: ModelSpec, adapter: AdapterSpec, X, y, target: np.ndarra
 
     def report():
         # one edge pass gives both the probabilities and the tap
-        probs, edge_feat = infer_with_tap(edge, X, adapter.edge_tap)
-        kd = _kd_against(target, adapt(adapter, edge_feat)) if use_kd else 0.0
+        probs, edge_feat = infer_with_tap(edge, X, adapter.edge_tap, scratch=scratch)
+        kd = _kd_against(target, adapt(adapter, edge_feat, scratch=scratch),
+                         scratch=scratch) if use_kd else 0.0
         return _loss_report(probs, y, kd)
 
     return _fit("kd-edge", len(X), config, edge.params() + adapter.params(),
@@ -450,7 +462,7 @@ def train_edge_kd(edge: ModelSpec, adapter: AdapterSpec, X, y, target: np.ndarra
 
 def finetune_adapter(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
                      X, y, target: np.ndarray, config: TrainConfig, *,
-                     seed: int) -> TrainResult:
+                     seed: int, scratch: Scratch | None = None) -> TrainResult:
     """Tune the adapter and the cloud tail on the end-to-end adapted path.
 
     The edge and the cloud layers up to (and including) the injection tap
@@ -462,7 +474,7 @@ def finetune_adapter(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
     _check_target(target, len(X), adapter)
     n = adapter.cloud_tap
     prefix, tail = cloud.layers[:n + 1], cloud.layers[n + 1:]
-    _, feats = infer_with_tap(edge, X, adapter.edge_tap)
+    _, feats = infer_with_tap(edge, X, adapter.edge_tap, scratch=scratch)
 
     def objectives(tape, idx):
         adapted = adapter_on_tape(tape, adapter, tape.input(feats[idx]))
@@ -471,7 +483,7 @@ def finetune_adapter(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
 
     return _fit("adapter-finetune", len(X), config,
                 adapter.params() + [p for layer in tail for p in layer.params()], objectives,
-                lambda: _adaptive_report(cloud, adapter, feats, target, y),
+                lambda: _adaptive_report(cloud, adapter, feats, target, y, scratch),
                 frozen=edge.params() + [p for layer in prefix for p in layer.params()],
                 seed=seed)
 
@@ -484,7 +496,7 @@ def write_training_log(path, result: TrainResult) -> None:
     arity = max((len(rep.alpha) for rep in result.history if rep.alpha), default=0)
     columns = TRAINING_LOG_COLUMNS + [f"alpha_{i + 1}" for i in range(arity)] if has_alpha \
         else TRAINING_LOG_COLUMNS
-    with open(path, "w", newline="") as fh:
+    with nncore.atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for epoch, rep in enumerate(result.history):

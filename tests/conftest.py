@@ -217,6 +217,14 @@ def tiny_plan(master_seed=0, **overrides):
     return ExperimentPlan(**kwargs)
 
 
+def with_cloud_epochs(plan, epochs):
+    """``plan`` with its cloud stage trained for ``epochs``. The tiny plan's
+    8 cloud epochs leave the cloud less accurate than the edge on most
+    seeds, which ``evaluate`` refuses."""
+    cloud = dataclasses.replace(plan.stages["cloud"], epochs=epochs)
+    return dataclasses.replace(plan, stages={**plan.stages, "cloud": cloud})
+
+
 # A plan field set to a value of the wrong type, and the error that names it:
 # (keys down to the field, value, message).
 MISTYPED_FIELDS = [

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from edgecloud import harness, metrics, train
+from edgecloud import harness, metrics, nncore, train
 from edgecloud.cli import dispatch
 
 from conftest import MISTYPED_FIELDS, brute_force_frontier, field_id, set_field, tiny_plan
@@ -333,3 +333,69 @@ def test_train_rejects_a_bad_stage_before_running_any(tmp_path, capsys, monkeypa
     assert dispatch(["train", "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: plan.stages.finetune.{field}: {rule}\n"
     assert ran == []
+
+
+# ---------------------------------------------------------------------------
+# Atomic writes: every output file is written beside its target, then
+# renamed over it, so a writer that fails midway leaves the old file.
+
+class Midway(Exception):
+    """Raised by a patched writer after it has written part of a file."""
+
+
+REPORTS = [metrics.CostReport("edge", 0.0, 0.0, 0.0, 0.0, 0.0, 10.0, 0.5, 0.4),
+           metrics.CostReport("cloud", 1.0, 1.0, 1.0, 1.0, 1.0, 90.0, 0.9, 0.8)]
+
+
+def _writers(tmp_path):
+    """Name -> a call that writes one file at the path it is given."""
+    source = tmp_path / "input.csv"
+    metrics.write_reports_csv(source, REPORTS)
+    rep = train.LossReport(1.0, 0.0, 0.5, 0.5, 0.5)
+    return {
+        "save_params": lambda path: nncore.save_params(path, [nncore.Param("w", np.arange(3.0))]),
+        "dataset": lambda path: harness.gen_dataset(harness.DataConfig(4, 6, 100, 0.3, 0.2),
+                                                    seed=4).save(path),
+        "training_log": lambda path: train.write_training_log(path, train.TrainResult([rep, rep])),
+        "reports_csv": lambda path: metrics.write_reports_csv(path, REPORTS),
+        "frontier": lambda path: dispatch(["frontier", "--input", str(source),
+                                           "--output", str(path)]),
+    }
+
+
+@pytest.mark.parametrize("name", ["save_params", "dataset", "training_log", "reports_csv",
+                                  "frontier"])
+def test_a_writer_failing_midway_leaves_the_old_file(tmp_path, monkeypatch, capsys, name):
+    write = _writers(tmp_path)[name]
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / ("file.npz" if name in ("save_params", "dataset") else "file.csv")
+    write(path)
+    old = path.read_bytes()
+    real_writer = csv.writer
+
+    def failing_savez(fh, *args, **kwargs):
+        fh.write(b"PK partial")
+        raise Midway
+
+    def failing_csv_writer(fh, *args, **kwargs):
+        writer = real_writer(fh, *args, **kwargs)
+
+        class FirstRowOnly:
+            def writerow(self, row):
+                writer.writerow(row)
+                fh.flush()
+                raise Midway
+
+            def writerows(self, rows):
+                for row in rows:
+                    self.writerow(row)
+
+        return FirstRowOnly()
+
+    monkeypatch.setattr(np, "savez", failing_savez)
+    monkeypatch.setattr(csv, "writer", failing_csv_writer)
+    with pytest.raises(Midway):
+        write(path)
+    assert path.read_bytes() == old
+    assert os.listdir(out) == [path.name]

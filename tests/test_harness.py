@@ -19,7 +19,8 @@ from edgecloud.harness import (AdapterConfig, DataConfig, Dataset, ExperimentPla
 from edgecloud.metrics import pareto_frontier
 from edgecloud.nncore import ConfigError
 
-from conftest import MISTYPED_FIELDS, field_id, resweep, set_field, tiny_plan
+from conftest import (MISTYPED_FIELDS, field_id, resweep, set_field, tiny_plan,
+                      with_cloud_epochs)
 
 REQUIRED = "missing"
 
@@ -388,13 +389,38 @@ class TestPipeline:
         system = TrainedSystem(plan, build_dataset(plan), edge, cloud, adapter)
         accuracy = float(np.mean(system.dataset.val_y == 0))
         with pytest.raises(ConfigError, match=re.escape(
-                f"distinct anchors: edge accuracy {accuracy:g} == cloud accuracy {accuracy:g}")):
+                f"more accurate than the edge: edge accuracy {accuracy:g} >= "
+                f"cloud accuracy {accuracy:g}")):
             score(system)
 
+    # Trained systems whose edge beats the cloud: tiny seed 2 (edge 0.775,
+    # cloud 0.508333), tiny dim 10 (edge 0.65, cloud 0.583333), and an
+    # all-positive dataset (edge 0.983333, cloud 0.966667).
+    INVERTED = {"seed-2": tiny_plan(master_seed=2),
+                "dim-10": tiny_plan(data=dataclasses.replace(tiny_plan().data, dim=10)),
+                "all-positive": tiny_plan(data=dataclasses.replace(tiny_plan().data,
+                                                                   normal_fraction=0.0))}
+
+    @pytest.mark.parametrize("name", list(INVERTED))
+    def test_inverted_anchors_refused(self, name):
+        plan = self.INVERTED[name]
+        ds = build_dataset(plan)
+        edge, cloud, adapter = build_models(plan)
+        harness.train_stages(plan, ds, edge, cloud, adapter)
+        system = TrainedSystem(plan, ds, edge, cloud, adapter)
+        edge_acc, cloud_acc = (float(np.mean(np.argmax(models.infer(net, ds.val_X), axis=1)
+                                             == ds.val_y)) for net in (edge, cloud))
+        assert edge_acc > cloud_acc
+        for score in (evaluate_policies, sweep_dynamic):
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"edge accuracy {edge_acc:g} >= cloud accuracy {cloud_acc:g}")):
+                score(system)
+
     def test_deterministic_reports(self):
-        plan = tiny_plan(master_seed=2)
+        # tiny seed 3 with 24 cloud epochs: edge 0.666667, cloud 0.866667
+        plan = with_cloud_epochs(tiny_plan(master_seed=3), 24)
         a = run_experiment(plan)
-        b = run_experiment(tiny_plan(master_seed=2))
+        b = run_experiment(with_cloud_epochs(tiny_plan(master_seed=3), 24))
         for ra, rb in zip(a.reports, b.reports):
             assert ra == rb
 

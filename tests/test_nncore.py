@@ -309,6 +309,11 @@ class TestInPlaceKernelsAreBitExact:
         out = nncore.sigmoid(x)
         assert np.array_equal(bits(out), bits(reference_sigmoid(x)))
         assert np.array_equal(bits(x), bits(before))
+        # into given output and work buffers whose old contents are garbage
+        given_out, work = np.full_like(x, np.nan), np.full_like(x, -7.0)
+        assert nncore.sigmoid(x, given_out, work) is given_out
+        assert np.array_equal(bits(given_out), bits(out))
+        assert np.array_equal(bits(x), bits(before))
 
     def test_sigmoid_special_values(self):
         x = np.array(SPECIAL)
@@ -329,13 +334,84 @@ class TestInPlaceKernelsAreBitExact:
         else:
             layer = residual_block(x.shape[1], activation, weights=weights, biases=biases)
         saved = [x.copy()] + [p.value.copy() for p in layer.params()]
+        shape = (x.shape[0], layer.out_dim)
+        out, hidden = np.full(shape, 3.0), np.full(shape, np.nan)  # stale contents
         with np.errstate(all="ignore"):
-            got = nncore.apply_layer(layer, x)
+            fresh = nncore.apply_layer(layer, x)
+            into = nncore.apply_layer(layer, x, out, hidden)
             want = reference_apply_layer(layer, x)
-        # a NaN's sign is outside the byte-identity contract: forward raises
-        # on any non-finite activation, so no output can carry one
-        nan = np.isnan(got)
-        assert np.array_equal(nan, np.isnan(want))
-        assert np.array_equal(bits(got)[~nan], bits(want)[~nan])
+        assert into is out
+        for got in (fresh, into):
+            # a NaN's sign is outside the byte-identity contract: forward
+            # raises on any non-finite activation, so no output can carry one
+            nan = np.isnan(got)
+            assert np.array_equal(nan, np.isnan(want))
+            assert np.array_equal(bits(got)[~nan], bits(want)[~nan])
         for arr, copy in zip([x] + [p.value for p in layer.params()], saved):
             assert np.array_equal(bits(arr), bits(copy))
+
+
+class TestScratch:
+    """``forward`` through a shared :class:`nncore.Scratch` gives the same
+    bytes as without one, and a fresh result every time."""
+
+    def stacks(self, rng):
+        """Random stacks, and one whose last layer is a residual block."""
+        for _ in range(12):
+            yield random_net(rng)
+        head = dense(5, 4, nncore.RELU, rng=rng, name="d")
+        yield [head, residual_block(4, rng=rng, name="r0"), residual_block(4, rng=rng, name="r1")], 5
+
+    def test_shared_scratch_matches_no_scratch(self):
+        rng = np.random.default_rng(21)
+        scratch = nncore.Scratch()
+        for layers, in_dim in self.stacks(rng):
+            X = rng.standard_normal((int(rng.integers(1, 40)), in_dim))
+            for x in (X, X[0], X[:0], X[1:]):  # batch, 1-D sample, empty slice, offset view
+                got = forward(layers, x, scratch=scratch)
+                want = forward(layers, x)
+                assert got.shape == want.shape
+                assert np.array_equal(bits(got), bits(want))
+
+    def test_result_is_fresh_and_survives_the_next_pass(self):
+        rng = np.random.default_rng(22)
+        scratch = nncore.Scratch()
+        kept = []
+        for layers, in_dim in self.stacks(rng):
+            out = forward(layers, rng.standard_normal((9, in_dim)), scratch=scratch)
+            assert not any(np.shares_memory(out, buf) for buf in scratch._buffers)
+            kept.append((out, out.copy()))
+        assert all(np.array_equal(bits(out), bits(copy)) for out, copy in kept)
+
+    def test_buffers_grow_to_the_largest_request_only(self):
+        layers = [dense(3, 8, rng=np.random.default_rng(0)), dense(8, 2)]
+        scratch = nncore.Scratch()
+        forward(layers, np.ones((10, 3)), scratch=scratch)
+        first = list(scratch._buffers)
+        assert first[0].size == 80 and first[1].size == 0 and first[2].size == 0
+        forward(layers, np.ones((4, 3)), scratch=scratch)
+        assert all(a is b for a, b in zip(scratch._buffers, first))
+        forward(layers, np.ones((11, 3)), scratch=scratch)
+        assert scratch._buffers[0].size == 88
+
+
+class TestAtomicOpen:
+    def test_replaces_the_target_on_success(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        with nncore.atomic_open(path) as fh:
+            fh.write("new")
+            assert path.read_text() == "old"  # not visible until the block ends
+        assert path.read_text() == "new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_a_failing_block_keeps_the_old_file_and_no_temporary(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        with pytest.raises(RuntimeError):
+            with nncore.atomic_open(path) as fh:
+                fh.write("partial")
+                fh.flush()
+                raise RuntimeError("midway")
+        assert path.read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]

@@ -19,7 +19,7 @@ from edgecloud.policy import (ADAPTIVE_CODE, CLOUD_CODE, EDGE_CODE, ROUTES, rout
                               route_costs, route_dataset, route_sample)
 from edgecloud.train import accuracy_rate, recall_rate
 
-from conftest import resweep, tiny_plan
+from conftest import resweep, tiny_plan, with_cloud_epochs
 
 
 def const_prob_edge(probs, in_dim=4):
@@ -326,7 +326,8 @@ class TestPerSampleOracle:
     def test_non_dyadic_byte_ratio_is_rounded_once(self):
         # dim 10 against the 6-wide edge tap: an adapted row sends 24 of the
         # 40 input bytes, a ratio that a per-row float sum does not keep exact.
-        plan = tiny_plan(data=dataclasses.replace(tiny_plan().data, dim=10))
+        # 24 cloud epochs put the cloud (0.775) above the edge (0.65).
+        plan = with_cloud_epochs(tiny_plan(data=dataclasses.replace(tiny_plan().data, dim=10)), 24)
         result = run_experiment(plan)
         for pc, report in zip(plan.policies, result.reports[2:]):
             rows = oracle_rows(result.system, pc.variant, pc.c1, pc.c2, pc.confidence_mode)

@@ -511,11 +511,11 @@ class PassCounter:
         index = {id(layer): (net.name, i) for net in nets for i, layer in enumerate(net.layers)}
         original = nncore.apply_layer
 
-        def counted(layer, x):
+        def counted(layer, x, *buffers):
             key = index.get(id(layer))
             if key is not None:
                 self.calls[key] = self.calls.get(key, 0) + 1
-            return original(layer, x)
+            return original(layer, x, *buffers)
 
         monkeypatch.setattr(nncore, "apply_layer", counted)
 
@@ -548,6 +548,40 @@ class TestReportPasses:
         assert counter.runs(cloud, range(n + 1)) == [stage_1 + 1] * (n + 1)
         tail = range(n + 1, len(cloud.layers))
         assert counter.runs(cloud, tail) == [stage_1 + len(results["finetune"].history)] * len(tail)
+
+    def test_train_stages_reuses_one_scratch(self, monkeypatch):
+        # every full-split pass of a train takes its buffers from one
+        # scratch; on the tiny plan every request is (480 rows, 16 wide), so
+        # each slot is allocated by the first pass that asks for it and
+        # reused by every later report
+        made, taken = [], []
+
+        class Recording(nncore.Scratch):
+            __slots__ = ()
+
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+            def array(self, slot, shape):
+                view = super().array(slot, shape)
+                taken.append((slot, self._buffers[slot]))
+                return view
+
+        monkeypatch.setattr(nncore, "Scratch", Recording)
+        plan = tiny_plan()
+        plan.stages = {name: dataclasses.replace(cfg, epochs=self.EPOCHS)
+                       for name, cfg in plan.stages.items()}
+        ds = harness.build_dataset(plan)
+        edge, cloud, adapter = harness.build_models(plan)
+        results = harness.train_stages(plan, ds, edge, cloud, adapter)
+        assert [len(r.history) for r in results.values()] == [self.EPOCHS + 1] * 3
+        assert len(made) == 1
+        assert {(slot, buf.size) for slot, buf in taken} == {(0, 480 * 16), (1, 480 * 16),
+                                                            (2, 480 * 16)}
+        assert len({id(buf) for _, buf in taken}) == 3
+        # each report of the three stages asks for at least one slot
+        assert len(taken) > 3 * (self.EPOCHS + 1)
 
     def test_finetune_runs_the_frozen_edge_once_and_no_cloud_prefix_layer(self, monkeypatch):
         X, y, edge, cloud, adapter = self.small_setup()
