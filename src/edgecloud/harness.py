@@ -432,9 +432,10 @@ def train_stages(plan: ExperimentPlan, ds: Dataset, edge: ModelSpec,
                  cloud: ModelSpec, adapter: AdapterSpec) -> dict[str, TrainResult]:
     """Cloud base training, edge training with feature imitation, adapter
     plus cloud-tail fine-tuning; all seeds derived from the master seed.
-    The trained cloud's KD targets are computed once, for both KD stages,
-    and one scratch serves every full-split pass: each stage's reports and
-    the KD targets."""
+    The trained cloud's KD targets are computed once, for both KD stages;
+    fine-tuning starts from the edge-KD stage's hand-off, its last report's
+    edge tap, adapted feature and KD term; and one scratch serves every
+    full-split pass: each stage's reports and the KD targets."""
     seeds = derive_seeds(plan.master_seed)
     stages, X, y = plan.stages, ds.train_X, ds.train_y
     scratch = nncore.Scratch()
@@ -444,7 +445,7 @@ def train_stages(plan: ExperimentPlan, ds: Dataset, edge: ModelSpec,
     results["edge_kd"] = train_mod.train_edge_kd(edge, adapter, X, y, target, stages["edge_kd"],
                                                  seed=seeds["edge_train"], kd_weight=plan.kd_weight,
                                                  recall_boost=plan.recall_boost, scratch=scratch)
-    results["finetune"] = train_mod.finetune_adapter(edge, cloud, adapter, X, y, target,
+    results["finetune"] = train_mod.finetune_adapter(results["edge_kd"], cloud, adapter, y, target,
                                                      stages["finetune"], seed=seeds["finetune"],
                                                      scratch=scratch)
     return results

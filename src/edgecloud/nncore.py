@@ -15,7 +15,8 @@ Conventions shared by every module in this package:
   Dense layer: ``2*in*out + out``. Residual block: ``2*(2*d*d + d) + d``.
 * ``forward`` is the only untaped loop over a layer stack and
   ``forward_on_tape`` the only taped one; split inference and training run
-  them on slices of a stack (up to a tap, after a tap).
+  them on slices of a stack (up to a tap, after a tap). The tape records
+  one entry per layer, replaying its affine, relu and skip-add backwards.
 * ``forward`` can write every layer output but the last into a caller's
   :class:`Scratch`, which a sequence of full-split passes shares so its
   buffers are allocated once. Its result is never a view of the scratch.
@@ -32,6 +33,7 @@ import contextlib
 import hashlib
 import math
 import os
+import zipfile
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -227,7 +229,7 @@ def flops(layers: Sequence[LayerSpec]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Gradient tape: an ordered record of primitive ops, replayed in reverse.
+# Gradient tape: an ordered record of taped ops, replayed in reverse.
 
 class Node:
     """Value produced during a taped forward pass; ``is_data`` marks a data
@@ -240,21 +242,17 @@ class Node:
         self.is_data = is_data
 
 
-AccumFn = Callable[["Node", np.ndarray], None]
-BackwardFn = Callable[[np.ndarray, AccumFn], None]
-
-
 class GradientTape:
-    """Ordered record of the primitive operations of one forward pass.
+    """Ordered record of the taped operations of one forward pass.
 
-    Ops append ``(node, backward_fn)`` entries; ``adjoints`` replays the
-    record in reverse from any recorded scalar and accumulates one gradient
-    per parameter the scalar reaches. A tape is a single-owner,
+    Ops append ``(node, backward_fn)`` entries, one per layer or loss;
+    ``adjoints`` replays the record in reverse from any recorded scalar and
+    accumulates one gradient per parameter the scalar reaches. A tape is a single-owner,
     single-threaded object.
     """
 
     def __init__(self) -> None:
-        self._entries: list[tuple[Node, BackwardFn]] = []
+        self._entries: list[tuple[Node, Callable]] = []
         self._params: dict[int, tuple[Param, Node]] = {}
 
     def input(self, value) -> Node:
@@ -270,7 +268,7 @@ class GradientTape:
             self._params[id(p)] = entry
         return entry[1]
 
-    def record(self, value: np.ndarray, backward_fn: BackwardFn) -> Node:
+    def record(self, value: np.ndarray, backward_fn: Callable) -> Node:
         node = Node(value)
         self._entries.append((node, backward_fn))
         return node
@@ -305,31 +303,7 @@ def adjoints(tape: GradientTape, node: Node) -> dict[Param, np.ndarray]:
     return result
 
 
-# --- primitive taped ops ----------------------------------------------------
-# All array ops below require 2-D (batch, features) inputs except the scalar
-# reductions; backward closures always produce fresh arrays.
-
-def op_affine(tape: GradientTape, x: Node, w: Param, b: Param) -> Node:
-    wn, bn = tape.param(w), tape.param(b)
-    value = x.value @ wn.value.T + bn.value
-
-    def bw(g: np.ndarray, accum: AccumFn) -> None:
-        if not x.is_data:
-            accum(x, g @ wn.value)
-        accum(wn, g.T @ x.value)
-        accum(bn, g.sum(axis=0))
-
-    return tape.record(value, bw)
-
-
-def op_relu(tape: GradientTape, x: Node) -> Node:
-    mask = x.value > 0
-
-    def bw(g, accum):
-        accum(x, g * mask)
-
-    return tape.record(np.maximum(x.value, 0.0), bw)
-
+# --- taped ops: 2-D (batch, features) nodes; backwards make fresh arrays ----
 
 def op_add(tape: GradientTape, a: Node, b: Node) -> Node:
     if a.value.shape != b.value.shape:
@@ -351,84 +325,6 @@ def op_scale(tape: GradientTape, x: Node, c: float) -> Node:
     return tape.record(x.value * c, bw)
 
 
-def op_cmul(tape: GradientTape, const, x: Node) -> Node:
-    """Elementwise product with a constant array (no gradient into it)."""
-    carr = as_tensor(const)
-
-    def bw(g, accum):
-        accum(x, g * carr)
-
-    return tape.record(carr * x.value, bw)
-
-
-def op_rsub(tape: GradientTape, c: float, x: Node) -> Node:
-    """Constant minus node, e.g. ``1 - q``."""
-    c = float(c)
-
-    def bw(g, accum):
-        accum(x, -g)
-
-    return tape.record(c - x.value, bw)
-
-
-def op_sigmoid(tape: GradientTape, x: Node) -> Node:
-    out = sigmoid(x.value)
-
-    def bw(g, accum):
-        accum(x, g * out * (1.0 - out))
-
-    return tape.record(out, bw)
-
-
-def op_softmax(tape: GradientTape, x: Node) -> Node:
-    out = softmax(x.value)
-
-    def bw(g, accum):
-        dot = np.sum(g * out, axis=-1, keepdims=True)
-        accum(x, out * (g - dot))
-
-    return tape.record(out, bw)
-
-
-def op_log(tape: GradientTape, x: Node) -> Node:
-    def bw(g, accum):
-        accum(x, g / x.value)
-
-    return tape.record(np.log(x.value), bw)
-
-
-def op_clamp(tape: GradientTape, x: Node, lo: float, hi: float) -> Node:
-    mask = (x.value >= lo) & (x.value <= hi)
-
-    def bw(g, accum):
-        accum(x, g * mask)
-
-    return tape.record(np.clip(x.value, lo, hi), bw)
-
-
-def op_mean(tape: GradientTape, x: Node) -> Node:
-    size = x.value.size
-    shape = x.value.shape
-
-    def bw(g, accum):
-        accum(x, np.full(shape, float(g) / size))
-
-    return tape.record(np.asarray(x.value.mean()), bw)
-
-
-def op_pick(tape: GradientTape, x: Node, index: np.ndarray) -> Node:
-    """Per-row gather ``x[i, index[i]]`` (labels into probabilities)."""
-    index = np.asarray(index, dtype=np.intp)
-    rows = np.arange(x.value.shape[0])
-
-    def bw(g, accum):
-        out = np.zeros_like(x.value)
-        out[rows, index] = g
-        accum(x, out)
-
-    return tape.record(x.value[rows, index], bw)
-
-
 def op_rows(tape: GradientTape, x: Node, idx: np.ndarray) -> Node:
     """Row subset ``x[idx]`` (restriction to a sample subset)."""
     idx = np.asarray(idx, dtype=np.intp)
@@ -443,14 +339,40 @@ def op_rows(tape: GradientTape, x: Node, idx: np.ndarray) -> Node:
 
 
 def layer_on_tape(tape: GradientTape, layer: LayerSpec, x: Node) -> Node:
-    if layer.kind == DENSE:
-        y = op_affine(tape, x, layer.weights[0], layer.biases[0])
-    else:
-        h = op_relu(tape, op_affine(tape, x, layer.weights[0], layer.biases[0]))
-        y = op_add(tape, x, op_affine(tape, h, layer.weights[1], layer.biases[1]))
-    if layer.activation == RELU:
-        y = op_relu(tape, y)
-    return y
+    """One tape entry for ``layer`` applied to ``x``, with :func:`apply_layer`'s
+    values. Its backward runs the affine, relu and skip-add backwards of the
+    layer in reverse order; a data leaf ``x`` gets no gradient."""
+    w1, b1 = tape.param(layer.weights[0]), tape.param(layer.biases[0])
+    y = x.value @ w1.value.T
+    y += b1.value
+    residual = layer.kind == RESIDUAL
+    if residual:
+        w2, b2 = tape.param(layer.weights[1]), tape.param(layer.biases[1])
+        h, hidden_mask = y, y > 0
+        np.maximum(h, 0.0, out=h)
+        y = h @ w2.value.T
+        y += b2.value
+        np.add(x.value, y, out=y)
+    mask = y > 0 if layer.activation == RELU else None
+    if mask is not None:
+        np.maximum(y, 0.0, out=y)
+
+    def bw(g, accum):
+        if mask is not None:
+            g = g * mask
+        if residual:
+            if not x.is_data:
+                accum(x, g)
+            g_h = g @ w2.value
+            accum(w2, g.T @ h)
+            accum(b2, g.sum(axis=0))
+            g = g_h * hidden_mask
+        if not x.is_data:
+            accum(x, g @ w1.value)
+        accum(w1, g.T @ x.value)
+        accum(b1, g.sum(axis=0))
+
+    return tape.record(y, bw)
 
 
 def forward_on_tape(tape: GradientTape, layers: Sequence[LayerSpec], x: Node) -> Node:
@@ -556,13 +478,22 @@ def save_params(path, params: Iterable[Param]) -> None:
 
 
 def load_params(path) -> dict[str, np.ndarray]:
-    with np.load(path) as z:
-        if "__checkpoint_version__" not in z.files:
-            raise ConfigError(f"{path}: not an edgecloud checkpoint (missing version)")
-        version = int(z["__checkpoint_version__"])
-        if version != CHECKPOINT_VERSION:
-            raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-        return {k: z[k] for k in z.files if k != "__checkpoint_version__"}
+    """The named arrays of a :func:`save_params` checkpoint; ``ConfigError``
+    names a file that is not one, or holds a non-finite or non-numeric array."""
+    try:
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+    except (zipfile.BadZipFile, EOFError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: not a readable checkpoint ({exc})") from exc
+    version = arrays.pop("__checkpoint_version__", None)
+    if version is None:
+        raise ConfigError(f"{path}: not an edgecloud checkpoint (missing version)")
+    if version.shape != () or version.dtype.kind not in "iu" or int(version) != CHECKPOINT_VERSION:
+        raise ConfigError(f"{path}: unsupported checkpoint version {version}")
+    for name, a in arrays.items():
+        if a.dtype.kind not in "iuf" or not np.all(np.isfinite(a)):
+            raise ConfigError(f"{path}: parameter {name!r} is not a finite real array")
+    return arrays
 
 
 def restore_params(params: Iterable[Param], arrays: dict[str, np.ndarray]) -> None:

@@ -14,7 +14,8 @@ records on the tape:
   ``recall_boost`` the step weights three objectives: cross-entropy,
   positive-samples-only cross-entropy and the imitation loss.
 * ``finetune_adapter`` -- tunes the adapter plus the cloud layers after the
-  injection tap on the end-to-end adapted path, everything else frozen.
+  injection tap on the end-to-end adapted path, everything else frozen. It
+  starts from ``train_edge_kd``'s result, never from the edge itself.
 
 A step with one objective follows its gradient. A step with several follows
 their minimum-norm simplex combination, so no step increases any of them to
@@ -32,8 +33,9 @@ whole training split. Reports reuse frozen-side features: the KD target
 probabilities come from the cloud layers up to the tap, once per ``train``
 (``harness.train_stages`` calls :func:`kd_targets` after the cloud stage
 and passes the read-only result to both KD stages); ``train_edge_kd`` runs
-the edge once per report, and ``finetune_adapter`` computes the edge tap
-once per call, so each of its reports runs only the adapter and the cloud
+the edge once per report and hands its last report's edge tap, adapted
+feature and KD loss to ``finetune_adapter`` (a :class:`Handoff`): its row 0
+runs only the cloud tail, its later reports the adapter and the cloud
 tail. These full-split passes take a keyword ``scratch``, an
 ``nncore.Scratch``: ``harness.train_stages`` makes one per ``train`` and
 hands it to every procedure and to :func:`kd_targets`, so the intermediate
@@ -52,11 +54,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import nncore
-from .models import (AdapterSpec, ModelSpec, NORMAL_CLASS, adapt, check_adapter_binding,
-                     check_adapter_tap, cloud_tail, infer, infer_with_tap)
+from .models import (AdapterSpec, ModelSpec, NORMAL_CLASS, adapt, check_adapter_tap,
+                     cloud_tail, infer, infer_with_tap)
 from .moo import solve_min_norm
 from .nncore import (ConfigError, GradientTape, Node, Param, Scratch, UsageError,
-                     as_tensor, sigmoid)
+                     as_tensor, sigmoid, softmax)
 
 LOG_EPS = 1e-12
 
@@ -109,15 +111,34 @@ class LossReport:
             raise UsageError("accuracy and recall must lie in [0, 1]")
 
 
+@dataclass(frozen=True, eq=False)
+class Handoff:
+    """The edge-KD stage's last report over the training split: the edge tap
+    feature, the adapter's output on it (None without the imitation term,
+    when that report runs no adapter) and its KD loss. Arrays are read-only."""
+
+    adapter: AdapterSpec
+    target: np.ndarray
+    edge_feature: np.ndarray
+    adapted: np.ndarray | None
+    kd: float
+
+    def __post_init__(self) -> None:
+        for arr in (self.edge_feature, self.adapted):
+            if arr is not None:
+                arr.flags.writeable = False
+
+
 @dataclass
 class TrainResult:
-    """Per-epoch reports (row 0 is the pre-training state) plus, for
-    multi-objective runs, the per-step simplex weights."""
+    """Per-epoch reports (row 0 is the pre-training state), the per-step
+    simplex weights of multi-objective runs, and ``train_edge_kd``'s hand-off."""
 
     history: list[LossReport]
     alpha_steps: list[tuple[float, ...]] = field(default_factory=list)
     skipped_steps: int = 0
     min_descent_inner: float = math.inf
+    handoff: Handoff | None = field(default=None, repr=False, compare=False)
 
     @property
     def final(self) -> LossReport:
@@ -206,23 +227,44 @@ def recall_rate(preds, labels) -> float:
 # Taped loss builders (the differentiable route).
 
 def ce_on_tape(tape: GradientTape, logits: Node, labels) -> Node:
+    """Taped :func:`cross_entropy` of ``softmax(logits)``, one entry whose backward
+    runs those of the negated mean, log, clamp, label gather and softmax."""
     labels = np.asarray(labels, dtype=np.intp)
-    probs = nncore.op_softmax(tape, logits)
-    picked = nncore.op_pick(tape, probs, labels)
-    clamped = nncore.op_clamp(tape, picked, LOG_EPS, 1.0 - LOG_EPS)
-    return nncore.op_scale(tape, nncore.op_mean(tape, nncore.op_log(tape, clamped)), -1.0)
+    rows = np.arange(logits.value.shape[0])
+    probs = softmax(logits.value)
+    picked = probs[rows, labels]
+    inside = (picked >= LOG_EPS) & (picked <= 1.0 - LOG_EPS)
+    clamped = np.clip(picked, LOG_EPS, 1.0 - LOG_EPS)
+
+    def bw(g, accum):
+        g_picked = np.full(clamped.shape, float(g * -1.0) / clamped.size) / clamped * inside
+        g_probs = np.zeros_like(probs)
+        g_probs[rows, labels] = g_picked
+        dot = np.sum(g_probs * probs, axis=-1, keepdims=True)
+        accum(logits, probs * (g_probs - dot))
+
+    return tape.record(np.asarray(np.log(clamped).mean()) * -1.0, bw)
 
 
 def kd_on_tape(tape: GradientTape, adapted: Node, target) -> Node:
-    """Taped :func:`kd_loss` against target probabilities ``target``, the
-    sigmoid of the cloud tap feature."""
+    """Taped :func:`kd_loss` against the cloud tap's sigmoid ``target``, one entry
+    whose backward sums the miss, then the hit term's gradient into ``q``."""
     target = as_tensor(target)
     if target.shape != adapted.value.shape:
         raise UsageError(f"feature shapes differ: {target.shape} vs {adapted.value.shape}")
-    q = nncore.op_clamp(tape, nncore.op_sigmoid(tape, adapted), LOG_EPS, 1.0 - LOG_EPS)
-    hit = nncore.op_cmul(tape, target, nncore.op_log(tape, q))
-    miss = nncore.op_cmul(tape, 1.0 - target, nncore.op_log(tape, nncore.op_rsub(tape, 1.0, q)))
-    return nncore.op_scale(tape, nncore.op_mean(tape, nncore.op_add(tape, hit, miss)), -1.0)
+    miss_weight = 1.0 - target
+    s = sigmoid(adapted.value)
+    inside = (s >= LOG_EPS) & (s <= 1.0 - LOG_EPS)
+    q = np.clip(s, LOG_EPS, 1.0 - LOG_EPS)
+    r = 1.0 - q
+
+    def bw(g, accum):
+        g_terms = np.full(q.shape, float(g * -1.0) / q.size)
+        g_q = -(g_terms * miss_weight / r) + g_terms * target / q
+        accum(adapted, g_q * inside * s * (1.0 - s))
+
+    terms = target * np.log(q) + miss_weight * np.log(r)
+    return tape.record(np.asarray(terms.mean()) * -1.0, bw)
 
 
 def positive_ce_on_tape(tape: GradientTape, logits: Node, labels) -> Node | None:
@@ -438,7 +480,13 @@ def train_edge_kd(edge: ModelSpec, adapter: AdapterSpec, X, y, target: np.ndarra
     use_kd = kd_weight != 0.0
     prefix, tail = edge.layers[:adapter.edge_tap + 1], edge.layers[adapter.edge_tap + 1:]
 
+    handoff = None
+
     def objectives(tape, idx):
+        # this step makes the last report's hand-off stale; holding it
+        # through training would raise the peak resident memory
+        nonlocal handoff
+        handoff = None
         tap_node = nncore.forward_on_tape(tape, prefix, tape.input(X[idx]))
         h = nncore.forward_on_tape(tape, tail, tap_node)
         ce = ce_on_tape(tape, h, y[idx])
@@ -451,41 +499,58 @@ def train_edge_kd(edge: ModelSpec, adapter: AdapterSpec, X, y, target: np.ndarra
 
     def report():
         # one edge pass gives both the probabilities and the tap
+        nonlocal handoff
         probs, edge_feat = infer_with_tap(edge, X, adapter.edge_tap, scratch=scratch)
-        kd = _kd_against(target, adapt(adapter, edge_feat, scratch=scratch),
-                         scratch=scratch) if use_kd else 0.0
+        adapted = adapt(adapter, edge_feat, scratch=scratch) if use_kd else None
+        kd = _kd_against(target, adapted, scratch=scratch) if use_kd else 0.0
+        handoff = Handoff(adapter, target, edge_feat, adapted, kd)
         return _loss_report(probs, y, kd)
 
-    return _fit("kd-edge", len(X), config, edge.params() + adapter.params(),
-                objectives, report, seed=seed)
+    result = _fit("kd-edge", len(X), config, edge.params() + adapter.params(),
+                  objectives, report, seed=seed)
+    result.handoff = handoff
+    return result
 
 
-def finetune_adapter(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
-                     X, y, target: np.ndarray, config: TrainConfig, *,
+def finetune_adapter(edge_kd: TrainResult, cloud: ModelSpec, adapter: AdapterSpec,
+                     y, target: np.ndarray, config: TrainConfig, *,
                      seed: int, scratch: Scratch | None = None) -> TrainResult:
     """Tune the adapter and the cloud tail on the end-to-end adapted path.
 
-    The edge and the cloud layers up to (and including) the injection tap
-    are frozen; history rows report adapted-path metrics, their KD term
-    against ``target``, the cloud's :func:`kd_targets` on ``X``.
+    ``edge_kd`` is what :func:`train_edge_kd` returned for ``adapter`` and
+    ``target`` on the rows ``y`` labels. Its hand-off, taken off it and
+    dropped after history row 0, gives the edge tap feature and row 0's
+    adapted feature and KD term (computed here after ``kd_weight`` 0). The
+    cloud layers up to the tap are frozen; rows report adapted-path metrics.
     """
-    check_adapter_binding(edge, cloud, adapter)
-    X, y = _coerce_data(X, y)
-    _check_target(target, len(X), adapter)
+    check_adapter_tap("cloud", cloud, adapter.cloud_tap)
+    handoff = edge_kd.handoff
+    if handoff is None:
+        raise UsageError("edge_kd: no hand-off; pass what train_edge_kd returned, once")
+    feats, y = _coerce_data(handoff.edge_feature, y)
+    _check_target(target, len(feats), adapter)
+    if handoff.adapter is not adapter or handoff.target is not target:
+        raise UsageError("edge_kd: its hand-off was computed for another adapter or target")
+    pending = handoff if handoff.adapted is not None else None
+    handoff = edge_kd.handoff = None
     n = adapter.cloud_tap
     prefix, tail = cloud.layers[:n + 1], cloud.layers[n + 1:]
-    _, feats = infer_with_tap(edge, X, adapter.edge_tap, scratch=scratch)
 
     def objectives(tape, idx):
         adapted = adapter_on_tape(tape, adapter, tape.input(feats[idx]))
         logits = nncore.forward_on_tape(tape, tail, adapted)
         return [ce_on_tape(tape, logits, y[idx])]
 
-    return _fit("adapter-finetune", len(X), config,
+    def report():
+        nonlocal pending
+        if pending is None:
+            return _adaptive_report(cloud, adapter, feats, target, y, scratch)
+        adapted, kd, pending = pending.adapted, pending.kd, None
+        return _loss_report(cloud_tail(cloud, adapted, n, scratch=scratch), y, kd)
+
+    return _fit("adapter-finetune", len(feats), config,
                 adapter.params() + [p for layer in tail for p in layer.params()], objectives,
-                lambda: _adaptive_report(cloud, adapter, feats, target, y, scratch),
-                frozen=edge.params() + [p for layer in prefix for p in layer.params()],
-                seed=seed)
+                report, frozen=[p for layer in prefix for p in layer.params()], seed=seed)
 
 
 # ---------------------------------------------------------------------------

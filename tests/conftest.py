@@ -44,6 +44,166 @@ def op_mul(tape, a, b):
     return tape.record(a.value * b.value, bw)
 
 
+# ---------------------------------------------------------------------------
+# The reference chain: one tape entry per primitive op. ``nncore.layer_on_tape``
+# records a layer, and ``train.ce_on_tape`` and ``train.kd_on_tape`` a loss, as
+# one entry each, with this chain's values and adjoints bit for bit.
+
+def op_affine(tape, x, w, b):
+    wn, bn = tape.param(w), tape.param(b)
+    value = x.value @ wn.value.T + bn.value
+
+    def bw(g, accum):
+        if not x.is_data:
+            accum(x, g @ wn.value)
+        accum(wn, g.T @ x.value)
+        accum(bn, g.sum(axis=0))
+
+    return tape.record(value, bw)
+
+
+def op_relu(tape, x):
+    mask = x.value > 0
+
+    def bw(g, accum):
+        accum(x, g * mask)
+
+    return tape.record(np.maximum(x.value, 0.0), bw)
+
+
+def op_cmul(tape, const, x):
+    """Elementwise product with a constant array (no gradient into it)."""
+    carr = nncore.as_tensor(const)
+
+    def bw(g, accum):
+        accum(x, g * carr)
+
+    return tape.record(carr * x.value, bw)
+
+
+def op_rsub(tape, c, x):
+    """Constant minus node, e.g. ``1 - q``."""
+    c = float(c)
+
+    def bw(g, accum):
+        accum(x, -g)
+
+    return tape.record(c - x.value, bw)
+
+
+def op_sigmoid(tape, x):
+    out = nncore.sigmoid(x.value)
+
+    def bw(g, accum):
+        accum(x, g * out * (1.0 - out))
+
+    return tape.record(out, bw)
+
+
+def op_softmax(tape, x):
+    out = nncore.softmax(x.value)
+
+    def bw(g, accum):
+        dot = np.sum(g * out, axis=-1, keepdims=True)
+        accum(x, out * (g - dot))
+
+    return tape.record(out, bw)
+
+
+def op_log(tape, x):
+    def bw(g, accum):
+        accum(x, g / x.value)
+
+    return tape.record(np.log(x.value), bw)
+
+
+def op_clamp(tape, x, lo, hi):
+    mask = (x.value >= lo) & (x.value <= hi)
+
+    def bw(g, accum):
+        accum(x, g * mask)
+
+    return tape.record(np.clip(x.value, lo, hi), bw)
+
+
+def op_mean(tape, x):
+    size = x.value.size
+    shape = x.value.shape
+
+    def bw(g, accum):
+        accum(x, np.full(shape, float(g) / size))
+
+    return tape.record(np.asarray(x.value.mean()), bw)
+
+
+def op_pick(tape, x, index):
+    """Per-row gather ``x[i, index[i]]`` (labels into probabilities)."""
+    index = np.asarray(index, dtype=np.intp)
+    rows = np.arange(x.value.shape[0])
+
+    def bw(g, accum):
+        out = np.zeros_like(x.value)
+        out[rows, index] = g
+        accum(x, out)
+
+    return tape.record(x.value[rows, index], bw)
+
+
+def reference_layer(tape, layer, x):
+    """``layer`` as affine, relu and skip-add entries."""
+    if layer.kind == nncore.DENSE:
+        y = op_affine(tape, x, layer.weights[0], layer.biases[0])
+    else:
+        h = op_relu(tape, op_affine(tape, x, layer.weights[0], layer.biases[0]))
+        y = nncore.op_add(tape, x, op_affine(tape, h, layer.weights[1], layer.biases[1]))
+    if layer.activation == nncore.RELU:
+        y = op_relu(tape, y)
+    return y
+
+
+def reference_ce(tape, logits, labels):
+    """Cross-entropy as softmax, gather, clamp, log, mean and negation entries."""
+    labels = np.asarray(labels, dtype=np.intp)
+    probs = op_softmax(tape, logits)
+    picked = op_pick(tape, probs, labels)
+    clamped = op_clamp(tape, picked, train.LOG_EPS, 1.0 - train.LOG_EPS)
+    return nncore.op_scale(tape, op_mean(tape, op_log(tape, clamped)), -1.0)
+
+
+def reference_kd(tape, adapted, target):
+    """The KD loss as sigmoid, clamp, log, product, sum, mean and negation entries."""
+    target = nncore.as_tensor(target)
+    q = op_clamp(tape, op_sigmoid(tape, adapted), train.LOG_EPS, 1.0 - train.LOG_EPS)
+    hit = op_cmul(tape, target, op_log(tape, q))
+    miss = op_cmul(tape, 1.0 - target, op_log(tape, op_rsub(tape, 1.0, q)))
+    return nncore.op_scale(tape, op_mean(tape, nncore.op_add(tape, hit, miss)), -1.0)
+
+
+CHECKPOINT_DAMAGE = ("truncated", "not-a-zip", "npy", "object-array", "nan", "inf")
+
+
+def damage_checkpoint(path, how, name):
+    """Rewrite the checkpoint at ``path`` (a ``pathlib.Path``): cut to half
+    its bytes, replaced by text or by one ``.npy`` array, or with parameter
+    ``name`` replaced by an object array or holding a NaN or an inf."""
+    if how == "truncated":
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+    elif how == "not-a-zip":
+        path.write_text("not a checkpoint\n")
+    elif how == "npy":
+        with open(path, "wb") as fh:
+            np.save(fh, np.ones(3))
+    else:
+        arrays = nncore.load_params(path)
+        if how == "object-array":
+            arrays[name] = np.array([1.0, "x", None], dtype=object)
+        else:
+            arrays[name] = arrays[name].copy()
+            arrays[name].flat[-1] = np.nan if how == "nan" else np.inf
+        np.savez(path, __checkpoint_version__=np.int64(nncore.CHECKPOINT_VERSION), **arrays)
+
+
 def finite_difference_grads(loss_fn, params, h=1e-5):
     """Central finite differences of a closure over every parameter element."""
     grads = []

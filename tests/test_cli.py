@@ -4,6 +4,7 @@ frontier/report commands."""
 import csv
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ import pytest
 from edgecloud import harness, metrics, nncore, train
 from edgecloud.cli import dispatch
 
-from conftest import MISTYPED_FIELDS, brute_force_frontier, field_id, set_field, tiny_plan
+from conftest import (CHECKPOINT_DAMAGE, MISTYPED_FIELDS, brute_force_frontier,
+                      damage_checkpoint, field_id, set_field, tiny_plan)
 
 
 @pytest.fixture()
@@ -83,6 +85,21 @@ def test_full_pipeline(pipeline_out, capsys):
     assert dispatch(["report", "--input", os.path.join(out, "reports.csv")]) == 0
     table = capsys.readouterr().out
     assert "label" in table and "independent" in table
+
+
+@pytest.mark.parametrize("how", CHECKPOINT_DAMAGE)
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_a_damaged_checkpoint_exits_2_naming_it(pipeline_out, tmp_path, capsys, command, how):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    path = out / "cloud.npz"
+    damage_checkpoint(path, how, "cloud.head.W")
+    plan_path = os.path.join(os.path.dirname(pipeline_out), "plan.json")
+    assert dispatch([command, "--config", plan_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err
+    if how in ("nan", "inf"):
+        assert "parameter 'cloud.head.W' is not a finite real array" in err
 
 
 @pytest.mark.parametrize("name, costs", [("sweep_frontier.csv", ("s_comp", "s_comm")),

@@ -1,5 +1,7 @@
 """Substrate tests: layers, forward, taped gradients, FLOPs, checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,7 +11,8 @@ from edgecloud import nncore
 from edgecloud.nncore import (ConfigError, GradientTape, Param, UsageError,
                               adjoints, dense, flops, forward, residual_block)
 
-from conftest import (finite_difference_grads, max_relative_error, op_mul, random_net,
+from conftest import (CHECKPOINT_DAMAGE, damage_checkpoint, finite_difference_grads,
+                      max_relative_error, op_mean, op_mul, random_net, reference_layer,
                       scalar_forward_reference)
 
 
@@ -63,23 +66,21 @@ class TestForward:
 class TestBackward:
     def test_linear_loss_gradient(self):
         # loss = w * x with x = 3
-        w = Param("w", [[2.0]])
-        b = Param("b", [0.0])
+        layer = dense(1, 1, nncore.IDENTITY, weight=[[2.0]], bias=[0.0])
         tape = GradientTape()
         x = tape.input(np.array([[3.0]]))
-        out = nncore.op_affine(tape, x, w, b)
-        grads = adjoints(tape, nncore.op_mean(tape, out))
-        assert grads[w].item() == pytest.approx(3.0)
+        out = nncore.layer_on_tape(tape, layer, x)
+        grads = adjoints(tape, op_mean(tape, out))
+        assert grads[layer.weights[0]].item() == pytest.approx(3.0)
 
     def test_quadratic_loss_gradient(self):
         # loss = (w - 2)^2 at w = 5 -> gradient 6
-        w = Param("w", [[5.0]])
-        b = Param("b", [-2.0])
+        layer = dense(1, 1, nncore.IDENTITY, weight=[[5.0]], bias=[-2.0])
         tape = GradientTape()
         x = tape.input(np.array([[1.0]]))
-        z = nncore.op_affine(tape, x, w, b)
-        grads = adjoints(tape, nncore.op_mean(tape, op_mul(tape, z, z)))
-        assert grads[w].item() == pytest.approx(6.0)
+        z = nncore.layer_on_tape(tape, layer, x)
+        grads = adjoints(tape, op_mean(tape, op_mul(tape, z, z)))
+        assert grads[layer.weights[0]].item() == pytest.approx(6.0)
 
     def test_non_scalar_tape_rejected(self):
         layer = dense(2, 2, rng=np.random.default_rng(0))
@@ -101,7 +102,7 @@ class TestBackward:
 
             tape = GradientTape()
             out = nncore.forward_on_tape(tape, layers, tape.input(X))
-            grads = adjoints(tape, nncore.op_mean(tape, op_mul(tape, out, out)))
+            grads = adjoints(tape, op_mean(tape, op_mul(tape, out, out)))
             analytic = [grads[p] for p in params]
             numeric = finite_difference_grads(loss_value, params)
             assert max_relative_error(analytic, numeric) < 1e-4
@@ -112,19 +113,22 @@ class TestBackward:
         x = Param("x", [[1.0, 1.0]])
         tape = GradientTape()
         out = nncore.forward_on_tape(tape, [layer], tape.param(x))
-        grads = adjoints(tape, nncore.op_mean(tape, out))
+        grads = adjoints(tape, op_mean(tape, out))
         assert np.allclose(grads[x], [[2.0, -1.0]])
 
     def test_no_gradient_is_computed_into_a_data_leaf(self):
-        # the affine backward skips ``g @ W`` for a data leaf; a recorded
-        # input still gets its gradient, and the params theirs
+        # a layer's backward skips ``g @ W``, and a residual block's also its
+        # skip-add term, for a data leaf; a recorded input still gets its
+        # gradient, and the params theirs
         rng = np.random.default_rng(5)
-        first, second = dense(3, 4, rng=rng), dense(4, 2, rng=rng)
+        first = dense(3, 4, nncore.IDENTITY, rng=rng)
+        second = dense(4, 2, nncore.IDENTITY, rng=rng)
         X = rng.standard_normal((5, 3))
         tape = GradientTape()
         x = tape.input(X)
-        h = nncore.op_affine(tape, x, first.weights[0], first.biases[0])
-        loss = nncore.op_mean(tape, nncore.op_affine(tape, h, second.weights[0], second.biases[0]))
+        h = nncore.layer_on_tape(tape, first, x)
+        loss = op_mean(tape, nncore.layer_on_tape(tape, second, h))
+        nncore.layer_on_tape(tape, residual_block(3, nncore.RELU, rng=rng), x)
         reached = set()
         for out, backward_fn in tape._entries:
             backward_fn(np.ones_like(out.value), lambda node, delta: reached.add(id(node)))
@@ -139,18 +143,18 @@ class TestBackward:
         tape = GradientTape()
         tape.param(w)  # touched in forward, disconnected from the loss
         x = tape.input(np.array([[2.0]]))
-        grads = adjoints(tape, nncore.op_mean(tape, op_mul(tape, tape.param(v), x)))
+        grads = adjoints(tape, op_mean(tape, op_mul(tape, tape.param(v), x)))
         assert w not in grads
         assert list(grads) == [v] and np.array_equal(grads[v], [[2.0]])
 
     def test_two_losses_one_tape_are_independent(self):
-        w = Param("w", [[1.5]])
-        b = Param("b", [0.0])
+        layer = dense(1, 1, nncore.IDENTITY, weight=[[1.5]], bias=[0.0])
+        w = layer.weights[0]
         tape = GradientTape()
         x = tape.input(np.array([[2.0]]))
-        z = nncore.op_affine(tape, x, w, b)
-        loss_a = nncore.op_mean(tape, z)
-        loss_b = nncore.op_mean(tape, op_mul(tape, z, z))
+        z = nncore.layer_on_tape(tape, layer, x)
+        loss_a = op_mean(tape, z)
+        loss_b = op_mean(tape, op_mul(tape, z, z))
         ga = adjoints(tape, loss_a)
         gb = adjoints(tape, loss_b)
         assert ga[w].item() == pytest.approx(2.0)
@@ -165,7 +169,7 @@ class TestDeterminism:
             X = np.random.default_rng(1).standard_normal((4, in_dim))
             tape = GradientTape()
             out = nncore.forward_on_tape(tape, layers, tape.input(X))
-            grads = adjoints(tape, nncore.op_mean(tape, op_mul(tape, out, out)))
+            grads = adjoints(tape, op_mean(tape, op_mul(tape, out, out)))
             return layers, out.value, grads
 
         layers_a, out_a, grads_a = build()
@@ -238,6 +242,18 @@ class TestCheckpoints:
         path = tmp_path / "raw.npz"
         np.savez(path, a=np.ones(2))
         with pytest.raises(ConfigError):
+            nncore.load_params(path)
+
+    @pytest.mark.parametrize("how", CHECKPOINT_DAMAGE)
+    def test_a_damaged_file_is_refused_naming_it(self, tmp_path, how):
+        path = tmp_path / "ckpt.npz"
+        nncore.save_params(path, [Param("w", np.ones((2, 3))), Param("b", np.zeros(3))])
+        damage_checkpoint(path, how, "w")
+        if how in ("nan", "inf"):
+            message = f"{path}: parameter 'w' is not a finite real array"
+        else:
+            message = f"{path}: not a readable checkpoint ("
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             nncore.load_params(path)
 
     def test_digest_tracks_mutation(self):
@@ -349,6 +365,79 @@ class TestInPlaceKernelsAreBitExact:
             assert np.array_equal(bits(got)[~nan], bits(want)[~nan])
         for arr, copy in zip([x] + [p.value for p in layer.params()], saved):
             assert np.array_equal(bits(arr), bits(copy))
+
+
+class TestFusedLayerEntries:
+    """``layer_on_tape`` records one entry per layer with the values and
+    adjoints of the reference chain of affine, relu and skip-add entries,
+    bit for bit."""
+
+    def stacks(self, rng):
+        """Dense and residual stacks, each with relu and with identity
+        activations, then random mixed stacks."""
+        for act in (nncore.RELU, nncore.IDENTITY):
+            yield [dense(5, 7, act, rng=rng, name="d0"), dense(7, 4, act, rng=rng, name="d1"),
+                   dense(4, 5, act, rng=rng, name="d2")], 5
+            yield [residual_block(5, act, rng=rng, name=f"r{i}") for i in range(3)], 5
+        for _ in range(6):
+            yield random_net(rng)
+
+    def run(self, layer_op, x, prefix, *consumers):
+        """Records ``prefix`` on ``x`` (a data array or a ``Param`` leaf), then
+        each consumer stack on its output, seeds the sum of the consumers'
+        mean squares, and returns every layer output, the seed, its adjoints
+        and the tape's entry count."""
+        tape = GradientTape()
+        tap = tape.input(x) if isinstance(x, np.ndarray) else tape.param(x)
+        values, loss = [], None
+        for layer in prefix:
+            tap = layer_op(tape, layer, tap)
+            values.append(tap.value)
+        for layers in consumers:
+            out = tap
+            for layer in layers:
+                out = layer_op(tape, layer, out)
+                values.append(out.value)
+            head = op_mean(tape, op_mul(tape, out, out))
+            loss = head if loss is None else nncore.op_add(tape, loss, head)
+        return values, loss.value, adjoints(tape, loss), len(tape._entries)
+
+    def assert_same(self, got, want):
+        for a, b in zip(got[0], want[0], strict=True):
+            assert np.array_equal(bits(a), bits(b))
+        assert np.array_equal(bits(got[1]), bits(want[1]))
+        assert list(got[2]) == list(want[2])
+        for p, g in want[2].items():
+            assert np.array_equal(bits(got[2][p]), bits(g))
+
+    @pytest.mark.parametrize("leaf", ["data", "param"])
+    @pytest.mark.parametrize("rows", [1, 9])
+    def test_stacks_match_the_reference_chain(self, leaf, rows):
+        rng = np.random.default_rng(40 + rows)
+        for layers, in_dim in self.stacks(rng):
+            X = rng.standard_normal((rows, in_dim))
+            x = X if leaf == "data" else Param("x", X)
+            got = self.run(nncore.layer_on_tape, x, [], layers)
+            self.assert_same(got, self.run(reference_layer, x, [], layers))
+            assert got[3] == len(layers) + 2
+            if leaf == "param":
+                assert x in got[2]
+
+    @pytest.mark.parametrize("leaf", ["data", "param"])
+    def test_a_node_consumed_by_two_stacks(self, leaf):
+        # a tap feeds a tail and an adapter stack, each starting with a
+        # residual block, so the tap sums four gradients: their order
+        # changes the rounding, and it must be the reference chain's
+        rng = np.random.default_rng(50)
+        prefix = [dense(6, 5, rng=rng, name="p0"), residual_block(5, nncore.RELU, rng=rng, name="p1")]
+        tail = [residual_block(5, nncore.RELU, rng=rng, name="t0"),
+                dense(5, 3, nncore.IDENTITY, rng=rng, name="t1")]
+        adapter = [residual_block(5, rng=rng, name="a0"), dense(5, 8, rng=rng, name="a1")]
+        X = rng.standard_normal((7, 6))
+        x = X if leaf == "data" else Param("x", X)
+        for consumers in ([tail, adapter], [adapter, tail]):
+            got = self.run(nncore.layer_on_tape, x, prefix, *consumers)
+            self.assert_same(got, self.run(reference_layer, x, prefix, *consumers))
 
 
 class TestScratch:

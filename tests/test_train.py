@@ -19,7 +19,8 @@ from edgecloud.train import (DivergenceError, TrainConfig, cross_entropy,
                              kd_targets, positive_cross_entropy, train_base,
                              train_edge_kd, finetune_adapter)
 
-from conftest import tiny_plan, train_recall_boost
+from conftest import (reference_ce, reference_kd, reference_layer, tiny_plan,
+                      train_recall_boost)
 
 
 def params_equal(a, b):
@@ -268,9 +269,11 @@ def edge_kd(edge, cloud, adapter, X, y, config):
 
 
 def finetune(edge, cloud, adapter, X, y, config):
-    """Stage 3 on well-shaped targets, so that only its own checks can refuse."""
+    """Stage 3 after a zero-epoch stage 2 on well-shaped targets, so that only
+    its own checks can refuse."""
     target = np.full((len(X), adapter.projection.out_dim), 0.5)
-    return finetune_adapter(edge, cloud, adapter, X, y, target, config, seed=0)
+    kd_result = train_edge_kd(edge, adapter, X, y, target, TrainConfig(0, 32, 0.1), seed=0)
+    return finetune_adapter(kd_result, cloud, adapter, y, target, config, seed=0)
 
 
 def route(edge, cloud, adapter, X, y, config):
@@ -280,16 +283,29 @@ def route(edge, cloud, adapter, X, y, config):
 
 # kd_setup's edge has 2 layers and its cloud 3: each bad tap is one past the
 # head. Sliced unchecked, edge tap 2 would make the whole edge the "prefix"
-# and the KD term would train on its logits.
-@pytest.mark.parametrize("side, edge_tap, cloud_tap", [("edge", 2, 1), ("cloud", 0, 3)],
-                         ids=["edge", "cloud"])
-@pytest.mark.parametrize("stage", [edge_kd, finetune, route])
-def test_kd_stages_reject_an_out_of_range_adapter_tap(stage, side, edge_tap, cloud_tap):
+# and the KD term would train on its logits. Fine-tuning never sees the edge:
+# its hand-off comes from stage 2, which refuses a bad edge tap.
+BAD_TAPS = {"edge": (2, 1), "cloud": (0, 3)}
+
+
+@pytest.mark.parametrize("stage, side", [(edge_kd, "edge"), (edge_kd, "cloud"), (finetune, "cloud"),
+                                         (route, "edge"), (route, "cloud")],
+                         ids=["edge_kd-edge", "edge_kd-cloud", "finetune-cloud", "route-edge",
+                              "route-cloud"])
+def test_kd_stages_reject_an_out_of_range_adapter_tap(stage, side):
     ds, edge, cloud, _, _ = kd_setup(8, n=100)
+    edge_tap, cloud_tap = BAD_TAPS[side]
     adapter = make_adapter("a", edge_tap, cloud_tap, 5, 12, 1, np.random.default_rng(0))
     bad = edge_tap if side == "edge" else cloud_tap
     with pytest.raises(ConfigError, match=f"adapter {side} tap {bad} out of range for '{side}'"):
         stage(edge, cloud, adapter, ds.train_X, ds.train_y, TrainConfig(1, 32, 0.1))
+
+
+def untrained_stage_2(ds, edge, cloud, adapter, *, kd_weight=1.0):
+    """The KD targets, and a zero-epoch stage 2's result carrying its hand-off."""
+    target = kd_targets(cloud, adapter.cloud_tap, ds.train_X)
+    return target, train_edge_kd(edge, adapter, ds.train_X, ds.train_y, target,
+                                 TrainConfig(0, 32, 0.1), seed=0, kd_weight=kd_weight)
 
 
 class TestFinetuneAdapter:
@@ -298,8 +314,8 @@ class TestFinetuneAdapter:
         e0 = nncore.params_digest(edge.params())
         c0 = nncore.params_digest(cloud.params())
         a0 = nncore.params_digest(adapter.params())
-        finetune_adapter(edge, cloud, adapter, ds.train_X, ds.train_y,
-                         kd_targets(cloud, adapter.cloud_tap, ds.train_X),
+        target, kd_result = untrained_stage_2(ds, edge, cloud, adapter)
+        finetune_adapter(kd_result, cloud, adapter, ds.train_y, target,
                          TrainConfig(0, 32, 0.05), seed=1)
         assert nncore.params_digest(edge.params()) == e0
         assert nncore.params_digest(cloud.params()) == c0
@@ -313,12 +329,40 @@ class TestFinetuneAdapter:
         prefix_digest = nncore.params_digest(prefix)
         tail = [p for layer in cloud.layers[n + 1:] for p in layer.params()]
         tail_digest = nncore.params_digest(tail)
-        finetune_adapter(edge, cloud, adapter, ds.train_X, ds.train_y,
-                         kd_targets(cloud, adapter.cloud_tap, ds.train_X),
+        target, kd_result = untrained_stage_2(ds, edge, cloud, adapter)
+        finetune_adapter(kd_result, cloud, adapter, ds.train_y, target,
                          TrainConfig(10, 32, 0.05), seed=seeds["finetune"])
         assert nncore.params_digest(edge.params()) == edge_digest
         assert nncore.params_digest(prefix) == prefix_digest
         assert nncore.params_digest(tail) != tail_digest
+
+    def test_the_hand_off_is_read_only_and_serves_one_call(self):
+        ds, edge, cloud, adapter, _ = kd_setup(9, n=100)
+        target, kd_result = untrained_stage_2(ds, edge, cloud, adapter)
+        for arr in (kd_result.handoff.edge_feature, kd_result.handoff.adapted):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0.5
+        cfg = TrainConfig(1, 32, 0.05)
+        finetune_adapter(kd_result, cloud, adapter, ds.train_y, target, cfg, seed=0)
+        assert kd_result.handoff is None
+        with pytest.raises(UsageError, match="no hand-off"):
+            finetune_adapter(kd_result, cloud, adapter, ds.train_y, target, cfg, seed=0)
+        base = train_base(edge, ds.train_X, ds.train_y, TrainConfig(0, 32, 0.1), seed=0)
+        with pytest.raises(UsageError, match="no hand-off"):
+            finetune_adapter(base, cloud, adapter, ds.train_y, target, cfg, seed=0)
+
+    @pytest.mark.parametrize("other", ["adapter", "target"])
+    def test_a_hand_off_for_another_adapter_or_target_is_refused(self, other):
+        ds, edge, cloud, adapter, _ = kd_setup(10, n=100)
+        target, kd_result = untrained_stage_2(ds, edge, cloud, adapter)
+        if other == "adapter":
+            adapter = copy.deepcopy(adapter)
+        else:
+            target = target.copy()
+        with pytest.raises(UsageError, match="another adapter or target"):
+            finetune_adapter(kd_result, cloud, adapter, ds.train_y, target,
+                             TrainConfig(1, 32, 0.05), seed=0)
+        assert kd_result.handoff is not None
 
 
 class TestRecallBoost:
@@ -397,7 +441,7 @@ def trend_runs():
         e2, e0 = copy.deepcopy(edge), copy.deepcopy(edge)
         erb, epl = copy.deepcopy(edge), copy.deepcopy(edge)
         target = kd_targets(cloud, ad2.cloud_tap, ds.train_X)
-        train_edge_kd(e2, ad2, ds.train_X, ds.train_y, target, cfg, seed=seed, kd_weight=0.5)
+        kd2 = train_edge_kd(e2, ad2, ds.train_X, ds.train_y, target, cfg, seed=seed, kd_weight=0.5)
         train_edge_kd(e0, ad0, ds.train_X, ds.train_y, target, cfg, seed=seed, kd_weight=0.5)
         train_base(epl, ds.train_X, ds.train_y, cfg, seed=seed)
         train_recall_boost(erb, ds.train_X, ds.train_y, cfg, seed=seed)
@@ -407,7 +451,7 @@ def trend_runs():
         out["plain_recall"].append(plain_rep.recall)
         out["rb_recall"].append(evaluate_model(erb, ds.val_X, ds.val_y).recall)
         before = evaluate_adaptive_path(e2, cloud, ad2, ds.val_X, ds.val_y)
-        finetune_adapter(e2, cloud, ad2, ds.train_X, ds.train_y, target,
+        finetune_adapter(kd2, cloud, ad2, ds.train_y, target,
                          TrainConfig(8, 64, 0.05), seed=seeds["finetune"])
         after = evaluate_adaptive_path(e2, cloud, ad2, ds.val_X, ds.val_y)
         out["ft"].append((before.accuracy, after.accuracy))
@@ -449,6 +493,72 @@ class TestTrainingLog:
 
 
 # ---------------------------------------------------------------------------
+# The fused loss entries against the reference chain.
+
+def reference_positive_ce(tape, logits, labels):
+    idx = np.flatnonzero(labels != models.NORMAL_CLASS)
+    return reference_ce(tape, nncore.op_rows(tape, logits, idx), labels[idx]) if idx.size else None
+
+
+FUSED = (nncore.layer_on_tape, train.ce_on_tape, train.positive_ce_on_tape, train.kd_on_tape)
+REFERENCE = (reference_layer, reference_ce, reference_positive_ce, reference_kd)
+
+
+class TestFusedLossEntries:
+    """``ce_on_tape`` and ``kd_on_tape`` record one entry each. The edge-KD
+    objectives built from them, on an edge tap that feeds both the edge
+    tail and the adapter, give the reference chain's values and adjoints
+    bit for bit."""
+
+    def objectives(self, ops, edge, adapter, X, y, target):
+        """The weighted edge-KD objective, then cross-entropy, the imitation
+        loss and positive cross-entropy (when the batch has a positive row)
+        on one tape: their values, adjoints and the tape's entry count."""
+        layer_op, ce_op, positive_ce_op, kd_op = ops
+        tape = GradientTape()
+        tap = tape.input(X)
+        for layer in edge.layers[:adapter.edge_tap + 1]:
+            tap = layer_op(tape, layer, tap)
+        logits = adapted = tap
+        for layer in edge.layers[adapter.edge_tap + 1:]:
+            logits = layer_op(tape, layer, logits)
+        for layer in adapter.layers():
+            adapted = layer_op(tape, layer, adapted)
+        ce, kd = ce_op(tape, logits, y), kd_op(tape, adapted, target)
+        seeds = [nncore.op_add(tape, ce, nncore.op_scale(tape, kd, 0.5)), ce, kd]
+        positive = positive_ce_op(tape, logits, y)
+        seeds += [positive] if positive is not None else []
+        return ([node.value for node in seeds], [nncore.adjoints(tape, node) for node in seeds],
+                len(tape._entries))
+
+    @pytest.mark.parametrize("rows, scale", [(1, 1.0), (12, 1.0), (12, 60.0)],
+                             ids=["one-row", "batch", "saturated"])
+    def test_heads_match_the_reference_chain(self, rows, scale):
+        # at scale 60 some picked probabilities fall below LOG_EPS and some
+        # adapted sigmoids round to 1, so both clamps cut
+        rng = np.random.default_rng(60)
+        edge = feedforward("edge", 6, [5], 3, rng)
+        adapter = make_adapter("a", 0, 1, 5, 8, 1, rng)
+        X = rng.standard_normal((rows, 6)) * scale
+        y = rng.integers(0, 3, rows) if rows > 1 else np.array([1])
+        target = nncore.sigmoid(rng.standard_normal((rows, 8)) * 3.0)
+        got = self.objectives(FUSED, edge, adapter, X, y, target)
+        want = self.objectives(REFERENCE, edge, adapter, X, y, target)
+        assert len(got[0]) == len(want[0]) == 4
+        for a, b in zip(got[0], want[0]):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(got[1], want[1]):
+            assert list(a) == list(b)
+            assert all(a[p].tobytes() == b[p].tobytes() for p in b)
+        layers = len(edge.layers) + len(adapter.layers())
+        assert got[2] == layers + 6  # ce, kd, scale, add, rows, positive ce
+        if scale > 1.0:
+            probs, feat = models.infer_with_tap(edge, X, 0)
+            assert (probs[np.arange(rows), y] < train.LOG_EPS).any()
+            assert (nncore.sigmoid(models.adapt(adapter, feat)) > 1.0 - train.LOG_EPS).any()
+
+
+# ---------------------------------------------------------------------------
 # Training reports against the public evaluators, and the passes they cost.
 
 def tiny_stage_inputs():
@@ -483,8 +593,9 @@ class TestReportsMatchEvaluators:
         first = edge_kd_oracle(edge, cloud, adapter, X, y, None)
         cfg = dataclasses.replace(sc["edge_kd"], epochs=epochs)
         target = kd_targets(cloud, adapter.cloud_tap, X)
-        result = train_edge_kd(edge, adapter, X, y, target, cfg, seed=2,
-                               kd_weight=plan.kd_weight, recall_boost=recall_boost)
+        edge_kd_result = result = train_edge_kd(edge, adapter, X, y, target, cfg, seed=2,
+                                                kd_weight=plan.kd_weight,
+                                                recall_boost=recall_boost)
         alpha = None
         if recall_boost and epochs:
             assert result.skipped_steps == 0
@@ -495,20 +606,39 @@ class TestReportsMatchEvaluators:
         assert result.history[-1] == edge_kd_oracle(edge, cloud, adapter, X, y, alpha)
 
         first = evaluate_adaptive_path(edge, cloud, adapter, X, y)
-        result = finetune_adapter(edge, cloud, adapter, X, y, target,
+        result = finetune_adapter(edge_kd_result, cloud, adapter, y, target,
                                   dataclasses.replace(sc["finetune"], epochs=epochs), seed=3)
         assert result.history[0] == first
         assert result.history[-1] == evaluate_adaptive_path(edge, cloud, adapter, X, y)
         assert len(result.history) == epochs + 1
 
+    def test_finetune_row_0_after_edge_kd_without_imitation(self):
+        # with kd_weight 0 stage 2 reports kd 0.0 and runs no adapter, so
+        # fine-tuning computes row 0's adapted feature and KD term itself
+        plan, X, y, edge, cloud, adapter = tiny_stage_inputs()
+        target = kd_targets(cloud, adapter.cloud_tap, X)
+        result = train_edge_kd(edge, adapter, X, y, target, plan.stages["edge_kd"], seed=2,
+                               kd_weight=0.0)
+        assert result.final.kd_loss == 0.0
+        first = evaluate_adaptive_path(edge, cloud, adapter, X, y)
+        result = finetune_adapter(result, cloud, adapter, y, target,
+                                  dataclasses.replace(plan.stages["finetune"], epochs=1), seed=3)
+        assert first.kd_loss > 0.0
+        assert result.history[0] == first
+
+
+def layers_of(net):
+    """A model's layer list, or an adapter's."""
+    return net.layers() if callable(net.layers) else net.layers
+
 
 class PassCounter:
-    """Counts untaped ``apply_layer`` calls per (model, layer index): the
-    forward passes training makes outside its tapes."""
+    """Counts untaped ``apply_layer`` calls per (model or adapter, layer
+    index): the forward passes training makes outside its tapes."""
 
     def __init__(self, monkeypatch, *nets):
         self.calls = {}
-        index = {id(layer): (net.name, i) for net in nets for i, layer in enumerate(net.layers)}
+        index = {id(layer): (net.name, i) for net in nets for i, layer in enumerate(layers_of(net))}
         original = nncore.apply_layer
 
         def counted(layer, x, *buffers):
@@ -583,19 +713,45 @@ class TestReportPasses:
         # each report of the three stages asks for at least one slot
         assert len(taken) > 3 * (self.EPOCHS + 1)
 
-    def test_finetune_runs_the_frozen_edge_once_and_no_cloud_prefix_layer(self, monkeypatch):
+    @pytest.mark.parametrize("kd_weight", [1.0, 0.0])
+    def test_train_stages_runs_the_edge_in_edge_kd_reports_only(self, monkeypatch, kd_weight):
+        # the edge runs once per edge-KD history row and never in
+        # fine-tuning; with imitation, fine-tuning's row 0 reuses the last
+        # edge-KD report's adapted feature, so the adapter runs one pass
+        # less than the two stages' rows; without, edge KD never runs it
+        plan = dataclasses.replace(tiny_plan(), kd_weight=kd_weight)
+        plan.stages = {name: dataclasses.replace(cfg, epochs=self.EPOCHS)
+                       for name, cfg in plan.stages.items()}
+        ds = harness.build_dataset(plan)
+        edge, cloud, adapter = harness.build_models(plan)
+        counter = PassCounter(monkeypatch, edge, adapter)
+        results = harness.train_stages(plan, ds, edge, cloud, adapter)
+        kd_rows, ft_rows = len(results["edge_kd"].history), len(results["finetune"].history)
+        assert kd_rows == ft_rows == self.EPOCHS + 1
+        assert counter.runs(edge, range(len(edge.layers))) == [kd_rows] * len(edge.layers)
+        passes = kd_rows + ft_rows - 1 if kd_weight else ft_rows
+        width = len(adapter.layers())
+        assert counter.runs(adapter, range(width)) == [passes] * width
+        assert results["edge_kd"].handoff is None
+
+    @pytest.mark.parametrize("kd_weight", [1.0, 0.0])
+    def test_finetune_runs_no_edge_or_cloud_prefix_layer(self, monkeypatch, kd_weight):
         X, y, edge, cloud, adapter = self.small_setup()
         target = kd_targets(cloud, adapter.cloud_tap, X)
-        counter = PassCounter(monkeypatch, edge, cloud)
-        result = finetune_adapter(edge, cloud, adapter, X, y, target,
+        kd_result = train_edge_kd(edge, adapter, X, y, target, TrainConfig(0, 32, 0.1), seed=0,
+                                kd_weight=kd_weight)
+        counter = PassCounter(monkeypatch, edge, cloud, adapter)
+        result = finetune_adapter(kd_result, cloud, adapter, y, target,
                                   TrainConfig(self.EPOCHS, 32, 0.05), seed=0)
         rows = len(result.history)
         assert rows == self.EPOCHS + 1
         n = adapter.cloud_tap
-        assert counter.runs(edge, range(len(edge.layers))) == [1] * len(edge.layers)
+        assert counter.runs(edge, range(len(edge.layers))) == [0] * len(edge.layers)
         assert counter.runs(cloud, range(n + 1)) == [0] * (n + 1)
         tail = range(n + 1, len(cloud.layers))
         assert counter.runs(cloud, tail) == [rows] * len(tail)
+        width = len(adapter.layers())
+        assert counter.runs(adapter, range(width)) == [rows - 1 if kd_weight else rows] * width
 
     @pytest.mark.parametrize("recall_boost", [False, True])
     def test_edge_kd_runs_the_edge_once_per_history_row(self, monkeypatch, recall_boost):
@@ -625,11 +781,12 @@ class TestReportPasses:
         bad = target[:-1] if cut == "rows" else target[:, :-1]
         message = f"target: shape {bad.shape} != (rows, adapter width) {target.shape}"
         cfg = TrainConfig(1, 32, 0.1)
+        kd_result = train_edge_kd(edge, adapter, X, y, target, TrainConfig(0, 32, 0.1), seed=0)
         with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
             if stage == "edge_kd":
                 train_edge_kd(edge, adapter, X, y, bad, cfg, seed=0)
             else:
-                finetune_adapter(edge, cloud, adapter, X, y, bad, cfg, seed=0)
+                finetune_adapter(kd_result, cloud, adapter, y, bad, cfg, seed=0)
 
 
 # ---------------------------------------------------------------------------
