@@ -51,7 +51,7 @@ def _load_system(plan, out_dir) -> harness.TrainedSystem:
         path = os.path.join(out_dir, CHECKPOINT_FILES[name])
         if not os.path.exists(path):
             raise ConfigError(f"missing checkpoint {path}; run `train` first")
-        nncore.restore_params(component.params(), nncore.load_params(path))
+        nncore.restore_params(component.params(), nncore.load_params(path), path)
     return harness.TrainedSystem(plan, ds, edge, cloud, adapter)
 
 

@@ -91,19 +91,6 @@ class Dataset:
                      sigma_normal=np.float64(self.sigma_normal),
                      sigma_positive=np.float64(self.sigma_positive), **arrays)
 
-    @classmethod
-    def load(cls, path) -> "Dataset":
-        with np.load(path) as z:
-            if "__dataset_version__" not in z.files:
-                raise ConfigError(f"{path}: not an edgecloud dataset file")
-            version = int(z["__dataset_version__"])
-            if version != DATASET_VERSION:
-                raise ConfigError(f"{path}: unsupported dataset version {version}")
-            num_classes = int(z["num_classes"])
-            centers = [z[f"centers_{c}"] for c in range(num_classes)]
-            return cls(z["X"], z["y"], num_classes, float(z["normal_fraction"]), z["train_idx"],
-                       z["val_idx"], centers, float(z["sigma_normal"]), float(z["sigma_positive"]))
-
 
 @dataclass
 class DataConfig:

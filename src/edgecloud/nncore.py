@@ -20,6 +20,9 @@ Conventions shared by every module in this package:
 * ``forward`` can write every layer output but the last into a caller's
   :class:`Scratch`, which a sequence of full-split passes shares so its
   buffers are allocated once. Its result is never a view of the scratch.
+* A checkpoint (version 2) is an ``.npz`` of two members: ``values``, every
+  parameter raveled into one float64 array in ``params()`` order, and
+  ``layout``, a JSON string ``{"version": 2, "params": [[name, shape], ...]}``.
 * Files are written through :func:`atomic_open`: a writer that fails
   midway leaves the previous file in place.
 * Weight init draws uniform from ``[-1/sqrt(in_dim), +1/sqrt(in_dim)]``
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import math
 import os
 import zipfile
@@ -43,7 +47,7 @@ RESIDUAL = "residual-block"
 RELU = "relu"
 IDENTITY = "identity"
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -467,40 +471,78 @@ def params_digest(params: Iterable[Param]) -> str:
 
 
 def save_params(path, params: Iterable[Param]) -> None:
-    """Write a versioned checkpoint; round-trips bit-exactly via ``.npz``."""
-    named: dict[str, np.ndarray] = {}
+    """Write a versioned checkpoint: every parameter raveled into one float64
+    ``values`` array, in ``params`` order, and a JSON ``layout`` naming each
+    parameter's shape. It round-trips bit-exactly through :func:`load_params`."""
+    params = list(params)
+    shapes: dict[str, list[int]] = {}
     for p in params:
-        if p.name in named:
+        if p.name in shapes:
             raise UsageError(f"duplicate parameter name {p.name!r}")
-        named[p.name] = p.value
+        shapes[p.name] = list(p.value.shape)
+    values = np.concatenate([np.empty(0)] + [p.value.ravel() for p in params])
+    layout = {"version": CHECKPOINT_VERSION, "params": [list(item) for item in shapes.items()]}
     with atomic_open(path, "wb") as fh:
-        np.savez(fh, __checkpoint_version__=np.int64(CHECKPOINT_VERSION), **named)
+        np.savez(fh, values=values, layout=np.array(json.dumps(layout)))
+
+
+def _layout(path, text: np.ndarray) -> list[tuple[str, tuple[int, ...]]]:
+    """The ``(name, shape)`` pairs of a checkpoint's JSON ``layout`` member."""
+    try:
+        layout = json.loads(str(text[()]))
+        version = layout["version"]
+        pairs = [(name, tuple(shape)) for name, shape in layout["params"]]
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: not a readable checkpoint (malformed layout: {exc})") from exc
+    if version != CHECKPOINT_VERSION:
+        raise ConfigError(f"{path}: unsupported checkpoint version {version}")
+    names = {name for name, _ in pairs}
+    if len(names) != len(pairs) or not all(isinstance(d, int) and d >= 0
+                                           for _, shape in pairs for d in shape):
+        raise ConfigError(f"{path}: not a readable checkpoint (malformed layout)")
+    return pairs
 
 
 def load_params(path) -> dict[str, np.ndarray]:
-    """The named arrays of a :func:`save_params` checkpoint; ``ConfigError``
-    names a file that is not one, or holds a non-finite or non-numeric array."""
+    """The named arrays of a :func:`save_params` checkpoint, as reshaped
+    slices of its ``values``. ``ConfigError`` names a file that is not one,
+    was written before checkpoint version 2, has a layout that does not
+    cover its values exactly, or holds non-float64 or non-finite values."""
     try:
         with np.load(path) as z:
-            arrays = {k: z[k] for k in z.files}
-    except (zipfile.BadZipFile, EOFError, TypeError, ValueError) as exc:
+            files = z.files
+            text, values = (z["layout"], z["values"]) if "layout" in files else (None, None)
+    except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: not a readable checkpoint ({exc})") from exc
-    version = arrays.pop("__checkpoint_version__", None)
-    if version is None:
-        raise ConfigError(f"{path}: not an edgecloud checkpoint (missing version)")
-    if version.shape != () or version.dtype.kind not in "iu" or int(version) != CHECKPOINT_VERSION:
-        raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-    for name, a in arrays.items():
-        if a.dtype.kind not in "iuf" or not np.all(np.isfinite(a)):
-            raise ConfigError(f"{path}: parameter {name!r} is not a finite real array")
+    if text is None:
+        raise ConfigError(f"{path}: checkpoint version 1 is no longer read; re-run `train`"
+                          if "__checkpoint_version__" in files
+                          else f"{path}: not an edgecloud checkpoint (no layout)")
+    pairs = _layout(path, text)
+    if values.dtype != np.float64 or values.ndim != 1:
+        raise ConfigError(f"{path}: values are {values.dtype} of shape {values.shape}, "
+                          "not a 1-D float64 array")
+    sizes = [math.prod(shape) for _, shape in pairs]
+    if sum(sizes) != values.size:
+        raise ConfigError(f"{path}: layout covers {sum(sizes)} values, file holds {values.size}")
+    arrays, start = {}, 0
+    for (name, shape), size in zip(pairs, sizes):
+        arrays[name] = values[start:start + size].reshape(shape)
+        start += size
+    if not np.all(np.isfinite(values)):
+        bad = next(name for name, a in arrays.items() if not np.all(np.isfinite(a)))
+        raise ConfigError(f"{path}: parameter {bad!r} is not a finite real array")
     return arrays
 
 
-def restore_params(params: Iterable[Param], arrays: dict[str, np.ndarray]) -> None:
+def restore_params(params: Iterable[Param], arrays: dict[str, np.ndarray], path) -> None:
+    """Set each parameter to its array from ``load_params(path)``; a missing
+    name or a shape mismatch is a ``ConfigError`` naming ``path``."""
     for p in params:
         if p.name not in arrays:
-            raise ConfigError(f"checkpoint is missing parameter {p.name!r}")
+            raise ConfigError(f"{path}: checkpoint is missing parameter {p.name!r}")
         a = arrays[p.name]
         if a.shape != p.value.shape:
-            raise ConfigError(f"parameter {p.name!r}: checkpoint shape {a.shape} != {p.value.shape}")
+            raise ConfigError(f"{path}: parameter {p.name!r}: checkpoint shape {a.shape} "
+                              f"!= {p.value.shape}")
         p.value = as_tensor(a)

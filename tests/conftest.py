@@ -184,8 +184,9 @@ CHECKPOINT_DAMAGE = ("truncated", "not-a-zip", "npy", "object-array", "nan", "in
 
 def damage_checkpoint(path, how, name):
     """Rewrite the checkpoint at ``path`` (a ``pathlib.Path``): cut to half
-    its bytes, replaced by text or by one ``.npy`` array, or with parameter
-    ``name`` replaced by an object array or holding a NaN or an inf."""
+    its bytes, replaced by text or by one ``.npy`` array, with an object
+    array for its ``values``, or with a NaN or an inf in parameter
+    ``name``'s slice of ``values``."""
     if how == "truncated":
         data = path.read_bytes()
         path.write_bytes(data[:len(data) // 2])
@@ -197,11 +198,13 @@ def damage_checkpoint(path, how, name):
     else:
         arrays = nncore.load_params(path)
         if how == "object-array":
-            arrays[name] = np.array([1.0, "x", None], dtype=object)
+            values = np.array([1.0, "x", None], dtype=object)
         else:
-            arrays[name] = arrays[name].copy()
             arrays[name].flat[-1] = np.nan if how == "nan" else np.inf
-        np.savez(path, __checkpoint_version__=np.int64(nncore.CHECKPOINT_VERSION), **arrays)
+            values = np.concatenate([a.ravel() for a in arrays.values()])
+        with np.load(path) as z:
+            layout = z["layout"]
+        np.savez(path, values=values, layout=layout)
 
 
 def finite_difference_grads(loss_fn, params, h=1e-5):

@@ -102,6 +102,65 @@ def test_a_damaged_checkpoint_exits_2_naming_it(pipeline_out, tmp_path, capsys, 
         assert "parameter 'cloud.head.W' is not a finite real array" in err
 
 
+def test_evaluate_and_sweep_restore_the_parameters_train_wrote(plan_file, tmp_path, monkeypatch):
+    """``params_digest`` of each component after `train` equals its digest
+    as `evaluate` and `sweep` restore it from the checkpoints."""
+    digests = {}
+
+    def recording(stage, fn, components):
+        def run(*args):
+            result = fn(*args)
+            digests[stage] = [nncore.params_digest(c.params()) for c in components(*args)]
+            return result
+        return run
+
+    def trained(plan, ds, *components):
+        return components
+
+    def restored(system):
+        return system.edge, system.cloud, system.adapter
+
+    for stage, name, components in (("train", "train_stages", trained),
+                                    ("evaluate", "evaluate_policies", restored),
+                                    ("sweep", "sweep_dynamic", restored)):
+        monkeypatch.setattr(harness, name, recording(stage, getattr(harness, name), components))
+    out = str(tmp_path / "out")
+    for command in ("train", "evaluate", "sweep"):
+        assert dispatch([command, "--config", plan_file, "--out", out]) == 0, command
+    assert digests["evaluate"] == digests["train"] == digests["sweep"]
+    assert len(set(digests["train"])) == 3
+
+
+@pytest.mark.parametrize("how", ["missing", "misshapen"])
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_a_checkpoint_that_does_not_fit_the_plan_exits_2_naming_it(pipeline_out, tmp_path, capsys,
+                                                                    command, how):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    path = out / "edge.npz"
+    arrays = nncore.load_params(path)
+    bias = arrays.pop("edge.head.b")
+    if how == "misshapen":
+        arrays["edge.head.b"] = np.append(bias, 0.0)
+    nncore.save_params(path, [nncore.Param(name, a) for name, a in arrays.items()])
+    plan_path = os.path.join(os.path.dirname(pipeline_out), "plan.json")
+    assert dispatch([command, "--config", plan_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: " in err and "'edge.head.b'" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_a_version_1_checkpoint_exits_2_asking_for_train(pipeline_out, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    path = out / "adapter.npz"
+    np.savez(path, __checkpoint_version__=np.int64(1), **nncore.load_params(path))
+    plan_path = os.path.join(os.path.dirname(pipeline_out), "plan.json")
+    assert dispatch([command, "--config", plan_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: checkpoint version 1 is no longer read; re-run `train`" in err
+
+
 @pytest.mark.parametrize("name, costs", [("sweep_frontier.csv", ("s_comp", "s_comm")),
                                          ("sweep_frontier_comp.csv", ("s_comp",)),
                                          ("sweep_frontier_comm.csv", ("s_comm",))],
@@ -213,9 +272,9 @@ def test_seed_override_changes_dataset(plan_file, tmp_path):
     out_b = str(tmp_path / "b")
     assert dispatch(["gen-data", "--config", plan_file, "--out", out_a]) == 0
     assert dispatch(["gen-data", "--config", plan_file, "--out", out_b, "--seed", "99"]) == 0
-    a = harness.Dataset.load(os.path.join(out_a, "dataset.npz"))
-    b = harness.Dataset.load(os.path.join(out_b, "dataset.npz"))
-    assert not np.array_equal(a.X, b.X)
+    with np.load(os.path.join(out_a, "dataset.npz")) as a, \
+            np.load(os.path.join(out_b, "dataset.npz")) as b:
+        assert not np.array_equal(a["X"], b["X"])
 
 
 def test_sweep_routes_on_the_plan_confidence_mode(tmp_path):

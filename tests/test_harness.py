@@ -11,7 +11,7 @@ import pytest
 
 from edgecloud import harness, metrics, models, nncore
 from edgecloud.cli import CHECKPOINT_FILES, dispatch
-from edgecloud.harness import (AdapterConfig, DataConfig, Dataset, ExperimentPlan, NetConfig,
+from edgecloud.harness import (AdapterConfig, DataConfig, ExperimentPlan, NetConfig,
                                PolicyConfig, TrainedSystem, build_dataset,
                                build_models, default_plan, evaluate_policies, gen_dataset,
                                load_plan, plan_from_dict, plan_to_dict, run_experiment,
@@ -134,23 +134,14 @@ class TestGenDataset:
         ds = gen_dataset(DataConfig(4, 6, 500, 0.3, 0.2), seed=4)
         path = tmp_path / "dataset.npz"
         ds.save(path)
-        loaded = Dataset.load(path)
-        assert np.array_equal(loaded.X, ds.X)
-        assert np.array_equal(loaded.y, ds.y)
-        assert np.array_equal(loaded.val_idx, ds.val_idx)
-        assert all(np.array_equal(a, b) for a, b in zip(loaded.centers, ds.centers))
-        with np.load(path) as z:  # the file still names its normal class
-            assert int(z["normal_class"]) == models.NORMAL_CLASS
-
-    def test_other_dataset_version_refused(self, tmp_path):
-        path = tmp_path / "dataset.npz"
-        gen_dataset(DataConfig(4, 6, 100, 0.3, 0.2), seed=4).save(path)
         with np.load(path) as z:
-            arrays = {name: z[name] for name in z.files}
-        np.savez(path, **{**arrays, "__dataset_version__": np.int64(2)})
-        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: unsupported "
-                                              "dataset version 2$"):
-            Dataset.load(path)
+            assert int(z["__dataset_version__"]) == harness.DATASET_VERSION
+            assert np.array_equal(z["X"], ds.X)
+            assert np.array_equal(z["y"], ds.y)
+            assert np.array_equal(z["val_idx"], ds.val_idx)
+            assert all(np.array_equal(z[f"centers_{c}"], center)
+                       for c, center in enumerate(ds.centers))
+            assert int(z["normal_class"]) == models.NORMAL_CLASS  # the file names its normal class
 
 
 class TestPlans:

@@ -227,7 +227,7 @@ class TestCheckpoints:
         # perturb, then restore
         for p in params:
             p.value = p.value + 1.0
-        nncore.restore_params(params, nncore.load_params(path))
+        nncore.restore_params(params, nncore.load_params(path), path)
         assert nncore.params_digest(params) == before
 
     def test_missing_param_rejected(self, tmp_path):
@@ -235,13 +235,82 @@ class TestCheckpoints:
         path = tmp_path / "ckpt.npz"
         nncore.save_params(path, [p])
         other = Param("other", np.ones(3))
-        with pytest.raises(ConfigError, match="other"):
-            nncore.restore_params([other], nncore.load_params(path))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: .*'other'"):
+            nncore.restore_params([other], nncore.load_params(path), path)
+
+    def test_misshapen_param_rejected_naming_the_file(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        nncore.save_params(path, [Param("w", np.ones((2, 3)))])
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: parameter 'w': "
+                                              r"checkpoint shape \(2, 3\) != \(3, 2\)$"):
+            nncore.restore_params([Param("w", np.ones((3, 2)))], nncore.load_params(path), path)
 
     def test_unversioned_file_rejected(self, tmp_path):
         path = tmp_path / "raw.npz"
         np.savez(path, a=np.ones(2))
         with pytest.raises(ConfigError):
+            nncore.load_params(path)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_stacks_round_trip_bit_for_bit(self, tmp_path, seed):
+        # every 4th stack is rebuilt residual-first, so each kind is covered
+        rng = np.random.default_rng(seed)
+        layers, _ = random_net(rng, max_depth=5)
+        if seed % 4 == 0:
+            layers = [nncore.residual_block(layers[0].in_dim, rng=rng, name="lead"), *layers]
+        params = [p for layer in layers for p in layer.params()]
+        path = tmp_path / "ckpt.npz"
+        nncore.save_params(path, params)
+        arrays = nncore.load_params(path)
+        assert list(arrays) == [p.name for p in params]
+        for p in params:
+            assert arrays[p.name].dtype == np.float64
+            assert arrays[p.name].shape == p.value.shape
+            assert np.array_equal(bits(arrays[p.name]), bits(p.value))
+        with np.load(path) as z:
+            assert sorted(z.files) == ["layout", "values"]
+            assert z["values"].shape == (sum(p.value.size for p in params),)
+
+    def test_a_version_1_file_is_refused_asking_for_train(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        np.savez(path, __checkpoint_version__=np.int64(1), w=np.ones((2, 3)))
+        message = f"{path}: checkpoint version 1 is no longer read; re-run `train`"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            nncore.load_params(path)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_a_layout_that_does_not_cover_the_values_is_refused(self, tmp_path, extra):
+        path = tmp_path / "ckpt.npz"
+        nncore.save_params(path, [Param("w", np.ones((2, 3))), Param("b", np.zeros(3))])
+        with np.load(path) as z:
+            values, layout = z["values"], z["layout"]
+        values = np.concatenate([values, [0.5]]) if extra > 0 else values[:-1]
+        np.savez(path, values=values, layout=layout)
+        message = f"{path}: layout covers 9 values, file holds {9 + extra}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            nncore.load_params(path)
+
+    @pytest.mark.parametrize("layout, message", [
+        ('{"version": 3, "params": [["w", [3]]]}', "unsupported checkpoint version 3"),
+        ('{"version": 2}', "not a readable checkpoint (malformed layout: 'params')"),
+        ('{"version": 2, "params": [["w", [3]], ["w", [0]]]}',
+         "not a readable checkpoint (malformed layout)"),
+        ('{"version": 2, "params": [["w", [-1, -3]]]}',
+         "not a readable checkpoint (malformed layout)"),
+    ], ids=["version-3", "no-params", "duplicate-name", "negative-dim"])
+    def test_a_bad_layout_is_refused_naming_the_file(self, tmp_path, layout, message):
+        path = tmp_path / "ckpt.npz"
+        np.savez(path, values=np.ones(3), layout=np.array(layout))
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}"):
+            nncore.load_params(path)
+
+    def test_values_that_are_not_float64_are_refused(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        nncore.save_params(path, [Param("w", np.ones(3))])
+        with np.load(path) as z:
+            layout = z["layout"]
+        np.savez(path, values=np.ones(3, dtype=np.float32), layout=layout)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: values are float32"):
             nncore.load_params(path)
 
     @pytest.mark.parametrize("how", CHECKPOINT_DAMAGE)
