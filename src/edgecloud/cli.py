@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -32,9 +33,18 @@ from .train import DivergenceError
 CHECKPOINT_FILES = {"edge": "edge.npz", "cloud": "cloud.npz", "adapter": "adapter.npz"}
 
 
-def _out_dir(args) -> str:
+def _out_dir(args, *, create: bool = False) -> str:
+    """``--out``, else ``$EDGECLOUD_OUT``, else ``out``; a path that exists and
+    is not a directory is refused. Only ``gen-data`` and ``train`` make it
+    (``create``): ``evaluate`` and ``sweep`` need the checkpoints in it."""
     out = args.out or os.environ.get("EDGECLOUD_OUT") or "out"
-    os.makedirs(out, exist_ok=True)
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise ConfigError(f"--out {out}: not a directory")
+    if create:
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {out}: cannot create it ({exc.strerror})") from None
     return out
 
 
@@ -46,7 +56,7 @@ def _load_plan(args) -> harness.ExperimentPlan:
 
 def _load_system(plan, out_dir) -> harness.TrainedSystem:
     ds = harness.build_dataset(plan)
-    edge, cloud, adapter = harness.build_models(plan)
+    edge, cloud, adapter = harness.blank_models(plan)
     for name, component in (("edge", edge), ("cloud", cloud), ("adapter", adapter)):
         path = os.path.join(out_dir, CHECKPOINT_FILES[name])
         if not os.path.exists(path):
@@ -57,7 +67,7 @@ def _load_system(plan, out_dir) -> harness.TrainedSystem:
 
 def cmd_gen_data(args) -> int:
     plan = _load_plan(args)
-    out = _out_dir(args)
+    out = _out_dir(args, create=True)
     ds = harness.build_dataset(plan)
     path = os.path.join(out, "dataset.npz")
     ds.save(path)
@@ -67,7 +77,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     plan = _load_plan(args)
-    out = _out_dir(args)
+    out = _out_dir(args, create=True)
     ds = harness.build_dataset(plan)
     edge, cloud, adapter = harness.build_models(plan)
     logs = harness.train_stages(plan, ds, edge, cloud, adapter)
@@ -174,7 +184,10 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    :func:`dispatch` in the process; parsing keeps no state in it."""
     parser = argparse.ArgumentParser(prog="edgecloud",
                                      description="edge-cloud collaborative inference simulator")
     sub = parser.add_subparsers(dest="command", required=True)

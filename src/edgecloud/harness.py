@@ -21,6 +21,7 @@ the reports is left to the caller.
 """
 
 import dataclasses
+import functools
 import json
 import typing
 from dataclasses import MISSING, dataclass, field
@@ -321,21 +322,37 @@ def _key(f: dataclasses.Field) -> str:
     return f.metadata.get("key", f.name)
 
 
+@functools.cache
+def _schema(kind) -> tuple[dict[str, dataclasses.Field], dict[str, typing.Any]]:
+    """A plan dataclass's fields by plan-file key and its resolved field types,
+    worked out once per class; ``train.py`` defers its annotations."""
+    return {_key(f): f for f in dataclasses.fields(kind)}, typing.get_type_hints(kind)
+
+
+# The types a JSON value is read as directly.
+_JSON_TYPES = (bool, int, float, str, list, dict)
+
+
 def _from_json(kind, value, where: str):
     """``value`` read as ``kind``: a plan dataclass, ``list[T]``, ``dict[str, T]``
     or a scalar type. An int is accepted as a float, a bool only as a bool;
     ``where`` is the value's path in the file, which every error names: a
     dataclass's own refusal of its fields is prefixed with its path."""
+    if kind in _JSON_TYPES:
+        if kind is float and isinstance(value, int) and not isinstance(value, bool):
+            value = float(value)
+        if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+            raise ConfigError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
+        return value
     if dataclasses.is_dataclass(kind):
         value = _from_json(dict, value, where)
-        fields = {_key(f): f for f in dataclasses.fields(kind)}
+        fields, types = _schema(kind)
         for key in value:
             if key not in fields:
                 raise ConfigError(f"{where}.{key}: unknown field")
         for key, f in fields.items():
             if key not in value and f.default is MISSING and f.default_factory is MISSING:
                 raise ConfigError(f"{where}.{key}: missing")
-        types = typing.get_type_hints(kind)  # train.py defers its annotations
         kwargs = {f.name: _from_json(types[f.name], value[key], f"{where}.{key}")
                   for key, f in fields.items() if key in value}
         try:
@@ -349,11 +366,7 @@ def _from_json(kind, value, where: str):
     if origin is dict:
         return {k: _from_json(args[1], v, f"{where}.{k}")
                 for k, v in _from_json(dict, value, where).items()}
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
-    return value
+    raise TypeError(f"{where}: no plan file reader for {kind!r}")
 
 
 def plan_from_dict(cfg: dict) -> ExperimentPlan:
@@ -390,29 +403,45 @@ _SEED_NAMES = ("dataset", "edge_init", "cloud_init", "adapter_init",
                "cloud_train", "edge_train", "finetune")
 
 
-def derive_seeds(master_seed: int) -> dict[str, int]:
-    """Stable per-component seeds spawned from the master seed."""
+@functools.lru_cache(maxsize=128, typed=True)
+def _spawned_seeds(master_seed: int) -> tuple[int, ...]:
     children = np.random.SeedSequence(master_seed).spawn(len(_SEED_NAMES))
-    return {name: int(c.generate_state(1, dtype=np.uint64)[0])
-            for name, c in zip(_SEED_NAMES, children)}
+    return tuple(int(c.generate_state(1, dtype=np.uint64)[0]) for c in children)
+
+
+def derive_seeds(master_seed: int) -> dict[str, int]:
+    """Stable per-component seeds spawned from the master seed. The spawn is
+    cached for the last 128 master seeds; every call returns a fresh dict."""
+    return dict(zip(_SEED_NAMES, _spawned_seeds(master_seed)))
 
 
 def build_dataset(plan: ExperimentPlan) -> Dataset:
     return gen_dataset(plan.data, derive_seeds(plan.master_seed)["dataset"])
 
 
+def _models(plan: ExperimentPlan, rngs) -> tuple[ModelSpec, ModelSpec, AdapterSpec]:
+    """The plan's edge, cloud and adapter, each drawn from its generator in
+    ``rngs`` (edge, cloud, adapter), or all zeros where it is ``None``."""
+    d, a = plan.data, plan.adapter
+    edge_rng, cloud_rng, adapter_rng = rngs
+    edge = models.feedforward("edge", d.dim, plan.edge.hidden, d.num_classes, edge_rng)
+    cloud = models.feedforward("cloud", d.dim, plan.cloud.hidden, d.num_classes, cloud_rng)
+    adapter = models.make_adapter("adapter", a.edge_tap, a.cloud_tap, edge.tap_dim(a.edge_tap),
+                                  cloud.tap_dim(a.cloud_tap), a.blocks, adapter_rng)
+    return edge, cloud, adapter
+
+
 def build_models(plan: ExperimentPlan) -> tuple[ModelSpec, ModelSpec, AdapterSpec]:
     """Edge, cloud and the adapter that splits them, from the plan's seeds."""
     seeds = derive_seeds(plan.master_seed)
-    d, a = plan.data, plan.adapter
-    edge = models.feedforward("edge", d.dim, plan.edge.hidden, d.num_classes,
-                              np.random.default_rng(seeds["edge_init"]))
-    cloud = models.feedforward("cloud", d.dim, plan.cloud.hidden, d.num_classes,
-                               np.random.default_rng(seeds["cloud_init"]))
-    adapter = models.make_adapter("adapter", a.edge_tap, a.cloud_tap, edge.tap_dim(a.edge_tap),
-                                  cloud.tap_dim(a.cloud_tap), a.blocks,
-                                  np.random.default_rng(seeds["adapter_init"]))
-    return edge, cloud, adapter
+    return _models(plan, [np.random.default_rng(seeds[f"{name}_init"])
+                          for name in ("edge", "cloud", "adapter")])
+
+
+def blank_models(plan: ExperimentPlan) -> tuple[ModelSpec, ModelSpec, AdapterSpec]:
+    """The models of :func:`build_models` with zero parameters and no seeded
+    draw: the shapes a checkpoint is restored into."""
+    return _models(plan, (None, None, None))
 
 
 def train_stages(plan: ExperimentPlan, ds: Dataset, edge: ModelSpec,

@@ -446,12 +446,17 @@ def forward(layers: Sequence[LayerSpec], x, *, scratch: Scratch | None = None) -
 def atomic_open(path, mode: str = "w", **kwargs):
     """Open a temporary file beside ``path`` for writing; when the block
     exits normally it replaces ``path`` in one ``os.replace``. If the block
-    raises, the temporary file is removed and ``path`` is left as it was."""
+    raises, the temporary file is removed and ``path`` is left as it was.
+    An error opening the temporary file names ``path``."""
     path = os.fspath(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode, **kwargs) as fh:
+        fh = open(tmp, mode, **kwargs)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -9,7 +9,7 @@ import shutil
 import numpy as np
 import pytest
 
-from edgecloud import harness, metrics, nncore, train
+from edgecloud import cli, harness, metrics, nncore, train
 from edgecloud.cli import dispatch
 
 from conftest import (CHECKPOINT_DAMAGE, MISTYPED_FIELDS, brute_force_frontier,
@@ -46,9 +46,63 @@ def test_malformed_config_exits_2_with_field_path(tmp_path, capsys):
 
 
 def test_evaluate_before_train_exits_2(plan_file, tmp_path, capsys):
+    """Without checkpoints `evaluate` and `sweep` exit 2 naming the first one
+    missing, and leave no output directory behind: only gen-data and train
+    make it."""
+    out = tmp_path / "out"
+    for command in ("evaluate", "sweep"):
+        assert dispatch([command, "--config", plan_file, "--out", str(out)]) == 2
+        assert f"error: missing checkpoint {out / 'edge.npz'}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "evaluate", "sweep"])
+def test_an_out_that_is_a_file_exits_2_naming_it(plan_file, capsys, command):
+    assert dispatch([command, "--config", plan_file, "--out", plan_file]) == 2
+    assert capsys.readouterr().err == f"error: --out {plan_file}: not a directory\n"
+
+
+def test_an_out_under_a_file_exits_2_naming_it(plan_file, capsys):
+    out = os.path.join(plan_file, "out")
+    assert dispatch(["train", "--config", plan_file, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --out {out}: cannot create it")
+
+
+def test_dispatch_shares_one_parser_but_no_state(plan_file, tmp_path, monkeypatch, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    overrides = []
+    load_plan = harness.load_plan
+
+    def recording(path, seed_override=None):
+        overrides.append(seed_override)
+        return load_plan(path, seed_override)
+
+    monkeypatch.setattr(harness, "load_plan", recording)
+    assert dispatch(["gen-data", "--config", plan_file, "--seed"]) == 2  # refused by the parser
+    assert "--seed: expected one argument" in capsys.readouterr().err
+    assert dispatch(["gen-data", "--config", plan_file, "--out", str(tmp_path / "a"),
+                     "--seed", "99"]) == 0
+    assert dispatch(["gen-data", "--config", plan_file, "--out", str(tmp_path / "b")]) == 0
+    assert overrides == [99, None]
+
+
+def test_evaluate_and_sweep_draw_only_the_dataset(plan_file, tmp_path, monkeypatch):
+    """`evaluate` and `sweep` restore every parameter from the checkpoints,
+    so the only generator they seed is the dataset's."""
     out = str(tmp_path / "out")
-    assert dispatch(["evaluate", "--config", plan_file, "--out", out]) == 2
-    assert "checkpoint" in capsys.readouterr().err
+    assert dispatch(["train", "--config", plan_file, "--out", out]) == 0
+    seeded = []
+    default_rng = np.random.default_rng
+
+    def recording(seed=None):
+        seeded.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    for command in ("evaluate", "sweep"):
+        seeded.clear()
+        assert dispatch([command, "--config", plan_file, "--out", out]) == 0, command
+        assert seeded == [harness.derive_seeds(tiny_plan().master_seed)["dataset"]], command
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +256,14 @@ def test_frontier_command_on_hand_written_csv(tmp_path):
     assert dispatch(["frontier", "--input", str(src), "--output", str(dst)]) == 0
     rows = metrics.read_report_rows(dst)
     assert [r["label"] for r in rows] == ["A", "C"]
+
+
+def test_frontier_into_a_missing_directory_exits_2_naming_the_output(tmp_path, capsys):
+    src, dst = tmp_path / "rows.csv", tmp_path / "nodir" / "out.csv"
+    src.write_text("label,s_p,s_comp\nA,0.9,0.7\n")
+    assert dispatch(["frontier", "--input", str(src), "--output", str(dst)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{dst}'\n"
+    assert not dst.parent.exists()
 
 
 def test_frontier_missing_column_exits_2(tmp_path, capsys):

@@ -159,6 +159,24 @@ class TestPlans:
         loaded = load_plan(path)
         assert plan_to_dict(loaded) == plan_to_dict(plan)
 
+    def test_two_loads_resolve_each_class_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "plan.json"
+        save_plan(path, default_plan(5))
+        resolved = []
+        get_type_hints = harness.typing.get_type_hints
+
+        def recording(kind):
+            resolved.append(kind)
+            return get_type_hints(kind)
+
+        monkeypatch.setattr(harness.typing, "get_type_hints", recording)
+        harness._schema.cache_clear()
+        first, second = load_plan(path), load_plan(path)
+        assert plan_to_dict(first) == plan_to_dict(second)
+        assert sorted(k.__name__ for k in resolved) == [
+            "AdapterConfig", "DataConfig", "ExperimentPlan", "NetConfig", "PolicyConfig",
+            "TrainConfig"]
+
     def test_seed_override(self, tmp_path):
         path = tmp_path / "plan.json"
         save_plan(path, default_plan(5))
@@ -454,3 +472,20 @@ class TestSeeds:
         assert a == b
         assert a != c
         assert len(set(a.values())) == len(a)
+
+    def test_each_call_gets_its_own_dict(self):
+        a = harness.derive_seeds(7)
+        expected = dict(a)
+        a["dataset"] = -1
+        del a["finetune"]
+        b = harness.derive_seeds(7)
+        assert b == expected and b is not a
+
+
+def test_blank_models_are_build_models_with_zero_parameters():
+    plan = tiny_plan()
+    for built, blank in zip(build_models(plan), harness.blank_models(plan)):
+        assert type(blank) is type(built) and repr(blank) == repr(built)
+        assert [(p.name, p.value.shape) for p in blank.params()] == \
+            [(p.name, p.value.shape) for p in built.params()]
+        assert not any(p.value.any() for p in blank.params())
