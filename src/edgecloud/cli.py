@@ -13,8 +13,8 @@ inputs reproduces its outputs byte for byte.
     frontier   re-filter an existing reports CSV to its non-dominated rows
     report     print a reports CSV as a readable summary table
 
-Exit codes: 0 success, 2 bad usage or malformed config, 3 training
-divergence.
+Exit codes: 0 success, 2 bad usage, a malformed config or a path that
+cannot be read or written (the error names it), 3 training divergence.
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ def dispatch(argv) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

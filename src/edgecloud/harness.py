@@ -23,6 +23,7 @@ the reports is left to the caller.
 import dataclasses
 import functools
 import json
+import threading
 import typing
 from dataclasses import MISSING, dataclass, field
 
@@ -379,10 +380,10 @@ def plan_to_dict(plan: ExperimentPlan) -> dict:
 
 
 def load_plan(path, seed_override: int | None = None) -> ExperimentPlan:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     plan = plan_from_dict(cfg)
     if seed_override is not None:
@@ -444,17 +445,30 @@ def blank_models(plan: ExperimentPlan) -> tuple[ModelSpec, ModelSpec, AdapterSpe
     return _models(plan, (None, None, None))
 
 
+class _Workspace(threading.local):
+    """The calling thread's scratch for ``train_stages``, made on the
+    thread's first use and kept for its life: every ``train`` in a thread
+    reuses the pages of the one before. It holds memory, never data."""
+
+    def __init__(self) -> None:
+        self.scratch = nncore.Scratch()
+
+
+_WORKSPACE = _Workspace()
+
+
 def train_stages(plan: ExperimentPlan, ds: Dataset, edge: ModelSpec,
                  cloud: ModelSpec, adapter: AdapterSpec) -> dict[str, TrainResult]:
     """Cloud base training, edge training with feature imitation, adapter
     plus cloud-tail fine-tuning; all seeds derived from the master seed.
     The trained cloud's KD targets are computed once, for both KD stages;
     fine-tuning starts from the edge-KD stage's hand-off, its last report's
-    edge tap, adapted feature and KD term; and one scratch serves every
-    full-split pass: each stage's reports and the KD targets."""
+    edge tap, adapted feature and KD term; and the calling thread's one
+    scratch serves every full-split pass: each stage's reports and the KD
+    targets."""
     seeds = derive_seeds(plan.master_seed)
     stages, X, y = plan.stages, ds.train_X, ds.train_y
-    scratch = nncore.Scratch()
+    scratch = _WORKSPACE.scratch
     results = {"cloud": train_mod.train_base(cloud, X, y, stages["cloud"],
                                              seed=seeds["cloud_train"], scratch=scratch)}
     target = train_mod.kd_targets(cloud, adapter.cloud_tap, X, scratch=scratch)

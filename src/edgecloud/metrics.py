@@ -163,9 +163,12 @@ def write_reports_csv(path, reports: Sequence[CostReport]) -> None:
 
 def read_report_rows(path) -> list[dict[str, str]]:
     """Rows of a reports-schema CSV as dicts (values kept as strings; a short
-    row's missing cells read as empty)."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh, restval="")
-        if reader.fieldnames is None:
-            raise ConfigError(f"{path}: empty CSV")
-        return list(reader)
+    row's missing cells read as empty). A file that is not UTF-8 is refused."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            reader = csv.DictReader(fh, restval="")
+            if reader.fieldnames is None:
+                raise ConfigError(f"{path}: empty CSV")
+            return list(reader)
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: not a UTF-8 CSV") from None

@@ -19,7 +19,8 @@ Conventions shared by every module in this package:
   one entry per layer, replaying its affine, relu and skip-add backwards.
 * ``forward`` can write every layer output but the last into a caller's
   :class:`Scratch`, which a sequence of full-split passes shares so its
-  buffers are allocated once. Its result is never a view of the scratch.
+  buffers are allocated once. Its result is never a view of the scratch;
+  ``train.kd_targets`` is the one function whose result is.
 * A checkpoint (version 2) is an ``.npz`` of two members: ``values``, every
   parameter raveled into one float64 array in ``params()`` order, and
   ``layout``, a JSON string ``{"version": 2, "params": [[name, shape], ...]}``.
@@ -387,21 +388,25 @@ def forward_on_tape(tape: GradientTape, layers: Sequence[LayerSpec], x: Node) ->
 
 
 class Scratch:
-    """Three flat float64 buffers that ``forward`` writes intermediate layer
-    outputs into; each grows to the largest ``rows * width`` asked of it.
+    """Four flat float64 buffers for full-split passes; each grows to the
+    largest ``rows * width`` asked of it.
 
-    Slots 0 and 1 alternate as layer outputs and slot 2 holds a residual
-    block's hidden activation. Full-split passes that share one scratch
-    reuse its pages instead of allocating (and page-faulting) fresh arrays
-    per layer. Like a :class:`GradientTape` it is a single-owner,
-    single-threaded object, and a view it returns is valid only until the
-    next request for the same slot.
+    ``forward`` writes intermediate layer outputs into slots 0 and 1, which
+    alternate, and a residual block's hidden activation into slot 2.
+    Slot :attr:`TARGET` holds the KD targets (``train.kd_targets``); no
+    layer pass requests it. Passes that share one scratch reuse its pages
+    instead of allocating (and page-faulting) fresh arrays per layer. Like
+    a :class:`GradientTape` it is a single-owner, single-threaded object,
+    and a view it returns is valid only until the next request for the same
+    slot.
     """
 
     __slots__ = ("_buffers",)
 
+    TARGET = 3
+
     def __init__(self) -> None:
-        self._buffers = [np.empty(0)] * 3
+        self._buffers = [np.empty(0)] * 4
 
     def array(self, slot: int, shape: tuple[int, ...]) -> np.ndarray:
         """A C-contiguous view of ``shape`` at the start of buffer ``slot``."""
@@ -446,8 +451,9 @@ def forward(layers: Sequence[LayerSpec], x, *, scratch: Scratch | None = None) -
 def atomic_open(path, mode: str = "w", **kwargs):
     """Open a temporary file beside ``path`` for writing; when the block
     exits normally it replaces ``path`` in one ``os.replace``. If the block
-    raises, the temporary file is removed and ``path`` is left as it was.
-    An error opening the temporary file names ``path``."""
+    or the replace raises, the temporary file is removed and ``path`` is
+    left as it was. An error opening the temporary file or replacing
+    ``path`` names ``path``, not the temporary file."""
     path = os.fspath(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
@@ -458,7 +464,10 @@ def atomic_open(path, mode: str = "w", **kwargs):
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)

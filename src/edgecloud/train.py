@@ -37,11 +37,12 @@ the edge once per report and hands its last report's edge tap, adapted
 feature and KD loss to ``finetune_adapter`` (a :class:`Handoff`): its row 0
 runs only the cloud tail, its later reports the adapter and the cloud
 tail. These full-split passes take a keyword ``scratch``, an
-``nncore.Scratch``: ``harness.train_stages`` makes one per ``train`` and
-hands it to every procedure and to :func:`kd_targets`, so the intermediate
-layer outputs of every report, and the KD loss's temporaries, land in the
-same buffers instead of fresh arrays. Without one, each pass allocates its
-own.
+``nncore.Scratch``: ``harness.train_stages`` hands its thread's one
+scratch, kept for the life of the thread, to every procedure and to
+:func:`kd_targets`, so the intermediate layer outputs of every report, the
+KD loss's temporaries and the KD targets land in the same buffers, ``train``
+after ``train``, instead of fresh arrays. Without one, each pass allocates
+its own.
 """
 
 from __future__ import annotations
@@ -421,9 +422,19 @@ def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
 def kd_targets(cloud: ModelSpec, tap: int, X, *, scratch: Scratch | None = None) -> np.ndarray:
     """KD target probabilities of both KD stages: the sigmoid of the cloud's
     feature after layer ``tap`` (an adapter's cloud tap), from the cloud
-    layers up to the tap only. The array is read-only."""
+    layers up to the tap only. The array is read-only.
+
+    With a ``scratch`` the layers write into its layer slots, and the
+    sigmoid into its :attr:`~nncore.Scratch.TARGET` buffer, with its
+    ``1 + e`` temporary in layer slot 0; the result is a view of that
+    buffer, valid until the next ``kd_targets`` on the same scratch.
+    Without one it is a fresh array."""
     check_adapter_tap("cloud", cloud, tap)
-    target = sigmoid(nncore.forward(cloud.layers[:tap + 1], X, scratch=scratch))
+    feature = nncore.forward(cloud.layers[:tap + 1], X, scratch=scratch)
+    out = work = None
+    if scratch is not None:
+        out, work = scratch.array(Scratch.TARGET, feature.shape), scratch.array(0, feature.shape)
+    target = sigmoid(feature, out, work)
     target.flags.writeable = False
     return target
 

@@ -105,6 +105,37 @@ def test_evaluate_and_sweep_draw_only_the_dataset(plan_file, tmp_path, monkeypat
         assert seeded == [harness.derive_seeds(tiny_plan().master_seed)["dataset"]], command
 
 
+def _written(out):
+    """Each file in ``out`` by name: its bytes, or a checkpoint's members'
+    bytes, since a zip also records when it was written."""
+    files = {}
+    for name in sorted(os.listdir(out)):
+        path = os.path.join(out, name)
+        if name.endswith(".npz"):
+            with np.load(path) as z:
+                files[name] = {member: z[member].tobytes() for member in z.files}
+        else:
+            with open(path, "rb") as fh:
+                files[name] = fh.read()
+    return files
+
+
+def test_a_train_after_a_larger_one_writes_what_it_wrote_before(tmp_path):
+    # the thread's workspace keeps the larger plan's buffers; the tiny
+    # plan's train after it writes what it wrote before it
+    larger = tiny_plan(data=harness.DataConfig(4, 8, 900, 0.4, 0.4),
+                       cloud=harness.NetConfig(hidden=[24, 24, 24]))
+    outs = []
+    for i, plan in enumerate((tiny_plan(), larger, tiny_plan())):
+        path, out = str(tmp_path / f"plan{i}.json"), str(tmp_path / f"out{i}")
+        harness.save_plan(path, plan)
+        assert dispatch(["train", "--config", path, "--out", out]) == 0
+        outs.append(_written(out))
+    assert len(outs[0]) == 6
+    assert outs[2] == outs[0]
+    assert outs[1]["cloud.npz"] != outs[0]["cloud.npz"]
+
+
 @pytest.fixture(scope="module")
 def pipeline_out(tmp_path_factory):
     """Output directory of gen-data, train, evaluate and sweep on the tiny plan."""
@@ -264,6 +295,37 @@ def test_frontier_into_a_missing_directory_exits_2_naming_the_output(tmp_path, c
     assert dispatch(["frontier", "--input", str(src), "--output", str(dst)]) == 2
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{dst}'\n"
     assert not dst.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["frontier", "report", "train", "evaluate"])
+def test_a_directory_given_as_a_file_exits_2_naming_it(plan_file, tmp_path, capsys, command):
+    somedir, src = tmp_path / "somedir", tmp_path / "rows.csv"
+    somedir.mkdir()
+    src.write_text("label,s_p,s_comp\nA,0.9,0.7\n")
+    args = {"frontier": ["--input", str(src), "--output", str(somedir)],
+            "report": ["--input", str(somedir)],
+            "train": ["--config", str(somedir), "--out", str(tmp_path / "out")],
+            "evaluate": ["--config", str(somedir), "--out", str(tmp_path / "out")]}[command]
+    assert dispatch([command, *args]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{somedir}'\n"
+    assert sorted(os.listdir(tmp_path)) == ["plan.json", "rows.csv", "somedir"]
+    assert os.listdir(somedir) == []
+
+
+@pytest.mark.parametrize("command", ["train", "report", "frontier"])
+def test_a_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, command):
+    path = tmp_path / "noise"
+    path.write_bytes(b"\xff" + np.random.default_rng(0).bytes(199))
+    args = {"train": ["--config", str(path), "--out", str(tmp_path / "out")],
+            "report": ["--input", str(path)],
+            "frontier": ["--input", str(path), "--output", str(tmp_path / "f.csv")]}[command]
+    assert dispatch([command, *args]) == 2
+    err = capsys.readouterr().err
+    if command == "train":
+        assert err.startswith(f"error: {path}: invalid JSON (")
+    else:
+        assert err == f"error: {path}: not a UTF-8 CSV\n"
+    assert os.listdir(tmp_path) == ["noise"]
 
 
 def test_frontier_missing_column_exits_2(tmp_path, capsys):

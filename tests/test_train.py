@@ -1,10 +1,13 @@
 """Loss and training-procedure tests, including the small-scale trend
 experiments (median over seeds 0..4)."""
 
+import concurrent.futures
 import copy
 import dataclasses
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -679,39 +682,72 @@ class TestReportPasses:
         tail = range(n + 1, len(cloud.layers))
         assert counter.runs(cloud, tail) == [stage_1 + len(results["finetune"].history)] * len(tail)
 
-    def test_train_stages_reuses_one_scratch(self, monkeypatch):
-        # every full-split pass of a train takes its buffers from one
-        # scratch; on the tiny plan every request is (480 rows, 16 wide), so
-        # each slot is allocated by the first pass that asks for it and
-        # reused by every later report
-        made, taken = [], []
+    def test_train_stages_reuse_the_thread_workspace(self, monkeypatch):
+        # every full-split pass of a train takes its buffers from the
+        # thread's one workspace, which an earlier train in this thread may
+        # have made; a second train of the same plan allocates no buffer,
+        # and the KD targets live in a buffer that no layer slot shares
+        taken, targets = [], []
+        array, kd = nncore.Scratch.array, train.kd_targets
 
-        class Recording(nncore.Scratch):
-            __slots__ = ()
+        def recording_array(self, slot, shape):
+            view = array(self, slot, shape)
+            taken.append((self, slot, self._buffers[slot]))
+            return view
 
-            def __init__(self):
-                super().__init__()
-                made.append(self)
+        def recording_kd(*args, **kwargs):
+            targets.append(kd(*args, **kwargs))
+            return targets[-1]
 
-            def array(self, slot, shape):
-                view = super().array(slot, shape)
-                taken.append((slot, self._buffers[slot]))
-                return view
-
-        monkeypatch.setattr(nncore, "Scratch", Recording)
+        monkeypatch.setattr(nncore.Scratch, "array", recording_array)
+        monkeypatch.setattr(train, "kd_targets", recording_kd)
         plan = tiny_plan()
         plan.stages = {name: dataclasses.replace(cfg, epochs=self.EPOCHS)
                        for name, cfg in plan.stages.items()}
         ds = harness.build_dataset(plan)
-        edge, cloud, adapter = harness.build_models(plan)
-        results = harness.train_stages(plan, ds, edge, cloud, adapter)
-        assert [len(r.history) for r in results.values()] == [self.EPOCHS + 1] * 3
-        assert len(made) == 1
-        assert {(slot, buf.size) for slot, buf in taken} == {(0, 480 * 16), (1, 480 * 16),
-                                                            (2, 480 * 16)}
-        assert len({id(buf) for _, buf in taken}) == 3
-        # each report of the three stages asks for at least one slot
-        assert len(taken) > 3 * (self.EPOCHS + 1)
+
+        def run():
+            taken.clear()
+            results = harness.train_stages(plan, ds, *harness.build_models(plan))
+            assert [len(r.history) for r in results.values()] == [self.EPOCHS + 1] * 3
+            assert len({id(scratch) for scratch, _, _ in taken}) == 1
+            # each report of the three stages asks for at least one slot
+            assert len(taken) > 3 * (self.EPOCHS + 1)
+            return taken[0][0], [r.history for r in results.values()]
+
+        scratch, first = run()
+        buffers = list(scratch._buffers)
+        assert run() == (scratch, first)
+        assert all(now is then for now, then in zip(scratch._buffers, buffers))
+        assert all(buf is buffers[slot] for _, slot, buf in taken)
+        assert {slot for _, slot, _ in taken} == {0, 1, 2, nncore.Scratch.TARGET}
+        target = targets[-1]
+        assert np.shares_memory(target, buffers[nncore.Scratch.TARGET])
+        assert not any(np.shares_memory(target, buffers[slot]) for slot in range(3))
+
+    def test_threads_train_as_they_would_one_after_the_other(self):
+        # each thread trains in its own workspace, so three trains at once,
+        # switching threads often, give what they give one after the other
+        seeds = (0, 1, 2)
+
+        def trained(seed, start):
+            plan = tiny_plan(seed)
+            edge, cloud, adapter = harness.build_models(plan)
+            start.wait(timeout=60)
+            results = harness.train_stages(plan, harness.build_dataset(plan), edge, cloud, adapter)
+            return ([r.history for r in results.values()],
+                    [nncore.params_digest(m.params()) for m in (edge, cloud, adapter)])
+
+        alone = [trained(seed, threading.Barrier(1)) for seed in seeds]
+        start, interval = threading.Barrier(len(seeds)), sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(len(seeds)) as pool:
+                futures = [pool.submit(trained, seed, start) for seed in seeds]
+                together = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert together == alone
 
     @pytest.mark.parametrize("kd_weight", [1.0, 0.0])
     def test_train_stages_runs_the_edge_in_edge_kd_reports_only(self, monkeypatch, kd_weight):
@@ -772,6 +808,17 @@ class TestReportPasses:
             target[0, 0] = 0.5
         with pytest.raises(ValueError, match="read-only"):
             target *= 2.0
+
+    def test_kd_targets_in_a_scratch_are_the_fresh_ones(self):
+        X, _, _, cloud, adapter = self.small_setup()
+        fresh = kd_targets(cloud, adapter.cloud_tap, X)
+        scratch = nncore.Scratch()
+        scratch.array(0, (4 * len(X), 8)).fill(np.nan)  # a larger, dirty layer slot
+        target = kd_targets(cloud, adapter.cloud_tap, X, scratch=scratch)
+        assert target.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            target[0, 0] = 0.5
+        assert np.shares_memory(target, scratch.array(nncore.Scratch.TARGET, target.shape))
 
     @pytest.mark.parametrize("cut", ["rows", "width"])
     @pytest.mark.parametrize("stage", ["edge_kd", "finetune"])
