@@ -1,12 +1,12 @@
 """Command-line entry point.
 
-Subcommands map onto the harness pipeline; every command takes a JSON plan
-and an output directory (``--out``, or the ``EDGECLOUD_OUT`` environment
+Subcommands map onto the harness pipeline; every plan command takes a JSON
+plan and an output directory (``--out``, or the ``EDGECLOUD_OUT`` environment
 variable, default ``./out``). All randomness flows from the plan's master
 seed (overridable with ``--seed``), so re-running any command with the same
-inputs reproduces its outputs byte for byte.
+inputs reproduces its outputs byte for byte. The dataset is rebuilt from the
+plan by every command that needs it and is never written.
 
-    gen-data   write dataset.npz for the plan
     train      run all training stages; write checkpoints + per-stage logs
     evaluate   score every policy in the plan; write reports.csv + frontiers
     sweep      dynamic-threshold sweep; write sweep.csv + sweep frontiers
@@ -35,8 +35,8 @@ CHECKPOINT_FILES = {"edge": "edge.npz", "cloud": "cloud.npz", "adapter": "adapte
 
 def _out_dir(args, *, create: bool = False) -> str:
     """``--out``, else ``$EDGECLOUD_OUT``, else ``out``; a path that exists and
-    is not a directory is refused. Only ``gen-data`` and ``train`` make it
-    (``create``): ``evaluate`` and ``sweep`` need the checkpoints in it."""
+    is not a directory is refused. Only ``train`` makes it (``create``):
+    ``evaluate`` and ``sweep`` need the checkpoints in it."""
     out = args.out or os.environ.get("EDGECLOUD_OUT") or "out"
     if os.path.exists(out) and not os.path.isdir(out):
         raise ConfigError(f"--out {out}: not a directory")
@@ -49,6 +49,8 @@ def _out_dir(args, *, create: bool = False) -> str:
 
 
 def _load_plan(args) -> harness.ExperimentPlan:
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed {args.seed}: must be >= 0")
     if not os.path.exists(args.config):
         raise ConfigError(f"config file not found: {args.config}")
     return harness.load_plan(args.config, seed_override=args.seed)
@@ -63,16 +65,6 @@ def _load_system(plan, out_dir) -> harness.TrainedSystem:
             raise ConfigError(f"missing checkpoint {path}; run `train` first")
         nncore.restore_params(component.params(), nncore.load_params(path), path)
     return harness.TrainedSystem(plan, ds, edge, cloud, adapter)
-
-
-def cmd_gen_data(args) -> int:
-    plan = _load_plan(args)
-    out = _out_dir(args, create=True)
-    ds = harness.build_dataset(plan)
-    path = os.path.join(out, "dataset.npz")
-    ds.save(path)
-    print(f"wrote {path} ({len(ds.y)} samples, {ds.num_classes} classes)")
-    return 0
 
 
 def cmd_train(args) -> int:
@@ -200,7 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    add_plan_command("gen-data", cmd_gen_data, "generate the synthetic dataset file")
     add_plan_command("train", cmd_train, "run all training stages")
     add_plan_command("evaluate", cmd_evaluate, "evaluate the policy grid")
     add_plan_command("sweep", cmd_sweep, "sweep the dynamic c2 threshold")

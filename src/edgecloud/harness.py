@@ -36,7 +36,6 @@ from .nncore import ConfigError
 from .policy import CLOUD_CODE, DYNAMIC, EDGE_CODE, ROUTES, route_codes, route_dataset
 from .train import TrainConfig, TrainResult
 
-DATASET_VERSION = 1
 NORMAL_SUBCLUSTERS = 3
 POSITIVE_RADIUS = 2.0
 TRAIN_FRACTION = 0.8
@@ -44,7 +43,9 @@ TRAIN_FRACTION = 0.8
 
 @dataclass
 class Dataset:
-    """Labelled synthetic samples with a fixed stratified train/val split.
+    """Labelled synthetic samples with a fixed stratified train/val split,
+    built in process from a plan by :func:`build_dataset` and never written
+    to a file.
 
     ``centers`` holds the generating mixture components per class (the
     normal class has several), and ``sigma_normal``/``sigma_positive`` their
@@ -54,8 +55,6 @@ class Dataset:
 
     X: np.ndarray
     y: np.ndarray
-    num_classes: int
-    normal_fraction: float
     train_idx: np.ndarray
     val_idx: np.ndarray
     centers: list[np.ndarray]
@@ -81,17 +80,6 @@ class Dataset:
     @property
     def val_y(self) -> np.ndarray:
         return self.y[self.val_idx]
-
-    def save(self, path) -> None:
-        arrays = {f"centers_{c}": arr for c, arr in enumerate(self.centers)}
-        with nncore.atomic_open(path, "wb") as fh:
-            np.savez(fh, __dataset_version__=np.int64(DATASET_VERSION),
-                     X=self.X, y=self.y, train_idx=self.train_idx, val_idx=self.val_idx,
-                     num_classes=np.int64(self.num_classes),
-                     normal_class=np.int64(models.NORMAL_CLASS),
-                     normal_fraction=np.float64(self.normal_fraction),
-                     sigma_normal=np.float64(self.sigma_normal),
-                     sigma_positive=np.float64(self.sigma_positive), **arrays)
 
 
 @dataclass
@@ -138,7 +126,7 @@ def gen_dataset(data: DataConfig, seed: int) -> Dataset:
     radius ``POSITIVE_RADIUS``. ``difficulty`` in [0, 1] scales every
     cluster's spread; at 0 the classes are essentially separable.
     """
-    num_classes, dim, n, normal_fraction = data.num_classes, data.dim, data.n, data.normal_fraction
+    num_classes, dim, n = data.num_classes, data.dim, data.n
     rng = np.random.default_rng(seed)
     n_positive_classes = num_classes - 1
 
@@ -185,8 +173,7 @@ def gen_dataset(data: DataConfig, seed: int) -> Dataset:
     val_idx = np.sort(np.concatenate(val_parts))
 
     centers = [normal_centers] + [positive_centers[c:c + 1] for c in range(n_positive_classes)]
-    return Dataset(X, y, num_classes, normal_fraction, train_idx, val_idx,
-                   centers, sigma_norm, sigma_pos)
+    return Dataset(X, y, train_idx, val_idx, centers, sigma_norm, sigma_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +231,13 @@ class PolicyConfig:
         return f"dynamic(c2={self.c2:g})" if self.variant == DYNAMIC else self.variant
 
 
+@functools.lru_cache(maxsize=128)
+def _net_flops(dim: int, hidden: tuple[int, ...], num_classes: int) -> int:
+    """Forward FLOPs per sample of the plan net of these widths, counted on
+    a zero-weight model; cached, as every plan load asks again."""
+    return models.feedforward("net", dim, hidden, num_classes).total_flops()
+
+
 @dataclass
 class ExperimentPlan:
     master_seed: int
@@ -259,10 +253,20 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         """The rules across sections; each section checks its own fields."""
+        if self.master_seed < 0:
+            raise ConfigError("master_seed: must be >= 0")
         for name, net, tap in (("edge", self.edge, self.adapter.edge_tap),
                                ("cloud", self.cloud, self.adapter.cloud_tap)):
             if not 0 <= tap <= len(net.hidden):  # a hidden layer or the head
                 raise ConfigError(f"adapter.{name}_tap: must lie in [0, {len(net.hidden)}]")
+        d = self.data
+        flops_edge, flops_cloud = (_net_flops(d.dim, tuple(net.hidden), d.num_classes)
+                                   for net in (self.edge, self.cloud))
+        try:
+            metrics.check_flops(flops_edge, flops_cloud)
+        except ConfigError as exc:
+            raise ConfigError(f"edge: {exc}, got {flops_edge} >= {flops_cloud} "
+                              "per sample") from None
         for name in dict.fromkeys([*self.stages, *_STAGES]):
             if name not in _STAGES:
                 raise ConfigError(f"stages.{name}: unknown stage, expected one of "
@@ -387,7 +391,7 @@ def load_plan(path, seed_override: int | None = None) -> ExperimentPlan:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     plan = plan_from_dict(cfg)
     if seed_override is not None:
-        plan.master_seed = seed_override
+        plan = dataclasses.replace(plan, master_seed=seed_override)
     return plan
 
 

@@ -163,8 +163,9 @@ def write_reports_csv(path, reports: Sequence[CostReport]) -> None:
 
 def read_report_rows(path) -> list[dict[str, str]]:
     """Rows of a reports-schema CSV as dicts (values kept as strings; a short
-    row's missing cells read as empty). A file that is not UTF-8 is refused."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    row's missing cells read as empty). A leading UTF-8 byte-order mark is
+    skipped; a file that is not UTF-8 is refused."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             reader = csv.DictReader(fh, restval="")
             if reader.fieldnames is None:

@@ -2,8 +2,11 @@
 frontier/report commands."""
 
 import csv
+import json
 import math
 import os
+import pathlib
+import re
 import shutil
 
 import numpy as np
@@ -23,9 +26,22 @@ def plan_file(tmp_path):
     return str(path)
 
 
-def test_unknown_subcommand_exits_2(capsys):
-    assert dispatch(["does-not-exist"]) == 2
-    assert "usage" in capsys.readouterr().err.lower()
+# `gen-data` is a removed command: the parser refuses it like any unknown name.
+@pytest.mark.parametrize("command", ["does-not-exist", "gen-data"])
+def test_unknown_subcommand_exits_2(plan_file, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert dispatch([command, "--config", plan_file, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "usage" in err.lower() and f"invalid choice: '{command}'" in err
+    assert not out.exists()
+
+
+def test_readme_cli_block_names_every_command():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    named = [line.split()[1] for line in block.splitlines() if line.startswith("edgecloud ")]
+    commands = re.search(r"\{(.*?)\}", cli._build_parser().format_usage()).group(1).split(",")
+    assert sorted(named) == sorted(commands)
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
@@ -38,17 +54,15 @@ def test_malformed_config_exits_2_with_field_path(tmp_path, capsys):
     cfg = harness.plan_to_dict(tiny_plan())
     del cfg["dataset"]["dim"]
     path = tmp_path / "plan.json"
-    import json
     path.write_text(json.dumps(cfg))
-    code = dispatch(["gen-data", "--config", str(path), "--out", str(tmp_path)])
+    code = dispatch(["train", "--config", str(path), "--out", str(tmp_path)])
     assert code == 2
     assert "plan.dataset.dim" in capsys.readouterr().err
 
 
 def test_evaluate_before_train_exits_2(plan_file, tmp_path, capsys):
     """Without checkpoints `evaluate` and `sweep` exit 2 naming the first one
-    missing, and leave no output directory behind: only gen-data and train
-    make it."""
+    missing, and leave no output directory behind: only train makes it."""
     out = tmp_path / "out"
     for command in ("evaluate", "sweep"):
         assert dispatch([command, "--config", plan_file, "--out", str(out)]) == 2
@@ -56,7 +70,7 @@ def test_evaluate_before_train_exits_2(plan_file, tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["gen-data", "train", "evaluate", "sweep"])
+@pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
 def test_an_out_that_is_a_file_exits_2_naming_it(plan_file, capsys, command):
     assert dispatch([command, "--config", plan_file, "--out", plan_file]) == 2
     assert capsys.readouterr().err == f"error: --out {plan_file}: not a directory\n"
@@ -78,11 +92,11 @@ def test_dispatch_shares_one_parser_but_no_state(plan_file, tmp_path, monkeypatc
         return load_plan(path, seed_override)
 
     monkeypatch.setattr(harness, "load_plan", recording)
-    assert dispatch(["gen-data", "--config", plan_file, "--seed"]) == 2  # refused by the parser
+    assert dispatch(["train", "--config", plan_file, "--seed"]) == 2  # refused by the parser
     assert "--seed: expected one argument" in capsys.readouterr().err
-    assert dispatch(["gen-data", "--config", plan_file, "--out", str(tmp_path / "a"),
+    assert dispatch(["train", "--config", plan_file, "--out", str(tmp_path / "a"),
                      "--seed", "99"]) == 0
-    assert dispatch(["gen-data", "--config", plan_file, "--out", str(tmp_path / "b")]) == 0
+    assert dispatch(["train", "--config", plan_file, "--out", str(tmp_path / "b")]) == 0
     assert overrides == [99, None]
 
 
@@ -138,22 +152,27 @@ def test_a_train_after_a_larger_one_writes_what_it_wrote_before(tmp_path):
 
 @pytest.fixture(scope="module")
 def pipeline_out(tmp_path_factory):
-    """Output directory of gen-data, train, evaluate and sweep on the tiny plan."""
+    """Output directory of train, evaluate and sweep on the tiny plan."""
     root = tmp_path_factory.mktemp("pipeline")
     plan_path, out = str(root / "plan.json"), str(root / "out")
     harness.save_plan(plan_path, tiny_plan())
-    for command in ("gen-data", "train", "evaluate", "sweep"):
+    for command in ("train", "evaluate", "sweep"):
         assert dispatch([command, "--config", plan_path, "--out", out]) == 0, command
     return out
 
 
+def test_no_command_writes_the_dataset(pipeline_out):
+    """The pipeline writes checkpoints, logs and reports; the dataset is
+    rebuilt from the plan by each command and never written."""
+    assert sorted(os.listdir(pipeline_out)) == sorted([
+        "edge.npz", "cloud.npz", "adapter.npz",
+        "train_cloud.csv", "train_edge_kd.csv", "train_finetune.csv",
+        "reports.csv", "frontier_comp.csv", "frontier_comm.csv",
+        "sweep.csv", "sweep_frontier.csv", "sweep_frontier_comp.csv", "sweep_frontier_comm.csv"])
+
+
 def test_full_pipeline(pipeline_out, capsys):
     out = pipeline_out
-    for name in ("dataset.npz", "edge.npz", "cloud.npz", "adapter.npz",
-                 "train_cloud.csv", "train_edge_kd.csv", "train_finetune.csv",
-                 "reports.csv", "frontier_comp.csv", "frontier_comm.csv",
-                 "sweep.csv", "sweep_frontier.csv"):
-        assert os.path.exists(os.path.join(out, name)), name
     rows = metrics.read_report_rows(os.path.join(out, "reports.csv"))
     labels = [r["label"] for r in rows]
     assert labels[:2] == ["edge", "cloud"]
@@ -361,6 +380,19 @@ def test_frontier_command_keeps_the_rows_sweep_keeps(pipeline_out, tmp_path):
         assert dst.read_bytes() == fh.read()
 
 
+@pytest.mark.parametrize("command", ["report", "frontier"])
+def test_a_csv_that_starts_with_a_byte_order_mark_is_read(tmp_path, capsys, command):
+    src, dst = tmp_path / "rows.csv", tmp_path / "front.csv"
+    src.write_bytes(b"\xef\xbb\xbflabel,s_p,s_comp\nA,0.9,0.7\nB,0.8,0.8\n")
+    args = {"report": ["--input", str(src)],
+            "frontier": ["--input", str(src), "--output", str(dst)]}[command]
+    assert dispatch([command, *args]) == 0
+    if command == "report":
+        assert capsys.readouterr().out.splitlines()[0].split() == ["label", "s_p", "s_comp"]
+    else:
+        assert dst.read_bytes() == b"label,s_p,s_comp\r\nA,0.9,0.7\r\n"
+
+
 def test_report_prints_a_short_row_with_empty_cells(tmp_path, capsys):
     src = tmp_path / "rows.csv"
     src.write_text("label,s_p,s_comp\nA,0.9,0.7\nB,0.8\n")
@@ -387,18 +419,32 @@ def test_frontier_with_three_objectives_exits_2(tmp_path, capsys):
 def test_out_dir_from_environment(plan_file, tmp_path, monkeypatch):
     out = tmp_path / "env_out"
     monkeypatch.setenv("EDGECLOUD_OUT", str(out))
-    assert dispatch(["gen-data", "--config", plan_file]) == 0
-    assert (out / "dataset.npz").exists()
+    assert dispatch(["train", "--config", plan_file]) == 0
+    assert (out / "edge.npz").exists()
 
 
-def test_seed_override_changes_dataset(plan_file, tmp_path):
+def test_seed_override_changes_what_train_writes(plan_file, tmp_path):
     out_a = str(tmp_path / "a")
     out_b = str(tmp_path / "b")
-    assert dispatch(["gen-data", "--config", plan_file, "--out", out_a]) == 0
-    assert dispatch(["gen-data", "--config", plan_file, "--out", out_b, "--seed", "99"]) == 0
-    with np.load(os.path.join(out_a, "dataset.npz")) as a, \
-            np.load(os.path.join(out_b, "dataset.npz")) as b:
-        assert not np.array_equal(a["X"], b["X"])
+    assert dispatch(["train", "--config", plan_file, "--out", out_a]) == 0
+    assert dispatch(["train", "--config", plan_file, "--out", out_b, "--seed", "99"]) == 0
+    a, b = _written(out_a), _written(out_b)
+    assert sorted(a) == sorted(b)
+    assert all(a[name] != b[name] for name in a)
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+def test_a_negative_master_seed_exits_2_before_any_output(tmp_path, capsys, command):
+    cfg = harness.plan_to_dict(tiny_plan())
+    cfg["master_seed"] = -3
+    path, out = tmp_path / "plan.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg))
+    assert dispatch([command, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: plan.master_seed: must be >= 0\n"
+    harness.save_plan(path, tiny_plan())
+    assert dispatch([command, "--config", str(path), "--out", str(out), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed -1: must be >= 0\n"
+    assert not out.exists()
 
 
 def test_sweep_routes_on_the_plan_confidence_mode(tmp_path):
@@ -421,7 +467,6 @@ def test_sweep_routes_on_the_plan_confidence_mode(tmp_path):
     (1, "confidence_mode", "softmax-max"),
 ])
 def test_train_refuses_a_plan_evaluate_would_refuse(tmp_path, capsys, policy, key, value):
-    import json
     cfg = harness.plan_to_dict(tiny_plan())
     (cfg if policy is None else cfg["policies"][policy])[key] = value
     path, out = tmp_path / "plan.json", tmp_path / "out"
@@ -445,8 +490,6 @@ REPEATED_LABELS = [
                          ids=[field_id(keys) for keys, _, _ in REFUSED_AT_TRAIN]
                          + ["repeated-policy", "repeated-c2"])
 def test_train_refuses_a_mistyped_or_unsweepable_plan(tmp_path, capsys, keys, value, message):
-    import json
-    import re
     cfg = harness.plan_to_dict(tiny_plan())
     set_field(cfg, keys, value)
     path, out = tmp_path / "plan.json", tmp_path / "out"
@@ -479,16 +522,14 @@ REFUSED_AT_LOAD = [
                               "dataset-normal_fraction-1.5", "dataset-normal_fraction-1.0",
                               "dataset-difficulty--0.1"])
 def test_train_refuses_an_unbuildable_or_misspelled_plan(tmp_path, capsys, keys, value, message):
-    import json
-    import re
     cfg = harness.plan_to_dict(tiny_plan())
     set_field(cfg, keys, value)
     path, out = tmp_path / "plan.json", tmp_path / "out"
     path.write_text(json.dumps(cfg))
-    for command in ("gen-data", "train"):
+    for command in ("train", "evaluate", "sweep"):
         assert dispatch([command, "--config", str(path), "--out", str(out)]) == 2
         assert re.search(f"^error: {message}$", capsys.readouterr().err)
-    assert not (out / "dataset.npz").exists() and not (out / "edge.npz").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("keys, value, message", [
@@ -497,25 +538,28 @@ def test_train_refuses_an_unbuildable_or_misspelled_plan(tmp_path, capsys, keys,
      "plan.recall_boost: needs a normal row in the training split"),
 ], ids=["without-imitation", "without-a-normal-training-row"])
 def test_recall_boost_refused_before_any_output(tmp_path, capsys, keys, value, message):
-    import json
     cfg = harness.plan_to_dict(tiny_plan(recall_boost=True))
     set_field(cfg, keys, value)
     path, out = tmp_path / "plan.json", tmp_path / "out"
     path.write_text(json.dumps(cfg))
-    for command in ("gen-data", "train"):
+    for command in ("train", "evaluate", "sweep"):
         assert dispatch([command, "--config", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (out / "dataset.npz").exists() and not (out / "edge.npz").exists()
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("field, value, rule", [
-    ("batch_size", 0, "must be >= 1"), ("learning_rate", math.inf, "must be finite"),
-])
-def test_train_rejects_a_bad_stage_before_running_any(tmp_path, capsys, monkeypatch,
-                                                      field, value, rule):
-    import json
+# The edge case: the tiny plan's cloud widths, so edge and cloud cost the same FLOPs.
+@pytest.mark.parametrize("keys, value, message", [
+    (("stages", "finetune", "batch_size"), 0, "plan.stages.finetune.batch_size: must be >= 1"),
+    (("stages", "finetune", "learning_rate"), math.inf,
+     "plan.stages.finetune.learning_rate: must be finite"),
+    (("edge", "hidden"), [16, 16, 16],
+     "plan.edge: comp score needs flops_cloud > flops_edge, got 1460 >= 1460 per sample"),
+], ids=["batch_size", "learning_rate", "edge-as-costly-as-the-cloud"])
+def test_train_rejects_a_bad_plan_before_running_any_stage(tmp_path, capsys, monkeypatch,
+                                                           keys, value, message):
     cfg = harness.plan_to_dict(tiny_plan())
-    cfg["stages"]["finetune"][field] = value
+    set_field(cfg, keys, value)
     path, out = tmp_path / "plan.json", tmp_path / "out"
     path.write_text(json.dumps(cfg))
     ran = []
@@ -531,8 +575,9 @@ def test_train_rejects_a_bad_stage_before_running_any(tmp_path, capsys, monkeypa
     for name in ("train_base", "train_edge_kd", "finetune_adapter"):
         monkeypatch.setattr(train, name, recording(name))
     assert dispatch(["train", "--config", str(path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: plan.stages.finetune.{field}: {rule}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert ran == []
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +599,6 @@ def _writers(tmp_path):
     rep = train.LossReport(1.0, 0.0, 0.5, 0.5, 0.5)
     return {
         "save_params": lambda path: nncore.save_params(path, [nncore.Param("w", np.arange(3.0))]),
-        "dataset": lambda path: harness.gen_dataset(harness.DataConfig(4, 6, 100, 0.3, 0.2),
-                                                    seed=4).save(path),
         "training_log": lambda path: train.write_training_log(path, train.TrainResult([rep, rep])),
         "reports_csv": lambda path: metrics.write_reports_csv(path, REPORTS),
         "frontier": lambda path: dispatch(["frontier", "--input", str(source),
@@ -563,13 +606,12 @@ def _writers(tmp_path):
     }
 
 
-@pytest.mark.parametrize("name", ["save_params", "dataset", "training_log", "reports_csv",
-                                  "frontier"])
+@pytest.mark.parametrize("name", ["save_params", "training_log", "reports_csv", "frontier"])
 def test_a_writer_failing_midway_leaves_the_old_file(tmp_path, monkeypatch, capsys, name):
     write = _writers(tmp_path)[name]
     out = tmp_path / "out"
     out.mkdir()
-    path = out / ("file.npz" if name in ("save_params", "dataset") else "file.csv")
+    path = out / ("file.npz" if name == "save_params" else "file.csv")
     write(path)
     old = path.read_bytes()
     real_writer = csv.writer

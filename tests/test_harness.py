@@ -24,6 +24,17 @@ from conftest import (MISTYPED_FIELDS, field_id, resweep, set_field, tiny_plan,
 
 REQUIRED = "missing"
 
+
+def zero_weight_system(plan, edge_hidden=None):
+    """The plan's system with every weight zero, its edge's hidden widths
+    ``edge_hidden`` if given, and the adapter that fits that edge."""
+    d, a = plan.data, plan.adapter
+    edge = models.feedforward("edge", d.dim, edge_hidden or plan.edge.hidden, d.num_classes)
+    cloud = models.feedforward("cloud", d.dim, plan.cloud.hidden, d.num_classes)
+    adapter = models.make_adapter("adapter", a.edge_tap, a.cloud_tap, edge.tap_dim(a.edge_tap),
+                                  cloud.tap_dim(a.cloud_tap), a.blocks)
+    return TrainedSystem(plan, build_dataset(plan), edge, cloud, adapter)
+
 # What a plan file that omits a key reads as: REQUIRED, or the dataclass
 # that owns the field and the default the field takes. "*" stands for any
 # stage name or policy index.
@@ -83,10 +94,11 @@ class TestGenDataset:
         assert 0.38 <= frac <= 0.42
 
     def test_split_is_stratified_80_20(self):
-        ds = gen_dataset(DataConfig(5, 8, 2000, 0.4, 0.5), seed=2)
+        data = DataConfig(5, 8, 2000, 0.4, 0.5)
+        ds = gen_dataset(data, seed=2)
         assert len(ds.train_idx) + len(ds.val_idx) == 2000
         assert abs(len(ds.train_idx) - 1600) <= 5
-        for c in range(ds.num_classes):
+        for c in range(data.num_classes):
             total = int((ds.y == c).sum())
             in_train = int((ds.train_y == c).sum())
             assert abs(in_train - 0.8 * total) <= 1
@@ -130,19 +142,6 @@ class TestGenDataset:
         assert data.class_sizes() == ([0, 34, 33, 33], [0, 27, 26, 26])
         assert not (gen_dataset(data, seed=6).train_y == models.NORMAL_CLASS).any()
 
-    def test_npz_round_trip(self, tmp_path):
-        ds = gen_dataset(DataConfig(4, 6, 500, 0.3, 0.2), seed=4)
-        path = tmp_path / "dataset.npz"
-        ds.save(path)
-        with np.load(path) as z:
-            assert int(z["__dataset_version__"]) == harness.DATASET_VERSION
-            assert np.array_equal(z["X"], ds.X)
-            assert np.array_equal(z["y"], ds.y)
-            assert np.array_equal(z["val_idx"], ds.val_idx)
-            assert all(np.array_equal(z[f"centers_{c}"], center)
-                       for c, center in enumerate(ds.centers))
-            assert int(z["normal_class"]) == models.NORMAL_CLASS  # the file names its normal class
-
 
 class TestPlans:
     def test_round_trip(self):
@@ -181,6 +180,22 @@ class TestPlans:
         path = tmp_path / "plan.json"
         save_plan(path, default_plan(5))
         assert load_plan(path, seed_override=11).master_seed == 11
+        with pytest.raises(ConfigError, match=r"^master_seed: must be >= 0$"):
+            load_plan(path, seed_override=-1)
+
+    def test_negative_master_seed_refused(self):
+        cfg = plan_to_dict(tiny_plan())
+        cfg["master_seed"] = -3
+        with pytest.raises(ConfigError, match=r"^plan\.master_seed: must be >= 0$"):
+            plan_from_dict(cfg)
+
+    @pytest.mark.parametrize("edge", [[16, 16, 16], [64, 64]], ids=["as-costly", "costlier"])
+    def test_edge_as_costly_as_the_cloud_refused_at_load(self, edge):
+        cfg = plan_to_dict(tiny_plan())
+        cfg["edge"]["hidden"] = edge
+        with pytest.raises(ConfigError, match=r"^plan\.edge: comp score needs "
+                                              r"flops_cloud > flops_edge, got \d+ >= 1460 "):
+            plan_from_dict(cfg)
 
     def test_missing_field_reports_path(self):
         cfg = plan_to_dict(default_plan(0))
@@ -378,8 +393,8 @@ class TestPipeline:
 
     @pytest.mark.parametrize("policies", [[], tiny_plan().policies], ids=["none", "tiny-plan"])
     def test_edge_as_costly_as_the_cloud_refused(self, policies):
-        plan = tiny_plan(edge=NetConfig(hidden=[64, 64]), policies=policies)
-        system = TrainedSystem(plan, build_dataset(plan), *build_models(plan))
+        # the plan refuses such an edge, so it is built beside the plan
+        system = zero_weight_system(tiny_plan(policies=policies), edge_hidden=[64, 64])
         with pytest.raises(ConfigError, match="flops_cloud > flops_edge"):
             evaluate_policies(system)
         with pytest.raises(ConfigError, match="flops_cloud > flops_edge"):
@@ -389,13 +404,7 @@ class TestPipeline:
     @pytest.mark.parametrize("policies", [[], tiny_plan().policies], ids=["none", "tiny-plan"])
     def test_tied_anchors_refused(self, policies, score):
         # zero weights: edge and cloud both predict class 0 on every row
-        plan = tiny_plan(policies=policies)
-        d, a = plan.data, plan.adapter
-        edge = models.feedforward("edge", d.dim, plan.edge.hidden, d.num_classes)
-        cloud = models.feedforward("cloud", d.dim, plan.cloud.hidden, d.num_classes)
-        adapter = models.make_adapter("adapter", a.edge_tap, a.cloud_tap, edge.tap_dim(a.edge_tap),
-                                      cloud.tap_dim(a.cloud_tap), a.blocks)
-        system = TrainedSystem(plan, build_dataset(plan), edge, cloud, adapter)
+        system = zero_weight_system(tiny_plan(policies=policies))
         accuracy = float(np.mean(system.dataset.val_y == 0))
         with pytest.raises(ConfigError, match=re.escape(
                 f"more accurate than the edge: edge accuracy {accuracy:g} >= "

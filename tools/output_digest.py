@@ -4,15 +4,13 @@
     python tools/output_digest.py --seeds 0 --recall-boost
 
 For each seed it writes ``harness.default_plan(seed)`` (with
-``recall_boost`` on if asked) to a temporary directory, runs ``gen-data``,
-``train``, ``evaluate`` and ``sweep`` on it in-process, and prints a SHA-256
-over every output file: name, then content. The three checkpoints are
-hashed through ``nncore.load_params``: each parameter's name, in sorted
-order, then its dtype, shape and bytes. Their checkpoint version and file
-layout do not count, so a change of layout that keeps every parameter bit
-for bit prints the same line. ``dataset.npz`` is hashed by member name,
-dtype, shape and array bytes, so the zip timestamps inside it do not count.
-After the file count it prints the SHA-256 of the plan file
+``recall_boost`` on if asked) to a temporary directory, runs ``train``,
+``evaluate`` and ``sweep`` on it in-process, and prints a SHA-256 over every
+output file: name, then content. The three checkpoints are hashed through
+``nncore.load_params``: each parameter's name, in sorted order, then its
+dtype, shape and bytes. Their checkpoint version and file layout do not
+count, so a change of layout that keeps every parameter bit for bit prints
+the same line. After the file count it prints the SHA-256 of the plan file
 it saved, which is not an output. Two checkouts that print the same lines
 wrote the same plan files and the same outputs byte for byte. It imports
 ``edgecloud`` from the ``src`` directory beside this script and runs BLAS
@@ -31,7 +29,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COMMANDS = ("gen-data", "train", "evaluate", "sweep")
+COMMANDS = ("train", "evaluate", "sweep")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -53,14 +51,10 @@ def arrays_digest(h, arrays) -> None:
 
 
 def file_digest(path: str) -> bytes:
-    import numpy as np
     from edgecloud import cli, nncore
     h = hashlib.sha256()
     if os.path.basename(path) in cli.CHECKPOINT_FILES.values():
         arrays_digest(h, nncore.load_params(path))
-    elif path.endswith(".npz"):
-        with np.load(path) as z:
-            arrays_digest(h, z)
     else:
         with open(path, "rb") as fh:
             h.update(fh.read())
