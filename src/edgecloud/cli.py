@@ -4,8 +4,10 @@ Subcommands map onto the harness pipeline; every plan command takes a JSON
 plan and an output directory (``--out``, or the ``EDGECLOUD_OUT`` environment
 variable, default ``./out``). All randomness flows from the plan's master
 seed (overridable with ``--seed``), so re-running any command with the same
-inputs reproduces its outputs byte for byte. The dataset is rebuilt from the
-plan by every command that needs it and is never written.
+inputs reproduces its outputs byte for byte. The dataset is a function of
+the plan: every command that needs it gets it from ``harness.build_dataset``,
+which shares it read-only within a process, and it is never written. Text
+files are written as UTF-8, the encoding they are read in.
 
     train      run all training stages; write checkpoints + per-stage logs
     evaluate   score every policy in the plan; write reports.csv + frontiers

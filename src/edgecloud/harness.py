@@ -41,11 +41,16 @@ POSITIVE_RADIUS = 2.0
 TRAIN_FRACTION = 0.8
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     """Labelled synthetic samples with a fixed stratified train/val split,
     built in process from a plan by :func:`build_dataset` and never written
     to a file.
+
+    A dataset is read-only: its fields cannot be reassigned, and
+    :func:`gen_dataset` marks every array it holds read-only, so the one
+    that :func:`build_dataset` shares between commands cannot be changed
+    by any of them. The split properties return fresh, writable gathers.
 
     ``centers`` holds the generating mixture components per class (the
     normal class has several), and ``sigma_normal``/``sigma_positive`` their
@@ -57,7 +62,7 @@ class Dataset:
     y: np.ndarray
     train_idx: np.ndarray
     val_idx: np.ndarray
-    centers: list[np.ndarray]
+    centers: tuple[np.ndarray, ...]
     sigma_normal: float = 1.0
     sigma_positive: float = 1.0
 
@@ -124,7 +129,8 @@ def gen_dataset(data: DataConfig, seed: int) -> Dataset:
     sub-clusters near the origin holding ``round(n * normal_fraction)``
     samples. The remaining classes sit on orthogonalized directions at
     radius ``POSITIVE_RADIUS``. ``difficulty`` in [0, 1] scales every
-    cluster's spread; at 0 the classes are essentially separable.
+    cluster's spread; at 0 the classes are essentially separable. Every
+    call draws anew, and every array of the result is read-only.
     """
     num_classes, dim, n = data.num_classes, data.dim, data.n
     rng = np.random.default_rng(seed)
@@ -172,7 +178,9 @@ def gen_dataset(data: DataConfig, seed: int) -> Dataset:
     train_idx = np.sort(np.concatenate(train_parts))
     val_idx = np.sort(np.concatenate(val_parts))
 
-    centers = [normal_centers] + [positive_centers[c:c + 1] for c in range(n_positive_classes)]
+    centers = (normal_centers, *(positive_centers[c:c + 1] for c in range(n_positive_classes)))
+    for arr in (X, y, train_idx, val_idx, *centers):
+        arr.flags.writeable = False
     return Dataset(X, y, train_idx, val_idx, centers, sigma_norm, sigma_pos)
 
 
@@ -420,8 +428,20 @@ def derive_seeds(master_seed: int) -> dict[str, int]:
     return dict(zip(_SEED_NAMES, _spawned_seeds(master_seed)))
 
 
+@functools.lru_cache(maxsize=4, typed=True)
+def _cached_dataset(seed: int, *data_values) -> Dataset:
+    return gen_dataset(DataConfig(*data_values), seed)
+
+
 def build_dataset(plan: ExperimentPlan) -> Dataset:
-    return gen_dataset(plan.data, derive_seeds(plan.master_seed)["dataset"])
+    """The plan's dataset: :func:`gen_dataset` on the plan's ``data`` and its
+    derived dataset seed. The last 4 datasets are cached by the values of
+    ``data``'s fields and the seed, never by the plan object, whose ``data``
+    may be changed in place; every caller that gives the same values shares
+    one read-only :class:`Dataset`, so copy an array before writing to it."""
+    d = plan.data
+    return _cached_dataset(derive_seeds(plan.master_seed)["dataset"],
+                           *(getattr(d, f.name) for f in dataclasses.fields(d)))
 
 
 def _models(plan: ExperimentPlan, rngs) -> tuple[ModelSpec, ModelSpec, AdapterSpec]:

@@ -163,13 +163,19 @@ def write_reports_csv(path, reports: Sequence[CostReport]) -> None:
 
 def read_report_rows(path) -> list[dict[str, str]]:
     """Rows of a reports-schema CSV as dicts (values kept as strings; a short
-    row's missing cells read as empty). A leading UTF-8 byte-order mark is
-    skipped; a file that is not UTF-8 is refused."""
+    row's missing cells read as empty, a row longer than the header is
+    refused). A leading UTF-8 byte-order mark is skipped; a file that is not
+    UTF-8 is refused."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             reader = csv.DictReader(fh, restval="")
             if reader.fieldnames is None:
                 raise ConfigError(f"{path}: empty CSV")
-            return list(reader)
+            rows = list(reader)
         except UnicodeDecodeError:
             raise ConfigError(f"{path}: not a UTF-8 CSV") from None
+    for i, row in enumerate(rows):
+        if None in row:  # DictReader's key for the cells past the header
+            raise ConfigError(f"{path} row {i + 1}: {len(reader.fieldnames) + len(row[None])} "
+                              f"cells, the header has {len(reader.fieldnames)}")
+    return rows

@@ -453,7 +453,10 @@ def atomic_open(path, mode: str = "w", **kwargs):
     exits normally it replaces ``path`` in one ``os.replace``. If the block
     or the replace raises, the temporary file is removed and ``path`` is
     left as it was. An error opening the temporary file or replacing
-    ``path`` names ``path``, not the temporary file."""
+    ``path`` names ``path``, not the temporary file. Text is written as
+    UTF-8 unless ``encoding`` says otherwise, whatever the locale."""
+    if "b" not in mode:
+        kwargs.setdefault("encoding", "utf-8")
     path = os.fspath(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")

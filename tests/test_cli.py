@@ -8,6 +8,8 @@ import os
 import pathlib
 import re
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -102,7 +104,8 @@ def test_dispatch_shares_one_parser_but_no_state(plan_file, tmp_path, monkeypatc
 
 def test_evaluate_and_sweep_draw_only_the_dataset(plan_file, tmp_path, monkeypatch):
     """`evaluate` and `sweep` restore every parameter from the checkpoints,
-    so the only generator they seed is the dataset's."""
+    so the only generator they seed is the dataset's, and only when no
+    earlier command in the process drew that dataset."""
     out = str(tmp_path / "out")
     assert dispatch(["train", "--config", plan_file, "--out", out]) == 0
     seeded = []
@@ -114,9 +117,11 @@ def test_evaluate_and_sweep_draw_only_the_dataset(plan_file, tmp_path, monkeypat
 
     monkeypatch.setattr(np.random, "default_rng", recording)
     for command in ("evaluate", "sweep"):
-        seeded.clear()
-        assert dispatch([command, "--config", plan_file, "--out", out]) == 0, command
-        assert seeded == [harness.derive_seeds(tiny_plan().master_seed)["dataset"]], command
+        harness._cached_dataset.cache_clear()
+        for draws in ([harness.derive_seeds(tiny_plan().master_seed)["dataset"]], []):
+            seeded.clear()
+            assert dispatch([command, "--config", plan_file, "--out", out]) == 0, command
+            assert seeded == draws, command
 
 
 def _written(out):
@@ -148,6 +153,24 @@ def test_a_train_after_a_larger_one_writes_what_it_wrote_before(tmp_path):
     assert len(outs[0]) == 6
     assert outs[2] == outs[0]
     assert outs[1]["cloud.npz"] != outs[0]["cloud.npz"]
+
+
+def test_an_evaluate_after_a_larger_one_writes_what_it_wrote_before(tmp_path):
+    # the tiny plan's two evaluates share its dataset; the larger plan's,
+    # drawn between them, must not leak into the second
+    larger = tiny_plan(data=harness.DataConfig(4, 8, 900, 0.4, 0.4),
+                       cloud=harness.NetConfig(hidden=[24, 24, 24]))
+    outs = []
+    for i, plan in enumerate((tiny_plan(), larger, tiny_plan())):
+        path, out = str(tmp_path / f"plan{i}.json"), str(tmp_path / f"out{i % 2}")
+        harness.save_plan(path, plan)
+        if i < 2:
+            assert dispatch(["train", "--config", path, "--out", out]) == 0
+        assert dispatch(["evaluate", "--config", path, "--out", out]) == 0
+        outs.append({name: (pathlib.Path(out) / name).read_bytes()
+                     for name in ("reports.csv", "frontier_comp.csv", "frontier_comm.csv")})
+    assert outs[2] == outs[0]
+    assert outs[1]["reports.csv"] != outs[0]["reports.csv"]
 
 
 @pytest.fixture(scope="module")
@@ -355,13 +378,44 @@ def test_frontier_missing_column_exits_2(tmp_path, capsys):
     assert "s_comp" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("row", ["A,0.9,high", "A,0.9", "A,0.9,nan", "A,inf,0.1"],
-                         ids=["non-numeric", "short-row", "nan", "inf"])
+@pytest.mark.parametrize("row", ["A,0.9,high", "A,0.9", "A,0.9,nan", "A,inf,0.1", "A,0.9,0.1,9"],
+                         ids=["non-numeric", "short-row", "nan", "inf", "long-row"])
 def test_frontier_bad_cell_exits_2_naming_the_file(tmp_path, capsys, row):
     src = tmp_path / "rows.csv"
     src.write_text(f"label,s_p,s_comp\nB,0.8,0.8\n{row}\n")
     assert dispatch(["frontier", "--input", str(src), "--output", str(tmp_path / "f.csv")]) == 2
     assert f"error: {src} row 2: " in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["rows.csv"]
+
+
+@pytest.mark.parametrize("command", ["report", "frontier"])
+@pytest.mark.parametrize("first", [True, False], ids=["first-row", "later-row"])
+def test_a_row_longer_than_the_header_exits_2_naming_it(tmp_path, capsys, command, first):
+    src = tmp_path / "rows.csv"
+    rows = ["cloud,1,1,1,9", "edge,0,0,0"]
+    src.write_text("\n".join(["label,s_p,s_comp,s_comm", *(rows if first else rows[::-1])]) + "\n")
+    args = ["--input", str(src)]
+    if command == "frontier":
+        args += ["--output", str(tmp_path / "f.csv")]
+    assert dispatch([command, *args]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {src} row {1 if first else 2}: 5 cells, the header has 4\n"
+    assert out == "" and os.listdir(tmp_path) == ["rows.csv"]
+
+
+def test_frontier_writes_utf8_whatever_the_locale(tmp_path):
+    """Text is written in the encoding it is read in, even where the locale's
+    encoding is ASCII."""
+    src, dst = tmp_path / "rows.csv", tmp_path / "front.csv"
+    src.write_text("label,s_p,s_comp\ncafé,0.9,0.1\nthé,0.5,0.5\n", encoding="utf-8")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join([os.path.dirname(os.path.dirname(cli.__file__)),
+                                          os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONIOENCODING", None)
+    done = subprocess.run([sys.executable, "-m", "edgecloud.cli", "frontier", "--input", str(src),
+                           "--output", str(dst)], env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
+    assert dst.read_bytes().decode("utf-8") == "label,s_p,s_comp\r\ncafé,0.9,0.1\r\n"
 
 
 def test_frontier_drops_a_dominated_row_that_shares_a_kept_label(tmp_path, capsys):

@@ -143,6 +143,63 @@ class TestGenDataset:
         assert not (gen_dataset(data, seed=6).train_y == models.NORMAL_CLASS).any()
 
 
+class TestBuildDataset:
+    """``build_dataset`` shares one read-only dataset per plan values and seed."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        harness._cached_dataset.cache_clear()
+
+    def test_a_repeat_returns_the_same_arrays_and_draws_nothing(self, monkeypatch):
+        plan = tiny_plan()
+        fresh = gen_dataset(plan.data, harness.derive_seeds(plan.master_seed)["dataset"])
+        first = build_dataset(plan)
+        seeded = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed=None: seeded.append(seed) or default_rng(seed))
+        again = build_dataset(tiny_plan())
+        assert again is first and seeded == []
+        for name in ("X", "y", "train_idx", "val_idx"):
+            assert np.array_equal(getattr(again, name), getattr(fresh, name)), name
+
+    def test_data_changed_in_place_gets_the_dataset_of_its_new_values(self):
+        plan = tiny_plan()
+        before = build_dataset(plan)
+        plan.data.n = 800
+        after = build_dataset(plan)
+        fresh = gen_dataset(DataConfig(4, 8, 800, 0.4, 0.4),
+                            harness.derive_seeds(plan.master_seed)["dataset"])
+        assert len(before.y) == 600 and len(after.y) == 800
+        assert np.array_equal(after.X, fresh.X) and np.array_equal(after.val_idx, fresh.val_idx)
+
+    def test_an_int_and_an_equal_float_are_different_keys(self):
+        plan = tiny_plan(data=DataConfig(4, 8, 600, 0.4, 0.0))
+        as_float = build_dataset(plan)
+        plan.data.difficulty = 0
+        as_int = build_dataset(plan)
+        assert as_int is not as_float
+        assert harness._cached_dataset.cache_info().misses == 2
+        assert np.array_equal(as_int.X, as_float.X)
+
+    def test_seeds_share_nothing(self):
+        a, b = build_dataset(tiny_plan(0)), build_dataset(tiny_plan(1))
+        assert not np.array_equal(a.X, b.X)
+        assert build_dataset(tiny_plan(0)) is a
+
+    def test_the_dataset_is_read_only(self):
+        ds = build_dataset(tiny_plan())
+        for arr in (ds.X, ds.y, ds.train_idx, ds.val_idx, *ds.centers):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.X = np.zeros_like(ds.X)
+        assert isinstance(ds.centers, tuple)
+        split = ds.val_X  # a fresh gather, the caller's own
+        split[0] = 0.0
+        assert not np.array_equal(ds.X[ds.val_idx[0]], split[0])
+
+
 class TestPlans:
     def test_round_trip(self):
         for plan in (default_plan(3), tiny_plan()):

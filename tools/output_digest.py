@@ -25,6 +25,7 @@ import dataclasses
 import hashlib
 import io
 import os
+import re
 import sys
 import tempfile
 
@@ -33,11 +34,18 @@ COMMANDS = ("train", "evaluate", "sweep")
 
 
 def parse_seeds(text: str) -> list[int]:
-    """``"0-4"`` -> [0, 1, 2, 3, 4]; ``"0,3"`` -> [0, 3]."""
+    """``"0-4"`` -> [0, 1, 2, 3, 4]; ``"0,3"`` -> [0, 3]. An argparse ``type``:
+    a part that is not a seed >= 0 or a range ``lo-hi`` with ``lo <= hi`` is
+    refused, so every accepted ``--seeds`` names at least one seed."""
     seeds: list[int] = []
     for part in text.split(","):
-        lo, sep, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi) + 1) if sep else [int(lo)])
+        match = re.fullmatch(r"(\d+)(?:-(\d+))?", part, re.ASCII)
+        if not match:
+            raise argparse.ArgumentTypeError(f"{part!r} is not a seed or a range lo-hi")
+        lo, hi = int(match[1]), int(match[2] or match[1])
+        if lo > hi:
+            raise argparse.ArgumentTypeError(f"{part!r} is a reversed range")
+        seeds.extend(range(lo, hi + 1))
     return seeds
 
 
@@ -88,7 +96,8 @@ def run_seed(seed: int, recall_boost: bool) -> tuple[str, int, str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", default="0-4", help="master seeds, e.g. 0-4 or 0,3 (default 0-4)")
+    parser.add_argument("--seeds", type=parse_seeds, default="0-4",
+                        help="master seeds, e.g. 0-4 or 0,3 (default 0-4)")
     parser.add_argument("--recall-boost", action="store_true",
                         help="turn on the plan's recall_boost")
     args = parser.parse_args(argv)
@@ -96,7 +105,7 @@ def main(argv=None) -> int:
         os.environ[var] = "1"  # before numpy is first imported
     sys.path.insert(0, os.path.join(ROOT, "src"))
     suffix = " recall_boost" if args.recall_boost else ""
-    for seed in parse_seeds(args.seeds):
+    for seed in args.seeds:
         digest, files, plan = run_seed(seed, args.recall_boost)
         print(f"seed {seed}{suffix}: {digest} ({files} files) plan {plan}", flush=True)
     return 0
