@@ -156,6 +156,10 @@ def cmd_report(args) -> int:
     rows = _read_rows(args.input, ["label"])
     cols = ["label", "accuracy", "s_p", "s_comp", "s_comm", "tau", "psi", "recall"]
     present = [c for c in cols if c in rows[0]]
+    # a character the output stream cannot encode is printed escaped, as \xe9
+    encoding = sys.stdout.encoding or "utf-8"
+    rows = [{c: row[c].encode(encoding, "backslashreplace").decode(encoding) for c in present}
+            for row in rows]
     widths = {c: max(len(c), 8) for c in present}
     widths["label"] = max(len(r["label"]) for r in rows + [{"label": "label"}])
 

@@ -23,7 +23,6 @@ the reports is left to the caller.
 import dataclasses
 import functools
 import json
-import threading
 import typing
 from dataclasses import MISSING, dataclass, field
 
@@ -469,39 +468,26 @@ def blank_models(plan: ExperimentPlan) -> tuple[ModelSpec, ModelSpec, AdapterSpe
     return _models(plan, (None, None, None))
 
 
-class _Workspace(threading.local):
-    """The calling thread's scratch for ``train_stages``, made on the
-    thread's first use and kept for its life: every ``train`` in a thread
-    reuses the pages of the one before. It holds memory, never data."""
-
-    def __init__(self) -> None:
-        self.scratch = nncore.Scratch()
-
-
-_WORKSPACE = _Workspace()
-
-
 def train_stages(plan: ExperimentPlan, ds: Dataset, edge: ModelSpec,
                  cloud: ModelSpec, adapter: AdapterSpec) -> dict[str, TrainResult]:
     """Cloud base training, edge training with feature imitation, adapter
     plus cloud-tail fine-tuning; all seeds derived from the master seed.
     The trained cloud's KD targets are computed once, for both KD stages;
     fine-tuning starts from the edge-KD stage's hand-off, its last report's
-    edge tap, adapted feature and KD term; and the calling thread's one
-    scratch serves every full-split pass: each stage's reports and the KD
-    targets."""
+    edge tap, adapted feature and KD term. Every pass keeps its
+    intermediates in the calling thread's workspace (``nncore.workspace``),
+    and the KD targets are a read-only view of it, dropped before this
+    returns."""
     seeds = derive_seeds(plan.master_seed)
     stages, X, y = plan.stages, ds.train_X, ds.train_y
-    scratch = _WORKSPACE.scratch
     results = {"cloud": train_mod.train_base(cloud, X, y, stages["cloud"],
-                                             seed=seeds["cloud_train"], scratch=scratch)}
-    target = train_mod.kd_targets(cloud, adapter.cloud_tap, X, scratch=scratch)
+                                             seed=seeds["cloud_train"])}
+    target = train_mod.kd_targets(cloud, adapter.cloud_tap, X)
     results["edge_kd"] = train_mod.train_edge_kd(edge, adapter, X, y, target, stages["edge_kd"],
                                                  seed=seeds["edge_train"], kd_weight=plan.kd_weight,
-                                                 recall_boost=plan.recall_boost, scratch=scratch)
+                                                 recall_boost=plan.recall_boost)
     results["finetune"] = train_mod.finetune_adapter(results["edge_kd"], cloud, adapter, y, target,
-                                                     stages["finetune"], seed=seeds["finetune"],
-                                                     scratch=scratch)
+                                                     stages["finetune"], seed=seeds["finetune"])
     return results
 
 

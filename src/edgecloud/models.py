@@ -7,8 +7,8 @@ is the only place a split is defined: ``infer_with_tap`` returns the edge's
 activation after its tap, ``adapt`` maps it into the cloud tap's space, and
 ``cloud_tail`` resumes the cloud from such an activation by running only the
 layers after the tap. Every path is ``nncore.forward`` on a slice of one
-layer stack, and takes an optional keyword ``scratch`` that it passes on to
-it; what a path returns is always a fresh array.
+layer stack, so its intermediates live in the calling thread's workspace;
+what a path returns is always a fresh array.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nncore
-from .nncore import (ConfigError, IDENTITY, LayerSpec, Param, RELU, Scratch, UsageError,
+from .nncore import (ConfigError, IDENTITY, LayerSpec, Param, RELU, UsageError,
                      as_tensor, dense, residual_block, softmax)
 
 NORMAL_CLASS = 0  # the "nothing of interest" class of every dataset and model
@@ -139,28 +139,26 @@ def check_adapter_binding(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpe
     check_adapter_tap("cloud", cloud, adapter.cloud_tap)
 
 
-def infer(model: ModelSpec, x, *, scratch: Scratch | None = None) -> np.ndarray:
+def infer(model: ModelSpec, x) -> np.ndarray:
     """Class probabilities for a sample or batch."""
-    return softmax(nncore.forward(model.layers, x, scratch=scratch))
+    return softmax(nncore.forward(model.layers, x))
 
 
-def infer_with_tap(model: ModelSpec, x, tap: int, *,
-                   scratch: Scratch | None = None) -> tuple[np.ndarray, np.ndarray]:
+def infer_with_tap(model: ModelSpec, x, tap: int) -> tuple[np.ndarray, np.ndarray]:
     """Class probabilities plus the activation after layer ``tap``."""
     if not 0 <= tap < len(model.layers):
         raise UsageError(f"tap {tap} out of range for {model.name!r}")
-    captured = nncore.forward(model.layers[:tap + 1], x, scratch=scratch)
-    probs = softmax(nncore.forward(model.layers[tap + 1:], captured, scratch=scratch))
+    captured = nncore.forward(model.layers[:tap + 1], x)
+    probs = softmax(nncore.forward(model.layers[tap + 1:], captured))
     return probs, captured
 
 
-def adapt(adapter: AdapterSpec, edge_feature, *, scratch: Scratch | None = None) -> np.ndarray:
+def adapt(adapter: AdapterSpec, edge_feature) -> np.ndarray:
     """Map an edge tap feature into the cloud's tap-``cloud_tap`` feature space."""
-    return nncore.forward(adapter.layers(), edge_feature, scratch=scratch)
+    return nncore.forward(adapter.layers(), edge_feature)
 
 
-def cloud_tail(model: ModelSpec, injected, from_tap: int, *,
-               scratch: Scratch | None = None) -> np.ndarray:
+def cloud_tail(model: ModelSpec, injected, from_tap: int) -> np.ndarray:
     """Resume the model from an injected tap-``from_tap`` activation.
 
     Runs only the layers with index > ``from_tap``; injecting the model's
@@ -173,7 +171,7 @@ def cloud_tail(model: ModelSpec, injected, from_tap: int, *,
     # checked here: the slice after the last layer is empty and checks no dim
     if values.ndim in (1, 2) and values.shape[-1] != expected:
         raise ConfigError(f"injected dim {values.shape[-1]} != tap {from_tap} dim {expected}")
-    return softmax(nncore.forward(model.layers[from_tap + 1:], values, scratch=scratch))
+    return softmax(nncore.forward(model.layers[from_tap + 1:], values))
 
 
 def confidence(probs, mode: str = NORMAL_CLASS_MODE):

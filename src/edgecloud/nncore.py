@@ -17,10 +17,12 @@ Conventions shared by every module in this package:
   ``forward_on_tape`` the only taped one; split inference and training run
   them on slices of a stack (up to a tap, after a tap). The tape records
   one entry per layer, replaying its affine, relu and skip-add backwards.
-* ``forward`` can write every layer output but the last into a caller's
-  :class:`Scratch`, which a sequence of full-split passes shares so its
-  buffers are allocated once. Its result is never a view of the scratch;
-  ``train.kd_targets`` is the one function whose result is.
+* Every pass keeps its intermediates in the calling thread's workspace,
+  one :class:`Scratch` made on the thread's first pass and kept for its
+  life (:func:`workspace`), so its buffers are allocated once per thread.
+  ``forward`` writes every layer output but the last into it, and its
+  result is never a view of it; ``train.kd_targets`` is the one function
+  whose result is.
 * A checkpoint (version 2) is an ``.npz`` of two members: ``values``, every
   parameter raveled into one float64 array in ``params()`` order, and
   ``layout``, a JSON string ``{"version": 2, "params": [[name, shape], ...]}``.
@@ -38,6 +40,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 import zipfile
 from typing import Callable, Iterable, Sequence
 
@@ -388,7 +391,7 @@ def forward_on_tape(tape: GradientTape, layers: Sequence[LayerSpec], x: Node) ->
 
 
 class Scratch:
-    """Four flat float64 buffers for full-split passes; each grows to the
+    """Four flat float64 buffers for a thread's passes; each grows to the
     largest ``rows * width`` asked of it.
 
     ``forward`` writes intermediate layer outputs into slots 0 and 1, which
@@ -416,14 +419,30 @@ class Scratch:
         return self._buffers[slot][:size].reshape(shape)
 
 
-def forward(layers: Sequence[LayerSpec], x, *, scratch: Scratch | None = None) -> np.ndarray:
+class _Workspace(threading.local):
+    def __init__(self) -> None:
+        self.scratch = Scratch()
+
+
+_WORKSPACE = _Workspace()
+
+
+def workspace() -> Scratch:
+    """The calling thread's :class:`Scratch`, made on its first use and kept
+    for its life, so every pass in a thread reuses the pages of the passes
+    before. It holds memory, never data: each buffer is written before it
+    is read."""
+    return _WORKSPACE.scratch
+
+
+def forward(layers: Sequence[LayerSpec], x) -> np.ndarray:
     """The one untaped layer loop: ``layers`` applied to a sample or batch.
 
     Split inference runs it on slices of one stack (up to a tap, after a
     tap), so every path shares its input, dimension and finite checks.
-    With a ``scratch``, every layer but the last writes into it; without
-    one, every layer writes a fresh array. The result is never a view of
-    the scratch, so later passes do not touch it.
+    Every layer but the last writes into the calling thread's
+    :func:`workspace`; the result is never a view of it, so later passes
+    do not touch it.
     """
     arr = as_tensor(x)
     if arr.ndim not in (1, 2):
@@ -431,13 +450,11 @@ def forward(layers: Sequence[LayerSpec], x, *, scratch: Scratch | None = None) -
     squeeze = arr.ndim == 1
     h = arr.reshape(1, -1) if squeeze else arr
     _check_chain(layers, h.shape[1])
-    last = len(layers) - 1
+    scratch, last = workspace(), len(layers) - 1
     for i, layer in enumerate(layers):
-        out = hidden = None
-        if scratch is not None:
-            shape = (h.shape[0], layer.out_dim)
-            out = scratch.array(i % 2, shape) if i < last else None
-            hidden = scratch.array(2, shape) if layer.kind == RESIDUAL else None
+        shape = (h.shape[0], layer.out_dim)
+        out = scratch.array(i % 2, shape) if i < last else None
+        hidden = scratch.array(2, shape) if layer.kind == RESIDUAL else None
         h = apply_layer(layer, h, out, hidden)
     if not np.all(np.isfinite(h)):
         raise ArithmeticError("forward produced non-finite values")

@@ -36,13 +36,11 @@ and passes the read-only result to both KD stages); ``train_edge_kd`` runs
 the edge once per report and hands its last report's edge tap, adapted
 feature and KD loss to ``finetune_adapter`` (a :class:`Handoff`): its row 0
 runs only the cloud tail, its later reports the adapter and the cloud
-tail. These full-split passes take a keyword ``scratch``, an
-``nncore.Scratch``: ``harness.train_stages`` hands its thread's one
-scratch, kept for the life of the thread, to every procedure and to
-:func:`kd_targets`, so the intermediate layer outputs of every report, the
-KD loss's temporaries and the KD targets land in the same buffers, ``train``
-after ``train``, instead of fresh arrays. Without one, each pass allocates
-its own.
+tail. Every pass keeps its intermediates in the calling thread's workspace
+(``nncore.workspace``): the intermediate layer outputs of every report and
+the KD loss's temporaries land in the same buffers, ``train`` after
+``train``, instead of fresh arrays, and so do the KD targets, the one
+result that is a view of the workspace.
 """
 
 from __future__ import annotations
@@ -170,16 +168,14 @@ def kd_loss(cloud_feature, adapted_feature) -> float:
     return _kd_against(sigmoid(np.asarray(cloud_feature)), np.asarray(adapted_feature))
 
 
-def _kd_against(target: np.ndarray, adapted: np.ndarray, *,
-                scratch: Scratch | None = None) -> float:
+def _kd_against(target: np.ndarray, adapted: np.ndarray) -> float:
     """:func:`kd_loss` against given target probabilities ``p``; same
     operations in the same order. ``q``, its miss term and ``1 - p`` are
-    temporaries in ``scratch`` (a private one when not given), which must
-    not hold ``target`` or ``adapted``."""
+    temporaries in the workspace's layer slots, which must not hold
+    ``target`` or ``adapted``."""
     if target.shape != adapted.shape:
         raise UsageError(f"feature shapes differ: {target.shape} vs {adapted.shape}")
-    if scratch is None:
-        scratch = Scratch()
+    scratch = nncore.workspace()
     q = sigmoid(adapted, scratch.array(0, adapted.shape), scratch.array(1, adapted.shape))
     np.clip(q, LOG_EPS, 1.0 - LOG_EPS, out=q)
     miss = np.subtract(1.0, q, out=scratch.array(1, q.shape))
@@ -297,17 +293,17 @@ def _loss_report(probs: np.ndarray, y: np.ndarray, kd: float = 0.0) -> LossRepor
     )
 
 
-def evaluate_model(model: ModelSpec, X, y, *, scratch: Scratch | None = None) -> LossReport:
+def evaluate_model(model: ModelSpec, X, y) -> LossReport:
     """Classifier metrics of a model on a labelled set (kd reported as 0)."""
-    return _loss_report(infer(model, X, scratch=scratch), np.asarray(y, dtype=np.intp))
+    return _loss_report(infer(model, X), np.asarray(y, dtype=np.intp))
 
 
 def _adaptive_report(cloud: ModelSpec, adapter: AdapterSpec, edge_feat: np.ndarray,
-                     target: np.ndarray, y: np.ndarray, scratch: Scratch | None) -> LossReport:
+                     target: np.ndarray, y: np.ndarray) -> LossReport:
     """Adapted-path metrics from a given edge tap feature and KD targets."""
-    adapted = adapt(adapter, edge_feat, scratch=scratch)
-    probs = cloud_tail(cloud, adapted, adapter.cloud_tap, scratch=scratch)
-    return _loss_report(probs, y, _kd_against(target, adapted, scratch=scratch))
+    adapted = adapt(adapter, edge_feat)
+    probs = cloud_tail(cloud, adapted, adapter.cloud_tap)
+    return _loss_report(probs, y, _kd_against(target, adapted))
 
 
 def evaluate_adaptive_path(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
@@ -316,7 +312,7 @@ def evaluate_adaptive_path(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSp
     _, edge_feat = infer_with_tap(edge, X, adapter.edge_tap)
     _, cloud_feat = infer_with_tap(cloud, X, adapter.cloud_tap)
     return _adaptive_report(cloud, adapter, edge_feat, sigmoid(cloud_feat),
-                            np.asarray(y, dtype=np.intp), None)
+                            np.asarray(y, dtype=np.intp))
 
 
 # ---------------------------------------------------------------------------
@@ -419,22 +415,20 @@ def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
     return result
 
 
-def kd_targets(cloud: ModelSpec, tap: int, X, *, scratch: Scratch | None = None) -> np.ndarray:
+def kd_targets(cloud: ModelSpec, tap: int, X) -> np.ndarray:
     """KD target probabilities of both KD stages: the sigmoid of the cloud's
     feature after layer ``tap`` (an adapter's cloud tap), from the cloud
-    layers up to the tap only. The array is read-only.
+    layers up to the tap only.
 
-    With a ``scratch`` the layers write into its layer slots, and the
-    sigmoid into its :attr:`~nncore.Scratch.TARGET` buffer, with its
-    ``1 + e`` temporary in layer slot 0; the result is a view of that
-    buffer, valid until the next ``kd_targets`` on the same scratch.
-    Without one it is a fresh array."""
+    The sigmoid goes into the workspace's :attr:`~nncore.Scratch.TARGET`
+    buffer, with its ``1 + e`` temporary in layer slot 0; the result is a
+    read-only view of that buffer, valid until the thread's next
+    ``kd_targets``."""
     check_adapter_tap("cloud", cloud, tap)
-    feature = nncore.forward(cloud.layers[:tap + 1], X, scratch=scratch)
-    out = work = None
-    if scratch is not None:
-        out, work = scratch.array(Scratch.TARGET, feature.shape), scratch.array(0, feature.shape)
-    target = sigmoid(feature, out, work)
+    feature = nncore.forward(cloud.layers[:tap + 1], X)
+    scratch = nncore.workspace()
+    target = sigmoid(feature, scratch.array(Scratch.TARGET, feature.shape),
+                     scratch.array(0, feature.shape))
     target.flags.writeable = False
     return target
 
@@ -448,8 +442,7 @@ def _check_target(target: np.ndarray, n: int, adapter: AdapterSpec) -> None:
 # ---------------------------------------------------------------------------
 # Training procedures.
 
-def train_base(model: ModelSpec, X, y, config: TrainConfig, *, seed: int,
-               scratch: Scratch | None = None) -> TrainResult:
+def train_base(model: ModelSpec, X, y, config: TrainConfig, *, seed: int) -> TrainResult:
     """Minibatch SGD on cross-entropy; history row 0 is the initial state."""
     X, y = _coerce_data(X, y)
 
@@ -458,7 +451,7 @@ def train_base(model: ModelSpec, X, y, config: TrainConfig, *, seed: int,
         return [ce_on_tape(tape, logits, y[idx])]
 
     return _fit("base", len(X), config, model.params(), objectives,
-                lambda: evaluate_model(model, X, y, scratch=scratch), seed=seed)
+                lambda: evaluate_model(model, X, y), seed=seed)
 
 
 def check_edge_objectives(kd_weight: float, recall_boost: bool) -> None:
@@ -473,7 +466,7 @@ def check_edge_objectives(kd_weight: float, recall_boost: bool) -> None:
 
 def train_edge_kd(edge: ModelSpec, adapter: AdapterSpec, X, y, target: np.ndarray,
                   config: TrainConfig, *, seed: int, kd_weight: float = 1.0,
-                  recall_boost: bool = False, scratch: Scratch | None = None) -> TrainResult:
+                  recall_boost: bool = False) -> TrainResult:
     """Edge training with the feature-imitation term.
 
     The cloud enters only through ``target``, its :func:`kd_targets` on
@@ -511,9 +504,9 @@ def train_edge_kd(edge: ModelSpec, adapter: AdapterSpec, X, y, target: np.ndarra
     def report():
         # one edge pass gives both the probabilities and the tap
         nonlocal handoff
-        probs, edge_feat = infer_with_tap(edge, X, adapter.edge_tap, scratch=scratch)
-        adapted = adapt(adapter, edge_feat, scratch=scratch) if use_kd else None
-        kd = _kd_against(target, adapted, scratch=scratch) if use_kd else 0.0
+        probs, edge_feat = infer_with_tap(edge, X, adapter.edge_tap)
+        adapted = adapt(adapter, edge_feat) if use_kd else None
+        kd = _kd_against(target, adapted) if use_kd else 0.0
         handoff = Handoff(adapter, target, edge_feat, adapted, kd)
         return _loss_report(probs, y, kd)
 
@@ -525,7 +518,7 @@ def train_edge_kd(edge: ModelSpec, adapter: AdapterSpec, X, y, target: np.ndarra
 
 def finetune_adapter(edge_kd: TrainResult, cloud: ModelSpec, adapter: AdapterSpec,
                      y, target: np.ndarray, config: TrainConfig, *,
-                     seed: int, scratch: Scratch | None = None) -> TrainResult:
+                     seed: int) -> TrainResult:
     """Tune the adapter and the cloud tail on the end-to-end adapted path.
 
     ``edge_kd`` is what :func:`train_edge_kd` returned for ``adapter`` and
@@ -555,9 +548,9 @@ def finetune_adapter(edge_kd: TrainResult, cloud: ModelSpec, adapter: AdapterSpe
     def report():
         nonlocal pending
         if pending is None:
-            return _adaptive_report(cloud, adapter, feats, target, y, scratch)
+            return _adaptive_report(cloud, adapter, feats, target, y)
         adapted, kd, pending = pending.adapted, pending.kd, None
-        return _loss_report(cloud_tail(cloud, adapted, n, scratch=scratch), y, kd)
+        return _loss_report(cloud_tail(cloud, adapted, n), y, kd)
 
     return _fit("adapter-finetune", len(feats), config,
                 adapter.params() + [p for layer in tail for p in layer.params()], objectives,

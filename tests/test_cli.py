@@ -1,6 +1,7 @@
 """CLI tests: the full command pipeline on a tiny plan, exit codes, and the
 frontier/report commands."""
 
+import concurrent.futures
 import csv
 import json
 import math
@@ -122,6 +123,47 @@ def test_evaluate_and_sweep_draw_only_the_dataset(plan_file, tmp_path, monkeypat
             seeded.clear()
             assert dispatch([command, "--config", plan_file, "--out", out]) == 0, command
             assert seeded == draws, command
+
+
+def test_evaluate_and_sweep_route_in_the_workspace_of_an_earlier_train(plan_file, tmp_path,
+                                                                        monkeypatch):
+    """After a `train` in a thread, that thread's `evaluate` and `sweep`
+    write every layer output but each pass's result, and every residual
+    hidden activation, into the thread's workspace, and allocate no buffer
+    there."""
+    out = str(tmp_path / "out")
+    passes, calls = [], []
+    forward, apply_layer = nncore.forward, nncore.apply_layer
+
+    def recording_forward(layers, x):
+        passes.append(len(layers))
+        return forward(layers, x)
+
+    def recording_apply_layer(layer, x, out=None, hidden=None):
+        calls.append((layer, out, hidden))
+        return apply_layer(layer, x, out, hidden)
+
+    def run():
+        assert dispatch(["train", "--config", plan_file, "--out", out]) == 0
+        buffers = list(nncore.workspace()._buffers)
+        monkeypatch.setattr(nncore, "forward", recording_forward)
+        monkeypatch.setattr(nncore, "apply_layer", recording_apply_layer)
+        for command in ("evaluate", "sweep"):
+            assert dispatch([command, "--config", plan_file, "--out", out]) == 0, command
+        monkeypatch.undo()
+        return buffers, list(nncore.workspace()._buffers)
+
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        before, after = pool.submit(run).result(timeout=120)
+    assert all(now is then for now, then in zip(after, before))
+
+    def in_workspace(array):
+        return any(np.shares_memory(array, buf) for buf in before)
+
+    assert calls and sum(1 for n in passes if n) == sum(1 for _, o, _ in calls if o is None)
+    assert all(in_workspace(o) for _, o, _ in calls if o is not None)
+    residual = [h for layer, _, h in calls if layer.kind == nncore.RESIDUAL]
+    assert residual and all(h is not None and in_workspace(h) for h in residual)
 
 
 def _written(out):
@@ -416,6 +458,22 @@ def test_frontier_writes_utf8_whatever_the_locale(tmp_path):
                            "--output", str(dst)], env=env, capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr.decode(errors="replace")
     assert dst.read_bytes().decode("utf-8") == "label,s_p,s_comp\r\ncafé,0.9,0.1\r\n"
+
+
+def test_report_escapes_what_an_ascii_locale_cannot_print(tmp_path):
+    """A label the output stream cannot encode is printed backslash-escaped,
+    in a column as wide as the escaped label, and the command exits 0."""
+    src = tmp_path / "r.csv"
+    src.write_text("label,accuracy\ncafé,0.5\n", encoding="utf-8")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join([os.path.dirname(os.path.dirname(cli.__file__)),
+                                          os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONIOENCODING", None)
+    done = subprocess.run([sys.executable, "-m", "edgecloud.cli", "report", "--input", str(src)],
+                          env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
+    assert done.stdout.decode("ascii").splitlines() == [
+        "label    accuracy", "-------  --------", "caf\\xe9  0.5000  "]
 
 
 def test_frontier_drops_a_dominated_row_that_shares_a_kept_label(tmp_path, capsys):

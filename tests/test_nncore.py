@@ -1,5 +1,6 @@
 """Substrate tests: layers, forward, taped gradients, FLOPs, checkpoints."""
 
+import concurrent.futures
 import re
 
 import numpy as np
@@ -509,9 +510,19 @@ class TestFusedLayerEntries:
             self.assert_same(got, self.run(reference_layer, x, prefix, *consumers))
 
 
-class TestScratch:
-    """``forward`` through a shared :class:`nncore.Scratch` gives the same
-    bytes as without one, and a fresh result every time."""
+def fresh_forward(layers, x):
+    """Reference loop: ``apply_layer`` into a fresh array for every layer."""
+    h = np.asarray(x, dtype=np.float64)
+    squeeze = h.ndim == 1
+    h = h.reshape(1, -1) if squeeze else h
+    for layer in layers:
+        h = nncore.apply_layer(layer, h)
+    return h[0] if squeeze else h
+
+
+class TestWorkspace:
+    """``forward`` through the thread's :func:`nncore.workspace` gives the
+    bytes of a loop into fresh arrays, and a fresh result every time."""
 
     def stacks(self, rng):
         """Random stacks, and one whose last layer is a residual block."""
@@ -520,37 +531,46 @@ class TestScratch:
         head = dense(5, 4, nncore.RELU, rng=rng, name="d")
         yield [head, residual_block(4, rng=rng, name="r0"), residual_block(4, rng=rng, name="r1")], 5
 
-    def test_shared_scratch_matches_no_scratch(self):
+    def test_matches_a_loop_into_fresh_arrays(self):
         rng = np.random.default_rng(21)
-        scratch = nncore.Scratch()
         for layers, in_dim in self.stacks(rng):
             X = rng.standard_normal((int(rng.integers(1, 40)), in_dim))
             for x in (X, X[0], X[:0], X[1:]):  # batch, 1-D sample, empty slice, offset view
-                got = forward(layers, x, scratch=scratch)
-                want = forward(layers, x)
+                got = forward(layers, x)
+                want = fresh_forward(layers, x)
                 assert got.shape == want.shape
                 assert np.array_equal(bits(got), bits(want))
 
     def test_result_is_fresh_and_survives_the_next_pass(self):
         rng = np.random.default_rng(22)
-        scratch = nncore.Scratch()
+        buffers = nncore.workspace()._buffers
         kept = []
         for layers, in_dim in self.stacks(rng):
-            out = forward(layers, rng.standard_normal((9, in_dim)), scratch=scratch)
-            assert not any(np.shares_memory(out, buf) for buf in scratch._buffers)
+            out = forward(layers, rng.standard_normal((9, in_dim)))
+            assert not any(np.shares_memory(out, buf) for buf in buffers)
             kept.append((out, out.copy()))
         assert all(np.array_equal(bits(out), bits(copy)) for out, copy in kept)
 
     def test_buffers_grow_to_the_largest_request_only(self):
+        # a new thread starts from an empty workspace of its own, whose
+        # buffers are replaced only by a larger request and never shrink
         layers = [dense(3, 8, rng=np.random.default_rng(0)), dense(8, 2)]
-        scratch = nncore.Scratch()
-        forward(layers, np.ones((10, 3)), scratch=scratch)
-        first = list(scratch._buffers)
-        assert first[0].size == 80 and first[1].size == 0 and first[2].size == 0
-        forward(layers, np.ones((4, 3)), scratch=scratch)
-        assert all(a is b for a, b in zip(scratch._buffers, first))
-        forward(layers, np.ones((11, 3)), scratch=scratch)
-        assert scratch._buffers[0].size == 88
+
+        def run():
+            scratch = nncore.workspace()
+            assert [buf.size for buf in scratch._buffers] == [0] * 4
+            forward(layers, np.ones((10, 3)))
+            first = list(scratch._buffers)
+            assert [buf.size for buf in first] == [80, 0, 0, 0]
+            forward(layers, np.ones((4, 3)))
+            assert all(a is b for a, b in zip(scratch._buffers, first))
+            forward(layers, np.ones((11, 3)))
+            assert [buf.size for buf in scratch._buffers] == [88, 0, 0, 0]
+            return scratch
+
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            other = pool.submit(run).result(timeout=60)
+        assert other is not nncore.workspace()
 
 
 class TestAtomicOpen:

@@ -212,7 +212,9 @@ class TestTrainEdgeKd:
                       TrainConfig(4, 32, 0.1), seed=seeds["edge_train"])
         assert nncore.params_digest(cloud.params()) == digest
         assert np.array_equal(target, before)
-        assert np.array_equal(target, kd_targets(cloud, adapter.cloud_tap, ds.train_X))
+        # the result is a view of the workspace that the next call rewrites,
+        # so the recomputed targets are held against the copy
+        assert np.array_equal(before, kd_targets(cloud, adapter.cloud_tap, ds.train_X))
 
     def test_gradient_regions(self):
         # layers after the tap: classifier gradient only; layers at or before
@@ -809,16 +811,18 @@ class TestReportPasses:
         with pytest.raises(ValueError, match="read-only"):
             target *= 2.0
 
-    def test_kd_targets_in_a_scratch_are_the_fresh_ones(self):
+    def test_kd_targets_are_the_sigmoid_in_the_target_slot(self):
         X, _, _, cloud, adapter = self.small_setup()
-        fresh = kd_targets(cloud, adapter.cloud_tap, X)
-        scratch = nncore.Scratch()
+        want = nncore.sigmoid(nncore.forward(cloud.layers[:adapter.cloud_tap + 1], X))
+        scratch = nncore.workspace()
         scratch.array(0, (4 * len(X), 8)).fill(np.nan)  # a larger, dirty layer slot
-        target = kd_targets(cloud, adapter.cloud_tap, X, scratch=scratch)
-        assert target.tobytes() == fresh.tobytes()
+        target = kd_targets(cloud, adapter.cloud_tap, X)
+        assert target.tobytes() == want.tobytes()
         with pytest.raises(ValueError, match="read-only"):
             target[0, 0] = 0.5
         assert np.shares_memory(target, scratch.array(nncore.Scratch.TARGET, target.shape))
+        assert not any(np.shares_memory(target, scratch.array(slot, target.shape))
+                       for slot in range(3))
 
     @pytest.mark.parametrize("cut", ["rows", "width"])
     @pytest.mark.parametrize("stage", ["edge_kd", "finetune"])
