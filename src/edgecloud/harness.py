@@ -472,17 +472,17 @@ def train_stages(plan: ExperimentPlan, ds: Dataset, edge: ModelSpec,
                  cloud: ModelSpec, adapter: AdapterSpec) -> dict[str, TrainResult]:
     """Cloud base training, edge training with feature imitation, adapter
     plus cloud-tail fine-tuning; all seeds derived from the master seed.
-    The trained cloud's KD targets are computed once, for both KD stages;
-    fine-tuning starts from the edge-KD stage's hand-off, its last report's
-    edge tap, adapted feature and KD term. Every pass keeps its
-    intermediates in the calling thread's workspace (``nncore.workspace``),
-    and the KD targets are a read-only view of it, dropped before this
-    returns."""
+    The trained cloud's KD targets come from the cloud stage's last report,
+    for both KD stages; fine-tuning starts from the edge-KD stage's
+    hand-off, its last report's edge tap, adapted feature and KD term.
+    Every pass keeps its intermediates in the calling thread's workspace
+    (``nncore.workspace``), and the KD targets are a read-only view of it,
+    taken off the cloud stage's result and dropped before this returns."""
     seeds = derive_seeds(plan.master_seed)
     stages, X, y = plan.stages, ds.train_X, ds.train_y
     results = {"cloud": train_mod.train_base(cloud, X, y, stages["cloud"],
-                                             seed=seeds["cloud_train"])}
-    target = train_mod.kd_targets(cloud, adapter.cloud_tap, X)
+                                             seed=seeds["cloud_train"], tap=adapter.cloud_tap)}
+    target, results["cloud"].target = results["cloud"].target, None
     results["edge_kd"] = train_mod.train_edge_kd(edge, adapter, X, y, target, stages["edge_kd"],
                                                  seed=seeds["edge_train"], kd_weight=plan.kd_weight,
                                                  recall_boost=plan.recall_boost)

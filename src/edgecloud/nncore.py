@@ -1,5 +1,5 @@
-"""Dense-network substrate: parameters, layers, taped reverse-mode gradients,
-FLOP accounting, and bit-exact parameter checkpoints.
+"""Dense-network substrate: parameters, layers, taped reverse-mode gradients
+into flat gradient rows, FLOP accounting, and bit-exact parameter checkpoints.
 
 Conventions shared by every module in this package:
 
@@ -16,7 +16,10 @@ Conventions shared by every module in this package:
 * ``forward`` is the only untaped loop over a layer stack and
   ``forward_on_tape`` the only taped one; split inference and training run
   them on slices of a stack (up to a tap, after a tap). The tape records
-  one entry per layer, replaying its affine, relu and skip-add backwards.
+  one entry per stack, whose backward is one loop over its layers in
+  reverse: their relu, skip-add and affine backwards, with each
+  parameter's gradient written in place into its slice of one flat
+  gradient row (``adjoints``).
 * Every pass keeps its intermediates in the calling thread's workspace,
   one :class:`Scratch` made on the thread's first pass and kept for its
   life (:func:`workspace`), so its buffers are allocated once per thread.
@@ -237,7 +240,8 @@ def flops(layers: Sequence[LayerSpec]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Gradient tape: an ordered record of taped ops, replayed in reverse.
+# Gradient tape: an ordered record of taped ops, replayed in reverse into one
+# flat gradient row.
 
 class Node:
     """Value produced during a taped forward pass; ``is_data`` marks a data
@@ -251,67 +255,127 @@ class Node:
 
 
 class GradientTape:
-    """Ordered record of the taped operations of one forward pass.
+    """Ordered record of the taped operations of one forward pass, and the
+    layout of its gradient row.
 
-    Ops append ``(node, backward_fn)`` entries, one per layer or loss;
-    ``adjoints`` replays the record in reverse from any recorded scalar and
-    accumulates one gradient per parameter the scalar reaches. A tape is a single-owner,
-    single-threaded object.
+    Ops append ``(node, backward_fn)`` entries: one per layer stack
+    (:func:`forward_on_tape`), one per loss and one per elementwise op.
+    Every parameter an op reads owns a slice of one flat gradient row of
+    :attr:`size` elements: the ``params`` given at construction first, in
+    their order, then the others in the order the ops first read them.
+    ``adjoints`` replays the record in reverse from any recorded scalar
+    into such a row. A tape is a single-owner, single-threaded object.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, params: Iterable[Param] = ()) -> None:
         self._entries: list[tuple[Node, Callable]] = []
-        self._params: dict[int, tuple[Param, Node]] = {}
+        self._slices: dict[int, tuple[Param, slice]] = {}
+        self._leaves: dict[int, Node] = {}
+        self._rows: dict[int, tuple[np.ndarray, dict[int, np.ndarray]]] = {}
+        self.size = 0
+        self.place(params)
 
     def input(self, value) -> Node:
         """Data leaf; no gradient is computed into it (take a gradient with
         respect to data through a ``Param`` leaf)."""
         return Node(as_tensor(value), is_data=True)
 
+    def place(self, params: Iterable[Param]) -> None:
+        """Give each of ``params`` that has none its slice of the row."""
+        for p in params:
+            if id(p) not in self._slices:
+                self._slices[id(p)] = (p, slice(self.size, self.size + p.value.size))
+                self.size += p.value.size
+
     def param(self, p: Param) -> Node:
-        """Leaf for a trainable parameter (one node per param per tape)."""
-        entry = self._params.get(id(p))
-        if entry is None:
-            entry = (p, Node(p.value))
-            self._params[id(p)] = entry
-        return entry[1]
+        """Leaf for a trainable parameter (one node per param per tape), for
+        an op that passes ``p``'s gradient to ``accum`` as a node's."""
+        node = self._leaves.get(id(p))
+        if node is None:
+            self.place((p,))
+            node = self._leaves[id(p)] = Node(p.value)
+        return node
 
     def record(self, value: np.ndarray, backward_fn: Callable) -> Node:
         node = Node(value)
         self._entries.append((node, backward_fn))
         return node
 
+    def clear(self) -> None:
+        """Forget every recorded op and leaf but keep the row layout, so one
+        tape serves step after step."""
+        self._entries.clear()
+        self._leaves.clear()
 
-def adjoints(tape: GradientTape, node: Node) -> dict[Param, np.ndarray]:
-    """Gradients of a recorded scalar node w.r.t. the parameters it reaches.
+    def _views(self, row: np.ndarray) -> dict[int, np.ndarray]:
+        """Each parameter's slice of ``row``, shaped as the parameter, by
+        the parameter's id; kept for the next replay into the same ``row``
+        while the layout holds."""
+        kept = self._rows.get(id(row))
+        if kept is not None and kept[0] is row and len(kept[1]) == len(self._slices):
+            return kept[1]
+        views = {key: row[where].reshape(p.value.shape)
+                 for key, (p, where) in self._slices.items()}
+        self._rows[id(row)] = (row, views)
+        return views
 
-    A parameter on the tape that ``node`` does not depend on is absent from
-    the map; its gradient is zero.
+
+class _Replay:
+    """One replay of a tape: the gradients of recorded nodes, and the
+    parameters' views of the row that their gradients go into. A backward
+    function is called as ``backward_fn(g, accum)`` with this object as
+    ``accum``: calling it adds a gradient to a node's, and :meth:`claim`
+    hands the views to an op that writes whole parameter gradients."""
+
+    __slots__ = ("grads", "views", "written")
+
+    def __init__(self, views: dict[int, np.ndarray], seed: Node) -> None:
+        self.grads: dict[int, np.ndarray] = {id(seed): np.float64(1.0)}
+        self.views = views
+        self.written: set[int] = set()
+
+    def __call__(self, n: Node, delta: np.ndarray) -> None:
+        key = id(n)
+        prev = self.grads.get(key)
+        self.grads[key] = delta if prev is None else prev + delta
+
+    def claim(self, keys: frozenset[int]) -> dict[int, np.ndarray]:
+        """The views, for one write of the gradient of each parameter whose
+        id is in ``keys``."""
+        if not self.written.isdisjoint(keys):
+            raise UsageError("a parameter is read twice on one tape")
+        self.written |= keys
+        return self.views
+
+
+def adjoints(tape: GradientTape, node: Node, out: np.ndarray) -> np.ndarray:
+    """Gradient of a recorded scalar node w.r.t. every parameter on the tape,
+    written into ``out``, one flat row of ``tape.size`` elements, and
+    returned: each parameter's gradient raveled into its slice (see
+    :class:`GradientTape`), zero for a parameter ``node`` does not reach.
     """
     if node.value.shape != ():
         raise UsageError("adjoint seed must be a scalar node")
-    grads: dict[int, np.ndarray] = {id(node): np.float64(1.0)}
-
-    def accum(n: Node, delta: np.ndarray) -> None:
-        key = id(n)
-        prev = grads.get(key)
-        grads[key] = delta if prev is None else prev + delta
-
-    for out, backward_fn in reversed(tape._entries):
-        g = grads.pop(id(out), None)
-        if g is None:
-            continue
-        backward_fn(g, accum)
-
-    result: dict[Param, np.ndarray] = {}
-    for p, pnode in tape._params.values():
-        g = grads.get(id(pnode))
+    if out.shape != (tape.size,):
+        raise UsageError(f"gradient row has shape {out.shape}, tape needs ({tape.size},)")
+    replay = _Replay(tape._views(out), node)
+    grads = replay.grads
+    for value, backward_fn in reversed(tape._entries):
+        g = grads.pop(id(value), None)
         if g is not None:
-            result[p] = np.asarray(g, dtype=np.float64)
-    return result
+            backward_fn(g, replay)
+    for key, leaf in tape._leaves.items():
+        g = grads.get(id(leaf))
+        if g is not None:
+            replay.claim(frozenset((key,)))[key][...] = g
+    if len(replay.written) < len(tape._slices):
+        for key, view in replay.views.items():
+            if key not in replay.written:
+                view.fill(0.0)
+    return out
 
 
-# --- taped ops: 2-D (batch, features) nodes; backwards make fresh arrays ----
+# --- taped ops: 2-D (batch, features) nodes; node gradients are fresh arrays -
 
 def op_add(tape: GradientTape, a: Node, b: Node) -> Node:
     if a.value.shape != b.value.shape:
@@ -346,48 +410,75 @@ def op_rows(tape: GradientTape, x: Node, idx: np.ndarray) -> Node:
     return tape.record(x.value[idx], bw)
 
 
-def layer_on_tape(tape: GradientTape, layer: LayerSpec, x: Node) -> Node:
-    """One tape entry for ``layer`` applied to ``x``, with :func:`apply_layer`'s
-    values. Its backward runs the affine, relu and skip-add backwards of the
-    layer in reverse order; a data leaf ``x`` gets no gradient."""
-    w1, b1 = tape.param(layer.weights[0]), tape.param(layer.biases[0])
-    y = x.value @ w1.value.T
-    y += b1.value
-    residual = layer.kind == RESIDUAL
-    if residual:
-        w2, b2 = tape.param(layer.weights[1]), tape.param(layer.biases[1])
-        h, hidden_mask = y, y > 0
-        np.maximum(h, 0.0, out=h)
-        y = h @ w2.value.T
-        y += b2.value
-        np.add(x.value, y, out=y)
-    mask = y > 0 if layer.activation == RELU else None
-    if mask is not None:
-        np.maximum(y, 0.0, out=y)
+def forward_on_tape(tape: GradientTape, layers: Sequence[LayerSpec], x: Node) -> Node:
+    """The one taped layer loop: ``layers`` applied to ``x`` as one tape
+    entry, with :func:`apply_layer`'s values (``x`` itself for no layers).
+
+    Its backward is one loop over the layers in reverse. Per layer it runs
+    the activation, skip-add and affine backwards, and writes each
+    parameter's gradient with ``out=`` into the parameter's slice of the
+    row. The gradient into ``x`` is passed on as a residual block's skip
+    term, then its affine term; a data leaf ``x`` gets none.
+    """
+    if not layers:
+        return x
+    saved, keys = [], []
+    h = x.value
+    for layer in layers:
+        params = layer.params()  # W1, b1 and a residual block's W2, b2
+        tape.place(params)
+        keys += map(id, params)
+        y = h @ params[0].value.T
+        y += params[1].value
+        hidden = hidden_mask = mask = None
+        if len(params) == 4:
+            hidden, hidden_mask = y, y > 0
+            np.maximum(hidden, 0.0, out=hidden)
+            y = hidden @ params[2].value.T
+            y += params[3].value
+            np.add(h, y, out=y)
+        if layer.activation == RELU:
+            mask = y > 0
+            np.maximum(y, 0.0, out=y)
+        saved.append((params, h, hidden, hidden_mask, mask))
+        h = y
+    claimed = frozenset(keys)
+    if len(claimed) < len(keys):
+        raise UsageError("a parameter is read twice on one tape")
+    last = len(saved) - 1
 
     def bw(g, accum):
-        if mask is not None:
-            g = g * mask
-        if residual:
-            if not x.is_data:
-                accum(x, g)
-            g_h = g @ w2.value
-            accum(w2, g.T @ h)
-            accum(b2, g.sum(axis=0))
-            g = g_h * hidden_mask
-        if not x.is_data:
-            accum(x, g @ w1.value)
-        accum(w1, g.T @ x.value)
-        accum(b1, g.sum(axis=0))
+        grad = accum.claim(claimed)
+        for i in range(last, -1, -1):
+            params, x_in, hidden, hidden_mask, mask = saved[i]
+            if mask is not None:
+                g = g * mask
+            skip = None
+            if hidden is not None:
+                w2, b2 = params[2:]
+                skip = g
+                g = g @ w2.value
+                np.matmul(skip.T, hidden, out=grad[id(w2)])
+                np.add.reduce(skip, axis=0, out=grad[id(b2)])
+                g *= hidden_mask
+            w1, b1 = params[:2]
+            np.matmul(g.T, x_in, out=grad[id(w1)])
+            np.add.reduce(g, axis=0, out=grad[id(b1)])
+            if i:
+                g = g @ w1.value
+                if skip is not None:
+                    g += skip
+            elif not x.is_data:
+                if skip is not None:
+                    accum(x, skip)
+                accum(x, g @ w1.value)
 
-    return tape.record(y, bw)
+    return tape.record(h, bw)
 
 
-def forward_on_tape(tape: GradientTape, layers: Sequence[LayerSpec], x: Node) -> Node:
-    """The one taped layer loop: records ``layers`` applied to ``x`` on ``tape``."""
-    for layer in layers:
-        x = layer_on_tape(tape, layer, x)
-    return x
+def layer_on_tape(tape: GradientTape, layer: LayerSpec, x: Node) -> Node:
+    """``layer`` applied to ``x``: :func:`forward_on_tape` of the one layer."""
+    return forward_on_tape(tape, (layer,), x)
 
 
 class Scratch:

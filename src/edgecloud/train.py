@@ -20,7 +20,11 @@ records on the tape:
 A step with one objective follows its gradient. A step with several follows
 their minimum-norm simplex combination, so no step increases any of them to
 first order; an objective absent from the batch (positive cross-entropy on
-a batch without positive rows) is left out of that step.
+a batch without positive rows) is left out of that step. The trainable
+parameters of a procedure live in one flat buffer, each ``Param.value`` a
+reshaped slice of it from then on; every objective's backward writes its
+gradient into one flat row of the same layout, so an update is one
+in-place subtraction from that buffer.
 
 Losses clamp probabilities to ``[1e-12, 1 - 1e-12]`` before taking logs.
 All procedures are deterministic given their ``seed`` argument (the only
@@ -30,17 +34,18 @@ sees the cloud only as a read-only target array.
 
 Each procedure reports once before training and once per epoch over the
 whole training split. Reports reuse frozen-side features: the KD target
-probabilities come from the cloud layers up to the tap, once per ``train``
-(``harness.train_stages`` calls :func:`kd_targets` after the cloud stage
-and passes the read-only result to both KD stages); ``train_edge_kd`` runs
-the edge once per report and hands its last report's edge tap, adapted
-feature and KD loss to ``finetune_adapter`` (a :class:`Handoff`): its row 0
-runs only the cloud tail, its later reports the adapter and the cloud
-tail. Every pass keeps its intermediates in the calling thread's workspace
-(``nncore.workspace``): the intermediate layer outputs of every report and
-the KD loss's temporaries land in the same buffers, ``train`` after
-``train``, instead of fresh arrays, and so do the KD targets, the one
-result that is a view of the workspace.
+probabilities come from the cloud stage's last report, which runs the
+cloud past the tap anyway (``harness.train_stages`` gives ``train_base``
+the adapter's cloud tap and passes the read-only result to both KD
+stages); ``train_edge_kd`` runs the edge once per report and hands its
+last report's edge tap, adapted feature and KD loss to
+``finetune_adapter`` (a :class:`Handoff`): its row 0 runs only the cloud
+tail, its later reports the adapter and the cloud tail. Every pass keeps
+its intermediates in the calling thread's workspace (``nncore.workspace``):
+the intermediate layer outputs of every report and the KD loss's
+temporaries land in the same buffers, ``train`` after ``train``, instead of
+fresh arrays, and so do the KD targets, the one result that is a view of
+the workspace.
 """
 
 from __future__ import annotations
@@ -131,13 +136,15 @@ class Handoff:
 @dataclass
 class TrainResult:
     """Per-epoch reports (row 0 is the pre-training state), the per-step
-    simplex weights of multi-objective runs, and ``train_edge_kd``'s hand-off."""
+    simplex weights of multi-objective runs, ``train_edge_kd``'s hand-off
+    and the KD targets of ``train_base`` given a tap."""
 
     history: list[LossReport]
     alpha_steps: list[tuple[float, ...]] = field(default_factory=list)
     skipped_steps: int = 0
     min_descent_inner: float = math.inf
     handoff: Handoff | None = field(default=None, repr=False, compare=False)
+    target: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def final(self) -> LossReport:
@@ -234,11 +241,14 @@ def ce_on_tape(tape: GradientTape, logits: Node, labels) -> Node:
     clamped = np.clip(picked, LOG_EPS, 1.0 - LOG_EPS)
 
     def bw(g, accum):
-        g_picked = np.full(clamped.shape, float(g * -1.0) / clamped.size) / clamped * inside
-        g_probs = np.zeros_like(probs)
-        g_probs[rows, labels] = g_picked
-        dot = np.sum(g_probs * probs, axis=-1, keepdims=True)
-        accum(logits, probs * (g_probs - dot))
+        g_picked = float(g * -1.0) / clamped.size / clamped * inside
+        # the softmax backward of a one-hot g: its row dot is the picked
+        # term plus zeros, and a zero term is subtracted from 0.0, so a
+        # saturated row's signed zeros come out as the dense form's
+        dot = g_picked * picked + 0.0
+        delta = probs * (0.0 - dot)[:, None]
+        delta[rows, labels] = picked * (g_picked - dot)
+        accum(logits, delta)
 
     return tape.record(np.asarray(np.log(clamped).mean()) * -1.0, bw)
 
@@ -256,11 +266,19 @@ def kd_on_tape(tape: GradientTape, adapted: Node, target) -> Node:
     r = 1.0 - q
 
     def bw(g, accum):
-        g_terms = np.full(q.shape, float(g * -1.0) / q.size)
-        g_q = -(g_terms * miss_weight / r) + g_terms * target / q
-        accum(adapted, g_q * inside * s * (1.0 - s))
+        g_term = float(g * -1.0) / q.size
+        g_q = np.divide(miss_weight * g_term, r)
+        np.negative(g_q, out=g_q)
+        hit = np.divide(target * g_term, q)
+        g_q += hit
+        g_q = g_q * inside
+        g_q *= s
+        g_q *= np.subtract(1.0, s, out=hit)
+        accum(adapted, g_q)
 
-    terms = target * np.log(q) + miss_weight * np.log(r)
+    terms = np.log(q)
+    terms *= target
+    terms += np.log(r) * miss_weight
     return tape.record(np.asarray(terms.mean()) * -1.0, bw)
 
 
@@ -336,20 +354,22 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[start:start + batch_size]
 
 
-def _sgd(params: list[Param], grads: dict[Param, np.ndarray], lr: float) -> None:
-    if lr == 0.0:
-        return
-    for p in params:
-        g = grads.get(p)
-        if g is not None:
-            p.value -= lr * g
-
-
 def _epoch_alpha(steps: list[tuple[float, ...]]) -> tuple[float, ...] | None:
     if not steps:
         return None
     arr = np.asarray(steps, dtype=np.float64)
     return tuple(float(v) for v in arr.mean(axis=0))
+
+
+def _flatten(params: list[Param]) -> np.ndarray:
+    """One flat buffer of ``params``' values, in order; each ``Param.value``
+    becomes a reshaped slice of it."""
+    flat = np.concatenate([np.empty(0)] + [p.value.ravel() for p in params])
+    start = 0
+    for p in params:
+        p.value = flat[start:start + p.value.size].reshape(p.value.shape)
+        start += p.value.size
+    return flat
 
 
 def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
@@ -360,39 +380,41 @@ def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
 
     ``objectives(tape, idx)`` records one step's objectives for the rows
     ``idx`` on ``tape`` and returns them by slot, ``None`` for an objective
-    absent from the batch. One present objective: SGD on its gradient. More
-    than one: SGD on the minimum-norm combination of their gradients, whose
-    weights are logged by slot in ``alpha_steps`` (0 for an absent slot).
-    Those gradients go row by row into one flat buffer, a fixed slice per
-    trainable param, allocated once per call. ``report()`` gives history
-    row 0 and, after each epoch, a row carrying the epoch's mean weights.
-    ``frozen`` must come out unchanged.
+    absent from the batch. The trainable params' values become slices of
+    one flat buffer, which is also the layout of each step's tape, and each
+    objective's gradient is one row of a ``(slots, size)`` buffer,
+    allocated once per call. One present objective: SGD on its gradient,
+    scaled in place. More than one: SGD on the minimum-norm combination of
+    their gradients, whose weights are logged by slot in ``alpha_steps`` (0
+    for an absent slot). ``report()`` gives history row 0 and, after each
+    epoch, a row carrying the epoch's mean weights. ``frozen`` must come
+    out unchanged.
     """
     frozen_digest = nncore.params_digest(frozen) if frozen else None
-    ends = np.cumsum([p.value.size for p in trainable])
-    slices = [slice(end - p.value.size, end) for p, end in zip(trainable, ends)]
-    flat: np.ndarray | None = None
+    flat = _flatten(trainable)
+    lr = config.learning_rate
+    grads: np.ndarray | None = None
+    tape = GradientTape(trainable)
     rng = np.random.default_rng(seed)
     result = TrainResult([report()])
     for epoch in range(1, config.epochs + 1):
         epoch_alphas: list[tuple[float, ...]] = []
         for idx in _batches(n, config.batch_size, rng):
-            tape = GradientTape()
+            tape.clear()
             slots = objectives(tape, idx)
             present = [i for i, node in enumerate(slots) if node is not None]
             if not all(np.isfinite(slots[i].value) for i in present):
                 raise DivergenceError(stage, epoch)
+            if grads is None:
+                grads = np.empty((len(slots), flat.size))
+                rows = list(grads)
             if len(present) == 1:
-                grads = nncore.adjoints(tape, slots[present[0]])
+                step = nncore.adjoints(tape, slots[present[0]], rows[0])
+                step *= lr
             else:
-                if flat is None:
-                    flat = np.empty((len(slots), int(ends[-1])))
-                bundle = flat[:len(present)]
-                for dest, slot in zip(bundle, present):
-                    obj_grads = nncore.adjoints(tape, slots[slot])
-                    for p, sl in zip(trainable, slices):
-                        g = obj_grads.get(p)
-                        dest[sl] = 0.0 if g is None else g.ravel()
+                bundle = grads[:len(present)]
+                for dest, slot in zip(rows, present):
+                    nncore.adjoints(tape, slots[slot], dest)
                 if not bundle.any():
                     result.skipped_steps += 1
                     continue
@@ -403,9 +425,9 @@ def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
                 for slot, a in zip(present, alpha):
                     alpha_by_slot[slot] = float(a)
                 epoch_alphas.append(tuple(alpha_by_slot))
-                grads = {p: combined[sl].reshape(p.value.shape)
-                         for p, sl in zip(trainable, slices)}
-            _sgd(trainable, grads, config.learning_rate)
+                step = lr * combined
+            if lr:
+                flat -= step
         result.alpha_steps.extend(epoch_alphas)
         row = report()
         row.alpha = _epoch_alpha(epoch_alphas)
@@ -415,17 +437,15 @@ def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
     return result
 
 
-def kd_targets(cloud: ModelSpec, tap: int, X) -> np.ndarray:
+def kd_targets(feature: np.ndarray) -> np.ndarray:
     """KD target probabilities of both KD stages: the sigmoid of the cloud's
-    feature after layer ``tap`` (an adapter's cloud tap), from the cloud
-    layers up to the tap only.
+    feature after an adapter's cloud tap, which :func:`train_base` given
+    that tap takes from its last report.
 
     The sigmoid goes into the workspace's :attr:`~nncore.Scratch.TARGET`
-    buffer, with its ``1 + e`` temporary in layer slot 0; the result is a
-    read-only view of that buffer, valid until the thread's next
-    ``kd_targets``."""
-    check_adapter_tap("cloud", cloud, tap)
-    feature = nncore.forward(cloud.layers[:tap + 1], X)
+    buffer, with its ``1 + e`` temporary in layer slot 0, neither of which
+    ``feature`` may share; the result is a read-only view of that buffer,
+    valid until the thread's next ``kd_targets``."""
     scratch = nncore.workspace()
     target = sigmoid(feature, scratch.array(Scratch.TARGET, feature.shape),
                      scratch.array(0, feature.shape))
@@ -442,16 +462,37 @@ def _check_target(target: np.ndarray, n: int, adapter: AdapterSpec) -> None:
 # ---------------------------------------------------------------------------
 # Training procedures.
 
-def train_base(model: ModelSpec, X, y, config: TrainConfig, *, seed: int) -> TrainResult:
-    """Minibatch SGD on cross-entropy; history row 0 is the initial state."""
+def train_base(model: ModelSpec, X, y, config: TrainConfig, *, seed: int,
+               tap: int | None = None) -> TrainResult:
+    """Minibatch SGD on cross-entropy; history row 0 is the initial state.
+
+    With a ``tap`` (an adapter's cloud tap), each report runs the model as
+    :func:`infer_with_tap` and keeps the feature after layer ``tap`` until
+    the next step, and the result's ``target`` is the :func:`kd_targets` of
+    the last report's: the trained model's, from no extra pass.
+    """
     X, y = _coerce_data(X, y)
+    if tap is not None:
+        check_adapter_tap("cloud", model, tap)
+    feature = None
 
     def objectives(tape, idx):
+        nonlocal feature
+        feature = None  # held through the epoch, it would raise the peak resident memory
         logits = nncore.forward_on_tape(tape, model.layers, tape.input(X[idx]))
         return [ce_on_tape(tape, logits, y[idx])]
 
-    return _fit("base", len(X), config, model.params(), objectives,
-                lambda: evaluate_model(model, X, y), seed=seed)
+    def report():
+        nonlocal feature
+        if tap is None:
+            return evaluate_model(model, X, y)
+        probs, feature = infer_with_tap(model, X, tap)
+        return _loss_report(probs, y)
+
+    result = _fit("base", len(X), config, model.params(), objectives, report, seed=seed)
+    if tap is not None:
+        result.target = kd_targets(feature)
+    return result
 
 
 def check_edge_objectives(kd_weight: float, recall_boost: bool) -> None:

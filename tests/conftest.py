@@ -44,10 +44,23 @@ def op_mul(tape, a, b):
     return tape.record(a.value * b.value, bw)
 
 
+def param_grads(tape, node):
+    """``nncore.adjoints`` of ``node`` by parameter: each parameter on the
+    tape, in row order, mapped to its slice of the gradient row."""
+    row = nncore.adjoints(tape, node, np.empty(tape.size))
+    return {p: row[where].reshape(p.value.shape) for p, where in tape._slices.values()}
+
+
+def cloud_targets(cloud, tap, X):
+    """``train.kd_targets`` of the cloud's feature after layer ``tap`` on
+    ``X``: the KD targets ``train_base`` given that tap ends with."""
+    return train.kd_targets(nncore.forward(cloud.layers[:tap + 1], X))
+
+
 # ---------------------------------------------------------------------------
-# The reference chain: one tape entry per primitive op. ``nncore.layer_on_tape``
-# records a layer, and ``train.ce_on_tape`` and ``train.kd_on_tape`` a loss, as
-# one entry each, with this chain's values and adjoints bit for bit.
+# The reference chain: one tape entry per primitive op. ``nncore.forward_on_tape``
+# records a layer stack, and ``train.ce_on_tape`` and ``train.kd_on_tape`` a
+# loss, as one entry each, with this chain's values and adjoints bit for bit.
 
 def op_affine(tape, x, w, b):
     wn, bn = tape.param(w), tape.param(b)

@@ -17,14 +17,14 @@ from edgecloud.harness import default_plan, run_experiment, sweep_dynamic
 from edgecloud.metrics import comp_score_value, frontier_reports, pareto_frontier, perf_score
 from edgecloud.models import infer, infer_with_tap, cloud_tail, softmax
 from edgecloud.moo import solve_min_norm
-from edgecloud.nncore import GradientTape, adjoints, forward
+from edgecloud.nncore import GradientTape, forward
 from edgecloud.policy import (ADAPTIVE_CODE, CLOUD_CODE, EDGE_CODE, route_codes,
                              route_dataset)
 from edgecloud.train import TrainConfig, cross_entropy, evaluate_model
 
 from conftest import (brute_force_frontier, check_descent, finite_difference_grads,
-                      grid_oracle, max_relative_error, on_simplex, random_net,
-                      train_recall_boost)
+                      grid_oracle, max_relative_error, on_simplex, param_grads,
+                      random_net, train_recall_boost)
 
 TREND_SEEDS = (0, 1, 2, 3, 4)
 
@@ -93,7 +93,7 @@ def test_criterion_3_gradient_correctness():
 
         tape = GradientTape()
         logits = nncore.forward_on_tape(tape, layers, tape.input(X))
-        grads = adjoints(tape, train.ce_on_tape(tape, logits, y))
+        grads = param_grads(tape, train.ce_on_tape(tape, logits, y))
         worst = max(worst, max_relative_error(
             [grads[p] for p in params], finite_difference_grads(loss_value, params)))
     report_line(3, worst < 1e-4, f"max relative error {worst:.2e} over 100 nets (< 1e-4)")

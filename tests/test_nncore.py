@@ -13,8 +13,8 @@ from edgecloud.nncore import (ConfigError, GradientTape, Param, UsageError,
                               adjoints, dense, flops, forward, residual_block)
 
 from conftest import (CHECKPOINT_DAMAGE, damage_checkpoint, finite_difference_grads,
-                      max_relative_error, op_mean, op_mul, random_net, reference_layer,
-                      scalar_forward_reference)
+                      max_relative_error, op_mean, op_mul, param_grads, random_net,
+                      reference_layer, scalar_forward_reference)
 
 
 class TestForward:
@@ -71,7 +71,7 @@ class TestBackward:
         tape = GradientTape()
         x = tape.input(np.array([[3.0]]))
         out = nncore.layer_on_tape(tape, layer, x)
-        grads = adjoints(tape, op_mean(tape, out))
+        grads = param_grads(tape, op_mean(tape, out))
         assert grads[layer.weights[0]].item() == pytest.approx(3.0)
 
     def test_quadratic_loss_gradient(self):
@@ -80,7 +80,7 @@ class TestBackward:
         tape = GradientTape()
         x = tape.input(np.array([[1.0]]))
         z = nncore.layer_on_tape(tape, layer, x)
-        grads = adjoints(tape, op_mean(tape, op_mul(tape, z, z)))
+        grads = param_grads(tape, op_mean(tape, op_mul(tape, z, z)))
         assert grads[layer.weights[0]].item() == pytest.approx(6.0)
 
     def test_non_scalar_tape_rejected(self):
@@ -88,7 +88,7 @@ class TestBackward:
         tape = GradientTape()
         out = nncore.forward_on_tape(tape, [layer], tape.input(np.zeros((1, 2))))
         with pytest.raises(UsageError, match="scalar"):
-            adjoints(tape, out)
+            adjoints(tape, out, np.empty(tape.size))
 
     def test_finite_difference_spot_check(self):
         rng = np.random.default_rng(13)
@@ -103,7 +103,7 @@ class TestBackward:
 
             tape = GradientTape()
             out = nncore.forward_on_tape(tape, layers, tape.input(X))
-            grads = adjoints(tape, op_mean(tape, op_mul(tape, out, out)))
+            grads = param_grads(tape, op_mean(tape, op_mul(tape, out, out)))
             analytic = [grads[p] for p in params]
             numeric = finite_difference_grads(loss_value, params)
             assert max_relative_error(analytic, numeric) < 1e-4
@@ -114,39 +114,77 @@ class TestBackward:
         x = Param("x", [[1.0, 1.0]])
         tape = GradientTape()
         out = nncore.forward_on_tape(tape, [layer], tape.param(x))
-        grads = adjoints(tape, op_mean(tape, out))
+        grads = param_grads(tape, op_mean(tape, out))
         assert np.allclose(grads[x], [[2.0, -1.0]])
 
     def test_no_gradient_is_computed_into_a_data_leaf(self):
-        # a layer's backward skips ``g @ W``, and a residual block's also its
+        # a stack's backward skips ``g @ W``, and a residual block's also its
         # skip-add term, for a data leaf; a recorded input still gets its
         # gradient, and the params theirs
         rng = np.random.default_rng(5)
         first = dense(3, 4, nncore.IDENTITY, rng=rng)
         second = dense(4, 2, nncore.IDENTITY, rng=rng)
+        block = residual_block(3, nncore.RELU, rng=rng)
         X = rng.standard_normal((5, 3))
         tape = GradientTape()
         x = tape.input(X)
         h = nncore.layer_on_tape(tape, first, x)
         loss = op_mean(tape, nncore.layer_on_tape(tape, second, h))
-        nncore.layer_on_tape(tape, residual_block(3, nncore.RELU, rng=rng), x)
-        reached = set()
+        nncore.layer_on_tape(tape, block, x)
+
+        class Reached:
+            """An ``accum`` that records which nodes get a gradient."""
+
+            def __init__(self):
+                self.nodes = set()
+                self.views = {id(p): np.empty(p.value.shape)
+                              for layer in (first, second, block) for p in layer.params()}
+
+            def __call__(self, node, delta):
+                self.nodes.add(id(node))
+
+            def claim(self, keys):
+                return self.views
+
+        reached = Reached()
         for out, backward_fn in tape._entries:
-            backward_fn(np.ones_like(out.value), lambda node, delta: reached.add(id(node)))
-        assert id(h) in reached and id(x) not in reached
+            backward_fn(np.ones_like(out.value), reached)
+        assert id(h) in reached.nodes and id(x) not in reached.nodes
         g_h = np.full((5, 2), 1.0 / 10) @ second.weights[0].value
-        assert np.array_equal(adjoints(tape, loss)[first.weights[0]], g_h.T @ X)
+        assert np.array_equal(param_grads(tape, loss)[first.weights[0]], g_h.T @ X)
 
     def test_untouched_param_gets_zero_gradient(self):
-        # a param the loss does not reach has zero gradient: it is absent
+        # a param on the tape that the loss does not reach has a zero slice
+        # of the row, whatever the row held before
         w = Param("w", [[1.0]])
         v = Param("v", [[3.0]])
-        tape = GradientTape()
-        tape.param(w)  # touched in forward, disconnected from the loss
+        tape = GradientTape([w])  # in the row, disconnected from the loss
         x = tape.input(np.array([[2.0]]))
-        grads = adjoints(tape, op_mean(tape, op_mul(tape, tape.param(v), x)))
-        assert w not in grads
-        assert list(grads) == [v] and np.array_equal(grads[v], [[2.0]])
+        loss = op_mean(tape, op_mul(tape, tape.param(v), x))
+        row = np.full(tape.size, np.nan)
+        assert adjoints(tape, loss, row) is row
+        assert row.tobytes() == np.array([0.0, 2.0]).tobytes()
+
+    def test_a_row_of_another_size_is_refused(self):
+        layer = dense(2, 1, nncore.IDENTITY, rng=np.random.default_rng(0))
+        tape = GradientTape()
+        loss = op_mean(tape, nncore.layer_on_tape(tape, layer, tape.input(np.ones((1, 2)))))
+        with pytest.raises(UsageError, match=r"^gradient row has shape \(4,\), tape needs \(3,\)$"):
+            adjoints(tape, loss, np.empty(4))
+
+    def test_a_parameter_read_twice_is_refused(self):
+        # each parameter's gradient is written once per replay, never summed:
+        # a layer twice in one stack is refused as it is recorded, a layer in
+        # two stacks as it is replayed
+        layer = dense(1, 1, nncore.IDENTITY, weight=[[1.5]], bias=[0.0])
+        message = "^a parameter is read twice on one tape$"
+        tape = GradientTape()
+        x = tape.input(np.array([[2.0]]))
+        with pytest.raises(UsageError, match=message):
+            nncore.forward_on_tape(tape, [layer, layer], x)
+        z = nncore.layer_on_tape(tape, layer, nncore.layer_on_tape(tape, layer, x))
+        with pytest.raises(UsageError, match=message):
+            adjoints(tape, op_mean(tape, z), np.empty(tape.size))
 
     def test_two_losses_one_tape_are_independent(self):
         layer = dense(1, 1, nncore.IDENTITY, weight=[[1.5]], bias=[0.0])
@@ -156,8 +194,8 @@ class TestBackward:
         z = nncore.layer_on_tape(tape, layer, x)
         loss_a = op_mean(tape, z)
         loss_b = op_mean(tape, op_mul(tape, z, z))
-        ga = adjoints(tape, loss_a)
-        gb = adjoints(tape, loss_b)
+        ga = param_grads(tape, loss_a)
+        gb = param_grads(tape, loss_b)
         assert ga[w].item() == pytest.approx(2.0)
         assert gb[w].item() == pytest.approx(2.0 * 1.5 * 2.0 * 2.0)
 
@@ -170,7 +208,7 @@ class TestDeterminism:
             X = np.random.default_rng(1).standard_normal((4, in_dim))
             tape = GradientTape()
             out = nncore.forward_on_tape(tape, layers, tape.input(X))
-            grads = adjoints(tape, op_mean(tape, op_mul(tape, out, out)))
+            grads = param_grads(tape, op_mean(tape, op_mul(tape, out, out)))
             return layers, out.value, grads
 
         layers_a, out_a, grads_a = build()
@@ -437,10 +475,24 @@ class TestInPlaceKernelsAreBitExact:
             assert np.array_equal(bits(arr), bits(copy))
 
 
+def reference_stack(tape, layers, x):
+    """``layers`` as the reference chain's affine, relu and skip-add entries."""
+    for layer in layers:
+        x = reference_layer(tape, layer, x)
+    return x
+
+
+def layerwise_stack(tape, layers, x):
+    """``layers`` as one ``layer_on_tape`` entry each."""
+    for layer in layers:
+        x = nncore.layer_on_tape(tape, layer, x)
+    return x
+
+
 class TestFusedLayerEntries:
-    """``layer_on_tape`` records one entry per layer with the values and
-    adjoints of the reference chain of affine, relu and skip-add entries,
-    bit for bit."""
+    """``forward_on_tape`` records a layer stack as one entry, and
+    ``layer_on_tape`` one layer, with the values and adjoints of the
+    reference chain of affine, relu and skip-add entries, bit for bit."""
 
     def stacks(self, rng):
         """Dense and residual stacks, each with relu and with identity
@@ -452,52 +504,53 @@ class TestFusedLayerEntries:
         for _ in range(6):
             yield random_net(rng)
 
-    def run(self, layer_op, x, prefix, *consumers):
+    def run(self, stack_op, x, prefix, *consumers):
         """Records ``prefix`` on ``x`` (a data array or a ``Param`` leaf), then
         each consumer stack on its output, seeds the sum of the consumers'
-        mean squares, and returns every layer output, the seed, its adjoints
-        and the tape's entry count."""
+        mean squares, and returns every stack's output, the seed, the
+        parameters in row order, the gradient row and the tape's entry
+        count."""
         tape = GradientTape()
         tap = tape.input(x) if isinstance(x, np.ndarray) else tape.param(x)
-        values, loss = [], None
-        for layer in prefix:
-            tap = layer_op(tape, layer, tap)
-            values.append(tap.value)
+        tap = stack_op(tape, prefix, tap)
+        values, loss = [tap.value], None
         for layers in consumers:
-            out = tap
-            for layer in layers:
-                out = layer_op(tape, layer, out)
-                values.append(out.value)
+            out = stack_op(tape, layers, tap)
+            values.append(out.value)
             head = op_mean(tape, op_mul(tape, out, out))
             loss = head if loss is None else nncore.op_add(tape, loss, head)
-        return values, loss.value, adjoints(tape, loss), len(tape._entries)
+        row = adjoints(tape, loss, np.empty(tape.size))
+        return values, loss.value, [p for p, _ in tape._slices.values()], row, len(tape._entries)
 
     def assert_same(self, got, want):
         for a, b in zip(got[0], want[0], strict=True):
             assert np.array_equal(bits(a), bits(b))
         assert np.array_equal(bits(got[1]), bits(want[1]))
-        assert list(got[2]) == list(want[2])
-        for p, g in want[2].items():
-            assert np.array_equal(bits(got[2][p]), bits(g))
+        assert got[2] == want[2]
+        assert got[3].tobytes() == want[3].tobytes()
 
+    @pytest.mark.parametrize("op", ["stack", "layerwise"])
     @pytest.mark.parametrize("leaf", ["data", "param"])
     @pytest.mark.parametrize("rows", [1, 9])
-    def test_stacks_match_the_reference_chain(self, leaf, rows):
+    def test_stacks_match_the_reference_chain(self, op, leaf, rows):
+        stack_op = nncore.forward_on_tape if op == "stack" else layerwise_stack
         rng = np.random.default_rng(40 + rows)
         for layers, in_dim in self.stacks(rng):
             X = rng.standard_normal((rows, in_dim))
             x = X if leaf == "data" else Param("x", X)
-            got = self.run(nncore.layer_on_tape, x, [], layers)
-            self.assert_same(got, self.run(reference_layer, x, [], layers))
-            assert got[3] == len(layers) + 2
+            got = self.run(stack_op, x, [], layers)
+            self.assert_same(got, self.run(reference_stack, x, [], layers))
+            assert got[4] == (1 if op == "stack" else len(layers)) + 2
             if leaf == "param":
-                assert x in got[2]
+                assert got[2][0] is x
 
+    @pytest.mark.parametrize("op", ["stack", "layerwise"])
     @pytest.mark.parametrize("leaf", ["data", "param"])
-    def test_a_node_consumed_by_two_stacks(self, leaf):
+    def test_a_node_consumed_by_two_stacks(self, op, leaf):
         # a tap feeds a tail and an adapter stack, each starting with a
         # residual block, so the tap sums four gradients: their order
         # changes the rounding, and it must be the reference chain's
+        stack_op = nncore.forward_on_tape if op == "stack" else layerwise_stack
         rng = np.random.default_rng(50)
         prefix = [dense(6, 5, rng=rng, name="p0"), residual_block(5, nncore.RELU, rng=rng, name="p1")]
         tail = [residual_block(5, nncore.RELU, rng=rng, name="t0"),
@@ -506,8 +559,14 @@ class TestFusedLayerEntries:
         X = rng.standard_normal((7, 6))
         x = X if leaf == "data" else Param("x", X)
         for consumers in ([tail, adapter], [adapter, tail]):
-            got = self.run(nncore.layer_on_tape, x, prefix, *consumers)
-            self.assert_same(got, self.run(reference_layer, x, prefix, *consumers))
+            got = self.run(stack_op, x, prefix, *consumers)
+            self.assert_same(got, self.run(reference_stack, x, prefix, *consumers))
+
+    def test_an_empty_stack_records_nothing(self):
+        tape = GradientTape()
+        x = tape.input(np.ones((2, 3)))
+        assert nncore.forward_on_tape(tape, [], x) is x
+        assert tape._entries == [] and tape.size == 0
 
 
 def fresh_forward(layers, x):

@@ -22,8 +22,8 @@ from edgecloud.train import (DivergenceError, TrainConfig, cross_entropy,
                              kd_targets, positive_cross_entropy, train_base,
                              train_edge_kd, finetune_adapter)
 
-from conftest import (reference_ce, reference_kd, reference_layer, tiny_plan,
-                      train_recall_boost)
+from conftest import (cloud_targets, param_grads, reference_ce, reference_kd,
+                      reference_layer, tiny_plan, train_recall_boost, with_cloud_epochs)
 
 
 def params_equal(a, b):
@@ -195,7 +195,7 @@ class TestTrainEdgeKd:
         cfg, seed = TrainConfig(5, 32, 0.1), seeds["edge_train"]
         twin = copy.deepcopy(edge)
         adapter_before = nncore.params_digest(adapter.params())
-        target = kd_targets(cloud, adapter.cloud_tap, ds.train_X)
+        target = cloud_targets(cloud, adapter.cloud_tap, ds.train_X)
         train_edge_kd(edge, adapter, ds.train_X, ds.train_y, target, cfg, seed=seed, kd_weight=0.0)
         train_base(twin, ds.train_X, ds.train_y, cfg, seed=seed)
         assert params_equal(edge, twin)
@@ -206,7 +206,7 @@ class TestTrainEdgeKd:
         # write: cloud and targets come out as they went in
         ds, edge, cloud, adapter, seeds = kd_setup(1)
         digest = nncore.params_digest(cloud.params())
-        target = kd_targets(cloud, adapter.cloud_tap, ds.train_X)
+        target = cloud_targets(cloud, adapter.cloud_tap, ds.train_X)
         before = target.copy()
         train_edge_kd(edge, adapter, ds.train_X, ds.train_y, target,
                       TrainConfig(4, 32, 0.1), seed=seeds["edge_train"])
@@ -214,7 +214,7 @@ class TestTrainEdgeKd:
         assert np.array_equal(target, before)
         # the result is a view of the workspace that the next call rewrites,
         # so the recomputed targets are held against the copy
-        assert np.array_equal(before, kd_targets(cloud, adapter.cloud_tap, ds.train_X))
+        assert np.array_equal(before, cloud_targets(cloud, adapter.cloud_tap, ds.train_X))
 
     def test_gradient_regions(self):
         # layers after the tap: classifier gradient only; layers at or before
@@ -232,16 +232,16 @@ class TestTrainEdgeKd:
         ce = train.ce_on_tape(tape, h, y)
         adapted = train.adapter_on_tape(tape, adapter, tap_node)
         kd = train.kd_on_tape(tape, adapted, nncore.sigmoid(cloud_feat))
-        g_ce = nncore.adjoints(tape, ce)
-        g_kd = nncore.adjoints(tape, kd)
+        g_ce = param_grads(tape, ce)
+        g_kd = param_grads(tape, kd)
         head = edge.layers[-1]
         hidden = edge.layers[0]
         for p in head.params():
-            assert p not in g_kd
+            assert not g_kd[p].any()
             assert np.abs(g_ce[p]).max() > 0
         assert any(np.abs(g_kd[p]).max() > 0 for p in hidden.params())
         for p in adapter.params():
-            assert p not in g_ce
+            assert not g_ce[p].any()
         assert any(np.abs(g_kd[p]).max() > 0 for p in adapter.params())
 
     @pytest.mark.parametrize("kd_weight, recall_boost, message", [
@@ -250,7 +250,7 @@ class TestTrainEdgeKd:
     ])
     def test_edge_objectives_checked(self, kd_weight, recall_boost, message):
         ds, edge, cloud, adapter, seeds = kd_setup(4)
-        target = kd_targets(cloud, adapter.cloud_tap, ds.train_X)
+        target = cloud_targets(cloud, adapter.cloud_tap, ds.train_X)
         with pytest.raises(ConfigError, match=f"^{message}$"):
             train_edge_kd(edge, adapter, ds.train_X, ds.train_y, target,
                           TrainConfig(2, 32, 0.1), seed=1, kd_weight=kd_weight,
@@ -259,7 +259,7 @@ class TestTrainEdgeKd:
     def test_recall_boost_bundle_runs_and_logs_alphas(self):
         ds, edge, cloud, adapter, seeds = kd_setup(5)
         result = train_edge_kd(edge, adapter, ds.train_X, ds.train_y,
-                               kd_targets(cloud, adapter.cloud_tap, ds.train_X),
+                               cloud_targets(cloud, adapter.cloud_tap, ds.train_X),
                                TrainConfig(2, 32, 0.1), seed=seeds["edge_train"],
                                kd_weight=0.5, recall_boost=True)
         assert result.alpha_steps
@@ -268,9 +268,10 @@ class TestTrainEdgeKd:
 
 
 def edge_kd(edge, cloud, adapter, X, y, config):
-    """Stage 2 as ``train_stages`` runs it: the cloud's KD targets, then edge KD."""
-    return train_edge_kd(edge, adapter, X, y, kd_targets(cloud, adapter.cloud_tap, X), config,
-                         seed=0)
+    """Stage 2 as ``train_stages`` runs it: the KD targets of a cloud stage
+    (of no epoch here) given the adapter's cloud tap, then edge KD."""
+    cloud_stage = train_base(cloud, X, y, TrainConfig(0, 32, 0.1), seed=0, tap=adapter.cloud_tap)
+    return train_edge_kd(edge, adapter, X, y, cloud_stage.target, config, seed=0)
 
 
 def finetune(edge, cloud, adapter, X, y, config):
@@ -308,7 +309,7 @@ def test_kd_stages_reject_an_out_of_range_adapter_tap(stage, side):
 
 def untrained_stage_2(ds, edge, cloud, adapter, *, kd_weight=1.0):
     """The KD targets, and a zero-epoch stage 2's result carrying its hand-off."""
-    target = kd_targets(cloud, adapter.cloud_tap, ds.train_X)
+    target = cloud_targets(cloud, adapter.cloud_tap, ds.train_X)
     return target, train_edge_kd(edge, adapter, ds.train_X, ds.train_y, target,
                                  TrainConfig(0, 32, 0.1), seed=0, kd_weight=kd_weight)
 
@@ -390,11 +391,8 @@ class TestRecallBoost:
         logits = nncore.forward_on_tape(tape, edge.layers, tape.input(X))
         ce = train.ce_on_tape(tape, logits, y)
         pos = train.positive_ce_on_tape(tape, logits, y)
-        g1 = nncore.adjoints(tape, ce)
-        g2 = nncore.adjoints(tape, pos)
-        params = edge.params()
-        flat1 = np.concatenate([g1[p].ravel() for p in params])
-        flat2 = np.concatenate([g2[p].ravel() for p in params])
+        flat1 = nncore.adjoints(tape, ce, np.empty(tape.size))
+        flat2 = nncore.adjoints(tape, pos, np.empty(tape.size))
         assert np.array_equal(flat1, flat2)
         from edgecloud.moo import solve_min_norm
         _, combined = solve_min_norm(np.stack([flat1, flat2]))
@@ -445,7 +443,7 @@ def trend_runs():
         cfg, seed = TrainConfig(20, 64, 0.1), seeds["edge_train"]
         e2, e0 = copy.deepcopy(edge), copy.deepcopy(edge)
         erb, epl = copy.deepcopy(edge), copy.deepcopy(edge)
-        target = kd_targets(cloud, ad2.cloud_tap, ds.train_X)
+        target = cloud_targets(cloud, ad2.cloud_tap, ds.train_X)
         kd2 = train_edge_kd(e2, ad2, ds.train_X, ds.train_y, target, cfg, seed=seed, kd_weight=0.5)
         train_edge_kd(e0, ad0, ds.train_X, ds.train_y, target, cfg, seed=seed, kd_weight=0.5)
         train_base(epl, ds.train_X, ds.train_y, cfg, seed=seed)
@@ -505,36 +503,37 @@ def reference_positive_ce(tape, logits, labels):
     return reference_ce(tape, nncore.op_rows(tape, logits, idx), labels[idx]) if idx.size else None
 
 
-FUSED = (nncore.layer_on_tape, train.ce_on_tape, train.positive_ce_on_tape, train.kd_on_tape)
-REFERENCE = (reference_layer, reference_ce, reference_positive_ce, reference_kd)
+def reference_stack(tape, layers, x):
+    for layer in layers:
+        x = reference_layer(tape, layer, x)
+    return x
+
+
+FUSED = (nncore.forward_on_tape, train.ce_on_tape, train.positive_ce_on_tape, train.kd_on_tape)
+REFERENCE = (reference_stack, reference_ce, reference_positive_ce, reference_kd)
 
 
 class TestFusedLossEntries:
     """``ce_on_tape`` and ``kd_on_tape`` record one entry each. The edge-KD
-    objectives built from them, on an edge tap that feeds both the edge
-    tail and the adapter, give the reference chain's values and adjoints
-    bit for bit."""
+    objectives built from them and from ``forward_on_tape`` stacks, on an
+    edge tap that feeds both the edge tail and the adapter, give the
+    reference chain's values and adjoints bit for bit."""
 
     def objectives(self, ops, edge, adapter, X, y, target):
         """The weighted edge-KD objective, then cross-entropy, the imitation
         loss and positive cross-entropy (when the batch has a positive row)
-        on one tape: their values, adjoints and the tape's entry count."""
-        layer_op, ce_op, positive_ce_op, kd_op = ops
-        tape = GradientTape()
-        tap = tape.input(X)
-        for layer in edge.layers[:adapter.edge_tap + 1]:
-            tap = layer_op(tape, layer, tap)
-        logits = adapted = tap
-        for layer in edge.layers[adapter.edge_tap + 1:]:
-            logits = layer_op(tape, layer, logits)
-        for layer in adapter.layers():
-            adapted = layer_op(tape, layer, adapted)
+        on one tape: their values, gradient rows and the tape's entry count."""
+        stack_op, ce_op, positive_ce_op, kd_op = ops
+        tape = GradientTape(edge.params() + adapter.params())
+        tap = stack_op(tape, edge.layers[:adapter.edge_tap + 1], tape.input(X))
+        logits = stack_op(tape, edge.layers[adapter.edge_tap + 1:], tap)
+        adapted = stack_op(tape, adapter.layers(), tap)
         ce, kd = ce_op(tape, logits, y), kd_op(tape, adapted, target)
         seeds = [nncore.op_add(tape, ce, nncore.op_scale(tape, kd, 0.5)), ce, kd]
         positive = positive_ce_op(tape, logits, y)
         seeds += [positive] if positive is not None else []
-        return ([node.value for node in seeds], [nncore.adjoints(tape, node) for node in seeds],
-                len(tape._entries))
+        rows = [nncore.adjoints(tape, node, np.empty(tape.size)) for node in seeds]
+        return [node.value for node in seeds], rows, len(tape._entries)
 
     @pytest.mark.parametrize("rows, scale", [(1, 1.0), (12, 1.0), (12, 60.0)],
                              ids=["one-row", "batch", "saturated"])
@@ -553,14 +552,43 @@ class TestFusedLossEntries:
         for a, b in zip(got[0], want[0]):
             assert a.tobytes() == b.tobytes()
         for a, b in zip(got[1], want[1]):
-            assert list(a) == list(b)
-            assert all(a[p].tobytes() == b[p].tobytes() for p in b)
-        layers = len(edge.layers) + len(adapter.layers())
-        assert got[2] == layers + 6  # ce, kd, scale, add, rows, positive ce
+            assert a.tobytes() == b.tobytes()
+        assert got[2] == 3 + 6  # three stacks; ce, kd, scale, add, rows, positive ce
         if scale > 1.0:
             probs, feat = models.infer_with_tap(edge, X, 0)
             assert (probs[np.arange(rows), y] < train.LOG_EPS).any()
             assert (nncore.sigmoid(models.adapt(adapter, feat)) > 1.0 - train.LOG_EPS).any()
+
+
+class TestSignExactLossGradients:
+    """The gradient a step takes into its logits from ``ce_on_tape``, alone
+    and on an ``op_rows`` subset of positive rows, is the reference chain's
+    bit for bit, signed zeros included, on rows whose picked probability
+    lies inside the clamp and on rows where it falls below ``LOG_EPS`` or
+    above ``1 - LOG_EPS``."""
+
+    def logits_grad(self, loss_op, logits, y):
+        tape = GradientTape()
+        leaf = nncore.Param("logits", logits)
+        node = loss_op(tape, tape.param(leaf), y)
+        return nncore.adjoints(tape, node, np.empty(tape.size))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ce_and_positive_ce_match_the_reference_chain(self, seed):
+        rng = np.random.default_rng(70 + seed)
+        rows, classes = 40, 4
+        logits = rng.standard_normal((rows, classes)) * rng.choice([0.5, 5.0, 40.0, 80.0], (rows, 1))
+        y = rng.integers(0, classes, rows)
+        y[:2] = models.NORMAL_CLASS
+        probs = nncore.softmax(logits)
+        picked = probs[np.arange(rows), y]
+        assert (picked < train.LOG_EPS).any() and (picked > 1.0 - train.LOG_EPS).any()
+        assert ((picked >= train.LOG_EPS) & (picked <= 1.0 - train.LOG_EPS)).any()
+        got = self.logits_grad(train.ce_on_tape, logits, y)
+        assert got.tobytes() == self.logits_grad(reference_ce, logits, y).tobytes()
+        assert (np.signbit(got) & (got == 0.0)).any()  # saturated rows' negative zeros
+        got = self.logits_grad(train.positive_ce_on_tape, logits, y)
+        assert got.tobytes() == self.logits_grad(reference_positive_ce, logits, y).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +625,7 @@ class TestReportsMatchEvaluators:
 
         first = edge_kd_oracle(edge, cloud, adapter, X, y, None)
         cfg = dataclasses.replace(sc["edge_kd"], epochs=epochs)
-        target = kd_targets(cloud, adapter.cloud_tap, X)
+        target = cloud_targets(cloud, adapter.cloud_tap, X)
         edge_kd_result = result = train_edge_kd(edge, adapter, X, y, target, cfg, seed=2,
                                                 kd_weight=plan.kd_weight,
                                                 recall_boost=recall_boost)
@@ -621,7 +649,7 @@ class TestReportsMatchEvaluators:
         # with kd_weight 0 stage 2 reports kd 0.0 and runs no adapter, so
         # fine-tuning computes row 0's adapted feature and KD term itself
         plan, X, y, edge, cloud, adapter = tiny_stage_inputs()
-        target = kd_targets(cloud, adapter.cloud_tap, X)
+        target = cloud_targets(cloud, adapter.cloud_tap, X)
         result = train_edge_kd(edge, adapter, X, y, target, plan.stages["edge_kd"], seed=2,
                                kd_weight=0.0)
         assert result.final.kd_loss == 0.0
@@ -669,10 +697,10 @@ class TestReportPasses:
         adapter = make_adapter("a", 0, 1, 5, 8, 1, np.random.default_rng(43))
         return ds.train_X, ds.train_y, edge, cloud, adapter
 
-    def test_train_stages_runs_the_cloud_prefix_once_after_stage_1(self, monkeypatch):
-        # stage 1 reports run the whole cloud once per history row; after
-        # it, one KD-target pass of the layers up to the tap serves both KD
-        # stages, and only fine-tune reports run the tail
+    def test_train_stages_runs_the_cloud_prefix_in_stage_1_reports_only(self, monkeypatch):
+        # stage 1 reports run the whole cloud once per history row, and the
+        # last one's tap feature gives both KD stages their targets; only
+        # fine-tune reports run the tail after that
         plan = tiny_plan()
         ds = harness.build_dataset(plan)
         edge, cloud, adapter = harness.build_models(plan)
@@ -680,9 +708,37 @@ class TestReportPasses:
         results = harness.train_stages(plan, ds, edge, cloud, adapter)
         stage_1 = len(results["cloud"].history)
         n = adapter.cloud_tap
-        assert counter.runs(cloud, range(n + 1)) == [stage_1 + 1] * (n + 1)
+        assert counter.runs(cloud, range(n + 1)) == [stage_1] * (n + 1)
         tail = range(n + 1, len(cloud.layers))
         assert counter.runs(cloud, tail) == [stage_1 + len(results["finetune"].history)] * len(tail)
+
+    @pytest.mark.parametrize("change", ["none", "cloud-epochs-0", "kd-weight-0"])
+    def test_train_stages_hand_both_kd_stages_the_trained_clouds_targets(self, monkeypatch,
+                                                                          change):
+        # the targets come from the cloud stage's last report (row 0 when it
+        # trains no epoch) and equal a fresh prefix pass of the trained
+        # cloud bit for bit; fine-tuning leaves that prefix as it was
+        plan = tiny_plan()
+        if change == "cloud-epochs-0":
+            plan = with_cloud_epochs(plan, 0)
+        elif change == "kd-weight-0":
+            plan = dataclasses.replace(plan, kd_weight=0.0)
+        handed = []
+        for name in ("train_edge_kd", "finetune_adapter"):
+            def recording(*args, _stage=getattr(train, name), **kwargs):
+                target = args[4]  # both stages take the targets fifth
+                handed.append((target, target.copy()))
+                return _stage(*args, **kwargs)
+            monkeypatch.setattr(train, name, recording)
+        ds = harness.build_dataset(plan)
+        edge, cloud, adapter = harness.build_models(plan)
+        results = harness.train_stages(plan, ds, edge, cloud, adapter)
+        assert len(results["cloud"].history) == plan.stages["cloud"].epochs + 1
+        assert results["cloud"].target is None
+        (kd_target, kd_copy), (ft_target, ft_copy) = handed
+        assert ft_target is kd_target
+        want = nncore.sigmoid(nncore.forward(cloud.layers[:adapter.cloud_tap + 1], ds.train_X))
+        assert kd_copy.tobytes() == ft_copy.tobytes() == want.tobytes()
 
     def test_train_stages_reuse_the_thread_workspace(self, monkeypatch):
         # every full-split pass of a train takes its buffers from the
@@ -775,7 +831,7 @@ class TestReportPasses:
     @pytest.mark.parametrize("kd_weight", [1.0, 0.0])
     def test_finetune_runs_no_edge_or_cloud_prefix_layer(self, monkeypatch, kd_weight):
         X, y, edge, cloud, adapter = self.small_setup()
-        target = kd_targets(cloud, adapter.cloud_tap, X)
+        target = cloud_targets(cloud, adapter.cloud_tap, X)
         kd_result = train_edge_kd(edge, adapter, X, y, target, TrainConfig(0, 32, 0.1), seed=0,
                                 kd_weight=kd_weight)
         counter = PassCounter(monkeypatch, edge, cloud, adapter)
@@ -794,7 +850,7 @@ class TestReportPasses:
     @pytest.mark.parametrize("recall_boost", [False, True])
     def test_edge_kd_runs_the_edge_once_per_history_row(self, monkeypatch, recall_boost):
         X, y, edge, cloud, adapter = self.small_setup()
-        target = kd_targets(cloud, adapter.cloud_tap, X)
+        target = cloud_targets(cloud, adapter.cloud_tap, X)
         counter = PassCounter(monkeypatch, edge, cloud)
         result = train_edge_kd(edge, adapter, X, y, target, TrainConfig(self.EPOCHS, 32, 0.1),
                                seed=0, recall_boost=recall_boost)
@@ -805,7 +861,7 @@ class TestReportPasses:
 
     def test_kd_targets_are_read_only(self):
         X, _, _, cloud, adapter = self.small_setup()
-        target = kd_targets(cloud, adapter.cloud_tap, X)
+        target = cloud_targets(cloud, adapter.cloud_tap, X)
         with pytest.raises(ValueError, match="read-only"):
             target[0, 0] = 0.5
         with pytest.raises(ValueError, match="read-only"):
@@ -816,7 +872,7 @@ class TestReportPasses:
         want = nncore.sigmoid(nncore.forward(cloud.layers[:adapter.cloud_tap + 1], X))
         scratch = nncore.workspace()
         scratch.array(0, (4 * len(X), 8)).fill(np.nan)  # a larger, dirty layer slot
-        target = kd_targets(cloud, adapter.cloud_tap, X)
+        target = cloud_targets(cloud, adapter.cloud_tap, X)
         assert target.tobytes() == want.tobytes()
         with pytest.raises(ValueError, match="read-only"):
             target[0, 0] = 0.5
@@ -828,7 +884,7 @@ class TestReportPasses:
     @pytest.mark.parametrize("stage", ["edge_kd", "finetune"])
     def test_a_misshapen_target_is_refused(self, stage, cut):
         X, y, edge, cloud, adapter = self.small_setup()
-        target = kd_targets(cloud, adapter.cloud_tap, X)
+        target = cloud_targets(cloud, adapter.cloud_tap, X)
         bad = target[:-1] if cut == "rows" else target[:, :-1]
         message = f"target: shape {bad.shape} != (rows, adapter width) {target.shape}"
         cfg = TrainConfig(1, 32, 0.1)
@@ -845,40 +901,38 @@ class TestReportPasses:
 
 class StepRecorder:
     """Per SGD step of a recall-boost stage: the objectives present, the
-    ``adjoints`` replays, the solver's combinations, and the trainable params
-    just before and after ``_sgd``. A step opens at its
-    ``positive_ce_on_tape`` call, which every recall-boost step makes once."""
+    gradient rows of its ``adjoints`` replays, the solver's combinations,
+    and the trainable params, raveled in order, as the step opens. A step
+    opens at its ``positive_ce_on_tape`` call, which every recall-boost
+    step makes once, before any replay or update."""
 
-    def __init__(self, monkeypatch, cross_entropies):
+    def __init__(self, monkeypatch, cross_entropies, trainable):
         self.steps = []
-        pos_ce, adjoints = train.positive_ce_on_tape, nncore.adjoints
-        solve, sgd = train.solve_min_norm, train._sgd
+        pos_ce, adjoints, solve = train.positive_ce_on_tape, nncore.adjoints, train.solve_min_norm
 
         def recorded_pos_ce(tape, logits, labels):
             node = pos_ce(tape, logits, labels)
             self.steps.append({"present": cross_entropies + (node is not None),
-                               "adjoints": [], "combined": [], "sgd": None})
+                               "adjoints": [], "combined": [], "before": flat(trainable)})
             return node
 
-        def recorded_adjoints(tape, node):
-            grads = adjoints(tape, node)
-            self.steps[-1]["adjoints"].append(grads)
-            return grads
+        def recorded_adjoints(tape, node, out):
+            row = adjoints(tape, node, out)
+            self.steps[-1]["adjoints"].append(row.copy())
+            return row
 
         def recorded_solve(bundle):
             weights, combined = solve(bundle)
             self.steps[-1]["combined"].append(combined.copy())
             return weights, combined
 
-        def recorded_sgd(params, grads, lr):
-            before = [p.value.copy() for p in params]
-            sgd(params, grads, lr)
-            self.steps[-1]["sgd"] = (before, [p.value.copy() for p in params])
-
         monkeypatch.setattr(train, "positive_ce_on_tape", recorded_pos_ce)
         monkeypatch.setattr(nncore, "adjoints", recorded_adjoints)
         monkeypatch.setattr(train, "solve_min_norm", recorded_solve)
-        monkeypatch.setattr(train, "_sgd", recorded_sgd)
+
+
+def flat(params):
+    return np.concatenate([p.value.ravel() for p in params])
 
 
 class TestMultiObjectiveSteps:
@@ -892,16 +946,16 @@ class TestMultiObjectiveSteps:
         train_base(cloud, X, y, dataclasses.replace(sc["cloud"], epochs=2), seed=1)
         if stage == "kd-edge":
             cfg = dataclasses.replace(sc["edge_kd"], epochs=2)
-            recorder = StepRecorder(monkeypatch, cross_entropies=2)
-            result = train_edge_kd(edge, adapter, X, y, kd_targets(cloud, adapter.cloud_tap, X),
-                                   cfg, seed=2, kd_weight=plan.kd_weight, recall_boost=True)
             trainable = edge.params() + adapter.params()
+            recorder = StepRecorder(monkeypatch, 2, trainable)
+            result = train_edge_kd(edge, adapter, X, y, cloud_targets(cloud, adapter.cloud_tap, X),
+                                   cfg, seed=2, kd_weight=plan.kd_weight, recall_boost=True)
         else:
             # two-row batches: some hold no positive row and step on CE alone
             cfg = TrainConfig(1, 2, 0.1)
-            recorder = StepRecorder(monkeypatch, cross_entropies=1)
-            result = train_recall_boost(edge, X, y, cfg, seed=2)
             trainable = edge.params()
+            recorder = StepRecorder(monkeypatch, 1, trainable)
+            result = train_recall_boost(edge, X, y, cfg, seed=2)
         return len(X), cfg, recorder.steps, result, trainable
 
     @pytest.mark.parametrize("stage", ["kd-edge", "recall-boost"])
@@ -913,21 +967,31 @@ class TestMultiObjectiveSteps:
         assert result.skipped_steps == 0
         assert result.min_descent_inner >= -1e-9
         lr = cfg.learning_rate
-        for step in steps:
+        afters = [s["before"] for s in steps[1:]] + [flat(trainable)]
+        for step, after in zip(steps, afters):
             assert len(step["adjoints"]) == step["present"]
-            before, after = step["sgd"]
             if step["present"] == 1:
                 assert step["combined"] == []
-                (grads,) = step["adjoints"]
-                want = [b - lr * grads[p] if p in grads else b
-                        for p, b in zip(trainable, before)]
+                (row,) = step["adjoints"]
+                want = step["before"] - row * lr
             else:
                 (combined,) = step["combined"]
                 assert combined.shape == (sum(p.value.size for p in trainable),)
-                want, start = [], 0
-                for p, b in zip(trainable, before):
-                    want.append(b - lr * combined[start:start + b.size].reshape(b.shape))
-                    start += b.size
-            assert all(np.array_equal(a, w) for a, w in zip(after, want))
+                want = step["before"] - lr * combined
+            assert after.tobytes() == want.tobytes()
         if stage == "recall-boost":
             assert any(s["present"] == 1 for s in steps)
+
+    def test_trainable_values_are_slices_of_one_buffer(self):
+        # a stage leaves each trainable Param.value a reshaped slice of one
+        # flat buffer, in the order of its trainable set
+        plan, X, y, edge, cloud, adapter = tiny_stage_inputs()
+        train_base(cloud, X, y, TrainConfig(1, 64, 0.1), seed=1)
+        params = cloud.params()
+        base = params[0].value.base
+        assert base is not None and base.ndim == 1 and base.size == flat(params).size
+        start = 0
+        for p in params:
+            assert p.value.base is base and p.value.flags.c_contiguous
+            assert np.shares_memory(p.value, base[start:start + p.value.size])
+            start += p.value.size
