@@ -15,8 +15,10 @@ files are written as UTF-8, the encoding they are read in.
     frontier   re-filter an existing reports CSV to its non-dominated rows
     report     print a reports CSV as a readable summary table
 
-Exit codes: 0 success, 2 bad usage, a malformed config or a path that
-cannot be read or written (the error names it), 3 training divergence.
+Exit codes: 0 success, 2 bad usage, a malformed config, a path that
+cannot be read or written (the error names it) or checkpoints whose values
+overflow on the validation split (the error names the pass), 3 training
+divergence.
 """
 
 from __future__ import annotations
@@ -69,6 +71,16 @@ def _load_system(plan, out_dir) -> harness.TrainedSystem:
     return harness.TrainedSystem(plan, ds, edge, cloud, adapter)
 
 
+def _scored(score, plan, out_dir) -> list[metrics.CostReport]:
+    """``score`` of the system restored from ``out_dir``. Checkpoints whose
+    finite values overflow on the validation split are refused, naming the
+    pass that did."""
+    try:
+        return score(_load_system(plan, out_dir))
+    except ArithmeticError as exc:
+        raise ConfigError(f"{out_dir}: the checkpoints do not score: {exc}") from None
+
+
 def cmd_train(args) -> int:
     plan = _load_plan(args)
     out = _out_dir(args, create=True)
@@ -94,7 +106,7 @@ def _write_reports(out_dir, files: dict[str, list[metrics.CostReport]]) -> None:
 def cmd_evaluate(args) -> int:
     plan = _load_plan(args)
     out = _out_dir(args)
-    reports = harness.evaluate_policies(_load_system(plan, out))
+    reports = _scored(harness.evaluate_policies, plan, out)
     _write_reports(out, {"reports.csv": reports,
                          "frontier_comp.csv": metrics.frontier_reports(reports, "s_comp"),
                          "frontier_comm.csv": metrics.frontier_reports(reports, "s_comm")})
@@ -105,7 +117,7 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     plan = _load_plan(args)
     out = _out_dir(args)
-    reports = harness.sweep_dynamic(_load_system(plan, out))
+    reports = _scored(harness.sweep_dynamic, plan, out)
     frontier = metrics.frontier_reports(reports, "s_comp", "s_comm")
     _write_reports(out, {"sweep.csv": reports, "sweep_frontier.csv": frontier,
                          "sweep_frontier_comp.csv": metrics.frontier_reports(reports, "s_comp"),

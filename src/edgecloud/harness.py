@@ -472,22 +472,23 @@ def train_stages(plan: ExperimentPlan, ds: Dataset, edge: ModelSpec,
                  cloud: ModelSpec, adapter: AdapterSpec) -> dict[str, TrainResult]:
     """Cloud base training, edge training with feature imitation, adapter
     plus cloud-tail fine-tuning; all seeds derived from the master seed.
-    The trained cloud's KD targets come from the cloud stage's last report,
-    for both KD stages; fine-tuning starts from the edge-KD stage's
-    hand-off, its last report's edge tap, adapted feature and KD term.
-    Every pass keeps its intermediates in the calling thread's workspace
-    (``nncore.workspace``), and the KD targets are a read-only view of it,
-    taken off the cloud stage's result and dropped before this returns."""
+    Each stage hands the next an ordinary result: the cloud stage's
+    ``target``, the trained cloud's KD targets from its last report, goes to
+    edge KD, and fine-tuning takes all it trains on from the edge-KD
+    stage's hand-off (adapter, targets, labels, and its last report's edge
+    tap, adapted feature and KD term). Every pass keeps its intermediates in
+    the calling thread's workspace (``nncore.workspace``); no result is a
+    view of it."""
     seeds = derive_seeds(plan.master_seed)
     stages, X, y = plan.stages, ds.train_X, ds.train_y
     results = {"cloud": train_mod.train_base(cloud, X, y, stages["cloud"],
                                              seed=seeds["cloud_train"], tap=adapter.cloud_tap)}
-    target, results["cloud"].target = results["cloud"].target, None
-    results["edge_kd"] = train_mod.train_edge_kd(edge, adapter, X, y, target, stages["edge_kd"],
-                                                 seed=seeds["edge_train"], kd_weight=plan.kd_weight,
+    results["edge_kd"] = train_mod.train_edge_kd(edge, adapter, X, y, results["cloud"].target,
+                                                 stages["edge_kd"], seed=seeds["edge_train"],
+                                                 kd_weight=plan.kd_weight,
                                                  recall_boost=plan.recall_boost)
-    results["finetune"] = train_mod.finetune_adapter(results["edge_kd"], cloud, adapter, y, target,
-                                                     stages["finetune"], seed=seeds["finetune"])
+    results["finetune"] = train_mod.finetune_adapter(results["edge_kd"], cloud, stages["finetune"],
+                                                     seed=seeds["finetune"])
     return results
 
 

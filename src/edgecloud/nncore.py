@@ -14,8 +14,9 @@ Conventions shared by every module in this package:
   element, activations are free, the residual skip-add is 1 per element.
   Dense layer: ``2*in*out + out``. Residual block: ``2*(2*d*d + d) + d``.
 * ``forward`` is the only untaped loop over a layer stack and
-  ``forward_on_tape`` the only taped one; split inference and training run
-  them on slices of a stack (up to a tap, after a tap). The tape records
+  ``forward_on_tape`` the only taped one, and both compute each layer with
+  ``apply_layer``; split inference and training run them on slices of a
+  stack (up to a tap, after a tap). The tape records
   one entry per stack, whose backward is one loop over its layers in
   reverse: their relu, skip-add and affine backwards, with each
   parameter's gradient written in place into its slice of one flat
@@ -23,9 +24,8 @@ Conventions shared by every module in this package:
 * Every pass keeps its intermediates in the calling thread's workspace,
   one :class:`Scratch` made on the thread's first pass and kept for its
   life (:func:`workspace`), so its buffers are allocated once per thread.
-  ``forward`` writes every layer output but the last into it, and its
-  result is never a view of it; ``train.kd_targets`` is the one function
-  whose result is.
+  ``forward`` writes every layer output but the last into it. No function
+  returns a view of it: every result is a fresh array.
 * A checkpoint (version 2) is an ``.npz`` of two members: ``values``, every
   parameter raveled into one float64 array in ``params()`` order, and
   ``layout``, a JSON string ``{"version": 2, "params": [[name, shape], ...]}``.
@@ -196,7 +196,7 @@ def residual_block(dim: int, activation: str = IDENTITY, *,
 
 def apply_layer(layer: LayerSpec, x: np.ndarray, out: np.ndarray | None = None,
                 hidden: np.ndarray | None = None) -> np.ndarray:
-    """Plain numpy forward through one layer (same op order as the taped path).
+    """Plain numpy forward through one layer, for both layer loops.
 
     The layer's output goes into ``out`` and a residual block's hidden
     activation into ``hidden``, each ``(rows, out_dim)`` and overlapping
@@ -412,13 +412,16 @@ def op_rows(tape: GradientTape, x: Node, idx: np.ndarray) -> Node:
 
 def forward_on_tape(tape: GradientTape, layers: Sequence[LayerSpec], x: Node) -> Node:
     """The one taped layer loop: ``layers`` applied to ``x`` as one tape
-    entry, with :func:`apply_layer`'s values (``x`` itself for no layers).
+    entry, each layer by :func:`apply_layer` into fresh arrays that the
+    backward keeps (``x`` itself for no layers).
 
     Its backward is one loop over the layers in reverse. Per layer it runs
     the activation, skip-add and affine backwards, and writes each
     parameter's gradient with ``out=`` into the parameter's slice of the
-    row. The gradient into ``x`` is passed on as a residual block's skip
-    term, then its affine term; a data leaf ``x`` gets none.
+    row. A relu's backward keeps the entries where its output is positive,
+    which are those where its input was. The gradient into ``x`` is passed
+    on as a residual block's skip term, then its affine term; a data leaf
+    ``x`` gets none.
     """
     if not layers:
         return x
@@ -428,19 +431,9 @@ def forward_on_tape(tape: GradientTape, layers: Sequence[LayerSpec], x: Node) ->
         params = layer.params()  # W1, b1 and a residual block's W2, b2
         tape.place(params)
         keys += map(id, params)
-        y = h @ params[0].value.T
-        y += params[1].value
-        hidden = hidden_mask = mask = None
-        if len(params) == 4:
-            hidden, hidden_mask = y, y > 0
-            np.maximum(hidden, 0.0, out=hidden)
-            y = hidden @ params[2].value.T
-            y += params[3].value
-            np.add(h, y, out=y)
-        if layer.activation == RELU:
-            mask = y > 0
-            np.maximum(y, 0.0, out=y)
-        saved.append((params, h, hidden, hidden_mask, mask))
+        hidden = np.empty((h.shape[0], layer.out_dim)) if layer.kind == RESIDUAL else None
+        y = apply_layer(layer, h, hidden=hidden)
+        saved.append((params, h, hidden, y if layer.activation == RELU else None))
         h = y
     claimed = frozenset(keys)
     if len(claimed) < len(keys):
@@ -450,9 +443,9 @@ def forward_on_tape(tape: GradientTape, layers: Sequence[LayerSpec], x: Node) ->
     def bw(g, accum):
         grad = accum.claim(claimed)
         for i in range(last, -1, -1):
-            params, x_in, hidden, hidden_mask, mask = saved[i]
-            if mask is not None:
-                g = g * mask
+            params, x_in, hidden, relu_out = saved[i]
+            if relu_out is not None:
+                g = g * (relu_out > 0)
             skip = None
             if hidden is not None:
                 w2, b2 = params[2:]
@@ -460,7 +453,7 @@ def forward_on_tape(tape: GradientTape, layers: Sequence[LayerSpec], x: Node) ->
                 g = g @ w2.value
                 np.matmul(skip.T, hidden, out=grad[id(w2)])
                 np.add.reduce(skip, axis=0, out=grad[id(b2)])
-                g *= hidden_mask
+                g *= hidden > 0
             w1, b1 = params[:2]
             np.matmul(g.T, x_in, out=grad[id(w1)])
             np.add.reduce(g, axis=0, out=grad[id(b1)])
@@ -482,25 +475,23 @@ def layer_on_tape(tape: GradientTape, layer: LayerSpec, x: Node) -> Node:
 
 
 class Scratch:
-    """Four flat float64 buffers for a thread's passes; each grows to the
+    """Three flat float64 buffers for a thread's passes; each grows to the
     largest ``rows * width`` asked of it.
 
     ``forward`` writes intermediate layer outputs into slots 0 and 1, which
-    alternate, and a residual block's hidden activation into slot 2.
-    Slot :attr:`TARGET` holds the KD targets (``train.kd_targets``); no
-    layer pass requests it. Passes that share one scratch reuse its pages
-    instead of allocating (and page-faulting) fresh arrays per layer. Like
-    a :class:`GradientTape` it is a single-owner, single-threaded object,
-    and a view it returns is valid only until the next request for the same
-    slot.
+    alternate, and a residual block's hidden activation into slot 2; the KD
+    loss's temporaries (``train._kd_against``) take the same three slots.
+    Passes that share one scratch reuse its pages instead of allocating
+    (and page-faulting) fresh arrays per layer. Like a :class:`GradientTape`
+    it is a single-owner, single-threaded object, and a view it returns is
+    valid only until the next request for the same slot, so no function
+    returns one.
     """
 
     __slots__ = ("_buffers",)
 
-    TARGET = 3
-
     def __init__(self) -> None:
-        self._buffers = [np.empty(0)] * 4
+        self._buffers = [np.empty(0)] * 3
 
     def array(self, slot: int, shape: tuple[int, ...]) -> np.ndarray:
         """A C-contiguous view of ``shape`` at the start of buffer ``slot``."""
@@ -533,7 +524,9 @@ def forward(layers: Sequence[LayerSpec], x) -> np.ndarray:
     tap), so every path shares its input, dimension and finite checks.
     Every layer but the last writes into the calling thread's
     :func:`workspace`; the result is never a view of it, so later passes
-    do not touch it.
+    do not touch it. A non-finite result raises ``ArithmeticError`` naming
+    the stack's first layer: its first weight's name less the last dotted
+    part (``edge.h0.W`` -> ``edge.h0``).
     """
     arr = as_tensor(x)
     if arr.ndim not in (1, 2):
@@ -548,7 +541,8 @@ def forward(layers: Sequence[LayerSpec], x) -> np.ndarray:
         hidden = scratch.array(2, shape) if layer.kind == RESIDUAL else None
         h = apply_layer(layer, h, out, hidden)
     if not np.all(np.isfinite(h)):
-        raise ArithmeticError("forward produced non-finite values")
+        first = layers[0].weights[0].name.rsplit(".", 1)[0] if layers else "no layer"
+        raise ArithmeticError(f"forward pass from {first} produced non-finite values")
     return h[0] if squeeze else h
 
 

@@ -15,7 +15,8 @@ records on the tape:
   positive-samples-only cross-entropy and the imitation loss.
 * ``finetune_adapter`` -- tunes the adapter plus the cloud layers after the
   injection tap on the end-to-end adapted path, everything else frozen. It
-  starts from ``train_edge_kd``'s result, never from the edge itself.
+  takes the adapter, KD targets, labels and edge tap feature from
+  ``train_edge_kd``'s hand-off, never from the edge itself.
 
 A step with one objective follows its gradient. A step with several follows
 their minimum-norm simplex combination, so no step increases any of them to
@@ -27,25 +28,27 @@ gradient into one flat row of the same layout, so an update is one
 in-place subtraction from that buffer.
 
 Losses clamp probabilities to ``[1e-12, 1 - 1e-12]`` before taking logs.
-All procedures are deterministic given their ``seed`` argument (the only
-randomness is minibatch shuffling). ``finetune_adapter`` verifies its freeze
-contract by hashing its frozen parameters before and after; ``train_edge_kd``
-sees the cloud only as a read-only target array.
+A step whose loss is not finite, or a report whose pass is not, ends the
+procedure with :class:`DivergenceError`. All procedures are deterministic
+given their ``seed`` argument (the only randomness is minibatch shuffling).
+``finetune_adapter`` verifies its freeze contract by hashing its frozen
+parameters before and after; ``train_edge_kd`` sees the cloud only as a
+read-only target array.
 
 Each procedure reports once before training and once per epoch over the
-whole training split. Reports reuse frozen-side features: the KD target
-probabilities come from the cloud stage's last report, which runs the
-cloud past the tap anyway (``harness.train_stages`` gives ``train_base``
-the adapter's cloud tap and passes the read-only result to both KD
-stages); ``train_edge_kd`` runs the edge once per report and hands its
-last report's edge tap, adapted feature and KD loss to
-``finetune_adapter`` (a :class:`Handoff`): its row 0 runs only the cloud
-tail, its later reports the adapter and the cloud tail. Every pass keeps
-its intermediates in the calling thread's workspace (``nncore.workspace``):
-the intermediate layer outputs of every report and the KD loss's
-temporaries land in the same buffers, ``train`` after ``train``, instead of
-fresh arrays, and so do the KD targets, the one result that is a view of
-the workspace.
+whole training split. Reports reuse frozen-side features, and each stage
+hands the next an ordinary result: the KD target probabilities come from
+the cloud stage's last report, which runs the cloud past the tap anyway
+(``harness.train_stages`` gives ``train_base`` the adapter's cloud tap and
+passes the result's ``target`` to ``train_edge_kd``); ``train_edge_kd``
+runs the edge once per report and hands its last report's edge tap,
+adapted feature and KD loss, with the adapter, targets and labels they
+came from, to ``finetune_adapter`` (a :class:`Handoff`): its row 0 runs
+only the cloud tail, its later reports the adapter and the cloud tail.
+Every pass keeps its intermediates in the calling thread's workspace
+(``nncore.workspace``): the intermediate layer outputs of every report and
+the KD loss's temporaries land in the same buffers, ``train`` after
+``train``, instead of fresh arrays. No result is a view of it.
 """
 
 from __future__ import annotations
@@ -61,8 +64,8 @@ from . import nncore
 from .models import (AdapterSpec, ModelSpec, NORMAL_CLASS, adapt, check_adapter_tap,
                      cloud_tail, infer, infer_with_tap)
 from .moo import solve_min_norm
-from .nncore import (ConfigError, GradientTape, Node, Param, Scratch, UsageError,
-                     as_tensor, sigmoid, softmax)
+from .nncore import (ConfigError, GradientTape, Node, Param, UsageError, as_tensor,
+                     sigmoid, softmax)
 
 LOG_EPS = 1e-12
 
@@ -70,10 +73,12 @@ TRAINING_LOG_COLUMNS = ["epoch", "ce", "kd", "positive_ce", "acc", "recall"]
 
 
 class DivergenceError(RuntimeError):
-    """Training loss became non-finite; carries the stage name and epoch."""
+    """A step's loss or a report's pass became non-finite; carries the stage
+    name and epoch."""
 
     def __init__(self, stage: str, epoch: int) -> None:
-        super().__init__(f"training stage {stage!r} diverged at epoch {epoch}: loss is not finite")
+        super().__init__(f"training stage {stage!r} diverged at epoch {epoch}: "
+                         "a loss or a pass is not finite")
         self.stage = stage
         self.epoch = epoch
 
@@ -117,12 +122,15 @@ class LossReport:
 
 @dataclass(frozen=True, eq=False)
 class Handoff:
-    """The edge-KD stage's last report over the training split: the edge tap
-    feature, the adapter's output on it (None without the imitation term,
-    when that report runs no adapter) and its KD loss. Arrays are read-only."""
+    """What fine-tuning takes from the edge-KD stage: the adapter, KD targets
+    and labels that stage trained on, and its last report over the training
+    split: the edge tap feature, the adapter's output on it (None without
+    the imitation term, when that report runs no adapter) and its KD loss.
+    The report's arrays are read-only."""
 
     adapter: AdapterSpec
     target: np.ndarray
+    y: np.ndarray
     edge_feature: np.ndarray
     adapted: np.ndarray | None
     kd: float
@@ -135,14 +143,11 @@ class Handoff:
 
 @dataclass
 class TrainResult:
-    """Per-epoch reports (row 0 is the pre-training state), the per-step
-    simplex weights of multi-objective runs, ``train_edge_kd``'s hand-off
-    and the KD targets of ``train_base`` given a tap."""
+    """Per-epoch reports (row 0 is the pre-training state; a multi-objective
+    run's rows carry the epoch's mean simplex weights), ``train_edge_kd``'s
+    hand-off and the KD targets of ``train_base`` given a tap."""
 
     history: list[LossReport]
-    alpha_steps: list[tuple[float, ...]] = field(default_factory=list)
-    skipped_steps: int = 0
-    min_descent_inner: float = math.inf
     handoff: Handoff | None = field(default=None, repr=False, compare=False)
     target: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -354,13 +359,6 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[start:start + batch_size]
 
 
-def _epoch_alpha(steps: list[tuple[float, ...]]) -> tuple[float, ...] | None:
-    if not steps:
-        return None
-    arr = np.asarray(steps, dtype=np.float64)
-    return tuple(float(v) for v in arr.mean(axis=0))
-
-
 def _flatten(params: list[Param]) -> np.ndarray:
     """One flat buffer of ``params``' values, in order; each ``Param.value``
     becomes a reshaped slice of it."""
@@ -385,10 +383,11 @@ def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
     objective's gradient is one row of a ``(slots, size)`` buffer,
     allocated once per call. One present objective: SGD on its gradient,
     scaled in place. More than one: SGD on the minimum-norm combination of
-    their gradients, whose weights are logged by slot in ``alpha_steps`` (0
-    for an absent slot). ``report()`` gives history row 0 and, after each
-    epoch, a row carrying the epoch's mean weights. ``frozen`` must come
-    out unchanged.
+    their gradients, or no step when all of them are zero. ``report()``
+    gives history row 0 and, after each epoch, a row carrying the mean by
+    slot (0 for an absent one) of the epoch's minimum-norm weights. A
+    non-finite loss, or a report whose pass is not finite, raises
+    :class:`DivergenceError`. ``frozen`` must come out unchanged.
     """
     frozen_digest = nncore.params_digest(frozen) if frozen else None
     flat = _flatten(trainable)
@@ -396,9 +395,16 @@ def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
     grads: np.ndarray | None = None
     tape = GradientTape(trainable)
     rng = np.random.default_rng(seed)
-    result = TrainResult([report()])
+
+    def checked_report(epoch: int) -> LossReport:
+        try:
+            return report()
+        except ArithmeticError:
+            raise DivergenceError(stage, epoch) from None
+
+    result = TrainResult([checked_report(0)])
     for epoch in range(1, config.epochs + 1):
-        epoch_alphas: list[tuple[float, ...]] = []
+        epoch_alphas: list[np.ndarray] = []
         for idx in _batches(n, config.batch_size, rng):
             tape.clear()
             slots = objectives(tape, idx)
@@ -416,21 +422,15 @@ def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
                 for dest, slot in zip(rows, present):
                     nncore.adjoints(tape, slots[slot], dest)
                 if not bundle.any():
-                    result.skipped_steps += 1
                     continue
                 alpha, combined = solve_min_norm(bundle)
-                result.min_descent_inner = min(result.min_descent_inner,
-                                               float((bundle @ combined).min()))
-                alpha_by_slot = [0.0] * len(slots)
-                for slot, a in zip(present, alpha):
-                    alpha_by_slot[slot] = float(a)
-                epoch_alphas.append(tuple(alpha_by_slot))
+                epoch_alphas.append(np.zeros(len(slots)))
+                epoch_alphas[-1][present] = alpha
                 step = lr * combined
             if lr:
                 flat -= step
-        result.alpha_steps.extend(epoch_alphas)
-        row = report()
-        row.alpha = _epoch_alpha(epoch_alphas)
+        row = checked_report(epoch)
+        row.alpha = tuple(np.mean(epoch_alphas, axis=0).tolist()) if epoch_alphas else None
         result.history.append(row)
     if frozen and nncore.params_digest(frozen) != frozen_digest:
         raise FrozenParamsError(f"frozen parameters mutated in stage {stage!r}")
@@ -438,25 +438,14 @@ def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
 
 
 def kd_targets(feature: np.ndarray) -> np.ndarray:
-    """KD target probabilities of both KD stages: the sigmoid of the cloud's
+    """KD target probabilities of the KD stages: the sigmoid of the cloud's
     feature after an adapter's cloud tap, which :func:`train_base` given
-    that tap takes from its last report.
-
-    The sigmoid goes into the workspace's :attr:`~nncore.Scratch.TARGET`
-    buffer, with its ``1 + e`` temporary in layer slot 0, neither of which
-    ``feature`` may share; the result is a read-only view of that buffer,
-    valid until the thread's next ``kd_targets``."""
-    scratch = nncore.workspace()
-    target = sigmoid(feature, scratch.array(Scratch.TARGET, feature.shape),
-                     scratch.array(0, feature.shape))
+    that tap takes from its last report. The result is a fresh read-only
+    array; the sigmoid's ``1 + e`` temporary goes into the workspace's
+    layer slot 0, which ``feature`` must not share."""
+    target = sigmoid(feature, work=nncore.workspace().array(0, feature.shape))
     target.flags.writeable = False
     return target
-
-
-def _check_target(target: np.ndarray, n: int, adapter: AdapterSpec) -> None:
-    want = (n, adapter.projection.out_dim)
-    if np.shape(target) != want:
-        raise UsageError(f"target: shape {np.shape(target)} != (rows, adapter width) {want}")
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +500,9 @@ def train_edge_kd(edge: ModelSpec, adapter: AdapterSpec, X, y, target: np.ndarra
     """Edge training with the feature-imitation term.
 
     The cloud enters only through ``target``, its :func:`kd_targets` on
-    ``X``. Each step follows ``ce + kd_weight * kd``; with
+    ``X``. The result's hand-off carries ``adapter``, ``target`` and the
+    labels to :func:`finetune_adapter`. Each step follows
+    ``ce + kd_weight * kd``; with
     ``kd_weight == 0`` the imitation branch is skipped entirely, so the edge
     update sequence matches ``train_base`` bit for bit. With
     ``recall_boost`` each step instead weights cross-entropy,
@@ -521,7 +512,9 @@ def train_edge_kd(edge: ModelSpec, adapter: AdapterSpec, X, y, target: np.ndarra
     check_edge_objectives(kd_weight, recall_boost)
     check_adapter_tap("edge", edge, adapter.edge_tap)
     X, y = _coerce_data(X, y)
-    _check_target(target, len(X), adapter)
+    want = (len(X), adapter.projection.out_dim)
+    if np.shape(target) != want:
+        raise UsageError(f"target: shape {np.shape(target)} != (rows, adapter width) {want}")
     use_kd = kd_weight != 0.0
     prefix, tail = edge.layers[:adapter.edge_tap + 1], edge.layers[adapter.edge_tap + 1:]
 
@@ -548,7 +541,7 @@ def train_edge_kd(edge: ModelSpec, adapter: AdapterSpec, X, y, target: np.ndarra
         probs, edge_feat = infer_with_tap(edge, X, adapter.edge_tap)
         adapted = adapt(adapter, edge_feat) if use_kd else None
         kd = _kd_against(target, adapted) if use_kd else 0.0
-        handoff = Handoff(adapter, target, edge_feat, adapted, kd)
+        handoff = Handoff(adapter, target, y, edge_feat, adapted, kd)
         return _loss_report(probs, y, kd)
 
     result = _fit("kd-edge", len(X), config, edge.params() + adapter.params(),
@@ -557,25 +550,21 @@ def train_edge_kd(edge: ModelSpec, adapter: AdapterSpec, X, y, target: np.ndarra
     return result
 
 
-def finetune_adapter(edge_kd: TrainResult, cloud: ModelSpec, adapter: AdapterSpec,
-                     y, target: np.ndarray, config: TrainConfig, *,
+def finetune_adapter(edge_kd: TrainResult, cloud: ModelSpec, config: TrainConfig, *,
                      seed: int) -> TrainResult:
     """Tune the adapter and the cloud tail on the end-to-end adapted path.
 
-    ``edge_kd`` is what :func:`train_edge_kd` returned for ``adapter`` and
-    ``target`` on the rows ``y`` labels. Its hand-off, taken off it and
-    dropped after history row 0, gives the edge tap feature and row 0's
-    adapted feature and KD term (computed here after ``kd_weight`` 0). The
-    cloud layers up to the tap are frozen; rows report adapted-path metrics.
+    ``edge_kd`` is what :func:`train_edge_kd` returned. Its hand-off, taken
+    off it, gives the adapter, KD targets, labels and edge tap feature that
+    stage trained on, and row 0's adapted feature and KD term (computed
+    here after ``kd_weight`` 0), dropped after that row. The cloud layers up
+    to the tap are frozen; rows report adapted-path metrics.
     """
-    check_adapter_tap("cloud", cloud, adapter.cloud_tap)
     handoff = edge_kd.handoff
     if handoff is None:
         raise UsageError("edge_kd: no hand-off; pass what train_edge_kd returned, once")
-    feats, y = _coerce_data(handoff.edge_feature, y)
-    _check_target(target, len(feats), adapter)
-    if handoff.adapter is not adapter or handoff.target is not target:
-        raise UsageError("edge_kd: its hand-off was computed for another adapter or target")
+    adapter, target, y, feats = handoff.adapter, handoff.target, handoff.y, handoff.edge_feature
+    check_adapter_tap("cloud", cloud, adapter.cloud_tap)
     pending = handoff if handoff.adapted is not None else None
     handoff = edge_kd.handoff = None
     n = adapter.cloud_tap

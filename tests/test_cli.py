@@ -330,6 +330,23 @@ def test_a_version_1_checkpoint_exits_2_asking_for_train(pipeline_out, tmp_path,
     assert f"error: {path}: checkpoint version 1 is no longer read; re-run `train`" in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_checkpoints_that_overflow_exit_2_naming_the_pass(pipeline_out, tmp_path, capsys, command):
+    # finite values that overflow on the validation split: routing runs the
+    # edge first, and its pass from the head, after the tap, overflows
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    path = out / "edge.npz"
+    nncore.save_params(path, [nncore.Param(name, a * 1e300)
+                              for name, a in nncore.load_params(path).items()])
+    plan_path = os.path.join(os.path.dirname(pipeline_out), "plan.json")
+    assert dispatch([command, "--config", plan_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {out}: the checkpoints do not score: forward pass from edge.head "
+                   "produced non-finite values\n")
+
+
 @pytest.mark.parametrize("name, costs", [("sweep_frontier.csv", ("s_comp", "s_comm")),
                                          ("sweep_frontier_comp.csv", ("s_comp",)),
                                          ("sweep_frontier_comm.csv", ("s_comm",))],
@@ -357,6 +374,21 @@ def test_training_divergence_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "diverged" in err and "base" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_divergence_that_shows_in_a_report_exits_3(tmp_path, capsys):
+    # one step per epoch over the 480 training rows: the step's loss is
+    # finite, and the report after it is the first pass that overflows
+    plan = tiny_plan()
+    for stage in plan.stages.values():
+        stage.learning_rate, stage.batch_size = 1e200, 1000
+    path = tmp_path / "plan.json"
+    harness.save_plan(path, plan)
+    code = dispatch(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == ("error: training stage 'base' diverged at epoch 1: "
+                                       "a loss or a pass is not finite\n")
 
 
 def test_frontier_command_on_hand_written_csv(tmp_path):

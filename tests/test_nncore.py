@@ -611,20 +611,22 @@ class TestWorkspace:
         assert all(np.array_equal(bits(out), bits(copy)) for out, copy in kept)
 
     def test_buffers_grow_to_the_largest_request_only(self):
-        # a new thread starts from an empty workspace of its own, whose
-        # buffers are replaced only by a larger request and never shrink
+        # a new thread starts from an empty workspace of its own: three
+        # buffers, two alternating layer slots and one for a residual
+        # block's hidden activation, each replaced only by a larger request
+        # and never shrunk
         layers = [dense(3, 8, rng=np.random.default_rng(0)), dense(8, 2)]
 
         def run():
             scratch = nncore.workspace()
-            assert [buf.size for buf in scratch._buffers] == [0] * 4
+            assert [buf.size for buf in scratch._buffers] == [0] * 3
             forward(layers, np.ones((10, 3)))
             first = list(scratch._buffers)
-            assert [buf.size for buf in first] == [80, 0, 0, 0]
+            assert [buf.size for buf in first] == [80, 0, 0]
             forward(layers, np.ones((4, 3)))
             assert all(a is b for a, b in zip(scratch._buffers, first))
             forward(layers, np.ones((11, 3)))
-            assert [buf.size for buf in scratch._buffers] == [88, 0, 0, 0]
+            assert [buf.size for buf in scratch._buffers] == [88, 0, 0]
             return scratch
 
         with concurrent.futures.ThreadPoolExecutor(1) as pool:

@@ -22,12 +22,27 @@ from edgecloud.train import (DivergenceError, TrainConfig, cross_entropy,
                              kd_targets, positive_cross_entropy, train_base,
                              train_edge_kd, finetune_adapter)
 
-from conftest import (cloud_targets, param_grads, reference_ce, reference_kd,
-                      reference_layer, tiny_plan, train_recall_boost, with_cloud_epochs)
+from conftest import (check_descent, cloud_targets, on_simplex, param_grads, reference_ce,
+                      reference_kd, reference_layer, tiny_plan, train_recall_boost,
+                      with_cloud_epochs)
 
 
 def params_equal(a, b):
     return all(np.array_equal(pa.value, pb.value) for pa, pb in zip(a.params(), b.params()))
+
+
+def recorded_solves(monkeypatch):
+    """Each ``train.solve_min_norm`` call from here on, as copies of its
+    gradient bundle, simplex weights and combination."""
+    calls, solve = [], train.solve_min_norm
+
+    def recorded(bundle):
+        alpha, combined = solve(bundle)
+        calls.append((bundle.copy(), alpha.copy(), combined.copy()))
+        return alpha, combined
+
+    monkeypatch.setattr(train, "solve_min_norm", recorded)
+    return calls
 
 
 class TestCrossEntropy:
@@ -212,8 +227,6 @@ class TestTrainEdgeKd:
                       TrainConfig(4, 32, 0.1), seed=seeds["edge_train"])
         assert nncore.params_digest(cloud.params()) == digest
         assert np.array_equal(target, before)
-        # the result is a view of the workspace that the next call rewrites,
-        # so the recomputed targets are held against the copy
         assert np.array_equal(before, cloud_targets(cloud, adapter.cloud_tap, ds.train_X))
 
     def test_gradient_regions(self):
@@ -262,9 +275,8 @@ class TestTrainEdgeKd:
                                cloud_targets(cloud, adapter.cloud_tap, ds.train_X),
                                TrainConfig(2, 32, 0.1), seed=seeds["edge_train"],
                                kd_weight=0.5, recall_boost=True)
-        assert result.alpha_steps
-        assert all(len(a) == 3 for a in result.alpha_steps)
-        assert result.min_descent_inner >= -1e-9
+        assert len(result.history) == 3 and result.history[0].alpha is None
+        assert all(on_simplex(row.alpha, 3) for row in result.history[1:])
 
 
 def edge_kd(edge, cloud, adapter, X, y, config):
@@ -279,7 +291,7 @@ def finetune(edge, cloud, adapter, X, y, config):
     its own checks can refuse."""
     target = np.full((len(X), adapter.projection.out_dim), 0.5)
     kd_result = train_edge_kd(edge, adapter, X, y, target, TrainConfig(0, 32, 0.1), seed=0)
-    return finetune_adapter(kd_result, cloud, adapter, y, target, config, seed=0)
+    return finetune_adapter(kd_result, cloud, config, seed=0)
 
 
 def route(edge, cloud, adapter, X, y, config):
@@ -308,10 +320,10 @@ def test_kd_stages_reject_an_out_of_range_adapter_tap(stage, side):
 
 
 def untrained_stage_2(ds, edge, cloud, adapter, *, kd_weight=1.0):
-    """The KD targets, and a zero-epoch stage 2's result carrying its hand-off."""
+    """A zero-epoch stage 2's result carrying its hand-off."""
     target = cloud_targets(cloud, adapter.cloud_tap, ds.train_X)
-    return target, train_edge_kd(edge, adapter, ds.train_X, ds.train_y, target,
-                                 TrainConfig(0, 32, 0.1), seed=0, kd_weight=kd_weight)
+    return train_edge_kd(edge, adapter, ds.train_X, ds.train_y, target,
+                         TrainConfig(0, 32, 0.1), seed=0, kd_weight=kd_weight)
 
 
 class TestFinetuneAdapter:
@@ -320,9 +332,8 @@ class TestFinetuneAdapter:
         e0 = nncore.params_digest(edge.params())
         c0 = nncore.params_digest(cloud.params())
         a0 = nncore.params_digest(adapter.params())
-        target, kd_result = untrained_stage_2(ds, edge, cloud, adapter)
-        finetune_adapter(kd_result, cloud, adapter, ds.train_y, target,
-                         TrainConfig(0, 32, 0.05), seed=1)
+        kd_result = untrained_stage_2(ds, edge, cloud, adapter)
+        finetune_adapter(kd_result, cloud, TrainConfig(0, 32, 0.05), seed=1)
         assert nncore.params_digest(edge.params()) == e0
         assert nncore.params_digest(cloud.params()) == c0
         assert nncore.params_digest(adapter.params()) == a0
@@ -335,40 +346,32 @@ class TestFinetuneAdapter:
         prefix_digest = nncore.params_digest(prefix)
         tail = [p for layer in cloud.layers[n + 1:] for p in layer.params()]
         tail_digest = nncore.params_digest(tail)
-        target, kd_result = untrained_stage_2(ds, edge, cloud, adapter)
-        finetune_adapter(kd_result, cloud, adapter, ds.train_y, target,
-                         TrainConfig(10, 32, 0.05), seed=seeds["finetune"])
+        kd_result = untrained_stage_2(ds, edge, cloud, adapter)
+        finetune_adapter(kd_result, cloud, TrainConfig(10, 32, 0.05), seed=seeds["finetune"])
         assert nncore.params_digest(edge.params()) == edge_digest
         assert nncore.params_digest(prefix) == prefix_digest
         assert nncore.params_digest(tail) != tail_digest
 
     def test_the_hand_off_is_read_only_and_serves_one_call(self):
         ds, edge, cloud, adapter, _ = kd_setup(9, n=100)
-        target, kd_result = untrained_stage_2(ds, edge, cloud, adapter)
-        for arr in (kd_result.handoff.edge_feature, kd_result.handoff.adapted):
+        kd_result = untrained_stage_2(ds, edge, cloud, adapter)
+        handoff = kd_result.handoff
+        # it carries what stage 2 trained on, and its report's arrays read-only
+        assert handoff.adapter is adapter
+        assert handoff.target.tobytes() == \
+            cloud_targets(cloud, adapter.cloud_tap, ds.train_X).tobytes()
+        assert np.array_equal(handoff.y, ds.train_y)
+        for arr in (handoff.edge_feature, handoff.adapted):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = 0.5
         cfg = TrainConfig(1, 32, 0.05)
-        finetune_adapter(kd_result, cloud, adapter, ds.train_y, target, cfg, seed=0)
+        finetune_adapter(kd_result, cloud, cfg, seed=0)
         assert kd_result.handoff is None
         with pytest.raises(UsageError, match="no hand-off"):
-            finetune_adapter(kd_result, cloud, adapter, ds.train_y, target, cfg, seed=0)
+            finetune_adapter(kd_result, cloud, cfg, seed=0)
         base = train_base(edge, ds.train_X, ds.train_y, TrainConfig(0, 32, 0.1), seed=0)
         with pytest.raises(UsageError, match="no hand-off"):
-            finetune_adapter(base, cloud, adapter, ds.train_y, target, cfg, seed=0)
-
-    @pytest.mark.parametrize("other", ["adapter", "target"])
-    def test_a_hand_off_for_another_adapter_or_target_is_refused(self, other):
-        ds, edge, cloud, adapter, _ = kd_setup(10, n=100)
-        target, kd_result = untrained_stage_2(ds, edge, cloud, adapter)
-        if other == "adapter":
-            adapter = copy.deepcopy(adapter)
-        else:
-            target = target.copy()
-        with pytest.raises(UsageError, match="another adapter or target"):
-            finetune_adapter(kd_result, cloud, adapter, ds.train_y, target,
-                             TrainConfig(1, 32, 0.05), seed=0)
-        assert kd_result.handoff is not None
+            finetune_adapter(base, cloud, cfg, seed=0)
 
 
 class TestRecallBoost:
@@ -398,7 +401,7 @@ class TestRecallBoost:
         _, combined = solve_min_norm(np.stack([flat1, flat2]))
         assert np.array_equal(combined, flat1)
 
-    def test_single_row_batches_step_like_train_base(self):
+    def test_single_row_batches_step_like_train_base(self, monkeypatch):
         # a normal row has no positive-CE objective, so the step follows CE
         # alone; a positive row's positive CE equals its CE, so the min-norm
         # step is that same gradient. Either way: train_base, bit for bit.
@@ -406,24 +409,27 @@ class TestRecallBoost:
         boosted = feedforward("edge", 6, [5], 3, np.random.default_rng(6))
         plain = copy.deepcopy(boosted)
         cfg = TrainConfig(2, 1, 0.1)
-        result = train_recall_boost(boosted, ds.train_X, ds.train_y, cfg, seed=7)
+        solves = recorded_solves(monkeypatch)
+        train_recall_boost(boosted, ds.train_X, ds.train_y, cfg, seed=7)
         train_base(plain, ds.train_X, ds.train_y, cfg, seed=7)
         assert params_equal(boosted, plain)
         positives = int((ds.train_y != 0).sum())
         assert 0 < positives < len(ds.train_y)
-        assert len(result.alpha_steps) == cfg.epochs * positives
-        assert result.skipped_steps == 0
+        # one solve per positive row, none of them on an all-zero bundle
+        assert len(solves) == cfg.epochs * positives
+        assert all(bundle.any() for bundle, _, _ in solves)
 
-    def test_descent_condition_holds_and_alphas_are_logged(self):
+    def test_descent_condition_holds_and_alphas_are_logged(self, monkeypatch):
         ds = gen_dataset(DataConfig(3, 6, 400, 0.4, 0.4), seed=20)
         edge = feedforward("edge", 6, [5], 3, np.random.default_rng(4))
+        solves = recorded_solves(monkeypatch)
         result = train_recall_boost(edge, ds.train_X, ds.train_y,
                                     TrainConfig(3, 32, 0.1), seed=5)
-        assert result.min_descent_inner >= -1e-9
-        assert result.alpha_steps
-        for alpha in result.alpha_steps:
-            assert sum(alpha) == pytest.approx(1.0, abs=1e-9)
-            assert all(a >= -1e-12 for a in alpha)
+        assert solves
+        for bundle, alpha, combined in solves:
+            assert check_descent(bundle, combined)[0]
+            assert on_simplex(alpha, 2)
+        assert all(on_simplex(row.alpha, 2) for row in result.history[1:])
 
 
 @pytest.fixture(scope="module")
@@ -454,8 +460,7 @@ def trend_runs():
         out["plain_recall"].append(plain_rep.recall)
         out["rb_recall"].append(evaluate_model(erb, ds.val_X, ds.val_y).recall)
         before = evaluate_adaptive_path(e2, cloud, ad2, ds.val_X, ds.val_y)
-        finetune_adapter(kd2, cloud, ad2, ds.train_y, target,
-                         TrainConfig(8, 64, 0.05), seed=seeds["finetune"])
+        finetune_adapter(kd2, cloud, TrainConfig(8, 64, 0.05), seed=seeds["finetune"])
         after = evaluate_adaptive_path(e2, cloud, ad2, ds.val_X, ds.val_y)
         out["ft"].append((before.accuracy, after.accuracy))
     return out
@@ -629,17 +634,14 @@ class TestReportsMatchEvaluators:
         edge_kd_result = result = train_edge_kd(edge, adapter, X, y, target, cfg, seed=2,
                                                 kd_weight=plan.kd_weight,
                                                 recall_boost=recall_boost)
-        alpha = None
-        if recall_boost and epochs:
-            assert result.skipped_steps == 0
-            per_epoch = len(result.alpha_steps) // epochs
-            alpha = tuple(float(a) for a in
-                          np.asarray(result.alpha_steps[-per_epoch:]).mean(axis=0))
+        # the weights are checked against the steps in TestMultiObjectiveSteps
+        alpha = result.history[-1].alpha
+        assert (alpha is not None) == bool(recall_boost and epochs)
         assert result.history[0] == first
         assert result.history[-1] == edge_kd_oracle(edge, cloud, adapter, X, y, alpha)
 
         first = evaluate_adaptive_path(edge, cloud, adapter, X, y)
-        result = finetune_adapter(edge_kd_result, cloud, adapter, y, target,
+        result = finetune_adapter(edge_kd_result, cloud,
                                   dataclasses.replace(sc["finetune"], epochs=epochs), seed=3)
         assert result.history[0] == first
         assert result.history[-1] == evaluate_adaptive_path(edge, cloud, adapter, X, y)
@@ -654,7 +656,7 @@ class TestReportsMatchEvaluators:
                                kd_weight=0.0)
         assert result.final.kd_loss == 0.0
         first = evaluate_adaptive_path(edge, cloud, adapter, X, y)
-        result = finetune_adapter(result, cloud, adapter, y, target,
+        result = finetune_adapter(result, cloud,
                                   dataclasses.replace(plan.stages["finetune"], epochs=1), seed=3)
         assert first.kd_loss > 0.0
         assert result.history[0] == first
@@ -666,21 +668,22 @@ def layers_of(net):
 
 
 class PassCounter:
-    """Counts untaped ``apply_layer`` calls per (model or adapter, layer
-    index): the forward passes training makes outside its tapes."""
+    """Counts the layers of untaped ``forward`` passes per (model or adapter,
+    layer index): the forward passes training makes outside its tapes."""
 
     def __init__(self, monkeypatch, *nets):
         self.calls = {}
         index = {id(layer): (net.name, i) for net in nets for i, layer in enumerate(layers_of(net))}
-        original = nncore.apply_layer
+        original = nncore.forward
 
-        def counted(layer, x, *buffers):
-            key = index.get(id(layer))
-            if key is not None:
-                self.calls[key] = self.calls.get(key, 0) + 1
-            return original(layer, x, *buffers)
+        def counted(layers, x):
+            for layer in layers:
+                key = index.get(id(layer))
+                if key is not None:
+                    self.calls[key] = self.calls.get(key, 0) + 1
+            return original(layers, x)
 
-        monkeypatch.setattr(nncore, "apply_layer", counted)
+        monkeypatch.setattr(nncore, "forward", counted)
 
     def runs(self, net, layers):
         """Calls of each of ``net``'s layers with an index in ``layers``."""
@@ -724,18 +727,25 @@ class TestReportPasses:
         elif change == "kd-weight-0":
             plan = dataclasses.replace(plan, kd_weight=0.0)
         handed = []
-        for name in ("train_edge_kd", "finetune_adapter"):
-            def recording(*args, _stage=getattr(train, name), **kwargs):
-                target = args[4]  # both stages take the targets fifth
-                handed.append((target, target.copy()))
-                return _stage(*args, **kwargs)
-            monkeypatch.setattr(train, name, recording)
+        edge_kd, finetune = train.train_edge_kd, train.finetune_adapter
+
+        def recording_edge_kd(*args, **kwargs):
+            handed.append((args[4], args[4].copy()))  # the targets come fifth
+            return edge_kd(*args, **kwargs)
+
+        def recording_finetune(edge_kd_result, *args, **kwargs):
+            target = edge_kd_result.handoff.target
+            handed.append((target, target.copy()))
+            return finetune(edge_kd_result, *args, **kwargs)
+
+        monkeypatch.setattr(train, "train_edge_kd", recording_edge_kd)
+        monkeypatch.setattr(train, "finetune_adapter", recording_finetune)
         ds = harness.build_dataset(plan)
         edge, cloud, adapter = harness.build_models(plan)
         results = harness.train_stages(plan, ds, edge, cloud, adapter)
         assert len(results["cloud"].history) == plan.stages["cloud"].epochs + 1
-        assert results["cloud"].target is None
         (kd_target, kd_copy), (ft_target, ft_copy) = handed
+        assert results["cloud"].target is kd_target
         assert ft_target is kd_target
         want = nncore.sigmoid(nncore.forward(cloud.layers[:adapter.cloud_tap + 1], ds.train_X))
         assert kd_copy.tobytes() == ft_copy.tobytes() == want.tobytes()
@@ -743,22 +753,16 @@ class TestReportPasses:
     def test_train_stages_reuse_the_thread_workspace(self, monkeypatch):
         # every full-split pass of a train takes its buffers from the
         # thread's one workspace, which an earlier train in this thread may
-        # have made; a second train of the same plan allocates no buffer,
-        # and the KD targets live in a buffer that no layer slot shares
-        taken, targets = [], []
-        array, kd = nncore.Scratch.array, train.kd_targets
+        # have made; a second train of the same plan allocates no buffer
+        taken = []
+        array = nncore.Scratch.array
 
         def recording_array(self, slot, shape):
             view = array(self, slot, shape)
             taken.append((self, slot, self._buffers[slot]))
             return view
 
-        def recording_kd(*args, **kwargs):
-            targets.append(kd(*args, **kwargs))
-            return targets[-1]
-
         monkeypatch.setattr(nncore.Scratch, "array", recording_array)
-        monkeypatch.setattr(train, "kd_targets", recording_kd)
         plan = tiny_plan()
         plan.stages = {name: dataclasses.replace(cfg, epochs=self.EPOCHS)
                        for name, cfg in plan.stages.items()}
@@ -778,10 +782,17 @@ class TestReportPasses:
         assert run() == (scratch, first)
         assert all(now is then for now, then in zip(scratch._buffers, buffers))
         assert all(buf is buffers[slot] for _, slot, buf in taken)
-        assert {slot for _, slot, _ in taken} == {0, 1, 2, nncore.Scratch.TARGET}
-        target = targets[-1]
-        assert np.shares_memory(target, buffers[nncore.Scratch.TARGET])
-        assert not any(np.shares_memory(target, buffers[slot]) for slot in range(3))
+        assert {slot for _, slot, _ in taken} == {0, 1, 2}
+
+    def test_the_cloud_stages_targets_share_no_memory_with_the_workspace(self):
+        # train_stages returns the KD targets on the cloud stage's result as
+        # an ordinary read-only array, which no later pass can rewrite
+        plan = tiny_plan()
+        results = harness.train_stages(plan, harness.build_dataset(plan),
+                                       *harness.build_models(plan))
+        target = results["cloud"].target
+        assert target is not None and not target.flags.writeable
+        assert not any(np.shares_memory(target, buf) for buf in nncore.workspace()._buffers)
 
     def test_threads_train_as_they_would_one_after_the_other(self):
         # each thread trains in its own workspace, so three trains at once,
@@ -835,8 +846,7 @@ class TestReportPasses:
         kd_result = train_edge_kd(edge, adapter, X, y, target, TrainConfig(0, 32, 0.1), seed=0,
                                 kd_weight=kd_weight)
         counter = PassCounter(monkeypatch, edge, cloud, adapter)
-        result = finetune_adapter(kd_result, cloud, adapter, y, target,
-                                  TrainConfig(self.EPOCHS, 32, 0.05), seed=0)
+        result = finetune_adapter(kd_result, cloud, TrainConfig(self.EPOCHS, 32, 0.05), seed=0)
         rows = len(result.history)
         assert rows == self.EPOCHS + 1
         n = adapter.cloud_tap
@@ -867,41 +877,37 @@ class TestReportPasses:
         with pytest.raises(ValueError, match="read-only"):
             target *= 2.0
 
-    def test_kd_targets_are_the_sigmoid_in_the_target_slot(self):
+    def test_kd_targets_held_at_once_keep_their_values(self):
+        # each result is a fresh sigmoid: a second one, or a pass through a
+        # larger, dirty workspace, leaves the first as it was
         X, _, _, cloud, adapter = self.small_setup()
-        want = nncore.sigmoid(nncore.forward(cloud.layers[:adapter.cloud_tap + 1], X))
+        feature = nncore.forward(cloud.layers[:adapter.cloud_tap + 1], X)
         scratch = nncore.workspace()
         scratch.array(0, (4 * len(X), 8)).fill(np.nan)  # a larger, dirty layer slot
-        target = cloud_targets(cloud, adapter.cloud_tap, X)
-        assert target.tobytes() == want.tobytes()
-        with pytest.raises(ValueError, match="read-only"):
-            target[0, 0] = 0.5
-        assert np.shares_memory(target, scratch.array(nncore.Scratch.TARGET, target.shape))
-        assert not any(np.shares_memory(target, scratch.array(slot, target.shape))
-                       for slot in range(3))
+        first, second = kd_targets(feature), kd_targets(-feature)
+        assert first.tobytes() == nncore.sigmoid(feature).tobytes()
+        assert second.tobytes() == nncore.sigmoid(-feature).tobytes()
+        assert not np.shares_memory(first, second)
+        assert not any(np.shares_memory(target, buf)
+                       for target in (first, second) for buf in scratch._buffers)
 
     @pytest.mark.parametrize("cut", ["rows", "width"])
-    @pytest.mark.parametrize("stage", ["edge_kd", "finetune"])
-    def test_a_misshapen_target_is_refused(self, stage, cut):
+    def test_a_misshapen_target_is_refused(self, cut):
         X, y, edge, cloud, adapter = self.small_setup()
         target = cloud_targets(cloud, adapter.cloud_tap, X)
         bad = target[:-1] if cut == "rows" else target[:, :-1]
         message = f"target: shape {bad.shape} != (rows, adapter width) {target.shape}"
-        cfg = TrainConfig(1, 32, 0.1)
-        kd_result = train_edge_kd(edge, adapter, X, y, target, TrainConfig(0, 32, 0.1), seed=0)
         with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
-            if stage == "edge_kd":
-                train_edge_kd(edge, adapter, X, y, bad, cfg, seed=0)
-            else:
-                finetune_adapter(kd_result, cloud, adapter, y, bad, cfg, seed=0)
+            train_edge_kd(edge, adapter, X, y, bad, TrainConfig(1, 32, 0.1), seed=0)
 
 
 # ---------------------------------------------------------------------------
 # The multi-objective step: gradient replays, solver calls and the update.
 
 class StepRecorder:
-    """Per SGD step of a recall-boost stage: the objectives present, the
-    gradient rows of its ``adjoints`` replays, the solver's combinations,
+    """Per SGD step of a recall-boost stage: the objectives present, whether
+    positive cross-entropy is one of them, the gradient rows of its
+    ``adjoints`` replays, the solver's bundles, weights and combinations,
     and the trainable params, raveled in order, as the step opens. A step
     opens at its ``positive_ce_on_tape`` call, which every recall-boost
     step makes once, before any replay or update."""
@@ -913,7 +919,8 @@ class StepRecorder:
         def recorded_pos_ce(tape, logits, labels):
             node = pos_ce(tape, logits, labels)
             self.steps.append({"present": cross_entropies + (node is not None),
-                               "adjoints": [], "combined": [], "before": flat(trainable)})
+                               "positive": node is not None, "adjoints": [], "solves": [],
+                               "before": flat(trainable)})
             return node
 
         def recorded_adjoints(tape, node, out):
@@ -923,7 +930,7 @@ class StepRecorder:
 
         def recorded_solve(bundle):
             weights, combined = solve(bundle)
-            self.steps[-1]["combined"].append(combined.copy())
+            self.steps[-1]["solves"].append((bundle.copy(), weights.copy(), combined.copy()))
             return weights, combined
 
         monkeypatch.setattr(train, "positive_ce_on_tape", recorded_pos_ce)
@@ -937,8 +944,11 @@ def flat(params):
 
 class TestMultiObjectiveSteps:
     """On the tiny plan: one ``adjoints`` replay per present objective, one
-    solver call per multi-objective step, and an update of exactly
-    ``-lr * combined``, sliced per trainable param in order."""
+    solver call per multi-objective step, whose combination is a common
+    descent direction of its bundle and whose weights lie on the simplex,
+    an update of exactly ``-lr * combined``, sliced per trainable param in
+    order, and per epoch a history row carrying the mean of its steps'
+    weights by objective slot."""
 
     def run(self, monkeypatch, stage):
         plan, X, y, edge, cloud, adapter = tiny_stage_inputs()
@@ -962,25 +972,35 @@ class TestMultiObjectiveSteps:
     def test_replays_solves_and_update(self, monkeypatch, stage):
         n, cfg, steps, result, trainable = self.run(monkeypatch, stage)
         assert len(steps) == cfg.epochs * math.ceil(n / cfg.batch_size)
-        multi = [s for s in steps if s["present"] > 1]
-        assert multi and len(result.alpha_steps) == len(multi)
-        assert result.skipped_steps == 0
-        assert result.min_descent_inner >= -1e-9
+        assert any(s["present"] > 1 for s in steps)
         lr = cfg.learning_rate
         afters = [s["before"] for s in steps[1:]] + [flat(trainable)]
         for step, after in zip(steps, afters):
             assert len(step["adjoints"]) == step["present"]
             if step["present"] == 1:
-                assert step["combined"] == []
+                assert step["solves"] == []
                 (row,) = step["adjoints"]
                 want = step["before"] - row * lr
             else:
-                (combined,) = step["combined"]
+                ((bundle, alpha, combined),) = step["solves"]
+                assert np.array_equal(bundle, np.stack(step["adjoints"]))
+                assert check_descent(bundle, combined)[0]
+                assert on_simplex(alpha, step["present"])
                 assert combined.shape == (sum(p.value.size for p in trainable),)
                 want = step["before"] - lr * combined
             assert after.tobytes() == want.tobytes()
         if stage == "recall-boost":
             assert any(s["present"] == 1 for s in steps)
+        # slot 1 is positive cross-entropy in both stages: 0 where it is absent
+        per_epoch = len(steps) // cfg.epochs
+        for epoch, row in enumerate(result.history[1:]):
+            by_slot = []
+            for step in steps[epoch * per_epoch:(epoch + 1) * per_epoch]:
+                for _, alpha, _ in step["solves"]:
+                    weights = [float(a) for a in alpha]
+                    by_slot.append(weights if step["positive"] else [weights[0], 0.0, *weights[1:]])
+            assert by_slot
+            assert row.alpha == tuple(float(a) for a in np.mean(by_slot, axis=0))
 
     def test_trainable_values_are_slices_of_one_buffer(self):
         # a stage leaves each trainable Param.value a reshaped slice of one
