@@ -2,13 +2,14 @@
 
 A model is a stack of layers ending in a ``num_classes``-wide head; class
 probabilities are always a max-subtracted softmax over the final logits. A
-*tap* is a 0-based layer index, and the adapter's ``(edge_tap, cloud_tap)``
-is the only place a split is defined: ``infer_with_tap`` returns the edge's
-activation after its tap, ``adapt`` maps it into the cloud tap's space, and
-``cloud_tail`` resumes the cloud from such an activation by running only the
-layers after the tap. Every path is ``nncore.forward`` on a slice of one
-layer stack, so its intermediates live in the calling thread's workspace;
-what a path returns is always a fresh array.
+*tap* is a 0-based layer index, and :meth:`ModelSpec.split` is the one rule
+that cuts a net at a tap and refuses a tap that is not a layer index. The
+adapter's ``(edge_tap, cloud_tap)`` is the split point: ``infer_with_tap``
+returns the edge's activation after its tap, ``adapt`` maps it into the
+cloud tap's space, and ``cloud_tail`` resumes the cloud from such an
+activation with the layers after the tap. Every path is ``nncore.forward``
+on a side of a split, so its intermediates live in the calling thread's
+workspace; what a path returns is always a fresh array.
 """
 
 from __future__ import annotations
@@ -47,8 +48,15 @@ class ModelSpec:
     def in_dim(self) -> int:
         return self.layers[0].in_dim
 
+    def split(self, tap: int) -> tuple[list[LayerSpec], list[LayerSpec]]:
+        """The layers up to and including ``tap``, and the layers after it;
+        a ``tap`` outside ``[0, len(layers))`` is refused."""
+        if not 0 <= tap < len(self.layers):
+            raise ConfigError(f"tap {tap} out of range for {self.name!r}")
+        return self.layers[:tap + 1], self.layers[tap + 1:]
+
     def tap_dim(self, tap: int) -> int:
-        return self.layers[tap].out_dim
+        return self.split(tap)[0][-1].out_dim
 
     def params(self) -> list[Param]:
         return [p for layer in self.layers for p in layer.params()]
@@ -127,18 +135,6 @@ def make_adapter(name: str, edge_tap: int, cloud_tap: int, edge_dim: int,
     return AdapterSpec(name, edge_tap, cloud_tap, projection, blocks)
 
 
-def check_adapter_tap(side: str, net: ModelSpec, tap: int) -> None:
-    """Reject an adapter's ``side`` tap that is not a layer index of ``net``."""
-    if not 0 <= tap < len(net.layers):
-        raise ConfigError(f"adapter {side} tap {tap} out of range for {net.name!r}")
-
-
-def check_adapter_binding(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec) -> None:
-    """Reject an adapter whose edge or cloud tap is not a layer index of its net."""
-    check_adapter_tap("edge", edge, adapter.edge_tap)
-    check_adapter_tap("cloud", cloud, adapter.cloud_tap)
-
-
 def infer(model: ModelSpec, x) -> np.ndarray:
     """Class probabilities for a sample or batch."""
     return softmax(nncore.forward(model.layers, x))
@@ -146,10 +142,9 @@ def infer(model: ModelSpec, x) -> np.ndarray:
 
 def infer_with_tap(model: ModelSpec, x, tap: int) -> tuple[np.ndarray, np.ndarray]:
     """Class probabilities plus the activation after layer ``tap``."""
-    if not 0 <= tap < len(model.layers):
-        raise UsageError(f"tap {tap} out of range for {model.name!r}")
-    captured = nncore.forward(model.layers[:tap + 1], x)
-    probs = softmax(nncore.forward(model.layers[tap + 1:], captured))
+    prefix, tail = model.split(tap)
+    captured = nncore.forward(prefix, x)
+    probs = softmax(nncore.forward(tail, captured))
     return probs, captured
 
 
@@ -164,14 +159,13 @@ def cloud_tail(model: ModelSpec, injected, from_tap: int) -> np.ndarray:
     Runs only the layers with index > ``from_tap``; injecting the model's
     own tap activation reproduces the full forward pass bit-exactly.
     """
-    if not 0 <= from_tap < len(model.layers):
-        raise UsageError(f"from_tap {from_tap} out of range for {model.name!r}")
+    prefix, tail = model.split(from_tap)
     values = as_tensor(injected)
-    expected = model.layers[from_tap].out_dim
-    # checked here: the slice after the last layer is empty and checks no dim
+    expected = prefix[-1].out_dim
+    # checked here: the tail after the last layer is empty and checks no dim
     if values.ndim in (1, 2) and values.shape[-1] != expected:
         raise ConfigError(f"injected dim {values.shape[-1]} != tap {from_tap} dim {expected}")
-    return softmax(nncore.forward(model.layers[from_tap + 1:], values))
+    return softmax(nncore.forward(tail, values))
 
 
 def confidence(probs, mode: str = NORMAL_CLASS_MODE):

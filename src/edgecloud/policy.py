@@ -18,12 +18,12 @@ The route depends on the input only through the confidence, so routing is
 split in two. :func:`route_dataset` runs every branch once over a whole
 split and returns the edge's class probabilities and each route's
 prediction per row; each branch is ``nncore.forward``, the one layer loop,
-on a slice of the edge, adapter or cloud stack. A policy takes its
-confidence mode's confidence of those probabilities, and :func:`route_codes`
-maps it, for any (variant, c1, c2), to an array of route codes, indices
-into :data:`ROUTES`, with one :func:`route_sample` call per row.
-:func:`route_costs` gives the elements sent and cloud-side FLOPs one row
-pays on each route.
+on the adapter, the cloud or a side of a net's ``ModelSpec.split`` at the
+adapter's tap. A policy takes its confidence mode's confidence of those
+probabilities, and :func:`route_codes` maps it, for any (variant, c1, c2),
+to an array of route codes, indices into :data:`ROUTES`, with one
+:func:`route_sample` call per row. :func:`route_costs` gives the elements
+sent and cloud-side FLOPs one row pays on each route, from the same splits.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nncore
-from .models import (AdapterSpec, ModelSpec, adapt, check_adapter_binding, cloud_tail,
-                     infer, infer_with_tap)
+from .models import AdapterSpec, ModelSpec, adapt, cloud_tail, infer, infer_with_tap
 from .nncore import ConfigError, UsageError
 
 INDEPENDENT = "independent"
@@ -94,8 +93,7 @@ class RoutedDataset(NamedTuple):
 
 def route_dataset(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec, X) -> RoutedDataset:
     """One pass of each branch over ``X``: the edge network with its tap, the
-    adapted path (adapter + cloud tail) and the full cloud."""
-    check_adapter_binding(edge, cloud, adapter)
+    adapted path (adapter + cloud tail) and the full cloud; each split checks its tap."""
     X = nncore.as_tensor(X)
     if X.ndim != 2:
         raise UsageError("route_dataset expects an (n, d) array")
@@ -114,6 +112,6 @@ def route_costs(edge: ModelSpec, cloud: ModelSpec,
     input and runs the whole cloud model.
     """
     sent = (0, edge.tap_dim(adapter.edge_tap), cloud.in_dim)
-    cloud_side = (0, adapter.total_flops() + nncore.flops(cloud.layers[adapter.cloud_tap + 1:]),
-                  cloud.total_flops())
+    tail = cloud.split(adapter.cloud_tap)[1]
+    cloud_side = (0, adapter.total_flops() + nncore.flops(tail), cloud.total_flops())
     return sent, cloud_side

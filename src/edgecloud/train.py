@@ -8,11 +8,11 @@ records on the tape:
 * ``train_edge_kd`` -- edge training with a feature-imitation term: the
   adapter maps the edge tap into the cloud tap's space and a sigmoid BCE
   pulls the adapted map toward the KD targets, the sigmoid of the frozen
-  cloud's feature map from :func:`kd_targets`. Edge layers
-  up to the tap receive both gradients, later layers only the classifier
-  gradient, and the adapter only the imitation gradient. With
-  ``recall_boost`` the step weights three objectives: cross-entropy,
-  positive-samples-only cross-entropy and the imitation loss.
+  cloud's feature map from :func:`kd_targets`. Edge layers up to the tap
+  receive both gradients, later layers only the classifier gradient, and
+  the adapter only the imitation gradient. With ``recall_boost`` the step
+  weights three objectives: cross-entropy, positive-samples-only
+  cross-entropy and the imitation loss.
 * ``finetune_adapter`` -- tunes the adapter plus the cloud layers after the
   injection tap on the end-to-end adapted path, everything else frozen. It
   takes the adapter, KD targets, labels and edge tap feature from
@@ -27,6 +27,8 @@ reshaped slice of it from then on; every objective's backward writes its
 gradient into one flat row of the same layout, so an update is one
 in-place subtraction from that buffer.
 
+Nets are cut at a tap only by ``ModelSpec.split``, and a gather by label
+refuses a label outside ``[0, num_classes)``, both before any step.
 Losses clamp probabilities to ``[1e-12, 1 - 1e-12]`` before taking logs.
 A step whose loss is not finite, or a report whose pass is not, ends the
 procedure with :class:`DivergenceError`. All procedures are deterministic
@@ -61,8 +63,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import nncore
-from .models import (AdapterSpec, ModelSpec, NORMAL_CLASS, adapt, check_adapter_tap,
-                     cloud_tail, infer, infer_with_tap)
+from .models import (AdapterSpec, ModelSpec, NORMAL_CLASS, adapt, cloud_tail, infer,
+                     infer_with_tap)
 from .moo import solve_min_norm
 from .nncore import (ConfigError, GradientTape, Node, Param, UsageError, as_tensor,
                      sigmoid, softmax)
@@ -159,12 +161,21 @@ class TrainResult:
 # ---------------------------------------------------------------------------
 # Losses (plain-array versions; used for reporting and as test oracles).
 
+def _class_labels(labels, num_classes: int) -> np.ndarray:
+    """``labels`` as class indices, refusing one outside ``[0, num_classes)``."""
+    labels = np.asarray(labels, dtype=np.intp)
+    outside = (labels < 0) | (labels >= num_classes)
+    if outside.any():
+        raise UsageError(f"label {labels[outside][0]} out of range for {num_classes} classes")
+    return labels
+
+
 def cross_entropy(probs, labels) -> float:
     """Mean negative log-probability of the true class over a batch."""
     probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.intp)
     if probs.ndim != 2 or probs.shape[0] == 0:
         raise UsageError("cross_entropy needs a nonempty batch of probability rows")
+    labels = _class_labels(labels, probs.shape[1])
     if labels.shape != (probs.shape[0],):
         raise UsageError("labels must align with probability rows")
     picked = np.clip(probs[np.arange(len(labels)), labels], LOG_EPS, 1.0 - LOG_EPS)
@@ -238,7 +249,7 @@ def recall_rate(preds, labels) -> float:
 def ce_on_tape(tape: GradientTape, logits: Node, labels) -> Node:
     """Taped :func:`cross_entropy` of ``softmax(logits)``, one entry whose backward
     runs those of the negated mean, log, clamp, label gather and softmax."""
-    labels = np.asarray(labels, dtype=np.intp)
+    labels = _class_labels(labels, logits.value.shape[1])
     rows = np.arange(logits.value.shape[0])
     probs = softmax(logits.value)
     picked = probs[rows, labels]
@@ -456,13 +467,12 @@ def train_base(model: ModelSpec, X, y, config: TrainConfig, *, seed: int,
     """Minibatch SGD on cross-entropy; history row 0 is the initial state.
 
     With a ``tap`` (an adapter's cloud tap), each report runs the model as
-    :func:`infer_with_tap` and keeps the feature after layer ``tap`` until
-    the next step, and the result's ``target`` is the :func:`kd_targets` of
-    the last report's: the trained model's, from no extra pass.
+    :func:`infer_with_tap`, whose split refuses a bad tap at row 0, before
+    any step, and keeps the feature after layer ``tap`` until the next step;
+    the result's ``target`` is the :func:`kd_targets` of the last report's:
+    the trained model's, from no extra pass.
     """
     X, y = _coerce_data(X, y)
-    if tap is not None:
-        check_adapter_tap("cloud", model, tap)
     feature = None
 
     def objectives(tape, idx):
@@ -510,13 +520,12 @@ def train_edge_kd(edge: ModelSpec, adapter: AdapterSpec, X, y, target: np.ndarra
     minimum-norm point.
     """
     check_edge_objectives(kd_weight, recall_boost)
-    check_adapter_tap("edge", edge, adapter.edge_tap)
+    prefix, tail = edge.split(adapter.edge_tap)
     X, y = _coerce_data(X, y)
     want = (len(X), adapter.projection.out_dim)
     if np.shape(target) != want:
         raise UsageError(f"target: shape {np.shape(target)} != (rows, adapter width) {want}")
     use_kd = kd_weight != 0.0
-    prefix, tail = edge.layers[:adapter.edge_tap + 1], edge.layers[adapter.edge_tap + 1:]
 
     handoff = None
 
@@ -564,11 +573,9 @@ def finetune_adapter(edge_kd: TrainResult, cloud: ModelSpec, config: TrainConfig
     if handoff is None:
         raise UsageError("edge_kd: no hand-off; pass what train_edge_kd returned, once")
     adapter, target, y, feats = handoff.adapter, handoff.target, handoff.y, handoff.edge_feature
-    check_adapter_tap("cloud", cloud, adapter.cloud_tap)
+    prefix, tail = cloud.split(adapter.cloud_tap)
     pending = handoff if handoff.adapted is not None else None
     handoff = edge_kd.handoff = None
-    n = adapter.cloud_tap
-    prefix, tail = cloud.layers[:n + 1], cloud.layers[n + 1:]
 
     def objectives(tape, idx):
         adapted = adapter_on_tape(tape, adapter, tape.input(feats[idx]))
@@ -580,7 +587,7 @@ def finetune_adapter(edge_kd: TrainResult, cloud: ModelSpec, config: TrainConfig
         if pending is None:
             return _adaptive_report(cloud, adapter, feats, target, y)
         adapted, kd, pending = pending.adapted, pending.kd, None
-        return _loss_report(cloud_tail(cloud, adapted, n), y, kd)
+        return _loss_report(cloud_tail(cloud, adapted, adapter.cloud_tap), y, kd)
 
     return _fit("adapter-finetune", len(feats), config,
                 adapter.params() + [p for layer in tail for p in layer.params()], objectives,

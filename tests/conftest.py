@@ -54,7 +54,7 @@ def param_grads(tape, node):
 def cloud_targets(cloud, tap, X):
     """``train.kd_targets`` of the cloud's feature after layer ``tap`` on
     ``X``: the KD targets ``train_base`` given that tap ends with."""
-    return train.kd_targets(nncore.forward(cloud.layers[:tap + 1], X))
+    return train.kd_targets(nncore.forward(cloud.split(tap)[0], X))
 
 
 # ---------------------------------------------------------------------------

@@ -93,3 +93,26 @@ def test_a_zero_parent_median(pairs):
 def test_bad_inputs_are_refused(pairs, parent, change, better, message):
     with pytest.raises(ValueError, match=message):
         pairs.summarize(parent, change, better, 0.25)
+
+
+def fake_tree(root, name, echo):
+    """A tree whose ``tools/output_digest.py`` prints ``echo`` and its arguments."""
+    tools = root / name / "tools"
+    tools.mkdir(parents=True)
+    (tools / "output_digest.py").write_text(
+        f"import sys\nprint({echo!r}, *sys.argv[1:])\n", encoding="utf-8")
+    return str(root / name)
+
+
+def test_digest_seeds_record_the_recall_boost_lines_too(pairs, tmp_path):
+    trees = {"parent": fake_tree(tmp_path, "parent", "digest"),
+             "change": fake_tree(tmp_path, "change", "digest")}
+    record = pairs.digest_report(trees, "0-4")
+    want = ["digest --seeds 0-4", "digest --seeds 0-4 --recall-boost"]
+    assert record == {"output_digest": {"parent": want, "change": want},
+                      "output_digest_equal": True}
+    trees["change"] = fake_tree(tmp_path, "other", "changed")
+    assert not pairs.digest_report(trees, "0-4")["output_digest_equal"]
+    trees["parent"] = str(tmp_path / "no-tools")
+    record = pairs.digest_report(trees, "0-4")
+    assert record["output_digest"]["parent"] is None and not record["output_digest_equal"]

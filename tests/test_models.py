@@ -49,10 +49,14 @@ class TestTaps:
         _, feat = infer_with_tap(model, x, 0)
         assert np.array_equal(feat, nncore.forward([layer], x))
 
-    @pytest.mark.parametrize("tap", [-1, 4, 2_000])
-    def test_out_of_range_tap_rejected(self, tap):
-        with pytest.raises(UsageError, match=f"tap {tap} out of range for 'cloud'"):
-            infer_with_tap(small_cloud(), np.zeros(6), tap)
+    def test_split_cuts_after_the_tap(self):
+        cloud = small_cloud()
+        for tap in range(len(cloud.layers)):
+            prefix, tail = cloud.split(tap)
+            assert len(prefix) == tap + 1
+            assert all(a is b for a, b in zip(prefix + tail, cloud.layers, strict=True))
+            assert cloud.tap_dim(tap) == cloud.layers[tap].out_dim
+        assert tail == []  # the head's tap leaves nothing after it
 
     def test_probs_match_plain_infer(self):
         cloud = small_cloud()
@@ -117,13 +121,8 @@ class TestCloudTail:
         assert np.array_equal(cloud_tail(cloud, feat, 2), head_only)
 
     def test_flops_split_is_additive(self):
-        cloud = small_cloud()
-        n = 1
-        assert flops(cloud.layers[:n + 1]) + flops(cloud.layers[n + 1:]) == cloud.total_flops()
-
-    def test_out_of_range_tap_rejected(self):
-        with pytest.raises(UsageError):
-            cloud_tail(small_cloud(), np.zeros(10), 99)
+        prefix, tail = small_cloud().split(1)
+        assert flops(prefix) + flops(tail) == small_cloud().total_flops()
 
     def test_wrong_dim_rejected(self):
         with pytest.raises(ConfigError):

@@ -227,12 +227,6 @@ class TestValidation:
         sent, cloud_side = route_costs(*toy_system())
         assert (sent[EDGE_CODE], cloud_side[EDGE_CODE]) == (0, 0)
 
-    def test_adapter_tap_binding_checked(self):
-        edge, cloud, _ = toy_system(5)
-        bad = make_adapter("a", 7, 1, 5, 8, 1, np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            route_dataset(edge, cloud, bad, np.ones((1, 4)))
-
 
 # ---------------------------------------------------------------------------
 # Per-sample reference: each row runs the edge alone, takes the scalar

@@ -16,7 +16,7 @@ from edgecloud import harness, models, nncore, train
 from edgecloud.harness import DataConfig, gen_dataset
 from edgecloud.models import feedforward, make_adapter
 from edgecloud.nncore import ConfigError, GradientTape, UsageError
-from edgecloud.policy import route_dataset
+from edgecloud.policy import route_costs, route_dataset
 from edgecloud.train import (DivergenceError, TrainConfig, cross_entropy,
                              evaluate_adaptive_path, evaluate_model, kd_loss,
                              kd_targets, positive_cross_entropy, train_base,
@@ -76,6 +76,16 @@ class TestCrossEntropy:
             raw = rng.random((8, 5)) + 1e-3
             probs = raw / raw.sum(axis=1, keepdims=True)
             assert cross_entropy(probs, rng.integers(0, 5, 8)) >= 0.0
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_a_label_outside_the_classes_is_refused(self, label):
+        # -1 would gather the last class and 3 would raise an IndexError
+        message = f"^label {label} out of range for 3 classes$"
+        with pytest.raises(UsageError, match=message):
+            cross_entropy(np.full((2, 3), 1.0 / 3.0), [0, label])
+        tape = GradientTape()
+        with pytest.raises(UsageError, match=message):
+            train.ce_on_tape(tape, tape.input(np.zeros((2, 3))), [0, label])
 
 
 class TestKdLoss:
@@ -279,44 +289,76 @@ class TestTrainEdgeKd:
         assert all(on_simplex(row.alpha, 3) for row in result.history[1:])
 
 
-def edge_kd(edge, cloud, adapter, X, y, config):
-    """Stage 2 as ``train_stages`` runs it: the KD targets of a cloud stage
-    (of no epoch here) given the adapter's cloud tap, then edge KD."""
-    cloud_stage = train_base(cloud, X, y, TrainConfig(0, 32, 0.1), seed=0, tap=adapter.cloud_tap)
-    return train_edge_kd(edge, adapter, X, y, cloud_stage.target, config, seed=0)
-
-
-def finetune(edge, cloud, adapter, X, y, config):
+def zero_epoch_finetune(edge, cloud, adapter, X, y):
     """Stage 3 after a zero-epoch stage 2 on well-shaped targets, so that only
     its own checks can refuse."""
     target = np.full((len(X), adapter.projection.out_dim), 0.5)
     kd_result = train_edge_kd(edge, adapter, X, y, target, TrainConfig(0, 32, 0.1), seed=0)
-    return finetune_adapter(kd_result, cloud, config, seed=0)
+    return finetune_adapter(kd_result, cloud, TrainConfig(1, 32, 0.1), seed=0)
 
 
-def route(edge, cloud, adapter, X, y, config):
-    """``route_dataset`` with a training stage's arguments."""
-    return route_dataset(edge, cloud, adapter, X)
+# Every entry that cuts a net at an adapter's tap, and the net whose tap it
+# cuts. kd_setup's edge has 2 layers and its cloud 3. Sliced unchecked, edge
+# tap 2 would make the whole edge the "prefix" and the KD term would train
+# on its logits, and tap -1 would cut before the head.
+TAP_ENTRIES = {
+    "tap_dim": ("edge", lambda edge, cloud, adapter, X, y: edge.tap_dim(adapter.edge_tap)),
+    "infer_with_tap": ("edge", lambda edge, cloud, adapter, X, y:
+                       models.infer_with_tap(edge, X, adapter.edge_tap)),
+    "cloud_tail": ("cloud", lambda edge, cloud, adapter, X, y:
+                   models.cloud_tail(cloud, np.zeros((len(X), 12)), adapter.cloud_tap)),
+    "route_costs-edge": ("edge", lambda edge, cloud, adapter, X, y:
+                         route_costs(edge, cloud, adapter)),
+    "route_costs-cloud": ("cloud", lambda edge, cloud, adapter, X, y:
+                          route_costs(edge, cloud, adapter)),
+    "route_dataset-edge": ("edge", lambda edge, cloud, adapter, X, y:
+                           route_dataset(edge, cloud, adapter, X)),
+    "route_dataset-cloud": ("cloud", lambda edge, cloud, adapter, X, y:
+                            route_dataset(edge, cloud, adapter, X)),
+    "train_base": ("cloud", lambda edge, cloud, adapter, X, y:
+                   train_base(cloud, X, y, TrainConfig(1, 32, 0.1), seed=0,
+                              tap=adapter.cloud_tap)),
+    "train_edge_kd": ("edge", lambda edge, cloud, adapter, X, y:
+                      train_edge_kd(edge, adapter, X, y, np.full((len(X), 12), 0.5),
+                                    TrainConfig(1, 32, 0.1), seed=0)),
+    "finetune_adapter": ("cloud", zero_epoch_finetune),
+}
 
 
-# kd_setup's edge has 2 layers and its cloud 3: each bad tap is one past the
-# head. Sliced unchecked, edge tap 2 would make the whole edge the "prefix"
-# and the KD term would train on its logits. Fine-tuning never sees the edge:
-# its hand-off comes from stage 2, which refuses a bad edge tap.
-BAD_TAPS = {"edge": (2, 1), "cloud": (0, 3)}
-
-
-@pytest.mark.parametrize("stage, side", [(edge_kd, "edge"), (edge_kd, "cloud"), (finetune, "cloud"),
-                                         (route, "edge"), (route, "cloud")],
-                         ids=["edge_kd-edge", "edge_kd-cloud", "finetune-cloud", "route-edge",
-                              "route-cloud"])
-def test_kd_stages_reject_an_out_of_range_adapter_tap(stage, side):
+@pytest.mark.parametrize("bad", [-1, "past the head", 2_000])
+@pytest.mark.parametrize("entry", list(TAP_ENTRIES))
+def test_a_bad_tap_is_refused_with_one_error_at_every_entry(entry, bad):
+    side, call = TAP_ENTRIES[entry]
     ds, edge, cloud, _, _ = kd_setup(8, n=100)
-    edge_tap, cloud_tap = BAD_TAPS[side]
-    adapter = make_adapter("a", edge_tap, cloud_tap, 5, 12, 1, np.random.default_rng(0))
-    bad = edge_tap if side == "edge" else cloud_tap
-    with pytest.raises(ConfigError, match=f"adapter {side} tap {bad} out of range for '{side}'"):
-        stage(edge, cloud, adapter, ds.train_X, ds.train_y, TrainConfig(1, 32, 0.1))
+    adapter = make_adapter("a", 0, 1, 5, 12, 1, np.random.default_rng(0))
+    tap = len((edge if side == "edge" else cloud).layers) if bad == "past the head" else bad
+    # set after construction: AdapterSpec refuses a negative tap itself
+    setattr(adapter, f"{side}_tap", tap)
+    nets = edge.params() + cloud.params() + adapter.params()
+    before = nncore.params_digest(nets)
+    with pytest.raises(ConfigError, match=f"^tap {tap} out of range for '{side}'$"):
+        call(edge, cloud, adapter, ds.train_X, ds.train_y)
+    assert nncore.params_digest(nets) == before
+
+
+@pytest.mark.parametrize("label", [-1, 4])
+def test_stages_refuse_a_label_outside_the_classes_before_any_step(label):
+    ds, edge, cloud, adapter, _ = kd_setup(8, n=100)
+    X, y = ds.train_X, ds.train_y
+    y[3] = label  # kd_setup's nets have 4 classes
+    target = cloud_targets(cloud, adapter.cloud_tap, X)
+    cfg = TrainConfig(1, 32, 0.1)
+    nets = edge.params() + cloud.params() + adapter.params()
+    before = nncore.params_digest(nets)
+    for call in (lambda: train_base(cloud, X, y, cfg, seed=0),
+                 lambda: train_base(cloud, X, y, cfg, seed=0, tap=adapter.cloud_tap),
+                 lambda: train_edge_kd(edge, adapter, X, y, target, cfg, seed=0),
+                 lambda: train_edge_kd(edge, adapter, X, y, target, cfg, seed=0,
+                                       kd_weight=0.5, recall_boost=True),
+                 lambda: evaluate_model(edge, X, y)):
+        with pytest.raises(UsageError, match=f"^label {label} out of range for 4 classes$"):
+            call()
+    assert nncore.params_digest(nets) == before
 
 
 def untrained_stage_2(ds, edge, cloud, adapter, *, kd_weight=1.0):

@@ -12,9 +12,10 @@ own ``perfbench/run.py``. The JSON holds, per workload, every pair's
 correctness, command counts and whether the two ``outputs.sha256`` agree,
 and per end-to-end metric of ``BENCHMARK.json`` the statistics of
 :func:`summarize`. ``--digest-seeds`` adds both trees' ``tools/output_digest.py``
-lines. A metric is ``claim_holds`` when the change is better in at least
-nine of ten pairs and its median is better than the parent's by more than
-the parent's interquartile range.
+lines, plain and then with ``--recall-boost``, and whether they are equal.
+A metric is ``claim_holds`` when the change is better in at least nine of
+ten pairs and its median is better than the parent's by more than the
+parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -136,12 +137,26 @@ def run_side(tree: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 def digest_lines(tree: str, seeds: str) -> list[str] | None:
+    """``tree``'s ``output_digest.py --seeds seeds`` lines, then those of the
+    same run with ``--recall-boost``; None when the tree has no such tool."""
     tool = os.path.join(tree, "tools", "output_digest.py")
     if not os.path.isfile(tool):
         return None
-    out = subprocess.run([sys.executable, tool, "--seeds", seeds], cwd=tree, check=True,
-                         capture_output=True, text=True).stdout
-    return out.strip().splitlines()
+    lines = []
+    for extra in ([], ["--recall-boost"]):
+        out = subprocess.run([sys.executable, tool, "--seeds", seeds, *extra], cwd=tree,
+                             check=True, capture_output=True, text=True).stdout
+        lines += out.strip().splitlines()
+    return lines
+
+
+def digest_report(trees: dict[str, str], seeds: str) -> dict:
+    """Both trees' :func:`digest_lines`, and whether the parent has them and
+    the change prints the same."""
+    lines = {side: digest_lines(trees[side], seeds) for side in SIDES}
+    return {"output_digest": lines,
+            "output_digest_equal": lines["parent"] is not None
+            and lines["parent"] == lines["change"]}
 
 
 def main(argv=None) -> int:
@@ -154,7 +169,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--scratch", required=True, help="empty directory for the two trees")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--digest-seeds", help="also record output_digest.py --seeds lines")
+    parser.add_argument("--digest-seeds",
+                        help="also record output_digest.py --seeds lines, plain and "
+                             "with --recall-boost")
     args = parser.parse_args(argv)
     workloads = args.workloads.split(",")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
@@ -200,8 +217,7 @@ def main(argv=None) -> int:
                         for m in end_to_end},
         }
     if args.digest_seeds:
-        report["output_digest"] = {side: digest_lines(trees[side], args.digest_seeds)
-                                   for side in SIDES}
+        report.update(digest_report(trees, args.digest_seeds))
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
