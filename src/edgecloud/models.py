@@ -4,12 +4,14 @@ A model is a stack of layers ending in a ``num_classes``-wide head; class
 probabilities are always a max-subtracted softmax over the final logits. A
 *tap* is a 0-based layer index, and :meth:`ModelSpec.split` is the one rule
 that cuts a net at a tap and refuses a tap that is not a layer index. The
-adapter's ``(edge_tap, cloud_tap)`` is the split point: ``infer_with_tap``
-returns the edge's activation after its tap, ``adapt`` maps it into the
-cloud tap's space, and ``cloud_tail`` resumes the cloud from such an
-activation with the layers after the tap. Every path is ``nncore.forward``
-on a side of a split, so its intermediates live in the calling thread's
-workspace; what a path returns is always a fresh array.
+adapter's ``(edge_tap, cloud_tap)`` is the split point, and
+:meth:`AdapterSpec.split` cuts one net there, refusing a net whose tap is
+not as wide as the projection reads (edge) or writes (cloud).
+``infer_with_tap`` returns the edge's activation after its tap, ``adapt``
+maps it into the cloud tap's space, and ``cloud_tail`` resumes the cloud
+from such an activation with the layers after the tap. Every path is
+``nncore.forward`` on a side of a split, so its intermediates live in the
+calling thread's workspace; what a path returns is always a fresh array.
 """
 
 from __future__ import annotations
@@ -81,8 +83,6 @@ class AdapterSpec:
 
     def __init__(self, name: str, edge_tap: int, cloud_tap: int,
                  projection: LayerSpec, blocks: Sequence[LayerSpec]) -> None:
-        if edge_tap < 0 or cloud_tap < 0:
-            raise ConfigError("tap indices must be nonnegative")
         if projection.kind != nncore.DENSE:
             raise ConfigError("adapter projection must be a dense layer")
         blocks = list(blocks)
@@ -100,6 +100,18 @@ class AdapterSpec:
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
+
+    def split(self, net: ModelSpec, end: str) -> tuple[list[LayerSpec], list[LayerSpec]]:
+        """``net.split`` at this adapter's tap on ``end`` ("edge" or "cloud"); a
+        net whose tap is not as wide as the projection's input (edge end) or
+        output (cloud end) is refused."""
+        tap, width, verb = {"edge": (self.edge_tap, self.projection.in_dim, "reads"),
+                            "cloud": (self.cloud_tap, self.projection.out_dim, "writes")}[end]
+        prefix, tail = net.split(tap)
+        if prefix[-1].out_dim != width:
+            raise ConfigError(f"adapter {self.name!r} does not fit {net.name!r}: tap {tap} is "
+                              f"{prefix[-1].out_dim} wide, its projection {verb} {width}")
+        return prefix, tail
 
     def layers(self) -> list[LayerSpec]:
         return [self.projection, *self.blocks]

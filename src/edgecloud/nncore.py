@@ -655,8 +655,9 @@ def load_params(path) -> dict[str, np.ndarray]:
 
 
 def restore_params(params: Iterable[Param], arrays: dict[str, np.ndarray], path) -> None:
-    """Set each parameter to its array from ``load_params(path)``; a missing
-    name or a shape mismatch is a ``ConfigError`` naming ``path``."""
+    """Set each parameter to its array from ``load_params(path)``; a missing,
+    misshapen or extra name is a ``ConfigError`` naming ``path``."""
+    params = list(params)
     for p in params:
         if p.name not in arrays:
             raise ConfigError(f"{path}: checkpoint is missing parameter {p.name!r}")
@@ -665,3 +666,6 @@ def restore_params(params: Iterable[Param], arrays: dict[str, np.ndarray], path)
             raise ConfigError(f"{path}: parameter {p.name!r}: checkpoint shape {a.shape} "
                               f"!= {p.value.shape}")
         p.value = as_tensor(a)
+    extra = sorted(set(arrays).difference(p.name for p in params))
+    if extra:
+        raise ConfigError(f"{path}: checkpoint has parameter {extra[0]!r}, which the net lacks")

@@ -18,10 +18,10 @@ The route depends on the input only through the confidence, so routing is
 split in two. :func:`route_dataset` runs every branch once over a whole
 split and returns the edge's class probabilities and each route's
 prediction per row; each branch is ``nncore.forward``, the one layer loop,
-on the adapter, the cloud or a side of a net's ``ModelSpec.split`` at the
-adapter's tap. A policy takes its confidence mode's confidence of those
-probabilities, and :func:`route_codes` maps it, for any (variant, c1, c2),
-to an array of route codes, indices into :data:`ROUTES`, with one
+on the adapter, the cloud or a side of a net's ``AdapterSpec.split``
+(which refuses a misfit adapter). A policy takes its confidence mode's
+confidence of those probabilities; :func:`route_codes` maps it, for any
+(variant, c1, c2), to route codes, indices into :data:`ROUTES`, one
 :func:`route_sample` call per row. :func:`route_costs` gives the elements
 sent and cloud-side FLOPs one row pays on each route, from the same splits.
 """
@@ -93,10 +93,11 @@ class RoutedDataset(NamedTuple):
 
 def route_dataset(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec, X) -> RoutedDataset:
     """One pass of each branch over ``X``: the edge network with its tap, the
-    adapted path (adapter + cloud tail) and the full cloud; each split checks its tap."""
+    adapted path (adapter + cloud tail) and the full cloud; ``adapter.split`` fits both first."""
     X = nncore.as_tensor(X)
     if X.ndim != 2:
         raise UsageError("route_dataset expects an (n, d) array")
+    adapter.split(edge, "edge"), adapter.split(cloud, "cloud")
     probs, feature = infer_with_tap(edge, X, adapter.edge_tap)
     adapted = cloud_tail(cloud, adapt(adapter, feature), adapter.cloud_tap)
     # Stacked in route-code order: edge, adaptive, cloud.
@@ -111,7 +112,7 @@ def route_costs(edge: ModelSpec, cloud: ModelSpec,
     the cloud layers after its tap; the full-cloud offload sends the raw
     input and runs the whole cloud model.
     """
-    sent = (0, edge.tap_dim(adapter.edge_tap), cloud.in_dim)
-    tail = cloud.split(adapter.cloud_tap)[1]
+    sent = (0, adapter.split(edge, "edge")[0][-1].out_dim, cloud.in_dim)
+    tail = adapter.split(cloud, "cloud")[1]
     cloud_side = (0, adapter.total_flops() + nncore.flops(tail), cloud.total_flops())
     return sent, cloud_side

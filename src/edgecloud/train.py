@@ -27,8 +27,10 @@ reshaped slice of it from then on; every objective's backward writes its
 gradient into one flat row of the same layout, so an update is one
 in-place subtraction from that buffer.
 
-Nets are cut at a tap only by ``ModelSpec.split``, and a gather by label
-refuses a label outside ``[0, num_classes)``, both before any step.
+Nets are cut at a tap only by ``ModelSpec.split`` and at an adapter's tap
+only by ``AdapterSpec.split``, which refuses an adapter that does not fit
+the net, and a gather by label refuses a label outside ``[0, num_classes)``,
+all before any step.
 Losses clamp probabilities to ``[1e-12, 1 - 1e-12]`` before taking logs.
 A step whose loss is not finite, or a report whose pass is not, ends the
 procedure with :class:`DivergenceError`. All procedures are deterministic
@@ -520,7 +522,7 @@ def train_edge_kd(edge: ModelSpec, adapter: AdapterSpec, X, y, target: np.ndarra
     minimum-norm point.
     """
     check_edge_objectives(kd_weight, recall_boost)
-    prefix, tail = edge.split(adapter.edge_tap)
+    prefix, tail = adapter.split(edge, "edge")
     X, y = _coerce_data(X, y)
     want = (len(X), adapter.projection.out_dim)
     if np.shape(target) != want:
@@ -573,7 +575,7 @@ def finetune_adapter(edge_kd: TrainResult, cloud: ModelSpec, config: TrainConfig
     if handoff is None:
         raise UsageError("edge_kd: no hand-off; pass what train_edge_kd returned, once")
     adapter, target, y, feats = handoff.adapter, handoff.target, handoff.y, handoff.edge_feature
-    prefix, tail = cloud.split(adapter.cloud_tap)
+    prefix, tail = adapter.split(cloud, "cloud")
     pending = handoff if handoff.adapted is not None else None
     handoff = edge_kd.handoff = None
 

@@ -116,3 +116,14 @@ def test_digest_seeds_record_the_recall_boost_lines_too(pairs, tmp_path):
     trees["parent"] = str(tmp_path / "no-tools")
     record = pairs.digest_report(trees, "0-4")
     assert record["output_digest"]["parent"] is None and not record["output_digest_equal"]
+
+
+def test_an_unknown_workload_exits_2_before_any_tree_is_written(pairs, tmp_path, capsys):
+    scratch = tmp_path / "trees"
+    with pytest.raises(SystemExit) as exit_info:
+        pairs.main(["--parent", "HEAD", "--workloads", "no-such-workload,cli-default",
+                    "--scratch", str(scratch), "--out", str(tmp_path / "pairs.json")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--workloads: unknown workload 'no-such-workload'; BENCHMARK.json has cli-" in err
+    assert not scratch.exists()

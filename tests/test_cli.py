@@ -318,6 +318,25 @@ def test_a_checkpoint_that_does_not_fit_the_plan_exits_2_naming_it(pipeline_out,
     assert f"error: {path}: " in err and "'edge.head.b'" in err
 
 
+@pytest.mark.parametrize("component, smaller, first_extra", [
+    ("adapter", {"adapter": harness.AdapterConfig(edge_tap=0, cloud_tap=1, blocks=0)},
+     "adapter.res0."),
+    ("cloud", {"cloud": harness.NetConfig(hidden=[16, 16])}, "cloud.h2."),
+], ids=["adapter-without-its-block", "cloud-without-h2"])
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_a_checkpoint_of_a_larger_plan_exits_2_naming_its_first_extra_parameter(
+        pipeline_out, tmp_path, capsys, command, component, smaller, first_extra):
+    out = tmp_path / "out"
+    shutil.copytree(pipeline_out, out)
+    plan_path = str(tmp_path / "plan.json")
+    harness.save_plan(plan_path, tiny_plan(**smaller))
+    assert dispatch([command, "--config", plan_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(f"^error: {re.escape(str(out / (component + '.npz')))}: checkpoint has "
+                     f"parameter '{re.escape(first_extra)}[^']*', which the net lacks$", err,
+                     re.MULTILINE)
+
+
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])
 def test_a_version_1_checkpoint_exits_2_asking_for_train(pipeline_out, tmp_path, capsys, command):
     out = tmp_path / "out"

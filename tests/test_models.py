@@ -58,6 +58,17 @@ class TestTaps:
             assert cloud.tap_dim(tap) == cloud.layers[tap].out_dim
         assert tail == []  # the head's tap leaves nothing after it
 
+    def test_an_adapter_splits_each_net_at_its_own_end(self):
+        edge = feedforward("edge", 6, [5], 4, np.random.default_rng(0))
+        cloud = small_cloud()
+        adapter = make_adapter("a", 0, 1, 5, 10, 1, np.random.default_rng(1))
+        assert adapter.split(edge, "edge") == edge.split(0)
+        assert adapter.split(cloud, "cloud") == cloud.split(1)
+        # given as the cloud, the edge's tap 1 is its 4-wide head
+        with pytest.raises(ConfigError, match="^adapter 'a' does not fit 'edge': tap 1 is 4 "
+                                              "wide, its projection writes 10$"):
+            adapter.split(edge, "cloud")
+
     def test_probs_match_plain_infer(self):
         cloud = small_cloud()
         rng = np.random.default_rng(3)
@@ -91,7 +102,7 @@ class TestAdapt:
 
     def test_wrong_dim_rejected(self):
         adapter = make_adapter("a", 0, 2, 5, 9, 1, np.random.default_rng(0))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^layer 0 expects input dim 5, got 6$"):
             adapt(adapter, np.zeros(6))
 
     def test_plain_single_dense_adapter_allowed(self):
@@ -125,7 +136,7 @@ class TestCloudTail:
         assert flops(prefix) + flops(tail) == small_cloud().total_flops()
 
     def test_wrong_dim_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^injected dim 7 != tap 1 dim 10$"):
             cloud_tail(small_cloud(), np.zeros(7), 1)
 
     def test_resuming_after_the_head_checks_the_dim(self):
@@ -185,20 +196,20 @@ class TestConfidence:
         assert np.allclose(out, [0.7, 0.2])
 
     def test_unnormalized_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="^probabilities must sum to 1$"):
             confidence([0.5, 0.2])
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="^unknown confidence mode 'entropy'$"):
             confidence([0.5, 0.5], "entropy")
 
 
 class TestSpecsAndIO:
     def test_model_invariants(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^last layer out_dim 4 != num_classes 5$"):
             ModelSpec("m", [dense(3, 4)], 5)  # head width != classes
 
     def test_adapter_block_width_checked(self):
         proj = dense(3, 5, name="p")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^adapter block 0 width 4 != projection out 5$"):
             AdapterSpec("a", 0, 1, proj, [residual_block(4)])

@@ -277,6 +277,13 @@ class TestCheckpoints:
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: .*'other'"):
             nncore.restore_params([other], nncore.load_params(path), path)
 
+    def test_extra_param_rejected_naming_the_first(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        nncore.save_params(path, [Param(name, np.ones(2)) for name in ("w", "z", "b")])
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: checkpoint has "
+                                              "parameter 'b', which the net lacks$"):
+            nncore.restore_params([Param("w", np.ones(2))], nncore.load_params(path), path)
+
     def test_misshapen_param_rejected_naming_the_file(self, tmp_path):
         path = tmp_path / "ckpt.npz"
         nncore.save_params(path, [Param("w", np.ones((2, 3)))])

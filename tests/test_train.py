@@ -297,6 +297,12 @@ def zero_epoch_finetune(edge, cloud, adapter, X, y):
     return finetune_adapter(kd_result, cloud, TrainConfig(1, 32, 0.1), seed=0)
 
 
+def edge_kd(**kwargs):
+    return lambda edge, cloud, adapter, X, y: train_edge_kd(
+        edge, adapter, X, y, np.full((len(X), 12), 0.5), TrainConfig(1, 32, 0.1), seed=0,
+        **kwargs)
+
+
 # Every entry that cuts a net at an adapter's tap, and the net whose tap it
 # cuts. kd_setup's edge has 2 layers and its cloud 3. Sliced unchecked, edge
 # tap 2 would make the whole edge the "prefix" and the KD term would train
@@ -318,11 +324,14 @@ TAP_ENTRIES = {
     "train_base": ("cloud", lambda edge, cloud, adapter, X, y:
                    train_base(cloud, X, y, TrainConfig(1, 32, 0.1), seed=0,
                               tap=adapter.cloud_tap)),
-    "train_edge_kd": ("edge", lambda edge, cloud, adapter, X, y:
-                      train_edge_kd(edge, adapter, X, y, np.full((len(X), 12), 0.5),
-                                    TrainConfig(1, 32, 0.1), seed=0)),
+    "train_edge_kd": ("edge", edge_kd()),
+    # skips the imitation branch, so only the fit rule sees the projection
+    "train_edge_kd-kd0": ("edge", edge_kd(kd_weight=0.0)),
     "finetune_adapter": ("cloud", zero_epoch_finetune),
 }
+# The entries that pair an adapter with a net, and so check that it fits.
+FIT_ENTRIES = ["route_costs-edge", "route_costs-cloud", "route_dataset-edge",
+               "route_dataset-cloud", "train_edge_kd", "train_edge_kd-kd0", "finetune_adapter"]
 
 
 @pytest.mark.parametrize("bad", [-1, "past the head", 2_000])
@@ -330,13 +339,29 @@ TAP_ENTRIES = {
 def test_a_bad_tap_is_refused_with_one_error_at_every_entry(entry, bad):
     side, call = TAP_ENTRIES[entry]
     ds, edge, cloud, _, _ = kd_setup(8, n=100)
-    adapter = make_adapter("a", 0, 1, 5, 12, 1, np.random.default_rng(0))
     tap = len((edge if side == "edge" else cloud).layers) if bad == "past the head" else bad
-    # set after construction: AdapterSpec refuses a negative tap itself
-    setattr(adapter, f"{side}_tap", tap)
+    taps = {"edge": 0, "cloud": 1, side: tap}
+    adapter = make_adapter("a", taps["edge"], taps["cloud"], 5, 12, 1, np.random.default_rng(0))
     nets = edge.params() + cloud.params() + adapter.params()
     before = nncore.params_digest(nets)
     with pytest.raises(ConfigError, match=f"^tap {tap} out of range for '{side}'$"):
+        call(edge, cloud, adapter, ds.train_X, ds.train_y)
+    assert nncore.params_digest(nets) == before
+
+
+@pytest.mark.parametrize("off", [1, -1], ids=["wider", "narrower"])
+@pytest.mark.parametrize("entry", FIT_ENTRIES)
+def test_a_misfit_adapter_is_refused_with_one_error_at_every_entry(entry, off):
+    # kd_setup's edge tap 0 is 5 wide and its cloud tap 1 is 12 wide
+    side, call = TAP_ENTRIES[entry]
+    ds, edge, cloud, _, _ = kd_setup(8, n=100)
+    tap, width, verb = (0, 5, "reads") if side == "edge" else (1, 12, "writes")
+    dims = {"edge": 5, "cloud": 12, side: width + off}
+    adapter = make_adapter("a", 0, 1, dims["edge"], dims["cloud"], 1, np.random.default_rng(0))
+    nets = edge.params() + cloud.params() + adapter.params()
+    before = nncore.params_digest(nets)
+    with pytest.raises(ConfigError, match=f"^adapter 'a' does not fit '{side}': tap {tap} is "
+                                          f"{width} wide, its projection {verb} {width + off}$"):
         call(edge, cloud, adapter, ds.train_X, ds.train_y)
     assert nncore.params_digest(nets) == before
 

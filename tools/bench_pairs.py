@@ -7,8 +7,9 @@ It exports the parent with ``git archive`` and copies the working tree's
 files (tracked and untracked, less what ``.gitignore`` ignores) into sibling
 directories under ``--scratch``, then runs ``perfbench/run.py --trace 0`` in
 each, one process at a time: for every seed and workload a pair of runs,
-the parent first on even seeds and second on odd ones. Each side runs its
-own ``perfbench/run.py``. The JSON holds, per workload, every pair's
+the parent first on even seeds and second on odd ones. The workloads are
+``BENCHMARK.json``'s, or those of them that ``--workloads`` names. Each
+side runs its own ``perfbench/run.py``. The JSON holds, per workload, every pair's
 correctness, command counts and whether the two ``outputs.sha256`` agree,
 and per end-to-end metric of ``BENCHMARK.json`` the statistics of
 :func:`summarize`. ``--digest-seeds`` adds both trees' ``tools/output_digest.py``
@@ -36,7 +37,6 @@ from output_digest import parse_seeds
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
-WORKLOADS = ("cli-default", "cli-recall-boost")
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -160,12 +160,15 @@ def digest_report(trees: dict[str, str], seeds: str) -> dict:
 
 
 def main(argv=None) -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        benchmark = json.load(fh)
+    known = [w["name"] for w in benchmark["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git ref of the parent commit")
     parser.add_argument("--seeds", type=parse_seeds, default="0-9",
                         help="seeds, one pair each per workload (default 0-9)")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS),
-                        help=f"comma-separated (default {','.join(WORKLOADS)})")
+    parser.add_argument("--workloads", default=",".join(known),
+                        help=f"comma-separated, of BENCHMARK.json's (default {','.join(known)})")
     parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--scratch", required=True, help="empty directory for the two trees")
     parser.add_argument("--out", required=True, help="JSON file to write")
@@ -174,8 +177,10 @@ def main(argv=None) -> int:
                              "with --recall-boost")
     args = parser.parse_args(argv)
     workloads = args.workloads.split(",")
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        end_to_end = json.load(fh)["end_to_end"]
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        parser.error(f"--workloads: unknown workload {unknown[0]!r}; BENCHMARK.json has "
+                     f"{', '.join(known)}")
     trees = export_trees(args.parent, args.scratch)
     runs: dict[str, list[dict]] = {w: [] for w in workloads}
     for seed in args.seeds:
@@ -214,7 +219,7 @@ def main(argv=None) -> int:
                                               for p in pairs],
                                              [p["change"]["metrics"][m["name"]]["value"]
                                               for p in pairs], m["better"], m["bound"])
-                        for m in end_to_end},
+                        for m in benchmark["end_to_end"]},
         }
     if args.digest_seeds:
         report.update(digest_report(trees, args.digest_seeds))
