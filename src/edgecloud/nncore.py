@@ -656,16 +656,18 @@ def load_params(path) -> dict[str, np.ndarray]:
 
 def restore_params(params: Iterable[Param], arrays: dict[str, np.ndarray], path) -> None:
     """Set each parameter to its array from ``load_params(path)``; a missing,
-    misshapen or extra name is a ``ConfigError`` naming ``path``."""
+    misshapen or extra name is a ``ConfigError`` naming ``path``, before any is set."""
     params = list(params)
     for p in params:
         if p.name not in arrays:
             raise ConfigError(f"{path}: checkpoint is missing parameter {p.name!r}")
+    for p in params:
         a = arrays[p.name]
         if a.shape != p.value.shape:
             raise ConfigError(f"{path}: parameter {p.name!r}: checkpoint shape {a.shape} "
                               f"!= {p.value.shape}")
-        p.value = as_tensor(a)
     extra = sorted(set(arrays).difference(p.name for p in params))
     if extra:
         raise ConfigError(f"{path}: checkpoint has parameter {extra[0]!r}, which the net lacks")
+    for p in params:
+        p.value = as_tensor(arrays[p.name])

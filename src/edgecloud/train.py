@@ -40,15 +40,15 @@ parameters before and after; ``train_edge_kd`` sees the cloud only as a
 read-only target array.
 
 Each procedure reports once before training and once per epoch over the
-whole training split. Reports reuse frozen-side features, and each stage
-hands the next an ordinary result: the KD target probabilities come from
-the cloud stage's last report, which runs the cloud past the tap anyway
-(``harness.train_stages`` gives ``train_base`` the adapter's cloud tap and
-passes the result's ``target`` to ``train_edge_kd``); ``train_edge_kd``
-runs the edge once per report and hands its last report's edge tap,
-adapted feature and KD loss, with the adapter, targets and labels they
-came from, to ``finetune_adapter`` (a :class:`Handoff`): its row 0 runs
-only the cloud tail, its later reports the adapter and the cloud tail.
+whole training split. Reports reuse frozen-side features. Each returns its
+row and its carry, which ``_fit`` drops before an epoch's first step and
+returns at the end, so a stage hands the next an ordinary result built
+from its last report's carry: the cloud's tap feature, whose
+:func:`kd_targets` ``train_base`` given the adapter's cloud tap returns
+(``harness.train_stages`` passes them to ``train_edge_kd``), and the edge
+tap, adapted feature and KD loss that ``train_edge_kd``'s :class:`Handoff`
+gives ``finetune_adapter``: its row 0 runs only the cloud tail, its later
+reports the adapter and the cloud tail.
 Every pass keeps its intermediates in the calling thread's workspace
 (``nncore.workspace``): the intermediate layer outputs of every report and
 the KD loss's temporaries land in the same buffers, ``train`` after
@@ -60,7 +60,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -190,7 +190,7 @@ def kd_loss(cloud_feature, adapted_feature) -> float:
     Target ``p = sigmoid(cloud)``, prediction ``q = sigmoid(adapted)``
     clamped away from {0, 1}; mean over elements.
     """
-    return _kd_against(sigmoid(np.asarray(cloud_feature)), np.asarray(adapted_feature))
+    return _kd_against(kd_targets(np.asarray(cloud_feature)), np.asarray(adapted_feature))
 
 
 def _kd_against(target: np.ndarray, adapted: np.ndarray) -> float:
@@ -344,10 +344,12 @@ def _adaptive_report(cloud: ModelSpec, adapter: AdapterSpec, edge_feat: np.ndarr
 
 def evaluate_adaptive_path(edge: ModelSpec, cloud: ModelSpec, adapter: AdapterSpec,
                            X, y) -> LossReport:
-    """Metrics of the edge-tap -> adapter -> cloud-tail path."""
-    _, edge_feat = infer_with_tap(edge, X, adapter.edge_tap)
-    _, cloud_feat = infer_with_tap(cloud, X, adapter.cloud_tap)
-    return _adaptive_report(cloud, adapter, edge_feat, sigmoid(cloud_feat),
+    """Metrics of the edge-tap -> adapter -> cloud-tail path, from nets cut by
+    ``adapter.split`` and run only up to their taps for the edge feature and
+    the :func:`kd_targets`; a misfit adapter is refused before any pass."""
+    edge_prefix, cloud_prefix = adapter.split(edge, "edge")[0], adapter.split(cloud, "cloud")[0]
+    return _adaptive_report(cloud, adapter, nncore.forward(edge_prefix, X),
+                            kd_targets(nncore.forward(cloud_prefix, X)),
                             np.asarray(y, dtype=np.intp))
 
 
@@ -385,8 +387,8 @@ def _flatten(params: list[Param]) -> np.ndarray:
 
 def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
          objectives: Callable[[GradientTape, np.ndarray], list[Node | None]],
-         report: Callable[[], LossReport], frozen: Sequence[Param] = (), *,
-         seed: int) -> TrainResult:
+         report: Callable[[], tuple[LossReport, Any]], frozen: Sequence[Param] = (), *,
+         seed: int) -> tuple[TrainResult, Any]:
     """The training loop of every procedure, over ``n`` rows shuffled by ``seed``.
 
     ``objectives(tape, idx)`` records one step's objectives for the rows
@@ -398,9 +400,10 @@ def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
     scaled in place. More than one: SGD on the minimum-norm combination of
     their gradients, or no step when all of them are zero. ``report()``
     gives history row 0 and, after each epoch, a row carrying the mean by
-    slot (0 for an absent one) of the epoch's minimum-norm weights. A
-    non-finite loss, or a report whose pass is not finite, raises
-    :class:`DivergenceError`. ``frozen`` must come out unchanged.
+    slot (0 for an absent one) of the epoch's minimum-norm weights, each
+    next to its carry, what it hands on; ``_fit`` returns the result and the
+    last carry. A non-finite loss, or a report whose pass is not finite,
+    raises :class:`DivergenceError`. ``frozen`` must come out unchanged.
     """
     frozen_digest = nncore.params_digest(frozen) if frozen else None
     flat = _flatten(trainable)
@@ -409,15 +412,17 @@ def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
     tape = GradientTape(trainable)
     rng = np.random.default_rng(seed)
 
-    def checked_report(epoch: int) -> LossReport:
+    def checked_report(epoch: int) -> tuple[LossReport, Any]:
         try:
             return report()
         except ArithmeticError:
             raise DivergenceError(stage, epoch) from None
 
-    result = TrainResult([checked_report(0)])
+    row, carry = checked_report(0)
+    result = TrainResult([row])
     for epoch in range(1, config.epochs + 1):
         epoch_alphas: list[np.ndarray] = []
+        carry = None  # stale after a step; held through the epoch, it would raise peak memory
         for idx in _batches(n, config.batch_size, rng):
             tape.clear()
             slots = objectives(tape, idx)
@@ -442,12 +447,12 @@ def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
                 step = lr * combined
             if lr:
                 flat -= step
-        row = checked_report(epoch)
+        row, carry = checked_report(epoch)
         row.alpha = tuple(np.mean(epoch_alphas, axis=0).tolist()) if epoch_alphas else None
         result.history.append(row)
     if frozen and nncore.params_digest(frozen) != frozen_digest:
         raise FrozenParamsError(f"frozen parameters mutated in stage {stage!r}")
-    return result
+    return result, carry
 
 
 def kd_targets(feature: np.ndarray) -> np.ndarray:
@@ -469,28 +474,23 @@ def train_base(model: ModelSpec, X, y, config: TrainConfig, *, seed: int,
     """Minibatch SGD on cross-entropy; history row 0 is the initial state.
 
     With a ``tap`` (an adapter's cloud tap), each report runs the model as
-    :func:`infer_with_tap`, whose split refuses a bad tap at row 0, before
-    any step, and keeps the feature after layer ``tap`` until the next step;
-    the result's ``target`` is the :func:`kd_targets` of the last report's:
-    the trained model's, from no extra pass.
+    :func:`infer_with_tap`, whose split refuses a bad tap before any step,
+    and carries the feature after layer ``tap``; the result's ``target`` is
+    the :func:`kd_targets` of the last one's, from no extra pass.
     """
     X, y = _coerce_data(X, y)
-    feature = None
 
     def objectives(tape, idx):
-        nonlocal feature
-        feature = None  # held through the epoch, it would raise the peak resident memory
         logits = nncore.forward_on_tape(tape, model.layers, tape.input(X[idx]))
         return [ce_on_tape(tape, logits, y[idx])]
 
     def report():
-        nonlocal feature
         if tap is None:
-            return evaluate_model(model, X, y)
+            return evaluate_model(model, X, y), None
         probs, feature = infer_with_tap(model, X, tap)
-        return _loss_report(probs, y)
+        return _loss_report(probs, y), feature
 
-    result = _fit("base", len(X), config, model.params(), objectives, report, seed=seed)
+    result, feature = _fit("base", len(X), config, model.params(), objectives, report, seed=seed)
     if tap is not None:
         result.target = kd_targets(feature)
     return result
@@ -512,14 +512,13 @@ def train_edge_kd(edge: ModelSpec, adapter: AdapterSpec, X, y, target: np.ndarra
     """Edge training with the feature-imitation term.
 
     The cloud enters only through ``target``, its :func:`kd_targets` on
-    ``X``. The result's hand-off carries ``adapter``, ``target`` and the
-    labels to :func:`finetune_adapter`. Each step follows
-    ``ce + kd_weight * kd``; with
-    ``kd_weight == 0`` the imitation branch is skipped entirely, so the edge
-    update sequence matches ``train_base`` bit for bit. With
-    ``recall_boost`` each step instead weights cross-entropy,
-    positive-sample cross-entropy and the imitation loss by their
-    minimum-norm point.
+    ``X``. The result's hand-off carries ``adapter``, ``target``, the labels
+    and the last report's carry to :func:`finetune_adapter`. Each step
+    follows ``ce + kd_weight * kd``; with ``kd_weight == 0`` the imitation
+    branch is skipped entirely, so the edge update sequence matches
+    ``train_base`` bit for bit. With ``recall_boost`` each step instead
+    weights cross-entropy, positive-sample cross-entropy and the imitation
+    loss by their minimum-norm point.
     """
     check_edge_objectives(kd_weight, recall_boost)
     prefix, tail = adapter.split(edge, "edge")
@@ -529,13 +528,7 @@ def train_edge_kd(edge: ModelSpec, adapter: AdapterSpec, X, y, target: np.ndarra
         raise UsageError(f"target: shape {np.shape(target)} != (rows, adapter width) {want}")
     use_kd = kd_weight != 0.0
 
-    handoff = None
-
     def objectives(tape, idx):
-        # this step makes the last report's hand-off stale; holding it
-        # through training would raise the peak resident memory
-        nonlocal handoff
-        handoff = None
         tap_node = nncore.forward_on_tape(tape, prefix, tape.input(X[idx]))
         h = nncore.forward_on_tape(tape, tail, tap_node)
         ce = ce_on_tape(tape, h, y[idx])
@@ -548,16 +541,14 @@ def train_edge_kd(edge: ModelSpec, adapter: AdapterSpec, X, y, target: np.ndarra
 
     def report():
         # one edge pass gives both the probabilities and the tap
-        nonlocal handoff
         probs, edge_feat = infer_with_tap(edge, X, adapter.edge_tap)
         adapted = adapt(adapter, edge_feat) if use_kd else None
         kd = _kd_against(target, adapted) if use_kd else 0.0
-        handoff = Handoff(adapter, target, y, edge_feat, adapted, kd)
-        return _loss_report(probs, y, kd)
+        return _loss_report(probs, y, kd), (edge_feat, adapted, kd)
 
-    result = _fit("kd-edge", len(X), config, edge.params() + adapter.params(),
-                  objectives, report, seed=seed)
-    result.handoff = handoff
+    result, last = _fit("kd-edge", len(X), config, edge.params() + adapter.params(),
+                        objectives, report, seed=seed)
+    result.handoff = Handoff(adapter, target, y, *last)
     return result
 
 
@@ -587,13 +578,13 @@ def finetune_adapter(edge_kd: TrainResult, cloud: ModelSpec, config: TrainConfig
     def report():
         nonlocal pending
         if pending is None:
-            return _adaptive_report(cloud, adapter, feats, target, y)
+            return _adaptive_report(cloud, adapter, feats, target, y), None
         adapted, kd, pending = pending.adapted, pending.kd, None
-        return _loss_report(cloud_tail(cloud, adapted, adapter.cloud_tap), y, kd)
+        return _loss_report(cloud_tail(cloud, adapted, adapter.cloud_tap), y, kd), None
 
     return _fit("adapter-finetune", len(feats), config,
                 adapter.params() + [p for layer in tail for p in layer.params()], objectives,
-                report, frozen=[p for layer in prefix for p in layer.params()], seed=seed)
+                report, frozen=[p for layer in prefix for p in layer.params()], seed=seed)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -280,7 +280,7 @@ def train_recall_boost(edge, X, y, config, *, seed):
         return [ce, train.positive_ce_on_tape(tape, logits, y[idx])]
 
     return train._fit("recall-boost", len(X), config, edge.params(), objectives,
-                      lambda: train.evaluate_model(edge, X, y), seed=seed)
+                      lambda: (train.evaluate_model(edge, X, y), None), seed=seed)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,28 @@ def test_digest_seeds_record_the_recall_boost_lines_too(pairs, tmp_path):
     assert record["output_digest"]["parent"] is None and not record["output_digest_equal"]
 
 
+def test_a_traced_run_records_its_checks_and_call_counts(pairs, tmp_path):
+    # a fake perfbench/run.py echoing its arguments into the information line
+    bench = tmp_path / "tree" / "perfbench"
+    bench.mkdir(parents=True)
+    # a benchmark without the route_sample counter reports the others
+    metrics = {name: {"value": i, "unit": "count"} for i, name in enumerate(
+        ["nncore.adjoints.calls", "moo.solve_min_norm.calls", "code.src_lines"])}
+    (bench / "run.py").write_text(
+        "import json, sys\n"
+        "print(json.dumps({'argv': sys.argv[1:], 'absent': ['x.y'], 'problems': ['p']}))\n"
+        f"print(json.dumps({{'correct': False, 'failed': 2, 'metrics': {metrics!r}}}))\n",
+        encoding="utf-8")
+    record = pairs.traced_run(str(tmp_path / "tree"), "cli-default")
+    assert record == {"correct": False, "failed": 2, "absent": ["x.y"], "problems": ["p"],
+                      "nncore.adjoints.calls": 0, "policy.route_sample.calls": None,
+                      "moo.solve_min_norm.calls": 1}
+    info, _ = pairs.perfbench(str(tmp_path / "tree"), "cli-default", 0, 5, 1)
+    assert info["argv"] == ["--workload", "cli-default", "--seed", "0", "--seconds", "5",
+                            "--trace", "1"]
+    assert pairs.TRACED_COMMAND.split()[2:] == ["--workload", "W"] + info["argv"][2:]
+
+
 def test_an_unknown_workload_exits_2_before_any_tree_is_written(pairs, tmp_path, capsys):
     scratch = tmp_path / "trees"
     with pytest.raises(SystemExit) as exit_info:

@@ -291,6 +291,19 @@ class TestCheckpoints:
                                               r"checkpoint shape \(2, 3\) != \(3, 2\)$"):
             nncore.restore_params([Param("w", np.ones((3, 2)))], nncore.load_params(path), path)
 
+    @pytest.mark.parametrize("fault", ["extra name", "later shape"])
+    def test_a_refused_restore_leaves_every_parameter_unchanged(self, tmp_path, fault):
+        path = tmp_path / "ckpt.npz"
+        if fault == "extra name":
+            saved = [Param("w", np.ones(2)), Param("v", np.ones(3)), Param("x", np.ones(1))]
+        else:
+            saved = [Param("w", np.ones(2)), Param("v", np.ones(4))]
+        nncore.save_params(path, saved)
+        params = [Param("w", np.zeros(2)), Param("v", np.zeros(3))]
+        with pytest.raises(ConfigError, match="which the net lacks|checkpoint shape"):
+            nncore.restore_params(params, nncore.load_params(path), path)
+        assert [p.value.tolist() for p in params] == [[0.0, 0.0], [0.0, 0.0, 0.0]]
+
     def test_unversioned_file_rejected(self, tmp_path):
         path = tmp_path / "raw.npz"
         np.savez(path, a=np.ones(2))

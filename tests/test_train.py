@@ -8,6 +8,7 @@ import math
 import re
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -328,10 +329,13 @@ TAP_ENTRIES = {
     # skips the imitation branch, so only the fit rule sees the projection
     "train_edge_kd-kd0": ("edge", edge_kd(kd_weight=0.0)),
     "finetune_adapter": ("cloud", zero_epoch_finetune),
+    "evaluate_adaptive_path-edge": ("edge", evaluate_adaptive_path),
+    "evaluate_adaptive_path-cloud": ("cloud", evaluate_adaptive_path),
 }
 # The entries that pair an adapter with a net, and so check that it fits.
 FIT_ENTRIES = ["route_costs-edge", "route_costs-cloud", "route_dataset-edge",
-               "route_dataset-cloud", "train_edge_kd", "train_edge_kd-kd0", "finetune_adapter"]
+               "route_dataset-cloud", "train_edge_kd", "train_edge_kd-kd0", "finetune_adapter",
+               "evaluate_adaptive_path-edge", "evaluate_adaptive_path-cloud"]
 
 
 @pytest.mark.parametrize("bad", [-1, "past the head", 2_000])
@@ -384,6 +388,54 @@ def test_stages_refuse_a_label_outside_the_classes_before_any_step(label):
         with pytest.raises(UsageError, match=f"^label {label} out of range for 4 classes$"):
             call()
     assert nncore.params_digest(nets) == before
+
+
+@pytest.mark.parametrize("epochs", [0, 2])
+@pytest.mark.parametrize("stage", ["train_base", "train_edge_kd"])
+def test_a_stage_hands_on_its_last_reports_carry_and_no_step_sees_one(monkeypatch, stage,
+                                                                       epochs):
+    ds, edge, cloud, adapter, _ = kd_setup(8, n=100)
+    X, y, cfg = ds.train_X, ds.train_y, TrainConfig(epochs, 32, 0.1)
+    target = cloud_targets(cloud, adapter.cloud_tap, X)
+    carried, steps, handed = [], [], []  # per report, weakrefs to the arrays it carries
+    infer_with_tap, adapt, ce_on_tape = train.infer_with_tap, train.adapt, train.ce_on_tape
+
+    def report_pass(model, X, tap):
+        probs, feature = infer_with_tap(model, X, tap)
+        carried.append([weakref.ref(feature)])
+        return probs, feature
+
+    def adapter_pass(adapter, feature):
+        adapted = adapt(adapter, feature)
+        carried[-1].append(weakref.ref(adapted))
+        return adapted
+
+    def step(*args):
+        # every report so far ran before this epoch's steps; its carry is gone
+        steps.append([ref() is None for refs in carried for ref in refs])
+        return ce_on_tape(*args)
+
+    def targets(feature):
+        handed.append(feature is carried[-1][0]())
+        return kd_targets(feature)
+
+    monkeypatch.setattr(train, "infer_with_tap", report_pass)
+    monkeypatch.setattr(train, "adapt", adapter_pass)
+    monkeypatch.setattr(train, "ce_on_tape", step)
+    monkeypatch.setattr(train, "kd_targets", targets)
+    if stage == "train_base":
+        result = train_base(cloud, X, y, cfg, seed=0, tap=adapter.cloud_tap)
+        assert handed == [True] and result.target is not None
+        assert [len(refs) for refs in carried] == [1] * (epochs + 1)
+    else:
+        result = train_edge_kd(edge, adapter, X, y, target, cfg, seed=0)
+        last = [ref() for ref in carried[-1]]
+        assert result.handoff.edge_feature is last[0] and result.handoff.adapted is last[1]
+        assert result.handoff.kd == result.final.kd_loss
+        assert [len(refs) for refs in carried] == [2] * (epochs + 1)
+    assert len(steps) == epochs * math.ceil(len(X) / 32)
+    assert all(all(dead) for dead in steps)
+    assert all(ref() is None for refs in carried[:-1] for ref in refs)
 
 
 def untrained_stage_2(ds, edge, cloud, adapter, *, kd_weight=1.0):

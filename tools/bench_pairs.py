@@ -14,6 +14,9 @@ correctness, command counts and whether the two ``outputs.sha256`` agree,
 and per end-to-end metric of ``BENCHMARK.json`` the statistics of
 :func:`summarize`. ``--digest-seeds`` adds both trees' ``tools/output_digest.py``
 lines, plain and then with ``--recall-boost``, and whether they are equal.
+Under ``traced`` it also holds, per workload and tree, one seed-0
+``perfbench/run.py --seconds 5 --trace 1`` run's correctness, failed
+commands, absent traced names, problems and :data:`TRACED_CALLS` counts.
 A metric is ``claim_holds`` when the change is better in at least nine of
 ten pairs and its median is better than the parent's by more than the
 parent's interquartile range.
@@ -37,6 +40,8 @@ from output_digest import parse_seeds
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+TRACED_CALLS = ("nncore.adjoints.calls", "policy.route_sample.calls", "moo.solve_min_norm.calls")
+TRACED_COMMAND = "python3 perfbench/run.py --workload W --seed 0 --seconds 5 --trace 1"
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -124,16 +129,32 @@ def export_trees(parent_ref: str, scratch: str) -> dict[str, str]:
     return {**trees, "commit": commit}
 
 
-def run_side(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` process: its result line and ``outputs.sha256``."""
+def perfbench(tree: str, workload: str, seed: int, seconds: float,
+              trace: int) -> tuple[dict, dict]:
+    """One ``perfbench/run.py`` process: its information and result lines."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"{tree}: {' '.join(cmd)} exited {proc.returncode}\n{proc.stderr}")
-    info, result = json.loads(lines[-2]), json.loads(lines[-1])
+    return json.loads(lines[-2]), json.loads(lines[-1])
+
+
+def run_side(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    """One timed run: its result line and ``outputs.sha256``."""
+    info, result = perfbench(tree, workload, seed, seconds, 0)
     return {**result, "outputs.sha256": info["outputs.sha256"]}
+
+
+def traced_run(tree: str, workload: str) -> dict:
+    """One run of :data:`TRACED_COMMAND`: its correctness, failed commands,
+    absent traced names, problems and :data:`TRACED_CALLS` values (None for
+    one that the tree's benchmark does not report)."""
+    info, result = perfbench(tree, workload, 0, 5, 1)
+    return {"correct": result["correct"], "failed": result["failed"],
+            "absent": info["absent"], "problems": info["problems"],
+            **{name: result["metrics"].get(name, {}).get("value") for name in TRACED_CALLS}}
 
 
 def digest_lines(tree: str, seeds: str) -> list[str] | None:
@@ -192,6 +213,8 @@ def main(argv=None) -> int:
                 print(f"seed {seed} {workload} {side}: correct {pair[side]['correct']}",
                       file=sys.stderr, flush=True)
             runs[workload].append(pair)
+    traced = {workload: {side: traced_run(trees[side], workload) for side in SIDES}
+              for workload in workloads}
     import numpy
     report = {
         "schema": 1,
@@ -207,6 +230,7 @@ def main(argv=None) -> int:
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
                  "numpy": numpy.__version__},
         "workloads": {},
+        "traced": {"command": TRACED_COMMAND, **traced},
     }
     for workload, pairs in runs.items():
         report["workloads"][workload] = {
