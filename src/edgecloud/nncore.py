@@ -1,5 +1,6 @@
-"""Dense-network substrate: parameters, layers, taped reverse-mode gradients
-into flat gradient rows, FLOP accounting, and bit-exact parameter checkpoints.
+"""Dense-network substrate: parameters, layers, training passes whose
+backwards write flat gradient rows, FLOP accounting, and bit-exact parameter
+checkpoints.
 
 Conventions shared by every module in this package:
 
@@ -13,14 +14,15 @@ Conventions shared by every module in this package:
 * FLOP convention: multiply-accumulate = 2, bias add = 1 per output
   element, activations are free, the residual skip-add is 1 per element.
   Dense layer: ``2*in*out + out``. Residual block: ``2*(2*d*d + d) + d``.
-* ``forward`` is the only untaped loop over a layer stack and
-  ``forward_on_tape`` the only taped one, and both compute each layer with
-  ``apply_layer``; split inference and training run them on slices of a
-  stack (up to a tap, after a tap). The tape records
-  one entry per stack, whose backward is one loop over its layers in
-  reverse: their relu, skip-add and affine backwards, with each
-  parameter's gradient written in place into its slice of one flat
-  gradient row (``adjoints``).
+* ``forward`` is the only inference loop over a layer stack and
+  ``forward_on_tape`` the only training one, and both compute each layer
+  with ``apply_layer``; split inference and training run them on slices of
+  a stack (up to a tap, after a tap). ``forward_on_tape`` returns a
+  stack's output with its backward, one loop over its layers in reverse:
+  their relu, skip-add and affine backwards, with each parameter's
+  gradient written in place into its slice of one flat gradient row. A
+  training step composes these backwards with its losses' into one
+  backward per objective, which ``adjoints`` runs into a row.
 * Every pass keeps its intermediates in the calling thread's workspace,
   one :class:`Scratch` made on the thread's first pass and kept for its
   life (:func:`workspace`), so its buffers are allocated once per thread.
@@ -240,79 +242,49 @@ def flops(layers: Sequence[LayerSpec]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Gradient tape: an ordered record of taped ops, replayed in reverse into one
-# flat gradient row.
-
-class Node:
-    """Value produced during a taped forward pass; ``is_data`` marks a data
-    leaf, whose gradient nothing reads."""
-
-    __slots__ = ("value", "is_data")
-
-    def __init__(self, value: np.ndarray, is_data: bool = False) -> None:
-        self.value = value
-        self.is_data = is_data
-
+# Training passes: a stack's forward with its backward, which writes each
+# parameter's gradient into its slice of one flat gradient row.
 
 class GradientTape:
-    """Ordered record of the taped operations of one forward pass, and the
-    layout of its gradient row.
+    """The gradient-row layout of a training stage, and the parameters its
+    current step's passes have read.
 
-    Ops append ``(node, backward_fn)`` entries: one per layer stack
-    (:func:`forward_on_tape`), one per loss and one per elementwise op.
-    Every parameter an op reads owns a slice of one flat gradient row of
-    :attr:`size` elements: the ``params`` given at construction first, in
-    their order, then the others in the order the ops first read them.
-    ``adjoints`` replays the record in reverse from any recorded scalar
-    into such a row. A tape is a single-owner, single-threaded object.
+    Each of ``params`` owns a slice of one flat row of :attr:`size`
+    elements, in their order. :func:`forward_on_tape` marks each parameter
+    it reads, and refuses one that is not in the layout or that a pass has
+    read since the last :meth:`clear`; its backward writes their gradients
+    into the row that :func:`adjoints` is filling. A tape is a
+    single-owner, single-threaded object.
     """
 
-    def __init__(self, params: Iterable[Param] = ()) -> None:
-        self._entries: list[tuple[Node, Callable]] = []
+    def __init__(self, params: Iterable[Param]) -> None:
         self._slices: dict[int, tuple[Param, slice]] = {}
-        self._leaves: dict[int, Node] = {}
-        self._rows: dict[int, tuple[np.ndarray, dict[int, np.ndarray]]] = {}
         self.size = 0
-        self.place(params)
-
-    def input(self, value) -> Node:
-        """Data leaf; no gradient is computed into it (take a gradient with
-        respect to data through a ``Param`` leaf)."""
-        return Node(as_tensor(value), is_data=True)
-
-    def place(self, params: Iterable[Param]) -> None:
-        """Give each of ``params`` that has none its slice of the row."""
         for p in params:
             if id(p) not in self._slices:
                 self._slices[id(p)] = (p, slice(self.size, self.size + p.value.size))
                 self.size += p.value.size
-
-    def param(self, p: Param) -> Node:
-        """Leaf for a trainable parameter (one node per param per tape), for
-        an op that passes ``p``'s gradient to ``accum`` as a node's."""
-        node = self._leaves.get(id(p))
-        if node is None:
-            self.place((p,))
-            node = self._leaves[id(p)] = Node(p.value)
-        return node
-
-    def record(self, value: np.ndarray, backward_fn: Callable) -> Node:
-        node = Node(value)
-        self._entries.append((node, backward_fn))
-        return node
+        self._read: set[int] = set()
+        self._rows: dict[int, tuple[np.ndarray, dict[int, np.ndarray]]] = {}
+        self._grad: dict[int, np.ndarray] = {}
 
     def clear(self) -> None:
-        """Forget every recorded op and leaf but keep the row layout, so one
-        tape serves step after step."""
-        self._entries.clear()
-        self._leaves.clear()
+        """Forget the parameters read, so one tape serves step after step."""
+        self._read.clear()
+
+    def _mark(self, params: Iterable[Param]) -> None:
+        for p in params:
+            if id(p) not in self._slices:
+                raise UsageError(f"parameter {p.name!r} is not on the tape")
+            if id(p) in self._read:
+                raise UsageError("a parameter is read twice on one tape")
+            self._read.add(id(p))
 
     def _views(self, row: np.ndarray) -> dict[int, np.ndarray]:
         """Each parameter's slice of ``row``, shaped as the parameter, by
-        the parameter's id; kept for the next replay into the same ``row``
-        while the layout holds."""
+        the parameter's id; kept for the next call with the same ``row``."""
         kept = self._rows.get(id(row))
-        if kept is not None and kept[0] is row and len(kept[1]) == len(self._slices):
+        if kept is not None and kept[0] is row:
             return kept[1]
         views = {key: row[where].reshape(p.value.shape)
                  for key, (p, where) in self._slices.items()}
@@ -320,129 +292,54 @@ class GradientTape:
         return views
 
 
-class _Replay:
-    """One replay of a tape: the gradients of recorded nodes, and the
-    parameters' views of the row that their gradients go into. A backward
-    function is called as ``backward_fn(g, accum)`` with this object as
-    ``accum``: calling it adds a gradient to a node's, and :meth:`claim`
-    hands the views to an op that writes whole parameter gradients."""
-
-    __slots__ = ("grads", "views", "written")
-
-    def __init__(self, views: dict[int, np.ndarray], seed: Node) -> None:
-        self.grads: dict[int, np.ndarray] = {id(seed): np.float64(1.0)}
-        self.views = views
-        self.written: set[int] = set()
-
-    def __call__(self, n: Node, delta: np.ndarray) -> None:
-        key = id(n)
-        prev = self.grads.get(key)
-        self.grads[key] = delta if prev is None else prev + delta
-
-    def claim(self, keys: frozenset[int]) -> dict[int, np.ndarray]:
-        """The views, for one write of the gradient of each parameter whose
-        id is in ``keys``."""
-        if not self.written.isdisjoint(keys):
-            raise UsageError("a parameter is read twice on one tape")
-        self.written |= keys
-        return self.views
-
-
-def adjoints(tape: GradientTape, node: Node, out: np.ndarray) -> np.ndarray:
-    """Gradient of a recorded scalar node w.r.t. every parameter on the tape,
+def adjoints(tape: GradientTape, objective: Callable[[np.float64], object],
+             out: np.ndarray) -> np.ndarray:
+    """Gradient of one scalar objective w.r.t. every parameter on the tape,
     written into ``out``, one flat row of ``tape.size`` elements, and
-    returned: each parameter's gradient raveled into its slice (see
-    :class:`GradientTape`), zero for a parameter ``node`` does not reach.
+    returned: ``out`` is zeroed, then ``objective``, the objective's
+    backward, runs from the seed ``np.float64(1.0)`` and its stacks write
+    each gradient into its parameter's slice (see :class:`GradientTape`).
     """
-    if node.value.shape != ():
-        raise UsageError("adjoint seed must be a scalar node")
     if out.shape != (tape.size,):
         raise UsageError(f"gradient row has shape {out.shape}, tape needs ({tape.size},)")
-    replay = _Replay(tape._views(out), node)
-    grads = replay.grads
-    for value, backward_fn in reversed(tape._entries):
-        g = grads.pop(id(value), None)
-        if g is not None:
-            backward_fn(g, replay)
-    for key, leaf in tape._leaves.items():
-        g = grads.get(id(leaf))
-        if g is not None:
-            replay.claim(frozenset((key,)))[key][...] = g
-    if len(replay.written) < len(tape._slices):
-        for key, view in replay.views.items():
-            if key not in replay.written:
-                view.fill(0.0)
+    tape._grad = tape._views(out)
+    out.fill(0.0)
+    objective(np.float64(1.0))
     return out
 
 
-# --- taped ops: 2-D (batch, features) nodes; node gradients are fresh arrays -
+def forward_on_tape(tape: GradientTape, layers: Sequence[LayerSpec], x: np.ndarray, *,
+                    data: bool = False) -> tuple[np.ndarray, Callable]:
+    """The one training loop over a layer stack: ``layers`` applied to ``x``,
+    each layer by :func:`apply_layer` into fresh arrays that the backward
+    keeps, and that backward, ``backward(g, dx=None)``.
 
-def op_add(tape: GradientTape, a: Node, b: Node) -> Node:
-    if a.value.shape != b.value.shape:
-        raise UsageError("op_add requires equal shapes")
-
-    def bw(g, accum):
-        accum(a, g)
-        accum(b, g)
-
-    return tape.record(a.value + b.value, bw)
-
-
-def op_scale(tape: GradientTape, x: Node, c: float) -> Node:
-    c = float(c)
-
-    def bw(g, accum):
-        accum(x, g * c)
-
-    return tape.record(x.value * c, bw)
-
-
-def op_rows(tape: GradientTape, x: Node, idx: np.ndarray) -> Node:
-    """Row subset ``x[idx]`` (restriction to a sample subset)."""
-    idx = np.asarray(idx, dtype=np.intp)
-    shape = x.value.shape
-
-    def bw(g, accum):
-        out = np.zeros(shape)
-        np.add.at(out, idx, g)
-        accum(x, out)
-
-    return tape.record(x.value[idx], bw)
-
-
-def forward_on_tape(tape: GradientTape, layers: Sequence[LayerSpec], x: Node) -> Node:
-    """The one taped layer loop: ``layers`` applied to ``x`` as one tape
-    entry, each layer by :func:`apply_layer` into fresh arrays that the
-    backward keeps (``x`` itself for no layers).
-
-    Its backward is one loop over the layers in reverse. Per layer it runs
-    the activation, skip-add and affine backwards, and writes each
-    parameter's gradient with ``out=`` into the parameter's slice of the
-    row. A relu's backward keeps the entries where its output is positive,
-    which are those where its input was. The gradient into ``x`` is passed
-    on as a residual block's skip term, then its affine term; a data leaf
-    ``x`` gets none.
+    The stack's parameters are marked read on ``tape``. The backward is one
+    loop over the layers in reverse. Per layer it runs the activation,
+    skip-add and affine backwards, and writes each parameter's gradient
+    with ``out=`` into the parameter's slice of the row :func:`adjoints` is
+    filling. A relu's backward keeps the entries where its output is
+    positive, which are those where its input was. It returns the gradient
+    into ``x``: ``dx``, a gradient ``x`` already has from another pass that
+    read it, then a residual block's skip term, then its affine term, added
+    in that order; ``None`` for ``data``. No layers give ``x`` itself, and
+    a backward that passes ``g`` on.
     """
     if not layers:
-        return x
-    saved, keys = [], []
-    h = x.value
+        return x, lambda g, dx=None: None if data else g if dx is None else dx + g
+    saved = []
+    h = x
     for layer in layers:
         params = layer.params()  # W1, b1 and a residual block's W2, b2
-        tape.place(params)
-        keys += map(id, params)
+        tape._mark(params)
         hidden = np.empty((h.shape[0], layer.out_dim)) if layer.kind == RESIDUAL else None
         y = apply_layer(layer, h, hidden=hidden)
         saved.append((params, h, hidden, y if layer.activation == RELU else None))
         h = y
-    claimed = frozenset(keys)
-    if len(claimed) < len(keys):
-        raise UsageError("a parameter is read twice on one tape")
-    last = len(saved) - 1
 
-    def bw(g, accum):
-        grad = accum.claim(claimed)
-        for i in range(last, -1, -1):
+    def backward(g, dx=None):
+        grad = tape._grad
+        for i in range(len(saved) - 1, -1, -1):
             params, x_in, hidden, relu_out = saved[i]
             if relu_out is not None:
                 g = g * (relu_out > 0)
@@ -457,21 +354,23 @@ def forward_on_tape(tape: GradientTape, layers: Sequence[LayerSpec], x: Node) ->
             w1, b1 = params[:2]
             np.matmul(g.T, x_in, out=grad[id(w1)])
             np.add.reduce(g, axis=0, out=grad[id(b1)])
-            if i:
-                g = g @ w1.value
-                if skip is not None:
-                    g += skip
-            elif not x.is_data:
-                if skip is not None:
-                    accum(x, skip)
-                accum(x, g @ w1.value)
+            if i == 0:
+                if data:
+                    return None
+                if dx is not None:
+                    skip = dx if skip is None else dx + skip
+            g = g @ w1.value
+            if skip is not None:
+                g += skip
+        return g
 
-    return tape.record(h, bw)
+    return h, backward
 
 
-def layer_on_tape(tape: GradientTape, layer: LayerSpec, x: Node) -> Node:
+def layer_on_tape(tape: GradientTape, layer: LayerSpec, x: np.ndarray, *,
+                  data: bool = False) -> tuple[np.ndarray, Callable]:
     """``layer`` applied to ``x``: :func:`forward_on_tape` of the one layer."""
-    return forward_on_tape(tape, (layer,), x)
+    return forward_on_tape(tape, (layer,), x, data=data)
 
 
 class Scratch:
@@ -482,10 +381,9 @@ class Scratch:
     alternate, and a residual block's hidden activation into slot 2; the KD
     loss's temporaries (``train._kd_against``) take the same three slots.
     Passes that share one scratch reuse its pages instead of allocating
-    (and page-faulting) fresh arrays per layer. Like a :class:`GradientTape`
-    it is a single-owner, single-threaded object, and a view it returns is
-    valid only until the next request for the same slot, so no function
-    returns one.
+    (and page-faulting) fresh arrays per layer. It is a single-owner,
+    single-threaded object, and a view it returns is valid only until the
+    next request for the same slot, so no function returns one.
     """
 
     __slots__ = ("_buffers",)
@@ -518,7 +416,7 @@ def workspace() -> Scratch:
 
 
 def forward(layers: Sequence[LayerSpec], x) -> np.ndarray:
-    """The one untaped layer loop: ``layers`` applied to a sample or batch.
+    """The one inference layer loop: ``layers`` applied to a sample or batch.
 
     Split inference runs it on slices of one stack (up to a tap, after a
     tap), so every path shares its input, dimension and finite checks.

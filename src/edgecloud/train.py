@@ -2,7 +2,9 @@
 
 Every procedure runs the same minibatch SGD loop, ``_fit``, and differs only
 in its trainable and frozen parameters and in the objectives each step
-records on the tape:
+builds. An objective is its value and one backward: the backwards of its
+loss (:func:`ce_on_tape`, :func:`kd_on_tape`, :func:`positive_ce_on_tape`)
+and of its layer stacks (``nncore.forward_on_tape``), composed by hand:
 
 * ``train_base`` -- classifier cross-entropy.
 * ``train_edge_kd`` -- edge training with a feature-imitation term: the
@@ -23,8 +25,8 @@ their minimum-norm simplex combination, so no step increases any of them to
 first order; an objective absent from the batch (positive cross-entropy on
 a batch without positive rows) is left out of that step. The trainable
 parameters of a procedure live in one flat buffer, each ``Param.value`` a
-reshaped slice of it from then on; every objective's backward writes its
-gradient into one flat row of the same layout, so an update is one
+reshaped slice of it from then on; ``nncore.adjoints`` runs an objective's
+backward into one flat gradient row of the same layout, so an update is one
 in-place subtraction from that buffer.
 
 Nets are cut at a tap only by ``ModelSpec.split`` and at an adapter's tap
@@ -68,8 +70,7 @@ from . import nncore
 from .models import (AdapterSpec, ModelSpec, NORMAL_CLASS, adapt, cloud_tail, infer,
                      infer_with_tap)
 from .moo import solve_min_norm
-from .nncore import (ConfigError, GradientTape, Node, Param, UsageError, as_tensor,
-                     sigmoid, softmax)
+from .nncore import ConfigError, GradientTape, Param, UsageError, as_tensor, sigmoid, softmax
 
 LOG_EPS = 1e-12
 
@@ -246,19 +247,20 @@ def recall_rate(preds, labels) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Taped loss builders (the differentiable route).
+# Training losses: each returns its value and a backward from the upstream
+# scalar ``g`` to the gradient of its input.
 
-def ce_on_tape(tape: GradientTape, logits: Node, labels) -> Node:
-    """Taped :func:`cross_entropy` of ``softmax(logits)``, one entry whose backward
+def ce_on_tape(logits: np.ndarray, labels) -> tuple[np.float64, Callable]:
+    """:func:`cross_entropy` of ``softmax(logits)`` and its backward, which
     runs those of the negated mean, log, clamp, label gather and softmax."""
-    labels = _class_labels(labels, logits.value.shape[1])
-    rows = np.arange(logits.value.shape[0])
-    probs = softmax(logits.value)
+    labels = _class_labels(labels, logits.shape[1])
+    rows = np.arange(logits.shape[0])
+    probs = softmax(logits)
     picked = probs[rows, labels]
     inside = (picked >= LOG_EPS) & (picked <= 1.0 - LOG_EPS)
     clamped = np.clip(picked, LOG_EPS, 1.0 - LOG_EPS)
 
-    def bw(g, accum):
+    def backward(g):
         g_picked = float(g * -1.0) / clamped.size / clamped * inside
         # the softmax backward of a one-hot g: its row dot is the picked
         # term plus zeros, and a zero term is subtracted from 0.0, so a
@@ -266,24 +268,24 @@ def ce_on_tape(tape: GradientTape, logits: Node, labels) -> Node:
         dot = g_picked * picked + 0.0
         delta = probs * (0.0 - dot)[:, None]
         delta[rows, labels] = picked * (g_picked - dot)
-        accum(logits, delta)
+        return delta
 
-    return tape.record(np.asarray(np.log(clamped).mean()) * -1.0, bw)
+    return np.asarray(np.log(clamped).mean()) * -1.0, backward
 
 
-def kd_on_tape(tape: GradientTape, adapted: Node, target) -> Node:
-    """Taped :func:`kd_loss` against the cloud tap's sigmoid ``target``, one entry
-    whose backward sums the miss, then the hit term's gradient into ``q``."""
+def kd_on_tape(adapted: np.ndarray, target) -> tuple[np.float64, Callable]:
+    """:func:`kd_loss` against the cloud tap's sigmoid ``target`` and its
+    backward, which sums the miss, then the hit term's gradient into ``q``."""
     target = as_tensor(target)
-    if target.shape != adapted.value.shape:
-        raise UsageError(f"feature shapes differ: {target.shape} vs {adapted.value.shape}")
+    if target.shape != adapted.shape:
+        raise UsageError(f"feature shapes differ: {target.shape} vs {adapted.shape}")
     miss_weight = 1.0 - target
-    s = sigmoid(adapted.value)
+    s = sigmoid(adapted)
     inside = (s >= LOG_EPS) & (s <= 1.0 - LOG_EPS)
     q = np.clip(s, LOG_EPS, 1.0 - LOG_EPS)
     r = 1.0 - q
 
-    def bw(g, accum):
+    def backward(g):
         g_term = float(g * -1.0) / q.size
         g_q = np.divide(miss_weight * g_term, r)
         np.negative(g_q, out=g_q)
@@ -292,26 +294,34 @@ def kd_on_tape(tape: GradientTape, adapted: Node, target) -> Node:
         g_q = g_q * inside
         g_q *= s
         g_q *= np.subtract(1.0, s, out=hit)
-        accum(adapted, g_q)
+        return g_q
 
     terms = np.log(q)
     terms *= target
     terms += np.log(r) * miss_weight
-    return tape.record(np.asarray(terms.mean()) * -1.0, bw)
+    return np.asarray(terms.mean()) * -1.0, backward
 
 
-def positive_ce_on_tape(tape: GradientTape, logits: Node, labels) -> Node | None:
-    """Taped cross-entropy over the positive rows; ``None`` when there are none."""
+def positive_ce_on_tape(logits: np.ndarray, labels) -> tuple[np.float64, Callable] | None:
+    """:func:`ce_on_tape` over the positive rows, whose backward scatters
+    into zeros for the other rows; ``None`` when there are none."""
     labels = np.asarray(labels, dtype=np.intp)
     idx = np.flatnonzero(labels != NORMAL_CLASS)
     if idx.size == 0:
         return None
-    subset = nncore.op_rows(tape, logits, idx)
-    return ce_on_tape(tape, subset, labels[idx])
+    loss, ce_back = ce_on_tape(logits[idx], labels[idx])
+
+    def backward(g):
+        delta = np.zeros(logits.shape)
+        np.add.at(delta, idx, ce_back(g))
+        return delta
+
+    return loss, backward
 
 
-def adapter_on_tape(tape: GradientTape, adapter: AdapterSpec, feature: Node) -> Node:
-    return nncore.forward_on_tape(tape, adapter.layers(), feature)
+def adapter_on_tape(tape: GradientTape, adapter: AdapterSpec, feature: np.ndarray, *,
+                    data: bool = False) -> tuple[np.ndarray, Callable]:
+    return nncore.forward_on_tape(tape, adapter.layers(), feature, data=data)
 
 
 # ---------------------------------------------------------------------------
@@ -386,24 +396,25 @@ def _flatten(params: list[Param]) -> np.ndarray:
 
 
 def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
-         objectives: Callable[[GradientTape, np.ndarray], list[Node | None]],
+         objectives: Callable[[GradientTape, np.ndarray], list[tuple[Any, Callable] | None]],
          report: Callable[[], tuple[LossReport, Any]], frozen: Sequence[Param] = (), *,
          seed: int) -> tuple[TrainResult, Any]:
     """The training loop of every procedure, over ``n`` rows shuffled by ``seed``.
 
-    ``objectives(tape, idx)`` records one step's objectives for the rows
-    ``idx`` on ``tape`` and returns them by slot, ``None`` for an objective
-    absent from the batch. The trainable params' values become slices of
-    one flat buffer, which is also the layout of each step's tape, and each
-    objective's gradient is one row of a ``(slots, size)`` buffer,
-    allocated once per call. One present objective: SGD on its gradient,
-    scaled in place. More than one: SGD on the minimum-norm combination of
-    their gradients, or no step when all of them are zero. ``report()``
-    gives history row 0 and, after each epoch, a row carrying the mean by
-    slot (0 for an absent one) of the epoch's minimum-norm weights, each
-    next to its carry, what it hands on; ``_fit`` returns the result and the
-    last carry. A non-finite loss, or a report whose pass is not finite,
-    raises :class:`DivergenceError`. ``frozen`` must come out unchanged.
+    ``objectives(tape, idx)`` runs one step's passes for the rows ``idx``
+    on ``tape`` and returns its objectives by slot, each its value and its
+    backward, ``None`` for an objective absent from the batch. The
+    trainable params' values become slices of one flat buffer, which is
+    also the layout of ``tape``, and each objective's gradient is one row
+    of a ``(slots, size)`` buffer, allocated once per call. One present
+    objective: SGD on its gradient, scaled in place. More than one: SGD on
+    the minimum-norm combination of their gradients, or no step when all
+    of them are zero. ``report()`` gives history row 0 and, after each
+    epoch, a row carrying the mean by slot (0 for an absent one) of the
+    epoch's minimum-norm weights, each next to its carry, what it hands on;
+    ``_fit`` returns the result and the last carry. A non-finite loss, or a
+    report whose pass is not finite, raises :class:`DivergenceError`.
+    ``frozen`` must come out unchanged.
     """
     frozen_digest = nncore.params_digest(frozen) if frozen else None
     flat = _flatten(trainable)
@@ -426,19 +437,19 @@ def _fit(stage: str, n: int, config: TrainConfig, trainable: list[Param],
         for idx in _batches(n, config.batch_size, rng):
             tape.clear()
             slots = objectives(tape, idx)
-            present = [i for i, node in enumerate(slots) if node is not None]
-            if not all(np.isfinite(slots[i].value) for i in present):
+            present = [i for i, slot in enumerate(slots) if slot is not None]
+            if not all(np.isfinite(slots[i][0]) for i in present):
                 raise DivergenceError(stage, epoch)
             if grads is None:
                 grads = np.empty((len(slots), flat.size))
                 rows = list(grads)
             if len(present) == 1:
-                step = nncore.adjoints(tape, slots[present[0]], rows[0])
+                step = nncore.adjoints(tape, slots[present[0]][1], rows[0])
                 step *= lr
             else:
                 bundle = grads[:len(present)]
                 for dest, slot in zip(rows, present):
-                    nncore.adjoints(tape, slots[slot], dest)
+                    nncore.adjoints(tape, slots[slot][1], dest)
                 if not bundle.any():
                     continue
                 alpha, combined = solve_min_norm(bundle)
@@ -481,8 +492,9 @@ def train_base(model: ModelSpec, X, y, config: TrainConfig, *, seed: int,
     X, y = _coerce_data(X, y)
 
     def objectives(tape, idx):
-        logits = nncore.forward_on_tape(tape, model.layers, tape.input(X[idx]))
-        return [ce_on_tape(tape, logits, y[idx])]
+        logits, stack_back = nncore.forward_on_tape(tape, model.layers, X[idx], data=True)
+        ce, ce_back = ce_on_tape(logits, y[idx])
+        return [(ce, lambda g: stack_back(ce_back(g)))]
 
     def report():
         if tap is None:
@@ -512,32 +524,42 @@ def train_edge_kd(edge: ModelSpec, adapter: AdapterSpec, X, y, target: np.ndarra
     """Edge training with the feature-imitation term.
 
     The cloud enters only through ``target``, its :func:`kd_targets` on
-    ``X``. The result's hand-off carries ``adapter``, ``target``, the labels
-    and the last report's carry to :func:`finetune_adapter`. Each step
-    follows ``ce + kd_weight * kd``; with ``kd_weight == 0`` the imitation
-    branch is skipped entirely, so the edge update sequence matches
-    ``train_base`` bit for bit. With ``recall_boost`` each step instead
-    weights cross-entropy, positive-sample cross-entropy and the imitation
-    loss by their minimum-norm point.
+    ``X``; one of another shape, or not finite and in ``[0, 1]``, is
+    refused before any pass. The result's hand-off carries ``adapter``,
+    ``target``, the labels and the last report's carry to
+    :func:`finetune_adapter`. Each step follows ``ce + kd_weight * kd``;
+    with ``kd_weight == 0`` the imitation branch is skipped entirely, so the
+    edge update sequence matches ``train_base`` bit for bit. With
+    ``recall_boost`` each step instead weights cross-entropy,
+    positive-sample cross-entropy and the imitation loss by their
+    minimum-norm point.
     """
     check_edge_objectives(kd_weight, recall_boost)
     prefix, tail = adapter.split(edge, "edge")
     X, y = _coerce_data(X, y)
-    want = (len(X), adapter.projection.out_dim)
-    if np.shape(target) != want:
-        raise UsageError(f"target: shape {np.shape(target)} != (rows, adapter width) {want}")
+    want, target = (len(X), adapter.projection.out_dim), np.asarray(target)
+    if target.shape != want:
+        raise UsageError(f"target: shape {target.shape} != (rows, adapter width) {want}")
+    if not np.all((target >= 0.0) & (target <= 1.0)):
+        raise UsageError("target: KD target probabilities must be finite and in [0, 1]")
     use_kd = kd_weight != 0.0
 
     def objectives(tape, idx):
-        tap_node = nncore.forward_on_tape(tape, prefix, tape.input(X[idx]))
-        h = nncore.forward_on_tape(tape, tail, tap_node)
-        ce = ce_on_tape(tape, h, y[idx])
+        tap, prefix_back = nncore.forward_on_tape(tape, prefix, X[idx], data=True)
+        logits, tail_back = nncore.forward_on_tape(tape, tail, tap)
+        ce, ce_back = ce_on_tape(logits, y[idx])
         if not use_kd:
-            return [ce]
-        kd = kd_on_tape(tape, adapter_on_tape(tape, adapter, tap_node), target[idx])
+            return [(ce, lambda g: prefix_back(tail_back(ce_back(g))))]
+        adapted, adapter_back = adapter_on_tape(tape, adapter, tap)
+        kd, kd_back = kd_on_tape(adapted, target[idx])
         if not recall_boost:
-            return [nncore.op_add(tape, ce, nncore.op_scale(tape, kd, kd_weight))]
-        return [ce, positive_ce_on_tape(tape, h, y[idx]), kd]
+            # the tap's gradient: the adapter's, then the edge tail's added to it
+            return [(ce + kd * kd_weight, lambda g: prefix_back(
+                tail_back(ce_back(g), adapter_back(kd_back(g * kd_weight)))))]
+        positive = positive_ce_on_tape(logits, y[idx])
+        return [(ce, lambda g: prefix_back(tail_back(ce_back(g)))),
+                positive and (positive[0], lambda g: prefix_back(tail_back(positive[1](g)))),
+                (kd, lambda g: prefix_back(adapter_back(kd_back(g))))]
 
     def report():
         # one edge pass gives both the probabilities and the tap
@@ -571,9 +593,10 @@ def finetune_adapter(edge_kd: TrainResult, cloud: ModelSpec, config: TrainConfig
     handoff = edge_kd.handoff = None
 
     def objectives(tape, idx):
-        adapted = adapter_on_tape(tape, adapter, tape.input(feats[idx]))
-        logits = nncore.forward_on_tape(tape, tail, adapted)
-        return [ce_on_tape(tape, logits, y[idx])]
+        adapted, adapter_back = adapter_on_tape(tape, adapter, feats[idx], data=True)
+        logits, tail_back = nncore.forward_on_tape(tape, tail, adapted)
+        ce, ce_back = ce_on_tape(logits, y[idx])
+        return [(ce, lambda g: adapter_back(tail_back(ce_back(g))))]
 
     def report():
         nonlocal pending

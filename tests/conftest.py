@@ -32,22 +32,10 @@ def scalar_forward_reference(layers, x):
     return np.array(x)
 
 
-def op_mul(tape, a, b):
-    """Elementwise product of two equal-shape tape nodes (a test-only op)."""
-    if a.value.shape != b.value.shape:
-        raise UsageError("op_mul requires equal shapes")
-
-    def bw(g, accum):
-        accum(a, g * b.value)
-        accum(b, g * a.value)
-
-    return tape.record(a.value * b.value, bw)
-
-
-def param_grads(tape, node):
-    """``nncore.adjoints`` of ``node`` by parameter: each parameter on the
-    tape, in row order, mapped to its slice of the gradient row."""
-    row = nncore.adjoints(tape, node, np.empty(tape.size))
+def param_grads(tape, objective):
+    """``nncore.adjoints`` of the backward ``objective`` by parameter: each
+    parameter on the tape, in row order, mapped to its slice of the row."""
+    row = nncore.adjoints(tape, objective, np.empty(tape.size))
     return {p: row[where].reshape(p.value.shape) for p, where in tape._slices.values()}
 
 
@@ -55,141 +43,6 @@ def cloud_targets(cloud, tap, X):
     """``train.kd_targets`` of the cloud's feature after layer ``tap`` on
     ``X``: the KD targets ``train_base`` given that tap ends with."""
     return train.kd_targets(nncore.forward(cloud.split(tap)[0], X))
-
-
-# ---------------------------------------------------------------------------
-# The reference chain: one tape entry per primitive op. ``nncore.forward_on_tape``
-# records a layer stack, and ``train.ce_on_tape`` and ``train.kd_on_tape`` a
-# loss, as one entry each, with this chain's values and adjoints bit for bit.
-
-def op_affine(tape, x, w, b):
-    wn, bn = tape.param(w), tape.param(b)
-    value = x.value @ wn.value.T + bn.value
-
-    def bw(g, accum):
-        if not x.is_data:
-            accum(x, g @ wn.value)
-        accum(wn, g.T @ x.value)
-        accum(bn, g.sum(axis=0))
-
-    return tape.record(value, bw)
-
-
-def op_relu(tape, x):
-    mask = x.value > 0
-
-    def bw(g, accum):
-        accum(x, g * mask)
-
-    return tape.record(np.maximum(x.value, 0.0), bw)
-
-
-def op_cmul(tape, const, x):
-    """Elementwise product with a constant array (no gradient into it)."""
-    carr = nncore.as_tensor(const)
-
-    def bw(g, accum):
-        accum(x, g * carr)
-
-    return tape.record(carr * x.value, bw)
-
-
-def op_rsub(tape, c, x):
-    """Constant minus node, e.g. ``1 - q``."""
-    c = float(c)
-
-    def bw(g, accum):
-        accum(x, -g)
-
-    return tape.record(c - x.value, bw)
-
-
-def op_sigmoid(tape, x):
-    out = nncore.sigmoid(x.value)
-
-    def bw(g, accum):
-        accum(x, g * out * (1.0 - out))
-
-    return tape.record(out, bw)
-
-
-def op_softmax(tape, x):
-    out = nncore.softmax(x.value)
-
-    def bw(g, accum):
-        dot = np.sum(g * out, axis=-1, keepdims=True)
-        accum(x, out * (g - dot))
-
-    return tape.record(out, bw)
-
-
-def op_log(tape, x):
-    def bw(g, accum):
-        accum(x, g / x.value)
-
-    return tape.record(np.log(x.value), bw)
-
-
-def op_clamp(tape, x, lo, hi):
-    mask = (x.value >= lo) & (x.value <= hi)
-
-    def bw(g, accum):
-        accum(x, g * mask)
-
-    return tape.record(np.clip(x.value, lo, hi), bw)
-
-
-def op_mean(tape, x):
-    size = x.value.size
-    shape = x.value.shape
-
-    def bw(g, accum):
-        accum(x, np.full(shape, float(g) / size))
-
-    return tape.record(np.asarray(x.value.mean()), bw)
-
-
-def op_pick(tape, x, index):
-    """Per-row gather ``x[i, index[i]]`` (labels into probabilities)."""
-    index = np.asarray(index, dtype=np.intp)
-    rows = np.arange(x.value.shape[0])
-
-    def bw(g, accum):
-        out = np.zeros_like(x.value)
-        out[rows, index] = g
-        accum(x, out)
-
-    return tape.record(x.value[rows, index], bw)
-
-
-def reference_layer(tape, layer, x):
-    """``layer`` as affine, relu and skip-add entries."""
-    if layer.kind == nncore.DENSE:
-        y = op_affine(tape, x, layer.weights[0], layer.biases[0])
-    else:
-        h = op_relu(tape, op_affine(tape, x, layer.weights[0], layer.biases[0]))
-        y = nncore.op_add(tape, x, op_affine(tape, h, layer.weights[1], layer.biases[1]))
-    if layer.activation == nncore.RELU:
-        y = op_relu(tape, y)
-    return y
-
-
-def reference_ce(tape, logits, labels):
-    """Cross-entropy as softmax, gather, clamp, log, mean and negation entries."""
-    labels = np.asarray(labels, dtype=np.intp)
-    probs = op_softmax(tape, logits)
-    picked = op_pick(tape, probs, labels)
-    clamped = op_clamp(tape, picked, train.LOG_EPS, 1.0 - train.LOG_EPS)
-    return nncore.op_scale(tape, op_mean(tape, op_log(tape, clamped)), -1.0)
-
-
-def reference_kd(tape, adapted, target):
-    """The KD loss as sigmoid, clamp, log, product, sum, mean and negation entries."""
-    target = nncore.as_tensor(target)
-    q = op_clamp(tape, op_sigmoid(tape, adapted), train.LOG_EPS, 1.0 - train.LOG_EPS)
-    hit = op_cmul(tape, target, op_log(tape, q))
-    miss = op_cmul(tape, 1.0 - target, op_log(tape, op_rsub(tape, 1.0, q)))
-    return nncore.op_scale(tape, op_mean(tape, nncore.op_add(tape, hit, miss)), -1.0)
 
 
 CHECKPOINT_DAMAGE = ("truncated", "not-a-zip", "npy", "object-array", "nan", "inf")
@@ -275,9 +128,11 @@ def train_recall_boost(edge, X, y, config, *, seed):
         raise UsageError("recall boosting needs both normal and positive samples")
 
     def objectives(tape, idx):
-        logits = nncore.forward_on_tape(tape, edge.layers, tape.input(X[idx]))
-        ce = train.ce_on_tape(tape, logits, y[idx])
-        return [ce, train.positive_ce_on_tape(tape, logits, y[idx])]
+        logits, stack = nncore.forward_on_tape(tape, edge.layers, X[idx], data=True)
+        ce, ce_back = train.ce_on_tape(logits, y[idx])
+        positive = train.positive_ce_on_tape(logits, y[idx])
+        return [(ce, lambda g: stack(ce_back(g))),
+                positive and (positive[0], lambda g: stack(positive[1](g)))]
 
     return train._fit("recall-boost", len(X), config, edge.params(), objectives,
                       lambda: (train.evaluate_model(edge, X, y), None), seed=seed)[0]

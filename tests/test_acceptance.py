@@ -91,9 +91,10 @@ def test_criterion_3_gradient_correctness():
         def loss_value():
             return cross_entropy(softmax(forward(layers, X)), y)
 
-        tape = GradientTape()
-        logits = nncore.forward_on_tape(tape, layers, tape.input(X))
-        grads = param_grads(tape, train.ce_on_tape(tape, logits, y))
+        tape = GradientTape(params)
+        logits, stack = nncore.forward_on_tape(tape, layers, X, data=True)
+        ce_back = train.ce_on_tape(logits, y)[1]
+        grads = param_grads(tape, lambda g: stack(ce_back(g)))
         worst = max(worst, max_relative_error(
             [grads[p] for p in params], finite_difference_grads(loss_value, params)))
     report_line(3, worst < 1e-4, f"max relative error {worst:.2e} over 100 nets (< 1e-4)")

@@ -1,4 +1,5 @@
-"""Substrate tests: layers, forward, taped gradients, FLOPs, checkpoints."""
+"""Substrate tests: layers, forward, training passes and their gradients,
+FLOPs, checkpoints."""
 
 import concurrent.futures
 import re
@@ -13,8 +14,23 @@ from edgecloud.nncore import (ConfigError, GradientTape, Param, UsageError,
                               adjoints, dense, flops, forward, residual_block)
 
 from conftest import (CHECKPOINT_DAMAGE, damage_checkpoint, finite_difference_grads,
-                      max_relative_error, op_mean, op_mul, param_grads, random_net,
-                      reference_layer, scalar_forward_reference)
+                      max_relative_error, param_grads, random_net, scalar_forward_reference)
+from reference_tape import Tape, op_add, reference_mean_square, reference_stack
+
+
+def mean(out):
+    """``mean(out)`` and its backward."""
+    return np.asarray(out.mean()), lambda g: np.full(out.shape, float(g) / out.size)
+
+
+def mean_square(out):
+    """``mean(out * out)`` and its backward, with the reference chain's
+    product and mean backwards in its order."""
+    def backward(g):
+        g_mean = np.full(out.shape, float(g) / out.size)
+        return g_mean * out + g_mean * out
+
+    return np.asarray((out * out).mean()), backward
 
 
 class TestForward:
@@ -68,27 +84,24 @@ class TestBackward:
     def test_linear_loss_gradient(self):
         # loss = w * x with x = 3
         layer = dense(1, 1, nncore.IDENTITY, weight=[[2.0]], bias=[0.0])
-        tape = GradientTape()
-        x = tape.input(np.array([[3.0]]))
-        out = nncore.layer_on_tape(tape, layer, x)
-        grads = param_grads(tape, op_mean(tape, out))
+        tape = GradientTape(layer.params())
+        out, stack = nncore.layer_on_tape(tape, layer, np.array([[3.0]]), data=True)
+        grads = param_grads(tape, lambda g: stack(mean(out)[1](g)))
         assert grads[layer.weights[0]].item() == pytest.approx(3.0)
 
     def test_quadratic_loss_gradient(self):
         # loss = (w - 2)^2 at w = 5 -> gradient 6
         layer = dense(1, 1, nncore.IDENTITY, weight=[[5.0]], bias=[-2.0])
-        tape = GradientTape()
-        x = tape.input(np.array([[1.0]]))
-        z = nncore.layer_on_tape(tape, layer, x)
-        grads = param_grads(tape, op_mean(tape, op_mul(tape, z, z)))
+        tape = GradientTape(layer.params())
+        z, stack = nncore.layer_on_tape(tape, layer, np.array([[1.0]]), data=True)
+        grads = param_grads(tape, lambda g: stack(mean_square(z)[1](g)))
         assert grads[layer.weights[0]].item() == pytest.approx(6.0)
 
-    def test_non_scalar_tape_rejected(self):
-        layer = dense(2, 2, rng=np.random.default_rng(0))
-        tape = GradientTape()
-        out = nncore.forward_on_tape(tape, [layer], tape.input(np.zeros((1, 2))))
-        with pytest.raises(UsageError, match="scalar"):
-            adjoints(tape, out, np.empty(tape.size))
+    def test_the_objective_runs_once_from_a_float64_one_into_a_zeroed_row(self):
+        tape = GradientTape([Param("w", [[1.0, 2.0]])])
+        row, seen = np.full(2, np.nan), []
+        assert adjoints(tape, lambda g: seen.append((g, row.tobytes())), row) is row
+        assert seen == [(1.0, np.zeros(2).tobytes())] and type(seen[0][0]) is np.float64
 
     def test_finite_difference_spot_check(self):
         rng = np.random.default_rng(13)
@@ -101,101 +114,87 @@ class TestBackward:
                 out = forward(layers, X)
                 return float((out * out).mean())
 
-            tape = GradientTape()
-            out = nncore.forward_on_tape(tape, layers, tape.input(X))
-            grads = param_grads(tape, op_mean(tape, op_mul(tape, out, out)))
+            tape = GradientTape(params)
+            out, stack = nncore.forward_on_tape(tape, layers, X, data=True)
+            grads = param_grads(tape, lambda g: stack(mean_square(out)[1](g)))
             analytic = [grads[p] for p in params]
             numeric = finite_difference_grads(loss_value, params)
             assert max_relative_error(analytic, numeric) < 1e-4
 
     def test_input_gradient_available(self):
-        # a gradient with respect to data is taken through a Param leaf
+        # a stack that is not data-fed returns the gradient into its input
         layer = dense(2, 1, nncore.IDENTITY, weight=[[2.0, -1.0]], bias=[0.0])
-        x = Param("x", [[1.0, 1.0]])
-        tape = GradientTape()
-        out = nncore.forward_on_tape(tape, [layer], tape.param(x))
-        grads = param_grads(tape, op_mean(tape, out))
-        assert np.allclose(grads[x], [[2.0, -1.0]])
+        tape = GradientTape(layer.params())
+        out, stack = nncore.forward_on_tape(tape, [layer], np.array([[1.0, 1.0]]))
+        got = []
+        adjoints(tape, lambda g: got.append(stack(mean(out)[1](g))), np.empty(tape.size))
+        assert np.allclose(got, [[[2.0, -1.0]]])
 
-    def test_no_gradient_is_computed_into_a_data_leaf(self):
-        # a stack's backward skips ``g @ W``, and a residual block's also its
-        # skip-add term, for a data leaf; a recorded input still gets its
-        # gradient, and the params theirs
+    @pytest.mark.parametrize("kind", [nncore.DENSE, nncore.RESIDUAL])
+    def test_no_gradient_is_computed_into_data(self, kind):
+        # a data-fed stack's backward returns none, and its parameters get
+        # the gradients they get when the input's gradient is taken
         rng = np.random.default_rng(5)
-        first = dense(3, 4, nncore.IDENTITY, rng=rng)
-        second = dense(4, 2, nncore.IDENTITY, rng=rng)
-        block = residual_block(3, nncore.RELU, rng=rng)
+        first = dense(3, 3, rng=rng) if kind == nncore.DENSE else residual_block(3, rng=rng)
+        second = dense(3, 2, nncore.IDENTITY, rng=rng)
         X = rng.standard_normal((5, 3))
-        tape = GradientTape()
-        x = tape.input(X)
-        h = nncore.layer_on_tape(tape, first, x)
-        loss = op_mean(tape, nncore.layer_on_tape(tape, second, h))
-        nncore.layer_on_tape(tape, block, x)
-
-        class Reached:
-            """An ``accum`` that records which nodes get a gradient."""
-
-            def __init__(self):
-                self.nodes = set()
-                self.views = {id(p): np.empty(p.value.shape)
-                              for layer in (first, second, block) for p in layer.params()}
-
-            def __call__(self, node, delta):
-                self.nodes.add(id(node))
-
-            def claim(self, keys):
-                return self.views
-
-        reached = Reached()
-        for out, backward_fn in tape._entries:
-            backward_fn(np.ones_like(out.value), reached)
-        assert id(h) in reached.nodes and id(x) not in reached.nodes
-        g_h = np.full((5, 2), 1.0 / 10) @ second.weights[0].value
-        assert np.array_equal(param_grads(tape, loss)[first.weights[0]], g_h.T @ X)
+        rows, returned = [], []
+        for data in (True, False):
+            tape = GradientTape(first.params() + second.params())
+            out, stack = nncore.forward_on_tape(tape, [first, second], X, data=data)
+            rows.append(adjoints(tape, lambda g: returned.append(stack(mean(out)[1](g))),
+                                 np.empty(tape.size)))
+        assert returned[0] is None and returned[1].shape == X.shape
+        assert rows[0].tobytes() == rows[1].tobytes()
 
     def test_untouched_param_gets_zero_gradient(self):
-        # a param on the tape that the loss does not reach has a zero slice
-        # of the row, whatever the row held before
+        # a param on the tape that the objective does not reach has a zero
+        # slice of the row, whatever the row held before
         w = Param("w", [[1.0]])
-        v = Param("v", [[3.0]])
-        tape = GradientTape([w])  # in the row, disconnected from the loss
-        x = tape.input(np.array([[2.0]]))
-        loss = op_mean(tape, op_mul(tape, tape.param(v), x))
+        layer = dense(1, 1, nncore.IDENTITY, weight=[[3.0]], bias=[0.0])
+        tape = GradientTape([w] + layer.params())  # w is in the row, read by no pass
+        out, stack = nncore.layer_on_tape(tape, layer, np.array([[2.0]]), data=True)
         row = np.full(tape.size, np.nan)
-        assert adjoints(tape, loss, row) is row
-        assert row.tobytes() == np.array([0.0, 2.0]).tobytes()
+        assert adjoints(tape, lambda g: stack(mean(out)[1](g)), row) is row
+        assert row.tobytes() == np.array([0.0, 2.0, 1.0]).tobytes()
 
     def test_a_row_of_another_size_is_refused(self):
         layer = dense(2, 1, nncore.IDENTITY, rng=np.random.default_rng(0))
-        tape = GradientTape()
-        loss = op_mean(tape, nncore.layer_on_tape(tape, layer, tape.input(np.ones((1, 2)))))
+        tape = GradientTape(layer.params())
+        out, stack = nncore.layer_on_tape(tape, layer, np.ones((1, 2)), data=True)
         with pytest.raises(UsageError, match=r"^gradient row has shape \(4,\), tape needs \(3,\)$"):
-            adjoints(tape, loss, np.empty(4))
+            adjoints(tape, lambda g: stack(mean(out)[1](g)), np.empty(4))
 
     def test_a_parameter_read_twice_is_refused(self):
-        # each parameter's gradient is written once per replay, never summed:
-        # a layer twice in one stack is refused as it is recorded, a layer in
-        # two stacks as it is replayed
+        # each parameter's gradient is written once per objective, never
+        # summed: a layer twice in one stack, or in two stacks of one step,
+        # is refused as the pass reads it; a cleared tape starts a new step
         layer = dense(1, 1, nncore.IDENTITY, weight=[[1.5]], bias=[0.0])
         message = "^a parameter is read twice on one tape$"
-        tape = GradientTape()
-        x = tape.input(np.array([[2.0]]))
+        tape = GradientTape(layer.params())
+        x = np.array([[2.0]])
         with pytest.raises(UsageError, match=message):
-            nncore.forward_on_tape(tape, [layer, layer], x)
-        z = nncore.layer_on_tape(tape, layer, nncore.layer_on_tape(tape, layer, x))
+            nncore.forward_on_tape(tape, [layer, layer], x, data=True)
+        tape.clear()
+        z, _ = nncore.layer_on_tape(tape, layer, x, data=True)
         with pytest.raises(UsageError, match=message):
-            adjoints(tape, op_mean(tape, z), np.empty(tape.size))
+            nncore.layer_on_tape(tape, layer, z)
+        tape.clear()
+        assert nncore.layer_on_tape(tape, layer, x, data=True)[0].tobytes() == z.tobytes()
 
-    def test_two_losses_one_tape_are_independent(self):
+    def test_a_parameter_off_the_tape_is_refused(self):
+        layer = dense(1, 1, nncore.IDENTITY, weight=[[1.5]], bias=[0.0])
+        tape = GradientTape(layer.params()[:1])
+        with pytest.raises(UsageError, match=r"^parameter 'dense\.b' is not on the tape$"):
+            nncore.layer_on_tape(tape, layer, np.array([[2.0]]), data=True)
+
+    def test_two_objectives_of_one_pass_are_independent(self):
         layer = dense(1, 1, nncore.IDENTITY, weight=[[1.5]], bias=[0.0])
         w = layer.weights[0]
-        tape = GradientTape()
-        x = tape.input(np.array([[2.0]]))
-        z = nncore.layer_on_tape(tape, layer, x)
-        loss_a = op_mean(tape, z)
-        loss_b = op_mean(tape, op_mul(tape, z, z))
-        ga = param_grads(tape, loss_a)
-        gb = param_grads(tape, loss_b)
+        tape = GradientTape(layer.params())
+        z, stack = nncore.layer_on_tape(tape, layer, np.array([[2.0]]), data=True)
+        ga = param_grads(tape, lambda g: stack(mean(z)[1](g)))
+        gb = param_grads(tape, lambda g: stack(mean_square(z)[1](g)))
         assert ga[w].item() == pytest.approx(2.0)
         assert gb[w].item() == pytest.approx(2.0 * 1.5 * 2.0 * 2.0)
 
@@ -206,10 +205,10 @@ class TestDeterminism:
             rng = np.random.default_rng(42)
             layers, in_dim = random_net(rng)
             X = np.random.default_rng(1).standard_normal((4, in_dim))
-            tape = GradientTape()
-            out = nncore.forward_on_tape(tape, layers, tape.input(X))
-            grads = param_grads(tape, op_mean(tape, op_mul(tape, out, out)))
-            return layers, out.value, grads
+            tape = GradientTape([p for layer in layers for p in layer.params()])
+            out, stack = nncore.forward_on_tape(tape, layers, X, data=True)
+            grads = param_grads(tape, lambda g: stack(mean_square(out)[1](g)))
+            return layers, out, grads
 
         layers_a, out_a, grads_a = build()
         layers_b, out_b, grads_b = build()
@@ -495,24 +494,27 @@ class TestInPlaceKernelsAreBitExact:
             assert np.array_equal(bits(arr), bits(copy))
 
 
-def reference_stack(tape, layers, x):
-    """``layers`` as the reference chain's affine, relu and skip-add entries."""
-    for layer in layers:
-        x = reference_layer(tape, layer, x)
-    return x
+def layerwise_stack(tape, layers, x, *, data=False):
+    """``layers`` as one ``layer_on_tape`` pass each, their backwards chained."""
+    if not layers:
+        return nncore.forward_on_tape(tape, layers, x, data=data)
+    passes = []
+    for i, layer in enumerate(layers):
+        x, backward = nncore.layer_on_tape(tape, layer, x, data=data and i == 0)
+        passes.append(backward)
 
+    def chained(g, dx=None):
+        for backward in passes[:0:-1]:
+            g = backward(g)
+        return passes[0](g, dx)
 
-def layerwise_stack(tape, layers, x):
-    """``layers`` as one ``layer_on_tape`` entry each."""
-    for layer in layers:
-        x = nncore.layer_on_tape(tape, layer, x)
-    return x
+    return x, chained
 
 
 class TestFusedLayerEntries:
-    """``forward_on_tape`` records a layer stack as one entry, and
-    ``layer_on_tape`` one layer, with the values and adjoints of the
-    reference chain of affine, relu and skip-add entries, bit for bit."""
+    """``forward_on_tape`` runs a layer stack, and ``layer_on_tape`` one
+    layer, with the values and gradients of the reference chain of affine,
+    relu and skip-add entries, bit for bit."""
 
     def stacks(self, rng):
         """Dense and residual stacks, each with relu and with identity
@@ -525,29 +527,54 @@ class TestFusedLayerEntries:
             yield random_net(rng)
 
     def run(self, stack_op, x, prefix, *consumers):
-        """Records ``prefix`` on ``x`` (a data array or a ``Param`` leaf), then
-        each consumer stack on its output, seeds the sum of the consumers'
-        mean squares, and returns every stack's output, the seed, the
-        parameters in row order, the gradient row and the tape's entry
-        count."""
-        tape = GradientTape()
-        tap = tape.input(x) if isinstance(x, np.ndarray) else tape.param(x)
-        tap = stack_op(tape, prefix, tap)
+        """``prefix`` on ``x`` (a data array, or a ``Param`` whose gradient is
+        taken), then each consumer stack on its output, with the sum of the
+        consumers' mean squares as the objective. Returns every stack's
+        output, the objective and the gradient row: the stacks' parameters
+        in order, then ``x``'s gradient when it is a ``Param``."""
+        params = [p for layers in (prefix, *consumers) for layer in layers for p in layer.params()]
+        data = isinstance(x, np.ndarray)
+        tape = GradientTape(params)
+        tap, prefix_back = stack_op(tape, prefix, x if data else x.value, data=data)
+        passes = [stack_op(tape, layers, tap) for layers in consumers]
+        heads = [mean_square(out) for out, _ in passes]
+        loss = heads[0][0]
+        for value, _ in heads[1:]:
+            loss = loss + value
+        into_x = []
+
+        def objective(g):
+            # the reference replays the last consumer first: its gradient
+            # reaches the tap first, and each earlier one's is added to it
+            dx = None
+            for (_, backward), (_, head_back) in zip(passes[::-1], heads[::-1]):
+                dx = backward(head_back(g), dx)
+            into_x.append(prefix_back(dx))
+
+        row = adjoints(tape, objective, np.empty(tape.size))
+        if not data:
+            row = np.concatenate([row, into_x[0].ravel()])
+        return [tap] + [out for out, _ in passes], loss, row
+
+    def reference(self, x, prefix, *consumers):
+        """:meth:`run` on the reference chain."""
+        params = [p for layers in (prefix, *consumers) for layer in layers for p in layer.params()]
+        tape = Tape(params)
+        tap = reference_stack(tape, prefix, tape.input(x) if isinstance(x, np.ndarray)
+                              else tape.param(x))
         values, loss = [tap.value], None
         for layers in consumers:
-            out = stack_op(tape, layers, tap)
+            out = reference_stack(tape, layers, tap)
             values.append(out.value)
-            head = op_mean(tape, op_mul(tape, out, out))
-            loss = head if loss is None else nncore.op_add(tape, loss, head)
-        row = adjoints(tape, loss, np.empty(tape.size))
-        return values, loss.value, [p for p, _ in tape._slices.values()], row, len(tape._entries)
+            head = reference_mean_square(tape, out)
+            loss = head if loss is None else op_add(tape, loss, head)
+        return values, loss.value, tape.adjoints(loss)
 
     def assert_same(self, got, want):
         for a, b in zip(got[0], want[0], strict=True):
             assert np.array_equal(bits(a), bits(b))
         assert np.array_equal(bits(got[1]), bits(want[1]))
-        assert got[2] == want[2]
-        assert got[3].tobytes() == want[3].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
 
     @pytest.mark.parametrize("op", ["stack", "layerwise"])
     @pytest.mark.parametrize("leaf", ["data", "param"])
@@ -558,15 +585,11 @@ class TestFusedLayerEntries:
         for layers, in_dim in self.stacks(rng):
             X = rng.standard_normal((rows, in_dim))
             x = X if leaf == "data" else Param("x", X)
-            got = self.run(stack_op, x, [], layers)
-            self.assert_same(got, self.run(reference_stack, x, [], layers))
-            assert got[4] == (1 if op == "stack" else len(layers)) + 2
-            if leaf == "param":
-                assert got[2][0] is x
+            self.assert_same(self.run(stack_op, x, [], layers), self.reference(x, [], layers))
 
     @pytest.mark.parametrize("op", ["stack", "layerwise"])
     @pytest.mark.parametrize("leaf", ["data", "param"])
-    def test_a_node_consumed_by_two_stacks(self, op, leaf):
+    def test_a_pass_read_by_two_stacks(self, op, leaf):
         # a tap feeds a tail and an adapter stack, each starting with a
         # residual block, so the tap sums four gradients: their order
         # changes the rounding, and it must be the reference chain's
@@ -580,13 +603,16 @@ class TestFusedLayerEntries:
         x = X if leaf == "data" else Param("x", X)
         for consumers in ([tail, adapter], [adapter, tail]):
             got = self.run(stack_op, x, prefix, *consumers)
-            self.assert_same(got, self.run(reference_stack, x, prefix, *consumers))
+            self.assert_same(got, self.reference(x, prefix, *consumers))
 
-    def test_an_empty_stack_records_nothing(self):
-        tape = GradientTape()
-        x = tape.input(np.ones((2, 3)))
-        assert nncore.forward_on_tape(tape, [], x) is x
-        assert tape._entries == [] and tape.size == 0
+    def test_an_empty_stack_passes_its_input_and_gradient_on(self):
+        tape = GradientTape([])
+        x, g, dx = np.ones((2, 3)), np.full((2, 3), 0.25), np.full((2, 3), 0.5)
+        out, backward = nncore.forward_on_tape(tape, [], x)
+        assert out is x and backward(g) is g
+        assert backward(g, dx).tobytes() == (dx + g).tobytes()
+        assert nncore.forward_on_tape(tape, [], x, data=True)[1](g) is None
+        assert tape.size == 0
 
 
 def fresh_forward(layers, x):

@@ -23,9 +23,10 @@ from edgecloud.train import (DivergenceError, TrainConfig, cross_entropy,
                              kd_targets, positive_cross_entropy, train_base,
                              train_edge_kd, finetune_adapter)
 
-from conftest import (check_descent, cloud_targets, on_simplex, param_grads, reference_ce,
-                      reference_kd, reference_layer, tiny_plan, train_recall_boost,
-                      with_cloud_epochs)
+from conftest import (check_descent, cloud_targets, on_simplex, param_grads, tiny_plan,
+                      train_recall_boost, with_cloud_epochs)
+from reference_tape import (Tape, op_add, op_scale, reference_ce, reference_kd,
+                            reference_positive_ce, reference_stack)
 
 
 def params_equal(a, b):
@@ -44,6 +45,20 @@ def recorded_solves(monkeypatch):
 
     monkeypatch.setattr(train, "solve_min_norm", recorded)
     return calls
+
+
+def stage_objectives(monkeypatch, run):
+    """The objectives and trainable parameters that the last stage ``run()``
+    starts hands ``train._fit``."""
+    captured, fit = [], train._fit
+
+    def capture(stage, n, config, trainable, objectives, *rest, **kwargs):
+        captured.append((objectives, list(trainable)))
+        return fit(stage, n, config, trainable, objectives, *rest, **kwargs)
+
+    monkeypatch.setattr(train, "_fit", capture)
+    run()
+    return captured[-1]
 
 
 class TestCrossEntropy:
@@ -84,9 +99,8 @@ class TestCrossEntropy:
         message = f"^label {label} out of range for 3 classes$"
         with pytest.raises(UsageError, match=message):
             cross_entropy(np.full((2, 3), 1.0 / 3.0), [0, label])
-        tape = GradientTape()
         with pytest.raises(UsageError, match=message):
-            train.ce_on_tape(tape, tape.input(np.zeros((2, 3))), [0, label])
+            train.ce_on_tape(np.zeros((2, 3)), [0, label])
 
 
 class TestKdLoss:
@@ -240,24 +254,17 @@ class TestTrainEdgeKd:
         assert np.array_equal(target, before)
         assert np.array_equal(before, cloud_targets(cloud, adapter.cloud_tap, ds.train_X))
 
-    def test_gradient_regions(self):
+    def test_gradient_regions(self, monkeypatch):
         # layers after the tap: classifier gradient only; layers at or before
         # the tap: both; adapter: imitation gradient only.
         ds, edge, cloud, adapter, _ = kd_setup(3)
         X, y = ds.train_X[:32], ds.train_y[:32]
-        _, cloud_feat = models.infer_with_tap(cloud, X, adapter.cloud_tap)
-        tape = GradientTape()
-        h = tape.input(X)
-        tap_node = None
-        for i, layer in enumerate(edge.layers):
-            h = nncore.layer_on_tape(tape, layer, h)
-            if i == adapter.edge_tap:
-                tap_node = h
-        ce = train.ce_on_tape(tape, h, y)
-        adapted = train.adapter_on_tape(tape, adapter, tap_node)
-        kd = train.kd_on_tape(tape, adapted, nncore.sigmoid(cloud_feat))
-        g_ce = param_grads(tape, ce)
-        g_kd = param_grads(tape, kd)
+        target = cloud_targets(cloud, adapter.cloud_tap, X)
+        objectives, trainable = stage_objectives(monkeypatch, lambda: train_edge_kd(
+            edge, adapter, X, y, target, TrainConfig(0, 32, 0.1), seed=0, recall_boost=True))
+        tape = GradientTape(trainable)
+        ce, _, kd = objectives(tape, np.arange(len(X)))
+        g_ce, g_kd = (param_grads(tape, backward) for _, backward in (ce, kd))
         head = edge.layers[-1]
         hidden = edge.layers[0]
         for p in head.params():
@@ -509,12 +516,11 @@ class TestRecallBoost:
         rng = np.random.default_rng(3)
         X = rng.standard_normal((16, 4))
         y = rng.integers(1, 3, 16)
-        tape = GradientTape()
-        logits = nncore.forward_on_tape(tape, edge.layers, tape.input(X))
-        ce = train.ce_on_tape(tape, logits, y)
-        pos = train.positive_ce_on_tape(tape, logits, y)
-        flat1 = nncore.adjoints(tape, ce, np.empty(tape.size))
-        flat2 = nncore.adjoints(tape, pos, np.empty(tape.size))
+        tape = GradientTape(edge.params())
+        logits, stack = nncore.forward_on_tape(tape, edge.layers, X, data=True)
+        ce_back, pos_back = train.ce_on_tape(logits, y)[1], train.positive_ce_on_tape(logits, y)[1]
+        flat1 = nncore.adjoints(tape, lambda g: stack(ce_back(g)), np.empty(tape.size))
+        flat2 = nncore.adjoints(tape, lambda g: stack(pos_back(g)), np.empty(tape.size))
         assert np.array_equal(flat1, flat2)
         from edgecloud.moo import solve_min_norm
         _, combined = solve_min_norm(np.stack([flat1, flat2]))
@@ -620,48 +626,69 @@ class TestTrainingLog:
 
 
 # ---------------------------------------------------------------------------
-# The fused loss entries against the reference chain.
+# The stages' objectives against the reference chain.
 
-def reference_positive_ce(tape, logits, labels):
-    idx = np.flatnonzero(labels != models.NORMAL_CLASS)
-    return reference_ce(tape, nncore.op_rows(tape, logits, idx), labels[idx]) if idx.size else None
-
-
-def reference_stack(tape, layers, x):
-    for layer in layers:
-        x = reference_layer(tape, layer, x)
-    return x
+def bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
 
 
-FUSED = (nncore.forward_on_tape, train.ce_on_tape, train.positive_ce_on_tape, train.kd_on_tape)
-REFERENCE = (reference_stack, reference_ce, reference_positive_ce, reference_kd)
+def edge_kd_reference(edge, adapter, X, y, target, kd_weight, recall_boost):
+    """The edge-KD objectives on the reference chain: the edge tap feeds the
+    edge tail, recorded first, and then the adapter."""
+    def build(tape):
+        tap = reference_stack(tape, edge.layers[:adapter.edge_tap + 1], tape.input(X))
+        logits = reference_stack(tape, edge.layers[adapter.edge_tap + 1:], tap)
+        ce = reference_ce(tape, logits, y)
+        if kd_weight == 0.0:
+            return [ce]
+        kd = reference_kd(tape, reference_stack(tape, adapter.layers(), tap), target)
+        if not recall_boost:
+            return [op_add(tape, ce, op_scale(tape, kd, kd_weight))]
+        return [ce, reference_positive_ce(tape, logits, y), kd]
+
+    return build
+
+
+# a weight that is not a power of two: scaling the KD gradient after its
+# backward, not the upstream scalar before it, changes its bits
+EDGE_KD_MODES = {"weighted": (0.3, False), "no-imitation": (0.0, False),
+                 "recall-boost": (0.3, True)}
 
 
 class TestFusedLossEntries:
-    """``ce_on_tape`` and ``kd_on_tape`` record one entry each. The edge-KD
-    objectives built from them and from ``forward_on_tape`` stacks, on an
-    edge tap that feeds both the edge tail and the adapter, give the
-    reference chain's values and adjoints bit for bit."""
+    """The objectives each stage builds from ``forward_on_tape`` stacks and
+    the fused losses give the reference chain's values and gradient rows bit
+    for bit. Edge KD, weighted, without imitation and with recall boosting,
+    on a tap that feeds both the edge tail and the adapter; also at the
+    head, where the tail is empty and the CE and KD gradients meet at the
+    logits, and before a residual block, whose skip term the tap adds after
+    the adapter's gradient; and with a 0-block adapter. The cloud stage, and
+    fine-tuning: a data-fed adapter, then the cloud tail."""
 
-    def objectives(self, ops, edge, adapter, X, y, target):
-        """The weighted edge-KD objective, then cross-entropy, the imitation
-        loss and positive cross-entropy (when the batch has a positive row)
-        on one tape: their values, gradient rows and the tape's entry count."""
-        stack_op, ce_op, positive_ce_op, kd_op = ops
-        tape = GradientTape(edge.params() + adapter.params())
-        tap = stack_op(tape, edge.layers[:adapter.edge_tap + 1], tape.input(X))
-        logits = stack_op(tape, edge.layers[adapter.edge_tap + 1:], tap)
-        adapted = stack_op(tape, adapter.layers(), tap)
-        ce, kd = ce_op(tape, logits, y), kd_op(tape, adapted, target)
-        seeds = [nncore.op_add(tape, ce, nncore.op_scale(tape, kd, 0.5)), ce, kd]
-        positive = positive_ce_op(tape, logits, y)
-        seeds += [positive] if positive is not None else []
-        rows = [nncore.adjoints(tape, node, np.empty(tape.size)) for node in seeds]
-        return [node.value for node in seeds], rows, len(tape._entries)
+    def assert_matches(self, monkeypatch, run, reference, rows):
+        objectives, trainable = stage_objectives(monkeypatch, run)
+        tape, ref = GradientTape(trainable), Tape(trainable)
+        got, want = objectives(tape, np.arange(rows)), reference(ref)
+        assert len(got) == len(want)
+        for slot, node in zip(got, want):
+            assert (slot is None) == (node is None)
+            if slot is not None:
+                assert bits(slot[0]) == bits(node.value)
+                row = nncore.adjoints(tape, slot[1], np.empty(tape.size))
+                assert row.tobytes() == ref.adjoints(node).tobytes()
 
+    def assert_edge_kd_matches(self, monkeypatch, mode, edge, adapter, X, y, target):
+        kd_weight, recall_boost = EDGE_KD_MODES[mode]
+        self.assert_matches(
+            monkeypatch,
+            lambda: train_edge_kd(edge, adapter, X, y, target, TrainConfig(0, 64, 0.1), seed=0,
+                                  kd_weight=kd_weight, recall_boost=recall_boost),
+            edge_kd_reference(edge, adapter, X, y, target, kd_weight, recall_boost), len(X))
+
+    @pytest.mark.parametrize("mode", EDGE_KD_MODES)
     @pytest.mark.parametrize("rows, scale", [(1, 1.0), (12, 1.0), (12, 60.0)],
                              ids=["one-row", "batch", "saturated"])
-    def test_heads_match_the_reference_chain(self, rows, scale):
+    def test_edge_kd_matches_the_reference_chain(self, monkeypatch, mode, rows, scale):
         # at scale 60 some picked probabilities fall below LOG_EPS and some
         # adapted sigmoids round to 1, so both clamps cut
         rng = np.random.default_rng(60)
@@ -670,32 +697,72 @@ class TestFusedLossEntries:
         X = rng.standard_normal((rows, 6)) * scale
         y = rng.integers(0, 3, rows) if rows > 1 else np.array([1])
         target = nncore.sigmoid(rng.standard_normal((rows, 8)) * 3.0)
-        got = self.objectives(FUSED, edge, adapter, X, y, target)
-        want = self.objectives(REFERENCE, edge, adapter, X, y, target)
-        assert len(got[0]) == len(want[0]) == 4
-        for a, b in zip(got[0], want[0]):
-            assert a.tobytes() == b.tobytes()
-        for a, b in zip(got[1], want[1]):
-            assert a.tobytes() == b.tobytes()
-        assert got[2] == 3 + 6  # three stacks; ce, kd, scale, add, rows, positive ce
         if scale > 1.0:
             probs, feat = models.infer_with_tap(edge, X, 0)
             assert (probs[np.arange(rows), y] < train.LOG_EPS).any()
             assert (nncore.sigmoid(models.adapt(adapter, feat)) > 1.0 - train.LOG_EPS).any()
+        self.assert_edge_kd_matches(monkeypatch, mode, edge, adapter, X, y, target)
+
+    @pytest.mark.parametrize("mode", EDGE_KD_MODES)
+    @pytest.mark.parametrize("net", ["head-tap", "residual-after-tap", "0-block-adapter"])
+    def test_edge_kd_on_other_nets(self, monkeypatch, mode, net):
+        rng = np.random.default_rng(61)
+        if net == "residual-after-tap":
+            edge = models.ModelSpec("edge", [
+                nncore.dense(6, 5, rng=rng, name="edge.h0"),
+                nncore.residual_block(5, nncore.RELU, rng=rng, name="edge.r1"),
+                nncore.dense(5, 3, nncore.IDENTITY, rng=rng, name="edge.head")], 3)
+        else:
+            edge = feedforward("edge", 6, [5], 3, rng)
+        tap = 1 if net == "head-tap" else 0
+        adapter = make_adapter("a", tap, 1, edge.tap_dim(tap), 8,
+                               0 if net == "0-block-adapter" else 1, rng)
+        X, y = rng.standard_normal((12, 6)), rng.integers(0, 3, 12)
+        target = nncore.sigmoid(rng.standard_normal((12, 8)) * 3.0)
+        self.assert_edge_kd_matches(monkeypatch, mode, edge, adapter, X, y, target)
+
+    def test_the_cloud_stage_matches_the_reference_chain(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        cloud = feedforward("cloud", 6, [8, 8], 3, rng)
+        X, y = rng.standard_normal((12, 6)), rng.integers(0, 3, 12)
+        self.assert_matches(
+            monkeypatch, lambda: train_base(cloud, X, y, TrainConfig(0, 64, 0.1), seed=0),
+            lambda tape: [reference_ce(tape, reference_stack(tape, cloud.layers, tape.input(X)),
+                                       y)], len(X))
+
+    @pytest.mark.parametrize("blocks, cloud_tap", [(1, 1), (0, 1), (1, 2)],
+                             ids=["residual-adapter", "0-block-adapter", "head-tap"])
+    def test_finetuning_matches_the_reference_chain(self, monkeypatch, blocks, cloud_tap):
+        rng = np.random.default_rng(63)
+        edge = feedforward("edge", 6, [5], 3, rng)
+        cloud = feedforward("cloud", 6, [8, 8], 3, rng)
+        adapter = make_adapter("a", 0, cloud_tap, 5, cloud.tap_dim(cloud_tap), blocks, rng)
+        X, y = rng.standard_normal((12, 6)), rng.integers(0, 3, 12)
+        target = cloud_targets(cloud, cloud_tap, X)
+        feats = nncore.forward(edge.layers[:1], X)
+
+        def reference(tape):
+            adapted = reference_stack(tape, adapter.layers(), tape.input(feats))
+            return [reference_ce(tape, reference_stack(tape, cloud.layers[cloud_tap + 1:], adapted),
+                                 y)]
+
+        cfg = TrainConfig(0, 64, 0.1)
+        self.assert_matches(monkeypatch, lambda: finetune_adapter(
+            train_edge_kd(edge, adapter, X, y, target, cfg, seed=0), cloud, cfg, seed=0),
+            reference, len(X))
 
 
 class TestSignExactLossGradients:
-    """The gradient a step takes into its logits from ``ce_on_tape``, alone
-    and on an ``op_rows`` subset of positive rows, is the reference chain's
-    bit for bit, signed zeros included, on rows whose picked probability
-    lies inside the clamp and on rows where it falls below ``LOG_EPS`` or
-    above ``1 - LOG_EPS``."""
+    """The gradient into the logits of ``ce_on_tape``'s backward, and of
+    ``positive_ce_on_tape``'s, which scatters it from the positive rows, is
+    the reference chain's bit for bit, signed zeros included, on rows whose
+    picked probability lies inside the clamp and on rows where it falls
+    below ``LOG_EPS`` or above ``1 - LOG_EPS``."""
 
-    def logits_grad(self, loss_op, logits, y):
-        tape = GradientTape()
-        leaf = nncore.Param("logits", logits)
-        node = loss_op(tape, tape.param(leaf), y)
-        return nncore.adjoints(tape, node, np.empty(tape.size))
+    def reference_grad(self, loss_op, logits, y):
+        tape = Tape()
+        node = loss_op(tape, tape.param(nncore.Param("logits", logits)), y)
+        return tape.adjoints(node)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_ce_and_positive_ce_match_the_reference_chain(self, seed):
@@ -708,11 +775,11 @@ class TestSignExactLossGradients:
         picked = probs[np.arange(rows), y]
         assert (picked < train.LOG_EPS).any() and (picked > 1.0 - train.LOG_EPS).any()
         assert ((picked >= train.LOG_EPS) & (picked <= 1.0 - train.LOG_EPS)).any()
-        got = self.logits_grad(train.ce_on_tape, logits, y)
-        assert got.tobytes() == self.logits_grad(reference_ce, logits, y).tobytes()
+        got = train.ce_on_tape(logits, y)[1](np.float64(1.0))
+        assert got.tobytes() == self.reference_grad(reference_ce, logits, y).tobytes()
         assert (np.signbit(got) & (got == 0.0)).any()  # saturated rows' negative zeros
-        got = self.logits_grad(train.positive_ce_on_tape, logits, y)
-        assert got.tobytes() == self.logits_grad(reference_positive_ce, logits, y).tobytes()
+        got = train.positive_ce_on_tape(logits, y)[1](np.float64(1.0))
+        assert got.tobytes() == self.reference_grad(reference_positive_ce, logits, y).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1019,31 +1086,55 @@ class TestReportPasses:
         with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
             train_edge_kd(edge, adapter, X, y, bad, TrainConfig(1, 32, 0.1), seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0, -1.0])
+    @pytest.mark.parametrize("kd_weight", [1.0, 0.0])
+    def test_a_target_that_is_not_a_probability_is_refused(self, monkeypatch, bad, kd_weight):
+        X, y, edge, cloud, adapter = self.small_setup()
+        target = cloud_targets(cloud, adapter.cloud_tap, X).copy()
+        target[3, 2] = bad
+        digest = nncore.params_digest(edge.params() + adapter.params())
+        passes = []
+        monkeypatch.setattr(nncore, "forward", lambda *args: passes.append(args))
+        monkeypatch.setattr(nncore, "forward_on_tape", lambda *args, **kw: passes.append(args))
+        message = "target: KD target probabilities must be finite and in [0, 1]"
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            train_edge_kd(edge, adapter, X, y, target, TrainConfig(1, 32, 0.1), seed=0,
+                          kd_weight=kd_weight)
+        assert passes == []
+        assert nncore.params_digest(edge.params() + adapter.params()) == digest
+
 
 # ---------------------------------------------------------------------------
 # The multi-objective step: gradient replays, solver calls and the update.
 
 class StepRecorder:
-    """Per SGD step of a recall-boost stage: the objectives present, whether
-    positive cross-entropy is one of them, the gradient rows of its
-    ``adjoints`` replays, the solver's bundles, weights and combinations,
-    and the trainable params, raveled in order, as the step opens. A step
-    opens at its ``positive_ce_on_tape`` call, which every recall-boost
-    step makes once, before any replay or update."""
+    """Per SGD step of a stage: the objectives present, whether positive
+    cross-entropy is one of them, the gradient rows of its ``adjoints``
+    calls, the solver's bundles, weights and combinations, and the
+    trainable params, raveled in order, as the step opens. A step opens
+    when ``_fit`` clears the tape, before any pass, with ``objectives``
+    present; a ``positive_ce_on_tape`` call that finds positive rows adds
+    one."""
 
-    def __init__(self, monkeypatch, cross_entropies, trainable):
+    def __init__(self, monkeypatch, objectives, trainable):
         self.steps = []
-        pos_ce, adjoints, solve = train.positive_ce_on_tape, nncore.adjoints, train.solve_min_norm
+        clear, pos_ce = GradientTape.clear, train.positive_ce_on_tape
+        adjoints, solve = nncore.adjoints, train.solve_min_norm
 
-        def recorded_pos_ce(tape, logits, labels):
-            node = pos_ce(tape, logits, labels)
-            self.steps.append({"present": cross_entropies + (node is not None),
-                               "positive": node is not None, "adjoints": [], "solves": [],
-                               "before": flat(trainable)})
-            return node
+        def recorded_clear(tape):
+            clear(tape)
+            self.steps.append({"present": objectives, "positive": False, "adjoints": [],
+                               "solves": [], "before": flat(trainable)})
 
-        def recorded_adjoints(tape, node, out):
-            row = adjoints(tape, node, out)
+        def recorded_pos_ce(logits, labels):
+            loss = pos_ce(logits, labels)
+            if loss is not None:
+                self.steps[-1]["present"] += 1
+                self.steps[-1]["positive"] = True
+            return loss
+
+        def recorded_adjoints(tape, objective, out):
+            row = adjoints(tape, objective, out)
             self.steps[-1]["adjoints"].append(row.copy())
             return row
 
@@ -1052,6 +1143,7 @@ class StepRecorder:
             self.steps[-1]["solves"].append((bundle.copy(), weights.copy(), combined.copy()))
             return weights, combined
 
+        monkeypatch.setattr(GradientTape, "clear", recorded_clear)
         monkeypatch.setattr(train, "positive_ce_on_tape", recorded_pos_ce)
         monkeypatch.setattr(nncore, "adjoints", recorded_adjoints)
         monkeypatch.setattr(train, "solve_min_norm", recorded_solve)
@@ -1062,36 +1154,53 @@ def flat(params):
 
 
 class TestMultiObjectiveSteps:
-    """On the tiny plan: one ``adjoints`` replay per present objective, one
+    """On the tiny plan: one ``adjoints`` call per present objective, one
     solver call per multi-objective step, whose combination is a common
     descent direction of its bundle and whose weights lie on the simplex,
-    an update of exactly ``-lr * combined``, sliced per trainable param in
-    order, and per epoch a history row carrying the mean of its steps'
-    weights by objective slot."""
+    an update of exactly ``-lr`` times the gradient or ``combined``, sliced
+    per trainable param in order, and per epoch a history row carrying the
+    mean of its steps' weights by objective slot."""
+
+    MULTI = ("kd-edge", "recall-boost")
 
     def run(self, monkeypatch, stage):
         plan, X, y, edge, cloud, adapter = tiny_stage_inputs()
         sc = plan.stages
-        train_base(cloud, X, y, dataclasses.replace(sc["cloud"], epochs=2), seed=1)
-        if stage == "kd-edge":
-            cfg = dataclasses.replace(sc["edge_kd"], epochs=2)
-            trainable = edge.params() + adapter.params()
-            recorder = StepRecorder(monkeypatch, 2, trainable)
-            result = train_edge_kd(edge, adapter, X, y, cloud_targets(cloud, adapter.cloud_tap, X),
-                                   cfg, seed=2, kd_weight=plan.kd_weight, recall_boost=True)
-        else:
+        cfg = dataclasses.replace(sc["cloud"], epochs=2)
+        if stage == "base":
+            recorder = StepRecorder(monkeypatch, 1, cloud.params())
+            result = train_base(cloud, X, y, cfg, seed=1)
+            return len(X), cfg, recorder.steps, result, cloud.params()
+        train_base(cloud, X, y, cfg, seed=1)
+        target = cloud_targets(cloud, adapter.cloud_tap, X)
+        cfg = dataclasses.replace(sc["edge_kd"], epochs=2)
+        trainable = edge.params() + adapter.params()
+        if stage == "recall-boost":
             # two-row batches: some hold no positive row and step on CE alone
             cfg = TrainConfig(1, 2, 0.1)
-            trainable = edge.params()
+            recorder = StepRecorder(monkeypatch, 1, edge.params())
+            return len(X), cfg, recorder.steps, train_recall_boost(edge, X, y, cfg, seed=2), \
+                edge.params()
+        if stage == "finetune":
+            edge_kd_result = train_edge_kd(edge, adapter, X, y, target, cfg, seed=2)
+            cfg = dataclasses.replace(sc["finetune"], epochs=2)
+            trainable = adapter.params() + cloud.params()[2 * (adapter.cloud_tap + 1):]
             recorder = StepRecorder(monkeypatch, 1, trainable)
-            result = train_recall_boost(edge, X, y, cfg, seed=2)
+            return len(X), cfg, recorder.steps, finetune_adapter(edge_kd_result, cloud, cfg,
+                                                                 seed=3), trainable
+        kd_weight, recall_boost = {"kd-edge": (plan.kd_weight, True), "kd-edge-0.5": (0.5, False),
+                                   "kd-edge-0": (0.0, False)}[stage]
+        recorder = StepRecorder(monkeypatch, 2 if recall_boost else 1, trainable)
+        result = train_edge_kd(edge, adapter, X, y, target, cfg, seed=2, kd_weight=kd_weight,
+                               recall_boost=recall_boost)
         return len(X), cfg, recorder.steps, result, trainable
 
-    @pytest.mark.parametrize("stage", ["kd-edge", "recall-boost"])
+    @pytest.mark.parametrize("stage", ["kd-edge", "recall-boost", "base", "kd-edge-0.5",
+                                       "kd-edge-0", "finetune"])
     def test_replays_solves_and_update(self, monkeypatch, stage):
         n, cfg, steps, result, trainable = self.run(monkeypatch, stage)
         assert len(steps) == cfg.epochs * math.ceil(n / cfg.batch_size)
-        assert any(s["present"] > 1 for s in steps)
+        assert any(s["present"] > 1 for s in steps) == (stage in self.MULTI)
         lr = cfg.learning_rate
         afters = [s["before"] for s in steps[1:]] + [flat(trainable)]
         for step, after in zip(steps, afters):
@@ -1108,8 +1217,11 @@ class TestMultiObjectiveSteps:
                 assert combined.shape == (sum(p.value.size for p in trainable),)
                 want = step["before"] - lr * combined
             assert after.tobytes() == want.tobytes()
-        if stage == "recall-boost":
+        if stage != "kd-edge":
             assert any(s["present"] == 1 for s in steps)
+        if stage not in self.MULTI:
+            assert all(row.alpha is None for row in result.history)
+            return
         # slot 1 is positive cross-entropy in both stages: 0 where it is absent
         per_epoch = len(steps) // cfg.epochs
         for epoch, row in enumerate(result.history[1:]):
