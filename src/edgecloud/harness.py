@@ -15,9 +15,9 @@ three-objective recall bundle instead), then fine-tune the adapter plus the
 cloud tail. A list of policies is scored on the held-out split as one
 report per system after the edge and cloud anchors: the plan's policies for
 ``evaluate_policies``, and for ``sweep_dynamic`` the dynamic policies its
-``c2`` sweep spans. Each command routes the split once, and every policy
-thresholds its own confidence mode's confidence from that pass. Writing
-the reports is left to the caller.
+``c2`` sweep spans. Each command routes the split once and takes one
+confidence from that pass, which every policy thresholds. Writing the
+reports is left to the caller.
 """
 
 import dataclasses
@@ -222,15 +222,11 @@ class PolicyConfig:
     variant: str
     c1: float
     c2: float = 0.0
-    confidence_mode: str = models.NORMAL_CLASS_MODE
 
     def __post_init__(self) -> None:
         policy_mod.check_thresholds(self.variant, self.c1, self.c2)
         if self.variant != DYNAMIC and self.c2 != 0.0:
             raise ConfigError("c2: only a dynamic policy reads c2")
-        if self.confidence_mode not in models.CONFIDENCE_MODES:
-            raise ConfigError(f"confidence_mode: unknown mode {self.confidence_mode!r}, "
-                              f"expected one of {models.CONFIDENCE_MODES}")
 
     @property
     def label(self) -> str:
@@ -297,13 +293,12 @@ class ExperimentPlan:
 
     def sweep_policies(self) -> list[PolicyConfig]:
         """The c2 sweep: dynamic policies over ``{0, *c2_grid, c1}`` ascending,
-        with the first policy's ``c1`` and mode, or 0.8 and normal-class. A
-        ``c2_grid`` entry outside [0, c1] is refused."""
-        first = self.policies[0] if self.policies else PolicyConfig(DYNAMIC, c1=0.8)
-        if any(not 0.0 <= c2 <= first.c1 for c2 in self.c2_grid):
-            raise ConfigError(f"c2_grid: entries must lie in [0, c1] = [0, {first.c1:g}]")
-        return [PolicyConfig(DYNAMIC, first.c1, c2, first.confidence_mode)
-                for c2 in sorted({0.0, *self.c2_grid, first.c1})]
+        with the first policy's ``c1``, or 0.8. A ``c2_grid`` entry outside
+        [0, c1] is refused."""
+        c1 = self.policies[0].c1 if self.policies else 0.8
+        if any(not 0.0 <= c2 <= c1 for c2 in self.c2_grid):
+            raise ConfigError(f"c2_grid: entries must lie in [0, c1] = [0, {c1:g}]")
+        return [PolicyConfig(DYNAMIC, c1, c2) for c2 in sorted({0.0, *self.c2_grid, c1})]
 
 
 def default_plan(master_seed: int = 0) -> ExperimentPlan:
@@ -507,25 +502,22 @@ def _score_policies(system: TrainedSystem, policies: list[PolicyConfig]) -> list
     """Edge and cloud anchor rows, scoring (0,0,0) and (1,1,1) by construction,
     plus one report per policy.
 
-    The validation split is routed once; each policy thresholds its own
-    mode's confidence of that pass's edge probabilities, computed once per
-    mode in use. Every column comes from per-route tallies of rows, correct
-    rows and recalled positives, counted on (route, row) masks. A system
-    whose edge costs as many FLOPs as its cloud, or is at least as
-    accurate, has no score.
+    The validation split is routed once, and every policy thresholds the
+    one confidence of that pass's edge probabilities. Every column comes
+    from per-route tallies of rows, correct rows and recalled positives,
+    counted on (route, row) masks. A system whose edge costs as many FLOPs
+    as its cloud, or is at least as accurate, has no score.
     """
     ds, edge, cloud = system.dataset, system.edge, system.cloud
     flops_edge, flops_cloud = edge.total_flops(), cloud.total_flops()
     metrics.check_flops(flops_edge, flops_cloud)
     route_sent, route_flops = policy_mod.route_costs(edge, cloud, system.adapter)
     routed = route_dataset(edge, cloud, system.adapter, ds.val_X)
-    conf = {mode: models.confidence(routed.edge_probs, mode)
-            for mode in dict.fromkeys(pc.confidence_mode for pc in policies)}
+    conf = models.confidence(routed.edge_probs)
     n, positive = len(ds.val_y), ds.val_y != models.NORMAL_CLASS
     # One row of route codes per report: the two anchors, then the policies.
     codes = np.stack([np.full(n, EDGE_CODE), np.full(n, CLOUD_CODE),
-                      *(route_codes(pc.variant, conf[pc.confidence_mode], pc.c1, pc.c2)
-                        for pc in policies)])
+                      *(route_codes(pc.variant, conf, pc.c1, pc.c2) for pc in policies)])
     taken = codes[:, None, :] == np.arange(len(ROUTES))[:, None]  # (report, route, row)
     counts = taken.sum(axis=2)
     hits = (taken & (routed.preds == ds.val_y)).sum(axis=(1, 2)).tolist()

@@ -1,4 +1,4 @@
-"""Edge, cloud and adapter networks: split inference and confidence scores.
+"""Edge, cloud and adapter networks: split inference and the routing confidence.
 
 A model is a stack of layers ending in a ``num_classes``-wide head; class
 probabilities are always a max-subtracted softmax over the final logits. A
@@ -25,9 +25,6 @@ from .nncore import (ConfigError, IDENTITY, LayerSpec, Param, RELU, UsageError,
                      as_tensor, dense, residual_block, softmax)
 
 NORMAL_CLASS = 0  # the "nothing of interest" class of every dataset and model
-NORMAL_CLASS_MODE = "normal-class"
-MAX_CLASS_MODE = "max-class"
-CONFIDENCE_MODES = (NORMAL_CLASS_MODE, MAX_CLASS_MODE)
 
 
 class ModelSpec:
@@ -148,7 +145,7 @@ def make_adapter(name: str, edge_tap: int, cloud_tap: int, edge_dim: int,
 
 
 def infer(model: ModelSpec, x) -> np.ndarray:
-    """Class probabilities for a sample or batch."""
+    """Class probabilities for a batch."""
     return softmax(nncore.forward(model.layers, x))
 
 
@@ -175,22 +172,18 @@ def cloud_tail(model: ModelSpec, injected, from_tap: int) -> np.ndarray:
     values = as_tensor(injected)
     expected = prefix[-1].out_dim
     # checked here: the tail after the last layer is empty and checks no dim
-    if values.ndim in (1, 2) and values.shape[-1] != expected:
-        raise ConfigError(f"injected dim {values.shape[-1]} != tap {from_tap} dim {expected}")
+    if values.ndim == 2 and values.shape[1] != expected:
+        raise ConfigError(f"injected dim {values.shape[1]} != tap {from_tap} dim {expected}")
     return softmax(nncore.forward(tail, values))
 
 
-def confidence(probs, mode: str = NORMAL_CLASS_MODE):
-    """Confidence score used by the routing rules.
-
-    ``normal-class`` returns the probability of :data:`NORMAL_CLASS`; ``max-class``
-    returns the top probability. Accepts a single vector or a batch.
-    """
-    if mode not in CONFIDENCE_MODES:
-        raise UsageError(f"unknown confidence mode {mode!r}")
+def confidence(probs) -> np.ndarray:
+    """The confidence that drives routing, one per row of an ``(n, classes)``
+    batch of class probabilities: the row's probability of
+    :data:`NORMAL_CLASS`, "nothing of interest here"."""
     arr = np.asarray(probs, dtype=np.float64)
-    sums = arr.sum(axis=-1)
-    if not np.allclose(sums, 1.0, atol=1e-6):
+    if arr.ndim != 2:
+        raise UsageError(f"probabilities must be an (n, classes) batch, got shape {arr.shape}")
+    if not np.allclose(arr.sum(axis=1), 1.0, atol=1e-6):
         raise UsageError("probabilities must sum to 1")
-    out = arr[..., NORMAL_CLASS] if mode == NORMAL_CLASS_MODE else arr.max(axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return arr[:, NORMAL_CLASS]

@@ -4,8 +4,8 @@ checkpoints.
 
 Conventions shared by every module in this package:
 
-* Numeric data is float64. Batched activations are ``(batch, features)``
-  arrays; single samples may be passed as 1-D vectors.
+* Numeric data is float64. Activations are ``(batch, features)`` arrays;
+  every pass takes a batch, a single sample being a batch of one row.
 * A dense layer computes ``act(x @ W.T + b)`` with ``W`` shaped
   ``(out_dim, in_dim)``.
 * A residual block computes ``x + (relu(x @ W1.T + b1) @ W2.T + b2)`` with
@@ -257,6 +257,8 @@ class GradientTape:
     single-owner, single-threaded object.
     """
 
+    KEPT_ROWS = 3  # a step of ``train._fit`` fills one row per objective, at most 3
+
     def __init__(self, params: Iterable[Param]) -> None:
         self._slices: dict[int, tuple[Param, slice]] = {}
         self.size = 0
@@ -282,14 +284,17 @@ class GradientTape:
 
     def _views(self, row: np.ndarray) -> dict[int, np.ndarray]:
         """Each parameter's slice of ``row``, shaped as the parameter, by
-        the parameter's id; kept for the next call with the same ``row``."""
-        kept = self._rows.get(id(row))
-        if kept is not None and kept[0] is row:
-            return kept[1]
-        views = {key: row[where].reshape(p.value.shape)
-                 for key, (p, where) in self._slices.items()}
-        self._rows[id(row)] = (row, views)
-        return views
+        the parameter's id. The views of the :attr:`KEPT_ROWS` rows used
+        last are kept for their next call, so a training step's rows are
+        sliced once per stage, and a row that its caller drops is freed."""
+        kept = self._rows.pop(id(row), None)  # a kept row is alive, so its id is its own
+        if kept is None:
+            if len(self._rows) == self.KEPT_ROWS:
+                del self._rows[next(iter(self._rows))]  # the least recently used
+            kept = (row, {key: row[where].reshape(p.value.shape)
+                          for key, (p, where) in self._slices.items()})
+        self._rows[id(row)] = kept
+        return kept[1]
 
 
 def adjoints(tape: GradientTape, objective: Callable[[np.float64], object],
@@ -416,7 +421,7 @@ def workspace() -> Scratch:
 
 
 def forward(layers: Sequence[LayerSpec], x) -> np.ndarray:
-    """The one inference layer loop: ``layers`` applied to a sample or batch.
+    """The one inference layer loop: ``layers`` applied to an ``(n, d)`` batch.
 
     Split inference runs it on slices of one stack (up to a tap, after a
     tap), so every path shares its input, dimension and finite checks.
@@ -426,11 +431,9 @@ def forward(layers: Sequence[LayerSpec], x) -> np.ndarray:
     the stack's first layer: its first weight's name less the last dotted
     part (``edge.h0.W`` -> ``edge.h0``).
     """
-    arr = as_tensor(x)
-    if arr.ndim not in (1, 2):
-        raise UsageError(f"input must be 1-D or 2-D, got shape {arr.shape}")
-    squeeze = arr.ndim == 1
-    h = arr.reshape(1, -1) if squeeze else arr
+    h = as_tensor(x)
+    if h.ndim != 2:
+        raise UsageError(f"input must be an (n, d) batch, got shape {h.shape}")
     _check_chain(layers, h.shape[1])
     scratch, last = workspace(), len(layers) - 1
     for i, layer in enumerate(layers):
@@ -441,7 +444,7 @@ def forward(layers: Sequence[LayerSpec], x) -> np.ndarray:
     if not np.all(np.isfinite(h)):
         first = layers[0].weights[0].name.rsplit(".", 1)[0] if layers else "no layer"
         raise ArithmeticError(f"forward pass from {first} produced non-finite values")
-    return h[0] if squeeze else h
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Confidence-threshold routing rules.
 
-Every sample first runs through the edge model; its confidence (normal-class
-probability by default) against the thresholds decides the route:
+Every sample first runs through the edge model; its confidence, the
+normal-class probability (``models.confidence``), against the thresholds
+decides the route:
 
 * independent: keep on edge when ``conf >= c1``, otherwise send the raw
   input through the full cloud model.
@@ -19,8 +20,8 @@ split in two. :func:`route_dataset` runs every branch once over a whole
 split and returns the edge's class probabilities and each route's
 prediction per row; each branch is ``nncore.forward``, the one layer loop,
 on the adapter, the cloud or a side of a net's ``AdapterSpec.split``
-(which refuses a misfit adapter). A policy takes its confidence mode's
-confidence of those probabilities; :func:`route_codes` maps it, for any
+(which refuses a misfit adapter). ``models.confidence`` of those
+probabilities is one array per split; :func:`route_codes` maps it, for any
 (variant, c1, c2), to route codes, indices into :data:`ROUTES`, one
 :func:`route_sample` call per row. :func:`route_costs` gives the elements
 sent and cloud-side FLOPs one row pays on each route, from the same splits.
@@ -82,8 +83,8 @@ def route_codes(variant: str, conf, c1: float, c2: float = 0.0) -> np.ndarray:
 class RoutedDataset(NamedTuple):
     """Per-row outcome of every branch over one split; no thresholds involved.
 
-    ``edge_probs`` holds the edge's class probabilities, which every
-    confidence mode reads, and ``preds[code]`` the predictions of route
+    ``edge_probs`` holds the edge's class probabilities, which the
+    confidence reads, and ``preds[code]`` the predictions of route
     ``code``, shape ``(len(ROUTES), n)``.
     """
 

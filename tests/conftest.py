@@ -268,7 +268,6 @@ MISTYPED_FIELDS = [
     (("stages", "cloud", "learning_rate"), "1",
      "plan.stages.cloud.learning_rate: expected float, got str"),
     (("policies", 2, "c2"), None, r"plan.policies\[2\].c2: expected float, got NoneType"),
-    (("policies", 0, "confidence_mode"), 1, r"plan.policies\[0\].confidence_mode: expected str"),
 ]
 
 
@@ -284,11 +283,11 @@ def set_field(cfg, keys, value):
     cfg[keys[-1]] = value
 
 
-def resweep(system, c2_grid, c1=0.8, mode="normal-class"):
+def resweep(system, c2_grid, c1=0.8):
     """``system`` with its plan's c2 sweep re-planned: ``c2_grid``, and ``c1``
-    and ``mode`` on the first policy, whose values the sweep takes."""
+    on the first policy, whose ``c1`` the sweep takes."""
     plan = system.plan
-    first = dataclasses.replace(plan.policies[0], c1=c1, confidence_mode=mode)
+    first = dataclasses.replace(plan.policies[0], c1=c1)
     plan = dataclasses.replace(plan, c2_grid=list(c2_grid), policies=[first, *plan.policies[1:]])
     return dataclasses.replace(system, plan=plan)
 

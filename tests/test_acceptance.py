@@ -157,7 +157,7 @@ def trend_results():
         assert nncore.params_digest(initial_edge.params()) == started_from[-1]
         system, swept = result.system, plan.sweep_policies()
         routed = route_dataset(system.edge, system.cloud, system.adapter, system.dataset.val_X)
-        conf = models.confidence(routed.edge_probs, swept[0].confidence_mode)
+        conf = models.confidence(routed.edge_probs)
         full_cloud_counts = [int(np.sum(route_codes(pc.variant, conf, pc.c1, pc.c2) == CLOUD_CODE))
                              for pc in swept]
 

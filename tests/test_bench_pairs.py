@@ -95,12 +95,13 @@ def test_bad_inputs_are_refused(pairs, parent, change, better, message):
         pairs.summarize(parent, change, better, 0.25)
 
 
-def fake_tree(root, name, echo):
-    """A tree whose ``tools/output_digest.py`` prints ``echo`` and its arguments."""
+def fake_tree(root, name, echo, tail=()):
+    """A tree whose ``tools/output_digest.py`` prints ``echo``, its arguments
+    and then ``tail``."""
     tools = root / name / "tools"
     tools.mkdir(parents=True)
     (tools / "output_digest.py").write_text(
-        f"import sys\nprint({echo!r}, *sys.argv[1:])\n", encoding="utf-8")
+        f"import sys\nprint({echo!r}, *sys.argv[1:], *{tuple(tail)!r})\n", encoding="utf-8")
     return str(root / name)
 
 
@@ -110,12 +111,27 @@ def test_digest_seeds_record_the_recall_boost_lines_too(pairs, tmp_path):
     record = pairs.digest_report(trees, "0-4")
     want = ["digest --seeds 0-4", "digest --seeds 0-4 --recall-boost"]
     assert record == {"output_digest": {"parent": want, "change": want},
-                      "output_digest_equal": True}
+                      "output_digest_equal": True, "outputs_equal": True}
     trees["change"] = fake_tree(tmp_path, "other", "changed")
-    assert not pairs.digest_report(trees, "0-4")["output_digest_equal"]
+    record = pairs.digest_report(trees, "0-4")
+    assert not record["output_digest_equal"] and not record["outputs_equal"]
     trees["parent"] = str(tmp_path / "no-tools")
     record = pairs.digest_report(trees, "0-4")
     assert record["output_digest"]["parent"] is None and not record["output_digest_equal"]
+    assert not record["outputs_equal"]
+
+
+def test_outputs_equal_ignores_the_plan_digest_alone(pairs, tmp_path):
+    # trees that save different plan files but write the same outputs
+    line = ("digest", "(13", "files)")
+    trees = {"parent": fake_tree(tmp_path, "parent", "seed", (*line, "plan", "aa11")),
+             "change": fake_tree(tmp_path, "change", "seed", (*line, "plan", "bb22"))}
+    record = pairs.digest_report(trees, "0")
+    assert record["output_digest"]["parent"][0] == "seed --seeds 0 digest (13 files) plan aa11"
+    assert not record["output_digest_equal"] and record["outputs_equal"]
+    trees["change"] = fake_tree(tmp_path, "other", "seed", ("other", "(13", "files)", "plan", "aa11"))
+    record = pairs.digest_report(trees, "0")
+    assert not record["output_digest_equal"] and not record["outputs_equal"]
 
 
 def test_a_traced_run_records_its_checks_and_call_counts(pairs, tmp_path):

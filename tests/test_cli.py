@@ -610,24 +610,27 @@ def test_a_negative_master_seed_exits_2_before_any_output(tmp_path, capsys, comm
     assert not out.exists()
 
 
-def test_sweep_routes_on_the_plan_confidence_mode(tmp_path):
-    plan = tiny_plan()
-    for pc in plan.policies:
-        pc.confidence_mode = "max-class"
-    path, out = tmp_path / "plan.json", str(tmp_path / "out")
-    harness.save_plan(path, plan)
+def test_a_plan_file_with_a_confidence_mode_is_refused(tmp_path, capsys):
+    # plan files saved before the routing confidence became the normal-class
+    # probability carry ``confidence_mode`` on every policy
+    cfg = harness.plan_to_dict(tiny_plan())
+    for policy in cfg["policies"]:
+        policy["confidence_mode"] = "normal-class"
+    path, out = tmp_path / "plan.json", tmp_path / "out"
+    path.write_text(json.dumps(cfg))
     for command in ("train", "evaluate", "sweep"):
-        assert dispatch([command, "--config", str(path), "--out", out]) == 0, command
-    reports = {r["label"]: r for r in metrics.read_report_rows(os.path.join(out, "reports.csv"))}
-    sweep = metrics.read_report_rows(os.path.join(out, "sweep.csv"))
-    for row, policy in ((sweep[0], "adaptive"), (sweep[-1], "independent")):
-        assert {k: v for k, v in row.items() if k != "label"} == \
-            {k: v for k, v in reports[policy].items() if k != "label"}, policy
+        assert dispatch([command, "--config", str(path), "--out", str(out)]) == 2, command
+        assert capsys.readouterr().err == \
+            "error: plan.policies[0].confidence_mode: unknown field\n"
+    assert not out.exists()
+    for policy in cfg["policies"]:
+        del policy["confidence_mode"]
+    path.write_text(json.dumps(cfg))
+    assert harness.load_plan(path) == tiny_plan()
 
 
 @pytest.mark.parametrize("policy, key, value", [
     (0, "c1", 1.5), (2, "c2", -0.2), (None, "kd_weight", -1.0), (None, "kd_weight", math.inf),
-    (1, "confidence_mode", "softmax-max"),
 ])
 def test_train_refuses_a_plan_evaluate_would_refuse(tmp_path, capsys, policy, key, value):
     cfg = harness.plan_to_dict(tiny_plan())

@@ -52,7 +52,6 @@ OMITTED = {
     ("policies",): (ExperimentPlan, []),
     ("c2_grid",): (ExperimentPlan, []),
     ("policies", "*", "c2"): (PolicyConfig, 0.0),
-    ("policies", "*", "confidence_mode"): (PolicyConfig, "normal-class"),
 }
 
 
@@ -330,7 +329,6 @@ class TestPlans:
         (None, "kd_weight", -1.0, "kd_weight: must be >= 0"),
         (None, "kd_weight", math.nan, "kd_weight: must be >= 0"),
         (None, "kd_weight", math.inf, "kd_weight: must be finite"),
-        (1, "confidence_mode", "softmax-max", "confidence_mode"),
     ])
     def test_thresholds_and_costs_checked_at_construction(self, policy, key, value, field):
         cfg = plan_to_dict(tiny_plan())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edgecloud import nncore
-from edgecloud.models import (AdapterSpec, ModelSpec, adapt, cloud_tail,
+from edgecloud.models import (NORMAL_CLASS, AdapterSpec, ModelSpec, adapt, cloud_tail,
                               confidence, feedforward, infer, infer_with_tap,
                               make_adapter, softmax)
 from edgecloud.nncore import ConfigError, UsageError, dense, flops, residual_block
@@ -19,7 +19,7 @@ class TestSoftmaxHead:
     def test_equal_logits_give_uniform(self):
         model = ModelSpec("m", [dense(3, 5, nncore.IDENTITY, weight=np.zeros((5, 3)),
                                       bias=np.full(5, 2.5))], 5)
-        probs = infer(model, np.ones(3))
+        probs = infer(model, np.ones((1, 3)))
         assert np.allclose(probs, 0.2, atol=1e-15)
 
     def test_extreme_logits_do_not_overflow(self):
@@ -45,7 +45,7 @@ class TestTaps:
         rng = np.random.default_rng(1)
         layer = dense(4, 3, nncore.RELU, rng=rng)
         model = ModelSpec("m", [layer, dense(3, 2, nncore.IDENTITY, rng=rng)], 2)
-        x = rng.standard_normal(4)
+        x = rng.standard_normal((1, 4))
         _, feat = infer_with_tap(model, x, 0)
         assert np.array_equal(feat, nncore.forward([layer], x))
 
@@ -82,13 +82,13 @@ class TestAdapt:
         proj = dense(4, 4, nncore.IDENTITY, weight=np.eye(4), bias=np.zeros(4), name="p")
         block = residual_block(4, name="r")  # zero weights
         adapter = AdapterSpec("a", 0, 1, proj, [block])
-        feat = np.array([0.3, -0.7, 1.1, 0.0])
+        feat = np.array([[0.3, -0.7, 1.1, 0.0]])
         assert np.array_equal(adapt(adapter, feat), feat)
 
     def test_zero_projection_gives_zero_feature(self):
         proj = dense(3, 5, nncore.IDENTITY, name="p")  # zero-init
         adapter = AdapterSpec("a", 0, 2, proj, [residual_block(5)])
-        assert np.array_equal(adapt(adapter, np.ones(3)), np.zeros(5))
+        assert np.array_equal(adapt(adapter, np.ones((1, 3))), np.zeros((1, 5)))
 
     def test_matches_manual_layer_composition(self):
         rng = np.random.default_rng(4)
@@ -103,12 +103,12 @@ class TestAdapt:
     def test_wrong_dim_rejected(self):
         adapter = make_adapter("a", 0, 2, 5, 9, 1, np.random.default_rng(0))
         with pytest.raises(ConfigError, match="^layer 0 expects input dim 5, got 6$"):
-            adapt(adapter, np.zeros(6))
+            adapt(adapter, np.zeros((1, 6)))
 
     def test_plain_single_dense_adapter_allowed(self):
         adapter = make_adapter("a", 0, 1, 5, 9, 0, np.random.default_rng(0))
         assert adapter.num_blocks == 0
-        assert adapt(adapter, np.ones(5)).shape == (9,)
+        assert adapt(adapter, np.ones((1, 5))).shape == (1, 9)
 
 
 class TestCloudTail:
@@ -126,7 +126,7 @@ class TestCloudTail:
     def test_last_hidden_tap_is_classifier_head(self):
         cloud = small_cloud()
         rng = np.random.default_rng(6)
-        x = rng.standard_normal(6)
+        x = rng.standard_normal((1, 6))
         _, feat = infer_with_tap(cloud, x, 2)
         head_only = softmax(nncore.forward([cloud.layers[-1]], feat))
         assert np.array_equal(cloud_tail(cloud, feat, 2), head_only)
@@ -137,7 +137,7 @@ class TestCloudTail:
 
     def test_wrong_dim_rejected(self):
         with pytest.raises(ConfigError, match="^injected dim 7 != tap 1 dim 10$"):
-            cloud_tail(small_cloud(), np.zeros(7), 1)
+            cloud_tail(small_cloud(), np.zeros((1, 7)), 1)
 
     def test_resuming_after_the_head_checks_the_dim(self):
         # the layer slice after the last tap is empty: the probabilities are
@@ -169,7 +169,7 @@ class TestNonFiniteOutputsRaise:
 
     def test_infer_with_tap_on_an_overflowing_head(self):
         with np.errstate(over="ignore"), pytest.raises(ArithmeticError):
-            infer_with_tap(overflowing_model(), np.array([1e10, 1e10]), 0)
+            infer_with_tap(overflowing_model(), np.array([[1e10, 1e10]]), 0)
 
     def test_adapt_on_an_overflowing_projection(self):
         proj = dense(2, 2, nncore.IDENTITY, weight=[[1e300, 1e300], [0.0, 0.0]],
@@ -180,28 +180,40 @@ class TestNonFiniteOutputsRaise:
 
 
 class TestConfidence:
-    def test_normal_class_mode(self):
-        assert confidence([0.7, 0.2, 0.1]) == pytest.approx(0.7)
-
-    def test_max_class_mode_uniform(self):
-        probs = np.full(7, 1.0 / 7.0)
-        assert confidence(probs, "max-class") == pytest.approx(1.0 / 7.0)
-
-    def test_low_normal_confidence(self):
-        assert confidence([0.1, 0.9]) == pytest.approx(0.1)
-
-    def test_batch_input(self):
-        probs = np.array([[0.7, 0.3], [0.2, 0.8]])
+    def test_the_normal_class_probability_of_each_row(self):
+        probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8], [1 / 3, 1 / 3, 1 / 3]])
         out = confidence(probs)
-        assert np.allclose(out, [0.7, 0.2])
+        assert isinstance(out, np.ndarray) and out.shape == (3,)
+        assert np.array_equal(out, probs[:, NORMAL_CLASS])
+
+    def test_one_row_is_a_batch_of_one(self):
+        out = confidence([[0.1, 0.9]])
+        assert out.shape == (1,) and out[0] == pytest.approx(0.1)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(UsageError, match="^probabilities must sum to 1$"):
-            confidence([0.5, 0.2])
+            confidence([[0.5, 0.2]])
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(UsageError, match="^unknown confidence mode 'entropy'$"):
-            confidence([0.5, 0.5], "entropy")
+    @pytest.mark.parametrize("probs", [[0.7, 0.3], 0.7, [[[0.7, 0.3]]]], ids=["1-D", "0-D", "3-D"])
+    def test_anything_but_a_batch_is_refused(self, probs):
+        with pytest.raises(UsageError, match=r"^probabilities must be an \(n, classes\) batch, "
+                                             r"got shape \("):
+            confidence(probs)
+
+
+CLOUD, ADAPTER = small_cloud(), make_adapter("a", 0, 1, 10, 10, 1, np.random.default_rng(0))
+SPLIT_PATHS = {"infer": (lambda x: infer(CLOUD, x), 6),
+               "infer_with_tap": (lambda x: infer_with_tap(CLOUD, x, 0)[0], 6),
+               "adapt": (lambda x: adapt(ADAPTER, x), 10),
+               "cloud_tail": (lambda x: cloud_tail(CLOUD, x, 0), 10)}
+
+
+@pytest.mark.parametrize("path", SPLIT_PATHS)
+def test_every_split_path_refuses_a_single_vector(path):
+    call, width = SPLIT_PATHS[path]
+    with pytest.raises(UsageError, match=rf"^input must be an \(n, d\) batch, got shape \({width},\)$"):
+        call(np.zeros(width))
+    assert call(np.zeros((1, width))).shape[0] == 1
 
 
 class TestSpecsAndIO:

@@ -2,7 +2,9 @@
 FLOPs, checkpoints."""
 
 import concurrent.futures
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -36,32 +38,38 @@ def mean_square(out):
 class TestForward:
     def test_identity_dense_passes_input_through(self):
         layer = dense(2, 2, nncore.IDENTITY, weight=np.eye(2), bias=np.zeros(2))
-        out = forward([layer], np.array([3.0, 4.0]))
-        assert np.array_equal(out, [3.0, 4.0])
+        out = forward([layer], np.array([[3.0, 4.0]]))
+        assert np.array_equal(out, [[3.0, 4.0]])
 
     def test_zero_weight_residual_is_identity(self):
         block = residual_block(3)  # zero-init
-        v = np.array([0.5, -1.5, 2.0])
+        v = np.array([[0.5, -1.5, 2.0]])
         assert np.array_equal(forward([block], v), v)
 
     def test_dense_relu_hand_example(self):
         layer = dense(2, 2, nncore.RELU, weight=[[1.0, 2.0], [3.0, 4.0]], bias=[1.0, 1.0])
-        out = forward([layer], np.array([1.0, -1.0]))
-        assert np.array_equal(out, [0.0, 0.0])
+        out = forward([layer], np.array([[1.0, -1.0]]))
+        assert np.array_equal(out, [[0.0, 0.0]])
 
     def test_matches_scalar_reference_evaluator(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             layers, in_dim = random_net(rng)
-            x = rng.standard_normal(in_dim)
+            x = rng.standard_normal((1, in_dim))
             got = forward(layers, x)
-            want = scalar_forward_reference(layers, x)
-            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+            want = scalar_forward_reference(layers, x[0])
+            assert np.allclose(got[0], want, rtol=1e-12, atol=1e-12)
 
     def test_dimension_mismatch_names_layer(self):
         layers = [dense(3, 4), dense(5, 2)]
         with pytest.raises(ConfigError, match="layer 1"):
-            forward(layers, np.zeros(3))
+            forward(layers, np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 1, 3)], ids=["1-D", "3-D"])
+    def test_anything_but_a_batch_is_refused(self, shape):
+        with pytest.raises(UsageError, match=rf"^input must be an \(n, d\) batch, "
+                                             rf"got shape {re.escape(str(shape))}$"):
+            forward([dense(3, 2)], np.zeros(shape))
 
     def test_batched_equals_rowwise(self):
         rng = np.random.default_rng(3)
@@ -70,7 +78,7 @@ class TestForward:
         batched = forward(layers, X)
         assert batched.shape[0] == 6
         for i in range(6):
-            assert np.allclose(batched[i], forward(layers, X[i]), rtol=1e-12, atol=1e-14)
+            assert np.allclose(batched[i], forward(layers, X[i:i + 1])[0], rtol=1e-12, atol=1e-14)
 
     def test_finite_outputs_for_finite_inputs(self):
         rng = np.random.default_rng(11)
@@ -102,6 +110,20 @@ class TestBackward:
         row, seen = np.full(2, np.nan), []
         assert adjoints(tape, lambda g: seen.append((g, row.tobytes())), row) is row
         assert seen == [(1.0, np.zeros(2).tobytes())] and type(seen[0][0]) is np.float64
+
+    def test_a_row_its_caller_drops_is_freed(self):
+        # the tape keeps the views of its last rows only, so a fresh row per
+        # call, as ``param_grads`` passes, is not held for the tape's life
+        tape = GradientTape([Param("w", [[1.0, 2.0]])])
+        first = np.empty(tape.size)
+        freed = weakref.ref(first)
+        adjoints(tape, lambda g: None, first)
+        del first
+        for _ in range(100):
+            adjoints(tape, lambda g: None, np.empty(tape.size))
+        gc.collect()
+        assert freed() is None
+        assert len(tape._rows) == GradientTape.KEPT_ROWS
 
     def test_finite_difference_spot_check(self):
         rng = np.random.default_rng(13)
@@ -618,11 +640,9 @@ class TestFusedLayerEntries:
 def fresh_forward(layers, x):
     """Reference loop: ``apply_layer`` into a fresh array for every layer."""
     h = np.asarray(x, dtype=np.float64)
-    squeeze = h.ndim == 1
-    h = h.reshape(1, -1) if squeeze else h
     for layer in layers:
         h = nncore.apply_layer(layer, h)
-    return h[0] if squeeze else h
+    return h
 
 
 class TestWorkspace:
@@ -640,7 +660,7 @@ class TestWorkspace:
         rng = np.random.default_rng(21)
         for layers, in_dim in self.stacks(rng):
             X = rng.standard_normal((int(rng.integers(1, 40)), in_dim))
-            for x in (X, X[0], X[:0], X[1:]):  # batch, 1-D sample, empty slice, offset view
+            for x in (X, X[:1], X[:0], X[1:]):  # batch, one row, empty slice, offset view
                 got = forward(layers, x)
                 want = fresh_forward(layers, x)
                 assert got.shape == want.shape

@@ -236,14 +236,14 @@ class TestValidation:
 BYTES_PER_ELEMENT = 4
 
 
-def oracle_rows(system, variant, c1, c2, mode):
+def oracle_rows(system, variant, c1, c2):
     edge, cloud, adapter = system.edge, system.cloud, system.adapter
     bpe = BYTES_PER_ELEMENT
     rows = []
     for x in system.dataset.val_X:
         x = x.reshape(1, -1)
         probs, feat = models.infer_with_tap(edge, x, adapter.edge_tap)
-        route = route_sample(variant, models.confidence(probs[0], mode), c1, c2)
+        route = route_sample(variant, float(probs[0, models.NORMAL_CLASS]), c1, c2)
         if route == EDGE_CODE:
             rows.append((route, int(np.argmax(probs)), 0, 0))
         elif route == ADAPTIVE_CODE:
@@ -279,40 +279,45 @@ def oracle_report(system, label, rows):
                       acc, recall_rate(preds, ds.val_y))
 
 
-MIXED_MODES = [("independent", 0.8, 0.0, "normal-class"), ("adaptive", 0.7, 0.0, "max-class"),
-               ("dynamic", 0.8, 0.3, "max-class")]
+MIXED_C1 = [("independent", 0.8, 0.0), ("adaptive", 0.7, 0.0), ("dynamic", 0.8, 0.3)]
 SWEEP_C2 = [0.0, 0.2, 0.4, 0.6, 0.8]
 
 
 @pytest.mark.parametrize("command", [evaluate_policies, sweep_dynamic], ids=["evaluate", "sweep"])
 def test_one_routing_pass_per_command(tiny_system, monkeypatch, command):
-    """Policies of two confidence modes still route the split once."""
+    """Policies of three variants and two c1 values route the split once and
+    take one confidence of it."""
     system = dataclasses.replace(tiny_system.system, plan=dataclasses.replace(
-        tiny_system.system.plan, policies=[PolicyConfig(*p) for p in MIXED_MODES]))
-    calls = []
+        tiny_system.system.plan, policies=[PolicyConfig(*p) for p in MIXED_C1]))
+    calls = {"route_dataset": 0, "confidence": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return route_dataset(*args)
+    def counted(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(harness, "route_dataset", counted)
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, call)
+
+    counted(harness, "route_dataset")
+    counted(models, "confidence")
     command(system)
-    assert len(calls) == 1
+    assert calls == {"route_dataset": 1, "confidence": 1}
 
 
 class TestPerSampleOracle:
     @pytest.mark.parametrize("policies", [
-        [(pc.variant, pc.c1, pc.c2, pc.confidence_mode) for pc in tiny_plan().policies],
-        MIXED_MODES], ids=["tiny-plan", "mixed-modes"])
+        [(pc.variant, pc.c1, pc.c2) for pc in tiny_plan().policies],
+        MIXED_C1], ids=["tiny-plan", "mixed-c1"])
     def test_plan_policies_match_oracle(self, tiny_system, policies):
         system = dataclasses.replace(tiny_system.system, plan=dataclasses.replace(
             tiny_system.system.plan, policies=[PolicyConfig(*p) for p in policies]))
         reports = evaluate_policies(system)
         assert len(reports) == 2 + len(policies)
-        for (variant, c1, c2, mode), report in zip(policies, reports[2:]):
+        for (variant, c1, c2), report in zip(policies, reports[2:]):
             routed = route_dataset(system.edge, system.cloud, system.adapter, system.dataset.val_X)
-            codes = route_codes(variant, models.confidence(routed.edge_probs, mode), c1, c2)
-            rows = oracle_rows(system, variant, c1, c2, mode)
+            codes = route_codes(variant, models.confidence(routed.edge_probs), c1, c2)
+            rows = oracle_rows(system, variant, c1, c2)
             assert codes.tolist() == [r[0] for r in rows]
             assert predictions(routed, codes).tolist() == [r[1] for r in rows]
             assert report == oracle_report(system, report.label, rows)
@@ -324,18 +329,17 @@ class TestPerSampleOracle:
         plan = with_cloud_epochs(tiny_plan(data=dataclasses.replace(tiny_plan().data, dim=10)), 24)
         result = run_experiment(plan)
         for pc, report in zip(plan.policies, result.reports[2:]):
-            rows = oracle_rows(result.system, pc.variant, pc.c1, pc.c2, pc.confidence_mode)
+            rows = oracle_rows(result.system, pc.variant, pc.c1, pc.c2)
             assert report == oracle_report(result.system, report.label, rows)
         assert result.report("adaptive").psi == 0.6
 
-    @pytest.mark.parametrize("mode", ["normal-class", "max-class"])
-    def test_sweep_matches_oracle(self, tiny_system, mode):
-        system = resweep(tiny_system.system, SWEEP_C2, mode=mode)
+    def test_sweep_matches_oracle(self, tiny_system):
+        system = resweep(tiny_system.system, SWEEP_C2)
         sweep = sweep_dynamic(system)
         assert len(sweep) == len(SWEEP_C2)
         for c2, report in zip(SWEEP_C2, sweep):
             assert report == oracle_report(system, report.label,
-                                           oracle_rows(system, "dynamic", 0.8, c2, mode))
+                                           oracle_rows(system, "dynamic", 0.8, c2))
 
     def test_anchor_rows_match_whole_model_inference(self, tiny_system):
         ds = tiny_system.system.dataset

@@ -1,6 +1,7 @@
 """Loss and training-procedure tests, including the small-scale trend
 experiments (median over seeds 0..4)."""
 
+import collections
 import concurrent.futures
 import copy
 import dataclasses
@@ -1232,6 +1233,24 @@ class TestMultiObjectiveSteps:
                     by_slot.append(weights if step["positive"] else [weights[0], 0.0, *weights[1:]])
             assert by_slot
             assert row.alpha == tuple(float(a) for a in np.mean(by_slot, axis=0))
+
+    def test_each_gradient_row_is_sliced_once_per_stage(self, monkeypatch):
+        # the cloud stage fills one row, the recall-boosted edge stage three;
+        # the tape's views of each row are built on its first step only
+        calls, adjoints = [], nncore.adjoints
+
+        def recorded(tape, objective, out):
+            row = adjoints(tape, objective, out)
+            calls.append((tape, out, tape._grad))  # held, so no id is reused
+            return row
+
+        monkeypatch.setattr(nncore, "adjoints", recorded)
+        self.run(monkeypatch, "kd-edge")
+        views: dict[tuple[int, int], set[int]] = {}
+        for tape, out, grad in calls:
+            views.setdefault((id(tape), id(out)), set()).add(id(grad))
+        assert all(len(built) == 1 for built in views.values())
+        assert sorted(collections.Counter(tape for tape, _ in views).values()) == [1, 3]
 
     def test_trainable_values_are_slices_of_one_buffer(self):
         # a stage leaves each trainable Param.value a reshaped slice of one

@@ -13,7 +13,9 @@ side runs its own ``perfbench/run.py``. The JSON holds, per workload, every pair
 correctness, command counts and whether the two ``outputs.sha256`` agree,
 and per end-to-end metric of ``BENCHMARK.json`` the statistics of
 :func:`summarize`. ``--digest-seeds`` adds both trees' ``tools/output_digest.py``
-lines, plain and then with ``--recall-boost``, and whether they are equal.
+lines, plain and then with ``--recall-boost``, whether they are equal, and
+whether they are equal less each line's `` plan <sha>`` tail, so that a
+change to the plan file's schema alone still shows identical outputs.
 Under ``traced`` it also holds, per workload and tree, one seed-0
 ``perfbench/run.py --seconds 5 --trace 1`` run's correctness, failed
 commands, absent traced names, problems and :data:`TRACED_CALLS` counts.
@@ -31,6 +33,7 @@ import os
 import platform
 import shutil
 import statistics
+import re
 import subprocess
 import sys
 import tarfile
@@ -172,12 +175,18 @@ def digest_lines(tree: str, seeds: str) -> list[str] | None:
 
 
 def digest_report(trees: dict[str, str], seeds: str) -> dict:
-    """Both trees' :func:`digest_lines`, and whether the parent has them and
-    the change prints the same."""
+    """Both trees' :func:`digest_lines`; whether the parent has them and the
+    change prints the same (``output_digest_equal``); and whether it does
+    with the `` plan <sha>`` tail, the saved plan file's digest, removed from
+    each line (``outputs_equal``)."""
     lines = {side: digest_lines(trees[side], seeds) for side in SIDES}
+    outputs = {side: lines[side] and [re.sub(r" plan \S+$", "", line) for line in lines[side]]
+               for side in SIDES}
     return {"output_digest": lines,
             "output_digest_equal": lines["parent"] is not None
-            and lines["parent"] == lines["change"]}
+            and lines["parent"] == lines["change"],
+            "outputs_equal": outputs["parent"] is not None
+            and outputs["parent"] == outputs["change"]}
 
 
 def main(argv=None) -> int:
